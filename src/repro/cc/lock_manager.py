@@ -89,7 +89,10 @@ class LockManager:
         waits_for: WaitsForGraph | None = None,
     ):
         self._table: dict[Hashable, _LockState] = {}
-        self._held_keys: dict[int, set[Hashable]] = {}
+        # Acquisition order, not a set: release_all re-grants waiters key by
+        # key, and string-hash order would make that order (and every seeded
+        # run downstream of it) depend on PYTHONHASHSEED.
+        self._held_keys: dict[int, dict[Hashable, None]] = {}
         self._pending_key: dict[int, Hashable] = {}
         # A waits-for graph may be shared by several managers (one per
         # distributed site) so cycles spanning sites are detected; with a
@@ -208,7 +211,7 @@ class LockManager:
         self, state: _LockState, request: _Request, key: Hashable, waited: bool = False
     ) -> None:
         state.granted[request.txn_id] = request.mode
-        self._held_keys.setdefault(request.txn_id, set()).add(key)
+        self._held_keys.setdefault(request.txn_id, {})[key] = None
         if self.tracer.enabled:
             self.tracer.emit(
                 "lock.grant",
@@ -237,7 +240,7 @@ class LockManager:
     def release_all(self, txn_id: int) -> None:
         """Release every lock of ``txn_id`` and cancel its pending request."""
         self._cancel_pending(txn_id)
-        keys = self._held_keys.pop(txn_id, set())
+        keys = self._held_keys.pop(txn_id, {})
         if self.tracer.enabled and keys:
             self.tracer.emit("lock.release", txn=txn_id, keys=sorted(keys, key=repr))
         for key in keys:
