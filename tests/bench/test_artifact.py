@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pathlib
 
 import pytest
 
@@ -114,6 +115,30 @@ class TestArtifactSchema:
         stripped = {k: v for k, v in artifact.items() if k != "slo"}
         assert compare(artifact, stripped) == []
         assert compare(stripped, artifact) == []
+
+
+def _without_host_fields(node):
+    """Drop ``rev`` and every ``wall_clock_s``: all that is not virtual time."""
+    if isinstance(node, dict):
+        return {
+            key: _without_host_fields(value)
+            for key, value in node.items()
+            if key not in ("rev", "wall_clock_s")
+        }
+    if isinstance(node, list):
+        return [_without_host_fields(item) for item in node]
+    return node
+
+
+class TestCommittedBaseline:
+    def test_quick_artifact_equals_committed_baseline(self):
+        # The refactoring oracle: every block of the quick artifact is
+        # virtual-time deterministic, so a behaviour change anywhere under
+        # the bench shows up here as a diff, not as a tolerance breach.
+        root = pathlib.Path(__file__).resolve().parent.parent.parent
+        baseline = load_artifact(str(root / "BENCH_baseline.json"))
+        fresh = json.loads(json.dumps(run_suite(SUITES["quick"], seed=baseline["seed"])))
+        assert _without_host_fields(fresh) == _without_host_fields(baseline)
 
 
 class TestComparator:
