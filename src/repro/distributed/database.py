@@ -15,10 +15,11 @@ round doubles as transaction-number agreement:
    *held* local number (``DistributedVersionControl.hold``);
 2. the coordinator decides ``tn = max(holds)`` — admissible at every site —
    and sends COMMIT(tn);
-3. each participant forces a WAL record of its writes under ``tn`` (the
-   site-local durability point), adopts the number, installs the staged
-   writes as versions numbered ``tn``, releases its locks, and completes
-   its VC entry.
+3. each participant runs the per-site commit leg
+   (:meth:`repro.distributed.base.SiteBase.commit_leg`) under ``tn``:
+   force a WAL record of its writes (the site-local durability point),
+   adopt the number, install the staged writes as versions numbered
+   ``tn``, release its locks, and complete its VC entry.
 
 **Read-only transactions** obtain a single global start number — their
 origin site's ``vtnc`` — and read at any site, *waiting on version-control
@@ -29,125 +30,76 @@ reproduced in :mod:`repro.distributed.dmv2pl`), no locks are taken, and
 global serializability at the start number is guaranteed — verified by the
 oracle in tests and experiment EXP-J.
 
-**Fault tolerance** (the ``repro.faults`` drills exercise all of it):
+**Fault tolerance** (the ``repro.faults`` drills exercise all of it) is
+inherited from :mod:`repro.distributed.base` — idempotent handlers, the
+forced-before-ack commit leg, :meth:`crash_site` / :meth:`recover_site` /
+:meth:`crash_restart_site` — plus two things only this protocol has:
 
-* every message handler is *idempotent*, so duplicated or retransmitted
-  courier deliveries are harmless;
 * a configurable ``prepare_timeout`` lets the coordinator abort a 2PC that
   cannot gather its holds (site slow, channel partitioned) instead of
   blocking forever — safe because the timeout only fires before the
   decision point;
-* :meth:`crash_site` fail-stops a site (volatile WAL tail, lock tables,
-  and VC queue vanish; lock waiters and pre-decision transactions abort
-  with ``SITE_FAILURE``), and :meth:`recover_site` rebuilds it by WAL
-  replay — re-creating *held* VC entries for transactions that passed the
-  2PC decision point so visibility cannot leap over their still-in-flight
-  commits.  :meth:`crash_restart_site` combines both for drills.
+* a crash also loses the site's VC queue, so recovery resynchronizes the
+  counter above every number known anywhere and applies decided-but-
+  unapplied commits before reopening, so visibility cannot leap over them.
 """
 
 from __future__ import annotations
 
-import zlib
+from typing import Callable, Hashable
 
-from typing import Any, Callable, Hashable, Iterable
-
-from repro.cc.deadlock import WaitsForGraph
-from repro.cc.lock_manager import LockManager
-from repro.cc.locks import LockMode
 from repro.core.futures import OpFuture
-from repro.core.interface import SchedulerCounters
-from repro.core.transaction import Transaction, TxnClass
+from repro.core.transaction import Transaction
+from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
 from repro.distributed.dvc import DistributedVersionControl
-from repro.errors import (
-    AbortReason,
-    DeadlineExceeded,
-    ProtocolError,
-    SiteUnavailable,
-    TransactionAborted,
-    VersionNotFound,
-)
-from repro.histories.recorder import HistoryRecorder
-from repro.obs.spans import activate, start_span, txn_context
+from repro.errors import AbortReason, SiteUnavailable, VersionNotFound
+from repro.obs.spans import start_span
 from repro.qos.breaker import BreakerBoard
-from repro.storage.mvstore import MVStore
-from repro.storage.wal import (
-    LogRecord,
-    RecordKind,
-    WriteAheadLog,
-    validate_durable,
-)
 
 
-def replay_site_log(wal: WriteAheadLog) -> tuple[MVStore, list[int]]:
-    """Rebuild one site's store from its durable WAL.
-
-    Returns the store and the sorted list of committed transaction numbers
-    found in the log.  Uncommitted WRITE records (no durable COMMIT) are
-    skipped; a torn tail is the durable boundary; a malformed mid-log
-    record raises :class:`~repro.errors.CorruptLogError` (via
-    :func:`~repro.storage.wal.validate_durable`).
-    """
-    records = validate_durable(wal)
-    writes: dict[int, list[tuple[Hashable, Any]]] = {}
-    committed: dict[int, int] = {}
-    for record in records:
-        if record.kind is RecordKind.WRITE:
-            writes.setdefault(record.txn_id, []).append((record.key, record.value))
-        elif record.kind is RecordKind.COMMIT:
-            committed[record.txn_id] = record.tn  # type: ignore[assignment]
-    store = MVStore()
-    for txn_id, tn in sorted(committed.items(), key=lambda item: item[1]):
-        for key, value in writes.get(txn_id, ()):
-            obj = store.object(key)
-            existing = obj.find(tn)
-            if existing is None:
-                store.install(key, tn, value)
-            else:
-                existing.value = value
-        # A committed transaction with no writes at this site can occur when
-        # it only read here; nothing to install.
-    return store, sorted(committed.values())
-
-
-class Site:
-    """One database site: partition store + locks + version control + WAL."""
+class Site(SiteBase):
+    """A site numbered by a :class:`DistributedVersionControl` module."""
 
     def __init__(self, site_id: int, checked: bool = True, waits_for=None):
-        self.site_id = site_id
-        self.store = MVStore()
-        # Victim policy must stay "requester" with a shared waits-for graph.
-        self.locks = LockManager(waits_for=waits_for)
+        super().__init__(site_id, waits_for)
         self.vc = DistributedVersionControl(site_id, checked=checked)
-        self.wal = WriteAheadLog()
         self.checked = checked
-        self._waits_for = waits_for
-        #: True between crash() and recover(): messages park, operations wait.
-        self.crashed = False
-        #: Bumped on every crash — invariant checkers track visibility
-        #: monotonicity *within* an incarnation (a restart may lawfully
-        #: re-open visibility at the durable frontier, below a fast-forwarded
-        #: pre-crash value).
-        self.incarnation = 0
         #: Read-only waits parked on this site's visibility: (sn, future).
         self._visibility_waiters: list[tuple[int, OpFuture]] = []
-        #: Messages that arrived while the site was down; recovery replays
-        #: them (the network redelivers once the node is reachable again).
-        self._parked: list[Callable[[], None]] = []
         self.vc.subscribe(self._on_advance)
 
-    # -- message arrival ---------------------------------------------------------
+    # -- numbering hooks of the commit leg ----------------------------------------
 
-    def receive(self, fn: Callable[[], None]) -> None:
-        """Run a delivered message, or park it while the site is down."""
-        if self.crashed:
-            self._parked.append(fn)
+    def _adopt(self, txn_id: int, tn: int) -> None:
+        if self.vc.is_registered(txn_id):
+            self.vc.adopt(txn_id, tn)
         else:
-            fn()
+            # The site crashed after preparing and lost its hold; numbering
+            # must still stay above the decided number.
+            self.vc.observe(tn)
 
-    def drain_parked(self) -> list[Callable[[], None]]:
-        parked, self._parked = self._parked, []
-        return parked
+    def _complete(self, txn_id: int, tn: int) -> None:
+        if self.vc.is_registered(txn_id):
+            self.vc.complete(txn_id)
+
+    def abort_local(self, txn_id: int) -> None:
+        if self.vc.is_registered(txn_id):
+            self.vc.discard(txn_id)
+            # A discard can empty the queue without advancing vtnc (no
+            # observer fires); parked visibility waits must then retry the
+            # idle fast-forward themselves.
+            self.reevaluate_waiters()
+        super().abort_local(txn_id)
+
+    def _restart_numbering(self, committed: list[int]) -> None:
+        self.vc = DistributedVersionControl(self.site_id, checked=self.checked)
+        self.vc.subscribe(self._on_advance)
+        for tn in committed:
+            self.vc.observe(tn)
+
+    def recovery_frontier(self) -> dict[str, int]:
+        return {"vtnc": self.vc.vtnc}
 
     # -- visibility waits ---------------------------------------------------------
 
@@ -183,50 +135,12 @@ class Site:
             return
         self._on_advance(self.vc.vtnc)
         if self._visibility_waiters:
-            # An idle recovered site may fast-forward; a site with restored
-            # holds correctly refuses until those commits arrive.
+            # An idle recovered site may fast-forward; a site with holds
+            # correctly refuses until those commits arrive.
             self.vc.try_advance_to(max(sn for sn, _ in self._visibility_waiters))
 
-    # -- crash / recovery ----------------------------------------------------------
 
-    def crash(self) -> int:
-        """Fail-stop: volatile WAL tail, lock tables, and VC queue are lost.
-
-        Pending lock requests fail with ``SITE_FAILURE`` aborts (their
-        holders' callbacks run the abort path).  Returns the number of WAL
-        records lost.  The site refuses work until :meth:`recover`.
-        """
-        lost = self.wal.crash()
-        self.crashed = True
-        self.incarnation += 1
-
-        def error_for(txn_id: int) -> TransactionAborted:
-            return TransactionAborted(
-                txn_id,
-                AbortReason.SITE_FAILURE,
-                detail=f"site {self.site_id} crashed",
-            )
-
-        self.locks.crash(error_for)
-        return lost
-
-    def recover(self) -> None:
-        """Rebuild store and VC module from the durable WAL.
-
-        The caller (:meth:`DistributedVCDatabase.recover_site`) is
-        responsible for counter resynchronization, hold restoration, and
-        visibility re-advancement — those need database-global knowledge.
-        """
-        store, committed = replay_site_log(self.wal)
-        self.store = store
-        self.locks = LockManager(waits_for=self._waits_for)
-        self.vc = DistributedVersionControl(self.site_id, checked=self.checked)
-        self.vc.subscribe(self._on_advance)
-        for tn in committed:
-            self.vc.observe(tn)
-
-
-class DistributedVCDatabase:
+class DistributedVCDatabase(Distributed2PLDatabase):
     """Multi-site database running distributed VC + 2PL."""
 
     name = "dvc-2pl"
@@ -239,74 +153,20 @@ class DistributedVCDatabase:
         prepare_timeout: float | None = None,
         breakers: BreakerBoard | None = None,
     ):
-        if n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-        # One waits-for graph shared by every site's lock manager, so
-        # deadlock cycles spanning sites are detected at request time.
-        self._global_waits_for = WaitsForGraph()
-        self.sites: dict[int, Site] = {
-            sid: self._build_site(sid, checked) for sid in range(1, n_sites + 1)
-        }
-        self.courier = courier if courier is not None else Courier()
-        self.recorder = HistoryRecorder()
-        self.counters = SchedulerCounters()
+        self._checked = checked  # _build_site runs inside super().__init__
+        super().__init__(n_sites, courier)
         #: Coordinator-side timeout for the 2PC prepare round; None = wait
         #: forever.  Only effective when the courier has a clock (sim mode).
         self.prepare_timeout = prepare_timeout
-        #: Optional per-site circuit breakers (repro.qos): operations
-        #: addressed to a site whose breaker is open fail fast with
-        #: ``SITE_UNAVAILABLE`` instead of parking on a dead site.  None
-        #: disables the feature (the pre-QoS behavior).
         self.breakers = breakers
         if breakers is not None and self.courier.sim is not None:
             sim = self.courier.sim
             breakers.bind_clock(lambda: sim.now)
-        #: Active read-write transactions, for crash handling.
-        self._active: dict[int, Transaction] = {}
 
-    def _build_site(self, sid: int, checked: bool) -> Site:
+    def _build_site(self, sid: int) -> Site:
         """Site constructor hook; subclasses substitute richer node types
         (``repro.shard`` builds :class:`~repro.shard.database.ShardNode`)."""
-        return Site(sid, checked=checked, waits_for=self._global_waits_for)
-
-    def _now(self) -> float:
-        """Virtual time when the courier has a clock; 0.0 otherwise."""
-        sim = self.courier.sim
-        return sim.now if sim is not None else 0.0
-
-    # -- placement -----------------------------------------------------------------
-
-    def site_of_key(self, key: Hashable) -> Site:
-        """Owning site for ``key``: explicit ``"s<id>:..."`` prefix or hash."""
-        if isinstance(key, str) and key[:1] == "s" and ":" in key:
-            prefix = key.split(":", 1)[0][1:]
-            if prefix.isdigit():
-                sid = int(prefix)
-                if sid in self.sites:
-                    return self.sites[sid]
-        sid = (zlib.crc32(str(key).encode()) % len(self.sites)) + 1
-        return self.sites[sid]
-
-    def _send(self, site: Site, fn: Callable[[], None], channel: str) -> None:
-        """Dispatch a message to ``site``; parks if the site is down."""
-        self.courier.dispatch(lambda: site.receive(fn), channel=channel)
-
-    def _send_for(
-        self, txn: Transaction, site: Site, fn: Callable[[], None], channel: str
-    ) -> None:
-        """Dispatch on ``txn``'s behalf, parenting the message span causally.
-
-        Inside a delivered handler the ambient context (the incoming
-        message's span) already names the cause; from client code there is
-        none, so the transaction's root span steps in.  Disabled tracer:
-        plain send.
-        """
-        tracer = self.courier.tracer
-        if tracer.enabled:
-            with activate(tracer, tracer.active_span or txn_context(txn)):
-                self._send(site, fn, channel)
-        else:
-            self._send(site, fn, channel)
+        return Site(sid, checked=self._checked, waits_for=self._global_waits_for)
 
     # -- transactions -----------------------------------------------------------------
 
@@ -329,70 +189,24 @@ class DistributedVCDatabase:
         anywhere at begin time.  Any start number is equally consistent —
         freshness only trades messages and potential waiting for currency.
 
-        ``deadline`` (absolute virtual time, read-write only) bounds how
-        long the transaction may block or sit in 2PC: a virtual-time timer
-        aborts it with ``DEADLINE_EXCEEDED`` if it has not reached the 2PC
-        decision point by then.  Past the decision point the commit always
-        completes — 2PC has promised it — and the late deadline is only
-        counted (``qos.deadline.too_late``).
+        ``deadline`` (read-write only) is enforced up to the 2PC decision
+        point; see :meth:`~repro.distributed.base.Distributed2PLDatabase.
+        _begin_rw`.
         """
-        txn = Transaction(TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE)
-        self.counters.note_begin(txn)
-        self.recorder.record_begin(txn)
-        if read_only:
-            origin = self.sites[origin_site] if origin_site else next(iter(self.sites.values()))
-            if fresh:
-                txn.sn = max(site.vc.vc_start() for site in self.sites.values())
-                self.counters.bump("ro.freshness_probes", len(self.sites))
-            else:
-                txn.sn = origin.vc.vc_start()
-            self.counters.note_vc_interaction(txn, "start")
-            # Reported staleness bound: held-but-invisible commits queued at
-            # the origin site when the snapshot was taken.
-            txn.meta["qos.staleness"] = origin.vc.queue_length()
+        if not read_only:
+            return self._begin_rw(deadline)
+        txn = self._begin(read_only=True)
+        origin = self.sites[origin_site] if origin_site else next(iter(self.sites.values()))
+        if fresh:
+            txn.sn = max(site.vc.vc_start() for site in self.sites.values())
+            self.counters.bump("ro.freshness_probes", len(self.sites))
         else:
-            txn.meta["participants"] = set()
-            self._active[txn.txn_id] = txn
-            if deadline is not None:
-                txn.meta["qos.deadline"] = float(deadline)
-                self._arm_deadline(txn, float(deadline))
+            txn.sn = origin.vc.vc_start()
+        self.counters.note_vc_interaction(txn, "start")
+        # Reported staleness bound: held-but-invisible commits queued at
+        # the origin site when the snapshot was taken.
+        txn.meta["qos.staleness"] = origin.vc.queue_length()
         return txn
-
-    def _arm_deadline(self, txn: Transaction, deadline: float) -> None:
-        """Virtual-time timer enforcing ``txn``'s deadline (pre-decision only)."""
-
-        def on_deadline() -> None:
-            if txn.is_finished:
-                return
-            if txn.tn is not None:
-                # Past the 2PC decision point: the commit must complete.
-                self.counters.bump("qos.deadline.too_late")
-                return
-            self.counters.bump("qos.deadline.aborts")
-            self._fault_abort(txn, AbortReason.DEADLINE_EXCEEDED)
-
-        delay = max(deadline - self._now(), 0.0)
-        if not self.courier.call_later(delay, on_deadline):
-            # No clock (immediate/manual courier): fall back to passive
-            # checks at operation entry (_check_deadline).
-            self.counters.bump("qos.deadline.unarmed")
-
-    def _check_deadline(self, txn: Transaction) -> bool:
-        """Passive deadline check at operation entry; True when expired."""
-        deadline = txn.meta.get("qos.deadline")
-        if deadline is None or self._now() < deadline:
-            return False
-        if txn.tn is None:
-            self.counters.bump("qos.deadline.aborts")
-            self._fault_abort(txn, AbortReason.DEADLINE_EXCEEDED)
-            return True
-        self.counters.bump("qos.deadline.too_late")
-        return False
-
-    def _track_op(self, txn: Transaction, result: OpFuture) -> None:
-        """Remember the one in-flight operation so fault aborts can fail it."""
-        txn.meta["pending_op"] = result
-        result.add_callback(lambda _f: txn.meta.pop("pending_op", None))
 
     # -- read-only path ------------------------------------------------------------------
 
@@ -449,120 +263,13 @@ class DistributedVCDatabase:
         assert txn.sn is not None
         return int(txn.sn)
 
-    # -- read-write path -------------------------------------------------------------------
+    # -- commit: two-phase, the prepare round agreeing on the number ------------------
 
-    def read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        txn.require_active()
-        if txn.is_read_only:
-            return self._ro_read(txn, key)
-        site = self.site_of_key(key)
-        txn.meta["participants"].add(site.site_id)
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]@s{site.site_id}")
-        self._track_op(txn, result)
-        if self._check_deadline(txn) or self._breaker_reject(txn, site):
-            return result
-        started = False
-
-        def deliver() -> None:
-            nonlocal started
-            if started or not txn.is_active or result.done:
-                return
-            started = True
-            lock = site.locks.acquire(
-                txn.txn_id, key, LockMode.SHARED, deadline=txn.meta.get("qos.deadline")
-            )
-
-            def locked(done: OpFuture) -> None:
-                if done.failed:
-                    self._failure_abort(txn, done.error, result)
-                    return
-                if result.done:  # fault abort raced the grant
-                    return
-                self._breaker_success(site.site_id)
-                if key in txn.write_set:
-                    txn.record_read(key, -1)
-                    self.recorder.record_read(txn, key, None)
-                    result.resolve(txn.write_set[key])
-                    return
-                version = site.store.read_latest_committed(key)
-                txn.record_read(key, version.tn)
-                self.recorder.record_read(txn, key, version.tn)
-                result.resolve(version.value)
-
-            lock.add_callback(locked)
-
-        self._send_for(txn, site, deliver, channel="data")
-        return result
-
-    def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        txn.require_active()
-        if txn.is_read_only:
-            raise ProtocolError(f"transaction {txn.txn_id} is read-only")
-        site = self.site_of_key(key)
-        txn.meta["participants"].add(site.site_id)
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]@s{site.site_id}")
-        self._track_op(txn, result)
-        if self._check_deadline(txn) or self._breaker_reject(txn, site):
-            return result
-        started = False
-
-        def deliver() -> None:
-            nonlocal started
-            if started or not txn.is_active or result.done:
-                return
-            started = True
-            lock = site.locks.acquire(
-                txn.txn_id, key, LockMode.EXCLUSIVE, deadline=txn.meta.get("qos.deadline")
-            )
-
-            def locked(done: OpFuture) -> None:
-                if done.failed:
-                    self._failure_abort(txn, done.error, result)
-                    return
-                if result.done:  # fault abort raced the grant
-                    return
-                self._breaker_success(site.site_id)
-                txn.record_write(key, value)
-                self.recorder.record_write(txn, key)
-                result.resolve(None)
-
-            lock.add_callback(locked)
-
-        self._send_for(txn, site, deliver, channel="data")
-        return result
-
-    # -- termination ----------------------------------------------------------------------
-
-    def commit(self, txn: Transaction) -> OpFuture:
-        txn.require_active()
-        result = OpFuture(label=f"commit T{txn.txn_id}")
-        if txn.is_read_only:
-            txn.mark_committed()
-            self.counters.note_commit(txn)
-            self.recorder.record_commit(txn)
-            result.resolve(None)
-            return result
-        txn.meta["commit_future"] = result
-        if self._check_deadline(txn):
-            return result
-        participants: Iterable[int] = sorted(txn.meta["participants"])
-        if not participants:
-            # Touched nothing: commit trivially with a number from site 1.
-            participants = [next(iter(self.sites))]
-        self._two_phase_commit(txn, list(participants), result)
-        return result
-
-    def _two_phase_commit(self, txn: Transaction, participants: list[int], result: OpFuture) -> None:
+    def _commit_rw(self, txn: Transaction, participants: list[int], result: OpFuture) -> None:
         holds: dict[int, int] = {}
         remaining = set(participants)
         tracer = self.courier.tracer
-        # One "commit" span from the coordinator's decision to the final ack
-        # brackets both 2PC rounds; each round's messages and per-site work
-        # hang off it, so the profile can split prepare from commit legs.
-        commit_span = start_span(tracer, "commit", parent=txn_context(txn), txn=txn.txn_id)
-        result.add_callback(lambda f: commit_span.end(ok=not f.failed))
+        commit_span = self._commit_span(txn, result)
 
         def prepare_at(sid: int) -> None:
             if txn.is_finished or sid not in remaining:
@@ -578,74 +285,25 @@ class DistributedVCDatabase:
         def decide() -> None:
             tn = max(holds.values())
             txn.tn = tn
-            acks = set(participants)
-            txn.meta["unacked"] = acks  # shared with crash recovery
 
-            def commit_at(sid: int) -> None:  # idempotent: guarded by acks
-                if sid not in acks:  # duplicated delivery, or already applied
-                    return
-                site = self.sites[sid]
-                # Ambient context covers the normal delivery path; recovery
-                # calls this directly (no envelope), so fall back to the
-                # commit span to keep the leg inside the transaction's tree.
-                leg = start_span(
-                    tracer,
-                    "2pc.commit",
-                    parent=tracer.active_span or commit_span.context,
-                    txn=txn.txn_id,
-                    site=sid,
-                )
-                with leg:
-                    site_items = [
-                        (key, value)
-                        for key, value in txn.write_set.items()
-                        if self.site_of_key(key) is site
-                    ]
-                    # Durability first: force the WAL before installing or
-                    # acking, so a later crash of this site replays the commit.
-                    for key, value in site_items:
-                        site.wal.append(
-                            LogRecord(RecordKind.WRITE, txn.txn_id, key=key, value=value)
-                        )
-                    site.wal.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=tn))
-                    site.wal.force()
-                    # Post-durability hook: rides the forced COMMIT record,
-                    # so whatever a subclass appends here is exactly as
-                    # durable as the commit itself (repro.shard's cross-
-                    # shard visibility log).  Idempotent via the acks guard.
-                    self._site_committed(site, txn, tn, participants)
-                    if site.vc.is_registered(txn.txn_id):
-                        site.vc.adopt(txn.txn_id, tn)
-                    else:
-                        # The site crashed after preparing and its hold was not
-                        # restorable (it had already been applied elsewhere or
-                        # visibility moved on); numbering must still stay above.
-                        site.vc.observe(tn)
-                    for key, value in site_items:
-                        existing = site.store.object(key).find(tn)
-                        if existing is None:
-                            site.store.install(key, tn, value)
-                        else:  # replayed by recovery before this delivery
-                            existing.value = value
-                    site.locks.release_all(txn.txn_id)
-                    if site.vc.is_registered(txn.txn_id):
-                        site.vc.complete(txn.txn_id)
-                    acks.discard(sid)
-                    if not acks:
-                        self._active.pop(txn.txn_id, None)
-                        txn.mark_committed()
-                        self.counters.note_commit(txn)
-                        self.recorder.record_commit(txn)
-                        result.resolve(None)
+            def leg(site: Site, parent, acked: Callable[[int], None]) -> None:
+                sid = site.site_id
+                with start_span(tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=sid):
+                    site.commit_leg(
+                        txn.txn_id,
+                        tn,
+                        self._items_at(txn, site),
+                        lambda: self._site_committed(site, txn, tn, participants),
+                    )
+                    acked(sid)
 
-            txn.meta["apply_commit"] = commit_at
-            with activate(tracer, commit_span.context):
-                for sid in participants:
-                    self._send(self.sites[sid], lambda s=sid: commit_at(s), channel="2pc")
+            self._broadcast(
+                participants,
+                commit_span,
+                self._commit_legs(txn, participants, result, commit_span, leg),
+            )
 
-        with activate(tracer, commit_span.context):
-            for sid in participants:
-                self._send(self.sites[sid], lambda s=sid: prepare_at(s), channel="2pc")
+        self._broadcast(participants, commit_span, prepare_at)
 
         # The effective prepare timeout is tightened by the transaction's
         # deadline: there is no point waiting for holds past the instant the
@@ -679,212 +337,46 @@ class DistributedVCDatabase:
     ) -> None:
         """Hook: ``txn`` just became durable at ``site`` under ``tn``.
 
-        Runs once per (transaction, site) — after the WAL force, before
-        version install and visibility completion.  The base protocol needs
-        nothing here; ``repro.shard`` appends cross-shard commits to the
-        site's visibility log at exactly this point.
+        The commit leg's ``on_durable`` stage: runs once per (transaction,
+        site) — after the WAL force, before version install and visibility
+        completion.  The base protocol needs nothing here; ``repro.shard``
+        appends cross-shard commits to the site's visibility log at exactly
+        this point.
         """
-
-    def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
-        if txn.is_finished:
-            return
-        if txn.is_read_write:
-            self._active.pop(txn.txn_id, None)
-            for sid in txn.meta.get("participants", ()):
-                site = self.sites[sid]
-                if site.vc.is_registered(txn.txn_id):
-                    site.vc.discard(txn.txn_id)
-                    # A discard can empty the queue without advancing vtnc
-                    # (no observer fires); parked visibility waits must then
-                    # retry the idle fast-forward themselves.
-                    site.reevaluate_waiters()
-                site.locks.release_all(txn.txn_id)
-        txn.mark_aborted(reason)
-        self.counters.note_abort(txn, reason, caused_by_readonly=False)
-        self.recorder.record_abort(txn)
-
-    def _failure_abort(
-        self, txn: Transaction, error: BaseException | None, result: OpFuture
-    ) -> None:
-        """An operation's lock request failed: deadlock victim or site crash."""
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self.abort(txn, error.reason)
-        if result.pending:
-            result.fail(error)
-
-    def _fault_abort(self, txn: Transaction, reason: AbortReason, detail: str = "") -> None:
-        """Abort a transaction from the fault path, failing its open futures.
-
-        Without this, a client suspended on an operation or commit future
-        whose messages died with a site would wait forever.
-        """
-        if txn.is_finished:
-            return
-        if reason is AbortReason.DEADLINE_EXCEEDED:
-            error: TransactionAborted = DeadlineExceeded(
-                txn.txn_id,
-                txn.meta.get("qos.deadline", 0.0),
-                self._now(),
-                detail=detail,
-            )
-        else:
-            error = TransactionAborted(txn.txn_id, reason, detail=detail)
-        self.abort(txn, reason)
-        for slot in ("pending_op", "commit_future"):
-            future = txn.meta.get(slot)
-            if future is not None and future.pending:
-                future.fail(error)
-
-    # -- circuit breakers (repro.qos) ----------------------------------------------
-
-    def _breaker_reject(self, txn: Transaction, site: Site) -> bool:
-        """Fast-fail a read-write op against an unavailable site.
-
-        True when the op was rejected: the site is known down (crashed) or
-        its breaker is open / refusing probes.  The transaction aborts with
-        ``SITE_UNAVAILABLE`` — typed, retryable, and much cheaper than
-        parking on a site that cannot answer.
-        """
-        if self.breakers is None:
-            return False
-        sid = site.site_id
-        if site.crashed:
-            self.breakers.record_failure(sid)
-        elif self.breakers.allow(sid):
-            return False
-        self.counters.bump("qos.breaker.fastfail")
-        self._fault_abort(
-            txn,
-            AbortReason.SITE_UNAVAILABLE,
-            detail=f"site {sid} unavailable (breaker {self.breakers.for_site(sid).state})",
-        )
-        return True
-
-    def _breaker_success(self, site_id: int) -> None:
-        if self.breakers is not None:
-            self.breakers.record_success(site_id)
-
-    def _breaker_failure(self, site_id: int) -> None:
-        if self.breakers is not None:
-            self.breakers.record_failure(site_id)
 
     # -- crash / recovery -------------------------------------------------------------
 
-    def crash_site(self, site_id: int) -> int:
-        """Fail-stop one site; returns the count of WAL records lost.
+    def _resync_numbering(self, site: Site, in_doubt: list[Transaction]) -> None:
+        """Keep a restarted site's counter and visibility lawful.
 
-        Every active transaction that touched the site and has *not* passed
-        the 2PC decision point aborts with ``SITE_FAILURE`` — its locks and
-        held numbers there are gone, so it can never commit correctly.
-        Transactions *past* the decision point are not aborted: 2PC has
-        promised their commit, and recovery restores their visibility
-        blocks so the promise is kept.
+        The VC queue died with the site.  Resynchronize the counter above
+        every transaction number known anywhere (stores, in-flight
+        decisions) so the restarted site can never re-issue a number
+        attached to existing versions, then re-advance visibility to the
+        durable committed frontier — which the in-doubt commits recovery
+        just applied are part of.
         """
-        site = self.sites[site_id]
-        lost = site.wal.crash()
-        site.crashed = True
-        site.incarnation += 1
-        self._breaker_failure(site_id)
-        if self.courier.tracer.enabled:
-            self.courier.tracer.emit(
-                "fault.crash", site=site_id, lost_records=lost,
-                incarnation=site.incarnation,
-            )
-
-        def error_for(txn_id: int) -> TransactionAborted:
-            return TransactionAborted(
-                txn_id, AbortReason.SITE_FAILURE, detail=f"site {site_id} crashed"
-            )
-
-        # Fail lock waiters BEFORE aborting lock holders: an abort releases
-        # the holder's locks, and a release against a half-crashed table
-        # could grant a queued request that the crash is about to erase.
-        site.locks.crash(error_for)
-        for txn in list(self._active.values()):
-            if site_id in txn.meta.get("participants", ()) and txn.tn is None:
-                self._fault_abort(
-                    txn,
-                    AbortReason.SITE_FAILURE,
-                    detail=f"site {site_id} crashed before the commit decision",
-                )
-        return lost
-
-    def recover_site(self, site_id: int) -> None:
-        """Restart a crashed site from its durable WAL.
-
-        Recovery rebuilds the store by replay, then resynchronizes the VC
-        counter above every transaction number known anywhere (stores,
-        in-flight decisions) so the restarted site can never re-issue a
-        number attached to existing versions, restores *held* entries for
-        decided-but-unapplied transactions, and finally re-advances
-        visibility to the durable committed frontier.  Messages that
-        arrived during the outage are then redelivered.
-        """
-        site = self.sites[site_id]
-        if not site.crashed:
-            raise ProtocolError(f"site {site_id} is not crashed")
-        site.recover()
-        # Counter resync: observe every number durably attached to versions
-        # anywhere plus every in-flight decided number.
-        max_committed = 0
         for other in self.sites.values():
             for key in other.store.keys():
                 for version in other.store.object(key).versions():
                     if version.tn:
                         site.vc.observe(version.tn)
-                        if other is site and version.tn > max_committed:
-                            max_committed = version.tn
         for txn in self._active.values():
             if txn.tn is not None:
                 site.vc.observe(txn.tn)
-        # In-doubt commits: transactions past the 2PC decision point whose
-        # COMMIT has not yet been applied here are applied *now* (presumed
-        # commit — the restarting site asks the coordinator for outcomes),
-        # before the site accepts new lock requests.  Without this, the
-        # crash-erased lock table would let another transaction read or
-        # overwrite the in-doubt keys ahead of the still-in-flight COMMIT;
-        # its later delivery is a no-op thanks to the ``acks`` guard.  When
-        # the application closure is unavailable, fall back to restoring
-        # the hold so visibility at least keeps blocking below the decided
-        # number until the retransmitted COMMIT lands.
-        for txn in list(self._active.values()):
-            if txn.tn is None or site_id not in txn.meta.get("unacked", ()):
-                continue
-            apply_commit = txn.meta.get("apply_commit")
-            if apply_commit is not None:
-                apply_commit(site_id)
-                if txn.tn > max_committed:
-                    max_committed = txn.tn
-            elif txn.tn > site.vc.vtnc:
-                site.vc.restore_hold(txn.txn_id, txn.tn)
+        max_committed = max(
+            [txn.tn for txn in in_doubt]
+            + [v.tn for key in site.store.keys() for v in site.store.object(key).versions()],
+            default=0,
+        )
         if max_committed:
             site.vc.try_advance_to(max_committed)
-        site.crashed = False
-        if self.courier.tracer.enabled:
-            self.courier.tracer.emit(
-                "fault.recover", site=site_id, vtnc=site.vc.vtnc,
-                incarnation=site.incarnation,
-            )
-        for fn in site.drain_parked():
-            fn()
-        site.reevaluate_waiters()
 
-    def crash_restart_site(self, site_id: int) -> int:
-        """Atomic crash + WAL-replay restart (the drill's fault primitive)."""
-        lost = self.crash_site(site_id)
-        self.recover_site(site_id)
-        return lost
+    def recover_site(self, site_id: int) -> None:
+        super().recover_site(site_id)
+        self.sites[site_id].reevaluate_waiters()
 
     # -- inspection -----------------------------------------------------------------------
-
-    def active_transactions(self) -> list[Transaction]:
-        return list(self._active.values())
-
-    @property
-    def history(self):
-        """The merged global multiversion history."""
-        return self.recorder.history
 
     def total_messages(self) -> int:
         return self.courier.delivered

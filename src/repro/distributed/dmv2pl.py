@@ -22,171 +22,77 @@ agreement — each site numbers the commit locally, which is the root of the
 anomaly).  Version numbers are per-site local counters mapped into the
 global number space by site for uniqueness.
 
-**Fault tolerance** (shared with :mod:`repro.distributed.database`, so the
-``repro.faults`` drills can exercise both protocols): message handlers are
-idempotent under duplicated delivery; each site forces a WAL record of a
-transaction's local writes before installing them or acking, making commit
-application replayable; :meth:`crash_site` / :meth:`recover_site` model
-fail-stop with WAL-replay restart — the recovered commit counter restarts
-above every durable local number, the CTL is rebuilt from durable COMMIT
-records, and messages that arrived during the outage are redelivered.
-Active transactions that touched a crashed site abort with
-``SITE_FAILURE`` unless they had already entered commit, in which case
-their parked commit messages apply after recovery (forced-before-ack makes
-this exactly-once).
+Everything that is not numbering or visibility — locked read-write
+operations, deadlines, abort, the per-site commit leg, crash and WAL-replay
+restart — is :mod:`repro.distributed.base`, shared with
+:mod:`repro.distributed.database`, so the ``repro.faults`` drills exercise
+both protocols through the same code.  What restart means *here*: the
+recovered commit counter restarts above every durable local number and the
+CTL is rebuilt from durable COMMIT records.  Commit entry is this
+protocol's decision point, so a transaction that entered commit before a
+crash is not aborted: its parked commit messages apply after recovery.
 """
 
 from __future__ import annotations
 
-import zlib
+from typing import Callable, Hashable, Iterable
 
-from typing import Any, Callable, Hashable, Iterable
-
-from repro.cc.deadlock import WaitsForGraph
-from repro.cc.lock_manager import LockManager
-from repro.cc.locks import LockMode
 from repro.core.futures import OpFuture
-from repro.core.interface import SchedulerCounters
-from repro.core.transaction import Transaction, TxnClass
+from repro.core.transaction import Transaction
+from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
 from repro.distributed.gtn import make_gtn, max_counter, site_of
-from repro.errors import (
-    AbortReason,
-    DeadlineExceeded,
-    ProtocolError,
-    TransactionAborted,
-    VersionNotFound,
-)
-from repro.histories.recorder import HistoryRecorder
-from repro.obs.spans import activate, start_span, txn_context
-from repro.storage.mvstore import MVStore
-from repro.storage.wal import (
-    LogRecord,
-    RecordKind,
-    WriteAheadLog,
-    validate_durable,
-)
+from repro.errors import ProtocolError, VersionNotFound
+from repro.obs.spans import start_span
 
 
-class _ChanSite:
-    """One site: store, locks, local commit counter, local CTL, WAL."""
+class _ChanSite(SiteBase):
+    """A site numbered by a local commit counter, visible through a local CTL."""
 
-    def __init__(self, site_id: int, waits_for: WaitsForGraph):
-        self.site_id = site_id
-        self.store = MVStore()
-        self.locks = LockManager(waits_for=waits_for)
+    def __init__(self, site_id: int, waits_for=None):
+        super().__init__(site_id, waits_for)
         self.commit_counter = 0
         self.ctl: set[int] = {0}
-        self.wal = WriteAheadLog()
-        self._waits_for = waits_for
-        self.crashed = False
-        self.incarnation = 0
-        self._parked: list[Callable[[], None]] = []
 
     def next_commit_number(self) -> int:
         """Local commit number mapped into the global space for uniqueness."""
         self.commit_counter += 1
         return make_gtn(self.commit_counter, self.site_id)
 
-    def receive(self, fn: Callable[[], None]) -> None:
-        """Run a delivered message, or park it while the site is down."""
-        if self.crashed:
-            self._parked.append(fn)
-        else:
-            fn()
+    def _complete(self, txn_id: int, tn: int) -> None:
+        self.ctl.add(tn)
 
-    def drain_parked(self) -> list[Callable[[], None]]:
-        parked, self._parked = self._parked, []
-        return parked
-
-    def crash(self, error_for: Callable[[int], BaseException]) -> int:
-        """Fail-stop: volatile WAL tail, lock tables, store, and CTL vanish."""
-        lost = self.wal.crash()
-        self.crashed = True
-        self.incarnation += 1
-        self.locks.crash(error_for)
-        return lost
-
-    def recover(self) -> None:
-        """Rebuild store, CTL, and commit counter from the durable WAL."""
-        records = validate_durable(self.wal)
-        writes: dict[int, list[tuple[Hashable, Any]]] = {}
-        committed: dict[int, int] = {}
-        for record in records:
-            if record.kind is RecordKind.WRITE:
-                writes.setdefault(record.txn_id, []).append(
-                    (record.key, record.value)
-                )
-            elif record.kind is RecordKind.COMMIT:
-                committed[record.txn_id] = record.tn  # type: ignore[assignment]
-        self.store = MVStore()
-        self.ctl = {0}
-        for txn_id, local_tn in sorted(committed.items(), key=lambda kv: kv[1]):
-            for key, value in writes.get(txn_id, ()):
-                self.store.install(key, local_tn, value)
-            self.ctl.add(local_tn)
+    def _restart_numbering(self, committed: list[int]) -> None:
+        self.ctl = {0, *committed}
         # Restart the counter above every durable local number so the site
         # never re-issues a number already attached to installed versions.
         self.commit_counter = max_counter(
-            tn for tn in committed.values() if site_of(tn) == self.site_id
+            tn for tn in committed if site_of(tn) == self.site_id
         )
-        self.locks = LockManager(waits_for=self._waits_for)
-        self.crashed = False
+
+    def recovery_frontier(self) -> dict[str, int]:
+        return {"commit_counter": self.commit_counter}
 
 
-class DistributedMV2PL:
+class DistributedMV2PL(Distributed2PLDatabase):
     """Ref [8]-style distributed MV2PL with per-site CTLs."""
 
     name = "dmv2pl"
 
     def __init__(self, n_sites: int = 3, courier: Courier | None = None):
-        if n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-        self._waits_for = WaitsForGraph()
-        self.sites: dict[int, _ChanSite] = {
-            sid: _ChanSite(sid, self._waits_for) for sid in range(1, n_sites + 1)
-        }
-        self.courier = courier if courier is not None else Courier()
-        self.recorder = HistoryRecorder()
-        self.counters = SchedulerCounters()
+        super().__init__(n_sites, courier)
         # Global identities for distributed transactions (pseudo-site 1023)
         # and the map from site-local version numbers to those identities,
         # so the recorded global history references writers consistently.
         self._ident_counter = 0
         self._ident_of_version: dict[int, int] = {}
-        #: Active read-write transactions, for crash handling.
-        self._active: dict[int, Transaction] = {}
 
-    def _next_ident(self) -> int:
-        self._ident_counter += 1
-        return make_gtn(self._ident_counter, 1023)
+    def _build_site(self, sid: int) -> _ChanSite:
+        return _ChanSite(sid, self._global_waits_for)
 
-    def _translate(self, version_tn: int) -> int:
+    def _version_ident(self, version_tn: int) -> int:
         """Map an installed version number to its writer's global identity."""
         return self._ident_of_version.get(version_tn, version_tn)
-
-    def site_of_key(self, key: Hashable) -> _ChanSite:
-        if isinstance(key, str) and key[:1] == "s" and ":" in key:
-            prefix = key.split(":", 1)[0][1:]
-            if prefix.isdigit() and int(prefix) in self.sites:
-                return self.sites[int(prefix)]
-        return self.sites[(zlib.crc32(str(key).encode()) % len(self.sites)) + 1]
-
-    def _send(self, site: _ChanSite, fn: Callable[[], None], channel: str) -> None:
-        self.courier.dispatch(lambda: site.receive(fn), channel=channel)
-
-    def _send_for(
-        self, txn: Transaction, site: _ChanSite, fn: Callable[[], None], channel: str
-    ) -> None:
-        """Dispatch on ``txn``'s behalf: inside a delivered handler the
-        ambient context already names the cause; from client code the
-        transaction's root span steps in."""
-        tracer = self.courier.tracer
-        if tracer.enabled:
-            with activate(tracer, tracer.active_span or txn_context(txn)):
-                self._send(site, fn, channel)
-        else:
-            self._send(site, fn, channel)
 
     # -- transactions -------------------------------------------------------------
 
@@ -204,66 +110,24 @@ class DistributedMV2PL:
         through the courier; reads issued before all fetches arrive are
         parked.
 
-        ``deadline`` (absolute virtual time, read-write only) aborts the
-        transaction with ``DEADLINE_EXCEEDED`` if it has not *entered
-        commit* by then — commit entry is this protocol's decision point
+        ``deadline`` (read-write only) is enforced until the transaction
+        *enters commit* — commit entry is this protocol's decision point
         (each site numbers and applies independently afterwards).
         """
-        txn = Transaction(TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE)
-        self.counters.note_begin(txn)
-        self.recorder.record_begin(txn)
-        if read_only:
-            if read_sites is None:
-                raise ProtocolError(
-                    "distributed MV2PL read-only transactions must declare "
-                    "their read sites a priori"
-                )
-            txn.meta["declared"] = set(read_sites)
-            txn.meta["start_ts"] = {}
-            txn.meta["ctl_copy"] = {}
-            txn.meta["snapshot_ready"] = OpFuture(label=f"T{txn.txn_id} snapshot")
-            self._fetch_snapshots(txn, sorted(txn.meta["declared"]))
-        else:
-            txn.meta["participants"] = set()
-            self._active[txn.txn_id] = txn
-            if deadline is not None:
-                txn.meta["qos.deadline"] = float(deadline)
-                self._arm_deadline(txn, float(deadline))
+        if not read_only:
+            return self._begin_rw(deadline)
+        if read_sites is None:
+            raise ProtocolError(
+                "distributed MV2PL read-only transactions must declare "
+                "their read sites a priori"
+            )
+        txn = self._begin(read_only=True)
+        txn.meta["declared"] = set(read_sites)
+        txn.meta["start_ts"] = {}
+        txn.meta["ctl_copy"] = {}
+        txn.meta["snapshot_ready"] = OpFuture(label=f"T{txn.txn_id} snapshot")
+        self._fetch_snapshots(txn, sorted(txn.meta["declared"]))
         return txn
-
-    def _now(self) -> float:
-        sim = self.courier.sim
-        return sim.now if sim is not None else 0.0
-
-    def _arm_deadline(self, txn: Transaction, deadline: float) -> None:
-        """Virtual-time deadline timer; inert once the commit has begun."""
-
-        def on_deadline() -> None:
-            if txn.is_finished:
-                return
-            if "unacked" in txn.meta:
-                # Commit entry is the decision point: sites may already have
-                # numbered and applied; the promise must be kept.
-                self.counters.bump("qos.deadline.too_late")
-                return
-            self.counters.bump("qos.deadline.aborts")
-            self._fault_abort(txn, AbortReason.DEADLINE_EXCEEDED)
-
-        delay = max(deadline - self._now(), 0.0)
-        if not self.courier.call_later(delay, on_deadline):
-            self.counters.bump("qos.deadline.unarmed")
-
-    def _check_deadline(self, txn: Transaction) -> bool:
-        """Passive deadline check at operation entry; True when expired."""
-        deadline = txn.meta.get("qos.deadline")
-        if deadline is None or self._now() < deadline:
-            return False
-        if "unacked" not in txn.meta:
-            self.counters.bump("qos.deadline.aborts")
-            self._fault_abort(txn, AbortReason.DEADLINE_EXCEEDED)
-            return True
-        self.counters.bump("qos.deadline.too_late")
-        return False
 
     def _fetch_snapshots(self, txn: Transaction, site_ids: list[int]) -> None:
         """Fetch per-site (start_ts, CTL copy), one message per site.
@@ -318,7 +182,7 @@ class DistributedMV2PL:
                 for version in reversed(candidates):
                     self.counters.bump("ctl.membership_checks")
                     if version.tn in ctl_copy:
-                        ident = self._translate(version.tn)
+                        ident = self._version_ident(version.tn)
                         txn.record_read(key, ident)
                         self.recorder.record_read(txn, key, ident)
                         result.resolve(version.value)
@@ -330,169 +194,40 @@ class DistributedMV2PL:
         txn.meta["snapshot_ready"].add_callback(ready)
         return result
 
-    # -- read-write path ----------------------------------------------------------------
-
-    def _track_op(self, txn: Transaction, result: OpFuture) -> None:
-        txn.meta["pending_op"] = result
-        result.add_callback(lambda _f: txn.meta.pop("pending_op", None))
-
-    def read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        txn.require_active()
-        if txn.is_read_only:
-            return self._ro_read(txn, key)
-        site = self.site_of_key(key)
-        txn.meta["participants"].add(site.site_id)
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        self._track_op(txn, result)
-        if self._check_deadline(txn):
-            return result
-        started = False
-
-        def deliver() -> None:
-            nonlocal started
-            if started or not txn.is_active or result.done:
-                return
-            started = True
-            lock = site.locks.acquire(
-                txn.txn_id, key, LockMode.SHARED, deadline=txn.meta.get("qos.deadline")
-            )
-
-            def locked(done: OpFuture) -> None:
-                if done.failed:
-                    self._failure_abort(txn, done.error, result)
-                    return
-                if result.done:  # fault abort raced the grant
-                    return
-                if key in txn.write_set:
-                    txn.record_read(key, -1)
-                    self.recorder.record_read(txn, key, None)
-                    result.resolve(txn.write_set[key])
-                    return
-                version = site.store.read_latest_committed(key)
-                ident = self._translate(version.tn)
-                txn.record_read(key, ident)
-                self.recorder.record_read(txn, key, ident)
-                result.resolve(version.value)
-
-            lock.add_callback(locked)
-
-        self._send_for(txn, site, deliver, channel="data")
-        return result
-
-    def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        txn.require_active()
-        if txn.is_read_only:
-            raise ProtocolError(f"transaction {txn.txn_id} is read-only")
-        site = self.site_of_key(key)
-        txn.meta["participants"].add(site.site_id)
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        self._track_op(txn, result)
-        if self._check_deadline(txn):
-            return result
-        started = False
-
-        def deliver() -> None:
-            nonlocal started
-            if started or not txn.is_active or result.done:
-                return
-            started = True
-            lock = site.locks.acquire(
-                txn.txn_id, key, LockMode.EXCLUSIVE, deadline=txn.meta.get("qos.deadline")
-            )
-
-            def locked(done: OpFuture) -> None:
-                if done.failed:
-                    self._failure_abort(txn, done.error, result)
-                    return
-                if result.done:  # fault abort raced the grant
-                    return
-                txn.record_write(key, value)
-                self.recorder.record_write(txn, key)
-                result.resolve(None)
-
-            lock.add_callback(locked)
-
-        self._send_for(txn, site, deliver, channel="data")
-        return result
-
     # -- termination --------------------------------------------------------------------
 
-    def commit(self, txn: Transaction) -> OpFuture:
-        txn.require_active()
-        result = OpFuture(label=f"commit T{txn.txn_id}")
-        if txn.is_read_only:
-            txn.mark_committed()
-            self.counters.note_commit(txn)
-            self.recorder.record_commit(txn)
-            result.resolve(None)
-            return result
-        txn.meta["commit_future"] = result
-        if self._check_deadline(txn):
-            return result
-        participants = sorted(txn.meta["participants"]) or [next(iter(self.sites))]
+    def _commit_rw(self, txn: Transaction, participants: list[int], result: OpFuture) -> None:
         # Two-phase commit WITHOUT number agreement: each site assigns its
         # own local commit number — the root of the global-serializability
         # gap.  A protocol-external global identity ties the per-site
         # version numbers together for history recording only.
-        txn.tn = self._next_ident()
+        self._ident_counter += 1
+        txn.tn = make_gtn(self._ident_counter, 1023)
         txn.meta["site_numbers"] = {}
-        acks = set(participants)
-        txn.meta["unacked"] = acks
         tracer = self.courier.tracer
-        commit_span = start_span(tracer, "commit", parent=txn_context(txn), txn=txn.txn_id)
-        result.add_callback(lambda f: commit_span.end(ok=not f.failed))
 
-        def commit_at(sid: int) -> None:  # idempotent: guarded by acks
-            if sid not in acks:  # duplicated delivery, or already applied
-                return
-            site = self.sites[sid]
+        def leg(site: _ChanSite, parent, acked: Callable[[int], None]) -> None:
+            sid = site.site_id
             local_tn = site.next_commit_number()
             txn.meta["site_numbers"][sid] = local_tn
             self._ident_of_version[local_tn] = txn.tn
-            site_items = [
-                (key, value)
-                for key, value in txn.write_set.items()
-                if self.site_of_key(key) is site
-            ]
+            items = self._items_at(txn, site)
             # One-phase commit still has a prepare-equivalent point: the
             # forced WAL write before acking is this site's durability
-            # promise, so it is spanned as the prepare leg; installing and
-            # releasing is the commit leg.  Recovery calls this directly
-            # (no message envelope), hence the commit-span parent fallback.
-            leg_parent = tracer.active_span or commit_span.context
-            with start_span(
-                tracer, "2pc.prepare", parent=leg_parent, txn=txn.txn_id, site=sid
-            ):
-                # Durability first: force the WAL before installing or
-                # acking, so a later crash of this site replays the commit.
-                for key, value in site_items:
-                    site.wal.append(
-                        LogRecord(RecordKind.WRITE, txn.txn_id, key=key, value=value)
-                    )
-                site.wal.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=local_tn))
-                site.wal.force()
-            with start_span(
-                tracer, "2pc.commit", parent=leg_parent, txn=txn.txn_id, site=sid
-            ):
-                for key, value in site_items:
-                    site.store.install(key, local_tn, value)
-                site.ctl.add(local_tn)
-                site.locks.release_all(txn.txn_id)
-                acks.discard(sid)
-                if not acks:
-                    self._active.pop(txn.txn_id, None)
-                    txn.mark_committed()
-                    self.counters.note_commit(txn)
-                    self.recorder.record_commit(txn)
-                    result.resolve(None)
+            # promise, so the leg's first half is spanned as the prepare
+            # leg; installing and releasing is the commit leg.
+            with start_span(tracer, "2pc.prepare", parent=parent, txn=txn.txn_id, site=sid):
+                site.log_commit(txn.txn_id, local_tn, items)
+            with start_span(tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=sid):
+                site.apply_commit(txn.txn_id, local_tn, items)
+                acked(sid)
 
-        txn.meta["apply_commit"] = commit_at
-        with activate(tracer, commit_span.context):
-            for sid in participants:
-                self._send(self.sites[sid], lambda s=sid: commit_at(s), channel="2pc")
-        return result
+        commit_span = self._commit_span(txn, result)
+        self._broadcast(
+            participants,
+            commit_span,
+            self._commit_legs(txn, participants, result, commit_span, leg),
+        )
 
     def global_version_order(self) -> dict:
         """The protocol's own per-key version order, in global identities.
@@ -506,111 +241,5 @@ class DistributedMV2PL:
         for site in self.sites.values():
             for key in site.store.keys():
                 chain = site.store.object(key)
-                order[key] = [self._translate(v.tn) for v in chain.versions()]
+                order[key] = [self._version_ident(v.tn) for v in chain.versions()]
         return order
-
-    def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
-        if txn.is_finished:
-            return
-        if txn.is_read_write:
-            self._active.pop(txn.txn_id, None)
-            for sid in txn.meta.get("participants", ()):
-                self.sites[sid].locks.release_all(txn.txn_id)
-        txn.mark_aborted(reason)
-        self.counters.note_abort(txn, reason, caused_by_readonly=False)
-        self.recorder.record_abort(txn)
-
-    def _failure_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self.abort(txn, error.reason)
-        if result.pending:
-            result.fail(error)
-
-    def _fault_abort(self, txn: Transaction, reason: AbortReason, detail: str = "") -> None:
-        if txn.is_finished:
-            return
-        if reason is AbortReason.DEADLINE_EXCEEDED:
-            error: TransactionAborted = DeadlineExceeded(
-                txn.txn_id, txn.meta.get("qos.deadline", 0.0), self._now(), detail=detail
-            )
-        else:
-            error = TransactionAborted(txn.txn_id, reason, detail=detail)
-        self.abort(txn, reason)
-        for slot in ("pending_op", "commit_future"):
-            future = txn.meta.get(slot)
-            if future is not None and future.pending:
-                future.fail(error)
-
-    # -- crash / recovery -------------------------------------------------------------
-
-    def crash_site(self, site_id: int) -> int:
-        """Fail-stop one site; returns the count of WAL records lost.
-
-        Active transactions that touched the site abort with
-        ``SITE_FAILURE`` — unless they already entered commit (their commit
-        messages park at the dead site and apply after recovery; the
-        forced-before-ack WAL discipline makes the application replayable).
-        """
-        site = self.sites[site_id]
-
-        def error_for(txn_id: int) -> TransactionAborted:
-            return TransactionAborted(
-                txn_id, AbortReason.SITE_FAILURE, detail=f"site {site_id} crashed"
-            )
-
-        lost = site.crash(error_for)
-        if self.courier.tracer.enabled:
-            self.courier.tracer.emit(
-                "fault.crash", site=site_id, lost_records=lost,
-                incarnation=site.incarnation,
-            )
-        for txn in list(self._active.values()):
-            committing = "unacked" in txn.meta
-            if site_id in txn.meta.get("participants", ()) and not committing:
-                self._fault_abort(
-                    txn,
-                    AbortReason.SITE_FAILURE,
-                    detail=f"site {site_id} crashed",
-                )
-        return lost
-
-    def recover_site(self, site_id: int) -> None:
-        """Restart a crashed site from its durable WAL and redeliver.
-
-        In-doubt commits — transactions that entered commit before the
-        crash and have not yet applied here — are applied *during* recovery
-        (presumed commit: the restarting site asks the coordinator for
-        outcomes), before the site accepts any new lock requests.  Without
-        this, the crash-erased lock table would let another transaction
-        read or overwrite the in-doubt keys ahead of the still-in-flight
-        COMMIT, breaking strict-2PL serializability; the later delivery of
-        that message is a no-op thanks to the ``acks`` guard.
-        """
-        site = self.sites[site_id]
-        if not site.crashed:
-            raise ProtocolError(f"site {site_id} is not crashed")
-        site.recover()
-        for txn in list(self._active.values()):
-            if site_id in txn.meta.get("unacked", ()):
-                apply_commit = txn.meta.get("apply_commit")
-                if apply_commit is not None:
-                    apply_commit(site_id)
-        if self.courier.tracer.enabled:
-            self.courier.tracer.emit(
-                "fault.recover", site=site_id,
-                commit_counter=site.commit_counter,
-                incarnation=site.incarnation,
-            )
-        for fn in site.drain_parked():
-            fn()
-
-    def crash_restart_site(self, site_id: int) -> int:
-        """Atomic crash + WAL-replay restart (the drill's fault primitive)."""
-        lost = self.crash_site(site_id)
-        self.recover_site(site_id)
-        return lost
-
-    @property
-    def history(self):
-        return self.recorder.history

@@ -131,32 +131,6 @@ class DistributedVersionControl:
         if counter_of(gtn) >= self._counter:
             self._counter = counter_of(gtn) + 1
 
-    def restore_hold(self, txn_key: int, num: int) -> None:
-        """Re-insert a hold lost in a crash, at its already-decided number.
-
-        Recovery calls this for every transaction that passed the 2PC
-        decision point with this site as a participant but whose COMMIT
-        message had not yet arrived when the site failed: the entry must
-        block visibility again (exactly as the original hold did) until the
-        retransmitted COMMIT applies the writes.  The number is the
-        coordinator's decided ``tn``, so the entry is inserted in sorted
-        position rather than appended.
-        """
-        if txn_key in self._entries:
-            raise ProtocolError(f"transaction {txn_key} already holds a number here")
-        if num <= self._vtnc:
-            raise InvariantViolation(
-                f"cannot restore hold {num} at or below visibility {self._vtnc}"
-            )
-        self.observe(num)
-        entry = _Entry(txn_key, num)
-        self._entries[txn_key] = entry
-        position = len(self._order)
-        while position > 0 and self._order[position - 1].num > num:
-            position -= 1
-        self._order.insert(position, entry)
-        self._check()
-
     def complete(self, txn_key: int) -> None:
         entry = self._entries.get(txn_key)
         if entry is None:

@@ -23,11 +23,8 @@ class Digraph:
     def add_edge(self, src: Hashable, dst: Hashable) -> None:
         self.add_node(src)
         self.add_node(dst)
-        if src != dst:
-            self._succ[src].add(dst)
-        else:
-            # A self-loop is an immediate cycle; represent it explicitly.
-            self._succ[src].add(dst)
+        # A self-loop is kept: it is an immediate cycle.
+        self._succ[src].add(dst)
 
     def nodes(self) -> list[Hashable]:
         return list(self._succ)

@@ -5,7 +5,9 @@ the WAL discipline of :mod:`repro.storage.wal`:
 
 * each staged write appends a volatile WRITE record;
 * ``end(T)`` appends COMMIT(tn) **and forces the log** after ``VCregister``
-  but *before* the database updates — the force is the commit point;
+  but *before* the database updates — the force is the commit point, and
+  it is the only thing this class adds to the inherited ``end(T)`` sequence
+  (the durability gate of ``VC2PLScheduler._rw_commit``);
 * aborts append an ABORT record (no force needed: an unforced transaction
   simply vanishes at a crash).
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.core.futures import OpFuture, resolved
+from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.errors import AbortReason, ProtocolError
 from repro.protocols.vc_two_phase_locking import VC2PLScheduler
@@ -33,6 +35,13 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
 
     def __init__(self, log: WriteAheadLog | None = None, **kwargs):
         super().__init__(**kwargs)
+        #: What :meth:`recovered` carries over; store and version control
+        #: are rebuilt from the log.
+        self._config = {
+            name: value
+            for name, value in kwargs.items()
+            if name not in ("store", "version_control")
+        }
         self.log = log if log is not None else WriteAheadLog()
         #: Set by :meth:`crash`; a crashed scheduler refuses further work.
         self.crashed = False
@@ -51,20 +60,10 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
         result.add_callback(_log)
         return result
 
-    def _rw_commit(self, txn: Transaction) -> OpFuture:
-        # Mirror the parent's commit but insert the force-at-commit-point.
-        self.counters.note_vc_interaction(txn, "register")
-        tn = self.vc.vc_register(txn)
+    def _durability_gate(self, txn: Transaction, tn: int) -> OpFuture | None:
         self.log.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=tn))
         self.log.force()  # the commit point: everything before is durable
-        for key, value in txn.write_set.items():
-            self.store.install(key, tn, value)
-        self._txn_by_id.pop(txn.txn_id, None)
-        self._complete_rw_commit(txn)  # record before lock release (see VC2PL)
-        self.locks.release_all(txn.txn_id)
-        self.counters.note_vc_interaction(txn, "complete")
-        self.vc.vc_complete(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return None
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         self.log.append(LogRecord(RecordKind.ABORT, txn.txn_id))
@@ -116,7 +115,7 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
 
     def recovered(self) -> "RecoverableVC2PLScheduler":
         """A fresh scheduler over the state rebuilt from the durable log."""
-        store, vc = recover(self.log)
+        store, vc = recover(self.log, checked=self._config.get("checked", True))
         return RecoverableVC2PLScheduler(
-            log=self.log, store=store, version_control=vc
+            log=self.log, store=store, version_control=vc, **self._config
         )

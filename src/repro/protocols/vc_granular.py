@@ -19,82 +19,33 @@ from typing import Any, Hashable
 
 from repro.cc.granular import GranularLockManager, GranularMode
 from repro.core.futures import OpFuture, resolved
-from repro.core.transaction import SN_INFINITY, Transaction
-from repro.core.vc_scheduler import VersionControlledScheduler
-from repro.core.version_control import VersionControl
-from repro.errors import AbortReason, ProtocolError, TransactionAborted
-from repro.storage.mvstore import MVStore
+from repro.core.transaction import Transaction
+from repro.errors import ProtocolError
+from repro.protocols.vc_two_phase_locking import VC2PLScheduler
 
 ROOT: tuple = ("db",)
 
 
-class VCGranular2PLScheduler(VersionControlledScheduler):
-    """Figure 4 semantics over intention locks."""
+class VCGranular2PLScheduler(VC2PLScheduler):
+    """Figure 4 semantics over intention locks.
+
+    Only the lock manager and the scans are defined here; begin, read,
+    write, abort and the ``end(T)`` sequence are the base scheduler's.
+    """
 
     name = "vc-2pl-granular"
-    multiversion = True
 
-    def __init__(
-        self,
-        store: MVStore | None = None,
-        version_control: VersionControl | None = None,
-        victim_policy: str = "requester",
-        checked: bool = True,
-    ):
-        super().__init__(store, version_control, checked=checked)
-        self.locks = GranularLockManager(
+    def _build_locks(self, victim_policy: str) -> GranularLockManager:
+        return GranularLockManager(
             victim_policy=victim_policy,
             on_block=self._note_block,
-            on_deadlock=lambda v, c: self.counters.bump("deadlock"),
+            on_deadlock=self._note_deadlock,
         )
-        self._txn_by_id: dict[int, Transaction] = {}
 
-    # -- read-write hooks -----------------------------------------------------
-
-    def _rw_begin(self, txn: Transaction) -> None:
-        txn.sn = SN_INFINITY
-        self._txn_by_id[txn.txn_id] = txn
-
-    def _path(self, key: Hashable) -> tuple:
-        return (*ROOT, key)
-
-    def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, self._path(key), GranularMode.S)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)
-                result.resolve(txn.write_set[key])
-                return
-            version = self.store.read_latest_committed(key)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
-            result.resolve(version.value)
-
-        lock.add_callback(_locked)
-        return result
-
-    def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, self._path(key), GranularMode.X)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
-            result.resolve(None)
-
-        lock.add_callback(_locked)
-        return result
+    def _lock(self, txn: Transaction, key: Hashable, exclusive: bool) -> OpFuture:
+        return self.locks.acquire(
+            txn.txn_id, (*ROOT, key), GranularMode.X if exclusive else GranularMode.S
+        )
 
     # -- the granularity payoff ------------------------------------------------
 
@@ -138,40 +89,3 @@ class VCGranular2PLScheduler(VersionControlledScheduler):
             self.recorder.record_read(txn, key, version.tn)
             values[key] = version.value
         return resolved(values, label=f"snapshot scan T{txn.txn_id}")
-
-    # -- commit / abort: identical to Figure 4 ---------------------------------
-
-    def _rw_commit(self, txn: Transaction) -> OpFuture:
-        self.counters.note_vc_interaction(txn, "register")
-        tn = self.vc.vc_register(txn)
-        for key, value in txn.write_set.items():
-            self.store.install(key, tn, value)
-        self._txn_by_id.pop(txn.txn_id, None)
-        self._complete_rw_commit(txn)
-        self.locks.release_all(txn.txn_id)
-        self.counters.note_vc_interaction(txn, "complete")
-        self.vc.vc_complete(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
-
-    def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
-        if self.vc.is_registered(txn):
-            self.counters.note_vc_interaction(txn, "discard")
-            self.vc.vc_discard(txn)
-        self.locks.release_all(txn.txn_id)
-        self._txn_by_id.pop(txn.txn_id, None)
-        self._complete_rw_abort(txn, reason)
-
-    # -- plumbing ------------------------------------------------------------------
-
-    def _deadlock_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        # Deadlock victim or, with QoS deadlines, an expired wait:
-        # the abort reason travels on the error itself.
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self._rw_abort(txn, error.reason)
-        result.fail(error)
-
-    def _note_block(self, txn_id: int, path: tuple) -> None:
-        txn = self._txn_by_id.get(txn_id)
-        if txn is not None:
-            self.counters.note_block(txn, "lock")

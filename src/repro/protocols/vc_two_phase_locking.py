@@ -14,7 +14,9 @@ of each object, as if the database were single-version:
   after the lock point when the number exists.
 * ``end(T)`` — ``VCregister`` (this *is* the lock point: the moment the
   serial order is fixed), perform the database updates with version number
-  ``tn(T)``, clear locks, ``VCcomplete``.
+  ``tn(T)``, clear locks, ``VCcomplete``.  :meth:`VC2PLScheduler._rw_commit`
+  is the one place this sequence is written; the logging and replicated
+  variants plug a durability gate into it and change nothing else.
 
 Deadlocks are possible among executing read-write transactions and are
 resolved by the lock manager; a transaction that has registered with version
@@ -51,12 +53,24 @@ class VC2PLScheduler(VersionControlledScheduler):
         checked: bool = True,
     ):
         super().__init__(store, version_control, checked=checked)
-        self.locks = LockManager(
+        self.locks = self._build_locks(victim_policy)
+        self._txn_by_id: dict[int, Transaction] = {}
+
+    def _build_locks(self, victim_policy: str) -> Any:
+        """The concurrency-control component (flat S/X locks here)."""
+        return LockManager(
             victim_policy=victim_policy,
             on_block=self._note_block,
             on_deadlock=self._note_deadlock,
         )
-        self._txn_by_id: dict[int, Transaction] = {}
+
+    def _lock(self, txn: Transaction, key: Hashable, exclusive: bool) -> OpFuture:
+        return self.locks.acquire(
+            txn.txn_id,
+            key,
+            LockMode.EXCLUSIVE if exclusive else LockMode.SHARED,
+            deadline=txn.meta.get("qos.deadline"),
+        )
 
     # -- read-write hooks ----------------------------------------------------
 
@@ -67,9 +81,7 @@ class VC2PLScheduler(VersionControlledScheduler):
     def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "r-lock")
         result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(
-            txn.txn_id, key, LockMode.SHARED, deadline=txn.meta.get("qos.deadline")
-        )
+        lock = self._lock(txn, key, exclusive=False)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
@@ -92,9 +104,7 @@ class VC2PLScheduler(VersionControlledScheduler):
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "w-lock")
         result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(
-            txn.txn_id, key, LockMode.EXCLUSIVE, deadline=txn.meta.get("qos.deadline")
-        )
+        lock = self._lock(txn, key, exclusive=True)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
@@ -109,10 +119,43 @@ class VC2PLScheduler(VersionControlledScheduler):
         return result
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
-        # end(T): the transaction has finished its execution phase; every
-        # lock it needs is held, so this is its lock point.
+        """``end(T)`` — the one lock-based commit sequence (Figure 4).
+
+        fence -> register -> durability gate -> install -> record ->
+        release -> ``VCcomplete`` -> ack.  Every lock-based scheduler runs
+        exactly this; a subclass supplies only the gate (and, for a leased
+        primary, the fence in front of it).
+        """
+        refusal = self._commit_fence(txn)
+        if refusal is not None:
+            return refusal
+        # The transaction has finished its execution phase; every lock it
+        # needs is held, so registering is its lock point.
         self.counters.note_vc_interaction(txn, "register")
         tn = self.vc.vc_register(txn)
+        deferred = self._durability_gate(txn, tn)
+        if deferred is not None:
+            return deferred  # the gate runs _commit_tail once tn is durable
+        self._commit_tail(txn, tn)
+        return resolved(None, label=f"commit T{txn.txn_id}")
+
+    def _commit_fence(self, txn: Transaction) -> OpFuture | None:
+        """Refuse the commit before its commit point: the abort performed
+        and the failed future to hand back, or None to let it proceed."""
+        return None
+
+    def _durability_gate(self, txn: Transaction, tn: int) -> OpFuture | None:
+        """Make the commit of ``txn`` under ``tn`` durable.
+
+        Returning None means it is durable now and the sequence continues
+        inline.  A gate that must wait (a majority ack) returns the
+        session's commit future instead and calls :meth:`_commit_tail`
+        itself when the wait ends.  No log here: nothing to do.
+        """
+        return None
+
+    def _commit_tail(self, txn: Transaction, tn: int) -> None:
+        """Everything after the durability point, in the paper's order."""
         # Perform database updates with version number tn(T).
         for key, value in txn.write_set.items():
             self.store.install(key, tn, value)
@@ -125,7 +168,6 @@ class VC2PLScheduler(VersionControlledScheduler):
         self.locks.release_all(txn.txn_id)
         self.counters.note_vc_interaction(txn, "complete")
         self.vc.vc_complete(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         # Staged writes are private; discarding them destroys the versions.
@@ -153,7 +195,7 @@ class VC2PLScheduler(VersionControlledScheduler):
             self._rw_abort(txn, error.reason)
         result.fail(error)
 
-    def _note_block(self, txn_id: int, key: Hashable) -> None:
+    def _note_block(self, txn_id: int, resource: Any) -> None:
         txn = self._txn_by_id.get(txn_id)
         if txn is not None:
             self.counters.note_block(txn, "lock")

@@ -55,7 +55,6 @@ from repro.errors import AbortReason, QuorumUnavailable
 from repro.obs.tracer import NULL_TRACER
 from repro.protocols.recoverable import RecoverableVC2PLScheduler
 from repro.replica.ship import LogShipper
-from repro.storage.wal import LogRecord, RecordKind
 
 
 class ReplicationMode(enum.Enum):
@@ -344,10 +343,10 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
     """VC + strict 2PL + WAL, acknowledging commits at majority durability.
 
     Identical to :class:`~repro.protocols.recoverable.
-    RecoverableVC2PLScheduler` up to and including the commit point.  The
-    tail of the commit — version install, ``VCcomplete`` (so ``vtnc``
-    advances), lock release, and the session's future — waits for the
-    :class:`QuorumGate`.  Read-only transactions are untouched: Figure 2
+    RecoverableVC2PLScheduler` up to and including the commit point.  Its
+    durability gate then defers the inherited commit tail — version
+    install, lock release, ``VCcomplete`` (so ``vtnc`` advances) — and the
+    session's future until the :class:`QuorumGate` reports a majority.  Read-only transactions are untouched: Figure 2
     runs against ``vtnc``, which only ever covers majority-durable
     commits, so replica-served and primary-served snapshots agree on what
     "committed" means in quorum mode.
@@ -359,52 +358,44 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
         super().__init__(**kwargs)
         self.gate = gate
 
-    def _rw_commit(self, txn: Transaction) -> OpFuture:
+    def _commit_fence(self, txn: Transaction) -> OpFuture | None:
+        gate = self.gate
+        if gate is None or gate.writable():
+            return None
+        # Fenced: the lease lapsed (or this primary was deposed), so
+        # the commit is refused *before* the commit point — nothing is
+        # forced, the abort is clean and complete, and a retry lands
+        # wherever the current primary is.
+        gate.counters.bump("quorum.fenced")
+        if gate.tracer.enabled:
+            gate.tracer.emit(
+                "quorum.fenced", epoch=gate.epoch, txn=txn.txn_id, now=gate._now()
+            )
+        error = QuorumUnavailable(txn.txn_id, epoch=gate.epoch, fenced=True)
+        self._rw_abort(txn, AbortReason.QUORUM_UNAVAILABLE)
+        return failed(error, label=f"commit T{txn.txn_id} fenced")
+
+    def _durability_gate(self, txn: Transaction, tn: int) -> OpFuture | None:
+        # The commit point, unchanged from the recoverable scheduler:
+        # durable locally; shipping fires under the force.
+        super()._durability_gate(txn, tn)
         gate = self.gate
         if gate is None:
-            return super()._rw_commit(txn)
-        if not gate.writable():
-            # Fenced: the lease lapsed (or this primary was deposed), so
-            # the commit is refused *before* the commit point — nothing is
-            # forced, the abort is clean and complete, and a retry lands
-            # wherever the current primary is.
-            gate.counters.bump("quorum.fenced")
-            if gate.tracer.enabled:
-                gate.tracer.emit(
-                    "quorum.fenced", epoch=gate.epoch, txn=txn.txn_id, now=gate._now()
-                )
-            error = QuorumUnavailable(txn.txn_id, epoch=gate.epoch, fenced=True)
-            self._rw_abort(txn, AbortReason.QUORUM_UNAVAILABLE)
-            return failed(error, label=f"commit T{txn.txn_id} fenced")
-
-        # The commit point, unchanged from the recoverable scheduler.
-        self.counters.note_vc_interaction(txn, "register")
-        tn = self.vc.vc_register(txn)
-        self.log.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=tn))
-        self.log.force()  # durable locally; shipping fires here
+            return None
         offset = self.log.durable_length()
         future = OpFuture(label=f"commit T{txn.txn_id} (quorum)")
 
-        def finish_local() -> None:
-            # The deferred commit tail.  Runs exactly once, either under
-            # the group ack (acknowledged) or under the commit timeout
-            # (indeterminate) — either way the primary's in-memory state
-            # ends consistent with its own durable log, and the locks are
-            # released so the pipeline cannot wedge behind a lost quorum.
-            for key, value in txn.write_set.items():
-                self.store.install(key, tn, value)
-            self._txn_by_id.pop(txn.txn_id, None)
-            self._complete_rw_commit(txn)
-            self.locks.release_all(txn.txn_id)
-            self.counters.note_vc_interaction(txn, "complete")
-            self.vc.vc_complete(txn)
-
+        # The commit tail is deferred.  It runs exactly once, either under
+        # the group ack (acknowledged) or under the commit timeout
+        # (indeterminate) — either way the primary's in-memory state
+        # ends consistent with its own durable log, and the locks are
+        # released so the pipeline cannot wedge behind a lost quorum.
         def on_quorum() -> None:
-            finish_local()
+            self._commit_tail(txn, tn)
             future.resolve(None)
 
         def on_indeterminate() -> None:
-            finish_local()
+            self._commit_tail(txn, tn)
             future.fail(
                 QuorumUnavailable(
                     txn.txn_id,
@@ -416,12 +407,9 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
                 )
             )
 
-        def on_deposed(error: BaseException) -> None:
-            # The crash-promotion path: the scheduler is dead, so no local
-            # completion — just unwedge the session.
-            future.fail(error)
-
-        gate.register(offset, on_quorum, on_indeterminate, on_deposed, txn_id=txn.txn_id)
+        # Deposed (the crash-promotion path): the scheduler is dead, so no
+        # local completion — failing the future just unwedges the session.
+        gate.register(offset, on_quorum, on_indeterminate, future.fail, txn_id=txn.txn_id)
         return future
 
 

@@ -9,8 +9,8 @@ advancing independently.  Nothing global remains on the write path:
 
 * **single-shard read-write** transactions (the common case on a
   hash-partitioned workload) commit on a one-message fast path at their
-  shard — hold, force, install, complete — with no cross-shard round
-  trips, so read-write throughput scales with the shard count (the
+  shard — hold, then the ordinary per-site commit leg — with no
+  cross-shard round trips, so read-write throughput scales with the shard count (the
   ``shard`` bench block demonstrates 1→2→4 near-linearity);
 * **cross-shard read-write** transactions fall back to the inherited 2PC
   (prepare collects per-shard holds, ``tn = max``), each participant
@@ -49,12 +49,12 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from repro.core.futures import OpFuture
-from repro.core.transaction import Transaction, TxnClass
+from repro.core.transaction import Transaction
 from repro.distributed.courier import Courier
 from repro.distributed.database import DistributedVCDatabase, Site
 from repro.distributed.gtn import counter_of
 from repro.errors import ProtocolError
-from repro.obs.spans import start_span, txn_context
+from repro.obs.spans import start_span
 from repro.qos.breaker import BreakerBoard
 from repro.replica.node import Replica
 from repro.replica.ship import LogShipper, ShippedLog
@@ -164,8 +164,8 @@ class ShardedDatabase(DistributedVCDatabase):
 
     # -- construction / placement ---------------------------------------------------
 
-    def _build_site(self, sid: int, checked: bool) -> Site:
-        return ShardNode(sid, checked=checked, waits_for=self._global_waits_for)
+    def _build_site(self, sid: int) -> Site:
+        return ShardNode(sid, checked=self.checked, waits_for=self._global_waits_for)
 
     def site_of_key(self, key: Hashable) -> ShardNode:
         return self.sites[self.ring.shard_of(key)]  # type: ignore[return-value]
@@ -203,13 +203,8 @@ class ShardedDatabase(DistributedVCDatabase):
         interface parity but moot — a vector begin is inherently fresh.
         """
         if not read_only:
-            return super().begin(
-                read_only=False, origin_site=origin_site, fresh=fresh,
-                deadline=deadline,
-            )
-        txn = Transaction(TxnClass.READ_ONLY)
-        self.counters.note_begin(txn)
-        self.recorder.record_begin(txn)
+            return self._begin_rw(deadline)
+        txn = self._begin(read_only=True)
         self._prune_xlogs()
         raw = {sid: site.vc.vc_start() for sid, site in sorted(self.sites.items())}
         xlogs = {sid: site.xlog for sid, site in self.sites.items()}
@@ -313,76 +308,44 @@ class ShardedDatabase(DistributedVCDatabase):
 
     # -- commit: fast path + cross-shard 2PC ---------------------------------------------
 
-    def commit(self, txn: Transaction) -> OpFuture:
-        txn.require_active()
-        if txn.is_read_only:
-            return super().commit(txn)
-        participants = sorted(txn.meta["participants"])
+    def _commit_rw(self, txn: Transaction, participants: list[int], result: OpFuture) -> None:
         if len(participants) > 1:
             self.counters.bump("shard.cross_commits")
-            return super().commit(txn)
-        result = OpFuture(label=f"commit T{txn.txn_id}")
-        txn.meta["commit_future"] = result
-        if self._check_deadline(txn):
-            return result
-        sid = participants[0] if participants else next(iter(self.sites))
-        self._fast_commit(txn, sid, result)
-        return result
+            super()._commit_rw(txn, participants, result)
+        else:
+            self._fast_commit(txn, participants[0], result)
 
     def _fast_commit(self, txn: Transaction, sid: int, result: OpFuture) -> None:
         """Single-shard commit: one message, no prepare round, no 2PC.
 
         The shard's hold *is* the decision (``tn = max`` over one
-        participant), so holding, forcing, installing, and completing
-        collapse into one delivery at the owning shard — the scale-out
-        unit: disjoint-key workloads on different shards share nothing.
-        Idempotent (``applied`` guard) and crash-safe: a shard crash before
-        delivery aborts the transaction via ``crash_site`` (it is still
-        pre-decision), and the parked redelivery no-ops on the finished
-        transaction.
+        participant), so holding and the whole commit leg collapse into one
+        delivery at the owning shard — the scale-out unit: disjoint-key
+        workloads on different shards share nothing.
+        Idempotent (a delivery after the hold is a no-op) and crash-safe:
+        a shard crash before delivery aborts the transaction via
+        ``crash_site`` (it is still pre-decision) and the parked redelivery
+        no-ops on the finished transaction; a crash after the hold leaves
+        it in doubt, and ``recover_site`` finishes it like any 2PC leg.
         """
         site = self.sites[sid]
-        tracer = self.courier.tracer
-        commit_span = start_span(
-            tracer, "commit", parent=txn_context(txn), txn=txn.txn_id
-        )
-        result.add_callback(lambda f: commit_span.end(ok=not f.failed))
-        applied = False
+        commit_span = self._commit_span(txn, result)
+
+        def leg(site: Site, parent, acked: Callable[[int], None]) -> None:
+            # Every write is this shard's: no placement lookups.
+            site.commit_leg(txn.txn_id, txn.tn, txn.write_set.items())
+            self.counters.bump("shard.fast_commits")
+            acked(sid)
 
         def deliver() -> None:
-            nonlocal applied
-            if applied or txn.is_finished:
+            if txn.tn is not None or txn.is_finished:
                 return
-            applied = True
             with start_span(
-                tracer, "shard.fast_commit", parent=commit_span.context,
+                self.courier.tracer, "shard.fast_commit", parent=commit_span.context,
                 txn=txn.txn_id, site=sid,
             ):
-                tn = site.vc.hold(txn.txn_id)
-                txn.tn = tn
-                # Same discipline as the 2PC leg: durability first.
-                for key, value in txn.write_set.items():
-                    site.wal.append(
-                        LogRecord(RecordKind.WRITE, txn.txn_id, key=key, value=value)
-                    )
-                site.wal.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=tn))
-                site.wal.force()
-                self._site_committed(site, txn, tn, [sid])
-                site.vc.adopt(txn.txn_id, tn)
-                for key, value in txn.write_set.items():
-                    existing = site.store.object(key).find(tn)
-                    if existing is None:
-                        site.store.install(key, tn, value)
-                    else:
-                        existing.value = value
-                site.locks.release_all(txn.txn_id)
-                site.vc.complete(txn.txn_id)
-                self._active.pop(txn.txn_id, None)
-                txn.mark_committed()
-                self.counters.note_commit(txn)
-                self.counters.bump("shard.fast_commits")
-                self.recorder.record_commit(txn)
-                result.resolve(None)
+                txn.tn = site.vc.hold(txn.txn_id)
+                self._commit_legs(txn, [sid], result, commit_span, leg)(sid)
 
         self._send_for(txn, site, deliver, channel="2pc")
 
@@ -391,7 +354,7 @@ class ShardedDatabase(DistributedVCDatabase):
     ) -> None:
         """Append cross-shard commits to the shard's visibility log.
 
-        Runs inside the (synchronous) commit delivery, after the COMMIT
+        Runs inside the (synchronous) commit leg, after the COMMIT
         force and before the shard's visibility advances over ``tn`` — so
         by the time any watermark includes a cross-shard transaction, its
         xlog entry exists at that shard.  The entry is forced into the WAL

@@ -232,7 +232,38 @@ def install_committed(
             existing.value = value
 
 
-def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
+def replay_committed(store: MVStore, records: Iterable[LogRecord]) -> list[int]:
+    """Redo ``records`` into ``store``; returns the committed tns, ascending.
+
+    The one place WRITE/COMMIT/ABORT records are parsed into committed
+    write sets, shared by every recovery path (the centralized
+    :func:`recover`, a distributed site's restart).  A transaction's
+    writes are installed — idempotently, via :func:`install_committed` —
+    only if its COMMIT record is among ``records``; uncommitted and
+    aborted transactions are skipped, CHECKPOINT records ignored.
+    Transactions replay in transaction-number order.
+    """
+    writes: dict[int, list[tuple[Hashable, Any]]] = {}
+    committed: dict[int, int] = {}  # txn_id -> tn
+    aborted: set[int] = set()
+    for record in records:
+        if record.kind is RecordKind.WRITE:
+            writes.setdefault(record.txn_id, []).append((record.key, record.value))
+        elif record.kind is RecordKind.COMMIT:
+            assert record.tn is not None
+            committed[record.txn_id] = record.tn
+        elif record.kind is RecordKind.ABORT:
+            aborted.add(record.txn_id)
+    tns: list[int] = []
+    for txn_id, tn in sorted(committed.items(), key=lambda item: item[1]):
+        if txn_id in aborted:  # pragma: no cover - protocol never does both
+            continue
+        install_committed(store, tn, writes.get(txn_id, ()))
+        tns.append(tn)
+    return tns
+
+
+def recover(log: WriteAheadLog, checked: bool = True) -> tuple[MVStore, VersionControl]:
     """Rebuild store and version control from the durable log.
 
     Recovery starts from the last durable CHECKPOINT (if any) — which
@@ -240,8 +271,9 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     replays committed transactions' writes after it, in transaction-number
     order.  Uncommitted writes (no durable COMMIT) and aborted transactions
     are skipped — their versions never existed durably.  The rebuilt
-    ``VersionControl`` resumes numbering above the highest committed number,
-    with full visibility (every surviving transaction is complete).
+    ``VersionControl`` (invariant-checking per ``checked``) resumes numbering
+    above the highest committed number, with full visibility (every
+    surviving transaction is complete).
 
     A torn tail record (interrupted ``force()``) marks the durable
     boundary; a malformed record before the tail raises
@@ -258,33 +290,15 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
             start = index + 1
             break
 
-    writes: dict[int, list[tuple[Hashable, Any]]] = {}
-    committed: dict[int, int] = {}  # txn_id -> tn
-    aborted: set[int] = set()
-    for record in records[start:]:
-        if record.kind is RecordKind.WRITE:
-            writes.setdefault(record.txn_id, []).append((record.key, record.value))
-        elif record.kind is RecordKind.COMMIT:
-            assert record.tn is not None
-            committed[record.txn_id] = record.tn
-        elif record.kind is RecordKind.ABORT:
-            aborted.add(record.txn_id)
-
     store = MVStore()
-    max_tn = base_next_tn - 1
     for key, tn, value in base_versions:
         if tn == 0:
             store.object(key)  # initial version exists implicitly
         else:
             store.install(key, tn, value)
-    for txn_id, tn in sorted(committed.items(), key=lambda item: item[1]):
-        if txn_id in aborted:  # pragma: no cover - protocol never does both
-            continue
-        install_committed(store, tn, writes.get(txn_id, ()))
-        max_tn = max(max_tn, tn)
-
-    vc = VersionControl(first_tn=max_tn + 1)
-    return store, vc
+    replayed = replay_committed(store, records[start:])
+    max_tn = max(base_next_tn - 1, replayed[-1] if replayed else 0)
+    return store, VersionControl(first_tn=max_tn + 1, checked=checked)
 
 
 def redo_summary(records: Iterable[LogRecord]) -> dict[str, int]:

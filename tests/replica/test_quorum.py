@@ -171,7 +171,7 @@ class TestLeaseFencing:
         error = future.error
         assert isinstance(error, QuorumUnavailable)
         assert error.fenced is False
-        # finish_local ran: locks released (a new writer acquires "x"
+        # the commit tail ran: locks released (a new writer acquires "x"
         # without waiting) and the version installed per the primary's own
         # durable log — the commit *is* on it, just never acknowledged.
         txn2 = cluster.primary.begin()
