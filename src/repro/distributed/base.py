@@ -476,7 +476,7 @@ class Distributed2PLDatabase:
                 # Nothing is in doubt any more; dropping the handler also
                 # frees this closure chain instead of pinning it for as
                 # long as anything (a recorder, a client) keeps ``txn``.
-                del txn.meta["unacked"], txn.meta["apply_commit"]
+                del txn.meta["commit_legs"]
                 self._finish_commit(txn, result)
 
         def commit_at(sid: int) -> None:
@@ -486,8 +486,7 @@ class Distributed2PLDatabase:
                 # commit span to keep the leg inside the transaction's tree.
                 leg(self.sites[sid], tracer.active_span or commit_span.context, acked)
 
-        txn.meta["unacked"] = acks
-        txn.meta["apply_commit"] = commit_at
+        txn.meta["commit_legs"] = (acks, commit_at)  # read by recover_site
         return commit_at
 
     def _finish_commit(self, txn: Transaction, result: OpFuture) -> None:
@@ -621,10 +620,10 @@ class Distributed2PLDatabase:
         site.recover()
         in_doubt = [
             txn for txn in self._active.values()
-            if site_id in txn.meta.get("unacked", ())
+            if site_id in txn.meta.get("commit_legs", ((),))[0]
         ]
         for txn in in_doubt:
-            txn.meta["apply_commit"](site_id)
+            txn.meta["commit_legs"][1](site_id)
         self._resync_numbering(site, in_doubt)
         site.crashed = False
         if self.courier.tracer.enabled:

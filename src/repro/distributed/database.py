@@ -153,7 +153,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         prepare_timeout: float | None = None,
         breakers: BreakerBoard | None = None,
     ):
-        self._checked = checked  # _build_site runs inside super().__init__
+        self.checked = checked  # _build_site runs inside super().__init__
         super().__init__(n_sites, courier)
         #: Coordinator-side timeout for the 2PC prepare round; None = wait
         #: forever.  Only effective when the courier has a clock (sim mode).
@@ -166,7 +166,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
     def _build_site(self, sid: int) -> Site:
         """Site constructor hook; subclasses substitute richer node types
         (``repro.shard`` builds :class:`~repro.shard.database.ShardNode`)."""
-        return Site(sid, checked=self._checked, waits_for=self._global_waits_for)
+        return Site(sid, checked=self.checked, waits_for=self._global_waits_for)
 
     # -- transactions -----------------------------------------------------------------
 

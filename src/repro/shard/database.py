@@ -149,7 +149,6 @@ class ShardedDatabase(DistributedVCDatabase):
         #: Placement is fixed at construction; `_build_site` runs during
         #: super().__init__, so the ring must exist first.
         self.ring = HashRing(n_shards, vnodes)
-        self.checked = checked
         super().__init__(
             n_sites=n_shards,
             courier=courier,
