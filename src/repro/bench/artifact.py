@@ -122,16 +122,6 @@ def _make_scheduler(protocol: str, sim: Simulator) -> Any:
     return make_scheduler(protocol)
 
 
-def _latency_block(summary: Any) -> dict[str, float]:
-    return {
-        "count": summary.count,
-        "mean": round(summary.mean, 6),
-        "p50": round(summary.p50, 6),
-        "p95": round(summary.p95, 6),
-        "p99": round(summary.p99, 6),
-    }
-
-
 #: Protocols whose benchmark run is *expected* to violate 1SR: dmv2pl's
 #: torn global reads under a-priori read-site declaration are the paper's
 #: headline anomaly, so the witness reports them without failing the gate.
@@ -203,8 +193,8 @@ def bench_protocol(
         "abort_rate_ro": round(metrics.abort_rate_ro, 6),
         "restarts": metrics.restarts,
         "latency": {
-            "ro": _latency_block(metrics.latency_ro),
-            "rw": _latency_block(metrics.latency_rw),
+            "ro": metrics.latency_ro.as_dict(),
+            "rw": metrics.latency_rw.as_dict(),
         },
         "visibility_lag": vc_lag,
         "critical_path": {
@@ -271,65 +261,19 @@ def bench_qos(seed: int) -> dict[str, Any]:
     from repro.qos.overload import run_overload_campaign
 
     report = run_overload_campaign(seed, duration=200.0, verify_determinism=False)
-    slo = None
-    if report.slo is not None:
-        slo = {"ok": report.slo["ok"], "breaches": report.slo["breaches"]}
-    return {
-        "shed_rate": round(report.shed_rate, 6),
-        "deadline_miss_rate": round(report.deadline_miss_rate, 6),
-        "ro_p99_baseline": round(report.baseline.ro_latency.p99, 6),
-        "ro_p99_under_overload": round(report.overload.ro_latency.p99, 6),
-        "ro_p99_ratio": round(report.ro_p99_ratio, 6),
-        "ro_shed": report.overload.ro_shed,
-        "staleness_max": report.overload.staleness.maximum,
-        "ok": report.ok,
-        "violations": list(report.violations),
-        "slo": slo,
+    data = report.as_dict()
+    block = {
+        key: data[key]
+        for key in (
+            "shed_rate", "deadline_miss_rate", "ro_p99_baseline", "ro_p99_ratio",
+            "ro_shed", "staleness_max", "ok", "violations",
+        )
     }
-
-
-def bench_replica(seed: int) -> dict[str, Any]:
-    """One replica scaling run → the artifact's ``replica`` block.
-
-    Demonstrates the replication tier's headline economics: read-only
-    throughput scales with replica count while read-write throughput —
-    still funneled through the one primary — stays flat.  Top-level like
-    ``qos`` so the protocol comparator ignores it and older baselines stay
-    comparable.
-    """
-    from repro.replica.bench import run_replica_scaling
-
-    block = run_replica_scaling(seed, duration=150.0)
+    block["ro_p99_under_overload"] = data["ro_p99_overload"]
+    block["slo"] = None
+    if report.slo is not None:
+        block["slo"] = {"ok": report.slo["ok"], "breaches": report.slo["breaches"]}
     return block
-
-
-def bench_replica_sync(seed: int) -> dict[str, Any]:
-    """Async vs quorum commit cost → the artifact's ``replica_sync`` block.
-
-    Quantifies the durability trade the replication tier offers: quorum
-    acknowledgement (RPO=0) pays the shipping round trip on commit latency
-    while throughput stays within its floor of async.  Top-level like
-    ``qos`` so the protocol comparator ignores it and older baselines stay
-    comparable; the ``--slo`` CI gate checks its ``ok``.
-    """
-    from repro.replica.bench import run_replica_sync
-
-    return run_replica_sync(seed, duration=150.0)
-
-
-def bench_shard(seed: int) -> dict[str, Any]:
-    """One shard scaling run → the artifact's ``shard`` block.
-
-    Demonstrates the multi-primary inverse of ``replica``: *read-write*
-    throughput scales with the shard count because disjoint-key fast-path
-    commits on different shards share nothing, while vector read-only
-    sessions ride along without blocking.  Top-level like ``qos`` so the
-    protocol comparator ignores it and older baselines stay comparable;
-    the ``--slo`` CI gate checks its ``ok`` (the 1.7x/3x floors).
-    """
-    from repro.shard.bench import run_shard_scaling
-
-    return run_shard_scaling(seed, duration=160.0)
 
 
 def _gc_scenario(
@@ -429,6 +373,9 @@ def run_suite(
     suite: Suite, seed: int = 0, protocols: tuple[str, ...] | None = None
 ) -> dict[str, Any]:
     """Run ``suite`` and return the artifact dict (not yet written)."""
+    from repro.replica.bench import run_replica_scaling, run_replica_sync
+    from repro.shard.bench import run_shard_scaling
+
     selected = protocols if protocols else suite.protocols
     artifact: dict[str, Any] = {
         "schema": SCHEMA,
@@ -450,10 +397,16 @@ def run_suite(
         protocol_slo[protocol] = entry.pop("slo")
         protocol_witness[protocol] = entry.pop("witness")
         artifact["protocols"][protocol] = entry
+    # Topology blocks are *top-level*, like ``qos``: the protocol comparator
+    # ignores them (older baselines stay comparable) and ``--slo`` gates each
+    # block's ``ok``.  ``replica``: RO throughput scales with replica count,
+    # RW stays flat.  ``replica_sync``: quorum acks (RPO=0) pay the shipping
+    # round trip in commit latency, not throughput.  ``shard``: RW throughput
+    # scales with shard count (1.7x/3x floors); vector RO never blocks.
     artifact["qos"] = bench_qos(seed)
-    artifact["replica"] = bench_replica(seed)
-    artifact["replica_sync"] = bench_replica_sync(seed)
-    artifact["shard"] = bench_shard(seed)
+    artifact["replica"] = run_replica_scaling(seed, duration=150.0)
+    artifact["replica_sync"] = run_replica_sync(seed, duration=150.0)
+    artifact["shard"] = run_shard_scaling(seed, duration=160.0)
     artifact["gc"] = bench_gc(seed)
     qos_slo = artifact["qos"].get("slo")
     artifact["slo"] = {

@@ -38,19 +38,23 @@ trace events ride the same pipeline as everything else in :mod:`repro.obs`.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import Overloaded, SnapshotTooOld, TransactionAborted
-from repro.obs.pipeline import ObsPipeline
+from repro.faults.campaign import (
+    CampaignPhase,
+    CampaignReport,
+    PhaseRun,
+    closed_loop,
+    increment,
+    slo_engine,
+    verify_double_run,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.qos.admission import AdmissionController
 from repro.qos.retry import BackoffPolicy
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS = 16
 
 #: Default peak-footprint bound as a multiple of the high watermark.  The
 #: footprint may legitimately overshoot the watermark by the versions
@@ -190,8 +194,10 @@ class MemoryPressureController:
 
 
 @dataclass
-class MemoryStats:
+class MemoryStats(CampaignPhase):
     """What one campaign run observed."""
+
+    UNPINNED = CampaignPhase.UNPINNED + ("invariant_violations",)
 
     rw_commits: int = 0
     rw_shed: int = 0
@@ -213,36 +219,20 @@ class MemoryStats:
     pressure_checks: int = 0
     qos_events: dict[str, int] = field(default_factory=dict)
     invariant_violations: list[str] = field(default_factory=list)
-    events_dispatched: int = 0
 
     @property
     def too_old_total(self) -> int:
         return sum(self.too_old_by_cause.values())
 
-    def fingerprint(self) -> tuple:
-        """Two same-seed runs must agree on this, byte for byte."""
-        return (
-            self.rw_commits,
-            self.rw_shed,
-            self.rw_aborts,
-            self.ro_commits,
-            self.scan_commits,
-            self.zombie_commits,
-            tuple(self.revocations),
-            tuple(sorted(self.too_old_by_cause.items())),
-            self.peak_live,
-            self.final_live,
-            self.gc_discarded,
-            self.events_dispatched,
-        )
-
 
 @dataclass
-class MemoryReport:
+class MemoryReport(CampaignReport):
     """Outcome of one seeded memory campaign."""
 
-    seed: int
-    duration: float
+    PHASE = "stats"
+    DERIVED = ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")
+    NONDETERMINISTIC = "memory campaign not deterministic under fixed seed"
+
     writers: int
     readers: int
     long_scans: int
@@ -252,69 +242,23 @@ class MemoryReport:
     high_watermark: int
     live_bound: int
     stats: MemoryStats
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
     #: Ceiling asserted on ``witness["peak_tracked"]`` — like ``live_bound``
     #: a constant independent of ``duration``.
     witness_bound: int = 0
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def revocations(self) -> int:
+        return len(self.stats.revocations)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "writers": self.writers,
-            "readers": self.readers,
-            "long_scans": self.long_scans,
-            "ttl": self.ttl,
-            "check_period": self.check_period,
-            "low_watermark": self.low_watermark,
-            "high_watermark": self.high_watermark,
-            "live_bound": self.live_bound,
-            "rw_commits": self.stats.rw_commits,
-            "rw_shed": self.stats.rw_shed,
-            "rw_aborts": self.stats.rw_aborts,
-            "ro_commits": self.stats.ro_commits,
-            "scan_commits": self.stats.scan_commits,
-            "zombie_commits": self.stats.zombie_commits,
-            "revocations": len(self.stats.revocations),
-            "revoked_by_cause": _tally(c for _, c in self.stats.revocations),
-            "too_old_by_cause": dict(sorted(self.stats.too_old_by_cause.items())),
-            "peak_live": self.stats.peak_live,
-            "final_live": self.stats.final_live,
-            "gc_passes": self.stats.gc_passes,
-            "gc_discarded": self.stats.gc_discarded,
-            "gc_interior": self.stats.gc_interior,
-            "gc_scan_per_reclaimed": (
-                round(self.stats.gc_scanned / self.stats.gc_discarded, 6)
-                if self.stats.gc_discarded
-                else None
-            ),
-            "invariant_violations": list(self.stats.invariant_violations),
-            "qos_events": dict(self.stats.qos_events),
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "slo": self.slo,
-            "witness": self.witness,
-            "witness_bound": self.witness_bound,
-            "ok": self.ok,
-        }
+    @property
+    def revoked_by_cause(self) -> dict[str, int]:
+        return dict(sorted(Counter(c for _, c in self.stats.revocations).items()))
 
-
-def _tally(items) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for item in items:
-        out[item] = out.get(item, 0) + 1
-    return dict(sorted(out.items()))
+    @property
+    def gc_scan_per_reclaimed(self) -> float | None:
+        if not self.stats.gc_discarded:
+            return None
+        return self.stats.gc_scanned / self.stats.gc_discarded
 
 
 def _run_phase(
@@ -346,15 +290,15 @@ def _run_phase(
     """
     from repro.protocols.vc_two_phase_locking import VC2PLScheduler
 
-    sim = Simulator()
+    run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
+    sim, streams = run.sim, run.streams
     scheduler = VC2PLScheduler(checked=False)
     scheduler.admission = AdmissionController(
         capacity=max(2, writers), queue_limit=2 * max(2, writers), policy="fifo"
     )
     scheduler.ro_registry.ttl = ttl
     scheduler.ro_registry.clock = lambda: sim.now
-    pipeline = ObsPipeline(sim=sim, ring=65_536, engine=engine, witness=witness)
-    pipeline.attach(scheduler)
+    run.pipeline.attach(scheduler)
     controller = MemoryPressureController(
         scheduler.store,
         scheduler.gc,
@@ -363,8 +307,7 @@ def _run_phase(
         high_watermark=high_watermark,
         admission=scheduler.admission,
     )
-    controller.tracer = pipeline.tracer
-    streams = RandomStreams(seed)
+    controller.tracer = run.tracer
     backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
     stats = MemoryStats()
     keys = [f"k{i}" for i in range(n_keys)]
@@ -391,10 +334,9 @@ def _run_phase(
         rng = streams.stream(f"writer-{i}")
         jitter_rng = streams.stream(f"backoff-{i}")
         attempt = 0
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
+            nonlocal attempt
             try:
                 txn = scheduler.begin()
             except Overloaded:
@@ -403,31 +345,31 @@ def _run_phase(
                 stats.rw_shed += 1
                 yield backoff.delay(attempt, jitter_rng)
                 attempt += 1
-                continue
+                return
             attempt = 0
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(2.0)  # service time
-                    value = yield scheduler.read(txn, key)
-                    yield scheduler.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    scheduler, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(2.0),
+                )
                 yield scheduler.commit(txn)
             except TransactionAborted:
                 if txn.is_active:
                     scheduler.abort(txn)
                 stats.rw_aborts += 1
-                continue
+                return
             stats.rw_commits += 1
             assert txn.tn is not None
             for key in txn.write_set:
                 insort(shadow[key], txn.tn)
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
     def reader(i: int):
         """Short OLTP snapshot reads; renewed every read, rarely revoked."""
         rng = streams.stream(f"reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(0.5)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = scheduler.begin(read_only=True)
             try:
                 for key in rng.sample(keys, 3):
@@ -437,12 +379,14 @@ def _run_phase(
                 yield scheduler.commit(txn)
             except SnapshotTooOld as exc:
                 note_too_old(exc)  # scheduler already aborted the txn
-                continue
+                return
             except TransactionAborted:  # pragma: no cover - RO never aborts otherwise
                 if txn.is_active:
                     scheduler.abort(txn)
-                continue
+                return
             stats.ro_commits += 1
+
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)
 
     def scanner(i: int):
         """The HTAP analytics session: a long multi-pass scan on one
@@ -511,19 +455,16 @@ def _run_phase(
             yield check_period
             controller.check(sim.now)
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
-    for i in range(long_scans):
-        sim.spawn(scanner(i), name=f"scanner-{i}")
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
+    run.spawn("scanner", long_scans, scanner)
     sim.spawn(zombie(), name="zombie")
     sim.spawn(pressure(), name="memory-pressure")
     sim.run()
     # Final sweep with no load: what the bounded collector converges to.
     controller.check(sim.now)
     stats.final_live = scheduler.store.chain_stats()[0]
-    pipeline.close()
+    run.settle(stats)
 
     stats.peak_live = controller.peak_live
     stats.pressure_checks = controller.checks
@@ -531,24 +472,19 @@ def _run_phase(
     stats.gc_discarded = scheduler.gc.total_discarded
     stats.gc_interior = scheduler.gc.interior_discarded
     stats.gc_scanned = scheduler.gc.versions_scanned
-    for event in pipeline.events():
+    for event in run.pipeline.events():
         name = event["name"]
         if name == "snapshot.revoked":
             stats.revocations.append((int(event["sn"]), event["cause"]))
         if name.startswith("qos.") or name == "snapshot.revoked":
             stats.qos_events[name] = stats.qos_events.get(name, 0) + 1
-    stats.events_dispatched = sim.events_dispatched
     return stats
 
 
 def _memory_engine(live_bound: int, duration: float):
-    from repro.obs.slo import FlightRecorder, SLOEngine, memory_objectives
+    from repro.obs.slo import memory_objectives
 
-    return SLOEngine(
-        memory_objectives(live_versions_bound=live_bound),
-        window=duration / SLO_WINDOWS,
-        recorder=FlightRecorder(capacity=16_384),
-    )
+    return slo_engine(memory_objectives(live_versions_bound=live_bound), duration)
 
 
 def run_memory_campaign(
@@ -595,8 +531,6 @@ def run_memory_campaign(
       multiple of keyspace + client population, independent of
       ``duration``) — sealing, not run length, bounds the certifier.
     """
-    from repro.faults.determinism import verify_double_run
-
     if live_bound is None:
         live_bound = int(high_watermark * LIVE_BOUND_FACTOR)
     if witness_bound is None:
@@ -628,8 +562,7 @@ def run_memory_campaign(
         make_engine=lambda: _memory_engine(live_bound, duration),
         verify=verify_determinism,
     )
-    stats, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    stats = outcome.result
 
     report = MemoryReport(
         seed=seed,
@@ -643,7 +576,6 @@ def run_memory_campaign(
         high_watermark=high_watermark,
         live_bound=live_bound,
         stats=stats,
-        deterministic=deterministic,
         witness_bound=witness_bound,
     )
     checks = report.violations
@@ -665,22 +597,10 @@ def run_memory_campaign(
         checks.append("no read-only commits")
     if not stats.gc_passes:
         checks.append("garbage collector never ran")
-    if not deterministic:
-        checks.append("memory campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            checks.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        checks.extend(certifier.gate_violations())
-        if certifier.peak_tracked > witness_bound:
-            checks.append(
-                f"witness peak tracked {certifier.peak_tracked} above bound "
-                f"{witness_bound}: sealing failed to fold the prefix"
-            )
+    report.conclude(outcome)
+    if report.witness is not None and report.witness["peak_tracked"] > witness_bound:
+        checks.append(
+            f"witness peak tracked {report.witness['peak_tracked']} above bound "
+            f"{witness_bound}: sealing failed to fold the prefix"
+        )
     return report

@@ -30,11 +30,17 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import AbortReason, Overloaded, TransactionAborted
-from repro.obs.pipeline import ObsPipeline
+from repro.faults.campaign import (
+    CampaignPhase,
+    CampaignReport,
+    PhaseRun,
+    closed_loop,
+    increment,
+    slo_engine,
+    verify_double_run,
+)
 from repro.qos.admission import AdmissionController
 from repro.qos.retry import BackoffPolicy
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
 from repro.sim.stats import Summary
 
 #: Acceptance ceiling: overload RO p99 may not exceed this multiple of the
@@ -48,12 +54,9 @@ RO_P99_CEILING = 1.5
 #: still applies unchanged.
 RO_P99_WINDOW_CEILING = 2.0
 
-#: Tumbling windows per campaign phase for the online SLO engine.
-SLO_WINDOWS_PER_PHASE = 16
-
 
 @dataclass
-class PhaseStats:
+class PhaseStats(CampaignPhase):
     """What one phase of the campaign observed."""
 
     ro_latency: Summary = field(default_factory=Summary)
@@ -66,27 +69,23 @@ class PhaseStats:
     rw_aborts_other: int = 0
     staleness: Summary = field(default_factory=Summary)
     qos_events: dict[str, int] = field(default_factory=dict)
-    events_dispatched: int = 0
-
-    def fingerprint(self) -> tuple:
-        """Determinism fingerprint: two same-seed runs must agree on this."""
-        return (
-            self.ro_commits,
-            self.rw_commits,
-            self.rw_shed,
-            self.rw_deadline_misses,
-            self.rw_aborts_other,
-            round(self.ro_latency.mean, 9),
-            self.events_dispatched,
-        )
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(CampaignReport):
     """Outcome of one seeded overload campaign."""
 
-    seed: int
-    duration: float
+    PHASE = "overload"
+    DERIVED = (
+        "shed_rate",
+        "deadline_miss_rate",
+        "ro_p99_baseline",
+        "ro_p99_overload",
+        "ro_p99_ratio",
+        "staleness_max",
+    )
+    NONDETERMINISTIC = "overload phase not deterministic under fixed seed"
+
     capacity: int
     writers: int
     readers: int
@@ -94,18 +93,6 @@ class OverloadReport:
     deadline: float
     baseline: PhaseStats
     overload: PhaseStats
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def shed_rate(self) -> float:
@@ -120,38 +107,21 @@ class OverloadReport:
         return self.overload.rw_deadline_misses / admitted if admitted else 0.0
 
     @property
-    def ro_p99_ratio(self) -> float:
-        base = self.baseline.ro_latency.p99
-        return self.overload.ro_latency.p99 / base if base > 0 else 1.0
+    def ro_p99_baseline(self) -> float:
+        return self.baseline.ro_latency.p99
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "capacity": self.capacity,
-            "writers": self.writers,
-            "readers": self.readers,
-            "policy": self.policy,
-            "deadline": self.deadline,
-            "shed_rate": round(self.shed_rate, 6),
-            "deadline_miss_rate": round(self.deadline_miss_rate, 6),
-            "rw_commits": self.overload.rw_commits,
-            "rw_shed": self.overload.rw_shed,
-            "rw_deadline_misses": self.overload.rw_deadline_misses,
-            "ro_commits": self.overload.ro_commits,
-            "ro_shed": self.overload.ro_shed,
-            "ro_deadline_misses": self.overload.ro_deadline_misses,
-            "ro_p99_baseline": round(self.baseline.ro_latency.p99, 6),
-            "ro_p99_overload": round(self.overload.ro_latency.p99, 6),
-            "ro_p99_ratio": round(self.ro_p99_ratio, 6),
-            "staleness_max": self.overload.staleness.maximum,
-            "qos_events": dict(self.overload.qos_events),
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
+    @property
+    def ro_p99_overload(self) -> float:
+        return self.overload.ro_latency.p99
+
+    @property
+    def ro_p99_ratio(self) -> float:
+        base = self.ro_p99_baseline
+        return self.ro_p99_overload / base if base > 0 else 1.0
+
+    @property
+    def staleness_max(self) -> float:
+        return self.overload.staleness.maximum
 
 
 def _run_phase(
@@ -182,15 +152,13 @@ def _run_phase(
     """
     from repro.protocols.vc_two_phase_locking import VC2PLScheduler
 
-    sim = Simulator()
+    run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
+    sim, streams, tracer = run.sim, run.streams, run.tracer
     scheduler = VC2PLScheduler(checked=False)
     scheduler.admission = AdmissionController(
         capacity=capacity, queue_limit=2 * capacity, policy=policy
     )
-    pipeline = ObsPipeline(sim=sim, ring=65_536, engine=engine, witness=witness)
-    pipeline.attach(scheduler)
-    tracer = pipeline.tracer
-    streams = RandomStreams(seed)
+    run.pipeline.attach(scheduler)
     backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
     stats = PhaseStats()
     keys = [f"k{i}" for i in range(n_keys)]
@@ -199,23 +167,22 @@ def _run_phase(
         rng = streams.stream(f"writer-{i}")
         jitter_rng = streams.stream(f"backoff-{i}")
         attempt = 0
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
+            nonlocal attempt
             try:
                 txn = scheduler.begin(deadline=sim.now + deadline)
             except Overloaded:
                 stats.rw_shed += 1
                 yield backoff.delay(attempt, jitter_rng)
                 attempt += 1
-                continue
+                return
             attempt = 0
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(1.0 / 2.0)  # service time
-                    value = yield scheduler.read(txn, key)
-                    yield scheduler.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    scheduler, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(1.0 / 2.0),
+                )
                 yield scheduler.commit(txn)
                 stats.rw_commits += 1
             except TransactionAborted as exc:
@@ -226,12 +193,12 @@ def _run_phase(
                 else:
                     stats.rw_aborts_other += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
     def reader(i: int):
         rng = streams.stream(f"reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(1.0 / 2.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             start = sim.now
             try:
                 txn = scheduler.begin(read_only=True)
@@ -241,7 +208,7 @@ def _run_phase(
                 # structurally unreachable (RO begins bypass admission);
                 # if it ever fires, the watchdog breaches immediately.
                 tracer.emit("slo.ro_shed", seed=seed)
-                continue
+                return
             staleness = txn.meta.get("qos.staleness")
             if staleness is not None:
                 stats.staleness.add(staleness)
@@ -255,9 +222,11 @@ def _run_phase(
                     scheduler.abort(txn)
                 if exc.reason is AbortReason.DEADLINE_EXCEEDED:
                     stats.ro_deadline_misses += 1
-                continue
+                return
             stats.ro_commits += 1
             stats.ro_latency.add(sim.now - start)
+
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0 / 2.0), once)
 
     def reaper():
         # The lock manager is clock-free by design: deadlines on queued
@@ -266,39 +235,35 @@ def _run_phase(
             yield reap_period
             scheduler.locks.expire_due(sim.now)
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
     if writers:
         sim.spawn(reaper(), name="deadline-reaper")
     sim.run()
-    pipeline.close()  # detach, finish the engine's last window, flush
+    run.settle(stats)  # detach, finish the engine's last window, flush
 
-    for event in pipeline.events():
+    for event in run.pipeline.events():
         if event["name"].startswith("qos."):
             stats.qos_events[event["name"]] = (
                 stats.qos_events.get(event["name"], 0) + 1
             )
-    stats.events_dispatched = sim.events_dispatched
     return stats
 
 
 def _overload_engine(baseline: PhaseStats, capacity: int, duration: float):
     """The overload phase's online watchdogs, thresholds anchored to the
     campaign's own uncontended baseline phase."""
-    from repro.obs.slo import FlightRecorder, SLOEngine, overload_objectives
+    from repro.obs.slo import overload_objectives
 
     base_p99 = baseline.ro_latency.p99
-    return SLOEngine(
+    return slo_engine(
         overload_objectives(
             capacity=capacity,
             ro_p99_ceiling=(
                 RO_P99_WINDOW_CEILING * base_p99 if base_p99 > 0 else None
             ),
         ),
-        window=duration / SLO_WINDOWS_PER_PHASE,
-        recorder=FlightRecorder(capacity=16_384),
+        duration,
     )
 
 
@@ -338,8 +303,6 @@ def run_overload_campaign(
     campaign violation, and under ``verify_determinism`` its verdict block
     must replay byte-identically too.
     """
-    from repro.faults.determinism import verify_double_run
-
     writers = max(1, int(capacity * overload_factor))
     knobs = dict(
         duration=duration,
@@ -358,8 +321,7 @@ def run_overload_campaign(
         make_engine=lambda: _overload_engine(baseline, capacity, duration),
         verify=verify_determinism,
     )
-    overload, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    overload = outcome.result
 
     report = OverloadReport(
         seed=seed,
@@ -371,7 +333,6 @@ def run_overload_campaign(
         deadline=deadline,
         baseline=baseline,
         overload=overload,
-        deterministic=deterministic,
     )
     checks = report.violations
     if overload.ro_shed:
@@ -397,17 +358,5 @@ def run_overload_campaign(
         )
     if not any(name.startswith("qos.") for name in overload.qos_events):
         checks.append("no qos.* trace events emitted")
-    if not deterministic:
-        checks.append("overload phase not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            checks.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        checks.extend(certifier.gate_violations())
+    report.conclude(outcome)
     return report

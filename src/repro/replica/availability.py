@@ -50,19 +50,23 @@ from typing import Any
 
 from repro.distributed.courier import Courier
 from repro.errors import ProtocolError, QuorumUnavailable, TransactionAborted
-from repro.faults.courier import FaultyCourier, RetryPolicy
+from repro.faults.campaign import (
+    CampaignPhase,
+    CampaignReport,
+    PhaseRun,
+    acked_commit,
+    closed_loop,
+    flat_dict,
+    increment,
+    slo_engine,
+    verify_double_run,
+)
+from repro.faults.courier import RetryPolicy
 from repro.faults.invariants import ClusterInvariantChecker
-from repro.faults.schedule import FaultSchedule
-from repro.obs.pipeline import ObsPipeline
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.detect import ClusterSupervisor, HeartbeatConfig
 from repro.replica.quorum import ReplicationMode
 from repro.replica.session import ReplicatedDatabase
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
 
 #: Commit-pipeline stages the crash sweep kills the primary at.
 CRASH_POINTS = (
@@ -80,7 +84,7 @@ def _link_channels(rid: int) -> tuple[str, ...]:
 
 
 @dataclass
-class AvailabilityPhase:
+class AvailabilityPhase(CampaignPhase):
     """What the partition drill observed for one seed."""
 
     rw_commits: int = 0
@@ -103,32 +107,8 @@ class AvailabilityPhase:
     #: True = refused with fenced QuorumUnavailable (the designed outcome),
     #: False = it went through (split brain), None = the probe never ran.
     split_brain_fenced: bool | None = None
-    events_dispatched: int = 0
     primary_vtnc: int = 0
     epoch: int = 0
-    violations: list[str] = field(default_factory=list)
-    wedged: list[str] = field(default_factory=list)
-
-    def fingerprint(self) -> tuple:
-        """Two same-seed runs must agree on every component."""
-        return (
-            self.rw_commits,
-            self.rw_aborts,
-            self.rw_commits_post,
-            self.ro_commits,
-            self.fenced,
-            self.indeterminate,
-            self.auto_promotions,
-            self.promoted_replica,
-            round(self.promoted_at, 9) if self.promoted_at is not None else None,
-            self.rpo_txns,
-            tuple(round(o, 9) for o in self.outages),
-            self.stale_segments,
-            self.split_brain_fenced,
-            self.events_dispatched,
-            self.primary_vtnc,
-            self.epoch,
-        )
 
 
 @dataclass
@@ -151,68 +131,18 @@ class CrashPointResult:
         return self.lost_acked == 0 and self.recovered
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "point": self.point,
-            "acked": list(self.acked),
-            "promoted_vtnc": self.promoted_vtnc,
-            "lost_acked": self.lost_acked,
-            "inflight": self.inflight,
-            "recovered": self.recovered,
-            "ok": self.ok,
-        }
+        return {**flat_dict(self), "ok": self.ok}
 
 
 @dataclass
-class AvailabilityReport:
+class AvailabilityReport(CampaignReport):
     """Outcome of one seeded availability campaign."""
 
-    seed: int
-    duration: float
     n_replicas: int
     writers: int
     max_outage: float
     phase: AvailabilityPhase
     crash_points: list[CrashPointResult] = field(default_factory=list)
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    slo: dict[str, Any] | None = None
-    witness: dict[str, Any] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_replicas": self.n_replicas,
-            "writers": self.writers,
-            "max_outage": self.max_outage,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "rw_commits_post": self.phase.rw_commits_post,
-            "ro_commits": self.phase.ro_commits,
-            "fenced": self.phase.fenced,
-            "indeterminate": self.phase.indeterminate,
-            "auto_promotions": self.phase.auto_promotions,
-            "promoted_replica": self.phase.promoted_replica,
-            "promoted_at": self.phase.promoted_at,
-            "partition_at": self.phase.partition_at,
-            "rpo_txns": self.phase.rpo_txns,
-            "outages": list(self.phase.outages),
-            "stale_segments": self.phase.stale_segments,
-            "split_brain_fenced": self.phase.split_brain_fenced,
-            "primary_vtnc": self.phase.primary_vtnc,
-            "epoch": self.phase.epoch,
-            "crash_points": [point.as_dict() for point in self.crash_points],
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
 
 
 def _run_partition_phase(
@@ -230,31 +160,18 @@ def _run_partition_phase(
     witness: Any | None = None,
 ) -> AvailabilityPhase:
     """One seeded partition drill (phase 1)."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    latency_rng = streams.stream("latency")
+    run = PhaseRun(seed, engine=engine, witness=witness)
+    sim, streams = run.sim, run.streams
     # A clean fault schedule: the only injected fault is the explicit
     # partition, so the measured outage is attributable to it alone.
-    courier = FaultyCourier(
-        schedule=FaultSchedule(seed=seed),
-        retry=RetryPolicy(max_attempts=4, base=0.5, cap=8.0),
-        sim=sim,
-        latency=lambda: latency_rng.expovariate(4.0),
-    )
+    courier = run.courier(4.0, retry=RetryPolicy(max_attempts=4, base=0.5, cap=8.0))
     cluster = ReplicaCluster(
         n_replicas=n_replicas,
         courier=courier,
         checked=True,
         mode=ReplicationMode.QUORUM,
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(cluster)
-    tracer = pipeline.tracer if pipeline is not None else cluster.tracer
+    run.pipeline.attach(cluster)
     session = ReplicatedDatabase(
         cluster, max_staleness=None, stale_policy="stale"
     )
@@ -272,27 +189,16 @@ def _run_partition_phase(
 
     def writer(i: int):
         rng = streams.stream(f"avail.writer-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(0.8)
-            if sim.now >= duration:
-                return
+
+        def once():
             db = cluster.primary  # re-fetch: survives the fail-over
             txn = db.begin()
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(2.0)  # service time
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
-                done = db.commit(txn)
-                # The acknowledged set is recorded at *resolution* time —
-                # in quorum mode that is the majority ack, the exact event
-                # the RPO=0 promise is about.
-                done.add_callback(
-                    lambda f, txn=txn: (
-                        checker.note_ack(txn.tn) if not f.failed else None
-                    )
+                yield from increment(
+                    db, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(2.0),
                 )
-                yield done
+                yield acked_commit(db, txn, checker.note_ack)
                 stats.rw_commits += 1
                 if stats.promoted_at is not None:
                     stats.rw_commits_post += 1
@@ -303,53 +209,18 @@ def _run_partition_phase(
                     db.abort(txn)
                 stats.rw_aborts += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.8), once)
+
     def reader(i: int):
         rng = streams.stream(f"avail.reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             with session.snapshot() as snap:
                 for key in rng.sample(keys, 2):
                     snap.read(key)
             stats.ro_commits += 1
 
-    def prober():
-        """Measure write availability: one tiny RW commit per tick.
-
-        An outage opens at the begin-time of the first failed probe and
-        closes at the first subsequent success; each window is emitted as
-        one ``avail.outage`` event for the SLO engine.
-        """
-        outage_start: float | None = None
-        while sim.now < duration:
-            yield probe_interval
-            if sim.now >= duration:
-                break
-            db = cluster.primary
-            started = sim.now
-            txn = db.begin()
-            try:
-                yield db.write(txn, "__probe__", started)
-                yield db.commit(txn)
-                if outage_start is not None:
-                    window = sim.now - outage_start
-                    outages.append(window)
-                    if tracer.enabled:
-                        tracer.emit(
-                            "avail.outage", duration=window, healed_at=sim.now
-                        )
-                    outage_start = None
-            except (TransactionAborted, ProtocolError):
-                if txn.is_active:
-                    db.abort(txn)
-                if outage_start is None:
-                    outage_start = started
-        if outage_start is not None:
-            stats.violations.append(
-                f"write availability never restored (outage open since "
-                f"{outage_start:g})"
-            )
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
     def partitioner():
         yield partition_at
@@ -413,42 +284,39 @@ def _run_partition_phase(
         for channel in held_channels:
             courier.heal(channel)
         held_channels.clear()
-        if pipeline is not None:
-            # Silence the deposed-but-alive primary's recorder (attach
-            # stacks handles; without the detach its post-promotion events
-            # would keep flowing and the witness would see two timelines).
-            pipeline.detach()
-            pipeline.attach(cluster)
+        # Silence the deposed-but-alive primary's recorder (attach stacks
+        # handles; without the detach its post-promotion events would keep
+        # flowing and the witness would see two timelines).
+        run.pipeline.detach()
+        run.pipeline.attach(cluster)
 
     supervisor.start()
     cluster.on_promote.append(after_promotion)
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
-    sim.spawn(prober(), name="availability-prober")
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
+    # Write availability: each unavailability window is one ``avail.outage``
+    # event for the SLO engine.
+    prober = run.prober(
+        duration, probe_interval, lambda: cluster.primary, "__probe__",
+        outages, stats.violations, "avail.outage",
+    )
+    sim.spawn(prober, name="availability-prober")
     sim.spawn(partitioner(), name="partitioner")
     sim.spawn(split_brain(), name="split-brain-probe")
     sim.spawn(watcher(), name="invariant-watcher")
     sim.run()
 
-    # Quiesce: re-ship anything unacknowledged so the survivors converge
-    # before the final invariant pass.
-    for _ in range(3):
-        cluster.shipper.catch_up_all()
-        sim.run()
-        if all(
-            cluster.lag_records(r) == 0 for r in cluster.replicas.values()
-        ):
-            break
+    # The survivors must converge before the final invariant pass.
+    run.quiesce(
+        [cluster.shipper],
+        lambda: all(cluster.lag_records(r) == 0 for r in cluster.replicas.values()),
+    )
 
     checker.check_final()
     stats.violations.extend(checker.violations)
-    stats.wedged = [p.name for p in sim.blocked_processes()]
     # Counted by the supervisor *after* fail_over (and its hooks) return,
     # so it is only readable here, not inside the promotion hook.
     stats.auto_promotions = supervisor.auto_promotions
-    stats.events_dispatched = sim.events_dispatched
     stats.primary_vtnc = cluster.primary.vc.vtnc
     stats.epoch = cluster.epoch
     stats.outages = tuple(outages)
@@ -458,8 +326,7 @@ def _run_partition_phase(
         replica.segments_stale
         for replica in deposed.get("replicas", {}).values()
     )
-    if pipeline is not None:
-        pipeline.close()
+    run.settle(stats)
     return stats
 
 
@@ -468,10 +335,7 @@ def _commit_async(cluster: ReplicaCluster, acked: list, key: str, value: Any):
     db = cluster.primary
     txn = db.begin()
     db.write(txn, key, value).result()
-    future = db.commit(txn)
-    future.add_callback(
-        lambda f, txn=txn: acked.append(txn.tn) if not f.failed else None
-    )
+    future = acked_commit(db, txn, acked.append)
     return txn, future
 
 
@@ -579,8 +443,6 @@ def run_availability_campaign(
     ``duplicate_commits`` count must be zero — the fenced deposed primary
     contributed no second timeline.
     """
-    from repro.faults.determinism import verify_double_run
-
     if heartbeat is None:
         heartbeat = HeartbeatConfig(
             interval=1.5, suspect_after=6.0, lease_ttl=4.5, commit_timeout=5.0
@@ -589,13 +451,9 @@ def run_availability_campaign(
         partition_at = 0.4 * duration
 
     def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, availability_objectives
+        from repro.obs.slo import availability_objectives
 
-        return SLOEngine(
-            availability_objectives(max_outage=max_outage),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
-        )
+        return slo_engine(availability_objectives(max_outage=max_outage), duration)
 
     knobs = dict(
         duration=duration,
@@ -607,19 +465,16 @@ def run_availability_campaign(
     )
     crash_points: list[Any] = []
 
+    def sweep() -> list[CrashPointResult]:
+        return [
+            _run_crash_point(point, n_replicas=n_replicas) for point in CRASH_POINTS
+        ]
+
     def first_run(engine: Any | None, certifier: Any | None) -> Any:
         phase = _run_partition_phase(seed, engine=engine, witness=certifier, **knobs)
         if not crash_points:
-            crash_points.extend(
-                _run_crash_point(point, n_replicas=n_replicas)
-                for point in CRASH_POINTS
-            )
+            crash_points.extend(sweep())
         return phase
-
-    def resweep_matches() -> bool:
-        return crash_points == [
-            _run_crash_point(point, n_replicas=n_replicas) for point in CRASH_POINTS
-        ]
 
     outcome = verify_double_run(
         first_run,
@@ -627,10 +482,9 @@ def run_availability_campaign(
         witness=witness,
         make_engine=make_engine,
         verify=verify_determinism,
-        extra_check=resweep_matches,
+        extra_check=lambda: crash_points == sweep(),
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    phase = outcome.result
 
     report = AvailabilityReport(
         seed=seed,
@@ -641,7 +495,6 @@ def run_availability_campaign(
         phase=phase,
         crash_points=crash_points,
     )
-    report.violations.extend(phase.violations)
     if not phase.rw_commits:
         report.violations.append("no read-write commits: workload inert")
     if not phase.ro_commits:
@@ -684,26 +537,13 @@ def run_availability_campaign(
                 f"crash point {point.point!r}: lost_acked="
                 f"{point.lost_acked} recovered={point.recovered}"
             )
-    if not deterministic:
-        report.deterministic = False
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
-        if report.witness.get("duplicate_commits"):
-            report.violations.append(
-                f"witness counted {report.witness['duplicate_commits']} "
-                "duplicate commit(s): the deposed primary leaked a second "
-                "timeline"
-            )
+    report.conclude(outcome)
+    if report.witness is not None and report.witness.get("duplicate_commits"):
+        report.violations.append(
+            f"witness counted {report.witness['duplicate_commits']} "
+            "duplicate commit(s): the deposed primary leaked a second "
+            "timeline"
+        )
     return report
 
 

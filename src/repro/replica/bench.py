@@ -15,16 +15,14 @@ block is deterministic and comparator-safe (top-level, like ``qos``).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
-from repro.core.futures import OpFuture
 from repro.distributed.courier import Courier
 from repro.errors import ProtocolError, TransactionAborted
+from repro.faults.campaign import PhaseRun, closed_loop, increment
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.quorum import ReplicationMode
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
+from repro.sim.server import FifoServer
 
 #: Acceptance floor: RO ops/s at 4 replicas over RO ops/s at 1 replica.
 RO_SPEEDUP_FLOOR = 2.0
@@ -39,38 +37,6 @@ QUORUM_LATENCY_FLOOR = 1.0
 QUORUM_THROUGHPUT_FLOOR = 0.4
 
 
-class _ReadServer:
-    """A replica's serving capacity: one request at a time, FIFO."""
-
-    def __init__(self, sim: Simulator, service_time: float):
-        self.sim = sim
-        self.service_time = service_time
-        self.queue: deque[OpFuture] = deque()
-        self.busy = False
-        self.served = 0
-
-    def submit(self) -> OpFuture:
-        slot = OpFuture(label="read-slot")
-        self.queue.append(slot)
-        if not self.busy:
-            self._start_next()
-        return slot
-
-    def _start_next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        self.busy = True
-        slot = self.queue.popleft()
-
-        def done() -> None:
-            self.served += 1
-            slot.resolve(None)
-            self._start_next()
-
-        self.sim.call_in(self.service_time, done)
-
-
 def _run_scale_point(
     seed: int,
     n_replicas: int,
@@ -81,30 +47,27 @@ def _run_scale_point(
     service_time: float,
     n_keys: int = 8,
 ) -> dict[str, Any]:
-    sim = Simulator()
-    streams = RandomStreams(seed)
+    run = PhaseRun(seed)
+    sim, streams = run.sim, run.streams
     cluster = ReplicaCluster(
         n_replicas=n_replicas, courier=Courier(sim=sim, latency=0.5), checked=False
     )
-    servers = {
-        rid: _ReadServer(sim, service_time) for rid in cluster.replicas
-    }
+    # Each replica's serving capacity: one snapshot read at a time.
+    servers = {rid: FifoServer(sim, service_time) for rid in cluster.replicas}
     keys = [f"k{i}" for i in range(n_keys)]
     tallies = {"ro_reads": 0, "ro_sessions": 0, "rw_commits": 0, "rw_aborts": 0}
 
     def writer(i: int):
         rng = streams.stream(f"bench.writer-{i}")
         db = cluster.primary
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = db.begin()
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(2.0)
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    db, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(2.0),
+                )
                 yield db.commit(txn)
                 tallies["rw_commits"] += 1
             except TransactionAborted:
@@ -112,12 +75,12 @@ def _run_scale_point(
                     db.abort(txn)
                 tallies["rw_aborts"] += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
     def reader(i: int):
         rng = streams.stream(f"bench.reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             replica = cluster.pick_replica()
             assert replica is not None
             server = servers[replica.replica_id]
@@ -129,10 +92,10 @@ def _run_scale_point(
             replica.commit(txn).result()
             tallies["ro_sessions"] += 1
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
     sim.run()
 
     return {
@@ -228,8 +191,8 @@ def _run_sync_point(
     the two points is where the acknowledgement happens: the local
     ``force()`` (async) or the majority ship ack (quorum).
     """
-    sim = Simulator()
-    streams = RandomStreams(seed)
+    run = PhaseRun(seed)
+    sim, streams = run.sim, run.streams
     cluster = ReplicaCluster(
         n_replicas=n_replicas,
         courier=Courier(sim=sim, latency=latency),
@@ -243,16 +206,14 @@ def _run_sync_point(
     def writer(i: int):
         rng = streams.stream(f"bench.sync-writer-{i}")
         db = cluster.primary
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = db.begin()
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(2.0)
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    db, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(2.0),
+                )
                 submitted = sim.now
                 yield db.commit(txn)
                 latencies.append(sim.now - submitted)
@@ -262,8 +223,9 @@ def _run_sync_point(
                     db.abort(txn)
                 tallies["rw_aborts"] += 1
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
+    run.spawn("writer", writers, writer)
     sim.run()
 
     latencies.sort()

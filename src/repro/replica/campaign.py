@@ -30,29 +30,34 @@ the bench artifact's ``replica`` block uses the scaling benchmark in
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import ProtocolError, TransactionAborted
-from repro.faults.courier import FaultyCourier, RetryPolicy
-from repro.faults.schedule import FaultSchedule, FaultSpec, PartitionWindow
-from repro.obs.pipeline import ObsPipeline
+from repro.faults.campaign import (
+    CampaignPhase,
+    CampaignReport,
+    PhaseRun,
+    acked_commit,
+    closed_loop,
+    increment,
+    slo_engine,
+    verify_double_run,
+)
+from repro.faults.courier import RetryPolicy
+from repro.faults.schedule import FaultSpec, PartitionWindow
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.quorum import ReplicationMode
 from repro.replica.session import ReplicatedDatabase
-from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.stats import Summary
 
 #: Fault mix for the replication drill: noticeably lossy shipping channels.
 REPLICATION_SPEC = FaultSpec(drop=0.10, duplicate=0.08, delay_spike=0.08)
 
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
-
 
 @dataclass
-class ReplicationPhase:
+class ReplicationPhase(CampaignPhase):
     """What one seeded run observed."""
 
     rw_commits: int = 0
@@ -72,40 +77,19 @@ class ReplicationPhase:
     rpo_txns: int | None = None
     #: Watermark lag ``old_vtnc - promoted_vtnc`` at the fail-over moment.
     failover_lag_txns: int | None = None
-    events_dispatched: int = 0
     final_vtncs: tuple = ()
     primary_vtnc: int = 0
     store_fingerprint: int = 0
     faults: dict[str, int] = field(default_factory=dict)
     messages: int = 0
-    violations: list[str] = field(default_factory=list)
-    wedged: list[str] = field(default_factory=list)
-
-    def fingerprint(self) -> tuple:
-        """Two same-seed runs must agree on every component."""
-        return (
-            self.rw_commits,
-            self.rw_aborts,
-            self.ro_commits,
-            self.ro_reads,
-            self.ro_served,
-            self.ro_redirects,
-            self.ro_stale,
-            self.events_dispatched,
-            self.final_vtncs,
-            self.primary_vtnc,
-            self.store_fingerprint,
-            self.rpo_txns,
-            self.failover_lag_txns,
-        )
 
 
 @dataclass
-class ReplicationReport:
+class ReplicationReport(CampaignReport):
     """Outcome of one seeded replication campaign."""
 
-    seed: int
-    duration: float
+    DERIVED = ("staleness_max",)
+
     n_replicas: int
     writers: int
     readers: int
@@ -114,51 +98,10 @@ class ReplicationReport:
     mode: str = "async"
     faults: dict[str, int] = field(default_factory=dict)
     messages: int = 0
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
 
     @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_replicas": self.n_replicas,
-            "writers": self.writers,
-            "readers": self.readers,
-            "promote": self.promote,
-            "mode": self.mode,
-            "rpo_txns": self.phase.rpo_txns,
-            "failover_lag_txns": self.phase.failover_lag_txns,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "ro_commits": self.phase.ro_commits,
-            "ro_reads": self.phase.ro_reads,
-            "ro_served": self.phase.ro_served,
-            "ro_redirects": self.phase.ro_redirects,
-            "ro_stale": self.phase.ro_stale,
-            "max_lag_txns": self.phase.max_lag_txns,
-            "staleness_max": self.phase.staleness.maximum,
-            "promoted_replica": self.phase.promoted_replica,
-            "final_vtncs": list(self.phase.final_vtncs),
-            "primary_vtnc": self.phase.primary_vtnc,
-            "faults": dict(self.faults),
-            "messages": self.messages,
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
+    def staleness_max(self) -> float:
+        return self.phase.staleness.maximum
 
 
 def _committed_dump(store) -> dict:
@@ -224,35 +167,18 @@ def _run_phase(
     :class:`~repro.obs.witness.WitnessEngine` — fed online through an
     :class:`~repro.obs.ObsPipeline` attached to the cluster (and
     re-attached after a fail-over rebuilds the primary and shipper)."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    latency_rng = streams.stream("latency")
-    full_spec = FaultSpec(
-        drop=spec.drop,
-        duplicate=spec.duplicate,
-        delay_spike=spec.delay_spike,
-        spike_factor=spec.spike_factor,
-        partitions=spec.partitions
-        + _partition_windows(streams, duration, n_replicas),
-    )
-    schedule = FaultSchedule(spec=full_spec, seed=seed)
-    courier = FaultyCourier(
-        schedule=schedule,
+    run = PhaseRun(seed, engine=engine, witness=witness)
+    sim, streams, tracer = run.sim, run.streams, run.tracer
+    windows = _partition_windows(streams, duration, n_replicas)
+    courier = run.courier(
+        2.0,
+        spec=replace(spec, partitions=spec.partitions + windows),
         retry=RetryPolicy(max_attempts=6, base=0.5, cap=10.0),
-        sim=sim,
-        latency=lambda: latency_rng.expovariate(2.0),
     )
     cluster = ReplicaCluster(
         n_replicas=n_replicas, courier=courier, checked=True, mode=mode
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(cluster)
-    tracer = pipeline.tracer if pipeline is not None else cluster.tracer
+    run.pipeline.attach(cluster)
     session = ReplicatedDatabase(
         cluster, max_staleness=max_staleness, stale_policy="redirect"
     )
@@ -301,30 +227,16 @@ def _run_phase(
 
     def writer(i: int):
         rng = streams.stream(f"replica.writer-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(0.5)
-            if sim.now >= duration:
-                return
+
+        def once():
             db = cluster.primary  # re-fetch: survives a fail-over
             txn = db.begin()
             try:
-                for key in rng.sample(keys, 2):
-                    yield rng.expovariate(2.0)  # service time
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
-                done = db.commit(txn)
-                # Record the ack at *resolution* time (synchronous with the
-                # force in async mode, with the majority ack in quorum
-                # mode), not at the generator's next resumption — so a
-                # fail-over landing between the two cannot undercount.
-                done.add_callback(
-                    lambda f, txn=txn: (
-                        acked_tns.add(txn.tn)
-                        if not f.failed and txn.tn is not None
-                        else None
-                    )
+                yield from increment(
+                    db, txn, rng.sample(keys, 2),
+                    service=lambda: rng.expovariate(2.0),
                 )
-                yield done
+                yield acked_commit(db, txn, acked_tns.add)
                 stats.rw_commits += 1
             except (TransactionAborted, ProtocolError):
                 # Deadlock victim, or the primary failed over while this
@@ -335,12 +247,12 @@ def _run_phase(
                     db.abort(txn)
                 stats.rw_aborts += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)
+
     def reader(i: int):
         rng = streams.stream(f"replica.reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             with session.snapshot() as snap:
                 staleness = snap.staleness
                 if staleness is not None:
@@ -359,6 +271,8 @@ def _run_phase(
                             )
             stats.ro_commits += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+
     def watcher():
         while sim.now < duration:
             yield duration / 50.0
@@ -375,34 +289,24 @@ def _run_phase(
         promoted_vtnc = cluster.last_failover["promoted_vtnc"]
         stats.rpo_txns = sum(1 for tn in acked_tns if tn > promoted_vtnc)
         stats.failover_lag_txns = cluster.last_failover["lag_txns"]
-        if pipeline is not None:
-            # fail_over() built a fresh primary and shipper; re-attach so
-            # post-promotion events keep flowing to the watchdogs.
-            pipeline.attach(cluster)
+        # fail_over() built a fresh primary and shipper; re-attach so
+        # post-promotion events keep flowing to the watchdogs.
+        run.pipeline.attach(cluster)
         check_watermarks()
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
     sim.spawn(watcher(), name="watermark-watcher")
     if promote_at is not None:
         sim.spawn(promoter(), name="promoter")
     sim.run()
 
-    # Quiesce: re-ship anything unacknowledged until every replica holds the
-    # full durable log (two rounds cover acks lost in the final drain).
-    for _ in range(3):
-        cluster.shipper.catch_up_all()
-        sim.run()
-        if all(
-            cluster.lag_records(r) == 0 for r in cluster.replicas.values()
-        ):
-            break
+    run.quiesce(
+        [cluster.shipper],
+        lambda: all(cluster.lag_records(r) == 0 for r in cluster.replicas.values()),
+    )
     check_watermarks()
 
-    stats.wedged = [p.name for p in sim.blocked_processes()]
-    stats.events_dispatched = sim.events_dispatched
     stats.primary_vtnc = cluster.primary.vc.vtnc
     stats.final_vtncs = tuple(
         cluster.replicas[rid].vtnc for rid in sorted(cluster.replicas)
@@ -426,10 +330,9 @@ def _run_phase(
                 f"replica {rid} watermark {replica.vtnc} != primary "
                 f"{cluster.primary.vc.vtnc} after healing"
             )
-    stats.faults = schedule.counts.as_dict()
+    stats.faults = courier.schedule.counts.as_dict()
     stats.messages = courier.delivered
-    if pipeline is not None:
-        pipeline.close()  # detach, finish the engine's last window
+    run.settle(stats)  # detach, finish the engine's last window
     return stats
 
 
@@ -471,18 +374,15 @@ def run_replication_campaign(
     event retires the promoted replica's watermark from the sealing floor —
     and an MVSG cycle (or a tainted seal) is a campaign violation.
     """
-    from repro.faults.determinism import verify_double_run
-
     spec = spec if spec is not None else REPLICATION_SPEC
     mode = ReplicationMode(mode).value
 
     def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, replication_objectives
+        from repro.obs.slo import replication_objectives
 
-        return SLOEngine(
+        return slo_engine(
             replication_objectives(max_staleness=max_staleness, writers=writers),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
+            duration,
         )
 
     knobs = dict(
@@ -504,8 +404,7 @@ def run_replication_campaign(
         make_engine=make_engine,
         verify=verify_determinism,
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    phase = outcome.result
 
     report = ReplicationReport(
         seed=seed,
@@ -518,9 +417,7 @@ def run_replication_campaign(
         mode=mode,
         faults=dict(phase.faults),
         messages=phase.messages,
-        deterministic=deterministic,
     )
-    report.violations.extend(phase.violations)
     if not phase.rw_commits:
         report.violations.append("no read-write commits: workload inert")
     if not phase.ro_commits:
@@ -547,17 +444,5 @@ def run_replication_campaign(
                 f"async RPO {phase.rpo_txns} != measured replication lag "
                 f"{phase.failover_lag_txns} at fail-over"
             )
-    if not deterministic:
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
+    report.conclude(outcome)
     return report

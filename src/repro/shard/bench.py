@@ -23,52 +23,19 @@ block is deterministic and comparator-safe (top-level, like ``replica``).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
-from repro.core.futures import OpFuture
 from repro.distributed.courier import Courier
 from repro.errors import TransactionAborted, VersionNotFound
+from repro.faults.campaign import PhaseRun, closed_loop, increment
+from repro.shard.campaign import pinned_keys
 from repro.shard.database import ShardedDatabase
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
+from repro.sim.server import FifoServer
 
 #: Acceptance floor: RW ops/s at 2 shards over RW ops/s at 1 shard.
 SCALE_2X_FLOOR = 1.7
 #: Acceptance floor: RW ops/s at 4 shards over RW ops/s at 1 shard.
 SCALE_4X_FLOOR = 3.0
-
-
-class _CommitServer:
-    """One shard's commit capacity: one commit at a time, FIFO."""
-
-    def __init__(self, sim: Simulator, service_time: float):
-        self.sim = sim
-        self.service_time = service_time
-        self.queue: deque[OpFuture] = deque()
-        self.busy = False
-        self.served = 0
-
-    def submit(self) -> OpFuture:
-        slot = OpFuture(label="commit-slot")
-        self.queue.append(slot)
-        if not self.busy:
-            self._start_next()
-        return slot
-
-    def _start_next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        self.busy = True
-        slot = self.queue.popleft()
-
-        def done() -> None:
-            self.served += 1
-            slot.resolve(None)
-            self._start_next()
-
-        self.sim.call_in(self.service_time, done)
 
 
 def _run_scale_point(
@@ -81,19 +48,14 @@ def _run_scale_point(
     service_time: float,
     keys_per_writer: int = 4,
 ) -> dict[str, Any]:
-    sim = Simulator()
-    streams = RandomStreams(seed)
+    run = PhaseRun(seed)
+    sim, streams = run.sim, run.streams
     db = ShardedDatabase(
         n_shards=n_shards, courier=Courier(sim=sim, latency=0.5), checked=True
     )
-    servers = {sid: _CommitServer(sim, service_time) for sid in db.sites}
-    # Writer i lives on shard (i mod N): explicit "s<id>:" placement keeps
-    # the keyspace disjoint per writer and single-shard per transaction.
-    home = {i: (i % n_shards) + 1 for i in range(writers)}
-    keys = {
-        i: [f"s{home[i]}:w{i}k{j}" for j in range(keys_per_writer)]
-        for i in range(writers)
-    }
+    # Each shard's commit capacity: one commit at a time.
+    servers = {sid: FifoServer(sim, service_time) for sid in db.sites}
+    home, keys = pinned_keys(n_shards, writers, keys_per_writer)
     tallies = {
         "rw_commits": 0, "rw_aborts": 0, "ro_sessions": 0, "ro_reads": 0,
     }
@@ -101,16 +63,14 @@ def _run_scale_point(
     def writer(i: int):
         rng = streams.stream(f"bench.shard-writer-{i}")
         sid = home[i]
-        while sim.now < duration:
-            yield rng.expovariate(2.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = db.begin()
             try:
-                for key in rng.sample(keys[i], 2):
-                    yield rng.expovariate(2.0)
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    db, txn, rng.sample(keys[i], 2),
+                    service=lambda: rng.expovariate(2.0),
+                )
                 yield servers[sid].submit()  # the shard's commit turn
                 yield db.commit(txn)
                 tallies["rw_commits"] += 1
@@ -119,12 +79,12 @@ def _run_scale_point(
                     db.abort(txn)
                 tallies["rw_aborts"] += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(2.0), once)
+
     def reader(i: int):
         rng = streams.stream(f"bench.shard-reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(0.5)
-            if sim.now >= duration:
-                return
+
+        def once():
             ro = db.begin(read_only=True)
             for _ in range(2):
                 target = rng.randrange(writers)
@@ -136,10 +96,10 @@ def _run_scale_point(
             db.commit(ro).result()
             tallies["ro_sessions"] += 1
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)
+
+    run.spawn("writer", writers, writer)
+    run.spawn("reader", readers, reader)
     sim.run()
 
     return {

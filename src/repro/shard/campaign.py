@@ -13,7 +13,7 @@ them per seed:
    (:meth:`~repro.shard.database.ShardedDatabase.snapshot_audit` must come
    back empty) and the ``shard.vector_inconsistent`` tripwire stays zero.
 3. **Byte-deterministic double runs** — the whole drill is a pure function
-   of its seed; :func:`repro.faults.determinism.verify_double_run` reruns
+   of its seed; :func:`repro.faults.campaign.verify_double_run` reruns
    it and compares phase fingerprints, SLO reports, and witness reports.
 4. **Fail-over isolation** — while one shard is partitioned and then
    failed over, the *other* shards' probers measure **zero** outage and
@@ -42,20 +42,22 @@ from repro.errors import (
     TransactionAborted,
     VersionNotFound,
 )
-from repro.faults.courier import FaultyCourier, RetryPolicy
-from repro.faults.schedule import FaultSchedule
+from repro.faults.campaign import (
+    CampaignPhase,
+    CampaignReport,
+    PhaseRun,
+    closed_loop,
+    increment,
+    slo_engine,
+    verify_double_run,
+)
+from repro.faults.courier import RetryPolicy
 from repro.histories.checker import check_one_copy_serializable
-from repro.obs.pipeline import ObsPipeline
 from repro.shard.database import ShardedDatabase
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
 
 
 @dataclass
-class ShardPhase:
+class ShardPhase(CampaignPhase):
     """What one seeded shard drill observed."""
 
     rw_commits: int = 0
@@ -85,110 +87,32 @@ class ShardPhase:
     #: Watermark lag of every replica behind its shard after quiesce.
     replica_lag: int = 0
     serializable: bool | None = None
-    events_dispatched: int = 0
     watermarks: tuple = ()
     epoch: int = 0
-    violations: list[str] = field(default_factory=list)
-    wedged: list[str] = field(default_factory=list)
-
-    def fingerprint(self) -> tuple:
-        """Two same-seed runs must agree on every component."""
-        return (
-            self.rw_commits,
-            self.rw_aborts,
-            self.cross_commits,
-            self.cross_aborts,
-            self.ro_sessions,
-            self.ro_reads,
-            self.audits_failed,
-            self.max_staleness,
-            tuple(sorted(self.commits_per_shard.items())),
-            self.survivor_commits_during,
-            self.failed_commits_post,
-            tuple(
-                (sid, tuple(round(o, 9) for o in windows))
-                for sid, windows in sorted(self.outages_per_shard.items())
-            ),
-            round(self.partitioned_at, 9)
-            if self.partitioned_at is not None
-            else None,
-            round(self.failover_at, 9) if self.failover_at is not None else None,
-            self.lost_records,
-            self.fast_commits,
-            self.vector_lowered,
-            self.vector_inconsistent,
-            self.ro_blocked,
-            self.failovers,
-            self.replica_lag,
-            self.serializable,
-            self.events_dispatched,
-            self.watermarks,
-            self.epoch,
-        )
 
 
 @dataclass
-class ShardReport:
+class ShardReport(CampaignReport):
     """Outcome of one seeded shard campaign."""
 
-    seed: int
-    duration: float
     n_shards: int
     fail_shard: int
     max_outage: float
     phase: ShardPhase
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    slo: dict[str, Any] | None = None
-    witness: dict[str, Any] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_shards": self.n_shards,
-            "fail_shard": self.fail_shard,
-            "max_outage": self.max_outage,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "cross_commits": self.phase.cross_commits,
-            "cross_aborts": self.phase.cross_aborts,
-            "ro_sessions": self.phase.ro_sessions,
-            "ro_reads": self.phase.ro_reads,
-            "audits_failed": self.phase.audits_failed,
-            "max_staleness": self.phase.max_staleness,
-            "commits_per_shard": {
-                str(sid): n for sid, n in sorted(self.phase.commits_per_shard.items())
-            },
-            "survivor_commits_during": self.phase.survivor_commits_during,
-            "failed_commits_post": self.phase.failed_commits_post,
-            "outages_per_shard": {
-                str(sid): list(windows)
-                for sid, windows in sorted(self.phase.outages_per_shard.items())
-            },
-            "partitioned_at": self.phase.partitioned_at,
-            "failover_at": self.phase.failover_at,
-            "lost_records": self.phase.lost_records,
-            "fast_commits": self.phase.fast_commits,
-            "vector_lowered": self.phase.vector_lowered,
-            "vector_inconsistent": self.phase.vector_inconsistent,
-            "ro_blocked": self.phase.ro_blocked,
-            "failovers": self.phase.failovers,
-            "replica_lag": self.phase.replica_lag,
-            "serializable": self.phase.serializable,
-            "watermarks": list(self.phase.watermarks),
-            "epoch": self.phase.epoch,
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
+def pinned_keys(
+    n_shards: int, writers: int, keys_per_writer: int
+) -> tuple[dict[int, int], dict[int, list[str]]]:
+    """Writer ``i`` is pinned to shard ``(i mod N) + 1`` by explicit
+    ``"s<id>:"`` placement, on private keys — every transaction is
+    single-shard, i.e. the fast path.  Returns ``(home, keys)``."""
+    home = {i: (i % n_shards) + 1 for i in range(writers)}
+    keys = {
+        i: [f"s{home[i]}:w{i}k{j}" for j in range(keys_per_writer)]
+        for i in range(writers)
+    }
+    return home, keys
 
 
 def _run_shard_phase(
@@ -210,18 +134,12 @@ def _run_shard_phase(
     witness: Any | None = None,
 ) -> ShardPhase:
     """One seeded shard drill."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    latency_rng = streams.stream("latency")
+    run = PhaseRun(seed, engine=engine, witness=witness)
+    sim, streams = run.sim, run.streams
     # A clean fault schedule: the only injected fault is the explicit
     # per-shard partition + fail-over, so every measured effect is
     # attributable to it alone.
-    courier = FaultyCourier(
-        schedule=FaultSchedule(seed=seed),
-        retry=RetryPolicy(max_attempts=4, base=0.5, cap=8.0),
-        sim=sim,
-        latency=lambda: latency_rng.expovariate(4.0),
-    )
+    courier = run.courier(4.0, retry=RetryPolicy(max_attempts=4, base=0.5, cap=8.0))
     db = ShardedDatabase(
         n_shards=n_shards,
         courier=courier,
@@ -229,25 +147,12 @@ def _run_shard_phase(
         prepare_timeout=prepare_timeout,
         replicas_per_shard=replicas_per_shard,
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(db)
-    tracer = db.courier.tracer
+    run.pipeline.attach(db)
     stats = ShardPhase()
     stats.commits_per_shard = {sid: 0 for sid in db.sites}
     outages: dict[int, list[float]] = {sid: [] for sid in db.sites}
 
-    # Writer i is pinned to shard (i mod N) via explicit "s<id>:" placement
-    # — every transaction is single-shard, i.e. the fast path under test.
-    home = {i: (i % n_shards) + 1 for i in range(writers)}
-    keys = {
-        i: [f"s{home[i]}:w{i}k{j}" for j in range(keys_per_writer)]
-        for i in range(writers)
-    }
+    home, keys = pinned_keys(n_shards, writers, keys_per_writer)
     # Cross-shard writers own one key per shard; every transaction touches
     # two shards, exercising 2PC and populating the visibility xlogs.
     cross_keys = {
@@ -268,17 +173,15 @@ def _run_shard_phase(
     def writer(i: int):
         rng = streams.stream(f"shard.writer-{i}")
         sid = home[i]
-        while sim.now < duration:
-            yield rng.expovariate(0.8)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = db.begin()
             during = in_outage_window()
             try:
-                for key in rng.sample(keys[i], 2):
-                    yield rng.expovariate(2.0)  # service time
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
+                yield from increment(
+                    db, txn, rng.sample(keys[i], 2),
+                    service=lambda: rng.expovariate(2.0),
+                )
                 yield db.commit(txn)
                 stats.rw_commits += 1
                 stats.commits_per_shard[sid] += 1
@@ -291,20 +194,17 @@ def _run_shard_phase(
                     db.abort(txn)
                 stats.rw_aborts += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.8), once)
+
     def cross_writer(i: int):
         rng = streams.stream(f"shard.cross-{i}")
         sids = sorted(db.sites)
-        while sim.now < duration:
-            yield rng.expovariate(0.5)
-            if sim.now >= duration:
-                return
+
+        def once():
             a, b = rng.sample(sids, 2)
             txn = db.begin()
             try:
-                for sid in (a, b):
-                    key = cross_keys[i][sid]
-                    value = yield db.read(txn, key)
-                    yield db.write(txn, key, (value or 0) + 1)
+                yield from increment(db, txn, (cross_keys[i][a], cross_keys[i][b]))
                 yield db.commit(txn)
                 stats.cross_commits += 1
             except (TransactionAborted, ProtocolError):
@@ -312,12 +212,12 @@ def _run_shard_phase(
                     db.abort(txn)
                 stats.cross_aborts += 1
 
+        return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)
+
     def reader(i: int):
         rng = streams.stream(f"shard.reader-{i}")
-        while sim.now < duration:
-            yield rng.expovariate(1.0)
-            if sim.now >= duration:
-                return
+
+        def once():
             txn = db.begin(read_only=True)
             # Certification 2, per session: the swept vector must tear no
             # cross-shard commit on the live xlogs.
@@ -335,43 +235,7 @@ def _run_shard_phase(
             db.commit(txn).result()
             stats.ro_sessions += 1
 
-    def prober(sid: int):
-        """Per-shard write availability: one tiny fast-path commit per tick.
-
-        The failed shard's prober must measure a bounded outage (opened at
-        the first failed probe's begin, closed at the next success); every
-        *other* shard's prober must measure none at all — the fail-over
-        isolation promise.
-        """
-        outage_start: float | None = None
-        while sim.now < duration:
-            yield probe_interval
-            if sim.now >= duration:
-                break
-            started = sim.now
-            txn = db.begin()
-            try:
-                yield db.write(txn, f"s{sid}:__probe__", started)
-                yield db.commit(txn)
-                if outage_start is not None:
-                    window = sim.now - outage_start
-                    outages[sid].append(window)
-                    if tracer.enabled:
-                        tracer.emit(
-                            "shard.outage",
-                            shard=sid, duration=window, healed_at=sim.now,
-                        )
-                    outage_start = None
-            except (TransactionAborted, ProtocolError):
-                if txn.is_active:
-                    db.abort(txn)
-                if outage_start is None:
-                    outage_start = started
-        if outage_start is not None:
-            stats.violations.append(
-                f"shard {sid} write availability never restored (outage "
-                f"open since {outage_start:g})"
-            )
+        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
     def partitioner():
         yield partition_at
@@ -386,48 +250,48 @@ def _run_shard_phase(
         stats.lost_records = db.fail_over_shard(fail_shard)
         for channel in ShardedDatabase.shard_channels(fail_shard):
             courier.heal(channel)
-        if pipeline is not None:
-            # Recovery rebuilt the failed shard's VC object; re-attach so
-            # the per-site watermark bridge follows the new incarnation.
-            pipeline.detach()
-            pipeline.attach(db)
+        # Recovery rebuilt the failed shard's VC object; re-attach so the
+        # per-site watermark bridge follows the new incarnation.
+        run.pipeline.detach()
+        run.pipeline.attach(db)
         stats.failover_at = sim.now
 
-    for i in range(writers):
-        sim.spawn(writer(i), name=f"writer-{i}")
-    for i in range(cross_writers):
-        sim.spawn(cross_writer(i), name=f"cross-writer-{i}")
-    for i in range(readers):
-        sim.spawn(reader(i), name=f"reader-{i}")
+    run.spawn("writer", writers, writer)
+    run.spawn("cross-writer", cross_writers, cross_writer)
+    run.spawn("reader", readers, reader)
+    # Per-shard write availability.  The failed shard's prober must measure
+    # a bounded outage; every *other* shard's prober must measure none at
+    # all — the fail-over isolation promise.
     for sid in db.sites:
-        sim.spawn(prober(sid), name=f"prober-s{sid}")
+        prober = run.prober(
+            duration, probe_interval, lambda: db, f"s{sid}:__probe__",
+            outages[sid], stats.violations, "shard.outage", f"shard {sid} ",
+            shard=sid,
+        )
+        sim.spawn(prober, name=f"prober-s{sid}")
     sim.spawn(partitioner(), name="partitioner")
     sim.run()
 
-    # Quiesce the replica chains: re-ship anything unacknowledged so every
-    # replica converges on its shard's watermark before the final checks.
-    for _ in range(3):
-        for site in db.sites.values():
-            if site.shipper is not None:
-                site.shipper.catch_up_all()
-        sim.run()
-        if all(
-            site.shipper is None
-            or all(site.shipper.lag_records(rid) == 0 for rid in site.replicas)
-            for site in db.sites.values()
-        ):
-            break
+    # Every replica must converge on its shard's watermark before the
+    # final checks.
+    chains = [site for site in db.sites.values() if site.shipper is not None]
+    run.quiesce(
+        [site.shipper for site in chains],
+        lambda: all(
+            site.shipper.lag_records(rid) == 0
+            for site in chains
+            for rid in site.replicas
+        ),
+    )
     stats.replica_lag = sum(
         site.shipper.lag_txns(rid, site.vc.vtnc)
-        for site in db.sites.values()
-        if site.shipper is not None
+        for site in chains
         for rid in site.replicas
     )
 
     # Certification 1: the full multi-shard history is one-copy
     # serializable (the witness certifies the same stream online).
     stats.serializable = check_one_copy_serializable(db.history).serializable
-    stats.wedged = [p.name for p in sim.blocked_processes()]
     stats.outages_per_shard = {
         sid: tuple(windows) for sid, windows in outages.items()
     }
@@ -436,11 +300,9 @@ def _run_shard_phase(
     stats.vector_inconsistent = db.counters.get("shard.vector_inconsistent")
     stats.ro_blocked = db.counters.get("shard.ro_blocked")
     stats.failovers = db.counters.get("shard.failovers")
-    stats.events_dispatched = sim.events_dispatched
     stats.watermarks = tuple(sorted(db.watermarks().items()))
     stats.epoch = db.sites[fail_shard].epoch
-    if pipeline is not None:
-        pipeline.close()
+    run.settle(stats)
     return stats
 
 
@@ -472,20 +334,17 @@ def run_shard_campaign(
     the run; with ``witness`` the sealing witness certifies the history
     stream across the fail-over.
     """
-    from repro.faults.determinism import verify_double_run
-
     if fail_shard is None:
         fail_shard = n_shards
     if partition_at is None:
         partition_at = 0.35 * duration
 
     def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, shard_objectives
+        from repro.obs.slo import shard_objectives
 
-        return SLOEngine(
+        return slo_engine(
             shard_objectives(max_staleness=max_staleness, max_outage=max_outage),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
+            duration,
         )
 
     knobs = dict(
@@ -509,7 +368,7 @@ def run_shard_campaign(
         make_engine=make_engine,
         verify=verify_determinism,
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
+    phase = outcome.result
 
     report = ShardReport(
         seed=seed,
@@ -519,7 +378,6 @@ def run_shard_campaign(
         max_outage=max_outage,
         phase=phase,
     )
-    report.violations.extend(phase.violations)
     # Certification 1: 1SR.
     if not phase.serializable:
         report.violations.append(
@@ -587,25 +445,12 @@ def run_shard_campaign(
     if not phase.ro_sessions:
         report.violations.append("no vector snapshots: the read path is inert")
     # Certification 3: byte-deterministic double runs.
-    if not outcome.deterministic:
-        report.deterministic = False
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
-        if report.witness.get("duplicate_commits"):
-            report.violations.append(
-                f"witness counted {report.witness['duplicate_commits']} "
-                "duplicate commit(s) across the fail-over"
-            )
+    report.conclude(outcome)
+    if report.witness is not None and report.witness.get("duplicate_commits"):
+        report.violations.append(
+            f"witness counted {report.witness['duplicate_commits']} "
+            "duplicate commit(s) across the fail-over"
+        )
     return report
 
 

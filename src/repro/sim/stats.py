@@ -70,6 +70,16 @@ class Summary:
     def p99(self) -> float:
         return self.quantile(0.99)
 
+    def as_dict(self) -> dict[str, float]:
+        """The JSON block artifacts and campaign reports carry."""
+        return {
+            "count": self.count,
+            "mean": round(self.mean, 6),
+            "p50": round(self.p50, 6),
+            "p95": round(self.p95, 6),
+            "p99": round(self.p99, 6),
+        }
+
 
 class TimeWeighted:
     """Time-weighted average of a step function (e.g. counter lag over time)."""
