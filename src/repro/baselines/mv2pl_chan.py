@@ -31,16 +31,16 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.baselines.base import BaselineScheduler
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
 from repro.core.futures import OpFuture, resolved
+from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
-from repro.errors import AbortReason, ProtocolError, TransactionAborted, VersionNotFound
+from repro.errors import AbortReason, ProtocolError, VersionNotFound
 from repro.storage.mvstore import MVStore
 
 
-class MV2PLScheduler(BaselineScheduler):
+class MV2PLScheduler(Scheduler):
     """Chan et al.'s CS-2PL multiversion protocol with a CTL."""
 
     name = "mv2pl-chan"
@@ -58,12 +58,10 @@ class MV2PLScheduler(BaselineScheduler):
         #: The completed transaction list: commit timestamps of all committed
         #: read-write transactions, in commit order.
         self.ctl: set[int] = {0}  # the initializing transaction is completed
-        self._txn_by_id: dict[int, Transaction] = {}
 
     # -- lifecycle -----------------------------------------------------------------
 
     def _on_begin(self, txn: Transaction) -> None:
-        self._txn_by_id[txn.txn_id] = txn
         if txn.is_read_only:
             # Start timestamp + CTL copy: the protocol's RO-side baggage.
             txn.sn = self._commit_counter + 1  # versions with tn < sn eligible
@@ -83,8 +81,7 @@ class MV2PLScheduler(BaselineScheduler):
         for version in reversed(candidates):
             self.counters.bump("ctl.membership_checks")
             if version.tn in ctl_copy:
-                txn.record_read(key, version.tn)
-                self.recorder.record_read(txn, key, version.tn)
+                self._note_read(txn, key, version.tn)
                 return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
         raise VersionNotFound(key, txn.sn)  # pragma: no cover - v0 always in CTL
 
@@ -103,13 +100,11 @@ class MV2PLScheduler(BaselineScheduler):
                 self._deadlock_abort(txn, done.error, result)
                 return
             if key in txn.write_set:
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)
+                self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
                 return
             version = self.store.read_latest_committed(key)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
 
         lock.add_callback(_locked)
@@ -127,8 +122,7 @@ class MV2PLScheduler(BaselineScheduler):
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
                 return
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
 
         lock.add_callback(_locked)
@@ -146,7 +140,6 @@ class MV2PLScheduler(BaselineScheduler):
             self.store.install(key, txn.tn, value)
         self.ctl.add(txn.tn)
         self.counters.bump("ctl.appends")
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
         return resolved(None, label=f"commit T{txn.txn_id}")
@@ -156,23 +149,9 @@ class MV2PLScheduler(BaselineScheduler):
             return
         if not txn.is_read_only:
             self.locks.release_all(txn.txn_id)
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_abort(txn, reason)
 
     # -- plumbing ------------------------------------------------------------------------
-
-    def _deadlock_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        # Deadlock victim or, with QoS deadlines, an expired wait:
-        # the abort reason travels on the error itself.
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self.abort(txn, error.reason)
-        result.fail(error)
-
-    def _note_block(self, txn_id: int, key: Hashable) -> None:
-        txn = self._txn_by_id.get(txn_id)
-        if txn is not None:
-            self.counters.note_block(txn, "lock")
 
     def ctl_size(self) -> int:
         return len(self.ctl)

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.baselines.base import BaselineScheduler
 from repro.cc.waitlist import WaitList
 from repro.core.futures import OpFuture
+from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
 from repro.errors import AbortReason, TransactionAborted
 from repro.storage.mvstore import MVStore
 
 
-class MVTOScheduler(BaselineScheduler):
+class MVTOScheduler(Scheduler):
     """Reed's multiversion timestamp ordering."""
 
     name = "mvto-reed"
@@ -82,8 +82,7 @@ class MVTOScheduler(BaselineScheduler):
                 version.r_ts_ro = max(version.r_ts_ro, ts)
             else:
                 version.r_ts_rw = max(version.r_ts_rw, ts)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
             return True
 
@@ -135,8 +134,7 @@ class MVTOScheduler(BaselineScheduler):
                 )
                 return True
             self.store.place_pending(key, ts, value, creator_txn_id=txn.txn_id)
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
             return True
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.baselines.base import BaselineScheduler
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
 from repro.core.futures import OpFuture, resolved
+from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
-from repro.errors import AbortReason, ProtocolError, TransactionAborted
+from repro.errors import AbortReason, ProtocolError
 from repro.storage.svstore import SVStore
 
 
-class SV2PLScheduler(BaselineScheduler):
+class SV2PLScheduler(Scheduler):
     """Strict 2PL over a single-version store; no transaction classes."""
 
     name = "sv-2pl"
@@ -34,10 +34,9 @@ class SV2PLScheduler(BaselineScheduler):
             on_deadlock=lambda v, c: self.counters.bump("deadlock"),
         )
         self._tn_counter = 0
-        self._txn_by_id: dict[int, Transaction] = {}
 
     def _on_begin(self, txn: Transaction) -> None:
-        self._txn_by_id[txn.txn_id] = txn
+        """No numbers, no classes: a transaction gets its tn at commit."""
 
     def read(self, txn: Transaction, key: Hashable) -> OpFuture:
         txn.require_active()
@@ -51,13 +50,11 @@ class SV2PLScheduler(BaselineScheduler):
                 self._deadlock_abort(txn, done.error, result)
                 return
             if key in txn.write_set:
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)
+                self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
                 return
             value, writer_tn = self.store.read(key)
-            txn.record_read(key, writer_tn)
-            self.recorder.record_read(txn, key, writer_tn)
+            self._note_read(txn, key, writer_tn)
             result.resolve(value)
 
         lock.add_callback(_locked)
@@ -75,8 +72,7 @@ class SV2PLScheduler(BaselineScheduler):
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
                 return
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
 
         lock.add_callback(_locked)
@@ -94,7 +90,6 @@ class SV2PLScheduler(BaselineScheduler):
             # an identity in the recorded history.
             self._tn_counter += 1
             txn.tn = self._tn_counter
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
         return resolved(None, label=f"commit T{txn.txn_id}")
@@ -103,18 +98,4 @@ class SV2PLScheduler(BaselineScheduler):
         if txn.is_finished:
             return
         self.locks.release_all(txn.txn_id)
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_abort(txn, reason)
-
-    def _deadlock_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        # Deadlock victim or, with QoS deadlines, an expired wait:
-        # the abort reason travels on the error itself.
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self.abort(txn, error.reason)
-        result.fail(error)
-
-    def _note_block(self, txn_id: int, key: Hashable) -> None:
-        txn = self._txn_by_id.get(txn_id)
-        if txn is not None:
-            self.counters.note_block(txn, "lock")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.baselines.base import BaselineScheduler
 from repro.cc.waitlist import WaitList
 from repro.core.futures import OpFuture, resolved
+from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
 from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.storage.svstore import SVStore
@@ -38,7 +38,7 @@ class _KeyState:
         self.prewriter_txn: int | None = None
 
 
-class SVTOScheduler(BaselineScheduler):
+class SVTOScheduler(Scheduler):
     """Strict single-version timestamp ordering with deferred updates."""
 
     name = "sv-to"
@@ -79,8 +79,7 @@ class SVTOScheduler(BaselineScheduler):
                 )
                 return True
             if key in txn.write_set:
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)
+                self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
                 return True
             if state.w_ts > ts:
@@ -95,8 +94,7 @@ class SVTOScheduler(BaselineScheduler):
                 state.r_ts = ts
             self.counters.note_sync_write(txn, "r_ts")
             value, writer_tn = self.store.read(key)
-            txn.record_read(key, writer_tn)
-            self.recorder.record_read(txn, key, writer_tn)
+            self._note_read(txn, key, writer_tn)
             result.resolve(value)
             return True
 
@@ -137,8 +135,7 @@ class SVTOScheduler(BaselineScheduler):
                 return True
             state.prewriter_ts = ts
             state.prewriter_txn = txn.txn_id
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
             return True
 

@@ -35,17 +35,17 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.baselines.base import BaselineScheduler
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
 from repro.cc.waitlist import WaitList
 from repro.core.futures import OpFuture, resolved
+from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
 from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.storage.mvstore import MVStore
 
 
-class WeihlTIScheduler(BaselineScheduler):
+class WeihlTIScheduler(Scheduler):
     """Timestamps-at-initiation multiversion protocol (after Weihl)."""
 
     name = "weihl-ti"
@@ -66,7 +66,6 @@ class WeihlTIScheduler(BaselineScheduler):
         #: Active writers per key: txn_id -> tentative timestamp.
         self._tentative: dict[Hashable, dict[int, int]] = {}
         self._waiting = WaitList()
-        self._txn_by_id: dict[int, Transaction] = {}
 
     def _next_ts(self) -> int:
         self._ts_counter += 1
@@ -77,7 +76,6 @@ class WeihlTIScheduler(BaselineScheduler):
     def _on_begin(self, txn: Transaction) -> None:
         txn.tn = self._next_ts()  # initiation timestamp, possibly revised
         txn.sn = txn.tn
-        self._txn_by_id[txn.txn_id] = txn
 
     # -- read-only side ----------------------------------------------------------------
 
@@ -105,8 +103,7 @@ class WeihlTIScheduler(BaselineScheduler):
             if any(tent <= ts for tent in writers.values()):
                 return False
             version = self.store.object(key).committed_version_leq(ts)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
             return True
 
@@ -131,13 +128,11 @@ class WeihlTIScheduler(BaselineScheduler):
                 self._deadlock_abort(txn, done.error, result)
                 return
             if key in txn.write_set:
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)
+                self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
                 return
             version = self.store.read_latest_committed(key)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
 
         lock.add_callback(_locked)
@@ -155,8 +150,7 @@ class WeihlTIScheduler(BaselineScheduler):
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
                 return
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             # Publish the tentative timestamp: read-only readers at or above
             # it must now synchronize with us.
             self._tentative.setdefault(key, {})[txn.txn_id] = int(txn.tn)
@@ -188,7 +182,6 @@ class WeihlTIScheduler(BaselineScheduler):
         for key, value in txn.write_set.items():
             self.store.install(key, ts, value)
         self._clear_tentative(txn)
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
         self._waiting.wake(txn.write_set.keys())
@@ -211,7 +204,6 @@ class WeihlTIScheduler(BaselineScheduler):
         if not txn.is_read_only:
             self._clear_tentative(txn)
             self.locks.release_all(txn.txn_id)
-        self._txn_by_id.pop(txn.txn_id, None)
         self._complete_abort(txn, reason)
         self._waiting.drop_transaction(txn)
         if not txn.is_read_only:
@@ -226,16 +218,3 @@ class WeihlTIScheduler(BaselineScheduler):
                 writers.pop(txn.txn_id, None)
                 if not writers:
                     del self._tentative[key]
-
-    def _deadlock_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        # Deadlock victim or, with QoS deadlines, an expired wait:
-        # the abort reason travels on the error itself.
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self.abort(txn, error.reason)
-        result.fail(error)
-
-    def _note_block(self, txn_id: int, key: Hashable) -> None:
-        txn = self._txn_by_id.get(txn_id)
-        if txn is not None:
-            self.counters.note_block(txn, "lock")

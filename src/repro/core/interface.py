@@ -26,7 +26,7 @@ from typing import Any, Hashable
 
 from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction, TxnClass
-from repro.errors import AbortReason
+from repro.errors import AbortReason, TransactionAborted
 from repro.histories.recorder import HistoryRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import start_span
@@ -155,7 +155,60 @@ class SchedulerCounters:
             self.tracer.emit("txn.syncwrite", txn=txn.txn_id, cls=suffix, kind=kind)
 
 
-class Scheduler(abc.ABC):
+class TransactionBookkeeping:
+    """What a transaction manager writes down about an operation, once.
+
+    Shared by :class:`Scheduler` and the multi-site
+    :class:`~repro.distributed.base.Distributed2PLDatabase`: one call notes
+    a read or write on the descriptor and in the history, and every commit
+    or abort ends in the same mark -> count -> record -> finish tail.
+    """
+
+    def __init__(self) -> None:
+        self.recorder = HistoryRecorder()
+        self.counters = SchedulerCounters()
+        self._active: dict[int, Transaction] = {}
+
+    def _note_read(self, txn: Transaction, key: Hashable, version_tn: int | None) -> None:
+        """``txn`` read ``key`` at ``version_tn``; None is its own staged
+        write (-1 in the read set, the final identity in the history)."""
+        txn.record_read(key, -1 if version_tn is None else version_tn)
+        self.recorder.record_read(txn, key, version_tn)
+
+    def _note_write(self, txn: Transaction, key: Hashable, value: Any) -> None:
+        """``txn`` staged its (first) write of ``key``."""
+        txn.record_write(key, value)
+        self.recorder.record_write(txn, key)
+
+    def _complete_commit(self, txn: Transaction) -> None:
+        """Common tail of every commit: mark, count, record, finish."""
+        txn.mark_committed()
+        self.counters.note_commit(txn)
+        self.recorder.record_commit(txn)
+        self._finish(txn)
+
+    def _complete_abort(
+        self, txn: Transaction, reason: AbortReason, caused_by_readonly: bool = False
+    ) -> None:
+        """Common tail of every abort."""
+        txn.mark_aborted(reason, caused_by_readonly)
+        self.counters.note_abort(txn, reason, caused_by_readonly)
+        self.recorder.record_abort(txn)
+        self._finish(txn)
+
+    def _finish(self, txn: Transaction) -> None:
+        self._active.pop(txn.txn_id, None)
+
+    def active_transactions(self) -> list[Transaction]:
+        return list(self._active.values())
+
+    @property
+    def history(self):
+        """The multiversion history recorded so far."""
+        return self.recorder.history
+
+
+class Scheduler(TransactionBookkeeping, abc.ABC):
     """Abstract scheduler.
 
     Concrete protocols (VC+2PL, VC+TO, VC+OCC, and the baselines) subclass
@@ -169,8 +222,7 @@ class Scheduler(abc.ABC):
     multiversion: bool = True
 
     def __init__(self) -> None:
-        self.recorder = HistoryRecorder()
-        self.counters = SchedulerCounters()
+        super().__init__()
         #: Structured-event tracer; NULL_TRACER unless attach_tracer() wired
         #: a real one through this scheduler's components.
         self.tracer: Tracer = NULL_TRACER
@@ -179,7 +231,6 @@ class Scheduler(abc.ABC):
         #: the paper's fast path must stay unconditional.  Assign after
         #: construction (``scheduler.admission = AdmissionController(...)``).
         self.admission = None
-        self._active: dict[int, Transaction] = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -232,17 +283,26 @@ class Scheduler(abc.ABC):
     # -- shared helpers -----------------------------------------------------------
 
     def _finish(self, txn: Transaction) -> None:
-        self._active.pop(txn.txn_id, None)
+        super()._finish(txn)
         if txn.meta.pop("qos.admitted", None) and self.admission is not None:
             self.admission.release()
 
-    def active_transactions(self) -> list[Transaction]:
-        return list(self._active.values())
+    def _note_block(self, txn_id: int, resource: Any) -> None:
+        """Lock-manager ``on_block`` callback: count the requester's wait."""
+        txn = self._active.get(txn_id)
+        if txn is not None:
+            self.counters.note_block(txn, "lock")
 
-    @property
-    def history(self):
-        """The multiversion history recorded so far."""
-        return self.recorder.history
+    def _deadlock_abort(
+        self, txn: Transaction, error: BaseException | None, result: OpFuture
+    ) -> None:
+        """A lock request failed — deadlock victim or, with QoS deadlines,
+        an expired wait: abort the requester for the reason the error
+        carries, and propagate."""
+        assert isinstance(error, TransactionAborted)
+        if txn.is_active:
+            self.abort(txn, error.reason)
+        result.fail(error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} active={len(self._active)}>"

@@ -94,11 +94,8 @@ class VersionControlledScheduler(Scheduler):
         txn.require_active()
         if txn.is_read_only:
             # Figure 2: end(T) executes nothing.
-            txn.mark_committed()
             self.ro_registry.deregister(txn)
-            self.counters.note_commit(txn)
-            self.recorder.record_commit(txn)
-            self._finish(txn)
+            self._complete_commit(txn)
             return resolved(None, label=f"commit RO T{txn.txn_id}")
         return self._rw_commit(txn)
 
@@ -106,11 +103,8 @@ class VersionControlledScheduler(Scheduler):
         if txn.is_finished:
             return
         if txn.is_read_only:
-            txn.mark_aborted(reason)
             self.ro_registry.deregister(txn)
-            self.counters.note_abort(txn, reason, caused_by_readonly=False)
-            self.recorder.record_abort(txn)
-            self._finish(txn)
+            self._complete_abort(txn, reason)
             return
         self._rw_abort(txn, reason)
 
@@ -140,8 +134,7 @@ class VersionControlledScheduler(Scheduler):
                 return failed(error, label=f"r{txn.txn_id}[{key}] snapshot-too-old")
             self.ro_registry.renew(txn)
         version = self.store.read_snapshot(key, txn.sn)
-        txn.record_read(key, version.tn)
-        self.recorder.record_read(txn, key, version.tn)
+        self._note_read(txn, key, version.tn)
         return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
 
     # -- read-write hooks (the concurrency-control side) ----------------------------
@@ -160,24 +153,3 @@ class VersionControlledScheduler(Scheduler):
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         raise NotImplementedError
-
-    # -- shared read-write plumbing ----------------------------------------------
-
-    def _complete_rw_commit(self, txn: Transaction) -> None:
-        """Common tail of a read-write commit: record, count, finish."""
-        txn.mark_committed()
-        self.counters.note_commit(txn)
-        self.recorder.record_commit(txn)
-        self._finish(txn)
-
-    def _complete_rw_abort(
-        self,
-        txn: Transaction,
-        reason: AbortReason,
-        caused_by_readonly: bool = False,
-    ) -> None:
-        """Common tail of a read-write abort."""
-        txn.mark_aborted(reason, caused_by_readonly)
-        self.counters.note_abort(txn, reason, caused_by_readonly)
-        self.recorder.record_abort(txn)
-        self._finish(txn)

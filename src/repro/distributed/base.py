@@ -32,7 +32,7 @@ from repro.cc.deadlock import WaitsForGraph
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
 from repro.core.futures import OpFuture
-from repro.core.interface import SchedulerCounters
+from repro.core.interface import TransactionBookkeeping
 from repro.core.transaction import Transaction, TxnClass
 from repro.distributed.courier import Courier
 from repro.errors import (
@@ -41,7 +41,6 @@ from repro.errors import (
     ProtocolError,
     TransactionAborted,
 )
-from repro.histories.recorder import HistoryRecorder
 from repro.obs.spans import Span, activate, start_span, txn_context
 from repro.obs.tracer import Tracer
 from repro.qos.breaker import BreakerBoard
@@ -202,7 +201,7 @@ class SiteBase:
         raise NotImplementedError
 
 
-class Distributed2PLDatabase:
+class Distributed2PLDatabase(TransactionBookkeeping):
     """Multi-site database running distributed strict two-phase locking.
 
     One shared history recorder collects the *global* multiversion history
@@ -217,6 +216,8 @@ class Distributed2PLDatabase:
     def __init__(self, n_sites: int, courier: Courier | None):
         if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
+        #: ``_active`` holds read-write transactions only, for crash handling.
+        super().__init__()
         # One waits-for graph shared by every site's lock manager, so
         # deadlock cycles spanning sites are detected at request time.
         self._global_waits_for = WaitsForGraph()
@@ -224,10 +225,6 @@ class Distributed2PLDatabase:
             sid: self._build_site(sid) for sid in range(1, n_sites + 1)
         }
         self.courier = courier if courier is not None else Courier()
-        self.recorder = HistoryRecorder()
-        self.counters = SchedulerCounters()
-        #: Active read-write transactions, for crash handling.
-        self._active: dict[int, Transaction] = {}
 
     def _build_site(self, sid: int) -> SiteBase:
         raise NotImplementedError
@@ -393,18 +390,15 @@ class Distributed2PLDatabase:
                     return
                 self._breaker_success(site.site_id)
                 if not reading:
-                    txn.record_write(key, value)
-                    self.recorder.record_write(txn, key)
+                    self._note_write(txn, key, value)
                     result.resolve(None)
                 elif key in txn.write_set:
-                    txn.record_read(key, -1)
-                    self.recorder.record_read(txn, key, None)
+                    self._note_read(txn, key, None)
                     result.resolve(txn.write_set[key])
                 else:
                     version = site.store.read_latest_committed(key)
                     ident = self._version_ident(version.tn)
-                    txn.record_read(key, ident)
-                    self.recorder.record_read(txn, key, ident)
+                    self._note_read(txn, key, ident)
                     result.resolve(version.value)
 
             lock.add_callback(locked)
@@ -490,22 +484,16 @@ class Distributed2PLDatabase:
         return commit_at
 
     def _finish_commit(self, txn: Transaction, result: OpFuture) -> None:
-        self._active.pop(txn.txn_id, None)
-        txn.mark_committed()
-        self.counters.note_commit(txn)
-        self.recorder.record_commit(txn)
+        self._complete_commit(txn)
         result.resolve(None)
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
         if txn.is_finished:
             return
         if txn.is_read_write:
-            self._active.pop(txn.txn_id, None)
             for sid in txn.meta.get("participants", ()):
                 self.sites[sid].abort_local(txn.txn_id)
-        txn.mark_aborted(reason)
-        self.counters.note_abort(txn, reason, caused_by_readonly=False)
-        self.recorder.record_abort(txn)
+        self._complete_abort(txn, reason)
 
     def _failure_abort(
         self, txn: Transaction, error: BaseException | None, result: OpFuture
@@ -642,13 +630,3 @@ class Distributed2PLDatabase:
         lost = self.crash_site(site_id)
         self.recover_site(site_id)
         return lost
-
-    # -- inspection -----------------------------------------------------------------------
-
-    def active_transactions(self) -> list[Transaction]:
-        return list(self._active.values())
-
-    @property
-    def history(self):
-        """The merged global multiversion history."""
-        return self.recorder.history

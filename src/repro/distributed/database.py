@@ -243,8 +243,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
                 except VersionNotFound as exc:
                     result.fail(exc)
                     return
-                txn.record_read(key, version.tn)
-                self.recorder.record_read(txn, key, version.tn)
+                self._note_read(txn, key, version.tn)
                 self._breaker_success(site.site_id)
                 result.resolve(version.value)
 

@@ -183,8 +183,7 @@ class DistributedMV2PL(Distributed2PLDatabase):
                     self.counters.bump("ctl.membership_checks")
                     if version.tn in ctl_copy:
                         ident = self._version_ident(version.tn)
-                        txn.record_read(key, ident)
-                        self.recorder.record_read(txn, key, ident)
+                        self._note_read(txn, key, ident)
                         result.resolve(version.value)
                         return
                 result.fail(VersionNotFound(key, start_ts))  # pragma: no cover

@@ -9,10 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.histories.mvsg import (
-    multiversion_serialization_graph,
-    version_order_by_number,
-)
+from repro.histories.mvsg import multiversion_serialization_graph
 from repro.histories.operations import History
 
 
@@ -49,25 +46,14 @@ class CheckReport:
 
 def check_one_copy_serializable(history: History) -> CheckReport:
     """Build MVSG(H) under the version-number order and report the verdict."""
-    projected = history.committed_projection()
-    graph = multiversion_serialization_graph(
-        projected, version_order_by_number(projected)
-    )
+    graph = multiversion_serialization_graph(history)
     cycle = graph.find_cycle()
-    if cycle is not None:
-        return CheckReport(
-            serializable=False,
-            transactions=len(projected.transactions()),
-            edges=len(graph.edges()),
-            cycle=list(cycle),
-            witness_order=[],
-        )
     return CheckReport(
-        serializable=True,
-        transactions=len(projected.transactions()),
-        edges=len(graph.edges()),
-        cycle=[],
-        witness_order=graph.topological_order(tie_break=lambda t: t),
+        serializable=cycle is None,
+        transactions=len(history.committed()),
+        edges=graph.edge_count(),
+        cycle=list(cycle or ()),
+        witness_order=[] if cycle else graph.topological_order(tie_break=lambda t: t),
     )
 
 

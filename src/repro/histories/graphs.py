@@ -32,6 +32,9 @@ class Digraph:
     def edges(self) -> list[tuple[Hashable, Hashable]]:
         return [(u, v) for u, vs in self._succ.items() for v in vs]
 
+    def edge_count(self) -> int:
+        return sum(len(vs) for vs in self._succ.values())
+
     def successors(self, node: Hashable) -> set[Hashable]:
         return self._succ.get(node, set())
 
@@ -97,8 +100,9 @@ class Digraph:
                 transaction number first).
         """
         indegree: dict[Hashable, int] = {node: 0 for node in self._succ}
-        for _, dst in self.edges():
-            indegree[dst] += 1
+        for successors in self._succ.values():
+            for dst in successors:
+                indegree[dst] += 1
         ready = [node for node, deg in indegree.items() if deg == 0]
         order: list[Hashable] = []
         while ready:

@@ -38,10 +38,10 @@ def version_order_by_number(history: History) -> dict[Hashable, list[int]]:
     would drop the version-order edges that pin readers of initial versions
     before later writers.
     """
-    projected = history.committed_projection()
+    committed = history.committed()
     writers: dict[Hashable, set[int]] = defaultdict(set)
-    for op in projected.ops:
-        if op.key is None:
+    for op in history.ops:
+        if op.key is None or op.txn not in committed:
             continue
         writers[op.key].add(0)
         if op.kind is OpKind.WRITE:

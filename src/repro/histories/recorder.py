@@ -5,11 +5,15 @@ each operation as it takes effect.  After a run (test, simulation, example)
 the recorded :class:`~repro.histories.operations.History` is fed to the MVSG
 checker, turning the paper's Theorem 1 into an executable post-condition.
 
+Recording is one ``list.append`` to one log; the history, the live trace
+and the in-flight view are read off that log on demand.
+
 Transaction identities: read-write transactions are recorded under their
 transaction number ``tn`` when they have one.  Because under two-phase
-locking ``tn`` is only assigned at the lock point, operations are buffered
-per transaction and flushed with the final identity at commit time; aborted
-transactions flush under a negative pseudo-identity so the trace still shows
+locking ``tn`` is only assigned at the lock point, the log names operations
+by ``txn_id`` and the history groups them per transaction, emitting them
+under the final identity where the finish was recorded; aborted
+transactions appear under a negative pseudo-identity so the trace still shows
 them (the committed projection drops them anyway).  Read-only transactions
 get fresh negative-free identities above a disjoint offset so that several of
 them may share a start number without colliding in the graph.
@@ -17,7 +21,7 @@ them may share a start number without colliding in the graph.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Iterable, Iterator
 
 from repro.core.transaction import Transaction
 from repro.errors import ProtocolError
@@ -27,6 +31,18 @@ from repro.obs.tracer import NULL_TRACER
 #: Identity offset for read-only transactions, which have no tn of their own.
 #: Kept far above any realistic tn so reader nodes never collide with writers.
 RO_ID_OFFSET = 10_000_000_000
+
+
+def _flush(entries: Iterable[tuple], ident: int, finish: str = "") -> Iterator[Op]:
+    """One transaction's operations under its final identity: begin, its
+    read/write ``entries``, and the ``finish`` (``c``/``a``) if it has one."""
+    yield Op(OpKind.BEGIN, ident)
+    for kind, _txn_id, key, version, _tn, _ident in entries:
+        if kind == "w" or version is None:  # None: read of the own staged write
+            version = ident
+        yield Op(OpKind(kind), ident, key, version)
+    if finish:
+        yield Op(OpKind(finish), ident)
 
 
 class HistoryRecorder:
@@ -43,24 +59,25 @@ class HistoryRecorder:
     * ``history.commit`` — ``txn``, ``ident``, ``tn``, ``cls``
     * ``history.abort``  — ``txn``, ``ident``, ``tn``, ``cls``
 
-    ``txn`` is the process-unique ``txn_id`` (the buffering token); the
-    serialization identity ``ident`` only exists at finish time, exactly as
-    in the buffered history.
+    ``txn`` is the process-unique ``txn_id``; the serialization identity
+    ``ident`` only exists at finish time, in the event as in the log.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[int, list[Op]] = {}
-        self._history = History()
+        #: The one store: ``(kind, txn_id, key, version, tn, ident)`` per
+        #: recording call, in effect order, ``kind`` one of ``b r w c a``.
+        #: ``version`` is None on a read of the transaction's own staged
+        #: write; ``tn`` and ``ident`` are set on commit/abort entries only.
+        self.log: list[tuple] = []
         self._abort_seq = 0
         #: Structured-event tracer; NULL_TRACER unless attach_tracer() wired
         #: a real one through the owning scheduler.
         self.tracer = NULL_TRACER
-        #: Order-sensitive live trace: (kind, txn_id, key, version_tn, tn).
-        #: Unlike the buffered history (whose operations flush at commit in
-        #: serialization identity), the live trace records events at the
-        #: moment they take effect, enabling order-sensitive properties such
-        #: as strictness (no read of an uncommitted version).
-        self.live: list[tuple[str, int, object, int | None, int | None]] = []
+        # The fold behind ``history``: the log prefix consumed so far, and
+        # the read/write entries of transactions unfinished within it.
+        self._history = History()
+        self._folded = 0
+        self._open: dict[int, list[tuple]] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -91,7 +108,7 @@ class HistoryRecorder:
     # -- recording -----------------------------------------------------------
 
     def record_begin(self, txn: Transaction) -> None:
-        self._buffers.setdefault(txn.txn_id, [])
+        self.log.append(("b", txn.txn_id, None, None, None, None))
         if self.tracer.enabled:
             self.tracer.emit(
                 "history.begin",
@@ -101,34 +118,18 @@ class HistoryRecorder:
 
     def record_read(self, txn: Transaction, key: Hashable, version: int | None) -> None:
         """Record a read; ``version=None`` means "the reader's own staged write"
-        and is fixed up to the final identity at flush time."""
-        self._buffers.setdefault(txn.txn_id, []).append(
-            Op(OpKind.READ, -1, key, version)
-        )
-        self.live.append(("r", txn.txn_id, key, version, None))
+        and becomes the final identity in the history."""
+        self.log.append(("r", txn.txn_id, key, version, None, None))
         if self.tracer.enabled:
             self.tracer.emit("history.read", txn=txn.txn_id, key=key, version=version)
 
     def record_write(self, txn: Transaction, key: Hashable) -> None:
-        # Version subscript is fixed up at flush time to the final tn.
-        self._buffers.setdefault(txn.txn_id, []).append(Op(OpKind.WRITE, -1, key, -1))
-        self.live.append(("w", txn.txn_id, key, None, None))
+        self.log.append(("w", txn.txn_id, key, None, None, None))
         if self.tracer.enabled:
             self.tracer.emit("history.write", txn=txn.txn_id, key=key)
 
     def record_commit(self, txn: Transaction) -> None:
-        ident = self.identity(txn)
-        self._flush(txn.txn_id, ident)
-        self._history.append(Op(OpKind.COMMIT, ident))
-        self.live.append(("c", txn.txn_id, None, None, txn.tn))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "history.commit",
-                txn=txn.txn_id,
-                ident=ident,
-                tn=txn.tn,
-                cls="ro" if txn.is_read_only else "rw",
-            )
+        self._record_finish("c", "history.commit", txn, self.identity(txn))
 
     def record_abort(self, txn: Transaction) -> None:
         # Aborted read-write transactions may have no tn; give them a unique
@@ -140,51 +141,62 @@ class HistoryRecorder:
         else:
             self._abort_seq += 1
             ident = -self._abort_seq
-        self._flush(txn.txn_id, ident)
-        self._history.append(Op(OpKind.ABORT, ident))
-        self.live.append(("a", txn.txn_id, None, None, txn.tn))
+        self._record_finish("a", "history.abort", txn, ident)
+
+    def _record_finish(self, kind: str, event: str, txn: Transaction, ident: int) -> None:
+        self.log.append((kind, txn.txn_id, None, None, txn.tn, ident))
         if self.tracer.enabled:
             self.tracer.emit(
-                "history.abort",
+                event,
                 txn=txn.txn_id,
                 ident=ident,
                 tn=txn.tn,
                 cls="ro" if txn.is_read_only else "rw",
             )
 
-    def _flush(self, txn_id: int, ident: int) -> None:
-        buffered = self._buffers.pop(txn_id, [])
-        self._history.append(Op(OpKind.BEGIN, ident))
-        for op in buffered:
-            if op.kind is OpKind.WRITE or op.version is None:
-                version = ident
-            else:
-                version = op.version
-            self._history.append(Op(op.kind, ident, op.key, version))
-
     # -- results -------------------------------------------------------------
 
     @property
     def history(self) -> History:
-        """The history recorded so far (finished transactions only)."""
-        return self._history
+        """The history recorded so far (finished transactions only).
+
+        Each read folds in the log entries appended since the last one, so
+        the one :class:`History` object returned advances when ``history``
+        is read again — not behind the caller's back.
+        """
+        history, unfinished = self._history, self._open
+        for entry in self.log[self._folded :]:
+            kind, txn_id = entry[0], entry[1]
+            if kind == "b":
+                unfinished.setdefault(txn_id, [])
+            elif kind in "rw":
+                unfinished.setdefault(txn_id, []).append(entry)
+            else:
+                # A finish without recorded operations (no begin, or a second
+                # finish replayed by crash recovery) is a bare begin/finish pair.
+                history.extend(_flush(unfinished.pop(txn_id, ()), entry[5], kind))
+        self._folded = len(self.log)
+        return history
+
+    @property
+    def live(self) -> list[tuple[str, int, object, int | None, int | None]]:
+        """Order-sensitive live trace: (kind, txn_id, key, version_tn, tn).
+
+        Unlike the history (whose operations appear where their transaction
+        finished, in serialization identity), it lists events at the moment
+        they took effect, enabling order-sensitive properties such as
+        strictness (no read of an uncommitted version).
+        """
+        return [entry[:5] for entry in self.log if entry[0] != "b"]
 
     def full_history(self) -> History:
-        """History including in-flight transactions' buffered operations.
+        """History including in-flight transactions' operations so far.
 
-        In-flight read-write transactions without a tn appear under unique
-        negative identities; they are excluded from the committed projection
-        so checkers are unaffected.
+        In-flight transactions appear under unique negative identities; they
+        are excluded from the committed projection so checkers are
+        unaffected.
         """
-        combined = History(list(self._history.ops))
-        pseudo = -1_000_000
-        for txn_id, buffered in self._buffers.items():
-            pseudo -= 1
-            combined.append(Op(OpKind.BEGIN, pseudo))
-            for op in buffered:
-                if op.kind is OpKind.WRITE or op.version is None:
-                    version = pseudo
-                else:
-                    version = op.version
-                combined.append(Op(op.kind, pseudo, op.key, version))
+        combined = History(list(self.history.ops))
+        for nth, entries in enumerate(self._open.values(), start=1):
+            combined.extend(_flush(entries, -1_000_000 - nth))
         return combined

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Hashable
 
 from repro.core.futures import OpFuture
-from repro.core.transaction import Transaction
+from repro.core.transaction import Transaction, TxnState
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
 from repro.errors import AbortReason
@@ -41,23 +41,18 @@ from repro.storage.mvstore import MVStore
 class _AdaptiveEngineMixin:
     """Reports every read-write completion back to the adaptive parent.
 
-    The completion tails (`_complete_rw_commit` / `_complete_rw_abort`) are
-    the single points every read-write transaction passes exactly once, on
-    every path — normal commit, validation failure, deadlock victimhood,
-    user abort — so outcome accounting hooks there.
+    ``_finish`` is the last step of the one completion tail, which every
+    read-write transaction passes exactly once on every path — normal
+    commit, validation failure, deadlock victimhood, user abort — so
+    outcome accounting hooks there.
     """
 
     _parent: "AdaptiveVCScheduler"
 
-    def _complete_rw_commit(self, txn: Transaction) -> None:
-        super()._complete_rw_commit(txn)  # type: ignore[misc]
-        self._parent._on_engine_outcome(txn, aborted=False)
-
-    def _complete_rw_abort(
-        self, txn: Transaction, reason: AbortReason, caused_by_readonly: bool = False
-    ) -> None:
-        super()._complete_rw_abort(txn, reason, caused_by_readonly)  # type: ignore[misc]
-        self._parent._on_engine_outcome(txn, aborted=True)
+    def _finish(self, txn: Transaction) -> None:
+        # begin() ran on the parent: it holds the admission token to return.
+        self._parent._finish(txn)
+        self._parent._on_engine_outcome(txn, aborted=txn.state is TxnState.ABORTED)
 
 
 class _Adaptive2PL(_AdaptiveEngineMixin, VC2PLScheduler):
@@ -94,10 +89,12 @@ class AdaptiveVCScheduler(VersionControlledScheduler):
             "occ": _AdaptiveOCC(store=self.store, version_control=self.vc, checked=False),
         }
         # The engines report through the adaptive scheduler's recorder and
-        # counters so metrics and the oracle see one unified system.
+        # counters so metrics and the oracle see one unified system, and
+        # look transactions up in its active table (begin runs only here).
         for engine in self._engines.values():
             engine.recorder = self.recorder
             engine.counters = self.counters
+            engine._active = self._active
             engine._parent = self  # type: ignore[attr-defined]
         self.mode = initial_mode
         self._pending_mode: str | None = None
@@ -140,7 +137,6 @@ class AdaptiveVCScheduler(VersionControlledScheduler):
         self.switches.append((self.counters.get("commit.rw"), self.mode))
 
     def _on_engine_outcome(self, txn: Transaction, aborted: bool) -> None:
-        self._finish(txn)
         self._inflight_rw -= 1
         self._outcomes.append(aborted)
         self._consider_switch()

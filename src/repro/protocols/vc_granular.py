@@ -69,8 +69,7 @@ class VCGranular2PLScheduler(VC2PLScheduler):
             values: dict[Hashable, Any] = {}
             for key in self.store.keys():
                 version = self.store.read_latest_committed(key)
-                txn.record_read(key, version.tn)
-                self.recorder.record_read(txn, key, version.tn)
+                self._note_read(txn, key, version.tn)
                 values[key] = version.value
             result.resolve(values)
 
@@ -85,7 +84,6 @@ class VCGranular2PLScheduler(VC2PLScheduler):
         values: dict[Hashable, Any] = {}
         for key in self.store.keys():
             version = self.store.read_snapshot(key, txn.sn)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             values[key] = version.value
         return resolved(values, label=f"snapshot scan T{txn.txn_id}")

@@ -57,18 +57,15 @@ class VCOCCScheduler(VersionControlledScheduler):
     def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "occ-read")
         if key in txn.write_set:
-            txn.record_read(key, -1)
-            self.recorder.record_read(txn, key, None)
+            self._note_read(txn, key, None)
             return resolved(txn.write_set[key], label=f"r{txn.txn_id}[{key}]")
         version = self.store.read_latest_committed(key)
-        txn.record_read(key, version.tn)
-        self.recorder.record_read(txn, key, version.tn)
+        self._note_read(txn, key, version.tn)
         return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
 
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "occ-write")
-        txn.record_write(key, value)
-        self.recorder.record_write(txn, key)
+        self._note_write(txn, key, value)
         return resolved(None, label=f"w{txn.txn_id}[{key}]")
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
@@ -93,9 +90,9 @@ class VCOCCScheduler(VersionControlledScheduler):
             self.store.install(key, tn, value)
         self.counters.note_vc_interaction(txn, "complete")
         self.vc.vc_complete(txn)
-        self._complete_rw_commit(txn)
+        self._complete_commit(txn)
         return resolved(None, label=f"commit T{txn.txn_id}")
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         # Nothing was shared: staged writes vanish with the descriptor.
-        self._complete_rw_abort(txn, reason)
+        self._complete_abort(txn, reason)

@@ -86,8 +86,7 @@ class VCTOScheduler(VersionControlledScheduler):
             if version.pending and version.creator_txn_id != txn.txn_id:
                 return False  # wait for the older writer's fate
             obj.note_read(version, txn.tn)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
             return True
 
@@ -130,8 +129,7 @@ class VCTOScheduler(VersionControlledScheduler):
             if latest.pending and latest.tn < tn:
                 return False  # blocked behind an older pending write
             self.store.place_pending(key, tn, value, creator_txn_id=txn.txn_id)
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
             return True
 
@@ -148,7 +146,7 @@ class VCTOScheduler(VersionControlledScheduler):
             self.store.commit_pending(key, txn.tn)
         self.counters.note_vc_interaction(txn, "complete")
         self.vc.vc_complete(txn)
-        self._complete_rw_commit(txn)
+        self._complete_commit(txn)
         result.resolve(None)
         # Clear pending read (and write) actions parked on our versions.
         self._wake(txn.write_set.keys())
@@ -160,7 +158,7 @@ class VCTOScheduler(VersionControlledScheduler):
             self.store.discard_pending(key, txn.tn)
         self.counters.note_vc_interaction(txn, "discard")
         self.vc.vc_discard(txn)
-        self._complete_rw_abort(txn, reason)
+        self._complete_abort(txn, reason)
         self._drop_waiters_of(txn)
         self._wake(txn.write_set.keys())
 

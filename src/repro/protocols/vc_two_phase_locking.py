@@ -35,7 +35,7 @@ from repro.core.futures import OpFuture, resolved
 from repro.core.transaction import SN_INFINITY, Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
-from repro.errors import AbortReason, TransactionAborted
+from repro.errors import AbortReason
 from repro.storage.mvstore import MVStore
 
 
@@ -54,7 +54,6 @@ class VC2PLScheduler(VersionControlledScheduler):
     ):
         super().__init__(store, version_control, checked=checked)
         self.locks = self._build_locks(victim_policy)
-        self._txn_by_id: dict[int, Transaction] = {}
 
     def _build_locks(self, victim_policy: str) -> Any:
         """The concurrency-control component (flat S/X locks here)."""
@@ -76,7 +75,6 @@ class VC2PLScheduler(VersionControlledScheduler):
 
     def _rw_begin(self, txn: Transaction) -> None:
         txn.sn = SN_INFINITY
-        self._txn_by_id[txn.txn_id] = txn
 
     def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "r-lock")
@@ -89,13 +87,11 @@ class VC2PLScheduler(VersionControlledScheduler):
                 return
             if key in txn.write_set:
                 # Own staged write: visible to the writer itself.
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)  # fixed up at flush
+                self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
                 return
             version = self.store.read_latest_committed(key)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
+            self._note_read(txn, key, version.tn)
             result.resolve(version.value)
 
         lock.add_callback(_locked)
@@ -111,8 +107,7 @@ class VC2PLScheduler(VersionControlledScheduler):
                 self._deadlock_abort(txn, done.error, result)
                 return
             # "create y_j with version phi" — staged privately until commit.
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
+            self._note_write(txn, key, value)
             result.resolve(None)
 
         lock.add_callback(_locked)
@@ -162,8 +157,7 @@ class VC2PLScheduler(VersionControlledScheduler):
         # The transaction is now durably committed: record it before
         # releasing locks, since lock release immediately re-drives blocked
         # readers onto the freshly installed versions.
-        self._txn_by_id.pop(txn.txn_id, None)
-        self._complete_rw_commit(txn)
+        self._complete_commit(txn)
         # Clear locks, then make the updates visible in serial order.
         self.locks.release_all(txn.txn_id)
         self.counters.note_vc_interaction(txn, "complete")
@@ -177,35 +171,16 @@ class VC2PLScheduler(VersionControlledScheduler):
             self.counters.note_vc_interaction(txn, "discard")
             self.vc.vc_discard(txn)
         self.locks.release_all(txn.txn_id)
-        self._txn_by_id.pop(txn.txn_id, None)
-        self._complete_rw_abort(txn, reason)
+        self._complete_abort(txn, reason)
 
     # -- deadlock plumbing ---------------------------------------------------------
-
-    def _deadlock_abort(self, txn: Transaction, error: BaseException | None, result: OpFuture) -> None:
-        """A lock request failed: abort the requester and propagate.
-
-        Historically only deadlock victims landed here; with QoS deadlines
-        a queued request may also fail with
-        :class:`~repro.errors.DeadlineExceeded`, so the abort reason comes
-        from the error itself.
-        """
-        assert isinstance(error, TransactionAborted)
-        if txn.is_active:
-            self._rw_abort(txn, error.reason)
-        result.fail(error)
-
-    def _note_block(self, txn_id: int, resource: Any) -> None:
-        txn = self._txn_by_id.get(txn_id)
-        if txn is not None:
-            self.counters.note_block(txn, "lock")
 
     def _note_deadlock(self, victim: int, cycle: list[int]) -> None:
         self.counters.bump("deadlock")
         # The paper's Section 4.4 claim, enforced as a runtime check: no
         # cycle member is registered with version control.
         for member in set(cycle):
-            txn = self._txn_by_id.get(member)
+            txn = self._active.get(member)
             if txn is not None and self.vc.is_registered(txn):  # pragma: no cover
                 raise AssertionError(
                     f"transaction {member} is past its lock point yet deadlocked"

@@ -22,6 +22,7 @@ class TestBasics:
         g = build([(1, 2), (2, 3)], nodes=[4])
         assert set(g.nodes()) == {1, 2, 3, 4}
         assert set(g.edges()) == {(1, 2), (2, 3)}
+        assert g.edge_count() == 2
         assert g.has_edge(1, 2)
         assert not g.has_edge(2, 1)
         assert 4 in g
@@ -95,6 +96,7 @@ def test_property_acyclicity_matches_networkx(edges):
     theirs.add_nodes_from(ours.nodes())
     theirs.add_edges_from(edges)
     assert ours.is_acyclic() == nx.is_directed_acyclic_graph(theirs)
+    assert ours.edge_count() == len(ours.edges()) == theirs.number_of_edges()
 
 
 @settings(max_examples=100, deadline=None)

@@ -117,6 +117,23 @@ class TestChecker:
         h = History.parse("w1[x_1] c1")
         assert assert_one_copy_serializable(h).serializable
 
+    def test_one_check_projects_the_history_once(self, monkeypatch):
+        # The projection copies the whole history; the graph builder makes
+        # the one copy and nothing else in a check may make another.
+        calls = []
+        project = History.committed_projection
+
+        def counting_projection(history):
+            calls.append(history)
+            return project(history)
+
+        monkeypatch.setattr(History, "committed_projection", counting_projection)
+        h = History.parse("w1[x_1] c1 r2[x_1] w2[y_2] c2 r3[y_0] a3")
+        report = check_one_copy_serializable(h)
+        assert len(calls) == 1
+        assert (report.transactions, report.edges) == (2, 2)
+        assert report.witness_order == [0, 1, 2]
+
 
 class TestBruteForce:
     def test_agrees_on_serializable(self):

@@ -54,6 +54,21 @@ class TestBasicOperation:
         db.commit(t).result()
         assert db.store.read_latest_committed("x").value == 1
 
+    def test_engine_finish_returns_the_admission_token(self):
+        # begin() admits on the adaptive scheduler; the engine that runs the
+        # transaction must hand the token back there, on commit and abort.
+        from repro.qos.admission import AdmissionController
+
+        for mode in ("occ", "2pl"):
+            db = AdaptiveVCScheduler(initial_mode=mode)
+            db.admission = AdmissionController(capacity=2)
+            for finish in (db.commit, db.abort, db.commit):
+                t = db.begin()
+                db.write(t, "x", 1).result()
+                finish(t)
+            assert db.admission.in_flight == 0
+            assert db.active_transactions() == []
+
     def test_read_only_path_is_mode_independent(self):
         for mode in ("occ", "2pl"):
             db = AdaptiveVCScheduler(initial_mode=mode)
