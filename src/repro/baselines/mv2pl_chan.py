@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.cc.lock_manager import LockManager
-from repro.cc.locks import LockMode
+from repro.cc.two_phase import StrictTwoPhaseLocking
 from repro.core.futures import OpFuture, resolved
 from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
@@ -40,7 +39,7 @@ from repro.errors import AbortReason, ProtocolError, VersionNotFound
 from repro.storage.mvstore import MVStore
 
 
-class MV2PLScheduler(Scheduler):
+class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
     """Chan et al.'s CS-2PL multiversion protocol with a CTL."""
 
     name = "mv2pl-chan"
@@ -49,11 +48,7 @@ class MV2PLScheduler(Scheduler):
     def __init__(self, store: MVStore | None = None, victim_policy: str = "requester"):
         super().__init__()
         self.store = store if store is not None else MVStore()
-        self.locks = LockManager(
-            victim_policy=victim_policy,
-            on_block=self._note_block,
-            on_deadlock=lambda v, c: self.counters.bump("deadlock"),
-        )
+        self.locks = self._build_locks(victim_policy)
         self._commit_counter = 0
         #: The completed transaction list: commit timestamps of all committed
         #: read-write transactions, in commit order.
@@ -91,42 +86,13 @@ class MV2PLScheduler(Scheduler):
         txn.require_active()
         if txn.is_read_only:
             return self._ro_read(txn, key)
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.SHARED)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                self._note_read(txn, key, None)
-                result.resolve(txn.write_set[key])
-                return
-            version = self.store.read_latest_committed(key)
-            self._note_read(txn, key, version.tn)
-            result.resolve(version.value)
-
-        lock.add_callback(_locked)
-        return result
+        return self._locked_read(txn, key)
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         txn.require_active()
         if txn.is_read_only:
             raise ProtocolError(f"transaction {txn.txn_id} is read-only")
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.EXCLUSIVE)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            self._note_write(txn, key, value)
-            result.resolve(None)
-
-        lock.add_callback(_locked)
-        return result
+        return self._locked_write(txn, key, value)
 
     def commit(self, txn: Transaction) -> OpFuture:
         txn.require_active()

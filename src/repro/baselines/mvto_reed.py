@@ -65,12 +65,7 @@ class MVTOScheduler(Scheduler):
         result = OpFuture(label=f"r{txn.txn_id}[{key}]")
         ts = txn.tn
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             version = obj.version_leq(ts)
             if version.pending and version.creator_txn_id != txn.txn_id:
                 return False
@@ -86,9 +81,7 @@ class MVTOScheduler(Scheduler):
             result.resolve(version.value)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "pending-write")
-            self._waiting.park(key, txn, attempt)
+        self._waiting.attempt(txn, key, result, step, self.counters, "pending-write")
         return result
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
@@ -98,12 +91,7 @@ class MVTOScheduler(Scheduler):
         result = OpFuture(label=f"w{txn.txn_id}[{key}]")
         ts = txn.tn
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             if key in txn.write_set:
                 own = obj.find(ts)
                 assert own is not None and own.pending
@@ -138,9 +126,7 @@ class MVTOScheduler(Scheduler):
             result.resolve(None)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "pending-write")
-            self._waiting.park(key, txn, attempt)
+        self._waiting.attempt(txn, key, result, step, self.counters, "pending-write")
         return result
 
     def commit(self, txn: Transaction) -> OpFuture:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.cc.lock_manager import LockManager
-from repro.cc.locks import LockMode
+from repro.cc.two_phase import StrictTwoPhaseLocking
 from repro.core.futures import OpFuture, resolved
 from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
@@ -19,7 +18,7 @@ from repro.errors import AbortReason, ProtocolError
 from repro.storage.svstore import SVStore
 
 
-class SV2PLScheduler(Scheduler):
+class SV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
     """Strict 2PL over a single-version store; no transaction classes."""
 
     name = "sv-2pl"
@@ -28,55 +27,25 @@ class SV2PLScheduler(Scheduler):
     def __init__(self, store: SVStore | None = None, victim_policy: str = "requester"):
         super().__init__()
         self.store = store if store is not None else SVStore()
-        self.locks = LockManager(
-            victim_policy=victim_policy,
-            on_block=self._note_block,
-            on_deadlock=lambda v, c: self.counters.bump("deadlock"),
-        )
+        self.locks = self._build_locks(victim_policy)
         self._tn_counter = 0
 
     def _on_begin(self, txn: Transaction) -> None:
         """No numbers, no classes: a transaction gets its tn at commit."""
 
+    def _read_committed(self, key: Hashable) -> tuple[Any, int]:
+        return self.store.read(key)
+
     def read(self, txn: Transaction, key: Hashable) -> OpFuture:
         txn.require_active()
         # Read-only transactions lock like everyone else.
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.SHARED)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                self._note_read(txn, key, None)
-                result.resolve(txn.write_set[key])
-                return
-            value, writer_tn = self.store.read(key)
-            self._note_read(txn, key, writer_tn)
-            result.resolve(value)
-
-        lock.add_callback(_locked)
-        return result
+        return self._locked_read(txn, key)
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         txn.require_active()
         if txn.is_read_only:
             raise ProtocolError(f"transaction {txn.txn_id} is read-only")
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.EXCLUSIVE)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            self._note_write(txn, key, value)
-            result.resolve(None)
-
-        lock.add_callback(_locked)
-        return result
+        return self._locked_write(txn, key, value)
 
     def commit(self, txn: Transaction) -> OpFuture:
         txn.require_active()

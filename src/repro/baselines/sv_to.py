@@ -72,12 +72,7 @@ class SVTOScheduler(Scheduler):
         result = OpFuture(label=f"r{txn.txn_id}[{key}]")
         ts = txn.tn
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             if key in txn.write_set:
                 self._note_read(txn, key, None)
                 result.resolve(txn.write_set[key])
@@ -98,9 +93,7 @@ class SVTOScheduler(Scheduler):
             result.resolve(value)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "prewrite")
-            self._waiting.park(key, txn, attempt)
+        self._waiting.attempt(txn, key, result, step, self.counters, "prewrite")
         return result
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
@@ -112,12 +105,7 @@ class SVTOScheduler(Scheduler):
         result = OpFuture(label=f"w{txn.txn_id}[{key}]")
         ts = txn.tn
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             if key in txn.write_set:
                 txn.record_write(key, value)
                 result.resolve(None)
@@ -139,9 +127,7 @@ class SVTOScheduler(Scheduler):
             result.resolve(None)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "prewrite")
-            self._waiting.park(key, txn, attempt)
+        self._waiting.attempt(txn, key, result, step, self.counters, "prewrite")
         return result
 
     def commit(self, txn: Transaction) -> OpFuture:

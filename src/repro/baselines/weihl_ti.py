@@ -35,17 +35,16 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.cc.lock_manager import LockManager
-from repro.cc.locks import LockMode
+from repro.cc.two_phase import StrictTwoPhaseLocking
 from repro.cc.waitlist import WaitList
 from repro.core.futures import OpFuture, resolved
 from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
-from repro.errors import AbortReason, ProtocolError, TransactionAborted
+from repro.errors import AbortReason, ProtocolError
 from repro.storage.mvstore import MVStore
 
 
-class WeihlTIScheduler(Scheduler):
+class WeihlTIScheduler(StrictTwoPhaseLocking, Scheduler):
     """Timestamps-at-initiation multiversion protocol (after Weihl)."""
 
     name = "weihl-ti"
@@ -54,11 +53,7 @@ class WeihlTIScheduler(Scheduler):
     def __init__(self, store: MVStore | None = None, victim_policy: str = "requester"):
         super().__init__()
         self.store = store if store is not None else MVStore()
-        self.locks = LockManager(
-            victim_policy=victim_policy,
-            on_block=self._note_block,
-            on_deadlock=lambda v, c: self.counters.bump("deadlock"),
-        )
+        self.locks = self._build_locks(victim_policy)
         self._ts_counter = 0
         #: Read floors per object: largest read-only timestamp that has read
         #: the object; writers must finish above the floor.
@@ -91,12 +86,7 @@ class WeihlTIScheduler(Scheduler):
         if self._read_floor.get(key, 0) < ts:
             self._read_floor[key] = ts
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             # Race check: a concurrent writer whose tentative timestamp is at
             # or below ours might install a version we would have to read.
             writers = self._tentative.get(key, {})
@@ -107,10 +97,9 @@ class WeihlTIScheduler(Scheduler):
             result.resolve(version.value)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "writer-sync")
+        self._waiting.attempt(txn, key, result, step, self.counters, "writer-sync")
+        if result.pending:
             self.counters.bump("weihl.ro_sync")
-            self._waiting.park(key, txn, attempt)
         return result
 
     # -- read-write side -----------------------------------------------------------------
@@ -119,45 +108,19 @@ class WeihlTIScheduler(Scheduler):
         txn.require_active()
         if txn.is_read_only:
             return self._ro_read(txn, key)
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.SHARED)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                self._note_read(txn, key, None)
-                result.resolve(txn.write_set[key])
-                return
-            version = self.store.read_latest_committed(key)
-            self._note_read(txn, key, version.tn)
-            result.resolve(version.value)
-
-        lock.add_callback(_locked)
-        return result
+        return self._locked_read(txn, key)
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         txn.require_active()
         if txn.is_read_only:
             raise ProtocolError(f"transaction {txn.txn_id} is read-only")
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self.locks.acquire(txn.txn_id, key, LockMode.EXCLUSIVE)
+        return self._locked_write(txn, key, value)
 
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            self._note_write(txn, key, value)
-            # Publish the tentative timestamp: read-only readers at or above
-            # it must now synchronize with us.
-            self._tentative.setdefault(key, {})[txn.txn_id] = int(txn.tn)
-            result.resolve(None)
-
-        lock.add_callback(_locked)
-        return result
+    def _note_write(self, txn: Transaction, key: Hashable, value: Any) -> None:
+        super()._note_write(txn, key, value)
+        # Staging a write publishes the tentative timestamp: read-only
+        # readers at or above it must now synchronize with us.
+        self._tentative.setdefault(key, {})[txn.txn_id] = int(txn.tn)
 
     def commit(self, txn: Transaction) -> OpFuture:
         txn.require_active()

@@ -1,11 +1,11 @@
 """Multi-granularity (intention) locking.
 
-A second, independently developed lock manager — the classic Gray-style
-hierarchy with IS/IX/S/SIX/X modes — used to demonstrate the paper's
-modularity thesis from the concurrency-control side: the *entire locking
-substrate* can be swapped under ``VC2PLScheduler`` while the version-control
-module, the read-only path, and the correctness argument stay untouched
-(:class:`repro.protocols.vc_granular.VCGranular2PLScheduler`).
+The classic Gray-style hierarchy with IS/IX/S/SIX/X modes, as a second mode
+algebra over the one lock table of :mod:`repro.cc.lock_manager` — used to
+demonstrate the paper's modularity thesis from the concurrency-control side:
+the locking substrate can be swapped under ``VC2PLScheduler`` while the
+version-control module, the read-only path, and the correctness argument
+stay untouched (:class:`repro.protocols.vc_granular.VCGranular2PLScheduler`).
 
 Resources form a tree addressed by path tuples, e.g. ``("db",)`` for the
 whole database and ``("db", key)`` for one object.  Acquiring a lock on a
@@ -23,19 +23,19 @@ Compatibility matrix (requested vs held):
     SIX     yes   no    no    no    no
     X       no    no    no    no    no
 
-Blocking, FIFO queues, and deadlock detection reuse the same waits-for
-machinery as the flat manager (a shared graph instance may even span both).
+Queues, conversions, deadlock detection, deadlines and crash are the lock
+table's; what is defined here is the algebra, the root-to-leaf intention
+chain in ``acquire`` and the leaf-to-root order of ``release_all``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable
+from typing import Hashable, Iterable
 
-from repro.cc.deadlock import VictimPolicy, WaitsForGraph, choose_victim
+from repro.cc.lock_manager import LockTable, _LockState
 from repro.core.futures import OpFuture
-from repro.errors import DeadlockError, ProtocolError
-from repro.obs.tracer import NULL_TRACER
+from repro.errors import ProtocolError
 
 Path = tuple[Hashable, ...]
 
@@ -119,83 +119,37 @@ def combine(held: GranularMode, requested: GranularMode) -> GranularMode:
     return max(held, requested, key=lambda m: _STRENGTH[m])
 
 
-class _Request:
-    __slots__ = ("txn_id", "mode", "future", "conversion")
+class GranularLockManager(
+    LockTable,
+    modes=GranularMode,
+    compatible=granular_compatible,
+    covers=covers,
+    combine=combine,
+):
+    """The lock table with the intention-mode algebra over path-addressed
+    resources."""
 
-    def __init__(self, txn_id: int, mode: GranularMode, future: OpFuture, conversion: bool):
-        self.txn_id = txn_id
-        self.mode = mode
-        self.future = future
-        self.conversion = conversion
+    def node(self, path: Path) -> _LockState:
+        return self._entry(path)
 
-
-class _Node:
-    __slots__ = ("granted", "queue")
-
-    def __init__(self) -> None:
-        self.granted: dict[int, GranularMode] = {}
-        self.queue: list[_Request] = []
-
-
-class GranularLockManager:
-    """Multi-granularity lock manager over path-addressed resources."""
-
-    def __init__(
+    def acquire(
         self,
-        victim_policy: VictimPolicy = "requester",
-        on_block: Callable[[int, Path], None] | None = None,
-        on_deadlock: Callable[[int, list[int]], None] | None = None,
-        waits_for: WaitsForGraph | None = None,
-    ):
-        self._nodes: dict[Path, _Node] = {}
-        self._held: dict[int, dict[Path, GranularMode]] = {}
-        self._pending: dict[int, Path] = {}
-        self.waits_for = waits_for if waits_for is not None else WaitsForGraph()
-        self.victim_policy = victim_policy
-        self._on_block = on_block
-        self._on_deadlock = on_deadlock
-        self.deadlocks = 0
-        self.blocks = 0
-        #: Total grants, a cost proxy (the granularity win shows up here).
-        self.grants = 0
-        #: Structured-event tracer; NULL_TRACER unless attach_tracer() wired one.
-        self.tracer = NULL_TRACER
-
-    # -- introspection --------------------------------------------------------
-
-    def node(self, path: Path) -> _Node:
-        node = self._nodes.get(path)
-        if node is None:
-            node = _Node()
-            self._nodes[path] = node
-        return node
-
-    def holders(self, path: Path) -> dict[int, GranularMode]:
-        return dict(self.node(path).granted)
-
-    def held_by(self, txn_id: int) -> dict[Path, GranularMode]:
-        return dict(self._held.get(txn_id, {}))
-
-    def is_idle(self) -> bool:
-        return all(not n.granted and not n.queue for n in self._nodes.values())
-
-    # -- acquisition -------------------------------------------------------------
-
-    def acquire(self, txn_id: int, path: Path, mode: GranularMode) -> OpFuture:
+        txn_id: int,
+        path: Path,
+        mode: GranularMode,
+        deadline: float | None = None,
+    ) -> OpFuture:
         """Lock ``path`` in ``mode``, taking intention locks on ancestors.
 
         The returned future resolves when the *leaf* lock is granted (all
-        ancestors necessarily granted first); it fails with
-        :class:`DeadlockError` if the transaction is chosen as a victim at
-        any level.
+        ancestors necessarily granted first); it fails if the transaction is
+        chosen as a deadlock victim, or its ``deadline`` expires, while it
+        waits at any level — wherever it waits, that is its one pending
+        request.
         """
         if not path:
             raise ProtocolError("path must have at least one element")
-        if txn_id in self._pending:
-            raise ProtocolError(
-                f"transaction {txn_id} already has a pending request at "
-                f"{self._pending[txn_id]!r}"
-            )
+        self._require_no_pending(txn_id)
         result = OpFuture(label=f"{mode.value}{path} T{txn_id}")
         intention = _INTENTION_FOR[mode]
         steps: list[tuple[Path, GranularMode]] = [
@@ -208,7 +162,7 @@ class GranularLockManager:
                 result.resolve(None)
                 return
             step_path, step_mode = steps[index]
-            inner = self._acquire_one(txn_id, step_path, step_mode)
+            inner = self._request(txn_id, step_path, step_mode, deadline)
 
             def done(f: OpFuture) -> None:
                 if f.failed:
@@ -221,148 +175,6 @@ class GranularLockManager:
         advance(0)
         return result
 
-    def _acquire_one(self, txn_id: int, path: Path, mode: GranularMode) -> OpFuture:
-        node = self.node(path)
-        future = OpFuture(label=f"{mode.value}{path} T{txn_id} (node)")
-        held = node.granted.get(txn_id)
-        if held is not None and covers(held, mode):
-            future.resolve(None)
-            return future
-        target = combine(held, mode) if held is not None else mode
-        request = _Request(txn_id, target, future, conversion=held is not None)
-        if self._grantable(node, request):
-            self._grant(node, request, path)
-            future.resolve(None)
-            return future
-        self.blocks += 1
-        if request.conversion:
-            pos = 0
-            while pos < len(node.queue) and node.queue[pos].conversion:
-                pos += 1
-            node.queue.insert(pos, request)
-        else:
-            node.queue.append(request)
-        self._pending[txn_id] = path
-        self._add_edges(node, request)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "lock.block",
-                txn=txn_id,
-                key=path,
-                mode=request.mode.value,
-                holders=[h for h in node.granted if h != txn_id],
-            )
-        if self._on_block is not None:
-            self._on_block(txn_id, path)
-        self._detect(txn_id)
-        return future
-
-    def _grantable(self, node: _Node, request: _Request) -> bool:
-        if not request.conversion and node.queue:
-            return False  # no overtaking for fresh requests
-        return all(
-            granular_compatible(mode, request.mode)
-            for holder, mode in node.granted.items()
-            if holder != request.txn_id
-        )
-
-    def _grant(self, node: _Node, request: _Request, path: Path) -> None:
-        node.granted[request.txn_id] = request.mode
-        self._held.setdefault(request.txn_id, {})[path] = request.mode
-        self.grants += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "lock.grant", txn=request.txn_id, key=path, mode=request.mode.value
-            )
-
-    def _add_edges(self, node: _Node, request: _Request) -> None:
-        for holder, mode in node.granted.items():
-            if holder != request.txn_id and not granular_compatible(mode, request.mode):
-                self.waits_for.add(request.txn_id, holder)
-        for queued in node.queue:
-            if queued is request:
-                break
-            if queued.txn_id != request.txn_id and not (
-                granular_compatible(queued.mode, request.mode)
-                and granular_compatible(request.mode, queued.mode)
-            ):
-                self.waits_for.add(request.txn_id, queued.txn_id)
-
-    # -- release ---------------------------------------------------------------------
-
-    def release_all(self, txn_id: int) -> None:
-        self._cancel_pending(txn_id)
-        held = self._held.pop(txn_id, {})
-        # Release leaf-to-root so intention locks never dangle beneath data.
-        for path in sorted(held, key=len, reverse=True):
-            node = self._nodes[path]
-            node.granted.pop(txn_id, None)
-            self._scan(path, node)
-
-    def _cancel_pending(self, txn_id: int) -> None:
-        path = self._pending.pop(txn_id, None)
-        if path is None:
-            return
-        node = self._nodes[path]
-        node.queue = [r for r in node.queue if r.txn_id != txn_id]
-        self.waits_for.remove_waiter(txn_id)
-        self._scan(path, node)
-
-    def _scan(self, path: Path, node: _Node) -> None:
-        progressed = True
-        while progressed and node.queue:
-            progressed = False
-            head = node.queue[0]
-            if all(
-                granular_compatible(mode, head.mode)
-                for holder, mode in node.granted.items()
-                if holder != head.txn_id
-            ):
-                node.queue.pop(0)
-                self._pending.pop(head.txn_id, None)
-                self.waits_for.remove_waiter(head.txn_id)
-                self._grant(node, head, path)
-                head.future.resolve(None)
-                progressed = True
-        # Rebuild edges for remaining waiters at this node.
-        for request in node.queue:
-            self.waits_for.remove_waiter(request.txn_id)
-        for idx, request in enumerate(node.queue):
-            for holder, mode in node.granted.items():
-                if holder != request.txn_id and not granular_compatible(mode, request.mode):
-                    self.waits_for.add(request.txn_id, holder)
-            for queued in node.queue[:idx]:
-                if queued.txn_id != request.txn_id and not (
-                    granular_compatible(queued.mode, request.mode)
-                    and granular_compatible(request.mode, queued.mode)
-                ):
-                    self.waits_for.add(request.txn_id, queued.txn_id)
-
-    # -- deadlock ---------------------------------------------------------------------
-
-    def _detect(self, requester: int) -> None:
-        cycle = self.waits_for.find_cycle()
-        if cycle is None:
-            return
-        victim = choose_victim(cycle, self.victim_policy, requester)
-        self.deadlocks += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "lock.deadlock",
-                victim=victim,
-                cycle=list(cycle),
-                policy=self.victim_policy,
-            )
-        if self._on_deadlock is not None:
-            self._on_deadlock(victim, cycle)
-        path = self._pending.pop(victim, None)
-        error = DeadlockError(victim, tuple(cycle))
-        if path is not None:
-            node = self._nodes[path]
-            request = next(r for r in node.queue if r.txn_id == victim)
-            node.queue.remove(request)
-            self.waits_for.remove_waiter(victim)
-            self._scan(path, node)
-            request.future.fail(error)
-        else:  # pragma: no cover - cycle members always wait
-            raise ProtocolError(f"victim {victim} has no pending request")
+    def _release_order(self, held: dict[Path, GranularMode]) -> Iterable[Path]:
+        # Leaf-to-root, so intention locks never dangle beneath data.
+        return sorted(held, key=len, reverse=True)

@@ -17,3 +17,8 @@ class LockMode(enum.Enum):
 def compatible(held: LockMode, requested: LockMode) -> bool:
     """Standard S/X compatibility: only S-S coexists."""
     return held is LockMode.SHARED and requested is LockMode.SHARED
+
+
+def combine(held: LockMode, requested: LockMode) -> LockMode:
+    """The mode a holder ends up with after strengthening ``held``: S + X -> X."""
+    return held if held.covers(requested) else requested

@@ -6,6 +6,10 @@ re-attempts the operation against current state and reports whether it
 completed (resolved or failed its future) or must keep waiting.  The owner
 wakes a key's waiters whenever that key's pending set changes.
 
+:meth:`WaitList.attempt` is the whole blocking-operation skeleton the
+timestamp schedulers share — try now, else count the block and park —
+around a protocol-specific step.
+
 Waiters wake in FIFO order per key, and a waiter may carry an absolute
 virtual-time deadline: :meth:`WaitList.expire_due` removes every overdue
 entry and hands it to the caller's ``on_expire`` callback (which typically
@@ -15,9 +19,14 @@ deadline-aborted waiter never lingers in the queue to be woken spuriously.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
+from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
+from repro.errors import AbortReason, TransactionAborted
+
+if TYPE_CHECKING:
+    from repro.core.interface import SchedulerCounters
 
 #: A retry closure: True when the operation completed (either way).
 Attempt = Callable[[], bool]
@@ -46,6 +55,37 @@ class WaitList:
         deadline: float | None = None,
     ) -> None:
         self._parked.setdefault(key, []).append(_Waiter(txn, attempt, deadline))
+
+    def attempt(
+        self,
+        txn: Transaction,
+        key: Hashable,
+        result: OpFuture,
+        step: Attempt,
+        counters: SchedulerCounters,
+        cause: str,
+    ) -> None:
+        """Run a blocking operation: try ``step`` now and, while it reports
+        it must keep waiting, count one block (``cause``) and park it on
+        ``key`` to be retried at every :meth:`wake`.
+
+        ``step`` is the protocol-specific body; it settles ``result`` and
+        returns True, or returns False to wait.  A retry that finds the
+        transaction no longer active fails ``result`` with its abort reason
+        instead of running ``step``.
+        """
+
+        def attempt() -> bool:
+            if not txn.is_active:
+                result.fail(
+                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
+                )
+                return True
+            return step()
+
+        if not attempt():
+            counters.note_block(txn, cause)
+            self.park(key, txn, attempt)
 
     def wake(self, keys) -> None:
         """Re-drive every operation parked on ``keys``; re-park the rest.

@@ -15,19 +15,24 @@ objective subscribes to signals, never to events:
 =================  ==============================================================
 signal             derivation
 =================  ==============================================================
-``latency.ro/rw``  ``txn.begin`` → ``txn.commit`` pairing, per class
-``blocked.ro/rw``  each ``txn.block``, per class
+``latency.ro`` / ``latency.rw``
+                   ``txn.begin`` → ``txn.commit`` pairing, per class
+``blocked.ro`` / ``blocked.rw``
+                   each ``txn.block``, per class
 ``begin.*`` etc.   1 per ``txn.begin`` / ``txn.commit`` / ``txn.abort``, per class
+``lock.wait_depth``  live count of lock-blocked txns, sampled on every change
+                   (``lock.block`` in; waited ``lock.grant``, commit, abort out)
 ``shed.rw``        each ``qos.shed`` (admission gates read-write only)
 ``shed.ro``        each ``slo.ro_shed`` (emitted by a campaign iff the
                    impossible happens — a tripwire, structurally zero)
-``vc.lag``         the ``lag`` field of every ``vc.register/advance/discard``
+``vc.lag``         the ``lag`` field of every ``vc.register`` /
+                   ``vc.advance`` / ``vc.discard``
 ``staleness.ro``   ``staleness`` of ``qos.ro_snapshot`` / ``replica.ro_snapshot``
 ``staleness.replica``  ``staleness`` of every ``replica.watermark``
 ``replica.lag``    the ``lag`` field of every ``replica.lag``
-``lock.wait_depth``  live count of lock-blocked txns, sampled on every change
 ``gc.live_versions`` / ``gc.max_chain`` / ``gc.scanned`` / ``gc.interior``
-                   the gauges and cost counters on every ``gc.sweep``
+                   the ``live_versions`` / ``max_chain`` gauges and the
+                   ``scanned`` / ``interior`` cost counters on every ``gc.sweep``
 ``snapshot.revoked``  each ``snapshot.revoked`` (lease revocation under
                    memory pressure or TTL expiry — expected under drills)
 ``avail.outage``   the ``duration`` of every ``avail.outage`` (a write-
@@ -43,6 +48,10 @@ signal             derivation
 ``shard.outage``   the ``duration`` of every ``shard.outage`` (per-shard
                    write-availability prober window)
 =================  ==============================================================
+
+Every row from ``shed.rw`` down is stateless — a field of one event, or a
+count of it — and is routed by the :data:`SIGNAL_ROUTES` table; the rows
+above it pair or track events and are methods.
 
 **Windows.**  Virtual time is chopped into tumbling windows of width
 ``window``; window ``k`` is ``[k*W, (k+1)*W)``.  A timestamp *regression*
@@ -71,6 +80,40 @@ from repro.obs.slo.objectives import Objective, WindowVerdict
 from repro.obs.tracer import TraceEvent
 
 SLO_SCHEMA = "repro.slo/1"
+
+#: Stateless signal routing: event name -> ((field, signal), ...).  Each
+#: entry turns the event's ``field`` value into one sample of ``signal``
+#: (no sample when the field is absent); a ``None`` field means the constant
+#: 1.0, one count per event.  The stateful ``txn.*`` and ``lock.*`` families
+#: are handled by methods.  The taxonomy table above and in docs/slo.md is
+#: checked against this table (tests/obs/test_slo.py).
+SIGNAL_ROUTES: dict[str, tuple[tuple[str | None, str], ...]] = {
+    "qos.shed": ((None, "shed.rw"),),
+    "slo.ro_shed": ((None, "shed.ro"),),
+    "vc.register": (("lag", "vc.lag"),),
+    "vc.advance": (("lag", "vc.lag"),),
+    "vc.discard": (("lag", "vc.lag"),),
+    "qos.ro_snapshot": (("staleness", "staleness.ro"),),
+    "replica.ro_snapshot": (("staleness", "staleness.ro"),),
+    "replica.watermark": (("staleness", "staleness.replica"),),
+    "replica.lag": (("lag", "replica.lag"),),
+    "gc.sweep": (
+        ("live_versions", "gc.live_versions"),
+        ("max_chain", "gc.max_chain"),
+        ("scanned", "gc.scanned"),
+        ("interior", "gc.interior"),
+    ),
+    "snapshot.revoked": ((None, "snapshot.revoked"),),
+    "avail.outage": (("duration", "avail.outage"),),
+    "quorum.fenced": ((None, "quorum.fenced"),),
+    "quorum.indeterminate": ((None, "quorum.indeterminate"),),
+    "shard.snapshot": (("staleness", "shard.staleness"),),
+    "shard.commit": (("queue", "shard.vc_lag"),),
+    "shard.ro_blocked": ((None, "shard.ro_blocked"),),
+    "shard.vector_inconsistent": ((None, "shard.vector_inconsistent"),),
+    "shard.failover": ((None, "shard.failover"),),
+    "shard.outage": (("duration", "shard.outage"),),
+}
 
 #: More empty windows than this between two events is fast-forwarded as a
 #: seam instead of closed one by one (guards pathological window widths).
@@ -134,13 +177,7 @@ class SLOEngine:
         bundle_prefix: str = "slo",
         counters_source: Callable[[], dict] | None = None,
         max_bundles: int = 8,
-        extra_signals: dict[str, tuple[str, str]] | None = None,
     ):
-        """``extra_signals`` maps an event name to ``(field, signal)`` so a
-        campaign can route ad-hoc events into objectives without touching
-        the engine (e.g. ``{"replica.lag": ("lag", "replica.lag")}`` is
-        built in; a new subsystem can add its own).
-        """
         if window <= 0:
             raise ValueError("window width must be > 0")
         self.objectives = list(objectives)
@@ -164,7 +201,6 @@ class SLOEngine:
             for signal in objective.signals:
                 self._routes.setdefault(signal, []).append(objective)
         self._states = {o.name: _ObjectiveState() for o in self.objectives}
-        self._extra = dict(extra_signals or {})
         self._begin_ts: dict[Any, float] = {}
         self._begin_cls: dict[Any, str] = {}
         self._lock_blocked: set[Any] = set()
@@ -208,74 +244,13 @@ class SLOEngine:
             self.recorder.record(record)
         if name.startswith("txn."):
             self._txn_event(name, ts, fields)
-        elif name == "qos.shed":
-            self._signal("shed.rw", 1.0)
-        elif name == "slo.ro_shed":
-            self._signal("shed.ro", 1.0)
-        elif name in ("vc.register", "vc.advance", "vc.discard"):
-            lag = fields.get("lag")
-            if lag is not None:
-                self._signal("vc.lag", lag)
-        elif name in ("qos.ro_snapshot", "replica.ro_snapshot"):
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("staleness.ro", staleness)
-        elif name == "replica.watermark":
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("staleness.replica", staleness)
-        elif name == "replica.lag":
-            lag = fields.get("lag")
-            if lag is not None:
-                self._signal("replica.lag", lag)
         elif name.startswith("lock."):
             self._lock_event(name, fields)
-        elif name == "gc.sweep":
-            live = fields.get("live_versions")
-            if live is not None:
-                self._signal("gc.live_versions", live)
-            chain = fields.get("max_chain")
-            if chain is not None:
-                self._signal("gc.max_chain", chain)
-            scanned = fields.get("scanned")
-            if scanned is not None:
-                self._signal("gc.scanned", scanned)
-            interior = fields.get("interior")
-            if interior is not None:
-                self._signal("gc.interior", interior)
-        elif name == "snapshot.revoked":
-            self._signal("snapshot.revoked", 1.0)
-        elif name == "avail.outage":
-            duration = fields.get("duration")
-            if duration is not None:
-                self._signal("avail.outage", duration)
-        elif name == "quorum.fenced":
-            self._signal("quorum.fenced", 1.0)
-        elif name == "quorum.indeterminate":
-            self._signal("quorum.indeterminate", 1.0)
-        elif name == "shard.snapshot":
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("shard.staleness", staleness)
-        elif name == "shard.commit":
-            queue = fields.get("queue")
-            if queue is not None:
-                self._signal("shard.vc_lag", queue)
-        elif name == "shard.ro_blocked":
-            self._signal("shard.ro_blocked", 1.0)
-        elif name == "shard.vector_inconsistent":
-            self._signal("shard.vector_inconsistent", 1.0)
-        elif name == "shard.failover":
-            self._signal("shard.failover", 1.0)
-        elif name == "shard.outage":
-            duration = fields.get("duration")
-            if duration is not None:
-                self._signal("shard.outage", duration)
-        extra = self._extra.get(name)
-        if extra is not None:
-            value = fields.get(extra[0])
-            if value is not None:
-                self._signal(extra[1], value)
+        else:
+            for field, signal in SIGNAL_ROUTES.get(name, ()):
+                value = 1.0 if field is None else fields.get(field)
+                if value is not None:
+                    self._signal(signal, value)
 
     def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")

@@ -44,7 +44,10 @@ class VCGranular2PLScheduler(VC2PLScheduler):
 
     def _lock(self, txn: Transaction, key: Hashable, exclusive: bool) -> OpFuture:
         return self.locks.acquire(
-            txn.txn_id, (*ROOT, key), GranularMode.X if exclusive else GranularMode.S
+            txn.txn_id,
+            (*ROOT, key),
+            GranularMode.X if exclusive else GranularMode.S,
+            deadline=txn.meta.get("qos.deadline"),
         )
 
     # -- the granularity payoff ------------------------------------------------

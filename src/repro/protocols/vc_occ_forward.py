@@ -31,19 +31,18 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.core.futures import OpFuture, failed, resolved
+from repro.core.futures import OpFuture, failed
 from repro.core.transaction import Transaction
-from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
 from repro.errors import AbortReason, TransactionAborted
+from repro.protocols.vc_optimistic import VCOCCScheduler
 from repro.storage.mvstore import MVStore
 
 
-class VCOCCForwardScheduler(VersionControlledScheduler):
+class VCOCCForwardScheduler(VCOCCScheduler):
     """Forward-validation (wound-the-readers) optimistic scheduler."""
 
     name = "vc-occ-fwd"
-    multiversion = True
 
     def __init__(
         self,
@@ -81,27 +80,12 @@ class VCOCCForwardScheduler(VersionControlledScheduler):
             return wounded
         return super().commit(txn)
 
-    # -- read phase (identical to backward OCC) -----------------------------------
+    # -- forward validation ----------------------------------------------------------
+    # (the read phase and the write phase are backward OCC's)
 
     def _rw_begin(self, txn: Transaction) -> None:
-        txn.sn = None
+        super()._rw_begin(txn)
         self._active_rw[txn.txn_id] = txn
-
-    def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "occ-read")
-        if key in txn.write_set:
-            self._note_read(txn, key, None)
-            return resolved(txn.write_set[key], label=f"r{txn.txn_id}[{key}]")
-        version = self.store.read_latest_committed(key)
-        self._note_read(txn, key, version.tn)
-        return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
-
-    def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "occ-write")
-        self._note_write(txn, key, value)
-        return resolved(None, label=f"w{txn.txn_id}[{key}]")
-
-    # -- forward validation + write phase --------------------------------------------
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
         self.counters.note_cc_interaction(txn, "validate-forward")
@@ -118,15 +102,8 @@ class VCOCCForwardScheduler(VersionControlledScheduler):
                 self.counters.bump("occ.wounded")
                 self._rw_abort(victim, AbortReason.WOUNDED)
         # Install: the committer itself never fails.
-        self.counters.note_vc_interaction(txn, "register")
-        tn = self.vc.vc_register(txn)
-        for key, value in txn.write_set.items():
-            self.store.install(key, tn, value)
-        self.counters.note_vc_interaction(txn, "complete")
-        self.vc.vc_complete(txn)
-        self._complete_commit(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return self._write_phase(txn)
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         self._active_rw.pop(txn.txn_id, None)
-        self._complete_abort(txn, reason)
+        super()._rw_abort(txn, reason)

@@ -83,6 +83,9 @@ class VCOCCScheduler(VersionControlledScheduler):
                 )
                 self._rw_abort(txn, AbortReason.VALIDATION_FAILED)
                 return failed(error, label=f"commit T{txn.txn_id}")
+        return self._write_phase(txn)
+
+    def _write_phase(self, txn: Transaction) -> OpFuture:
         # Validation point == serialization point: register, install, publish.
         self.counters.note_vc_interaction(txn, "register")
         tn = self.vc.vc_register(txn)

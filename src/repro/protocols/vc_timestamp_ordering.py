@@ -23,24 +23,15 @@ Reed's MVTO (experiment EXP-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
+from repro.cc.waitlist import WaitList
 from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
 from repro.errors import AbortReason, TransactionAborted
 from repro.storage.mvstore import MVStore
-
-
-class _Blocked:
-    """One parked request: retried whenever its key's pending set changes."""
-
-    __slots__ = ("txn", "attempt")
-
-    def __init__(self, txn: Transaction, attempt: Callable[[], bool]):
-        self.txn = txn
-        self.attempt = attempt
 
 
 class VCTOScheduler(VersionControlledScheduler):
@@ -56,7 +47,8 @@ class VCTOScheduler(VersionControlledScheduler):
         checked: bool = True,
     ):
         super().__init__(store, version_control, checked=checked)
-        self._waiting: dict[Hashable, list[_Blocked]] = {}
+        #: Requests parked until their key's pending set changes.
+        self._waiting = WaitList()
 
     # -- read-write hooks -----------------------------------------------------
 
@@ -76,12 +68,7 @@ class VCTOScheduler(VersionControlledScheduler):
             obj.max_r_ts = txn.tn
         result = OpFuture(label=f"r{txn.txn_id}[{key}]")
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             version = obj.version_leq(txn.sn)
             if version.pending and version.creator_txn_id != txn.txn_id:
                 return False  # wait for the older writer's fate
@@ -90,9 +77,7 @@ class VCTOScheduler(VersionControlledScheduler):
             result.resolve(version.value)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "pending-write")
-            self._waiting.setdefault(key, []).append(_Blocked(txn, attempt))
+        self._waiting.attempt(txn, key, result, step, self.counters, "pending-write")
         return result
 
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
@@ -102,12 +87,7 @@ class VCTOScheduler(VersionControlledScheduler):
         obj = self.store.object(key)
         result = OpFuture(label=f"w{txn.txn_id}[{key}]")
 
-        def attempt() -> bool:
-            if not txn.is_active:
-                result.fail(
-                    TransactionAborted(txn.txn_id, txn.abort_reason or AbortReason.USER_REQUESTED)
-                )
-                return True
+        def step() -> bool:
             latest = obj.latest()
             if key in txn.write_set:
                 # Rewrite of the transaction's own pending version.
@@ -133,9 +113,7 @@ class VCTOScheduler(VersionControlledScheduler):
             result.resolve(None)
             return True
 
-        if not attempt():
-            self.counters.note_block(txn, "pending-write")
-            self._waiting.setdefault(key, []).append(_Blocked(txn, attempt))
+        self._waiting.attempt(txn, key, result, step, self.counters, "pending-write")
         return result
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
@@ -149,7 +127,7 @@ class VCTOScheduler(VersionControlledScheduler):
         self._complete_commit(txn)
         result.resolve(None)
         # Clear pending read (and write) actions parked on our versions.
-        self._wake(txn.write_set.keys())
+        self._waiting.wake(txn.write_set.keys())
         return result
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
@@ -159,29 +137,5 @@ class VCTOScheduler(VersionControlledScheduler):
         self.counters.note_vc_interaction(txn, "discard")
         self.vc.vc_discard(txn)
         self._complete_abort(txn, reason)
-        self._drop_waiters_of(txn)
-        self._wake(txn.write_set.keys())
-
-    # -- wait-list plumbing --------------------------------------------------------
-
-    def _wake(self, keys) -> None:
-        """Re-drive every request parked on ``keys``."""
-        for key in list(keys):
-            parked = self._waiting.pop(key, None)
-            if not parked:
-                continue
-            still_blocked: list[_Blocked] = []
-            for blocked in parked:
-                if not blocked.attempt():
-                    still_blocked.append(blocked)
-            if still_blocked:
-                self._waiting.setdefault(key, []).extend(still_blocked)
-
-    def _drop_waiters_of(self, txn: Transaction) -> None:
-        """Remove the aborted transaction's own parked requests."""
-        for key in list(self._waiting):
-            remaining = [b for b in self._waiting[key] if b.txn is not txn]
-            if remaining:
-                self._waiting[key] = remaining
-            else:
-                del self._waiting[key]
+        self._waiting.drop_transaction(txn)
+        self._waiting.wake(txn.write_set.keys())

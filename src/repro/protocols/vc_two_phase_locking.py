@@ -27,10 +27,10 @@ transactions never touch the lock manager at all.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Hashable
 
-from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
+from repro.cc.two_phase import StrictTwoPhaseLocking
 from repro.core.futures import OpFuture, resolved
 from repro.core.transaction import SN_INFINITY, Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
@@ -39,7 +39,7 @@ from repro.errors import AbortReason
 from repro.storage.mvstore import MVStore
 
 
-class VC2PLScheduler(VersionControlledScheduler):
+class VC2PLScheduler(StrictTwoPhaseLocking, VersionControlledScheduler):
     """The paper's Figure 4 protocol."""
 
     name = "vc-2pl"
@@ -55,14 +55,6 @@ class VC2PLScheduler(VersionControlledScheduler):
         super().__init__(store, version_control, checked=checked)
         self.locks = self._build_locks(victim_policy)
 
-    def _build_locks(self, victim_policy: str) -> Any:
-        """The concurrency-control component (flat S/X locks here)."""
-        return LockManager(
-            victim_policy=victim_policy,
-            on_block=self._note_block,
-            on_deadlock=self._note_deadlock,
-        )
-
     def _lock(self, txn: Transaction, key: Hashable, exclusive: bool) -> OpFuture:
         return self.locks.acquire(
             txn.txn_id,
@@ -76,42 +68,10 @@ class VC2PLScheduler(VersionControlledScheduler):
     def _rw_begin(self, txn: Transaction) -> None:
         txn.sn = SN_INFINITY
 
-    def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
-        lock = self._lock(txn, key, exclusive=False)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                # Own staged write: visible to the writer itself.
-                self._note_read(txn, key, None)
-                result.resolve(txn.write_set[key])
-                return
-            version = self.store.read_latest_committed(key)
-            self._note_read(txn, key, version.tn)
-            result.resolve(version.value)
-
-        lock.add_callback(_locked)
-        return result
-
-    def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
-        lock = self._lock(txn, key, exclusive=True)
-
-        def _locked(done: OpFuture) -> None:
-            if done.failed:
-                self._deadlock_abort(txn, done.error, result)
-                return
-            # "create y_j with version phi" — staged privately until commit.
-            self._note_write(txn, key, value)
-            result.resolve(None)
-
-        lock.add_callback(_locked)
-        return result
+    # The execution phase is textbook strict 2PL, as if the database were
+    # single-version: the shared one, under the names the VC base calls.
+    _rw_read = StrictTwoPhaseLocking._locked_read
+    _rw_write = StrictTwoPhaseLocking._locked_write
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
         """``end(T)`` — the one lock-based commit sequence (Figure 4).
@@ -176,7 +136,7 @@ class VC2PLScheduler(VersionControlledScheduler):
     # -- deadlock plumbing ---------------------------------------------------------
 
     def _note_deadlock(self, victim: int, cycle: list[int]) -> None:
-        self.counters.bump("deadlock")
+        super()._note_deadlock(victim, cycle)
         # The paper's Section 4.4 claim, enforced as a runtime check: no
         # cycle member is registered with version control.
         for member in set(cycle):

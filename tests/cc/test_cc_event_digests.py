@@ -8,7 +8,10 @@ sha256 over the JSON lines of every ``lock.*``, ``deadlock.*``,
 ``contended_small`` simulation, followed by the sorted scheduler counters.
 Grant order, block order, victim choice and every counted interaction are in
 that stream, so a refactor of ``repro.cc`` that moves any of them moves a
-digest.  Taken at ``32713fb``.
+digest.  Taken at ``32713fb``; ``vc-2pl-granular`` was re-pinned once
+(from ``c79242ca…``), when its manager became the shared lock table: same
+events in the same order, plus the flat manager's ``waited``/``upgrade``
+fields and ``lock.release``.
 
 Run as a script (``PYTHONPATH=src python tests/cc/test_cc_event_digests.py``)
 this file prints the capture; the test runs it that way because transaction
@@ -38,7 +41,7 @@ PINNED = {
     "sv-to": "73da547e59edcc77ca3608d47d620979459613c5307fed71d992801d8571a617",
     "vc-adaptive": "7fdf4c7c545c281abc73137e20174c55ab8297f2da8fc5bcaa81127c00104271",
     "vc-2pl-wal": "ceb3705b850f79665dccda7350a54090260938c9cc32a1e5ce76abed410fafd4",
-    "vc-2pl-granular": "c79242caea823a9d22f3d10a65a9c6600350035888abbb30b0f1e70c13aa7215",
+    "vc-2pl-granular": "78f1e718eff30594a5cb3d36bec1f48fda051e6d7181ad1e19da97938755b4f7",
     "vc-occ-fwd": "ac4be7364cb08385eba7a31868c1d516aca4540737216400e391f1a7d7b439b7",
 }
 

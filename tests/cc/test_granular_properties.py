@@ -8,6 +8,7 @@ from repro.cc.granular import (
     GranularMode as M,
     granular_compatible,
 )
+from repro.errors import DeadlineExceeded, SiteUnavailable
 
 KEYS = ["a", "b"]
 PATHS = [("db",)] + [("db", k) for k in KEYS]
@@ -39,18 +40,27 @@ def check_invariants(lm: GranularLockManager) -> None:
 def test_property_random_granular_traffic(data):
     lm = GranularLockManager()
     pending: dict[int, object] = {}
+    now = 0.0
     for _ in range(25):
         free = [t for t in range(1, N_TXNS + 1) if t not in pending]
-        action = data.draw(st.sampled_from(["acquire", "release"]))
+        action = data.draw(st.sampled_from(["acquire", "release", "expire", "cancel"]))
         if action == "acquire" and free:
             txn = data.draw(st.sampled_from(free))
             path = data.draw(st.sampled_from(PATHS))
             mode = data.draw(st.sampled_from(MODES))
-            future = lm.acquire(txn, path, mode)
+            deadline = data.draw(st.one_of(st.none(), st.floats(0.0, 25.0)))
+            future = lm.acquire(txn, path, mode, deadline=deadline)
             if future.pending:
                 pending[txn] = future
             elif future.failed:
                 lm.release_all(txn)
+        elif action == "expire":
+            now += data.draw(st.floats(0.0, 10.0))
+            for txn in lm.expire_due(now):
+                assert isinstance(pending[txn].error, DeadlineExceeded)
+        elif action == "cancel":
+            txn = data.draw(st.integers(1, N_TXNS))
+            assert lm.cancel_request(txn, SiteUnavailable()) == (txn in pending)
         else:
             txn = data.draw(st.integers(1, N_TXNS))
             lm.release_all(txn)

@@ -2,8 +2,12 @@
 
 import json
 import math
+import pathlib
+import re
 
 import pytest
+
+import repro.obs.slo.engine as engine_module
 
 from repro.obs.slo import (
     Breach,
@@ -364,6 +368,73 @@ class TestEngineStream:
         engine.ingest({"name": "txn.block", "ts": 2.0, "txn": 2, "cls": "ro"})
         assert engine.windows_closed == closed
         assert len(engine.breaches) == 1
+
+
+class TestSignalRoutes:
+    """The stateless routing table, and the two taxonomy tables that
+    document it (the engine docstring and docs/slo.md)."""
+
+    #: Signals derived by the stateful txn.* / lock.* handlers.
+    STATEFUL = {
+        "latency.ro", "latency.rw", "blocked.ro", "blocked.rw",
+        "begin.*", "commit.*", "abort.*", "lock.wait_depth",
+    }
+
+    @pytest.mark.parametrize(
+        "event,field,signal",
+        [(e, f, s) for e, routes in engine_module.SIGNAL_ROUTES.items() for f, s in routes],
+    )
+    def test_every_route_delivers_its_sample(self, event, field, signal):
+        seen = []
+
+        class Probe(MaxObjective):
+            def observe(self, name, value):
+                seen.append((name, value))
+
+        engine = SLOEngine([Probe("probe", signal, ceiling=1.0)], window=10.0)
+        fields = {} if field is None else {field: 7}
+        engine.ingest({"name": event, "ts": 1.0, **fields})
+        assert seen == [(signal, 1.0 if field is None else 7)]
+        if field is not None:  # an absent field is no sample, not a zero
+            engine.ingest({"name": event, "ts": 2.0})
+            assert len(seen) == 1
+
+    @staticmethod
+    def _rows(text, tick):
+        """Table rows as sets of their ``tick``-quoted tokens."""
+        return [set(re.findall(f"{tick}([^`]+){tick}", row)) for row in text]
+
+    def _doc_rows(self):
+        doc = engine_module.__doc__
+        table = doc.split("=================  =====")[2]
+        rows, current = [], ""
+        for line in table.splitlines()[1:]:
+            if line.startswith("``"):
+                rows.append(current)
+                current = ""
+            current += line + "\n"
+        rows.append(current)
+        return self._rows([r for r in rows if r.strip()], "``")
+
+    def _md_rows(self):
+        path = pathlib.Path(__file__).resolve().parents[2] / "docs" / "slo.md"
+        section = path.read_text(encoding="utf-8").split("## Signals")[1].split("\n## ")[0]
+        lines = [l for l in section.splitlines() if l.startswith("| `")]
+        return self._rows(lines, "`")
+
+    @pytest.mark.parametrize("source", ["_doc_rows", "_md_rows"])
+    def test_taxonomy_tables_match_the_routing_table(self, source):
+        rows = getattr(self, source)()
+        assert len(rows) >= 15
+        routes = [
+            {event, signal} | ({field} if field else set())
+            for event, pairs in engine_module.SIGNAL_ROUTES.items()
+            for field, signal in pairs
+        ]
+        for route in routes:  # every stateless route is a documented row
+            assert any(route <= row for row in rows), f"undocumented: {route}"
+        for row in rows:  # and no row documents a route that does not exist
+            assert row & self.STATEFUL or any(route <= row for route in routes), row
 
 
 class TestDeterminism:

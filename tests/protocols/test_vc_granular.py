@@ -128,3 +128,58 @@ class TestStress:
         assert_one_copy_serializable(db.history)
         assert db.locks.is_idle()
         assert db.counters.get("cc.ro") == 0
+
+
+class TestLockEventsMatchTheFlatManager:
+    """Both managers are one lock table, so a contended run leaves the same
+    ``lock.*`` story: every wait ends, and ends visibly."""
+
+    @staticmethod
+    def _events(name):
+        from repro.bench.runner import SimConfig, run_simulation
+        from repro.obs.exporters import RingBufferExporter
+        from repro.obs.tracer import Tracer
+        from repro.protocols.registry import make_scheduler
+        from repro.workload.mixes import contended_small
+
+        ring = RingBufferExporter(capacity=1_000_000)
+        run_simulation(
+            make_scheduler(name),
+            contended_small(seed=3),
+            SimConfig(duration=200),
+            tracer=Tracer([ring]),
+        )
+        return [event.to_dict() for event in ring.events()]
+
+    def test_every_lock_wait_ends_in_a_waited_grant_a_victim_or_an_abort(self):
+        from repro.obs.spans import build_span_trees
+
+        events = self._events("vc-2pl-granular")
+        flat = self._events("vc-2pl")
+
+        def waited(stream):
+            return sum(e["name"] == "lock.grant" and e["waited"] for e in stream)
+
+        assert waited(events) == waited(flat) > 0
+        waiting = set()
+        for event in events:
+            if event["name"] == "lock.block":
+                assert event["txn"] not in waiting, "one pending request at a time"
+                waiting.add(event["txn"])
+            elif event["name"] == "lock.grant" and event["waited"]:
+                waiting.remove(event["txn"])
+            elif event["name"] == "lock.deadlock":
+                waiting.remove(event["victim"])
+            elif event["name"] == "txn.abort":  # user abort cancels the request
+                waiting.discard(event["txn"])
+        assert not waiting, f"lock.block never closed for {sorted(waiting)}"
+
+        def wait_spans(node):
+            own = [node] if node.name == "lock.wait" else []
+            return own + [s for child in node.children for s in wait_spans(child)]
+
+        spans = [s for root in build_span_trees(events) for s in wait_spans(root)]
+        assert len(spans) == waited(events)
+        assert all(span.end is not None for span in spans)
+        releases = [e for e in events if e["name"] == "lock.release"]
+        assert releases and all(("db",) in map(tuple, e["keys"]) for e in releases)

@@ -41,7 +41,7 @@ def test_synchronization_structures_drain_clean(name):
         assert locks.is_idle(), "locks leaked"
         assert not locks.waits_for.waiters(), "waits-for edges leaked"
     waiting = getattr(scheduler, "_waiting", None)
-    if waiting is not None and hasattr(waiting, "is_empty"):
+    if waiting is not None:
         assert waiting.is_empty(), "parked operations leaked"
     vc = getattr(scheduler, "vc", None)
     if vc is not None:
