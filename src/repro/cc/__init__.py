@@ -1,4 +1,6 @@
-"""Concurrency-control substrates: locks, deadlock handling."""
+"""Concurrency-control substrates, each written once: the lock table and its
+mode algebras, deadlock handling, the strict-2PL execution phase
+(:mod:`~repro.cc.two_phase`) and the wait list (:mod:`~repro.cc.waitlist`)."""
 
 from repro.cc.deadlock import WaitsForGraph, choose_victim
 from repro.cc.lock_manager import LockManager

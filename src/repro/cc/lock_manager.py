@@ -102,9 +102,9 @@ class LockTable:
     """
 
     #: held-or-queued modes each mode cannot coexist with
-    _conflicts: dict[Any, tuple] = {}
+    _conflicts: dict[Any, tuple]
     #: requests each held mode already satisfies
-    _covers: dict[Any, tuple] = {}
+    _covers: dict[Any, tuple]
     _combine: Callable[[Any, Any], Any]
 
     def __init_subclass__(
@@ -307,55 +307,44 @@ class LockTable:
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock of ``txn_id`` and cancel its pending request."""
-        self._cancel_pending(txn_id)
+        self._withdraw(txn_id)
         held = self._held.pop(txn_id, {})
         if self.tracer.enabled and held:
             self.tracer.emit("lock.release", txn=txn_id, keys=sorted(held, key=repr))
         for resource in self._release_order(held):
-            state = self._table[resource]
-            state.granted.pop(txn_id, None)
-            self._grant_scan(resource, state)
+            self._table[resource].granted.pop(txn_id, None)
+            self._grant_scan(resource)
 
     def _release_order(self, held: dict[Hashable, Any]) -> Iterable[Hashable]:
         return held  # acquisition order
 
-    def _dequeue(self, txn_id: int) -> tuple[_Request, _LockState] | None:
+    def _dequeue(self, txn_id: int) -> _Request | None:
         """Take ``txn_id``'s pending request out of its queue and out of the
         waits-for graph.  The caller re-scans the queue: removing a waiter
         can unblock those queued behind it."""
         request = self._pending.pop(txn_id, None)
-        if request is None:
-            return None
-        state = self._table[request.resource]
-        state.queue.remove(request)
-        self.waits_for.remove_waiter(txn_id)
-        return request, state
+        if request is not None:
+            self._table[request.resource].queue.remove(request)
+            self.waits_for.remove_waiter(txn_id)
+        return request
 
-    def _cancel_pending(self, txn_id: int) -> None:
-        """Withdraw a pending request on abort; the caller settles the
-        operation future, so the lock future is simply dropped."""
-        found = self._dequeue(txn_id)
-        if found is not None:
-            self._grant_scan(found[0].resource, found[1])
+    def _withdraw(self, txn_id: int, error: BaseException | None = None) -> bool:
+        """Remove ``txn_id``'s pending request and fail its future with
+        ``error``.  Without one the lock future is simply dropped: on abort
+        the caller settles the operation itself.  False if none was pending."""
+        request = self._dequeue(txn_id)
+        if request is None:
+            return False
+        self._grant_scan(request.resource)
+        if error is not None:
+            request.future.fail(error)
+        return True
 
     def cancel_request(self, txn_id: int, error: BaseException) -> bool:
-        """Fail ``txn_id``'s pending request with ``error``.
-
-        Unlike :meth:`_cancel_pending`, this *fails* the pending lock
-        future — the path a deadline timer, a breaker or the deadlock
-        detector uses to evict a specific waiter.  Returns False when
-        nothing was pending.
-        """
-        return self._evict(txn_id, error)
-
-    def _evict(self, txn_id: int, error: BaseException) -> bool:
-        found = self._dequeue(txn_id)
-        if found is None:
-            return False
-        request, state = found
-        self._grant_scan(request.resource, state)
-        request.future.fail(error)
-        return True
+        """Fail ``txn_id``'s pending request with ``error`` — the path a
+        deadline timer or breaker uses to evict a specific waiter.  Returns
+        False when nothing was pending."""
+        return self._withdraw(txn_id, error)
 
     # -- deadlines (repro.qos) ---------------------------------------------------------
 
@@ -385,7 +374,7 @@ class LockTable:
             )
             if request is None:
                 return expired
-            _, state = self._dequeue(request.txn_id)
+            self._dequeue(request.txn_id)
             if self.tracer.enabled:
                 self.tracer.emit(
                     "qos.deadline.lock",
@@ -395,12 +384,13 @@ class LockTable:
                     now=now,
                 )
             expired.append(request.txn_id)
-            self._grant_scan(request.resource, state)
+            self._grant_scan(request.resource)
             request.future.fail(DeadlineExceeded(request.txn_id, request.deadline, now))
 
-    def _grant_scan(self, resource: Hashable, state: _LockState) -> None:
+    def _grant_scan(self, resource: Hashable) -> None:
         """Grant the longest now-compatible prefix of the wait queue, then
         rebuild the remaining waiters' edges (the holders changed)."""
+        state = self._table[resource]
         while state.queue and self._admits(state, state.queue[0]):
             head = state.queue.pop(0)
             self._pending.pop(head.txn_id, None)
@@ -453,7 +443,7 @@ class LockTable:
             )
         if self._on_deadlock is not None:
             self._on_deadlock(victim, cycle)
-        evicted = self._evict(victim, DeadlockError(victim, tuple(cycle)))
+        evicted = self._withdraw(victim, DeadlockError(victim, tuple(cycle)))
         if not evicted:  # pragma: no cover - cycle members always wait
             raise ProtocolError(f"deadlock victim {victim} has no pending request")
 

@@ -63,7 +63,9 @@ class VCGranular2PLScheduler(VC2PLScheduler):
             return self.snapshot_scan(txn)
         self.counters.note_cc_interaction(txn, "scan-lock")
         result = OpFuture(label=f"scan T{txn.txn_id}")
-        lock = self.locks.acquire(txn.txn_id, ROOT, GranularMode.S)
+        lock = self.locks.acquire(
+            txn.txn_id, ROOT, GranularMode.S, deadline=txn.meta.get("qos.deadline")
+        )
 
         def _locked(done: OpFuture) -> None:
             if done.failed:

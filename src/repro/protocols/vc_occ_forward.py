@@ -4,8 +4,8 @@ A fourth concurrency-control component under the same version-control
 module, rounding out the OCC design space: where
 :class:`~repro.protocols.vc_optimistic.VCOCCScheduler` validates a committer
 *backward* against already-committed writes (first committer wins, loser
-restarts), this scheduler validates *forward* against the read sets of
-still-active read-write transactions:
+restarts), this subclass keeps its read phase and write phase and validates
+*forward* against the read sets of still-active read-write transactions:
 
 * at ``end(T)``, every active read-write transaction whose read set
   intersects T's write set is **wounded** (aborted) before T installs —
@@ -80,8 +80,7 @@ class VCOCCForwardScheduler(VCOCCScheduler):
             return wounded
         return super().commit(txn)
 
-    # -- forward validation ----------------------------------------------------------
-    # (the read phase and the write phase are backward OCC's)
+    # -- forward validation (read phase and write phase are backward OCC's) -----------
 
     def _rw_begin(self, txn: Transaction) -> None:
         super()._rw_begin(txn)

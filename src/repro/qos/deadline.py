@@ -3,10 +3,12 @@
 A deadline is an *absolute virtual-time* instant carried on the
 transaction descriptor.  Components that can block consult it:
 
-* the lock manager fails overdue queued requests
-  (:meth:`~repro.cc.lock_manager.LockManager.expire_due`);
-* the wait lists drop overdue parked closures
-  (:meth:`~repro.cc.waitlist.WaitList.expire_due`);
+* the lock table fails overdue queued requests
+  (:meth:`~repro.cc.lock_manager.LockTable.expire_due`), under the flat
+  and the granular manager alike;
+* a wait list can drop overdue parked closures
+  (:meth:`~repro.cc.waitlist.WaitList.expire_due`), though no scheduler
+  parks with a deadline today and nothing sweeps them;
 * the distributed layer checks it at operation entry and arms a
   virtual-time timer so a stalled 2PC aborts pre-decision instead of
   waiting out an infinite prepare.

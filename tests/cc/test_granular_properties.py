@@ -91,4 +91,4 @@ def test_property_grants_at_a_node_were_pairwise_compatible(modes):
             # Every previously granted mode must admit this one.
             assert all(granular_compatible(g, mode) for g in granted)
             granted.append(mode)
-        lm._cancel_pending(txn) if future.pending else None
+        lm._withdraw(txn) if future.pending else None

@@ -180,3 +180,9 @@ def test_granular_scheduler_forwards_the_transaction_deadline():
     assert db.locks.expire_due(5.0) == [late.txn_id]
     assert isinstance(read.error, DeadlineExceeded)
     assert late.is_finished and db.locks.waiting(("db", "x")) == []
+    # ... and so does a scan, which waits at the root behind the writer's IX.
+    scanner = db.begin(deadline=9.0)
+    scan = db.scan(scanner)
+    assert scan.pending and db.locks.waiting(("db",)) == [scanner.txn_id]
+    assert db.locks.expire_due(9.0) == [scanner.txn_id]
+    assert isinstance(scan.error, DeadlineExceeded) and scanner.is_finished
