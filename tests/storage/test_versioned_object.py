@@ -287,3 +287,103 @@ class TestPruneUnreachable:
         obj.prune_unreachable(visible, pins)
         for sn, tn in expected.items():
             assert obj.version_leq(sn).tn == tn
+
+
+# -- every lookup against a linear scan, under arbitrary chain traffic ----------
+
+TNS = st.integers(0, 24)
+CHAIN_OPS = st.one_of(
+    st.tuples(st.just("install"), TNS, st.booleans()),
+    st.tuples(st.just("commit_pending"), TNS),
+    st.tuples(st.just("remove"), TNS),
+    st.tuples(st.just("prune_older_than"), st.integers(-1, 26)),
+    st.tuples(st.just("prune_unreachable"), TNS, st.lists(TNS, unique=True).map(sorted)),
+)
+PROBES = [*range(-1, 27), float("inf")]
+
+
+def ref_leq(model: dict[int, bool], bound: float, committed: bool = False) -> int | None:
+    """The reference: scan every ``tn -> pending`` pair; None means not found."""
+    best = None
+    for tn, pending in model.items():
+        if tn <= bound and not (committed and pending) and (best is None or tn > best):
+            best = tn
+    return best
+
+
+def ref_prune_older_than(model: dict[int, bool], horizon: float) -> dict[int, bool]:
+    keep = ref_leq(model, horizon)
+    if keep is None:
+        return dict(model)
+    cut = min([keep, *(tn for tn, pending in model.items() if pending)])
+    return {tn: pending for tn, pending in model.items() if tn >= cut}
+
+
+def tn_or_none(lookup, *args) -> int | None:
+    try:
+        return lookup(*args).tn
+    except VersionNotFound:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(CHAIN_OPS, max_size=40))
+def test_property_lookups_equal_a_linear_scan_after_every_step(ops):
+    """Out-of-order installs (Reed's MVTO), pending resolution, aborts and both
+    collectors: whatever the chain went through, the four lookups answer what
+    a scan over all of it answers, and raise exactly when the scan finds
+    nothing."""
+    obj = VersionedObject("x")
+    model = {0: False}
+    for op, *args in ops:
+        if op == "install":
+            tn, pending = args
+            if tn in model:
+                with pytest.raises(ProtocolError, match="already has version"):
+                    obj.install(tn, tn, pending=pending)
+            else:
+                obj.install(tn, tn, pending=pending)
+                model[tn] = pending
+        elif op == "commit_pending":
+            (tn,) = args
+            if model.get(tn):
+                obj.commit_pending(tn)
+                model[tn] = False
+            else:
+                with pytest.raises(ProtocolError, match="no pending version"):
+                    obj.commit_pending(tn)
+        elif op == "remove":
+            (tn,) = args
+            if tn not in model:
+                with pytest.raises(ProtocolError, match="no version"):
+                    obj.remove(tn)
+            elif len(model) > 1:  # a chain is never emptied
+                obj.remove(tn)
+                del model[tn]
+        elif op == "prune_older_than":
+            (horizon,) = args
+            survivors = ref_prune_older_than(model, horizon)
+            assert obj.prune_older_than(horizon) == len(model) - len(survivors)
+            model = survivors
+        else:
+            visible, pins = args
+            live = {sn: ref_leq(model, sn) for sn in [*pins, visible] if sn <= visible}
+            discarded, _interior = obj.prune_unreachable(visible, sorted(live)[:-1])
+            survivors = {v.tn for v in obj.versions()}
+            assert survivors <= set(model) and discarded == len(model) - len(survivors)
+            model = {tn: model[tn] for tn in survivors}
+            assert {sn: ref_leq(model, sn) for sn in live} == live
+
+        assert [v.tn for v in obj.versions()] == sorted(model)
+        for bound in PROBES:
+            assert tn_or_none(obj.version_leq, bound) == ref_leq(model, bound)
+            assert tn_or_none(obj.committed_version_leq, bound) == ref_leq(
+                model, bound, committed=True
+            )
+        for tn in range(26):
+            found = obj.find(tn)
+            assert (found is not None) == (tn in model)
+            assert found is None or found.pending == model[tn]
+        assert tn_or_none(obj.latest_committed) == ref_leq(
+            model, float("inf"), committed=True
+        )
