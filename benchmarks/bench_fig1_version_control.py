@@ -12,8 +12,8 @@ from repro.core.transaction import Transaction
 from repro.core.version_control import VersionControl
 
 
-def register_complete_in_order(n: int, checked: bool) -> VersionControl:
-    vc = VersionControl(checked=checked)
+def register_complete_in_order(n: int) -> VersionControl:
+    vc = VersionControl()
     for _ in range(n):
         txn = Transaction()
         vc.vc_register(txn)
@@ -21,9 +21,9 @@ def register_complete_in_order(n: int, checked: bool) -> VersionControl:
     return vc
 
 
-def register_complete_shuffled(n: int, seed: int, checked: bool) -> VersionControl:
+def register_complete_shuffled(n: int, seed: int) -> VersionControl:
     rng = random.Random(seed)
-    vc = VersionControl(checked=checked)
+    vc = VersionControl()
     txns = [Transaction() for _ in range(n)]
     for txn in txns:
         vc.vc_register(txn)
@@ -39,22 +39,16 @@ def register_complete_shuffled(n: int, seed: int, checked: bool) -> VersionContr
 
 def test_fig1_inorder_throughput(benchmark):
     """Registration + completion cycles, in serialization order."""
-    vc = benchmark(register_complete_in_order, 1_000, True)
+    vc = benchmark(register_complete_in_order, 1_000)
     assert vc.vtnc == vc.tnc - 1
     assert vc.lag == 0
 
 
 def test_fig1_shuffled_completions(benchmark):
     """Randomized completion orders with 10% aborts, invariants checked."""
-    vc = benchmark(register_complete_shuffled, 1_000, 42, True)
+    vc = benchmark(register_complete_shuffled, 1_000, 42)
     assert vc.vtnc == vc.tnc - 1
     assert len(vc) == 0
-
-
-def test_fig1_unchecked_mode_overhead(benchmark):
-    """The same workload without invariant checking (the fast path)."""
-    vc = benchmark(register_complete_shuffled, 1_000, 42, False)
-    assert vc.vtnc == vc.tnc - 1
 
 
 def test_fig1_paper_trace(benchmark):

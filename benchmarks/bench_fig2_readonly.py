@@ -12,7 +12,7 @@ from repro.protocols.registry import VC_PROTOCOLS, make_scheduler
 
 
 def build_scheduler(name: str, versions_per_key: int = 20, keys: int = 50):
-    db = make_scheduler(name, checked=False)
+    db = make_scheduler(name)
     for i in range(versions_per_key):
         w = db.begin()
         for k in range(keys):

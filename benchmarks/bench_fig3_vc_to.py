@@ -10,7 +10,7 @@ from repro.protocols import VCTOScheduler
 
 
 def build() -> VCTOScheduler:
-    db = VCTOScheduler(checked=False)
+    db = VCTOScheduler()
     seed = db.begin()
     for k in range(20):
         db.write(seed, f"o{k}", 0).result()
@@ -38,7 +38,7 @@ def test_fig3_conflict_cases(benchmark):
     """The figure's IF-clause: late writes abort; pending writes block."""
 
     def scenario():
-        db = VCTOScheduler(checked=False)
+        db = VCTOScheduler()
         outcomes = {}
         # Case 1: r-ts(x) > tn(T) -> abort.
         t1, t2 = db.begin(), db.begin()
@@ -66,7 +66,7 @@ def test_fig3_conflict_cases(benchmark):
 
 def test_fig3_visibility_advances_in_tn_order(benchmark):
     def scenario():
-        db = VCTOScheduler(checked=False)
+        db = VCTOScheduler()
         t1 = db.begin()
         t2 = db.begin()
         db.write(t2, "a", 2).result()

@@ -9,7 +9,7 @@ from repro.protocols import VC2PLScheduler
 
 
 def build() -> VC2PLScheduler:
-    db = VC2PLScheduler(checked=False)
+    db = VC2PLScheduler()
     seed = db.begin()
     for k in range(20):
         db.write(seed, f"o{k}", 0).result()
@@ -37,7 +37,7 @@ def test_fig4_lock_point_order_is_serial_order(benchmark):
     """tn assignment happens at the lock point, in lock-point order."""
 
     def scenario():
-        db = VC2PLScheduler(checked=False)
+        db = VC2PLScheduler()
         first, second = db.begin(), db.begin()
         db.write(second, "a", 1).result()
         db.write(first, "b", 2).result()
@@ -71,7 +71,7 @@ def test_fig4_deadlock_resolution_throughput(benchmark):
     """Deadlock detect-and-recover cycles per second."""
 
     def deadlock_round():
-        db = VC2PLScheduler(checked=False)
+        db = VC2PLScheduler()
         t1, t2 = db.begin(), db.begin()
         db.write(t1, "x", 1).result()
         db.write(t2, "y", 2).result()

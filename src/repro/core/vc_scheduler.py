@@ -41,13 +41,10 @@ class VersionControlledScheduler(Scheduler):
         self,
         store: MVStore | None = None,
         version_control: VersionControl | None = None,
-        checked: bool = True,
     ):
         super().__init__()
         self.store = store if store is not None else MVStore()
-        self.vc = version_control if version_control is not None else VersionControl(
-            checked=checked
-        )
+        self.vc = version_control if version_control is not None else VersionControl()
         self.ro_registry = ReadOnlyRegistry()
         self.gc = GarbageCollector(self.store, self.vc, self.ro_registry)
         # Version-footprint gauges (gc.live_versions / gc.max_chain) land in

@@ -22,16 +22,15 @@ The two counters obey the paper's stated properties at all times:
   that every transaction with ``tn <= vtnc`` has completed.
 * ``vtnc < tnc`` always.
 
-When constructed with ``checked=True`` (the default) the module re-verifies
-these invariants after every entry-procedure call and raises
-:class:`~repro.errors.InvariantViolation` on any breach; experiments disable
-checking only inside tight benchmark loops.
+The module re-verifies these invariants after every entry-procedure call —
+three comparisons, see :meth:`VersionControl._check` — and raises
+:class:`~repro.errors.InvariantViolation` on any breach.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.core.transaction import Transaction
 from repro.errors import InvariantViolation, ProtocolError
@@ -64,11 +63,9 @@ class VersionControl:
     Args:
         first_tn: transaction number handed to the first registrant.  ``vtnc``
             starts at ``first_tn - 1`` so that ``vtnc < tnc`` holds initially.
-        checked: re-verify the ordering/visibility invariants after every
-            call (cheap: O(1) amortized, using internal completion records).
     """
 
-    def __init__(self, first_tn: int = 1, checked: bool = True):
+    def __init__(self, first_tn: int = 1):
         if first_tn < 1:
             raise ValueError("first_tn must be >= 1")
         self._tnc = first_tn
@@ -77,16 +74,6 @@ class VersionControl:
         # tns come from the monotone counter, so an OrderedDict keyed by
         # txn_id preserves tn order while giving O(1) discard.
         self._queue: OrderedDict[int, _QueueEntry] = OrderedDict()
-        self._checked = checked
-        # Completion record for invariant checking and metrics: txn numbers
-        # assigned and completed.  Bounded: entries <= vtnc are summarized.
-        self._completed_tns: set[int] = set()
-        self._discarded_tns: set[int] = set()
-        # Bookkeeping-set pruning runs at most once per vtnc advance (see
-        # _drain); this records the vtnc value at the last prune, and the
-        # public counter lets tests assert prune frequency.
-        self._pruned_at_vtnc = first_tn - 1
-        self.bookkeeping_prunes = 0
         self._observers: list[Callable[[str, int], None]] = []
 
     # -- counters -------------------------------------------------------------
@@ -189,7 +176,6 @@ class VersionControl:
                 f"transaction {txn.txn_id} is not registered; nothing to discard"
             )
         del self._queue[txn.txn_id]
-        self._discarded_tns.add(entry.num)
         self._notify("discard", entry.num)
         self._drain()
         self._check()
@@ -210,7 +196,6 @@ class VersionControl:
         if entry.completed:
             raise ProtocolError(f"transaction {txn.txn_id} completed twice")
         entry.completed = True
-        self._completed_tns.add(entry.num)
         self._drain()
         self._check()
 
@@ -223,53 +208,25 @@ class VersionControl:
         visibility property quantifies only over transactions that exist
         (an aborted transaction's versions were destroyed before discarding),
         so ``vtnc`` steps across discarded numbers as it reaches them.
+
+        Numbers are dense and the queue is tn-ordered, so every number below
+        the oldest unfinished entry — below ``tnc`` when none is left — was
+        completed or discarded: ``vtnc`` steps up to it one number at a
+        time, and observers see one ``"advance"`` per number.
         """
-        advanced = True
-        while advanced:
-            advanced = False
-            # Consume discarded numbers immediately above vtnc.
-            while self._vtnc + 1 < self._tnc and (self._vtnc + 1) in self._discarded_tns:
-                self._discarded_tns.discard(self._vtnc + 1)
-                self._vtnc += 1
-                self._notify("advance", self._vtnc)
-                advanced = True
-            if self._queue:
-                head_id, head = next(iter(self._queue.items()))
-                if head.completed:
-                    self._vtnc = head.num
-                    del self._queue[head_id]
-                    self._notify("advance", head.num)
-                    advanced = True
-        if not self._queue:
-            # Queue empty: every assigned number was completed or discarded,
-            # so visibility covers everything assigned so far.
-            if self._vtnc != self._tnc - 1:
-                self._vtnc = self._tnc - 1
-                self._notify("advance", self._vtnc)
-        # Bound the bookkeeping sets: numbers at or below vtnc can never be
-        # consulted again by the invariant checker.  Prune only when vtnc has
-        # advanced since the last prune — entries above vtnc are retained by
-        # design, so re-scanning a large set on every call while the head is
-        # stuck would make each vc_complete/vc_discard O(set size) for no
-        # removals at all.
-        if (
-            self._vtnc > self._pruned_at_vtnc
-            and (len(self._completed_tns) > 1024 or len(self._discarded_tns) > 1024)
-        ):
-            self._completed_tns = {n for n in self._completed_tns if n > self._vtnc}
-            self._discarded_tns = {n for n in self._discarded_tns if n > self._vtnc}
-            self._pruned_at_vtnc = self._vtnc
-            self.bookkeeping_prunes += 1
+        queue = self._queue
+        while queue and next(iter(queue.values())).completed:
+            queue.popitem(last=False)
+        oldest_unfinished = next(iter(queue.values())).num if queue else self._tnc
+        while self._vtnc < oldest_unfinished - 1:
+            self._vtnc += 1
+            self._notify("advance", self._vtnc)
 
     # -- introspection ------------------------------------------------------------
 
     def queue_snapshot(self) -> list[tuple[int, int, bool]]:
         """Current VCQueue as ``(txn_id, tn, completed)`` triples, in tn order."""
         return [(e.txn_id, e.num, e.completed) for e in self._queue.values()]
-
-    def pending_tns(self) -> Iterator[int]:
-        """Transaction numbers assigned but not yet visible."""
-        return (e.num for e in self._queue.values())
 
     def is_registered(self, txn: Transaction) -> bool:
         return txn.txn_id in self._queue
@@ -280,31 +237,25 @@ class VersionControl:
     # -- invariant checking ---------------------------------------------------------
 
     def _check(self) -> None:
-        if not self._checked:
-            return
+        head = next(iter(self._queue.values()), None)
+        oldest_unfinished = self._tnc if head is None else head.num
         if not self._vtnc < self._tnc:
             raise InvariantViolation(
                 f"counter invariant violated: vtnc={self._vtnc} >= tnc={self._tnc}"
             )
-        # Visibility property: all tn <= vtnc completed or discarded, i.e. no
-        # queued (still pending) entry has num <= vtnc.
-        for entry in self._queue.values():
-            if entry.num <= self._vtnc:
-                raise InvariantViolation(
-                    f"visibility property violated: {entry!r} has tn <= vtnc={self._vtnc}"
-                )
-            break  # queue is tn-ordered; checking the head suffices
+        # Visibility property: all tn <= vtnc completed or discarded.  The
+        # queue is tn-ordered, so checking its head suffices.
+        if oldest_unfinished <= self._vtnc:
+            raise InvariantViolation(
+                f"visibility property violated: {head!r} has tn <= vtnc={self._vtnc}"
+            )
         # Maximality of vtnc: the next number above vtnc must be unassigned,
-        # or assigned to a transaction that is still pending in the queue.
-        nxt = self._vtnc + 1
-        if nxt < self._tnc:
-            pending = {e.num for e in self._queue.values()}
-            while nxt < self._tnc and nxt in self._discarded_tns:
-                nxt += 1
-            if nxt < self._tnc and nxt not in pending:
-                raise InvariantViolation(
-                    f"visibility not maximal: tn={nxt} finished but vtnc={self._vtnc}"
-                )
+        # or assigned to a transaction that is still active at the queue head.
+        if self._vtnc != oldest_unfinished - 1 or (head is not None and head.completed):
+            raise InvariantViolation(
+                f"visibility not maximal: tn={self._vtnc + 1} finished "
+                f"but vtnc={self._vtnc}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

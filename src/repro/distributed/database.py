@@ -61,10 +61,9 @@ from repro.qos.breaker import BreakerBoard
 class Site(SiteBase):
     """A site numbered by a :class:`DistributedVersionControl` module."""
 
-    def __init__(self, site_id: int, checked: bool = True, waits_for=None):
+    def __init__(self, site_id: int, waits_for=None):
         super().__init__(site_id, waits_for)
-        self.vc = DistributedVersionControl(site_id, checked=checked)
-        self.checked = checked
+        self.vc = DistributedVersionControl(site_id)
         #: Read-only waits parked on this site's visibility: (sn, future).
         self._visibility_waiters: list[tuple[int, OpFuture]] = []
         self.vc.subscribe(self._on_advance)
@@ -93,7 +92,7 @@ class Site(SiteBase):
         super().abort_local(txn_id)
 
     def _restart_numbering(self, committed: list[int]) -> None:
-        self.vc = DistributedVersionControl(self.site_id, checked=self.checked)
+        self.vc = DistributedVersionControl(self.site_id)
         self.vc.subscribe(self._on_advance)
         for tn in committed:
             self.vc.observe(tn)
@@ -149,11 +148,9 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         self,
         n_sites: int = 3,
         courier: Courier | None = None,
-        checked: bool = True,
         prepare_timeout: float | None = None,
         breakers: BreakerBoard | None = None,
     ):
-        self.checked = checked  # _build_site runs inside super().__init__
         super().__init__(n_sites, courier)
         #: Coordinator-side timeout for the 2PC prepare round; None = wait
         #: forever.  Only effective when the courier has a clock (sim mode).
@@ -166,7 +163,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
     def _build_site(self, sid: int) -> Site:
         """Site constructor hook; subclasses substitute richer node types
         (``repro.shard`` builds :class:`~repro.shard.database.ShardNode`)."""
-        return Site(sid, checked=self.checked, waits_for=self._global_waits_for)
+        return Site(sid, waits_for=self._global_waits_for)
 
     # -- transactions -----------------------------------------------------------------
 

@@ -47,13 +47,12 @@ class _Entry:
 class DistributedVersionControl:
     """One site's version-control state over global transaction numbers."""
 
-    def __init__(self, site_id: int, checked: bool = True):
+    def __init__(self, site_id: int):
         self.site_id = site_id
         self._counter = 1  # local counter component
         self._vtnc = 0
         self._entries: dict[int, _Entry] = {}
         self._order: list[_Entry] = []  # sorted by num
-        self._checked = checked
         self._observers: list[Callable[[int], None]] = []
 
     # -- inspection ---------------------------------------------------------------
@@ -108,7 +107,7 @@ class DistributedVersionControl:
         entry = _Entry(txn_key, num)
         self._entries[txn_key] = entry
         self._order.append(entry)  # counter is monotone: appends stay sorted
-        self._check()
+        self._check(appended=True)
         return num
 
     def adopt(self, txn_key: int, final_num: int) -> None:
@@ -165,22 +164,15 @@ class DistributedVersionControl:
     # -- internals ----------------------------------------------------------------------
 
     def _drain(self) -> None:
-        advanced = False
+        reached = self._vtnc
         while self._order and self._order[0].completed:
             head = self._order.pop(0)
             del self._entries[head.txn_key]
-            if head.num > self._vtnc:
-                self._vtnc = head.num
-                advanced = True
+            reached = max(reached, head.num)
         if not self._order:
             # Idle: everything known has completed.
-            top = make_gtn(self._counter, self.site_id) - 1
-            if top > self._vtnc:
-                self._vtnc = top
-                advanced = True
-        if advanced:
-            for observer in self._observers:
-                observer(self._vtnc)
+            reached = max(reached, make_gtn(self._counter, self.site_id) - 1)
+        self._set_vtnc(reached)
 
     def _set_vtnc(self, value: int) -> None:
         if value > self._vtnc:
@@ -188,14 +180,16 @@ class DistributedVersionControl:
             for observer in self._observers:
                 observer(self._vtnc)
 
-    def _check(self) -> None:
-        if not self._checked:
+    def _check(self, appended: bool = False) -> None:
+        """Visibility stays below the oldest pending entry, and a hold just
+        appended is numbered above its predecessor (``adopt`` re-sorts, so
+        an append is the only way the queue could fall out of order)."""
+        order = self._order
+        if not order:
             return
-        if self._order:
-            nums = [e.num for e in self._order]
-            if nums != sorted(nums):
-                raise InvariantViolation(f"queue out of order: {nums}")
-            if self._vtnc >= nums[0]:
-                raise InvariantViolation(
-                    f"visibility {self._vtnc} covers pending entry {nums[0]}"
-                )
+        if self._vtnc >= order[0].num:
+            raise InvariantViolation(
+                f"visibility {self._vtnc} covers pending entry {order[0].num}"
+            )
+        if appended and len(order) > 1 and order[-2].num > order[-1].num:
+            raise InvariantViolation(f"queue out of order: {order[-2:]!r}")

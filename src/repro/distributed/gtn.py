@@ -34,11 +34,6 @@ def site_of(gtn: int) -> int:
     return gtn % SITE_SPACE
 
 
-def decompose(gtn: int) -> tuple[int, int]:
-    """The ``(counter, site_id)`` pair behind a global transaction number."""
-    return gtn // SITE_SPACE, gtn % SITE_SPACE
-
-
 def max_counter(gtns) -> int:
     """Largest counter component over ``gtns`` (0 when empty).
 

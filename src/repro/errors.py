@@ -391,8 +391,8 @@ class InvariantViolation(ReproError):
     """An internal protocol invariant was broken (always a library bug).
 
     The version-control module checks the paper's Transaction Ordering and
-    Transaction Visibility properties after every state change when built in
-    checked mode; a violation raises this.
+    Transaction Visibility properties after every state change; a violation
+    raises this.
     """
 
 

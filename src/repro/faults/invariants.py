@@ -10,8 +10,9 @@ on:
   strictly below its next assignable local number (the distributed face of
   Figure 1's ``vtnc <= tnc``);
 * **VCQueue consistency** — per-site queues stay sorted by number with
-  visibility strictly below the head entry (re-asserted externally, even
-  when the module's internal ``checked`` mode is off);
+  visibility strictly below the head entry (re-asserted externally over
+  the whole queue; the module itself checks the head and the entry it
+  just placed);
 * **visibility monotonicity** — a site's ``vtnc`` never decreases within
   one incarnation (a crash may lawfully reopen visibility at the durable
   frontier, which is why the checker tracks incarnations);

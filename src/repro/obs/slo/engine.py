@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.slo.objectives import Objective, WindowVerdict
 from repro.obs.tracer import TraceEvent
@@ -175,7 +175,6 @@ class SLOEngine:
         recorder: Any | None = None,
         bundle_dir: str | None = None,
         bundle_prefix: str = "slo",
-        counters_source: Callable[[], dict] | None = None,
         max_bundles: int = 8,
     ):
         if window <= 0:
@@ -188,7 +187,6 @@ class SLOEngine:
         self.recorder = recorder
         self.bundle_dir = bundle_dir
         self.bundle_prefix = bundle_prefix
-        self.counters_source = counters_source
         self.max_bundles = max_bundles
         self.breaches: list[Breach] = []
         self.bundles: list[dict] = []
@@ -374,11 +372,10 @@ class SLOEngine:
         self.breaches.append(breach)
         if self.recorder is None or len(self.bundles) >= self.max_bundles:
             return
-        counters = self.counters_source() if self.counters_source else None
         # Pre-roll one extra window: the cause usually precedes the window
         # whose verdict finally tripped the hysteresis.
         pre_roll = self.window * max(1, objective.hysteresis.breach_after)
-        bundle = self.recorder.bundle(breach, pre_roll=pre_roll, counters=counters)
+        bundle = self.recorder.bundle(breach, pre_roll=pre_roll)
         self.bundles.append(bundle)
         if self.bundle_dir is not None:
             os.makedirs(self.bundle_dir, exist_ok=True)

@@ -75,6 +75,9 @@ from repro.obs.witness.topology import IncrementalTopology
 
 REPORT_SCHEMA = "repro.witness/1"
 
+#: Violations stored verbatim; further ones are only counted.
+MAX_VIOLATIONS = 16
+
 
 def _norm_key(key: Any) -> Any:
     """JSONL round-trips tuple keys into lists; restore hashability."""
@@ -165,7 +168,6 @@ class WitnessEngine:
         flight: optional :class:`~repro.obs.slo.recorder.FlightRecorder`;
             every event is recorded and each violation freezes a bundle.
         pre_roll: history (in trace time units) bundled before a violation.
-        max_violations: violations stored verbatim (further ones are counted).
     """
 
     def __init__(
@@ -175,13 +177,11 @@ class WitnessEngine:
         track_edges: bool = False,
         flight: Any | None = None,
         pre_roll: float = 50.0,
-        max_violations: int = 16,
     ):
         self.seal = seal
         self.track_edges = track_edges
         self.flight = flight
         self.pre_roll = pre_roll
-        self.max_violations = max_violations
         self.finished = False
 
         self._reset_stream_state()
@@ -688,7 +688,7 @@ class WitnessEngine:
                     self._edge_kinds.setdefault((src, dst), kind)
                 continue
             self.violation_count += 1
-            if len(self.violations) >= self.max_violations:
+            if len(self.violations) >= MAX_VIOLATIONS:
                 continue
             violation = {
                 "ts": round(ts, 9),

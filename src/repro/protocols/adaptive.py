@@ -77,16 +77,15 @@ class AdaptiveVCScheduler(VersionControlledScheduler):
         window: int = 40,
         high_watermark: float = 0.25,
         low_watermark: float = 0.05,
-        checked: bool = True,
     ):
-        super().__init__(store, version_control, checked=checked)
+        super().__init__(store, version_control)
         if initial_mode not in ("occ", "2pl"):
             raise ValueError("initial_mode must be 'occ' or '2pl'")
         if not 0.0 <= low_watermark <= high_watermark <= 1.0:
             raise ValueError("need 0 <= low_watermark <= high_watermark <= 1")
         self._engines: dict[str, VersionControlledScheduler] = {
-            "2pl": _Adaptive2PL(store=self.store, version_control=self.vc, checked=False),
-            "occ": _AdaptiveOCC(store=self.store, version_control=self.vc, checked=False),
+            "2pl": _Adaptive2PL(store=self.store, version_control=self.vc),
+            "occ": _AdaptiveOCC(store=self.store, version_control=self.vc),
         }
         # The engines report through the adaptive scheduler's recorder and
         # counters so metrics and the oracle see one unified system, and

@@ -115,7 +115,7 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
 
     def recovered(self) -> "RecoverableVC2PLScheduler":
         """A fresh scheduler over the state rebuilt from the durable log."""
-        store, vc = recover(self.log, checked=self._config.get("checked", True))
+        store, vc = recover(self.log)
         return RecoverableVC2PLScheduler(
             log=self.log, store=store, version_control=vc, **self._config
         )

@@ -48,9 +48,8 @@ class VCOCCForwardScheduler(VCOCCScheduler):
         self,
         store: MVStore | None = None,
         version_control: VersionControl | None = None,
-        checked: bool = True,
     ):
-        super().__init__(store, version_control, checked=checked)
+        super().__init__(store, version_control)
         self._active_rw: dict[int, Transaction] = {}
 
     # -- wounded-transaction interception ---------------------------------------

@@ -29,9 +29,7 @@ from typing import Any, Hashable
 from repro.core.futures import OpFuture, failed, resolved
 from repro.core.transaction import Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
-from repro.core.version_control import VersionControl
 from repro.errors import AbortReason, ValidationError
-from repro.storage.mvstore import MVStore
 
 
 class VCOCCScheduler(VersionControlledScheduler):
@@ -39,14 +37,6 @@ class VCOCCScheduler(VersionControlledScheduler):
 
     name = "vc-occ"
     multiversion = True
-
-    def __init__(
-        self,
-        store: MVStore | None = None,
-        version_control: VersionControl | None = None,
-        checked: bool = True,
-    ):
-        super().__init__(store, version_control, checked=checked)
 
     # -- read-write hooks -----------------------------------------------------
 

@@ -44,9 +44,8 @@ class VCTOScheduler(VersionControlledScheduler):
         self,
         store: MVStore | None = None,
         version_control: VersionControl | None = None,
-        checked: bool = True,
     ):
-        super().__init__(store, version_control, checked=checked)
+        super().__init__(store, version_control)
         #: Requests parked until their key's pending set changes.
         self._waiting = WaitList()
 

@@ -50,9 +50,8 @@ class VC2PLScheduler(StrictTwoPhaseLocking, VersionControlledScheduler):
         store: MVStore | None = None,
         version_control: VersionControl | None = None,
         victim_policy: str = "requester",
-        checked: bool = True,
     ):
-        super().__init__(store, version_control, checked=checked)
+        super().__init__(store, version_control)
         self.locks = self._build_locks(victim_policy)
 
     def _lock(self, txn: Transaction, key: Hashable, exclusive: bool) -> OpFuture:

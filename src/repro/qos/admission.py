@@ -99,10 +99,6 @@ class AdmissionController:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def tokens_free(self) -> int:
-        return self.capacity - self._in_flight
-
     # -- synchronous path (Scheduler.begin) --------------------------------------
 
     def admit(self) -> None:

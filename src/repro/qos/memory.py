@@ -62,6 +62,10 @@ from repro.qos.retry import BackoffPolicy
 #: is a *constant*, independent of run length.
 LIVE_BOUND_FACTOR = 2.0
 
+#: Multiplier applied to admission capacity on entering pressure (floored
+#: at one token).
+TIGHTEN_FACTOR = 0.5
+
 
 class MemoryPressureController:
     """Watermark-driven degradation: expire, sweep, revoke, tighten.
@@ -75,9 +79,8 @@ class MemoryPressureController:
             Above high: revoke oldest leases until back under.  Below low:
             leave the pressured state and restore admission capacity.
         admission: optional :class:`~repro.qos.admission.AdmissionController`
-            whose capacity is tightened while pressured.
-        tighten_factor: multiplier applied to admission capacity on
-            entering pressure (floored at 1 token).
+            whose capacity is tightened (by ``TIGHTEN_FACTOR``) while
+            pressured.
         max_revocations_per_check: safety valve bounding how many leases
             one check may revoke.
     """
@@ -91,7 +94,6 @@ class MemoryPressureController:
         low_watermark: int,
         high_watermark: int,
         admission: AdmissionController | None = None,
-        tighten_factor: float = 0.5,
         max_revocations_per_check: int = 8,
     ):
         if not 0 < low_watermark <= high_watermark:
@@ -102,7 +104,6 @@ class MemoryPressureController:
         self.low_watermark = low_watermark
         self.high_watermark = high_watermark
         self.admission = admission
-        self.tighten_factor = tighten_factor
         self.max_revocations_per_check = max_revocations_per_check
         #: "normal" or "pressured" (admission tightened while pressured).
         self.state = "normal"
@@ -166,7 +167,7 @@ class MemoryPressureController:
         if self.admission is not None:
             self._normal_capacity = self.admission.capacity
             self.admission.capacity = max(
-                1, int(self._normal_capacity * self.tighten_factor)
+                1, int(self._normal_capacity * TIGHTEN_FACTOR)
             )
         if self.tracer.enabled:
             self.tracer.emit(
@@ -292,7 +293,7 @@ def _run_phase(
 
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams = run.sim, run.streams
-    scheduler = VC2PLScheduler(checked=False)
+    scheduler = VC2PLScheduler()
     scheduler.admission = AdmissionController(
         capacity=max(2, writers), queue_limit=2 * max(2, writers), policy="fifo"
     )

@@ -154,7 +154,7 @@ def _run_phase(
 
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams, tracer = run.sim, run.streams, run.tracer
-    scheduler = VC2PLScheduler(checked=False)
+    scheduler = VC2PLScheduler()
     scheduler.admission = AdmissionController(
         capacity=capacity, queue_limit=2 * capacity, policy=policy
     )

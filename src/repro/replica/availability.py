@@ -168,7 +168,6 @@ def _run_partition_phase(
     cluster = ReplicaCluster(
         n_replicas=n_replicas,
         courier=courier,
-        checked=True,
         mode=ReplicationMode.QUORUM,
     )
     run.pipeline.attach(cluster)
@@ -359,7 +358,6 @@ def _run_crash_point(point: str, *, n_replicas: int = 3) -> CrashPointResult:
     cluster = ReplicaCluster(
         n_replicas=n_replicas,
         courier=courier,
-        checked=True,
         mode=ReplicationMode.QUORUM,
     )
     acked: list[int] = []

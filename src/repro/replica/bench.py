@@ -50,7 +50,7 @@ def _run_scale_point(
     run = PhaseRun(seed)
     sim, streams = run.sim, run.streams
     cluster = ReplicaCluster(
-        n_replicas=n_replicas, courier=Courier(sim=sim, latency=0.5), checked=False
+        n_replicas=n_replicas, courier=Courier(sim=sim, latency=0.5)
     )
     # Each replica's serving capacity: one snapshot read at a time.
     servers = {rid: FifoServer(sim, service_time) for rid in cluster.replicas}
@@ -196,7 +196,6 @@ def _run_sync_point(
     cluster = ReplicaCluster(
         n_replicas=n_replicas,
         courier=Courier(sim=sim, latency=latency),
-        checked=False,
         mode=mode,
     )
     keys = [f"k{i}" for i in range(n_keys)]

@@ -175,9 +175,7 @@ def _run_phase(
         spec=replace(spec, partitions=spec.partitions + windows),
         retry=RetryPolicy(max_attempts=6, base=0.5, cap=10.0),
     )
-    cluster = ReplicaCluster(
-        n_replicas=n_replicas, courier=courier, checked=True, mode=mode
-    )
+    cluster = ReplicaCluster(n_replicas=n_replicas, courier=courier, mode=mode)
     run.pipeline.attach(cluster)
     session = ReplicatedDatabase(
         cluster, max_staleness=max_staleness, stale_policy="redirect"

@@ -61,11 +61,9 @@ class ReplicaCluster:
         self,
         n_replicas: int = 2,
         courier: Courier | None = None,
-        checked: bool = True,
         mode: ReplicationMode | str = ReplicationMode.ASYNC,
     ):
         self.courier = courier if courier is not None else Courier()
-        self._checked = checked
         self.mode = ReplicationMode(mode) if isinstance(mode, str) else mode
         self.epoch = 0
         #: Cluster-level counters: RO routing decisions, promotions, quorum.
@@ -97,7 +95,7 @@ class ReplicaCluster:
         self.log = log
         self.shipper = LogShipper(log, self.courier, epoch=self.epoch)
         self._ship_token = log.subscribe_force(self.shipper.ship)
-        kwargs = dict(log=log, checked=self._checked)
+        kwargs = dict(log=log)
         if store is not None:
             kwargs.update(store=store, version_control=version_control)
         if self.mode is ReplicationMode.QUORUM:

@@ -111,13 +111,11 @@ class ClusterSupervisor:
         config: HeartbeatConfig | None = None,
         *,
         until: float | None = None,
-        auto_fail_over: bool = True,
         crash_old: bool = False,
     ):
         self.cluster = cluster
         self.config = config if config is not None else HeartbeatConfig()
         self.until = until
-        self.auto_fail_over = auto_fail_over
         self.crash_old = crash_old
         self.tracer = NULL_TRACER
         self.counters = cluster.counters
@@ -260,7 +258,7 @@ class ClusterSupervisor:
                     votes=len(self.votes),
                     needed=self.vote_quorum(),
                 )
-        if self.auto_fail_over and len(self.votes) >= self.vote_quorum():
+        if len(self.votes) >= self.vote_quorum():
             self._promote()
 
     # -- promotion ---------------------------------------------------------------------

@@ -200,10 +200,6 @@ class QuorumGate:
             return 0
         return min(durable, acked[need - 1])
 
-    @property
-    def pending_commits(self) -> int:
-        return sum(1 for e in self._entries if not e.done)
-
     # -- lease / fencing ------------------------------------------------------------
 
     def note_contact(self, rid: int) -> None:

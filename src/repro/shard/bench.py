@@ -50,9 +50,7 @@ def _run_scale_point(
 ) -> dict[str, Any]:
     run = PhaseRun(seed)
     sim, streams = run.sim, run.streams
-    db = ShardedDatabase(
-        n_shards=n_shards, courier=Courier(sim=sim, latency=0.5), checked=True
-    )
+    db = ShardedDatabase(n_shards=n_shards, courier=Courier(sim=sim, latency=0.5))
     # Each shard's commit capacity: one commit at a time.
     servers = {sid: FifoServer(sim, service_time) for sid in db.sites}
     home, keys = pinned_keys(n_shards, writers, keys_per_writer)

@@ -143,7 +143,6 @@ def _run_shard_phase(
     db = ShardedDatabase(
         n_shards=n_shards,
         courier=courier,
-        checked=True,
         prepare_timeout=prepare_timeout,
         replicas_per_shard=replicas_per_shard,
     )

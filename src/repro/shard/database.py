@@ -58,7 +58,7 @@ from repro.obs.spans import start_span
 from repro.qos.breaker import BreakerBoard
 from repro.replica.node import Replica
 from repro.replica.ship import LogShipper, ShippedLog
-from repro.shard.ring import VNODES, HashRing
+from repro.shard.ring import HashRing
 from repro.shard.vector import XlogEntry, sweep_consistent_vector, torn_entries
 from repro.storage.wal import LogRecord, RecordKind, validate_durable
 
@@ -77,8 +77,8 @@ class ShardNode(Site):
       deposed incarnation's in-flight traffic cannot diverge the replicas.
     """
 
-    def __init__(self, site_id: int, checked: bool = True, waits_for=None):
-        super().__init__(site_id, checked=checked, waits_for=waits_for)
+    def __init__(self, site_id: int, waits_for=None):
+        super().__init__(site_id, waits_for=waits_for)
         self.wal = ShippedLog()
         #: Cross-shard commits durable here: ``(tn, participant ids)``.
         self.xlog: list[XlogEntry] = []
@@ -140,19 +140,16 @@ class ShardedDatabase(DistributedVCDatabase):
         self,
         n_shards: int = 2,
         courier: Courier | None = None,
-        checked: bool = True,
         prepare_timeout: float | None = None,
         breakers: BreakerBoard | None = None,
         replicas_per_shard: int = 0,
-        vnodes: int = VNODES,
     ):
         #: Placement is fixed at construction; `_build_site` runs during
         #: super().__init__, so the ring must exist first.
-        self.ring = HashRing(n_shards, vnodes)
+        self.ring = HashRing(n_shards)
         super().__init__(
             n_sites=n_shards,
             courier=courier,
-            checked=checked,
             prepare_timeout=prepare_timeout,
             breakers=breakers,
         )
@@ -164,7 +161,7 @@ class ShardedDatabase(DistributedVCDatabase):
     # -- construction / placement ---------------------------------------------------
 
     def _build_site(self, sid: int) -> Site:
-        return ShardNode(sid, checked=self.checked, waits_for=self._global_waits_for)
+        return ShardNode(sid, waits_for=self._global_waits_for)
 
     def site_of_key(self, key: Hashable) -> ShardNode:
         return self.sites[self.ring.shard_of(key)]  # type: ignore[return-value]
@@ -226,18 +223,17 @@ class ShardedDatabase(DistributedVCDatabase):
         if lowered:
             self.counters.bump("shard.vector_lowered")
         tracer = self.courier.tracer
-        if self.checked:
-            torn = torn_entries(vector, xlogs)
-            if torn:
-                self.counters.bump("shard.vector_inconsistent", len(torn))
-                if tracer.enabled:
-                    tracer.emit(
-                        "shard.vector_inconsistent",
-                        txn=txn.txn_id, torn=len(torn),
-                    )
-                raise ProtocolError(
-                    f"snapshot vector {vector} tears cross-shard commits {torn}"
+        torn = torn_entries(vector, xlogs)
+        if torn:
+            self.counters.bump("shard.vector_inconsistent", len(torn))
+            if tracer.enabled:
+                tracer.emit(
+                    "shard.vector_inconsistent",
+                    txn=txn.txn_id, torn=len(torn),
                 )
+            raise ProtocolError(
+                f"snapshot vector {vector} tears cross-shard commits {torn}"
+            )
         if tracer.enabled:
             tracer.emit(
                 "shard.snapshot",

@@ -39,16 +39,13 @@ def _hash(data: str) -> int:
 class HashRing:
     """A consistent-hash placement of the keyspace over ``n_shards`` shards."""
 
-    def __init__(self, n_shards: int, vnodes: int = VNODES):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.n_shards = n_shards
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for sid in range(1, n_shards + 1):
-            for v in range(vnodes):
+            for v in range(VNODES):
                 points.append((_hash(f"shard:{sid}:vnode:{v}"), sid))
         # Ties (two vnodes hashing identically) resolve by shard id, so the
         # sort — and therefore placement — is still deterministic.
@@ -91,4 +88,4 @@ class HashRing:
         return moved / len(keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<HashRing shards={self.n_shards} vnodes={self.vnodes}>"
+        return f"<HashRing shards={self.n_shards} vnodes={VNODES}>"

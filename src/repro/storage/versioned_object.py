@@ -9,11 +9,14 @@ append-only.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Any, Hashable, Iterator
 
 from repro.errors import ProtocolError, VersionNotFound
 from repro.storage.version import Version
+
+_tn = attrgetter("tn")
 
 
 class VersionedObject:
@@ -28,15 +31,16 @@ class VersionedObject:
 
     __slots__ = ("key", "_versions", "max_r_ts")
 
-    def __init__(self, key: Hashable, initial_value: Any = None, initial_tn: int = 0):
+    def __init__(self, key: Hashable, initial_value: Any = None):
         self.key = key
-        self._versions: list[Version] = [Version(initial_tn, initial_value)]
+        self._versions: list[Version] = [Version(0, initial_value)]
         self.max_r_ts = 0
 
     # -- ordering helpers -----------------------------------------------------
 
-    def _tns(self) -> list[int]:
-        return [v.tn for v in self._versions]
+    def _index_leq(self, bound: float) -> int:
+        """Position of the newest version with ``tn <= bound``; -1 if none."""
+        return bisect_right(self._versions, bound, key=_tn) - 1
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -73,7 +77,7 @@ class VersionedObject:
             VersionNotFound: every retained version is younger than ``bound``
                 (the garbage-collection failure mode the paper notes).
         """
-        idx = bisect_right(self._tns(), bound) - 1
+        idx = self._index_leq(bound)
         if idx < 0:
             raise VersionNotFound(self.key, bound)
         return self._versions[idx]
@@ -86,15 +90,12 @@ class VersionedObject:
         read never needs to skip pending versions; baselines without that
         guarantee do.
         """
-        idx = bisect_right(self._tns(), bound) - 1
+        idx = self._index_leq(bound)
         while idx >= 0 and self._versions[idx].pending:
             idx -= 1
         if idx < 0:
             raise VersionNotFound(self.key, bound)
         return self._versions[idx]
-
-    def exists_version_leq(self, bound: float) -> bool:
-        return self._versions and self._versions[0].tn <= bound
 
     # -- writes -----------------------------------------------------------------
 
@@ -111,19 +112,17 @@ class VersionedObject:
         transaction numbers are unique, so this always indicates a protocol
         bug (e.g. double install at commit).
         """
-        tns = self._tns()
-        pos = bisect_right(tns, tn)
-        if pos > 0 and tns[pos - 1] == tn:
+        pos = self._index_leq(tn)
+        if pos >= 0 and self._versions[pos].tn == tn:
             raise ProtocolError(f"object {self.key!r} already has version {tn}")
         version = Version(tn, value, pending=pending, creator_txn_id=creator_txn_id)
-        insort(self._versions, version, key=lambda v: v.tn)
+        self._versions.insert(pos + 1, version)
         return version
 
     def find(self, tn: int) -> Version | None:
         """The version numbered exactly ``tn``, or None."""
-        tns = self._tns()
-        pos = bisect_right(tns, tn) - 1
-        if pos >= 0 and tns[pos] == tn:
+        pos = self._index_leq(tn)
+        if pos >= 0 and self._versions[pos].tn == tn:
             return self._versions[pos]
         return None
 
@@ -169,7 +168,7 @@ class VersionedObject:
         the guard holds even for callers with looser horizons.  Returns the
         number of versions discarded.
         """
-        idx = bisect_right(self._tns(), horizon) - 1
+        idx = self._index_leq(horizon)
         # Never collect the version that still serves reads at the horizon,
         # nor any pending version (its writer's fate is undecided).
         for pos, version in enumerate(self._versions):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
 from repro.core.version_control import VersionControl
-from repro.errors import CorruptLogError, ReproError
+from repro.errors import CorruptLogError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.mvstore import MVStore
 
@@ -46,10 +46,6 @@ class LogRecord:
     key: Hashable | None = None
     value: Any = None
     tn: int | None = None
-
-
-class CrashLost(ReproError):
-    """Raised when reading past the durable boundary after a crash."""
 
 
 class WriteAheadLog:
@@ -263,7 +259,7 @@ def replay_committed(store: MVStore, records: Iterable[LogRecord]) -> list[int]:
     return tns
 
 
-def recover(log: WriteAheadLog, checked: bool = True) -> tuple[MVStore, VersionControl]:
+def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     """Rebuild store and version control from the durable log.
 
     Recovery starts from the last durable CHECKPOINT (if any) — which
@@ -271,9 +267,8 @@ def recover(log: WriteAheadLog, checked: bool = True) -> tuple[MVStore, VersionC
     replays committed transactions' writes after it, in transaction-number
     order.  Uncommitted writes (no durable COMMIT) and aborted transactions
     are skipped — their versions never existed durably.  The rebuilt
-    ``VersionControl`` (invariant-checking per ``checked``) resumes numbering
-    above the highest committed number, with full visibility (every
-    surviving transaction is complete).
+    ``VersionControl`` resumes numbering above the highest committed
+    number, with full visibility (every surviving transaction is complete).
 
     A torn tail record (interrupted ``force()``) marks the durable
     boundary; a malformed record before the tail raises
@@ -298,7 +293,7 @@ def recover(log: WriteAheadLog, checked: bool = True) -> tuple[MVStore, VersionC
             store.install(key, tn, value)
     replayed = replay_committed(store, records[start:])
     max_tn = max(base_next_tn - 1, replayed[-1] if replayed else 0)
-    return store, VersionControl(first_tn=max_tn + 1, checked=checked)
+    return store, VersionControl(first_tn=max_tn + 1)
 
 
 def redo_summary(records: Iterable[LogRecord]) -> dict[str, int]:

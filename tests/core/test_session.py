@@ -71,7 +71,7 @@ class TestConstruction:
 
     def test_kwargs_with_instance_rejected(self):
         with pytest.raises(TypeError):
-            Database(VCTOScheduler(), checked=False)
+            Database(VCTOScheduler(), victim_policy="youngest")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown protocol"):

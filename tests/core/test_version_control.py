@@ -238,95 +238,40 @@ class TestQueueIntrospection:
             vc.unsubscribe(observer)
 
 
-class TestBookkeepingPruning:
-    """Regression: the completion-record sets must stay bounded — and the
-    prune must not degrade into an O(set) scan on every entry call."""
-
-    def test_completed_set_bounded_over_many_sequential_txns(self):
-        vc = VersionControl()
-        for _ in range(3000):
-            t = fresh_txn()
-            vc.vc_register(t)
-            vc.vc_complete(t)
-        assert len(vc._completed_tns) <= 1025
-        assert vc.bookkeeping_prunes >= 2
-
-    def test_discard_heavy_workload_stays_bounded(self):
-        vc = VersionControl()
-        for i in range(3000):
-            t = fresh_txn()
-            vc.vc_register(t)
-            if i % 2:
-                vc.vc_discard(t)
-            else:
-                vc.vc_complete(t)
-        assert len(vc._completed_tns) <= 1025
-        assert len(vc._discarded_tns) <= 1025
-
-    def test_no_prune_while_visibility_is_stuck(self):
-        # A long-lived head pins vtnc; every number discarded behind it is
-        # retained by design (the invariant checker consults numbers above
-        # vtnc).  The prune must therefore not run at all — the old behavior
-        # rescanned the >1024-entry set on every single discard, turning each
-        # call into an O(set) no-op scan.
-        vc = VersionControl()
-        blocker = fresh_txn()
-        vc.vc_register(blocker)
-        for _ in range(2000):
-            t = fresh_txn()
-            vc.vc_register(t)
-            vc.vc_discard(t)
-        assert vc.vtnc == 0  # stuck behind the blocker
-        assert len(vc._discarded_tns) == 2000  # retained: all above vtnc
-        assert vc.bookkeeping_prunes == 0  # ...but never rescanned
-
-    def test_sets_drain_once_blocker_finishes(self):
-        vc = VersionControl()
-        blocker = fresh_txn()
-        vc.vc_register(blocker)
-        for _ in range(2000):
-            t = fresh_txn()
-            vc.vc_register(t)
-            vc.vc_discard(t)
-        vc.vc_complete(blocker)
-        assert vc.vtnc == vc.tnc - 1  # everything visible
-        assert len(vc._discarded_tns) == 0  # consumed by the drain
-        assert len(vc._completed_tns) <= 1025
-
-    def test_prune_runs_at_most_once_per_vtnc_advance(self):
-        vc = VersionControl()
-        # Push the completed set over the threshold with in-order commits.
-        for _ in range(1100):
-            t = fresh_txn()
-            vc.vc_register(t)
-            vc.vc_complete(t)
-        prunes = vc.bookkeeping_prunes
-        assert prunes >= 1
-        # Stuck head: further completes behind it cannot advance vtnc, so no
-        # additional prune may happen regardless of call volume.
-        blocker = fresh_txn()
-        vc.vc_register(blocker)
-        pending = [fresh_txn() for _ in range(50)]
-        for t in pending:
-            vc.vc_register(t)
-        for t in pending:
-            vc.vc_complete(t)
-        assert vc.bookkeeping_prunes == prunes
-
-
 class TestInvariantChecking:
     def test_checked_mode_catches_forced_corruption(self):
         vc = VersionControl()
         t = fresh_txn()
         vc.vc_register(t)
         vc._vtnc = 5  # corrupt: vtnc >= tnc
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="counter invariant"):
             vc._check()
 
-    def test_unchecked_mode_skips_validation(self):
-        vc = VersionControl(checked=False)
-        vc._vtnc = 99
-        vc._check()  # silently ignored
+    def test_visibility_covering_an_unfinished_entry_is_caught(self):
+        vc = VersionControl()
+        t1, t2 = fresh_txn(), fresh_txn()
+        vc.vc_register(t1)
+        vc.vc_register(t2)
+        vc._vtnc = 1  # corrupt: t1 (tn=1) is still active
+        with pytest.raises(InvariantViolation, match="visibility property"):
+            vc._check()
+
+    def test_finished_number_left_above_vtnc_is_caught(self):
+        # Maximality, both ways a finished number can be stranded above vtnc:
+        # a completed entry still at the head, and a number that left the
+        # queue without vtnc stepping across it.
+        vc = VersionControl()
+        t1, t2 = fresh_txn(), fresh_txn()
+        vc.vc_register(t1)
+        vc.vc_register(t2)
+        vc._queue[t1.txn_id].completed = True  # corrupt: completed, not drained
+        with pytest.raises(InvariantViolation, match="not maximal: tn=1"):
+            vc._check()
+        del vc._queue[t1.txn_id]  # corrupt: gone, vtnc still 0 below t2
+        with pytest.raises(InvariantViolation, match="not maximal: tn=1"):
+            vc._check()
+        vc._vtnc = 1
+        vc._check()  # repaired: vtnc == oldest unfinished - 1
 
 
 @settings(max_examples=200, deadline=None)

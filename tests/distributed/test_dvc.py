@@ -133,3 +133,24 @@ class TestTryAdvance:
         h = vc.hold(100)
         vc.complete(100)
         assert vc.try_advance_to(h)
+
+
+class TestInvariantChecking:
+    """The per-site check can fail: both of its comparisons, on forced
+    corruption."""
+
+    def test_visibility_covering_a_pending_entry_is_caught(self):
+        vc = DistributedVersionControl(site_id=1)
+        vc.hold(100)
+        hold = vc.hold(101)
+        vc._vtnc = hold  # corrupt: covers both pending entries
+        with pytest.raises(InvariantViolation, match="covers pending entry"):
+            vc.complete(101)
+
+    def test_hold_numbered_below_its_predecessor_is_caught(self):
+        vc = DistributedVersionControl(site_id=1)
+        vc.hold(100)
+        vc.adopt(100, make_gtn(40, 5))
+        vc._counter = 2  # corrupt: undo the Lamport advance adopt made
+        with pytest.raises(InvariantViolation, match="out of order"):
+            vc.hold(101)

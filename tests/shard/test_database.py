@@ -105,7 +105,7 @@ class TestSnapshotVectors:
         # shard 1 but leave shard 2's queued.  A vector begun in that
         # window must exclude the commit *everywhere* (sweep), not raise.
         courier = Courier(manual=True)
-        db = ShardedDatabase(n_shards=2, courier=courier, checked=True)
+        db = ShardedDatabase(n_shards=2, courier=courier)
         seed = db.begin()
         fa = db.write(seed, "s1:a", 0)
         fb = db.write(seed, "s2:b", 0)
@@ -125,7 +125,7 @@ class TestSnapshotVectors:
         courier.pump(1)  # COMMIT applied at shard 1 only: the torn window
         assert db.sites[1].vc.vtnc >= cross.tn > db.sites[2].vc.vtnc
 
-        ro = db.begin(read_only=True)  # checked=True: would raise on a tear
+        ro = db.begin(read_only=True)  # a torn vector would raise here
         vector = ro.meta["shard.vector"]
         assert vector[1] < cross.tn, "the sweep excluded the torn commit"
         assert db.snapshot_audit(ro) == []

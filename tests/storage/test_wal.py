@@ -118,8 +118,8 @@ class TestRecoverableScheduler:
         assert chain == [0, 1, 2, 3, 4]  # implicit initial version + replayed
 
     def test_recovered_keeps_constructor_configuration(self):
-        db2 = RecoverableVC2PLScheduler(victim_policy="youngest", checked=False).recovered()
-        assert (db2.locks.victim_policy, db2.vc._checked) == ("youngest", False)
+        db2 = RecoverableVC2PLScheduler(victim_policy="youngest").recovered()
+        assert db2.locks.victim_policy == "youngest"
 
     def test_aborted_txn_never_resurfaces(self):
         db = RecoverableVC2PLScheduler()
