@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.histories import (
     exists_acyclic_version_order,
+    Digraph,
     History,
     NotSerializable,
     assert_one_copy_serializable,
@@ -24,6 +25,7 @@ from repro.histories import (
     version_order_by_number,
     witness_serial_orders,
 )
+from repro.histories.derive import sg_edge, version_order_edges
 
 
 class TestSingleVersionSG:
@@ -208,3 +210,125 @@ def test_property_mvsg_soundness_and_exact_characterization(history):
     except ValueError:
         return  # version-order space too large for this example; skip
     assert exact == slow, f"any-order MVSG search disagrees with enumeration: {history}"
+
+
+# -- the definitional MVSG, kept as the reference the builder is held to --------
+
+def reference_mvsg(history, version_order=None):
+    """MVSG(H) straight from the Section 3.2 rule: every reads-from pair
+    against every other writer of the key, one stored edge per rule edge."""
+    projected = history.committed_projection()
+    if version_order is None:
+        version_order = version_order_by_number(projected)
+    committed = projected.transactions()
+    graph = Digraph()
+    for txn in committed:
+        graph.add_node(txn)
+    for reader, writer, key in projected.reads_from():
+        edge = sg_edge(reader, writer, committed)
+        if edge is not None:
+            graph.add_edge(edge[0], edge[1])
+        order = list(version_order.get(key, ()))
+        if writer not in order:
+            continue  # aborted writer, or an order that omits T0: nothing to derive
+        for src, dst, _kind in version_order_edges(
+            reader, writer, order, lambda a, b: order.index(a) < order.index(b)
+        ):
+            graph.add_edge(src, dst)
+    return graph
+
+
+def least_topological_order(graph):
+    """The lexicographically least topological order, by definition: take the
+    smallest node none of whose predecessors is still waiting."""
+    waiting, order = set(graph.nodes()), []
+    while waiting:
+        order.append(
+            min(n for n in waiting if not any(graph.has_edge(m, n) for m in waiting))
+        )
+        waiting.remove(order[-1])
+    return order
+
+
+def assert_matches_reference(build, history, version_order=None):
+    """``build(history, version_order)`` means exactly the reference graph:
+    same nodes, same transaction-level edges, same least witness order, and
+    any cycle it reports is a cycle of the reference."""
+    graph = build(history, version_order)
+    reference = reference_mvsg(history, version_order)
+    assert set(graph.nodes()) == set(reference.nodes())
+    assert set(graph.edges()) == set(reference.edges())
+    assert len(graph.edges()) == len(set(graph.edges()))
+    for src, dst in reference.edges():
+        assert graph.has_edge(src, dst) and dst in graph.successors(src)
+    cycle = graph.find_cycle()
+    assert (cycle is None) == reference.is_acyclic() == graph.is_acyclic()
+    if cycle is None:
+        order = graph.topological_order(tie_break=lambda t: t)
+        assert order == least_topological_order(reference)
+    else:
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert all(reference.has_edge(u, v) for u, v in zip(cycle, cycle[1:]))
+        with pytest.raises(ValueError, match="cycle"):
+            graph.topological_order(tie_break=lambda t: t)
+    return graph
+
+
+@st.composite
+def wide_mv_history(draw):
+    """:func:`small_mv_history` widened to everything a version order can
+    meet: transactions finish in an order unrelated to their ids (so a reader
+    may also write the key *earlier* in number order than the version it
+    read, and a version may be read only by an earlier writer), some abort
+    after others read their versions, a transaction may read its own write or
+    read a key twice, and the version order may be any permutation of the
+    writers -- T0 not necessarily first.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    keys = ["x", "y", "z"][: draw(st.integers(min_value=1, max_value=3))]
+    written: dict[str, list[int]] = {key: [0] for key in keys}
+    ops = []
+    for txn in draw(st.permutations(range(1, n + 1))):
+        for key in keys:
+            action = draw(
+                st.sampled_from(["skip", "skip", "read", "write", "rw", "own", "twice"])
+            )
+            if action in ("read", "rw", "twice"):
+                ops.append(f"r{txn}[{key}_{draw(st.sampled_from(written[key]))}]")
+            if action == "twice":
+                ops.append(f"r{txn}[{key}_{draw(st.sampled_from(written[key]))}]")
+            if action in ("write", "rw", "own"):
+                ops.append(f"w{txn}[{key}_{txn}]")
+                written[key].append(txn)
+            if action == "own":
+                ops.append(f"r{txn}[{key}_{txn}]")
+        ops.append(f"{'a' if draw(st.integers(0, 9)) == 0 else 'c'}{txn}")
+    history = History.parse(" ".join(ops))
+    version_order = None
+    if draw(st.booleans()):
+        version_order = {
+            key: list(draw(st.permutations(order)))
+            for key, order in version_order_by_number(history).items()
+        }
+    return history, version_order
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=wide_mv_history())
+def test_property_builder_means_the_reference_graph(case):
+    """The builder's graph and the checker's report against the definition."""
+    history, version_order = case
+    assert_matches_reference(multiversion_serialization_graph, history, version_order)
+    reference = reference_mvsg(history)
+    report = check_one_copy_serializable(history)
+    assert report.serializable == reference.is_acyclic()
+    assert report.transactions == len(history.committed())
+    if report.serializable:
+        assert report.cycle == []
+        assert report.witness_order == least_topological_order(reference)
+    else:
+        assert report.witness_order == []
+        assert report.cycle[0] == report.cycle[-1]
+        assert all(
+            reference.has_edge(u, v) for u, v in zip(report.cycle, report.cycle[1:])
+        )
