@@ -109,9 +109,7 @@ def run_distributed_mv2pl() -> dict:
         db.commit(audit)
         if observed == total:
             balanced_audits += 1
-    graph = multiversion_serialization_graph(
-        db.history.committed_projection(), db.global_version_order()
-    )
+    graph = multiversion_serialization_graph(db.history, db.global_version_order())
     return {
         "system": "distributed MV2PL (ref [8])",
         "balanced": f"{balanced_audits}/{audits}",

@@ -409,7 +409,7 @@ def exp_j_distributed(seed: int = 0, rounds: int = 40) -> ExperimentResult:
             serializable = check_one_copy_serializable(db.history).serializable
         else:
             graph = multiversion_serialization_graph(
-                db.history.committed_projection(), db.global_version_order()
+                db.history, db.global_version_order()
             )
             serializable = graph.is_acyclic()
         return torn, total, serializable

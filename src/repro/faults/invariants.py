@@ -126,8 +126,7 @@ class FaultInvariantChecker:
                 )
         else:
             graph = multiversion_serialization_graph(
-                self.db.history.committed_projection(),
-                self.db.global_version_order(),
+                self.db.history, self.db.global_version_order()
             )
             cycle = graph.find_cycle()
             if cycle is not None:

@@ -1,7 +1,10 @@
 """High-level serializability checking with diagnostics.
 
 Wraps the MVSG machinery into a one-call oracle used as a post-condition by
-tests, examples and the benchmark harness.
+tests, examples and the benchmark harness.  One check is one pass over the
+history, one graph of O(operations) stored edges (:mod:`repro.histories.mvsg`)
+and one topological pass that yields verdict and witness order together; a
+cycle is searched for only when that pass leaves nodes behind.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.histories.mvsg import multiversion_serialization_graph
+from repro.histories.graphs import CycleError
+from repro.histories.mvsg import committed_accesses, mvsg_of_accesses
 from repro.histories.operations import History
 
 
@@ -32,9 +36,11 @@ class CheckReport:
     Attributes:
         serializable: verdict.
         transactions: committed transaction count examined.
-        edges: number of MVSG edges.
+        edges: edges the certifier stored -- the MVSG in compact form, a
+            few per operation; the graph they spell out has more.
         cycle: offending cycle when not serializable, else empty.
-        witness_order: a topological witness serial order when serializable.
+        witness_order: when serializable, the witness serial order that takes
+            the smallest transaction id whenever it has a choice.
     """
 
     serializable: bool
@@ -46,14 +52,18 @@ class CheckReport:
 
 def check_one_copy_serializable(history: History) -> CheckReport:
     """Build MVSG(H) under the version-number order and report the verdict."""
-    graph = multiversion_serialization_graph(history)
-    cycle = graph.find_cycle()
+    accesses = committed_accesses(history)
+    graph = mvsg_of_accesses(accesses)
+    try:
+        cycle, order = [], graph.topological_order(tie_break=lambda t: t)
+    except CycleError as error:
+        cycle, order = error.cycle, []
     return CheckReport(
-        serializable=cycle is None,
-        transactions=len(history.committed()),
+        serializable=not cycle,
+        transactions=len(accesses.committed),
         edges=graph.edge_count(),
-        cycle=list(cycle or ()),
-        witness_order=[] if cycle else graph.topological_order(tie_break=lambda t: t),
+        cycle=cycle,
+        witness_order=order,
     )
 
 

@@ -77,12 +77,14 @@ def exists_acyclic_version_order(history: History, max_orders: int = 100_000) ->
     from math import factorial
 
     from repro.histories.mvsg import (
-        multiversion_serialization_graph,
-        version_order_by_number,
+        committed_accesses,
+        mvsg_of_accesses,
+        order_by_number,
     )
 
-    projected = history.committed_projection()
-    base = version_order_by_number(projected)
+    # One pass over the history serves every candidate order.
+    accesses = committed_accesses(history)
+    base = order_by_number(accesses)
     # The initial version of each object is first in every candidate order,
     # matching the brute-force oracle's fixed initial database state.
     movable = {key: [w for w in writers if w != 0] for key, writers in base.items()}
@@ -96,7 +98,7 @@ def exists_acyclic_version_order(history: History, max_orders: int = 100_000) ->
 
     def search(idx: int, chosen: dict) -> bool:
         if idx == len(keys):
-            return multiversion_serialization_graph(projected, dict(chosen)).is_acyclic()
+            return mvsg_of_accesses(accesses, chosen).is_acyclic()
         key = keys[idx]
         for order in permutations(movable[key]):
             chosen[key] = [0, *order]

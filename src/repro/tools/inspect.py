@@ -30,7 +30,7 @@ def mvsg_dot(history: History, highlight_cycle: list[int] | None = None) -> str:
     initial transaction as a diamond; ``highlight_cycle`` (e.g. from a
     :class:`~repro.histories.checker.CheckReport`) paints its edges red.
     """
-    graph = multiversion_serialization_graph(history.committed_projection())
+    graph = multiversion_serialization_graph(history)
     cycle_edges: set[tuple[int, int]] = set()
     if highlight_cycle:
         cycle_edges = set(zip(highlight_cycle, highlight_cycle[1:]))

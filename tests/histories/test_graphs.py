@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.histories.graphs import Digraph
+from repro.histories.graphs import CycleError, Digraph, Fan, FanGraph
 
 
 def build(edges, nodes=()):
@@ -82,6 +82,27 @@ class TestTopologicalOrder:
         g = build([(1, 2), (2, 1)])
         with pytest.raises(ValueError, match="cycle"):
             g.topological_order()
+        with pytest.raises(CycleError) as caught:
+            g.topological_order()
+        assert caught.value.cycle in ([1, 2, 1], [2, 1, 2])
+
+    def test_tie_break_is_called_once_per_node(self):
+        # A heap, not a re-sort of the ready list per node taken (which on
+        # this antichain called the key n(n+1)/2 = 4 501 500 times).
+        n = 3_000
+        g = build([], nodes=range(n, 0, -1))
+        calls = []
+
+        def key(node):
+            calls.append(node)
+            return node
+
+        assert g.topological_order(tie_break=key) == list(range(1, n + 1))
+        assert len(calls) <= 2 * n
+
+    def test_equal_keys_never_compare_the_nodes(self):
+        g = build([], nodes=[object(), object(), object()])
+        assert len(g.topological_order(tie_break=lambda n: 0)) == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,3 +135,63 @@ def test_property_topological_order_is_valid(edges):
     assert len(order) == len(ours)
     for u, v in ours.edges():
         assert pos[u] < pos[v]
+
+
+# -- FanGraph: stored with junctions, read without them ---------------------------
+
+@st.composite
+def fan_graph_edges(draw):
+    """Edges over plain nodes 0..7 and fans 8..13; fan-to-fan edges only
+    ascend, so no cycle runs through fans alone."""
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40)
+    )
+    return [(u, v) for u, v in edges if not (u >= 8 and v >= 8 and u >= v)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=fan_graph_edges())
+def test_property_fan_graph_reads_as_its_expansion(edges):
+    def name(n):
+        return Fan((n,)) if n >= 8 else n
+
+    stored = FanGraph()
+    plain = Digraph()  # the same edges with plain nodes, to expand by hand
+    for u, v in edges:
+        stored.add_edge(name(u), name(v))
+        plain.add_edge(u, v)
+    meant = Digraph()
+    for u in plain.nodes():
+        if u >= 8:
+            continue
+        meant.add_node(u)
+        frontier, seen = [u], set()
+        while frontier:
+            for v in plain.successors(frontier.pop()):
+                if v < 8:
+                    meant.add_edge(u, v)
+                elif v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    assert sorted(stored.nodes()) == sorted(meant.nodes())
+    assert len(stored) == len(meant)
+    assert sorted(stored.edges()) == sorted(meant.edges())
+    assert stored.edge_count() == plain.edge_count()
+    for u in meant.nodes():
+        assert u in stored and stored.successors(u) == meant.successors(u)
+        assert all(stored.has_edge(u, v) == meant.has_edge(u, v) for v in range(8))
+    assert not any(Fan((n,)) in stored for n in range(8, 14))
+    cycle = stored.find_cycle()
+    assert (cycle is None) == meant.is_acyclic()
+    if cycle is None:
+        assert stored.topological_order(tie_break=lambda n: n) == (
+            meant.topological_order(tie_break=lambda n: n)
+        )
+        assert stored.topological_order(tie_break=lambda n: -n) == (
+            meant.topological_order(tie_break=lambda n: -n)
+        )
+    else:
+        assert cycle[0] == cycle[-1] and len(cycle) >= 2
+        assert all(meant.has_edge(u, v) for u, v in zip(cycle, cycle[1:]))
+        with pytest.raises(CycleError):
+            stored.topological_order()

@@ -5,10 +5,18 @@ paper's Section 3 summarizes, plus property-based cross-checks between the
 MVSG verdict and exhaustive enumeration.
 """
 
+import hashlib
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.histories import (
     exists_acyclic_version_order,
     Digraph,
@@ -25,7 +33,14 @@ from repro.histories import (
     version_order_by_number,
     witness_serial_orders,
 )
-from repro.histories.derive import sg_edge, version_order_edges
+from repro.histories import mvsg
+from repro.histories.derive import (
+    WW,
+    fan_version_order_edges,
+    sg_edge,
+    version_order_edges,
+)
+from repro.histories.graphs import Fan
 
 
 class TestSingleVersionSG:
@@ -120,8 +135,9 @@ class TestChecker:
         assert assert_one_copy_serializable(h).serializable
 
     def test_one_check_projects_the_history_once(self, monkeypatch):
-        # The projection copies the whole history; the graph builder makes
-        # the one copy and nothing else in a check may make another.
+        # The projection copies the whole history.  A check reads the
+        # history where it lies, in one pass over ``ops``: nothing in it may
+        # copy the history more than once, and today nothing copies it at all.
         calls = []
         project = History.committed_projection
 
@@ -129,12 +145,25 @@ class TestChecker:
             calls.append(history)
             return project(history)
 
+        class CountedOps(list):
+            passes = 0
+
+            def __iter__(self):
+                CountedOps.passes += 1
+                return super().__iter__()
+
         monkeypatch.setattr(History, "committed_projection", counting_projection)
         h = History.parse("w1[x_1] c1 r2[x_1] w2[y_2] c2 r3[y_0] a3")
+        h.ops = CountedOps(h.ops)
         report = check_one_copy_serializable(h)
-        assert len(calls) == 1
-        assert (report.transactions, report.edges) == (2, 2)
+        assert len(calls) <= 1
+        assert CountedOps.passes == 1
+        assert report.transactions == 2
         assert report.witness_order == [0, 1, 2]
+        # Stored, not meant: 1 -> 2 (wr), and "every writer of x up to T0
+        # precedes T1" as T0 -> junction -> T1.  The graph meant has two edges.
+        assert report.edges == 3
+        assert sorted(multiversion_serialization_graph(h).edges()) == [(0, 1), (1, 2)]
 
 
 class TestBruteForce:
@@ -332,3 +361,133 @@ def test_property_builder_means_the_reference_graph(case):
         assert all(
             reference.has_edge(u, v) for u, v in zip(report.cycle, report.cycle[1:])
         )
+
+
+# -- the oracle above can fail: three plausible wrong constructions ---------------
+
+def _forgetting_a_reader_may_be_a_writer(obj, order, readers_of):
+    """Drops the rule's "k distinct from j": no reader is recognised in ``order``."""
+    masked = {w: [("reader", r) for r in readers] for w, readers in readers_of.items()}
+    for src, dst, kind in fan_version_order_edges(obj, order, masked):
+        yield (src[1] if type(src) is tuple else src), dst, kind
+
+
+def _linking_adjacent_versions(obj, order, readers_of):
+    """The shortcut "a version order is a chain, so link each writer to the
+    next": ``ww`` edges into versions nobody read, which the rule does not have."""
+    yield from fan_version_order_edges(obj, order, readers_of)
+    for earlier, later in zip(order, order[1:]):
+        yield earlier, later, WW
+
+
+def _skipping_t0(obj, order, readers_of):
+    """Leaves the initial version out of the version order."""
+    return fan_version_order_edges(obj, [w for w in order if w != 0], readers_of)
+
+
+@pytest.mark.parametrize(
+    "broken, history",
+    [
+        # T1 reads x then writes it: unrecognised, it is ordered before itself.
+        (_forgetting_a_reader_may_be_a_writer, "r1[x_0] w1[x_1] c1"),
+        # 1SR as 0 3 2 1; x_1 and x_2 are blind writes nobody read, and
+        # linking them adds T1 -> T2 against T2 -> T1 (T1 read y from T2).
+        (_linking_adjacent_versions, "r3[x_0] c3 w2[x_2] w2[y_2] c2 r1[y_2] w1[x_1] c1"),
+        # The reader of the initial version must precede the overwriter.
+        (_skipping_t0, "r1[x_0] c1 w2[x_2] c2"),
+    ],
+)
+def test_a_wrong_construction_is_caught_by_the_reference(broken, history, monkeypatch):
+    history = History.parse(history)
+    assert_matches_reference(multiversion_serialization_graph, history)
+    monkeypatch.setattr(mvsg, "fan_version_order_edges", broken)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(multiversion_serialization_graph, history)
+
+
+# -- size: what is stored grows with the operations, not with the versions --------
+
+def chained_history(n_txns, n_keys=200, seed=0):
+    """Each transaction reads the latest version of two keys and overwrites a third."""
+    rng = random.Random(seed)
+    keys = [f"k{i}" for i in range(n_keys)]
+    latest = dict.fromkeys(keys, 0)
+    ops = []
+    for txn in range(1, n_txns + 1):
+        first, second, target = rng.sample(keys, 3)
+        ops += [
+            f"r{txn}[{first}_{latest[first]}]",
+            f"r{txn}[{second}_{latest[second]}]",
+            f"w{txn}[{target}_{txn}]",
+            f"c{txn}",
+        ]
+        latest[target] = txn
+    return History.parse(" ".join(ops))
+
+
+def test_stored_edges_per_transaction_do_not_grow_with_the_history():
+    short = check_one_copy_serializable(chained_history(2_000))
+    long = check_one_copy_serializable(chained_history(20_000))
+    assert short.serializable and long.serializable
+    assert (short.transactions, long.transactions) == (2_000, 20_000)
+    assert long.edges / long.transactions <= 12
+    assert long.edges / long.transactions <= 1.25 * short.edges / short.transactions
+    assert sorted(long.witness_order) == list(range(20_001))  # T0 and every txn, no fan
+
+
+def test_no_fan_shows_through_the_graph():
+    graph = multiversion_serialization_graph(chained_history(2_000))
+    assert any(type(node) is Fan for node in graph._succ)  # the test has something to hide
+    assert sorted(graph.nodes()) == list(range(2_001)) and len(graph) == 2_001
+    assert graph.edge_count() < len(graph.edges())
+    assert all(type(u) is int and type(v) is int for u, v in graph.edges())
+    assert not any(node in graph for node in graph._succ if type(node) is Fan)
+    # Write skew: both edges of the cycle run through a fan chain.
+    skew = check_one_copy_serializable(
+        History.parse("r1[x_0] r2[y_0] w1[y_1] w2[x_2] w3[x_3] w3[y_3] c1 c2 c3")
+    )
+    assert skew.cycle in ([1, 2, 1], [2, 1, 2])
+
+
+# -- the reported cycle is the same in every process ------------------------------
+
+def cycles_digest(wanted=100):
+    """sha256 over the cycles reported for ``wanted`` random non-1SR histories
+    whose keys are strings -- what :class:`NotSerializable`'s message and the
+    fault drills' ``cycle [...]`` violation line are made of.  Transaction
+    ids are sparse so that they collide in the graph's successor sets, whose
+    iteration order then follows the order edges were added in."""
+    rng = random.Random(20)
+    keys = [f"key{i}" for i in range(6)]
+    cycles = []
+    while len(cycles) < wanted:
+        written = {key: [0] for key in keys}
+        ops = []
+        for txn in sorted(rng.sample(range(1, 100), rng.randint(4, 12))):
+            for key in rng.sample(keys, 2):
+                ops.append(f"r{txn}[{key}_{rng.choice(written[key])}]")
+            for key in rng.sample(keys, 2):
+                ops.append(f"w{txn}[{key}_{txn}]")
+                written[key].append(txn)
+            ops.append(f"c{txn}")
+        report = check_one_copy_serializable(History.parse(" ".join(ops)))
+        if not report.serializable:
+            cycles.append(report.cycle)
+    return hashlib.sha256(repr(cycles).encode()).hexdigest()
+
+
+def test_the_reported_cycle_does_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    digests = {
+        subprocess.run(
+            [sys.executable, __file__],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for hashseed in ("0", "1")
+    }
+    assert len(digests) == 1 and len(digests.pop().strip()) == 64
+
+
+if __name__ == "__main__":
+    print(cycles_digest())
