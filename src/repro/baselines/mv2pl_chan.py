@@ -39,6 +39,18 @@ from repro.errors import AbortReason, ProtocolError, VersionNotFound
 from repro.storage.mvstore import MVStore
 
 
+class _Snapshot:
+    """``txn.private`` of a read-only transaction: its copy of the CTL."""
+
+    __slots__ = ("ctl_copy",)
+
+    def __init__(self, ctl_copy: set[int]):
+        self.ctl_copy = ctl_copy
+
+    def release(self) -> None:
+        self.ctl_copy = set()
+
+
 class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
     """Chan et al.'s CS-2PL multiversion protocol with a CTL."""
 
@@ -60,7 +72,7 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
         if txn.is_read_only:
             # Start timestamp + CTL copy: the protocol's RO-side baggage.
             txn.sn = self._commit_counter + 1  # versions with tn < sn eligible
-            txn.meta["ctl_copy"] = set(self.ctl)
+            txn.private = _Snapshot(set(self.ctl))
             self.counters.note_cc_interaction(txn, "ctl-copy")
             self.counters.bump("ctl.copied_entries", len(self.ctl))
 
@@ -68,7 +80,7 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
 
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         assert txn.sn is not None
-        ctl_copy: set[int] = txn.meta["ctl_copy"]
+        ctl_copy = txn.private.ctl_copy
         obj = self.store.object(key)
         # Scan backward from the largest version below the start timestamp
         # until the creator is in the CTL copy.

@@ -628,7 +628,6 @@ def main(argv: list[str]) -> int:
                        scaling blocks miss their floors, or the
                        serializability witness refuses to certify a protocol
                        that promises 1SR
-      --cprofile       additionally profile the run's real CPU (top functions)
       --list           list suites and exit
     """
     args = list(argv)
@@ -638,7 +637,6 @@ def main(argv: list[str]) -> int:
     baseline_path: str | None = None
     compare_paths: tuple[str, str] | None = None
     protocols: tuple[str, ...] | None = None
-    cprofile = False
     slo_gate = False
     index = 0
 
@@ -698,8 +696,6 @@ def main(argv: list[str]) -> int:
                 print("--compare needs two artifact paths")
                 return 2
             compare_paths = (first, second)
-        elif arg == "--cprofile":
-            cprofile = True
         elif arg == "--slo":
             slo_gate = True
         else:
@@ -735,24 +731,11 @@ def main(argv: list[str]) -> int:
         )
         return 2
 
-    if cprofile:
-        from repro.obs.profile import profile_wallclock
-
-        artifact, rows = profile_wallclock(run_suite, suite, seed, protocols)
-    else:
-        artifact = run_suite(suite, seed, protocols)
-        rows = None
-
+    artifact = run_suite(suite, seed, protocols)
     path = out if out is not None else f"BENCH_{artifact['rev']}.json"
     write_artifact(artifact, path)
     print(render_artifact(artifact))
     print(f"\nartifact written to {path}")
-    if rows:
-        print("\ntop functions by cumulative wall-clock time:")
-        for row in rows:
-            print(
-                f"  {row['cumtime']:>9.4f}s  {row['calls']:>9}  {row['function']}"
-            )
 
     if baseline_path is not None:
         try:

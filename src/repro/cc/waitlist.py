@@ -10,11 +10,9 @@ wakes a key's waiters whenever that key's pending set changes.
 timestamp schedulers share — try now, else count the block and park —
 around a protocol-specific step.
 
-Waiters wake in FIFO order per key, and a waiter may carry an absolute
-virtual-time deadline: :meth:`WaitList.expire_due` removes every overdue
-entry and hands it to the caller's ``on_expire`` callback (which typically
-aborts the transaction with :class:`~repro.errors.DeadlineExceeded`), so a
-deadline-aborted waiter never lingers in the queue to be woken spuriously.
+Waiters wake in FIFO order per key.  A parked waiter is not expired by its
+transaction's deadline: deadlines are enforced where transactions queue for
+locks and by the distributed decision timer (``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -33,12 +31,11 @@ Attempt = Callable[[], bool]
 
 
 class _Waiter:
-    __slots__ = ("txn", "attempt", "deadline")
+    __slots__ = ("txn", "attempt")
 
-    def __init__(self, txn: Transaction, attempt: Attempt, deadline: float | None):
+    def __init__(self, txn: Transaction, attempt: Attempt):
         self.txn = txn
         self.attempt = attempt
-        self.deadline = deadline
 
 
 class WaitList:
@@ -47,14 +44,8 @@ class WaitList:
     def __init__(self) -> None:
         self._parked: dict[Hashable, list[_Waiter]] = {}
 
-    def park(
-        self,
-        key: Hashable,
-        txn: Transaction,
-        attempt: Attempt,
-        deadline: float | None = None,
-    ) -> None:
-        self._parked.setdefault(key, []).append(_Waiter(txn, attempt, deadline))
+    def park(self, key: Hashable, txn: Transaction, attempt: Attempt) -> None:
+        self._parked.setdefault(key, []).append(_Waiter(txn, attempt))
 
     def attempt(
         self,
@@ -108,39 +99,6 @@ class WaitList:
                 self._parked[key] = remaining
             else:
                 del self._parked[key]
-
-    def expire_due(
-        self,
-        now: float,
-        on_expire: Callable[[Transaction, Hashable], None] | None = None,
-    ) -> list[Transaction]:
-        """Remove every waiter whose deadline has passed.
-
-        The wait list only *parks* closures — it cannot fail an operation
-        itself — so each overdue waiter is handed to ``on_expire(txn, key)``
-        for the owning scheduler to abort.  All of the expired transaction's
-        parked entries are dropped (a transaction may wait on one key only,
-        but defensively we sweep them all).  Returns the expired
-        transactions in park order.
-        """
-        expired: list[tuple[Transaction, Hashable]] = []
-        seen: set[int] = set()
-        for key in list(self._parked):
-            for waiter in self._parked[key]:
-                if waiter.deadline is not None and waiter.deadline <= now:
-                    if waiter.txn.txn_id not in seen:
-                        seen.add(waiter.txn.txn_id)
-                        expired.append((waiter.txn, key))
-        for key in list(self._parked):
-            kept = [w for w in self._parked[key] if w.txn.txn_id not in seen]
-            if kept:
-                self._parked[key] = kept
-            else:
-                del self._parked[key]
-        for txn, key in expired:
-            if on_expire is not None:
-                on_expire(txn, key)
-        return [txn for txn, _ in expired]
 
     def waiting_on(self, key: Hashable) -> int:
         return len(self._parked.get(key, ()))

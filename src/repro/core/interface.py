@@ -81,16 +81,16 @@ class SchedulerCounters:
         if self.tracer.enabled:
             # Root of the transaction's span tree: one fresh trace per
             # transaction, every later span (lock wait, courier hop, 2PC
-            # leg) hangs off it.  Stashed on txn.meta so note_commit /
+            # leg) hangs off it.  Kept in txn.span so note_commit /
             # note_abort — and protocol code parenting message sends — can
             # find it without the tracer knowing about transactions.
-            txn.meta["obs.span"] = start_span(
+            txn.span = start_span(
                 self.tracer, "txn", parent=None, txn=txn.txn_id, cls=suffix
             )
             self.tracer.emit("txn.begin", txn=txn.txn_id, cls=suffix)
 
     def _end_txn_span(self, txn: Transaction, ok: bool, **fields: Any) -> None:
-        span = txn.meta.pop("obs.span", None)
+        span, txn.span = txn.span, None
         if span is not None:
             span.end(ok=ok, **fields)
 
@@ -197,7 +197,15 @@ class TransactionBookkeeping:
         self._finish(txn)
 
     def _finish(self, txn: Transaction) -> None:
+        """Last step of every commit and abort: nothing in flight survives.
+
+        The beginning scheduler's record (``txn.private``) drops its
+        futures, closures and scheduler handles here; outcome data a
+        checker reads after the fact may stay on it.
+        """
         self._active.pop(txn.txn_id, None)
+        if txn.private is not None:
+            txn.private.release()
 
     def active_transactions(self) -> list[Transaction]:
         return list(self._active.values())
@@ -238,22 +246,18 @@ class Scheduler(TransactionBookkeeping, abc.ABC):
         """Start a transaction of the given class and return its descriptor.
 
         ``deadline`` is an optional absolute virtual-time deadline carried
-        in ``txn.meta["qos.deadline"]``; blocking components (lock manager,
-        wait lists, 2PC legs) enforce it.  When an admission controller is
+        in ``txn.deadline``; the lock manager enforces it on every request
+        the transaction queues.  When an admission controller is
         installed, a read-write begin must first take a token — raising
         :class:`~repro.errors.Overloaded` when over capacity — and returns
         it at finish.  Read-only begins bypass admission entirely.
         """
         txn_class = TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE
-        admitted = False
-        if self.admission is not None and not read_only:
-            self.admission.admit()  # raises Overloaded when shed
-            admitted = True
-        txn = Transaction(txn_class)
+        admitted = self.admission is not None and not read_only
         if admitted:
-            txn.meta["qos.admitted"] = True
-        if deadline is not None:
-            txn.meta["qos.deadline"] = float(deadline)
+            self.admission.admit()  # raises Overloaded when shed
+        txn = Transaction(txn_class, deadline=deadline)
+        txn.admitted = admitted
         self._active[txn.txn_id] = txn
         self.counters.note_begin(txn)
         self.recorder.record_begin(txn)
@@ -284,8 +288,10 @@ class Scheduler(TransactionBookkeeping, abc.ABC):
 
     def _finish(self, txn: Transaction) -> None:
         super()._finish(txn)
-        if txn.meta.pop("qos.admitted", None) and self.admission is not None:
-            self.admission.release()
+        if txn.admitted:
+            txn.admitted = False
+            if self.admission is not None:
+                self.admission.release()
 
     def _note_block(self, txn_id: int, resource: Any) -> None:
         """Lock-manager ``on_block`` callback: count the requester's wait."""

@@ -6,6 +6,12 @@ The paper's model (Section 3) classifies every transaction as *read-only* or
 assigns — the transaction number ``tn`` for read-write transactions and the
 start number ``sn`` for read-only ones — plus bookkeeping the protocols and
 the metrics layer need (read/write sets, state, abort reason).
+
+Per-transaction *protocol* state is named fields, never string keys: what
+every topology shares (``deadline``, ``admitted``, ``span``) is a slot here;
+what one protocol needs is a ``__slots__`` record that protocol defines
+beside its only writer and hangs on ``private``.  This module knows no
+topology.  The DESIGN.md table "Per-transaction state" lists every owner.
 """
 
 from __future__ import annotations
@@ -58,6 +64,18 @@ class Transaction:
         abort_reason: populated when state is ABORTED.
         read_set: keys read, with the version number that satisfied each read.
         write_set: keys written, with the (uncommitted) value.
+        deadline: absolute virtual-time deadline, or None; stamped here and
+            nowhere else, read by whatever can block (lock requests, the
+            distributed decision timer).
+        admitted: True while the transaction holds an admission token.
+        span: root of the transaction's span tree while it runs traced.
+        private: the record of the scheduler that began the transaction —
+            its only writer; ``_finish`` has it ``release()`` its futures,
+            closures and scheduler handles (``TransactionBookkeeping``).
+        meta: client-facing annotations about the snapshot handed out
+            (``qos.staleness``, ``shard.staleness``, ``replica.id``,
+            ``replica.stale``, ``replica.lag``), written at begin and read
+            by clients only — no protocol decision looks in here.
     """
 
     _ids = itertools.count(1)
@@ -74,10 +92,19 @@ class Transaction:
         "write_set",
         "begin_time",
         "finish_time",
+        "deadline",
+        "admitted",
+        "span",
+        "private",
         "meta",
     )
 
-    def __init__(self, txn_class: TxnClass = TxnClass.READ_WRITE, txn_id: int | None = None):
+    def __init__(
+        self,
+        txn_class: TxnClass = TxnClass.READ_WRITE,
+        txn_id: int | None = None,
+        deadline: float | None = None,
+    ):
         self.txn_id = txn_id if txn_id is not None else next(Transaction._ids)
         self.txn_class = txn_class
         self.tn: int | None = None
@@ -89,8 +116,10 @@ class Transaction:
         self.write_set: dict[Any, Any] = {}
         self.begin_time: float = 0.0
         self.finish_time: float | None = None
-        # Free-form slot for protocol-private state (lock sets, CTL copies,
-        # simulator process handles).  Keyed by protocol-chosen names.
+        self.deadline = None if deadline is None else float(deadline)
+        self.admitted = False
+        self.span: Any = None
+        self.private: Any = None
         self.meta: dict[str, Any] = {}
 
     # -- classification ------------------------------------------------------

@@ -201,12 +201,40 @@ class SiteBase:
         raise NotImplementedError
 
 
+class TwoPLRecord:
+    """``txn.private`` of a read-write transaction under distributed 2PL.
+
+    ``futures`` is every operation and commit future handed to the client —
+    what a fault abort must fail so nobody waits on a dead site.  Past the
+    commit decision ``acks`` is the sites whose leg has not run yet and
+    ``commit_at`` the idempotent handler that runs one: what
+    :meth:`Distributed2PLDatabase.recover_site` finishes an in-doubt commit
+    with.  ``participants`` stays readable after finish; the rest is
+    in-flight machinery.
+    """
+
+    __slots__ = ("participants", "futures", "acks", "commit_at")
+
+    def __init__(self) -> None:
+        self.participants: set[int] = set()
+        self.futures: list[OpFuture] = []
+        self.acks: set[int] | tuple[()] = ()  # nothing in doubt before the decision
+        self.commit_at: Callable[[int], None] | None = None
+
+    def release(self) -> None:
+        self.futures = []
+        self.commit_at = None
+
+
 class Distributed2PLDatabase(TransactionBookkeeping):
     """Multi-site database running distributed strict two-phase locking.
 
     One shared history recorder collects the *global* multiversion history
     so the oracle can check global one-copy serializability.
     """
+
+    #: The record a read-write begin hangs on ``txn.private``.
+    rw_record: type[TwoPLRecord] = TwoPLRecord
 
     #: Optional per-site circuit breakers (repro.qos): operations addressed
     #: to a site whose breaker is open fail fast with ``SITE_UNAVAILABLE``
@@ -275,8 +303,10 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
     # -- begin / deadlines -----------------------------------------------------------
 
-    def _begin(self, read_only: bool) -> Transaction:
-        txn = Transaction(TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE)
+    def _begin(self, read_only: bool, deadline: float | None = None) -> Transaction:
+        txn = Transaction(
+            TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE, deadline=deadline
+        )
         self.counters.note_begin(txn)
         self.recorder.record_begin(txn)
         return txn
@@ -291,22 +321,21 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         completes — the sites have been promised it — and the late
         deadline is only counted (``qos.deadline.too_late``).
         """
-        txn = self._begin(read_only=False)
-        txn.meta["participants"] = set()
+        txn = self._begin(read_only=False, deadline=deadline)
+        txn.private = self.rw_record()
         self._active[txn.txn_id] = txn
-        if deadline is not None:
-            txn.meta["qos.deadline"] = float(deadline)
-            self._arm_deadline(txn, float(deadline))
+        if txn.deadline is not None:
+            self._arm_deadline(txn)
         return txn
 
-    def _arm_deadline(self, txn: Transaction, deadline: float) -> None:
+    def _arm_deadline(self, txn: Transaction) -> None:
         """Virtual-time timer enforcing ``txn``'s deadline (pre-decision only)."""
 
         def on_deadline() -> None:
             if not txn.is_finished:
                 self._expire(txn)
 
-        delay = max(deadline - self._now(), 0.0)
+        delay = max(txn.deadline - self._now(), 0.0)
         if not self.courier.call_later(delay, on_deadline):
             # No clock (immediate/manual courier): fall back to passive
             # checks at operation entry (_check_deadline).
@@ -314,8 +343,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
     def _check_deadline(self, txn: Transaction) -> bool:
         """Passive deadline check at operation entry; True when aborted."""
-        deadline = txn.meta.get("qos.deadline")
-        if deadline is None or self._now() < deadline:
+        if txn.deadline is None or self._now() < txn.deadline:
             return False
         return self._expire(txn)
 
@@ -361,14 +389,13 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         """
         site = self.site_of_key(key)
         reading = mode is LockMode.SHARED
-        txn.meta["participants"].add(site.site_id)
+        record = txn.private
+        record.participants.add(site.site_id)
         self.counters.note_cc_interaction(txn, "r-lock" if reading else "w-lock")
         result = OpFuture(
             label=f"{'r' if reading else 'w'}{txn.txn_id}[{key}]@s{site.site_id}"
         )
-        # Remember the one in-flight operation so fault aborts can fail it.
-        txn.meta["pending_op"] = result
-        result.add_callback(lambda _f: txn.meta.pop("pending_op", None))
+        record.futures.append(result)  # so a fault abort can fail it
         if self._check_deadline(txn) or self._breaker_reject(txn, site):
             return result
         started = False
@@ -378,9 +405,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             if started or not txn.is_active or result.done:
                 return
             started = True
-            lock = site.locks.acquire(
-                txn.txn_id, key, mode, deadline=txn.meta.get("qos.deadline")
-            )
+            lock = site.locks.acquire(txn.txn_id, key, mode, deadline=txn.deadline)
 
             def locked(done: OpFuture) -> None:
                 if done.failed:
@@ -414,11 +439,11 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         if txn.is_read_only:
             self._finish_commit(txn, result)
             return result
-        txn.meta["commit_future"] = result
+        txn.private.futures.append(result)
         if self._check_deadline(txn):
             return result
         # Touched nothing: commit trivially at the first site.
-        participants = sorted(txn.meta["participants"]) or [next(iter(self.sites))]
+        participants = sorted(txn.private.participants) or [next(iter(self.sites))]
         self._commit_rw(txn, participants, result)
         return result
 
@@ -458,19 +483,17 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         the last of them; the final ack acknowledges ``txn``.  The returned
         ``commit_at(sid)`` is idempotent (the ``acks`` guard): a duplicated
         delivery, or the original message arriving after recovery already
-        applied the leg, is a no-op.  Registering it on the transaction is
-        what lets :meth:`recover_site` finish an in-doubt commit.
+        applied the leg, is a no-op.  Registering it on the transaction's
+        record is what lets :meth:`recover_site` finish an in-doubt commit;
+        ``_finish`` drops it again with the closure chain it pins.
         """
         tracer = self.courier.tracer
-        acks = set(participants)
+        record = txn.private
+        acks = record.acks = set(participants)
 
         def acked(sid: int) -> None:
             acks.discard(sid)
             if not acks:
-                # Nothing is in doubt any more; dropping the handler also
-                # frees this closure chain instead of pinning it for as
-                # long as anything (a recorder, a client) keeps ``txn``.
-                del txn.meta["commit_legs"]
                 self._finish_commit(txn, result)
 
         def commit_at(sid: int) -> None:
@@ -480,7 +503,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                 # commit span to keep the leg inside the transaction's tree.
                 leg(self.sites[sid], tracer.active_span or commit_span.context, acked)
 
-        txn.meta["commit_legs"] = (acks, commit_at)  # read by recover_site
+        record.commit_at = commit_at
         return commit_at
 
     def _finish_commit(self, txn: Transaction, result: OpFuture) -> None:
@@ -491,7 +514,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         if txn.is_finished:
             return
         if txn.is_read_write:
-            for sid in txn.meta.get("participants", ()):
+            for sid in txn.private.participants:
                 self.sites[sid].abort_local(txn.txn_id)
         self._complete_abort(txn, reason)
 
@@ -515,17 +538,14 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             return
         if reason is AbortReason.DEADLINE_EXCEEDED:
             error: TransactionAborted = DeadlineExceeded(
-                txn.txn_id,
-                txn.meta.get("qos.deadline", 0.0),
-                self._now(),
-                detail=detail,
+                txn.txn_id, txn.deadline, self._now(), detail=detail
             )
         else:
             error = TransactionAborted(txn.txn_id, reason, detail=detail)
+        futures = txn.private.futures  # taken first: the abort's _finish drops them
         self.abort(txn, reason)
-        for slot in ("pending_op", "commit_future"):
-            future = txn.meta.get(slot)
-            if future is not None and future.pending:
+        for future in futures:
+            if future.pending:
                 future.fail(error)
 
     # -- circuit breakers (repro.qos) ----------------------------------------------
@@ -581,7 +601,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         lost = self.sites[site_id].crash(self.courier.tracer)
         self._breaker_failure(site_id)
         for txn in list(self._active.values()):
-            if site_id in txn.meta.get("participants", ()) and txn.tn is None:
+            if site_id in txn.private.participants and txn.tn is None:
                 self._fault_abort(
                     txn,
                     AbortReason.SITE_FAILURE,
@@ -607,11 +627,10 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             raise ProtocolError(f"site {site_id} is not crashed")
         site.recover()
         in_doubt = [
-            txn for txn in self._active.values()
-            if site_id in txn.meta.get("commit_legs", ((),))[0]
+            txn for txn in self._active.values() if site_id in txn.private.acks
         ]
         for txn in in_doubt:
-            txn.meta["commit_legs"][1](site_id)
+            txn.private.commit_at(site_id)
         self._resync_numbering(site, in_doubt)
         site.crashed = False
         if self.courier.tracer.enabled:

@@ -305,9 +305,8 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         # deadline: there is no point waiting for holds past the instant the
         # deadline timer would abort the 2PC anyway.
         timeout = self.prepare_timeout
-        deadline = txn.meta.get("qos.deadline")
-        if deadline is not None:
-            budget = max(deadline - self._now(), 0.0)
+        if txn.deadline is not None:
+            budget = max(txn.deadline - self._now(), 0.0)
             timeout = budget if timeout is None else min(timeout, budget)
         if timeout is not None:
 

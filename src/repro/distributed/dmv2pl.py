@@ -39,7 +39,7 @@ from typing import Callable, Hashable, Iterable
 
 from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
-from repro.distributed.base import Distributed2PLDatabase, SiteBase
+from repro.distributed.base import Distributed2PLDatabase, SiteBase, TwoPLRecord
 from repro.distributed.courier import Courier
 from repro.distributed.gtn import make_gtn, max_counter, site_of
 from repro.errors import ProtocolError, VersionNotFound
@@ -74,10 +74,45 @@ class _ChanSite(SiteBase):
         return {"commit_counter": self.commit_counter}
 
 
+class _ChanRecord(TwoPLRecord):
+    """A read-write transaction's record plus the number each site gave it.
+
+    ``site_numbers`` is outcome data: the fault invariant checker reads it
+    after commit, so ``release`` leaves it.
+    """
+
+    __slots__ = ("site_numbers",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.site_numbers: dict[int, int] = {}
+
+
+class _Snapshot:
+    """``txn.private`` of a read-only transaction: its per-site view.
+
+    Filled one declared site at a time (start timestamp + CTL copy);
+    ``ready`` resolves when the last fetch lands and parks reads until then.
+    """
+
+    __slots__ = ("declared", "start_ts", "ctl_copy", "ready")
+
+    def __init__(self, declared: Iterable[int], ready: OpFuture):
+        self.declared = set(declared)
+        self.start_ts: dict[int, int] = {}
+        self.ctl_copy: dict[int, set[int]] = {}
+        self.ready: OpFuture | None = ready
+
+    def release(self) -> None:
+        self.ctl_copy = {}
+        self.ready = None
+
+
 class DistributedMV2PL(Distributed2PLDatabase):
     """Ref [8]-style distributed MV2PL with per-site CTLs."""
 
     name = "dmv2pl"
+    rw_record = _ChanRecord
 
     def __init__(self, n_sites: int = 3, courier: Courier | None = None):
         super().__init__(n_sites, courier)
@@ -122,11 +157,8 @@ class DistributedMV2PL(Distributed2PLDatabase):
                 "their read sites a priori"
             )
         txn = self._begin(read_only=True)
-        txn.meta["declared"] = set(read_sites)
-        txn.meta["start_ts"] = {}
-        txn.meta["ctl_copy"] = {}
-        txn.meta["snapshot_ready"] = OpFuture(label=f"T{txn.txn_id} snapshot")
-        self._fetch_snapshots(txn, sorted(txn.meta["declared"]))
+        txn.private = _Snapshot(read_sites, OpFuture(label=f"T{txn.txn_id} snapshot"))
+        self._fetch_snapshots(txn, sorted(txn.private.declared))
         return txn
 
     def _fetch_snapshots(self, txn: Transaction, site_ids: list[int]) -> None:
@@ -135,24 +167,24 @@ class DistributedMV2PL(Distributed2PLDatabase):
         The non-atomicity across these messages is the anomaly window.
         """
         pending = list(site_ids)
+        snapshot: _Snapshot = txn.private
 
         def fetch_next() -> None:
             if not pending:
-                ready = txn.meta["snapshot_ready"]
-                if ready.pending:
-                    ready.resolve(None)
+                if snapshot.ready.pending:
+                    snapshot.ready.resolve(None)
                 return
             sid = pending.pop(0)
 
             def deliver() -> None:
-                if sid in txn.meta["start_ts"]:  # duplicated delivery
-                    return
+                if txn.is_finished or sid in snapshot.start_ts:
+                    return  # finished meanwhile, or duplicated delivery
                 site = self.sites[sid]
                 with start_span(
                     self.courier.tracer, "snapshot.fetch", txn=txn.txn_id, site=sid
                 ):
-                    txn.meta["start_ts"][sid] = make_gtn(site.commit_counter + 1, sid)
-                    txn.meta["ctl_copy"][sid] = set(site.ctl)
+                    snapshot.start_ts[sid] = make_gtn(site.commit_counter + 1, sid)
+                    snapshot.ctl_copy[sid] = set(site.ctl)
                     self.counters.note_cc_interaction(txn, "ctl-fetch")
                     self.counters.bump("ctl.copied_entries", len(site.ctl))
                 fetch_next()
@@ -165,10 +197,11 @@ class DistributedMV2PL(Distributed2PLDatabase):
 
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         site = self.site_of_key(key)
-        if site.site_id not in txn.meta["declared"]:
+        snapshot: _Snapshot = txn.private
+        if site.site_id not in snapshot.declared:
             raise ProtocolError(
                 f"site {site.site_id} was not declared by read-only "
-                f"transaction {txn.txn_id} (declared: {sorted(txn.meta['declared'])})"
+                f"transaction {txn.txn_id} (declared: {sorted(snapshot.declared)})"
             )
         result = OpFuture(label=f"r{txn.txn_id}[{key}]@s{site.site_id}")
 
@@ -176,8 +209,8 @@ class DistributedMV2PL(Distributed2PLDatabase):
             def deliver() -> None:
                 if not result.pending:  # duplicated delivery
                     return
-                start_ts = txn.meta["start_ts"][site.site_id]
-                ctl_copy = txn.meta["ctl_copy"][site.site_id]
+                start_ts = snapshot.start_ts[site.site_id]
+                ctl_copy = snapshot.ctl_copy[site.site_id]
                 candidates = [v for v in site.store.object(key).versions() if v.tn < start_ts]
                 for version in reversed(candidates):
                     self.counters.bump("ctl.membership_checks")
@@ -190,7 +223,7 @@ class DistributedMV2PL(Distributed2PLDatabase):
 
             self._send_for(txn, site, deliver, channel="read")
 
-        txn.meta["snapshot_ready"].add_callback(ready)
+        snapshot.ready.add_callback(ready)
         return result
 
     # -- termination --------------------------------------------------------------------
@@ -202,13 +235,12 @@ class DistributedMV2PL(Distributed2PLDatabase):
         # version numbers together for history recording only.
         self._ident_counter += 1
         txn.tn = make_gtn(self._ident_counter, 1023)
-        txn.meta["site_numbers"] = {}
         tracer = self.courier.tracer
 
         def leg(site: _ChanSite, parent, acked: Callable[[int], None]) -> None:
             sid = site.site_id
             local_tn = site.next_commit_number()
-            txn.meta["site_numbers"][sid] = local_tn
+            txn.private.site_numbers[sid] = local_tn
             self._ident_of_version[local_tn] = txn.tn
             items = self._items_at(txn, site)
             # One-phase commit still has a prepare-equivalent point: the

@@ -183,10 +183,9 @@ class DeadlineExceeded(TransactionAborted):
     """A transaction's deadline passed while an operation was blocked.
 
     Raised instead of waiting forever: the lock manager fails the blocked
-    request's future with this, the wait lists drop the parked retry
-    closure, and the distributed layer aborts a 2PC that cannot reach its
-    decision point before the deadline.  Deadlines are virtual-time and
-    carried on the transaction descriptor (``txn.meta["qos.deadline"]``).
+    request's future with this, and the distributed layer aborts a 2PC that
+    cannot reach its decision point before the deadline.  Deadlines are virtual-time and
+    carried on the transaction descriptor (``txn.deadline``).
     """
 
     def __init__(self, txn_id: int, deadline: float = 0.0, now: float = 0.0, detail: str = ""):

@@ -62,7 +62,8 @@ class FaultInvariantChecker:
         if not txn.write_set or txn.tn is None:
             return
         expected: list[tuple[int, int, Hashable, Any]] = []
-        site_numbers = txn.meta.get("site_numbers")  # DMV2PL: per-site numbers
+        # DMV2PL numbers a commit per site; everyone else has one tn.
+        site_numbers = None if self._is_dvc() else txn.private.site_numbers
         for key, value in txn.write_set.items():
             site = self.db.site_of_key(key)
             tn = site_numbers[site.site_id] if site_numbers else txn.tn

@@ -35,7 +35,6 @@ from repro.obs.profile import (
     aggregate_phase_shares,
     critical_path,
     phase_shares,
-    profile_wallclock,
 )
 from repro.obs.spans import (
     NULL_SPAN,
@@ -76,7 +75,6 @@ __all__ = [
     "build_span_trees",
     "critical_path",
     "phase_shares",
-    "profile_wallclock",
     "start_span",
     "subscribe_version_control",
     "transaction_trees",

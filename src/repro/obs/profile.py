@@ -14,16 +14,15 @@ was waiting on; time not covered by any child is the span's own.  The
 result is a gap-free segmentation of the root's duration, every segment
 attributed to exactly one span — so phase shares always sum to 1.
 
-All of this is *virtual-time* attribution of the modeled system.  For
-real-CPU attribution of the simulator itself there is
-:func:`profile_wallclock`, a thin cProfile hook the bench CLI exposes as
-``--cprofile``.
+All of this is *virtual-time* attribution of the modeled system.  Real-CPU
+attribution of the simulator itself is ``benchmarks/perf``'s per-layer
+ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from repro.obs.spans import SpanNode
 
@@ -195,37 +194,3 @@ def render_critical_path(root: SpanNode) -> str:
         summary = "  ".join(f"{p}={s:.0%}" for p, s in shares.items())
         lines.append(f"  phases: {summary}")
     return "\n".join(lines)
-
-
-# -- wall-clock attribution of the simulator itself -------------------------------
-
-
-def profile_wallclock(
-    fn: Callable[..., Any], *args: Any, top: int = 15, **kwargs: Any
-) -> tuple[Any, list[dict[str, Any]]]:
-    """Run ``fn`` under cProfile; return its result and the top functions.
-
-    Virtual-time spans attribute the *modeled* system's latency; this
-    attributes the *simulator's* real CPU, which is what a perf PR against
-    the repo itself needs.  Each row: ``function``, ``calls``, ``tottime``,
-    ``cumtime`` (seconds), sorted by cumulative time.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args, **kwargs)
-    stats = pstats.Stats(profiler)
-    rows: list[dict[str, Any]] = []
-    for (filename, lineno, funcname), data in stats.stats.items():  # type: ignore[attr-defined]
-        _cc, ncalls, tottime, cumtime, _callers = data
-        rows.append(
-            {
-                "function": f"{filename}:{lineno}:{funcname}",
-                "calls": ncalls,
-                "tottime": round(tottime, 6),
-                "cumtime": round(cumtime, 6),
-            }
-        )
-    rows.sort(key=lambda row: -row["cumtime"])
-    return result, rows[:top]

@@ -197,8 +197,7 @@ class activate:
 
 def txn_context(txn: Any) -> SpanContext | None:
     """The root span context a scheduler stashed on ``txn``, if any."""
-    span = txn.meta.get("obs.span")
-    return span.context if span is not None else None
+    return txn.span.context if txn.span is not None else None
 
 
 def bind_envelope(

@@ -55,6 +55,18 @@ class _AdaptiveEngineMixin:
         self._parent._on_engine_outcome(txn, aborted=txn.state is TxnState.ABORTED)
 
 
+class _Engaged:
+    """``txn.private`` of a read-write transaction: the engine that began it."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: VersionControlledScheduler):
+        self.engine: VersionControlledScheduler | None = engine
+
+    def release(self) -> None:
+        self.engine = None
+
+
 class _Adaptive2PL(_AdaptiveEngineMixin, VC2PLScheduler):
     pass
 
@@ -145,19 +157,19 @@ class AdaptiveVCScheduler(VersionControlledScheduler):
     def _rw_begin(self, txn: Transaction) -> None:
         self._apply_pending()
         engine = self._engines[self.mode]
-        txn.meta["engine"] = engine
+        txn.private = _Engaged(engine)
         self._inflight_rw += 1
         engine._rw_begin(txn)
 
     def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        return txn.meta["engine"]._rw_read(txn, key)
+        return txn.private.engine._rw_read(txn, key)
 
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        return txn.meta["engine"]._rw_write(txn, key, value)
+        return txn.private.engine._rw_write(txn, key, value)
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
-        return txn.meta["engine"]._rw_commit(txn)
+        return txn.private.engine._rw_commit(txn)
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         if not txn.is_finished:
-            txn.meta["engine"]._rw_abort(txn, reason)
+            txn.private.engine._rw_abort(txn, reason)

@@ -47,7 +47,7 @@ class VCGranular2PLScheduler(VC2PLScheduler):
             txn.txn_id,
             (*ROOT, key),
             GranularMode.X if exclusive else GranularMode.S,
-            deadline=txn.meta.get("qos.deadline"),
+            deadline=txn.deadline,
         )
 
     # -- the granularity payoff ------------------------------------------------
@@ -64,7 +64,7 @@ class VCGranular2PLScheduler(VC2PLScheduler):
         self.counters.note_cc_interaction(txn, "scan-lock")
         result = OpFuture(label=f"scan T{txn.txn_id}")
         lock = self.locks.acquire(
-            txn.txn_id, ROOT, GranularMode.S, deadline=txn.meta.get("qos.deadline")
+            txn.txn_id, ROOT, GranularMode.S, deadline=txn.deadline
         )
 
         def _locked(done: OpFuture) -> None:

@@ -59,7 +59,7 @@ class VC2PLScheduler(StrictTwoPhaseLocking, VersionControlledScheduler):
             txn.txn_id,
             key,
             LockMode.EXCLUSIVE if exclusive else LockMode.SHARED,
-            deadline=txn.meta.get("qos.deadline"),
+            deadline=txn.deadline,
         )
 
     # -- read-write hooks ----------------------------------------------------

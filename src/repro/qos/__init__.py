@@ -15,9 +15,8 @@ Pieces (each usable standalone; see ``docs/robustness.md``):
   the distributed courier path;
 * :class:`BackoffPolicy` / :class:`RetryBudget` — classified retries with
   deterministic seeded jitter and storm-proof budgets;
-* deadline helpers (:func:`set_deadline`, :func:`check_deadline`, …) over
-  ``txn.meta["qos.deadline"]``, enforced by the lock manager, wait lists,
-  and the 2PC legs;
+* deadlines: ``begin(deadline=...)`` stamps ``txn.deadline``; the lock
+  manager and the distributed decision timer enforce it (no helper here);
 * :func:`run_overload_campaign` — the seeded overload drill behind
   ``python -m repro drill --campaign overload``;
 * :class:`MemoryPressureController` / :func:`run_memory_campaign` — the
@@ -29,14 +28,6 @@ All decisions emit ``qos.*`` trace events through :mod:`repro.obs`.
 
 from repro.qos.admission import POLICIES, AdmissionController
 from repro.qos.breaker import BreakerBoard, CircuitBreaker
-from repro.qos.deadline import (
-    DEADLINE_KEY,
-    STALENESS_KEY,
-    check_deadline,
-    get_deadline,
-    remaining,
-    set_deadline,
-)
 from repro.qos.retry import BackoffPolicy, RetryBudget
 
 __all__ = [
@@ -44,17 +35,11 @@ __all__ = [
     "BackoffPolicy",
     "BreakerBoard",
     "CircuitBreaker",
-    "DEADLINE_KEY",
     "MemoryPressureController",
     "POLICIES",
     "RetryBudget",
-    "STALENESS_KEY",
-    "check_deadline",
-    "get_deadline",
-    "remaining",
     "run_memory_campaign",
     "run_overload_campaign",
-    "set_deadline",
 ]
 
 

@@ -244,13 +244,11 @@ class Replica:
                 f"replica {self.replica_id} serves read-only transactions; "
                 "route read-write begins to the primary"
             )
-        txn = Transaction(TxnClass.READ_ONLY)
+        txn = Transaction(TxnClass.READ_ONLY, deadline=deadline)
         txn.sn = self.vtnc
         txn.meta["qos.staleness"] = self.staleness_bound
         self._publish_staleness()
         txn.meta["replica.id"] = self.replica_id
-        if deadline is not None:
-            txn.meta["qos.deadline"] = float(deadline)
         self.counters.note_begin(txn)
         self.counters.note_vc_interaction(txn, "start")
         if self.tracer.enabled:

@@ -63,6 +63,19 @@ from repro.shard.vector import XlogEntry, sweep_consistent_vector, torn_entries
 from repro.storage.wal import LogRecord, RecordKind, validate_durable
 
 
+class _VectorSnapshot:
+    """``txn.private`` of a read-only transaction: its watermark vector."""
+
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: dict[int, int]):
+        self.vector = vector
+
+    def release(self) -> None:
+        """Nothing in flight: the vector is outcome data, and
+        :meth:`ShardedDatabase.snapshot_audit` reads it after finish."""
+
+
 class ShardNode(Site):
     """One primary shard: a Site with a shippable WAL, an xlog, and an epoch.
 
@@ -193,9 +206,9 @@ class ShardedDatabase(DistributedVCDatabase):
         The read-write path is the inherited one.  A read-only begin takes
         every shard's current watermark (one probe per shard — the same
         message cost as the base protocol's ``fresh=True``), sweeps the
-        vector down to the newest provably-consistent one, and pins it in
-        ``txn.meta["shard.vector"]``; reads at shard ``s`` then snapshot at
-        component ``v_s``.  ``origin_site``/``fresh`` are accepted for
+        vector down to the newest provably-consistent one, and pins it on
+        the transaction (:meth:`snapshot_vector`); reads at shard ``s`` then
+        snapshot at component ``v_s``.  ``origin_site``/``fresh`` are accepted for
         interface parity but moot — a vector begin is inherently fresh.
         """
         if not read_only:
@@ -205,7 +218,7 @@ class ShardedDatabase(DistributedVCDatabase):
         raw = {sid: site.vc.vc_start() for sid, site in sorted(self.sites.items())}
         xlogs = {sid: site.xlog for sid, site in self.sites.items()}
         vector, lowered = sweep_consistent_vector(raw, xlogs)
-        txn.meta["shard.vector"] = vector
+        txn.private = _VectorSnapshot(vector)
         txn.sn = max(vector.values())
         self.counters.note_vc_interaction(txn, "start")
         self.counters.bump("ro.freshness_probes", len(self.sites))
@@ -266,10 +279,7 @@ class ShardedDatabase(DistributedVCDatabase):
                 site.xlog = [entry for entry in site.xlog if entry[0] > floor]
 
     def _ro_start_number(self, txn: Transaction, site: Site) -> int:
-        vector = txn.meta.get("shard.vector")
-        if vector is None:
-            return super()._ro_start_number(txn, site)
-        sn = vector[site.site_id]
+        sn = txn.private.vector[site.site_id]
         if sn > site.vc.vtnc:
             # A vector component above the shard's live watermark can only
             # follow a crash that rolled back a fast-forwarded (never
@@ -286,6 +296,11 @@ class ShardedDatabase(DistributedVCDatabase):
                 )
         return sn
 
+    def snapshot_vector(self, txn: Transaction) -> dict[int, int] | None:
+        """``{shard_id: watermark}`` a read-only ``txn`` snapshots at, swept
+        consistent at begin; None for a read-write transaction."""
+        return txn.private.vector if txn.is_read_only else None
+
     def snapshot_audit(self, txn: Transaction) -> list[XlogEntry]:
         """Cross-shard commits torn by ``txn``'s vector (must be empty).
 
@@ -294,7 +309,7 @@ class ShardedDatabase(DistributedVCDatabase):
         passes them (at which point no vector taken *now* could tear them,
         but an old vector's audit would be vacuous).
         """
-        vector = txn.meta.get("shard.vector")
+        vector = self.snapshot_vector(txn)
         if vector is None:
             return []
         return torn_entries(

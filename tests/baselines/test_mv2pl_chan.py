@@ -48,7 +48,7 @@ class TestReadOnlyPath:
             db.write(t, f"k{i}", i).result()
             db.commit(t).result()
         ro = db.begin(read_only=True)
-        assert ro.meta["ctl_copy"] == {0, 1, 2, 3}
+        assert ro.private.ctl_copy == {0, 1, 2, 3}
         assert db.counters.get("ctl.copied_entries") == 4
 
     def test_ro_read_probes_ctl_membership(self, db):
@@ -91,7 +91,7 @@ class TestReadOnlyPath:
             db.commit(t).result()
         assert db.ctl_size() == 51
         ro = db.begin(read_only=True)
-        assert len(ro.meta["ctl_copy"]) == 51
+        assert len(ro.private.ctl_copy) == 51
 
     def test_ro_zero_cost_metrics_do_not_apply_here(self, db):
         """Contrast with VC protocols: MV2PL read-only txns DO interact

@@ -110,44 +110,3 @@ class TestWaitList:
         assert ran == ["a"]
         wl.wake(["x"])
         assert ran == ["a", "b"]
-
-
-class TestDeadlines:
-    def test_expire_due_removes_overdue_waiters(self):
-        wl = WaitList()
-        results = []
-        due, patient = Transaction(), Transaction()
-        wl.park("x", due, make_attempt(results), deadline=10.0)
-        wl.park("x", patient, make_attempt(results))  # no deadline
-        assert wl.expire_due(9.9) == []
-        expired = wl.expire_due(10.0)
-        assert expired == [due]
-        assert wl.waiting_on("x") == 1
-
-    def test_expired_waiter_is_never_woken(self):
-        """A deadline-aborted waiter must not linger to be woken spuriously."""
-        wl = WaitList()
-        woken = []
-        txn = Transaction()
-        wl.park("x", txn, lambda: woken.append(txn) or True, deadline=5.0)
-        wl.expire_due(5.0)
-        wl.wake(["x"])
-        assert woken == []
-        assert wl.is_empty()
-
-    def test_on_expire_receives_txn_and_key(self):
-        wl = WaitList()
-        handed = []
-        txn = Transaction()
-        wl.park("k1", txn, lambda: False, deadline=1.0)
-        wl.expire_due(2.0, on_expire=lambda t, key: handed.append((t, key)))
-        assert handed == [(txn, "k1")]
-
-    def test_expiry_sweeps_all_keys_of_the_transaction(self):
-        wl = WaitList()
-        txn = Transaction()
-        wl.park("x", txn, lambda: False, deadline=1.0)
-        wl.park("y", txn, lambda: False)  # same txn, no deadline here
-        expired = wl.expire_due(1.0)
-        assert expired == [txn]
-        assert wl.is_empty(), "every entry of the expired txn is dropped"

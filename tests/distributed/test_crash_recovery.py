@@ -120,6 +120,24 @@ class TestDVCCrashRecovery:
         assert t1.state.value == "aborted", "t1 was pre-decision at the site"
         assert t2.state.value == "aborted"
 
+    def test_every_overlapping_operation_fails_on_crash(self):
+        """Two operations of one transaction open at once: the first
+        resolving must not make the fault path forget the second, or its
+        client waits forever on a message that died with the site."""
+        courier = Courier(manual=True)
+        db = DistributedVCDatabase(n_sites=3, courier=courier)
+        t = db.begin()
+        f1 = db.read(t, "s1:x")
+        f2 = db.read(t, "s2:y")
+        courier.pump(1)  # f1's hop lands; f2's is still in flight
+        assert f1.done and f2.pending
+        db.crash_site(2)
+        assert t.state.value == "aborted"
+        assert f2.failed, "the open operation at the crashed site is failed"
+        with pytest.raises(TransactionAborted) as exc_info:
+            f2.result()
+        assert exc_info.value.reason is AbortReason.SITE_FAILURE
+
     def test_messages_park_while_site_down_and_replay_on_recovery(self):
         courier = Courier(manual=True)
         db = DistributedVCDatabase(n_sites=2, courier=courier)

@@ -7,7 +7,6 @@ from repro.obs.profile import (
     critical_path,
     phase_of,
     phase_shares,
-    profile_wallclock,
     render_critical_path,
     site_shares,
 )
@@ -149,13 +148,3 @@ class TestPhases:
         node("msg", 2.0, 8.0, root, channel="2pc")
         text = render_critical_path(root)
         assert "T9" in text and "msg[2pc]" in text and "phases:" in text
-
-
-class TestWallclockProfile:
-    def test_runs_function_and_ranks_by_cumtime(self):
-        result, rows = profile_wallclock(sum, [1, 2, 3])
-        assert result == 6
-        assert rows
-        assert set(rows[0]) == {"function", "calls", "tottime", "cumtime"}
-        cums = [row["cumtime"] for row in rows]
-        assert cums == sorted(cums, reverse=True)

@@ -115,12 +115,12 @@ class TestSwitching:
         drain_window(db, 4)              # policy wants OCC now
         assert db.mode == "2pl", "switch deferred while 2PL txn in flight"
         started = db.begin()             # still started under the old mode
-        assert started.meta["engine"] is db._engines["2pl"]
+        assert started.private.engine is db._engines["2pl"]
         db.commit(started).result()
         db.commit(lingering).result()    # drain completes...
         t = db.begin()                   # ...and the switch lands
         assert db.mode == "occ"
-        assert t.meta["engine"] is db._engines["occ"]
+        assert t.private.engine is db._engines["occ"]
         db.commit(t).result()
 
     def test_no_switch_below_window(self):

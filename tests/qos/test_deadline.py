@@ -1,47 +1,12 @@
-"""Deadline enforcement: meta helpers, lock-manager sweeps, cancellation."""
+"""Deadline enforcement: lock-manager sweeps, cancellation."""
 
 import pytest
 
 from repro.cc.granular import GranularLockManager, GranularMode
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
-from repro.core.transaction import Transaction
 from repro.errors import DeadlineExceeded, SiteUnavailable
 from repro.protocols.vc_granular import VCGranular2PLScheduler
-from repro.qos.deadline import (
-    DEADLINE_KEY,
-    check_deadline,
-    get_deadline,
-    remaining,
-    set_deadline,
-)
-
-
-class TestDeadlineHelpers:
-    def test_set_get_clear(self):
-        txn = Transaction()
-        assert get_deadline(txn) is None
-        set_deadline(txn, 12)
-        assert get_deadline(txn) == 12.0
-        assert txn.meta[DEADLINE_KEY] == 12.0
-        set_deadline(txn, None)
-        assert get_deadline(txn) is None
-
-    def test_remaining(self):
-        txn = Transaction()
-        assert remaining(txn, 5.0) is None
-        set_deadline(txn, 12.0)
-        assert remaining(txn, 5.0) == 7.0
-
-    def test_check_raises_only_when_due(self):
-        txn = Transaction()
-        check_deadline(txn, 1e9)  # no deadline: never raises
-        set_deadline(txn, 10.0)
-        check_deadline(txn, 9.99)
-        with pytest.raises(DeadlineExceeded) as exc_info:
-            check_deadline(txn, 10.0)
-        assert exc_info.value.txn_id == txn.txn_id
-        assert exc_info.value.deadline == 10.0
 
 
 class _Rig:

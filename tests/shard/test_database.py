@@ -83,7 +83,7 @@ class TestCrossShard2PC:
 class TestSnapshotVectors:
     def test_vector_begin_pins_one_component_per_shard(self, db):
         ro = db.begin(read_only=True)
-        vector = ro.meta["shard.vector"]
+        vector = db.snapshot_vector(ro)
         assert sorted(vector) == [1, 2, 3]
         assert ro.sn == max(vector.values())
         assert db.snapshot_audit(ro) == []
@@ -126,7 +126,7 @@ class TestSnapshotVectors:
         assert db.sites[1].vc.vtnc >= cross.tn > db.sites[2].vc.vtnc
 
         ro = db.begin(read_only=True)  # a torn vector would raise here
-        vector = ro.meta["shard.vector"]
+        vector = db.snapshot_vector(ro)
         assert vector[1] < cross.tn, "the sweep excluded the torn commit"
         assert db.snapshot_audit(ro) == []
         assert db.counters.get("shard.vector_lowered") == 1
@@ -253,7 +253,7 @@ class TestDegenerateSingleShard:
         db.write(t, "x", 1).result()
         db.commit(t).result()
         ro = db.begin(read_only=True)
-        assert list(ro.meta["shard.vector"]) == [1]
+        assert list(db.snapshot_vector(ro)) == [1]
         assert ro.sn == db.watermarks()[1]
         assert ro.meta["shard.staleness"] == 0
         db.commit(ro).result()
