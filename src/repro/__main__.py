@@ -51,7 +51,19 @@ Commands:
 
 from __future__ import annotations
 
+import pkgutil
 import sys
+
+#: The commands that parse their own arguments: name -> ``"module:main"``,
+#: imported only when the command is chosen.
+_DELEGATES = {
+    "report": "repro.bench.report:main",
+    "trace": "repro.obs.analyze:main",
+    "drill": "repro.faults.drill:main",
+    "bench": "repro.bench.artifact:main",
+    "watch": "repro.obs.slo.watch:main",
+    "explain": "repro.obs.witness.explain:main",
+}
 
 _DESCRIPTIONS = {
     "vc-2pl": "paper Figure 4: version control + strict two-phase locking",
@@ -104,42 +116,6 @@ def cmd_demo(protocol: str = "vc-2pl") -> int:
     return 0
 
 
-def cmd_report(args: list[str]) -> int:
-    from repro.bench.report import main as report_main
-
-    return report_main(args)
-
-
-def cmd_trace(args: list[str]) -> int:
-    from repro.obs.analyze import main as trace_main
-
-    return trace_main(args)
-
-
-def cmd_drill(args: list[str]) -> int:
-    from repro.faults.drill import main as drill_main
-
-    return drill_main(args)
-
-
-def cmd_bench(args: list[str]) -> int:
-    from repro.bench.artifact import main as bench_main
-
-    return bench_main(args)
-
-
-def cmd_watch(args: list[str]) -> int:
-    from repro.obs.slo.watch import main as watch_main
-
-    return watch_main(args)
-
-
-def cmd_explain(args: list[str]) -> int:
-    from repro.obs.witness.explain import main as explain_main
-
-    return explain_main(args)
-
-
 def cmd_selfcheck(protocol: str = "vc-2pl") -> int:
     from repro.bench.runner import SimConfig, run_simulation
     from repro.protocols.registry import make_scheduler
@@ -169,23 +145,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_list()
     if command == "demo":
         return cmd_demo(*rest[:1])
-    if command == "report":
-        return cmd_report(rest)
     if command == "selfcheck":
         return cmd_selfcheck(*rest[:1])
-    if command == "trace":
-        return cmd_trace(rest)
-    if command == "drill":
-        return cmd_drill(rest)
-    if command == "bench":
-        return cmd_bench(rest)
-    if command == "watch":
-        return cmd_watch(rest)
-    if command == "explain":
-        return cmd_explain(rest)
+    if command in _DELEGATES:
+        return pkgutil.resolve_name(_DELEGATES[command])(rest)
     print(
         f"unknown command {command!r}; "
-        "try: list, demo, report, selfcheck, trace, drill, bench, watch, explain"
+        f"try: list, demo, selfcheck, {', '.join(_DELEGATES)}"
     )
     return 2
 

@@ -8,8 +8,6 @@ trees of the traced run.  Because every number is measured in *virtual*
 time, the artifact is a pure function of (code, suite, seed): the same
 commit produces byte-identical metrics on any machine, which is what makes
 ``compare`` usable as a CI gate — a regression is a code change, not noise.
-(Wall-clock seconds are recorded too, but informationally; the comparator
-never looks at them.)
 
 The comparator (:func:`compare`, ``--baseline`` / ``--compare``) diffs two
 artifacts and fails on a throughput drop or a p99 latency increase beyond
@@ -23,13 +21,14 @@ intended change moves the numbers.
 from __future__ import annotations
 
 import json
+import pkgutil
 import subprocess
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.bench.metrics import RunMetrics
 from repro.bench.runner import SimConfig, run_simulation
+from repro.cli import Parser
 from repro.distributed.courier import Courier
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.profile import aggregate_phase_shares
@@ -60,23 +59,14 @@ SUITES: dict[str, Suite] = {
     "quick": Suite(
         name="quick",
         protocols=("vc-2pl", "vc-to", "mv2pl-chan", "sv-2pl", "dvc-2pl", "dmv2pl"),
-        duration=300.0,
         description="CI gate: core VC protocols, two baselines, both "
         "distributed databases",
     ),
     "full": Suite(
         name="full",
         protocols=(
-            "vc-2pl",
-            "vc-to",
-            "vc-occ",
-            "mvto-reed",
-            "mv2pl-chan",
-            "weihl-ti",
-            "sv-2pl",
-            "sv-to",
-            "dvc-2pl",
-            "dmv2pl",
+            "vc-2pl", "vc-to", "vc-occ", "mvto-reed", "mv2pl-chan", "weihl-ti",
+            "sv-2pl", "sv-to", "dvc-2pl", "dmv2pl",
         ),
         duration=600.0,
         description="every registered protocol plus the distributed pair",
@@ -128,13 +118,9 @@ def _make_scheduler(protocol: str, sim: Simulator) -> Any:
 EXPECTED_ANOMALOUS = ("dmv2pl",)
 
 
-def bench_protocol(
-    protocol: str,
-    suite: Suite,
-    seed: int,
-    span_capacity: int = 262_144,
-) -> dict[str, Any]:
-    """One traced benchmark run → one artifact entry for ``protocol``."""
+def bench_protocol(protocol: str, suite: Suite, seed: int) -> dict[str, Any]:
+    """One traced benchmark run → one artifact entry for ``protocol``, still
+    carrying its ``slo`` and ``witness`` verdicts (:func:`run_suite` lifts them)."""
     from repro.obs.witness import WitnessEngine
 
     sim = Simulator()
@@ -142,7 +128,7 @@ def bench_protocol(
     # The certifier attaches *live* (the ring truncates long runs), so its
     # verdict covers every event, not just the retained suffix.
     certifier = WitnessEngine(seal=True)
-    pipeline = ObsPipeline(sim=sim, ring=span_capacity, witness=certifier)
+    pipeline = ObsPipeline(sim=sim, ring=262_144, witness=certifier)
     workload = MIXES[suite.mix](seed=seed)
     config = SimConfig(
         duration=suite.duration,
@@ -152,7 +138,7 @@ def bench_protocol(
         check_serializability=False,
     )
     wall_start = time.perf_counter()
-    metrics: RunMetrics = run_simulation(
+    metrics = run_simulation(
         scheduler, workload, config, tracer=pipeline.tracer, sim=sim
     )
     wall_clock_s = time.perf_counter() - wall_start
@@ -174,14 +160,13 @@ def bench_protocol(
 
     witness_report = certifier.report()
     witness = {
-        "ok": witness_report["ok"],
-        "serializable": witness_report["serializable"],
-        "expected_1sr": protocol not in EXPECTED_ANOMALOUS,
-        "violation_count": witness_report["violation_count"],
-        "late_sealed_reads": witness_report["late_sealed_reads"],
-        "peak_tracked": witness_report["peak_tracked"],
-        "sealed": witness_report["sealed"],
+        key: witness_report[key]
+        for key in (
+            "ok", "serializable", "violation_count", "late_sealed_reads",
+            "peak_tracked", "sealed",
+        )
     }
+    witness["expected_1sr"] = protocol not in EXPECTED_ANOMALOUS
 
     return {
         "throughput": round(metrics.throughput, 6),
@@ -197,9 +182,7 @@ def bench_protocol(
             "rw": metrics.latency_rw.as_dict(),
         },
         "visibility_lag": vc_lag,
-        "critical_path": {
-            phase: round(share, 6) for phase, share in shares.items()
-        },
+        "critical_path": {phase: round(share, 6) for phase, share in shares.items()},
         "span_trees": len(committed),
         "trace_events": len(events) + (pipeline.ring.dropped if pipeline.ring else 0),
         "wall_clock_s": round(wall_clock_s, 3),
@@ -249,134 +232,154 @@ def _bench_slo(
     }
 
 
-def bench_qos(seed: int) -> dict[str, Any]:
-    """One overload campaign → the artifact's ``qos`` block.
+# -- the blocks --------------------------------------------------------------------
 
-    Headline robustness numbers (shed rate, deadline-miss rate, read-only
-    p99 under overload vs. the uncontended baseline) ride along in every
-    artifact.  The block is *top-level*, not a protocol entry, so the
-    regression comparator — which iterates ``baseline["protocols"]`` only —
-    ignores it and older baselines stay comparable.
-    """
-    from repro.qos.overload import run_overload_campaign
 
-    report = run_overload_campaign(seed, duration=200.0, verify_determinism=False)
-    data = report.as_dict()
-    block = {
-        key: data[key]
-        for key in (
-            "shed_rate", "deadline_miss_rate", "ro_p99_baseline", "ro_p99_ratio",
-            "ro_shed", "staleness_max", "ok", "violations",
-        )
+def scenario(target: str, **overrides: Any) -> Callable[..., dict[str, Any]]:
+    """Build a block by running the seeded scenario ``"module:function"`` —
+    it lives with the subsystem it measures and is imported only when it
+    runs — with the suite's defaults overridden by the block's own."""
+
+    def build(artifact: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
+        return pkgutil.resolve_name(target)(**{**defaults, **overrides})
+
+    return build
+
+
+def _slo_verdicts(artifact: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
+    protocols = {name: entry["slo"] for name, entry in artifact["protocols"].items()}
+    qos = artifact["qos"]["slo"]
+    return {
+        "ok": qos["ok"] and all(block["ok"] for block in protocols.values()),
+        "protocols": protocols,
+        "qos": qos,
     }
-    block["ro_p99_under_overload"] = data["ro_p99_overload"]
-    block["slo"] = None
-    if report.slo is not None:
-        block["slo"] = {"ok": report.slo["ok"], "breaches": report.slo["breaches"]}
-    return block
 
 
-def _gc_scenario(
-    *, bounded: bool, pinned: bool, rounds: int = 400, n_keys: int = 8,
-    sweep_every: int = 10, pin_at: int = 20,
+def _witness_verdicts(
+    artifact: dict[str, Any], defaults: dict[str, Any]
 ) -> dict[str, Any]:
-    """One deterministic write-hammer run under one collector configuration.
-
-    ``rounds`` committed writers round-robin over ``n_keys`` chains with a
-    periodic sweep; with ``pinned`` a read-only transaction registers at
-    round ``pin_at`` and never leaves — the HTAP long scan.  Reports the
-    peak and final *post-sweep* footprints plus the sweep-cost counters,
-    so ranged-vs-legacy and pinned-vs-unpinned separate cleanly.
-    """
-    from repro.core.transaction import Transaction, TxnClass
-    from repro.core.version_control import VersionControl
-    from repro.storage.gc import GarbageCollector
-    from repro.storage.mvstore import MVStore
-
-    store = MVStore()
-    vc = VersionControl()
-    gc = GarbageCollector(store, vc, bounded=bounded)
-    peak = 0
-    for round_no in range(1, rounds + 1):
-        txn = Transaction()
-        vc.vc_register(txn)
-        store.install(f"k{round_no % n_keys}", txn.tn, round_no)
-        vc.vc_complete(txn)
-        if pinned and round_no == pin_at:
-            scan = Transaction(TxnClass.READ_ONLY)
-            scan.sn = vc.vc_start()
-            gc.registry.register(scan)
-        if round_no % sweep_every == 0:
-            gc.collect()
-            live, _ = store.chain_stats()
-            if live > peak:
-                peak = live
-    gc.collect()
+    protocols = {
+        name: entry["witness"] for name, entry in artifact["protocols"].items()
+    }
     return {
-        "peak_live": peak,
-        "final_live": store.chain_stats()[0],
-        "discarded": gc.total_discarded,
-        "interior": gc.interior_discarded,
-        "scan_per_reclaimed": (
-            round(gc.scan_cost_per_reclaimed(), 6) if bounded else None
+        "ok": all(
+            block["ok"] for block in protocols.values() if block["expected_1sr"]
         ),
+        "protocols": protocols,
     }
 
 
-def bench_gc(seed: int) -> dict[str, Any]:
-    """Bounded-GC ablation → the artifact's ``gc`` block.
+def _unexpected_breaches(slo: dict[str, Any]) -> list[str]:
+    return [
+        f"{protocol}:{breach['objective']}"
+        for protocol, block in sorted(slo["protocols"].items())
+        for breach in block["breaches"]
+        if not breach.get("expected")
+    ]
 
-    Four deterministic configurations: {ranged, legacy} x {pinned long
-    scan, no pin}.  The headline is ``pinned_ratio`` — peak footprint of
-    the legacy horizon collector over the range-tracked one under a pinned
-    scan; legacy grows with run length while ranged stays flat, which is
-    the whole point of the bounded collector.  Top-level like ``qos`` so
-    the regression comparator ignores it and older baselines stay
-    comparable; the ``--slo`` CI gate checks its ``ok``.
-    """
-    del seed  # fully deterministic: no randomness needed
-    ranged_pin = _gc_scenario(bounded=True, pinned=True)
-    ranged_nopin = _gc_scenario(bounded=True, pinned=False)
-    legacy_pin = _gc_scenario(bounded=False, pinned=True)
-    legacy_nopin = _gc_scenario(bounded=False, pinned=False)
-    ratio = (
-        legacy_pin["peak_live"] / ranged_pin["peak_live"]
-        if ranged_pin["peak_live"]
-        else 0.0
+
+def _uncertified(witness: dict[str, Any]) -> list[str]:
+    return [
+        f"{name}: {block['violation_count']} cycle(s), "
+        f"{block['late_sealed_reads']} late sealed read(s)"
+        for name, block in sorted(witness["protocols"].items())
+        if block["expected_1sr"] and not block["ok"]
+    ]
+
+
+def _slo_line(slo: dict[str, Any]) -> str:
+    breached = _unexpected_breaches(slo)
+    return (
+        f"{len(slo['protocols'])} protocols watched, "
+        f"qos={'ok' if slo['qos']['ok'] else 'BREACH'}"
+        + (f" unexpected: {', '.join(breached)}" if breached else "")
     )
-    violations: list[str] = []
-    # The bound: one pin retains at most one extra version per chain, so a
-    # pinned ranged run may exceed the unpinned one by n_keys, not by O(rounds).
-    if ranged_pin["peak_live"] > ranged_nopin["peak_live"] + 8:
-        violations.append(
-            f"ranged peak grew with the pin: {ranged_pin['peak_live']} vs "
-            f"{ranged_nopin['peak_live']} + 8 chains"
-        )
-    if legacy_pin["peak_live"] <= ranged_pin["peak_live"]:
-        violations.append(
-            "legacy collector not worse under a pin: ablation inverted"
-        )
-    if not ranged_pin["interior"]:
-        violations.append("no interior reclamation under a pinned scan")
-    return {
-        "ranged_pinned": ranged_pin,
-        "ranged_unpinned": ranged_nopin,
-        "legacy_pinned": legacy_pin,
-        "legacy_unpinned": legacy_nopin,
-        "pinned_ratio": round(ratio, 6),
-        "violations": violations,
-        "ok": not violations,
-    }
+
+
+def _witness_line(witness: dict[str, Any]) -> str:
+    blocks = witness["protocols"]
+    anomalous = sorted(
+        name for name, block in blocks.items() if not block["serializable"]
+    )
+    peak = max((block["peak_tracked"] for block in blocks.values()), default=0)
+    return (
+        f"{len(blocks)} protocols certified, peak tracked {peak}"
+        + (f", expected anomalies: {', '.join(anomalous)}" if anomalous else "")
+    )
+
+
+def _ramp(points: dict[str, float]) -> str:
+    return " ".join(f"{points[n]:.2f}x@{n}" for n in sorted(points, key=int))
+
+
+@dataclass(frozen=True)
+class Block:
+    """One top-level block of the artifact beside ``protocols``.
+
+    Every block reports ``ok`` against its own acceptance floors.  The
+    regression comparator reads ``protocols`` only, so a block can be added
+    and older baselines stay comparable.
+    """
+
+    #: ``build(artifact so far, suite defaults)`` -> the block.
+    build: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]]
+    #: block -> its line of the printed table after ``name [verdict]: ``
+    #: (None: the block prints no line).
+    line: Callable[[dict[str, Any]], str] | None = None
+    #: block -> what ``--slo`` prints under the block's name when ``ok`` is false.
+    violations: Callable[[dict[str, Any]], list[str]] = (
+        lambda block: block["violations"]
+    )
+    #: How the printed line spells ``ok`` false.
+    failed: str = "FAIL"
+
+
+#: Every block, in build and print order (``slo`` reads ``qos``).  A new
+#: block is one more row: :func:`run_suite`, :func:`render_artifact` and the
+#: ``--slo`` gate (:func:`failed_blocks`) iterate this table, and
+#: ``docs/benchmarks.md`` says what each one's ``ok`` promises.
+BLOCKS: dict[str, Block] = {
+    "qos": Block(
+        scenario("repro.qos.overload:bench_block", duration=200.0),
+        "shed={shed_rate:.2%} deadline_miss={deadline_miss_rate:.2%} "
+        "ro_p99 {ro_p99_baseline:.3f} -> {ro_p99_under_overload:.3f} under "
+        "overload ({ro_p99_ratio:.2f}x)".format_map,
+    ),
+    "slo": Block(
+        _slo_verdicts, _slo_line, violations=_unexpected_breaches, failed="BREACH"
+    ),
+    "witness": Block(_witness_verdicts, _witness_line, violations=_uncertified),
+    "replica": Block(
+        scenario("repro.replica.bench:run_replica_scaling", duration=150.0),
+        lambda replica: (
+            f"ro_speedup={replica['ro_speedup']:.2f}x "
+            f"({min(replica['scaling'], key=int)}->"
+            f"{max(replica['scaling'], key=int)} replicas) "
+            f"rw_ratio={replica['rw_ratio']:.2f}x"
+        ),
+    ),
+    "replica_sync": Block(
+        scenario("repro.replica.bench:run_replica_sync", duration=150.0)
+    ),
+    "shard": Block(
+        scenario("repro.shard.bench:run_shard_scaling", duration=160.0),
+        lambda shard: f"rw_speedup {_ramp(shard['speedups'])}",
+    ),
+    "gc": Block(
+        scenario("repro.bench.ablations:bounded_gc_block"),
+        "pinned peak ranged={ranged_pinned[peak_live]} vs "
+        "legacy={legacy_pinned[peak_live]} ({pinned_ratio:.1f}x), "
+        "interior={ranged_pinned[interior]}, "
+        "scan/reclaim={ranged_pinned[scan_per_reclaimed]}".format_map,
+    ),
+}
 
 
 def run_suite(
     suite: Suite, seed: int = 0, protocols: tuple[str, ...] | None = None
 ) -> dict[str, Any]:
     """Run ``suite`` and return the artifact dict (not yet written)."""
-    from repro.replica.bench import run_replica_scaling, run_replica_sync
-    from repro.shard.bench import run_shard_scaling
-
-    selected = protocols if protocols else suite.protocols
     artifact: dict[str, Any] = {
         "schema": SCHEMA,
         "suite": suite.name,
@@ -385,47 +388,28 @@ def run_suite(
         "duration": suite.duration,
         "n_clients": suite.n_clients,
         "rev": git_rev(),
-        "protocols": {},
+        "protocols": {
+            protocol: bench_protocol(protocol, suite, seed)
+            for protocol in protocols or suite.protocols
+        },
     }
-    protocol_slo: dict[str, Any] = {}
-    protocol_witness: dict[str, Any] = {}
-    for protocol in selected:
-        entry = bench_protocol(protocol, suite, seed)
-        # The per-protocol verdicts lift into *top-level* slo/witness blocks
-        # so protocol entries keep the exact shape older baselines have and
-        # the regression comparator stays oblivious.
-        protocol_slo[protocol] = entry.pop("slo")
-        protocol_witness[protocol] = entry.pop("witness")
-        artifact["protocols"][protocol] = entry
-    # Topology blocks are *top-level*, like ``qos``: the protocol comparator
-    # ignores them (older baselines stay comparable) and ``--slo`` gates each
-    # block's ``ok``.  ``replica``: RO throughput scales with replica count,
-    # RW stays flat.  ``replica_sync``: quorum acks (RPO=0) pay the shipping
-    # round trip in commit latency, not throughput.  ``shard``: RW throughput
-    # scales with shard count (1.7x/3x floors); vector RO never blocks.
-    artifact["qos"] = bench_qos(seed)
-    artifact["replica"] = run_replica_scaling(seed, duration=150.0)
-    artifact["replica_sync"] = run_replica_sync(seed, duration=150.0)
-    artifact["shard"] = run_shard_scaling(seed, duration=160.0)
-    artifact["gc"] = bench_gc(seed)
-    qos_slo = artifact["qos"].get("slo")
-    artifact["slo"] = {
-        "ok": all(block["ok"] for block in protocol_slo.values())
-        and (qos_slo is None or qos_slo["ok"]),
-        "protocols": protocol_slo,
-        "qos": qos_slo,
-    }
-    # The witness gate: every protocol that *promises* 1SR must certify
-    # clean (no cycle, no sealed-frontier taint).  dmv2pl's torn reads are
-    # the paper's expected anomaly — recorded, never a gate failure.
-    artifact["witness"] = {
-        "ok": all(
-            block["ok"] for block in protocol_witness.values()
-            if block["expected_1sr"]
-        ),
-        "protocols": protocol_witness,
-    }
+    for name, block in BLOCKS.items():
+        artifact[name] = block.build(artifact, {"seed": seed})
+    # The per-protocol verdicts now live in their top-level blocks; protocol
+    # entries keep the exact shape older baselines have.
+    for entry in artifact["protocols"].values():
+        for name in BLOCKS:
+            entry.pop(name, None)
     return artifact
+
+
+def failed_blocks(artifact: dict[str, Any]) -> dict[str, list[str]]:
+    """The ``--slo`` gate: every block reporting ``ok`` false -> its violations."""
+    return {
+        name: block.violations(artifact[name])
+        for name, block in BLOCKS.items()
+        if name in artifact and not artifact[name]["ok"]
+    }
 
 
 def git_rev() -> str:
@@ -433,9 +417,7 @@ def git_rev() -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
+            capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
         return "dev"
@@ -501,7 +483,7 @@ def compare(
 
 
 def render_artifact(artifact: dict[str, Any]) -> str:
-    """One-line-per-protocol table of the headline numbers."""
+    """One line per protocol of the headline numbers, then one per block."""
     lines = [
         f"suite={artifact.get('suite')} seed={artifact.get('seed')} "
         f"workload={artifact.get('workload')} duration={artifact.get('duration')}"
@@ -516,214 +498,99 @@ def render_artifact(artifact: dict[str, Any]) -> str:
     )
     lines.append(header)
     for name, entry in protocols.items():
-        shares = entry.get("critical_path", {})
-        top = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
+        top = sorted(entry["critical_path"].items(), key=lambda kv: -kv[1])[:3]
         phase_text = " ".join(f"{p}={s:.0%}" for p, s in top)
+        latency = entry["latency"]
         lines.append(
-            f"{name:<{width}}  {entry.get('throughput', 0.0):>8.4f}  "
-            f"{entry.get('commits', 0):>7}  "
-            f"{entry.get('latency', {}).get('rw', {}).get('p99', 0.0):>8.3f}  "
-            f"{entry.get('latency', {}).get('ro', {}).get('p99', 0.0):>8.3f}  "
-            f"{entry.get('abort_rate_rw', 0.0):>7.2%}  {phase_text}"
+            f"{name:<{width}}  {entry['throughput']:>8.4f}  {entry['commits']:>7}  "
+            f"{latency['rw']['p99']:>8.3f}  {latency['ro']['p99']:>8.3f}  "
+            f"{entry['abort_rate_rw']:>7.2%}  {phase_text}"
         )
-    qos = artifact.get("qos")
-    if qos:
-        verdict = "ok" if qos.get("ok") else "FAIL"
-        lines.append(
-            f"qos [{verdict}]: shed={qos.get('shed_rate', 0.0):.2%} "
-            f"deadline_miss={qos.get('deadline_miss_rate', 0.0):.2%} "
-            f"ro_p99 {qos.get('ro_p99_baseline', 0.0):.3f} -> "
-            f"{qos.get('ro_p99_under_overload', 0.0):.3f} under overload "
-            f"({qos.get('ro_p99_ratio', 0.0):.2f}x)"
-        )
-    slo = artifact.get("slo")
-    if slo:
-        verdict = "ok" if slo.get("ok") else "BREACH"
-        breached = [
-            f"{proto}:{breach.get('objective')}"
-            for proto, block in sorted(slo.get("protocols", {}).items())
-            for breach in block.get("breaches", [])
-            if not breach.get("expected")
-        ]
-        detail = f" unexpected: {', '.join(breached)}" if breached else ""
-        lines.append(
-            f"slo [{verdict}]: {len(slo.get('protocols', {}))} protocols "
-            f"watched, qos="
-            + (
-                "ok" if (slo.get("qos") or {}).get("ok") else
-                ("BREACH" if slo.get("qos") else "-")
-            )
-            + detail
-        )
-    witness = artifact.get("witness")
-    if witness:
-        verdict = "ok" if witness.get("ok") else "FAIL"
-        blocks = witness.get("protocols", {})
-        anomalous = sorted(
-            name for name, block in blocks.items()
-            if not block.get("serializable", True)
-        )
-        peak = max(
-            (block.get("peak_tracked", 0) for block in blocks.values()),
-            default=0,
-        )
-        lines.append(
-            f"witness [{verdict}]: {len(blocks)} protocols certified, "
-            f"peak tracked {peak}"
-            + (
-                f", expected anomalies: {', '.join(anomalous)}"
-                if anomalous else ""
-            )
-        )
-    replica = artifact.get("replica")
-    if replica:
-        verdict = "ok" if replica.get("ok") else "FAIL"
-        counts = sorted(replica.get("scaling", {}), key=int)
-        span = f"{counts[0]}->{counts[-1]}" if counts else "?"
-        lines.append(
-            f"replica [{verdict}]: ro_speedup={replica.get('ro_speedup', 0.0):.2f}x "
-            f"({span} replicas) rw_ratio={replica.get('rw_ratio', 0.0):.2f}x"
-        )
-    shard = artifact.get("shard")
-    if shard:
-        verdict = "ok" if shard.get("ok") else "FAIL"
-        speedups = shard.get("speedups", {})
-        ramp = " ".join(
-            f"{speedups[n]:.2f}x@{n}" for n in sorted(speedups, key=int)
-        )
-        lines.append(f"shard [{verdict}]: rw_speedup {ramp}")
-    gc_block = artifact.get("gc")
-    if gc_block:
-        verdict = "ok" if gc_block.get("ok") else "FAIL"
-        ranged = gc_block.get("ranged_pinned", {})
-        legacy = gc_block.get("legacy_pinned", {})
-        lines.append(
-            f"gc [{verdict}]: pinned peak ranged={ranged.get('peak_live', 0)} "
-            f"vs legacy={legacy.get('peak_live', 0)} "
-            f"({gc_block.get('pinned_ratio', 0.0):.1f}x), "
-            f"interior={ranged.get('interior', 0)}, "
-            f"scan/reclaim={ranged.get('scan_per_reclaimed')}"
-        )
+    for name, block in BLOCKS.items():
+        if block.line is not None and name in artifact:
+            verdict = "ok" if artifact[name]["ok"] else block.failed
+            lines.append(f"{name} [{verdict}]: {block.line(artifact[name])}")
     return "\n".join(lines)
 
 
 # -- CLI ---------------------------------------------------------------------------
 
 
-def main(argv: list[str]) -> int:
-    """``python -m repro bench [options]``.
+def _protocol_list(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
-    Options:
-      --suite NAME     suite to run: quick | full (default quick)
-      --quick          alias for --suite quick
-      --protocols A,B  restrict the suite to a comma-separated subset
-      --seed N         workload seed (default 0)
-      --out PATH       artifact path (default BENCH_<rev>.json)
-      --baseline PATH  compare the fresh artifact against PATH; exit 1 on
-                       regression beyond tolerance
-      --compare A B    compare two existing artifacts (no run) and exit
-      --slo            exit 1 if the run's SLO watchdogs report an
-                       unexpected breach (the artifact's top-level slo block),
-                       the GC ablation fails, the replica-sync or shard
-                       scaling blocks miss their floors, or the
-                       serializability witness refuses to certify a protocol
-                       that promises 1SR
-      --list           list suites and exit
-    """
-    args = list(argv)
-    suite_name = "quick"
-    seed = 0
-    out: str | None = None
-    baseline_path: str | None = None
-    compare_paths: tuple[str, str] | None = None
-    protocols: tuple[str, ...] | None = None
-    slo_gate = False
-    index = 0
 
-    def take_value(flag: str) -> str | None:
-        nonlocal index
-        index += 1
-        if index >= len(args):
-            print(f"{flag} needs a value")
-            return None
-        return args[index]
+#: Every ``bench`` flag, in ``--help`` order: dest -> ``add_argument`` keywords.
+FLAGS: dict[str, dict[str, Any]] = {
+    "suite": dict(
+        choices=tuple(SUITES), default="quick", help="suite to run (default quick)"
+    ),
+    "quick": dict(
+        action="store_const", dest="suite", const="quick", help="--suite quick"
+    ),
+    "protocols": dict(
+        metavar="A,B", type=_protocol_list,
+        help="restrict the suite to a comma-separated subset",
+    ),
+    "seed": dict(metavar="N", type=int, default=0, help="workload seed (default 0)"),
+    "out": dict(metavar="PATH", help="artifact path (default BENCH_<rev>.json)"),
+    "baseline": dict(
+        metavar="PATH", help="exit 1 if the fresh artifact regresses against PATH"
+    ),
+    "compare": dict(
+        nargs=2, metavar=("A", "B"), help="compare two artifacts (no run) and exit"
+    ),
+    "slo": dict(
+        action="store_true",
+        help="exit 1 if any block of the artifact reports ok false: "
+        + ", ".join(BLOCKS),
+    ),
+    "list": dict(action="store_true", help="list suites and exit"),
+}
 
-    while index < len(args):
-        arg = args[index]
-        if arg in ("-h", "--help"):
-            print(main.__doc__)
-            return 0
-        if arg == "--list":
-            for suite in SUITES.values():
-                print(f"{suite.name}: {', '.join(suite.protocols)}")
-                print(f"  {suite.description}")
-            return 0
-        if arg == "--quick":
-            suite_name = "quick"
-        elif arg == "--suite":
-            value = take_value(arg)
-            if value is None:
-                return 2
-            suite_name = value
-        elif arg == "--protocols":
-            value = take_value(arg)
-            if value is None:
-                return 2
-            protocols = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif arg == "--seed":
-            value = take_value(arg)
-            if value is None:
-                return 2
-            try:
-                seed = int(value)
-            except ValueError:
-                print(f"--seed needs an integer, got {value!r}")
-                return 2
-        elif arg == "--out":
-            value = take_value(arg)
-            if value is None:
-                return 2
-            out = value
-        elif arg == "--baseline":
-            value = take_value(arg)
-            if value is None:
-                return 2
-            baseline_path = value
-        elif arg == "--compare":
-            first = take_value(arg)
-            second = take_value(arg) if first is not None else None
-            if first is None or second is None:
-                print("--compare needs two artifact paths")
-                return 2
-            compare_paths = (first, second)
-        elif arg == "--slo":
-            slo_gate = True
-        else:
-            print(f"unknown option {arg!r}")
-            return 2
-        index += 1
 
-    if compare_paths is not None:
-        try:
-            base = load_artifact(compare_paths[0])
-            cand = load_artifact(compare_paths[1])
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot load artifact: {exc}")
-            return 1
-        regressions = compare(base, cand)
-        if regressions:
-            print("REGRESSIONS:")
-            for message in regressions:
-                print(f"  {message}")
-            return 1
-        print("no regressions beyond tolerance")
+def _gate(baseline_path: str, candidate: dict[str, Any] | str, against: str) -> int:
+    """Print :func:`compare`'s verdict on ``candidate`` (an artifact or the
+    path of one) ``against`` the baseline; the exit status."""
+    try:
+        baseline = load_artifact(baseline_path)
+        if isinstance(candidate, str):
+            candidate = load_artifact(candidate)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load artifact: {exc}")
+        return 1
+    regressions = compare(baseline, candidate)
+    if not regressions:
+        print(f"no regressions {against}")
         return 0
+    print(f"REGRESSIONS {against}:")
+    for message in regressions:
+        print(f"  {message}")
+    return 1
 
-    suite = SUITES.get(suite_name)
-    if suite is None:
-        print(f"unknown suite {suite_name!r}; available: {', '.join(SUITES)}")
-        return 2
-    unknown = [p for p in (protocols or ()) if p not in suite.protocols]
+
+def main(argv: list[str]) -> int:
+    """``python -m repro bench [options]``: 0 clean, 1 regression or failed
+    block (or unreadable artifact), 2 usage error."""
+    parser = Parser(
+        FLAGS,
+        prog="repro bench",
+        description="Run a seeded benchmark suite, write its artifact, and "
+        "gate it against a baseline (see docs/benchmarks.md).",
+    )
+    args = parser.parse(argv)
+    if isinstance(args, int):
+        return args
+    if args.list:
+        for suite in SUITES.values():
+            print(f"{suite.name}: {', '.join(suite.protocols)}")
+            print(f"  {suite.description}")
+        return 0
+    if args.compare is not None:
+        return _gate(*args.compare, "beyond tolerance")
+
+    suite = SUITES[args.suite]
+    unknown = [p for p in (args.protocols or ()) if p not in suite.protocols]
     if unknown:
         print(
             f"protocols not in suite {suite.name!r}: {', '.join(unknown)} "
@@ -731,53 +598,19 @@ def main(argv: list[str]) -> int:
         )
         return 2
 
-    artifact = run_suite(suite, seed, protocols)
-    path = out if out is not None else f"BENCH_{artifact['rev']}.json"
+    artifact = run_suite(suite, args.seed, args.protocols)
+    path = args.out if args.out is not None else f"BENCH_{artifact['rev']}.json"
     write_artifact(artifact, path)
     print(render_artifact(artifact))
     print(f"\nartifact written to {path}")
 
-    if baseline_path is not None:
-        try:
-            base = load_artifact(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot load baseline: {exc}")
+    if args.baseline is not None:
+        print()
+        if _gate(args.baseline, artifact, f"against {args.baseline}"):
             return 1
-        regressions = compare(base, artifact)
-        if regressions:
-            print("\nREGRESSIONS against", baseline_path)
-            for message in regressions:
-                print(f"  {message}")
-            return 1
-        print(f"\nno regressions against {baseline_path}")
-
-    if slo_gate and not artifact.get("slo", {}).get("ok", True):
-        print("\nSLO BREACH: the run's watchdogs reported an unexpected breach")
-        return 1
-    if slo_gate and not artifact.get("gc", {}).get("ok", True):
-        print("\nGC REGRESSION: the bounded-GC ablation block failed")
-        for message in artifact.get("gc", {}).get("violations", []):
+    failed = failed_blocks(artifact) if args.slo else {}
+    for name, violations in failed.items():
+        print(f"\n{name.upper()} FAILED: the artifact's {name} block reports ok false")
+        for message in violations:
             print(f"  {message}")
-        return 1
-    if slo_gate and not artifact.get("replica_sync", {}).get("ok", True):
-        print("\nREPLICA SYNC REGRESSION: the async-vs-quorum block failed")
-        for message in artifact.get("replica_sync", {}).get("violations", []):
-            print(f"  {message}")
-        return 1
-    if slo_gate and not artifact.get("shard", {}).get("ok", True):
-        print("\nSHARD REGRESSION: the multi-primary scaling block failed")
-        for message in artifact.get("shard", {}).get("violations", []):
-            print(f"  {message}")
-        return 1
-    if slo_gate and not artifact.get("witness", {}).get("ok", True):
-        print("\nWITNESS FAILURE: a protocol promising 1SR did not certify")
-        for name, block in sorted(
-            artifact.get("witness", {}).get("protocols", {}).items()
-        ):
-            if block.get("expected_1sr") and not block.get("ok"):
-                print(
-                    f"  {name}: {block.get('violation_count', 0)} cycle(s), "
-                    f"{block.get('late_sealed_reads', 0)} late sealed read(s)"
-                )
-        return 1
-    return 0
+    return 1 if failed else 0

@@ -13,49 +13,30 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.bench.ablations import (
-    ablation_adaptive,
-    ablation_lock_granularity,
-    ablation_occ_validation,
-    ablation_gc_strategies,
-    ablation_victim_policy,
-)
-from repro.bench.experiments import (
-    exp_a_ro_overhead,
-    exp_b_ro_caused_aborts,
-    exp_c_ro_blocking,
-    exp_d_visibility_lag,
-    exp_e_mv_vs_sv,
-    exp_f_ctl_cost,
-    exp_g_deadlock,
-    exp_h_gc,
-    exp_i_serializability,
-    exp_j2_site_scaling,
-    exp_j_distributed,
-    exp_k_weihl,
-    exp_l_uniformity,
-)
+from repro.bench import ablations, experiments
 from repro.bench.tables import render_table
 
+#: Experiment id -> the function that runs it; the ids key EXPERIMENTS.md's
+#: tables, DESIGN.md's index and the claim rows of tests/bench/test_claims.py.
 EXPERIMENTS = {
-    "EXP-A": exp_a_ro_overhead,
-    "EXP-B": exp_b_ro_caused_aborts,
-    "EXP-C": exp_c_ro_blocking,
-    "EXP-D": exp_d_visibility_lag,
-    "EXP-E": exp_e_mv_vs_sv,
-    "EXP-F": exp_f_ctl_cost,
-    "EXP-G": exp_g_deadlock,
-    "EXP-H": exp_h_gc,
-    "EXP-I": exp_i_serializability,
-    "EXP-J": exp_j_distributed,
-    "EXP-J2": exp_j2_site_scaling,
-    "EXP-K": exp_k_weihl,
-    "EXP-L": exp_l_uniformity,
-    "ABL-GC": ablation_gc_strategies,
-    "ABL-VICTIM": ablation_victim_policy,
-    "ABL-ADAPT": ablation_adaptive,
-    "ABL-GRANULARITY": ablation_lock_granularity,
-    "ABL-OCC": ablation_occ_validation,
+    "EXP-A": experiments.exp_a_ro_overhead,
+    "EXP-B": experiments.exp_b_ro_caused_aborts,
+    "EXP-C": experiments.exp_c_ro_blocking,
+    "EXP-D": experiments.exp_d_visibility_lag,
+    "EXP-E": experiments.exp_e_mv_vs_sv,
+    "EXP-F": experiments.exp_f_ctl_cost,
+    "EXP-G": experiments.exp_g_deadlock,
+    "EXP-H": experiments.exp_h_gc,
+    "EXP-I": experiments.exp_i_serializability,
+    "EXP-J": experiments.exp_j_distributed,
+    "EXP-J2": experiments.exp_j2_site_scaling,
+    "EXP-K": experiments.exp_k_weihl,
+    "EXP-L": experiments.exp_l_uniformity,
+    "ABL-GC": ablations.ablation_gc_strategies,
+    "ABL-VICTIM": ablations.ablation_victim_policy,
+    "ABL-ADAPT": ablations.ablation_adaptive,
+    "ABL-GRANULARITY": ablations.ablation_lock_granularity,
+    "ABL-OCC": ablations.ablation_occ_validation,
 }
 
 

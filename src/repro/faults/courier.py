@@ -30,40 +30,29 @@ Mode behavior (see the base class's mode matrix):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.distributed.courier import Courier, LatencySource
 from repro.faults.schedule import FaultSchedule
+from repro.qos.retry import BackoffPolicy
 from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic jitter for retransmissions.
-
-    Attempt ``n`` (0-based) waits ``min(cap, base * factor**n)`` scaled by a
-    jitter drawn uniformly from ``[1 - jitter, 1 + jitter]``.  With the
-    courier's seeded RNG streams the whole retry trajectory replays from the
-    master seed.
+class RetryPolicy(BackoffPolicy):
+    """The retransmission policy: :class:`~repro.qos.retry.BackoffPolicy`
+    delays, at most ``max_attempts`` sends.  With the courier's seeded RNG
+    streams the whole retry trajectory replays from the master seed.
     """
 
     max_attempts: int = 8
-    base: float = 0.5
-    factor: float = 2.0
-    cap: float = 30.0
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        raw = min(self.cap, self.base * self.factor ** attempt)
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * rng.random())
 
 
 class FaultyCourier(Courier):

@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
+from repro.cli import Parser
+
 TraceDicts = list[dict[str, Any]]
 
 
@@ -393,88 +395,59 @@ def trace_report(events: TraceDicts) -> dict[str, Any]:
     }
 
 
-def main(argv: list[str]) -> int:
-    """``python -m repro trace <file> [--timelines] [--blocking] [--lag] [--spans] [--summary] [--json]``.
+#: The ``trace`` sections in print order: flag -> (heading, render(events, limit)).
+SECTIONS = {
+    "summary": ("summary", lambda events, limit: render_summary(events)),
+    "timelines": ("per-transaction timelines", render_timelines),
+    "blocking": ("blocking chains", render_blocking),
+    "lag": ("visibility lag", lambda events, limit: render_lag_series(events)),
+    "spans": ("span trees & critical paths", render_spans),
+}
 
-    With no section flags, all five sections print.  ``--limit N`` caps the
-    rows of the timeline, blocking, and span sections (default 50).
-    ``--json`` instead prints the machine-readable digest (see
-    :func:`trace_report` for the documented schema) and ignores the
-    section flags.
-    """
-    args = list(argv)
-    sections = {
-        "timelines": False,
-        "blocking": False,
-        "lag": False,
-        "spans": False,
-        "summary": False,
-    }
-    limit = 50
-    as_json = False
-    path: str | None = None
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg in ("-h", "--help"):
-            print(main.__doc__)
-            return 0
-        if arg.startswith("--"):
-            flag = arg[2:]
-            if flag in sections:
-                sections[flag] = True
-            elif flag == "json":
-                as_json = True
-            elif flag == "limit":
-                index += 1
-                if index >= len(args):
-                    print("--limit needs a value")
-                    return 2
-                try:
-                    limit = int(args[index])
-                except ValueError:
-                    print(f"--limit needs an integer, got {args[index]!r}")
-                    return 2
-            else:
-                print(f"unknown option {arg!r}")
-                return 2
-        elif path is None:
-            path = arg
-        else:
-            print(f"unexpected argument {arg!r}")
-            return 2
-        index += 1
-    if path is None:
-        print("usage: python -m repro trace <trace.jsonl> "
-              "[--timelines] [--blocking] [--lag] [--summary] [--limit N]")
-        return 2
+
+def main(argv: list[str]) -> int:
+    """``python -m repro trace <file> [--timelines] [--blocking] [--lag] [--spans] [--summary] [--json]``."""
+    parser = Parser(
+        {
+            **{
+                flag: dict(action="store_true", help=f"print the {heading} section")
+                for flag, (heading, _render) in SECTIONS.items()
+            },
+            "limit": dict(
+                type=int, default=50, metavar="N",
+                help="cap the rows of timelines, blocking and spans (default 50)",
+            ),
+            "json": dict(
+                action="store_true",
+                help="print trace_report's JSON digest instead; section flags are ignored",
+            ),
+        },
+        prog="repro trace",
+        description="Analyze a JSONL trace; with no section flag, every section prints.",
+    )
+    parser.add_argument("trace", help="JSONL trace file written by JsonlExporter")
+    args = parser.parse(argv)
+    if isinstance(args, int):
+        return args
     try:
-        events = load_trace(path)
+        events = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         print(f"cannot load trace: {exc}")
         return 1
     if not events:
         print(
-            f"trace file {path!r} contains no events — "
+            f"trace file {args.trace!r} contains no events — "
             "was the run traced (and the exporter closed)?"
         )
         return 1
-    if as_json:
+    if args.json:
         print(json.dumps(trace_report(events), sort_keys=True, indent=2))
         return 0
-    if not any(sections.values()):
-        sections = dict.fromkeys(sections, True)
-    blocks: list[str] = []
-    if sections["summary"]:
-        blocks.append("== summary ==\n" + render_summary(events))
-    if sections["timelines"]:
-        blocks.append("== per-transaction timelines ==\n" + render_timelines(events, limit))
-    if sections["blocking"]:
-        blocks.append("== blocking chains ==\n" + render_blocking(events, limit))
-    if sections["lag"]:
-        blocks.append("== visibility lag ==\n" + render_lag_series(events))
-    if sections["spans"]:
-        blocks.append("== span trees & critical paths ==\n" + render_spans(events, limit))
+    chosen = [flag for flag in SECTIONS if getattr(args, flag)] or list(SECTIONS)
+    blocks = [
+        f"== {heading} ==\n" + render(events, args.limit)
+        for heading, render in map(SECTIONS.get, chosen)
+    ]
     try:
         print("\n\n".join(blocks))
     except BrokenPipeError:  # e.g. `... | head`; the reader got what it wanted

@@ -58,50 +58,6 @@ class TraceEvent:
         return f"<TraceEvent {self.name} @{self.ts} {kv}>"
 
 
-class _Span:
-    """Context manager emitting ``<name>.start`` / ``<name>.end`` events.
-
-    The ``.end`` event carries ``elapsed`` (in clock units) so span
-    durations survive into the trace without the analyzer having to pair
-    events back up.
-    """
-
-    __slots__ = ("_tracer", "_name", "_fields", "_t0")
-
-    def __init__(self, tracer: "Tracer", name: str, fields: dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._fields = fields
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._t0 = self._tracer.clock()
-        self._tracer.emit(f"{self._name}.start", **self._fields)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        end = self._tracer.clock()
-        self._tracer.emit(
-            f"{self._name}.end",
-            elapsed=end - self._t0,
-            ok=exc_type is None,
-            **self._fields,
-        )
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Fan-out tracer: stamps events with its clock and feeds every exporter.
 
@@ -172,10 +128,6 @@ class Tracer:
             exporter.export(event)
         return event
 
-    def span(self, name: str, **fields: Any) -> _Span:
-        """Time a region: ``with tracer.span("gc.pass"): ...``."""
-        return _Span(self, name, fields)
-
     def close(self) -> None:
         """Close every exporter that supports closing (flushes files)."""
         for exporter in self._exporters:
@@ -200,9 +152,6 @@ class NullTracer(Tracer):
 
     def emit(self, name: str, **fields: Any) -> None:
         return None
-
-    def span(self, name: str, **fields: Any) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
 
     def add_exporter(self, exporter: Any) -> None:
         raise ValueError("NULL_TRACER is shared and immutable; create a Tracer()")

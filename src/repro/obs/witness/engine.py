@@ -69,7 +69,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from typing import Any, Iterable
 
-from repro.histories.derive import sg_edge, version_order_edges
+from repro.histories.derive import number_precedes, sg_edge, version_order_edges
 from repro.histories.recorder import RO_ID_OFFSET
 from repro.obs.witness.topology import IncrementalTopology
 
@@ -572,7 +572,7 @@ class WitnessEngine:
             node.writes.add(key)
             for reader, writer in self._rf_pairs.get(key, ()):
                 for src, dst, kind in version_order_edges(
-                    reader, writer, (ident,), self._number_precedes
+                    reader, writer, (ident,), number_precedes
                 ):
                     edges.append((src, dst, kind, key))
             self.folded_edges += self._sealed_rf_count.get(key, 0)
@@ -610,10 +610,6 @@ class WitnessEngine:
         self._note_peak()
         if self.seal:
             self._seal_pass()
-
-    @staticmethod
-    def _number_precedes(a: int, b: int) -> bool:
-        return a < b
 
     # -- pair and edge derivation ----------------------------------------------
 
@@ -662,7 +658,7 @@ class WitnessEngine:
         if edge is not None:
             edges.append((*edge, key))
         for src, dst, kind in version_order_edges(
-            reader, writer, self._writers.get(key, ()), self._number_precedes
+            reader, writer, self._writers.get(key, ()), number_precedes
         ):
             edges.append((src, dst, kind, key))
         # Version-order edges against pruned writers all left the frontier

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.cli import Parser
 from repro.errors import RETRYABLE_REASONS
 from repro.histories.recorder import RO_ID_OFFSET
 from repro.obs.witness.engine import WitnessEngine, _norm_key
@@ -304,49 +305,45 @@ def render_explain(record: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
-    """``python -m repro explain <trace.jsonl> <txn> [--json]``.
+def txn_id(text: str) -> int:
+    """``T12`` or ``12`` -> 12; argparse reports the ``ValueError`` of
+    anything else as a usage error naming this function."""
+    return int(text.lstrip("Tt"))
 
-    ``txn`` is the transaction id shown as ``T<n>`` by ``trace``
-    timelines (the ``txn`` field of ``history.*``/``txn.*`` events); a
-    leading ``T`` is accepted.  ``--json`` emits the structured record
-    (schema ``repro.explain/1``) instead of the rendered report.
-    """
+
+def main(argv: list[str]) -> int:
+    """``python -m repro explain <trace.jsonl> <txn> [--json]``."""
     from repro.obs.analyze import load_trace
 
-    as_json = False
-    positional: list[str] = []
-    for arg in argv:
-        if arg in ("-h", "--help"):
-            print(main.__doc__)
-            return 0
-        if arg == "--json":
-            as_json = True
-        elif arg.startswith("--"):
-            print(f"unknown option {arg!r}")
-            return 2
-        else:
-            positional.append(arg)
-    if len(positional) != 2:
-        print("usage: python -m repro explain <trace.jsonl> <txn> [--json]")
-        return 2
-    path, raw_txn = positional
+    parser = Parser(
+        {
+            "json": dict(
+                action="store_true",
+                help=f"emit the structured record (schema {EXPLAIN_SCHEMA}) instead",
+            )
+        },
+        prog="repro explain",
+        description="One transaction's story, from a trace (see docs/witness.md).",
+    )
+    parser.add_argument("trace", help="JSONL trace file")
+    parser.add_argument(
+        "txn", type=txn_id,
+        help="the id trace timelines show as T<n>; a leading T is accepted",
+    )
+    args = parser.parse(argv)
+    if isinstance(args, int):
+        return args
     try:
-        txn = int(raw_txn.lstrip("Tt"))
-    except ValueError:
-        print(f"transaction id must be an integer (got {raw_txn!r})")
-        return 2
-    try:
-        events = load_trace(path)
+        events = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         print(f"cannot load trace: {exc}")
         return 1
     try:
-        record = explain_transaction(events, txn)
+        record = explain_transaction(events, args.txn)
     except LookupError as exc:
         print(str(exc))
         return 1
-    if as_json:
+    if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
         print(render_explain(record))

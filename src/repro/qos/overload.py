@@ -360,3 +360,23 @@ def run_overload_campaign(
         checks.append("no qos.* trace events emitted")
     report.conclude(outcome)
     return report
+
+
+def bench_block(seed: int, duration: float) -> dict[str, Any]:
+    """One overload campaign → the artifact's ``qos`` block.
+
+    Headline robustness numbers: shed rate, deadline-miss rate, read-only
+    p99 under overload vs. the uncontended baseline.
+    """
+    report = run_overload_campaign(seed, duration=duration, verify_determinism=False)
+    data = report.as_dict()
+    block = {
+        key: data[key]
+        for key in (
+            "shed_rate", "deadline_miss_rate", "ro_p99_baseline", "ro_p99_ratio",
+            "ro_shed", "staleness_max", "ok", "violations",
+        )
+    }
+    block["ro_p99_under_overload"] = data["ro_p99_overload"]
+    block["slo"] = {"ok": report.slo["ok"], "breaches": report.slo["breaches"]}
+    return block

@@ -19,10 +19,9 @@ well-behaved retry loop:
   overload blip into a sustained retry storm.  An exhausted budget turns
   a retryable error into a terminal one.
 
-The math of :meth:`BackoffPolicy.delay` deliberately matches
-:class:`repro.faults.RetryPolicy` (the courier-level retransmit policy):
-``min(cap, base * factor**attempt)`` scaled by a jitter factor uniform in
-``[1-jitter, 1+jitter]``.
+:meth:`BackoffPolicy.delay` is the one back-off formula:
+:class:`repro.faults.RetryPolicy` (the courier-level retransmit policy) is
+this policy plus an attempt limit.
 """
 
 from __future__ import annotations
@@ -50,10 +49,11 @@ class BackoffPolicy:
     jitter: float = 0.5
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry number ``attempt`` (0-based), jittered."""
+        """Delay before retry number ``attempt`` (0-based):
+        ``min(cap, base * factor**attempt)`` scaled by a factor uniform in
+        ``[1 - jitter, 1 + jitter]``.  Always one draw from ``rng``, so a
+        stream shared with other decisions replays the same at any jitter."""
         raw = min(self.cap, self.base * self.factor**attempt)
-        if self.jitter <= 0:
-            return raw
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * rng.random())
 
     def schedule(self, attempts: int, rng: random.Random) -> list[float]:

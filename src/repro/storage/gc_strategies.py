@@ -12,7 +12,7 @@ strategies are provided, all consuming only version-control state:
 * **budgeted** — amortized incremental sweeps touching at most K objects per
   pass, round-robin, bounding per-pass latency.
 
-The ablation experiment (``benchmarks/bench_ablation_gc.py``) compares
+The ablation experiment (ABL-GC, ``repro.bench.ablations``) compares
 retained-version footprints and per-pass work across strategies.
 """
 

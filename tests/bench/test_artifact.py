@@ -3,10 +3,13 @@
 import copy
 import json
 import pathlib
+import re
 
 import pytest
 
+import repro.bench.artifact as artifact_module
 from repro.bench.artifact import (
+    BLOCKS,
     SCHEMA,
     SUITES,
     Suite,
@@ -139,6 +142,54 @@ class TestCommittedBaseline:
         baseline = load_artifact(str(root / "BENCH_baseline.json"))
         fresh = json.loads(json.dumps(run_suite(SUITES["quick"], seed=baseline["seed"])))
         assert _without_host_fields(fresh) == _without_host_fields(baseline)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def test_benchmarks_doc_lists_every_block_in_table_order():
+    doc = ROOT / "docs" / "benchmarks.md"
+    section = doc.read_text().split("### Blocks")[1].split("\n## ")[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, re.M) == list(BLOCKS)
+
+
+class TestSloGate:
+    """``--slo`` exits 1 on *any* block reporting ``ok`` false: the gate
+    iterates :data:`BLOCKS`, and so does this test."""
+
+    @pytest.fixture
+    def committed(self, monkeypatch):
+        """The committed baseline, returned by ``run_suite`` in place of a run."""
+        baseline = load_artifact(str(ROOT / "BENCH_baseline.json"))
+        monkeypatch.setattr(artifact_module, "run_suite", lambda *args: baseline)
+        return baseline
+
+    def test_every_block_reports_ok(self, committed):
+        assert set(BLOCKS) <= set(committed)
+        for name in BLOCKS:
+            assert committed[name]["ok"] is True, name
+
+    def test_clean_artifact_passes(self, committed, tmp_path):
+        assert main(["--slo", "--out", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("name", list(BLOCKS))
+    def test_one_failed_block_fails_the_gate(self, name, committed, tmp_path, capsys):
+        block = committed[name]
+        block["ok"] = False
+        if "violations" in block:
+            block["violations"] = [f"{name}: floor missed (injected)"]
+        # A fold's violations are read off the protocols' own verdicts.
+        for verdict in block.get("protocols", {}).values():
+            verdict["ok"] = False
+            verdict.get("breaches", []).append({"objective": "injected"})
+        assert main(["--slo", "--out", str(tmp_path / "out.json")]) == 1
+        out = capsys.readouterr().out
+        violations = BLOCKS[name].violations(block)
+        assert violations, name
+        for message in violations:
+            assert message in out
+        # Without --slo the same artifact is only written and printed.
+        assert main(["--out", str(tmp_path / "out.json")]) == 0
 
 
 class TestComparator:

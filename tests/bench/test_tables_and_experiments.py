@@ -1,13 +1,5 @@
-"""Tests for table rendering and fast smoke runs of the experiment suite."""
+"""Tests for table rendering (the experiments themselves: test_claims.py)."""
 
-import pytest
-
-from repro.bench.experiments import (
-    exp_a_ro_overhead,
-    exp_d_visibility_lag,
-    exp_j_distributed,
-    exp_l_uniformity,
-)
 from repro.bench.tables import format_value, print_table, render_table
 
 
@@ -50,32 +42,3 @@ class TestRenderTable:
         text = print_table(["x"], [[1]])
         out = capsys.readouterr().out
         assert text in out
-
-
-class TestExperimentSmoke:
-    """Short-duration sanity runs of representative experiments."""
-
-    def test_exp_a_summary_keys(self):
-        result = exp_a_ro_overhead(duration=60.0)
-        assert result.exp_id == "EXP-A"
-        assert result.summary["vc-2pl.cc_per_ro"] == 0
-        assert len(result.rows) == 8
-
-    def test_exp_d_rows(self):
-        result = exp_d_visibility_lag(duration=80.0)
-        assert [row[0] for row in result.rows] == [
-            "short(2-4)",
-            "medium(6-10)",
-            "long(14-20)",
-        ]
-
-    def test_exp_j_small(self):
-        result = exp_j_distributed(rounds=6)
-        assert result.summary["dvc-2pl.torn"] == 0
-        assert result.summary["dmv2pl.torn"] > 0
-
-    def test_exp_l_uniform_ro_profile(self):
-        result = exp_l_uniformity(duration=60.0)
-        for name in ("vc-2pl", "vc-to", "vc-occ"):
-            assert result.summary[f"{name}.cc_ro"] == 0
-            assert result.summary[f"{name}.serializable"] is True

@@ -1,4 +1,4 @@
-"""Tracer core: event stamping, clocks, spans, the null tracer."""
+"""Tracer core: event stamping, clocks, the null tracer."""
 
 import pytest
 
@@ -49,27 +49,6 @@ class TestTracer:
         tracer.emit("b")
         assert [e.name for e in ring.events()] == ["a"]
 
-    def test_span_emits_start_end_with_elapsed(self):
-        now = {"t": 0.0}
-        ring = RingBufferExporter()
-        tracer = Tracer(exporters=[ring], clock=lambda: now["t"])
-        with tracer.span("gc.pass", site=1):
-            now["t"] = 4.0
-        names = [e.name for e in ring.events()]
-        assert names == ["gc.pass.start", "gc.pass.end"]
-        end = ring.events()[1]
-        assert end.fields["elapsed"] == 4.0
-        assert end.fields["ok"] is True
-        assert end.fields["site"] == 1
-
-    def test_span_records_failure(self):
-        ring = RingBufferExporter()
-        tracer = Tracer(exporters=[ring])
-        with pytest.raises(RuntimeError):
-            with tracer.span("work"):
-                raise RuntimeError("boom")
-        assert ring.events()[-1].fields["ok"] is False
-
     def test_event_to_dict_round_trip(self):
         ring = RingBufferExporter()
         tracer = Tracer(exporters=[ring])
@@ -82,8 +61,6 @@ class TestNullTracer:
     def test_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
         NULL_TRACER.emit("anything", x=1)  # no-op
-        with NULL_TRACER.span("anything"):
-            pass
 
     def test_shared_singleton_rejects_exporters(self):
         with pytest.raises(ValueError):
