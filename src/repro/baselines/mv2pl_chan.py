@@ -89,7 +89,7 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
             self.counters.bump("ctl.membership_checks")
             if version.tn in ctl_copy:
                 self._note_read(txn, key, version.tn)
-                return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
+                return resolved(version.value, label=("r{}[{}_{}]", txn.txn_id, key, version.tn))
         raise VersionNotFound(key, txn.sn)  # pragma: no cover - v0 always in CTL
 
     # -- operations ---------------------------------------------------------------------
@@ -110,7 +110,7 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
         txn.require_active()
         if txn.is_read_only:
             self._complete_commit(txn)
-            return resolved(None, label=f"commit RO T{txn.txn_id}")
+            return resolved(None, label=("commit RO T{}", txn.txn_id))
         # Commit timestamp, version install, CTL append, lock release.
         self._commit_counter += 1
         txn.tn = self._commit_counter
@@ -120,7 +120,7 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
         self.counters.bump("ctl.appends")
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
         if txn.is_finished:

@@ -62,7 +62,7 @@ class MVTOScheduler(Scheduler):
         # the overhead the paper's mechanism eliminates.
         self.counters.note_cc_interaction(txn, "ts-read")
         obj = self.store.object(key)
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
+        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
         ts = txn.tn
 
         def step() -> bool:
@@ -88,7 +88,7 @@ class MVTOScheduler(Scheduler):
         txn.require_active()
         self.counters.note_cc_interaction(txn, "ts-write")
         obj = self.store.object(key)
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
+        result = OpFuture(label=("w{}[{}]", txn.txn_id, key))
         ts = txn.tn
 
         def step() -> bool:
@@ -131,7 +131,7 @@ class MVTOScheduler(Scheduler):
 
     def commit(self, txn: Transaction) -> OpFuture:
         txn.require_active()
-        result = OpFuture(label=f"commit T{txn.txn_id}")
+        result = OpFuture(label=("commit T{}", txn.txn_id))
         for key in txn.write_set:
             self.store.commit_pending(key, txn.tn)
         self._complete_commit(txn)

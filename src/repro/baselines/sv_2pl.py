@@ -61,7 +61,7 @@ class SV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
             txn.tn = self._tn_counter
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
         if txn.is_finished:

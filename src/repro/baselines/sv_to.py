@@ -69,7 +69,7 @@ class SVTOScheduler(Scheduler):
         txn.require_active()
         self.counters.note_cc_interaction(txn, "ts-read")
         state = self._key_state(key)
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
+        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
         ts = txn.tn
 
         def step() -> bool:
@@ -102,7 +102,7 @@ class SVTOScheduler(Scheduler):
             raise ProtocolError(f"transaction {txn.txn_id} is read-only")
         self.counters.note_cc_interaction(txn, "ts-write")
         state = self._key_state(key)
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
+        result = OpFuture(label=("w{}[{}]", txn.txn_id, key))
         ts = txn.tn
 
         def step() -> bool:
@@ -142,7 +142,7 @@ class SVTOScheduler(Scheduler):
             self.store.apply(key, value, txn.tn)
         self._complete_commit(txn)
         self._waiting.wake(txn.write_set.keys())
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
         if txn.is_finished:

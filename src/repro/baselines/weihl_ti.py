@@ -75,7 +75,7 @@ class WeihlTIScheduler(StrictTwoPhaseLocking, Scheduler):
     # -- read-only side ----------------------------------------------------------------
 
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
+        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
         ts = int(txn.sn)
         # Synchronization action: raise the object's read floor so no writer
         # can later install a version at or below our timestamp.  This is a
@@ -126,7 +126,7 @@ class WeihlTIScheduler(StrictTwoPhaseLocking, Scheduler):
         txn.require_active()
         if txn.is_read_only:
             self._complete_commit(txn)
-            return resolved(None, label=f"commit RO T{txn.txn_id}")
+            return resolved(None, label=("commit RO T{}", txn.txn_id))
         # Find a commit timestamp consistent with all floors and versions.
         ts = int(txn.tn)
         while not self._timestamp_admissible(txn, ts):
@@ -148,7 +148,7 @@ class WeihlTIScheduler(StrictTwoPhaseLocking, Scheduler):
         self._complete_commit(txn)  # record before lock release wakes readers
         self.locks.release_all(txn.txn_id)
         self._waiting.wake(txn.write_set.keys())
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def _timestamp_admissible(self, txn: Transaction, ts: int) -> bool:
         for key in txn.write_set:

@@ -150,7 +150,7 @@ class GranularLockManager(
         if not path:
             raise ProtocolError("path must have at least one element")
         self._require_no_pending(txn_id)
-        result = OpFuture(label=f"{mode.value}{path} T{txn_id}")
+        result = OpFuture(label=("{}{} T{}", mode.value, path, txn_id))
         intention = _INTENTION_FOR[mode]
         steps: list[tuple[Path, GranularMode]] = [
             (path[: depth + 1], intention) for depth in range(len(path) - 1)

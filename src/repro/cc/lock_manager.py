@@ -220,7 +220,7 @@ class LockTable:
     ) -> OpFuture:
         """One resource, one mode: grant now or queue and look for a cycle."""
         state = self._entry(resource)
-        future = OpFuture(label=f"{mode.value}-lock({resource}) T{txn_id}")
+        future = OpFuture(label=("{}-lock({}) T{}", mode.value, resource, txn_id))
 
         held = state.granted.get(txn_id)
         if held is None:

@@ -49,7 +49,7 @@ class StrictTwoPhaseLocking:
 
     def _locked_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
+        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
@@ -68,7 +68,7 @@ class StrictTwoPhaseLocking:
 
     def _locked_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
+        result = OpFuture(label=("w{}[{}]", txn.txn_id, key))
 
         def _locked(done: OpFuture) -> None:
             if done.failed:

@@ -15,6 +15,16 @@ library, so its semantics are kept deliberately small:
 * ``result()`` never blocks — a pending future raises
   :class:`~repro.errors.FutureNotReady`, because in a cooperative model
   waiting in place can never make progress.
+
+A label may be a deferred format: a site on a hot path passes
+``(fmt, *args)`` instead of a string and :attr:`OpFuture.label` renders
+``fmt.format(*args)`` the first time someone reads it — ``repr``, the
+``FutureNotReady`` and "settled twice" messages — and keeps the string.
+Most futures are never printed, so most labels are never built.
+
+The simulator's step (``repro.sim.engine``) is the one driver on every hot
+path; it reads ``_status``, ``_value`` and ``_error`` directly instead of
+through the properties.
 """
 
 from __future__ import annotations
@@ -36,21 +46,30 @@ class OpStatus(enum.Enum):
 class OpFuture:
     """Single-assignment result of a scheduler operation.
 
-    Attributes:
-        label: human-readable description ("r1[x]", "commit T3"), used in
-            traces and error messages.
+    Args:
+        label: human-readable description ("r1[x]", "commit T3") used in
+            ``repr`` and error messages — a string, or ``(fmt, *args)`` to
+            be formatted when first read.
     """
 
-    __slots__ = ("label", "_status", "_value", "_error", "_callbacks")
+    __slots__ = ("_label", "_status", "_value", "_error", "_callbacks")
 
-    def __init__(self, label: str = ""):
-        self.label = label
+    def __init__(self, label: str | tuple = ""):
+        self._label = label
         self._status = OpStatus.PENDING
         self._value: Any = None
         self._error: BaseException | None = None
-        self._callbacks: list[Callable[[OpFuture], None]] = []
+        # A list while pending; () once settled (nothing subscribes after).
+        self._callbacks: list[Callable[[OpFuture], None]] | tuple = []
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def label(self) -> str:
+        label = self._label
+        if type(label) is tuple:
+            label = self._label = label[0].format(*label[1:])
+        return label
 
     @property
     def status(self) -> OpStatus:
@@ -110,7 +129,7 @@ class OpFuture:
         self._status = status
         self._value = value
         self._error = error
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
 
@@ -135,15 +154,21 @@ class OpFuture:
         return f"<OpFuture {self.label} pending>"
 
 
-def resolved(value: Any = None, label: str = "") -> OpFuture:
-    """Convenience constructor for an already-successful future."""
-    future = OpFuture(label)
-    future.resolve(value)
+def resolved(value: Any = None, label: str | tuple = "") -> OpFuture:
+    """An already-successful future, built settled: nobody can have
+    subscribed, so there is no callback list to allocate or run."""
+    future = OpFuture.__new__(OpFuture)
+    future._label = label
+    future._status = OpStatus.RESOLVED
+    future._value = value
+    future._error = None
+    future._callbacks = ()
     return future
 
 
-def failed(error: BaseException, label: str = "") -> OpFuture:
-    """Convenience constructor for an already-failed future."""
-    future = OpFuture(label)
-    future.fail(error)
+def failed(error: BaseException, label: str | tuple = "") -> OpFuture:
+    """An already-failed future."""
+    future = resolved(None, label)
+    future._status = OpStatus.FAILED
+    future._error = error
     return future

@@ -28,7 +28,7 @@ from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason, TransactionAborted
 from repro.histories.recorder import HistoryRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import start_span
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -58,6 +58,10 @@ class SchedulerCounters:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: (event, suffix, kind) -> the counters that canonical event bumps,
+        #: resolved on first use: the registry still creates each counter at
+        #: its first bump, and no later call formats a name or looks one up.
+        self._handles: dict[tuple[str, str, str], tuple[Counter, ...]] = {}
 
     # -- generic -------------------------------------------------------------
 
@@ -72,12 +76,24 @@ class SchedulerCounters:
 
     # -- canonical events -------------------------------------------------------
 
-    def _suffix(self, txn: Transaction) -> str:
-        return "ro" if txn.is_read_only else "rw"
+    def _count(self, event: str, txn: Transaction, kind: str = "") -> str:
+        """Bump ``event.<cls>`` and, given a kind, ``event.<cls>.<kind>``;
+        returns the class suffix."""
+        suffix = "ro" if txn.is_read_only else "rw"
+        handles = self._handles.get((event, suffix, kind))
+        if handles is None:
+            names = [f"{event}.{suffix}"]
+            if kind:
+                names.append(f"{event}.{suffix}.{kind}")
+            handles = self._handles[event, suffix, kind] = tuple(
+                self.registry.counter(name) for name in names
+            )
+        for counter in handles:
+            counter.inc()
+        return suffix
 
     def note_begin(self, txn: Transaction) -> None:
-        suffix = self._suffix(txn)
-        self.bump(f"begin.{suffix}")
+        suffix = self._count("begin", txn)
         if self.tracer.enabled:
             # Root of the transaction's span tree: one fresh trace per
             # transaction, every later span (lock wait, courier hop, 2PC
@@ -95,16 +111,13 @@ class SchedulerCounters:
             span.end(ok=ok, **fields)
 
     def note_commit(self, txn: Transaction) -> None:
-        suffix = self._suffix(txn)
-        self.bump(f"commit.{suffix}")
+        suffix = self._count("commit", txn)
         if self.tracer.enabled:
             self.tracer.emit("txn.commit", txn=txn.txn_id, cls=suffix, tn=txn.tn)
         self._end_txn_span(txn, ok=True)
 
     def note_abort(self, txn: Transaction, reason: AbortReason, caused_by_readonly: bool) -> None:
-        suffix = self._suffix(txn)
-        self.bump(f"abort.{suffix}")
-        self.bump(f"abort.{suffix}.{reason.value}")
+        suffix = self._count("abort", txn, reason.value)
         if caused_by_readonly and not txn.is_read_only:
             self.bump("abort.rw.caused_by_readonly")
         if self.tracer.enabled:
@@ -119,25 +132,18 @@ class SchedulerCounters:
 
     def note_cc_interaction(self, txn: Transaction, kind: str = "op") -> None:
         """One call into the concurrency-control component for ``txn``."""
-        suffix = self._suffix(txn)
-        self.bump(f"cc.{suffix}")
-        self.bump(f"cc.{suffix}.{kind}")
+        suffix = self._count("cc", txn, kind)
         if self.tracer.enabled:
             self.tracer.emit("cc.call", txn=txn.txn_id, cls=suffix, kind=kind)
 
     def note_vc_interaction(self, txn: Transaction, kind: str) -> None:
         """One call into the version-control component for ``txn``."""
-        suffix = self._suffix(txn)
-        self.bump(f"vc.{suffix}")
-        self.bump(f"vc.{suffix}.{kind}")
+        suffix = self._count("vc", txn, kind)
         if self.tracer.enabled:
             self.tracer.emit("vc.call", txn=txn.txn_id, cls=suffix, kind=kind)
 
     def note_block(self, txn: Transaction, cause: str = "") -> None:
-        suffix = self._suffix(txn)
-        self.bump(f"block.{suffix}")
-        if cause:
-            self.bump(f"block.{suffix}.{cause}")
+        suffix = self._count("block", txn, cause)
         if self.tracer.enabled:
             self.tracer.emit("txn.block", txn=txn.txn_id, cls=suffix, cause=cause)
 
@@ -148,9 +154,7 @@ class SchedulerCounters:
         paper calls this out as overhead and as the mechanism by which
         read-only transactions abort writers.  EXP-A counts these.
         """
-        suffix = self._suffix(txn)
-        self.bump(f"syncwrite.{suffix}")
-        self.bump(f"syncwrite.{suffix}.{kind}")
+        suffix = self._count("syncwrite", txn, kind)
         if self.tracer.enabled:
             self.tracer.emit("txn.syncwrite", txn=txn.txn_id, cls=suffix, kind=kind)
 

@@ -38,7 +38,7 @@ class VisibilityWaiter:
 
     def wait_for(self, threshold: int) -> OpFuture:
         """A future resolving with ``vtnc`` once ``vtnc >= threshold``."""
-        future = OpFuture(label=f"vtnc >= {threshold}")
+        future = OpFuture(label=("vtnc >= {}", threshold))
         if self._vc.vtnc >= threshold:
             future.resolve(self._vc.vtnc)
             return future
@@ -78,7 +78,7 @@ class SnapshotManager:
         may not see the results of T" — passes ``tn(T)`` of the just
         committed transaction.
         """
-        result = OpFuture(label=f"begin RO with sn >= {floor_tn}")
+        result = OpFuture(label=("begin RO with sn >= {}", floor_tn))
         visibility = self._waiter.wait_for(floor_tn)
 
         def _start(done: OpFuture) -> None:

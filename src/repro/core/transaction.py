@@ -136,7 +136,8 @@ class Transaction:
 
     @property
     def is_active(self) -> bool:
-        return self.state in (TxnState.ACTIVE, TxnState.COMMITTING)
+        state = self.state
+        return state is TxnState.ACTIVE or state is TxnState.COMMITTING
 
     @property
     def is_finished(self) -> bool:
@@ -144,7 +145,8 @@ class Transaction:
 
     def require_active(self) -> None:
         """Guard used by schedulers at every operation entry point."""
-        if not self.is_active:
+        state = self.state
+        if state is not TxnState.ACTIVE and state is not TxnState.COMMITTING:
             raise ProtocolError(
                 f"transaction {self.txn_id} is {self.state.value}; no further operations allowed"
             )

@@ -59,7 +59,9 @@ class VersionControlledScheduler(Scheduler):
             # Figure 2: sn(T) <- VCstart();  tn(T) <- sn(T).
             txn.sn = self.vc.vc_start()
             self.counters.note_vc_interaction(txn, "start")
-            self.ro_registry.register(txn)
+            # The snapshot lease rides on the transaction: every read
+            # checks and renews it there, never through the shared table.
+            txn.private = self.ro_registry.register(txn)
             # The read-only fast path's reported staleness bound: the
             # snapshot at sn = vtnc trails the newest assigned transaction
             # number by exactly vc.lag (see docs/robustness.md).
@@ -93,7 +95,7 @@ class VersionControlledScheduler(Scheduler):
             # Figure 2: end(T) executes nothing.
             self.ro_registry.deregister(txn)
             self._complete_commit(txn)
-            return resolved(None, label=f"commit RO T{txn.txn_id}")
+            return resolved(None, label=("commit RO T{}", txn.txn_id))
         return self._rw_commit(txn)
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
@@ -120,19 +122,17 @@ class VersionControlledScheduler(Scheduler):
         fails with retryable SnapshotTooOld and the transaction is aborted —
         degrade, never a wrong read.
         """
-        assert txn.sn is not None
-        lease = self.ro_registry.lease_of(txn)
-        if lease is not None:
-            if lease.revoked:
-                error = SnapshotTooOld(
-                    txn.txn_id, sn=lease.sn, cause=lease.revoke_cause or "revoked"
-                )
-                self.abort(txn, AbortReason.SNAPSHOT_TOO_OLD)
-                return failed(error, label=f"r{txn.txn_id}[{key}] snapshot-too-old")
-            self.ro_registry.renew(txn)
+        lease = txn.private
+        if lease.revoked:
+            error = SnapshotTooOld(
+                txn.txn_id, sn=lease.sn, cause=lease.revoke_cause or "revoked"
+            )
+            self.abort(txn, AbortReason.SNAPSHOT_TOO_OLD)
+            return failed(error, label=("r{}[{}] snapshot-too-old", txn.txn_id, key))
+        self.ro_registry.renew_lease(lease)
         version = self.store.read_snapshot(key, txn.sn)
         self._note_read(txn, key, version.tn)
-        return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
+        return resolved(version.value, label=("r{}[{}_{}]", txn.txn_id, key, version.tn))
 
     # -- read-write hooks (the concurrency-control side) ----------------------------
 

@@ -393,7 +393,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         record.participants.add(site.site_id)
         self.counters.note_cc_interaction(txn, "r-lock" if reading else "w-lock")
         result = OpFuture(
-            label=f"{'r' if reading else 'w'}{txn.txn_id}[{key}]@s{site.site_id}"
+            label=("{}{}[{}]@s{}", "r" if reading else "w", txn.txn_id, key, site.site_id)
         )
         record.futures.append(result)  # so a fault abort can fail it
         if self._check_deadline(txn) or self._breaker_reject(txn, site):
@@ -435,7 +435,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
     def commit(self, txn: Transaction) -> OpFuture:
         txn.require_active()
-        result = OpFuture(label=f"commit T{txn.txn_id}")
+        result = OpFuture(label=("commit T{}", txn.txn_id))
         if txn.is_read_only:
             self._finish_commit(txn, result)
             return result

@@ -104,7 +104,7 @@ class Site(SiteBase):
 
     def wait_visible(self, sn: int) -> OpFuture:
         """Future resolving once this site's visibility covers ``sn``."""
-        future = OpFuture(label=f"site{self.site_id} vtnc >= {sn}")
+        future = OpFuture(label=("site{} vtnc >= {}", self.site_id, sn))
         if self.vc.try_advance_to(sn):
             future.resolve(None)
             return future
@@ -209,7 +209,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
 
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         site = self.site_of_key(key)
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]@s{site.site_id}")
+        result = OpFuture(label=("r{}[{}]@s{}", txn.txn_id, key, site.site_id))
         if self.breakers is not None and (
             site.crashed or not self.breakers.allow(site.site_id)
         ):

@@ -157,7 +157,7 @@ class DistributedMV2PL(Distributed2PLDatabase):
                 "their read sites a priori"
             )
         txn = self._begin(read_only=True)
-        txn.private = _Snapshot(read_sites, OpFuture(label=f"T{txn.txn_id} snapshot"))
+        txn.private = _Snapshot(read_sites, OpFuture(label=("T{} snapshot", txn.txn_id)))
         self._fetch_snapshots(txn, sorted(txn.private.declared))
         return txn
 
@@ -203,7 +203,7 @@ class DistributedMV2PL(Distributed2PLDatabase):
                 f"site {site.site_id} was not declared by read-only "
                 f"transaction {txn.txn_id} (declared: {sorted(snapshot.declared)})"
             )
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]@s{site.site_id}")
+        result = OpFuture(label=("r{}[{}]@s{}", txn.txn_id, key, site.site_id))
 
         def ready(_f: OpFuture) -> None:
             def deliver() -> None:

@@ -62,7 +62,7 @@ class VCGranular2PLScheduler(VC2PLScheduler):
         if txn.is_read_only:
             return self.snapshot_scan(txn)
         self.counters.note_cc_interaction(txn, "scan-lock")
-        result = OpFuture(label=f"scan T{txn.txn_id}")
+        result = OpFuture(label=("scan T{}", txn.txn_id))
         lock = self.locks.acquire(
             txn.txn_id, ROOT, GranularMode.S, deadline=txn.deadline
         )
@@ -91,4 +91,4 @@ class VCGranular2PLScheduler(VC2PLScheduler):
             version = self.store.read_snapshot(key, txn.sn)
             self._note_read(txn, key, version.tn)
             values[key] = version.value
-        return resolved(values, label=f"snapshot scan T{txn.txn_id}")
+        return resolved(values, label=("snapshot scan T{}", txn.txn_id))

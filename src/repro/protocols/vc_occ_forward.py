@@ -54,7 +54,7 @@ class VCOCCForwardScheduler(VCOCCScheduler):
 
     # -- wounded-transaction interception ---------------------------------------
 
-    def _wounded_future(self, txn: Transaction, label: str) -> OpFuture | None:
+    def _wounded_future(self, txn: Transaction, label: tuple) -> OpFuture | None:
         if txn.state.value == "aborted" and txn.abort_reason is AbortReason.WOUNDED:
             return failed(
                 TransactionAborted(txn.txn_id, AbortReason.WOUNDED), label=label
@@ -62,19 +62,19 @@ class VCOCCForwardScheduler(VCOCCScheduler):
         return None
 
     def read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        wounded = self._wounded_future(txn, f"r{txn.txn_id}[{key}]")
+        wounded = self._wounded_future(txn, ("r{}[{}]", txn.txn_id, key))
         if wounded is not None:
             return wounded
         return super().read(txn, key)
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        wounded = self._wounded_future(txn, f"w{txn.txn_id}[{key}]")
+        wounded = self._wounded_future(txn, ("w{}[{}]", txn.txn_id, key))
         if wounded is not None:
             return wounded
         return super().write(txn, key, value)
 
     def commit(self, txn: Transaction) -> OpFuture:
-        wounded = self._wounded_future(txn, f"commit T{txn.txn_id}")
+        wounded = self._wounded_future(txn, ("commit T{}", txn.txn_id))
         if wounded is not None:
             return wounded
         return super().commit(txn)

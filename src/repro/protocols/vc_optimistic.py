@@ -48,15 +48,15 @@ class VCOCCScheduler(VersionControlledScheduler):
         self.counters.note_cc_interaction(txn, "occ-read")
         if key in txn.write_set:
             self._note_read(txn, key, None)
-            return resolved(txn.write_set[key], label=f"r{txn.txn_id}[{key}]")
+            return resolved(txn.write_set[key], label=("r{}[{}]", txn.txn_id, key))
         version = self.store.read_latest_committed(key)
         self._note_read(txn, key, version.tn)
-        return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
+        return resolved(version.value, label=("r{}[{}_{}]", txn.txn_id, key, version.tn))
 
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "occ-write")
         self._note_write(txn, key, value)
-        return resolved(None, label=f"w{txn.txn_id}[{key}]")
+        return resolved(None, label=("w{}[{}]", txn.txn_id, key))
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
         # Backward validation: every key T read must still be current.
@@ -72,7 +72,7 @@ class VCOCCScheduler(VersionControlledScheduler):
                     detail=f"read {key!r} at version {read_tn}, now {current.tn}",
                 )
                 self._rw_abort(txn, AbortReason.VALIDATION_FAILED)
-                return failed(error, label=f"commit T{txn.txn_id}")
+                return failed(error, label=("commit T{}", txn.txn_id))
         return self._write_phase(txn)
 
     def _write_phase(self, txn: Transaction) -> OpFuture:
@@ -84,7 +84,7 @@ class VCOCCScheduler(VersionControlledScheduler):
         self.counters.note_vc_interaction(txn, "complete")
         self.vc.vc_complete(txn)
         self._complete_commit(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         # Nothing was shared: staged writes vanish with the descriptor.

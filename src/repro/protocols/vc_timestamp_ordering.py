@@ -65,7 +65,7 @@ class VCTOScheduler(VersionControlledScheduler):
         # no older write can slip between a blocked read and its version.
         if txn.tn > obj.max_r_ts:
             obj.max_r_ts = txn.tn
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
+        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
 
         def step() -> bool:
             version = obj.version_leq(txn.sn)
@@ -84,7 +84,7 @@ class VCTOScheduler(VersionControlledScheduler):
         assert txn.tn is not None
         tn = txn.tn
         obj = self.store.object(key)
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
+        result = OpFuture(label=("w{}[{}]", txn.txn_id, key))
 
         def step() -> bool:
             latest = obj.latest()
@@ -116,7 +116,7 @@ class VCTOScheduler(VersionControlledScheduler):
         return result
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
-        result = OpFuture(label=f"commit T{txn.txn_id}")
+        result = OpFuture(label=("commit T{}", txn.txn_id))
         assert txn.tn is not None
         # Perform database updates: pending versions become permanent.
         for key in txn.write_set:

@@ -91,7 +91,7 @@ class VC2PLScheduler(StrictTwoPhaseLocking, VersionControlledScheduler):
         if deferred is not None:
             return deferred  # the gate runs _commit_tail once tn is durable
         self._commit_tail(txn, tn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, label=("commit T{}", txn.txn_id))
 
     def _commit_fence(self, txn: Transaction) -> OpFuture | None:
         """Refuse the commit before its commit point: the abort performed

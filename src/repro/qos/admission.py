@@ -133,7 +133,7 @@ class AdmissionController:
         shed per the policy — its future fails with :class:`Overloaded`
         (that waiter may be this very request).
         """
-        future = OpFuture(label=f"admission({self.policy})")
+        future = OpFuture(label=("admission({})", self.policy))
         if self._in_flight < self.capacity and not self._queue:
             self._take()
             future.resolve(None)

@@ -271,7 +271,7 @@ class Replica:
         txn.record_read(key, version.tn)
         return resolved(
             version.value,
-            label=f"r{txn.txn_id}[{key}_{version.tn}]@replica{self.replica_id}",
+            label=("r{}[{}_{}]@replica{}", txn.txn_id, key, version.tn, self.replica_id),
         )
 
     def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
@@ -283,7 +283,7 @@ class Replica:
         txn.require_active()
         txn.mark_committed()
         self.counters.note_commit(txn)
-        return resolved(None, label=f"commit RO T{txn.txn_id}")
+        return resolved(None, label=("commit RO T{}", txn.txn_id))
 
     def abort(
         self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED

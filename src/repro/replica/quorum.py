@@ -369,7 +369,7 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
             )
         error = QuorumUnavailable(txn.txn_id, epoch=gate.epoch, fenced=True)
         self._rw_abort(txn, AbortReason.QUORUM_UNAVAILABLE)
-        return failed(error, label=f"commit T{txn.txn_id} fenced")
+        return failed(error, label=("commit T{} fenced", txn.txn_id))
 
     def _durability_gate(self, txn: Transaction, tn: int) -> OpFuture | None:
         # The commit point, unchanged from the recoverable scheduler:
@@ -379,7 +379,7 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
         if gate is None:
             return None
         offset = self.log.durable_length()
-        future = OpFuture(label=f"commit T{txn.txn_id} (quorum)")
+        future = OpFuture(label=("commit T{} (quorum)", txn.txn_id))
 
         # The commit tail is deferred.  It runs exactly once, either under
         # the group ack (acknowledged) or under the commit timeout

@@ -43,7 +43,7 @@ the version-control counters and the lease table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.transaction import Transaction
@@ -53,7 +53,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.storage.mvstore import MVStore
 
 
-@dataclass
+@dataclass(slots=True)
 class SnapshotLease:
     """One read-only transaction's claim on its snapshot.
 
@@ -62,6 +62,10 @@ class SnapshotLease:
     virtual-time TTL passes without a renewal, and may be revoked earlier
     by the memory-pressure controller; either way the pin is released and
     the session's next read raises :class:`~repro.errors.SnapshotTooOld`.
+
+    A version-controlled scheduler keeps the lease ``register`` returned on
+    ``txn.private``, so the read path checks and renews it without a lookup
+    in the shared table.
     """
 
     txn_id: int
@@ -72,11 +76,13 @@ class SnapshotLease:
     renewals: int = 0
     revoked: bool = False
     revoke_cause: str | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def live(self) -> bool:
         return not self.revoked
+
+    def release(self) -> None:
+        """``txn.private`` contract: numbers and flags only, nothing to drop."""
 
 
 class ReadOnlyRegistry:
@@ -190,10 +196,14 @@ class ReadOnlyRegistry:
     def renew(self, txn: Transaction) -> SnapshotLease:
         """Renew on read: push the lease's expiry out by one TTL."""
         lease = self.check(txn)
+        self.renew_lease(lease)
+        return lease
+
+    def renew_lease(self, lease: SnapshotLease) -> None:
+        """:meth:`renew` for a caller already holding its (live) lease."""
         lease.renewals += 1
         if self.ttl is not None:
             lease.expires_at = self.clock() + self.ttl
-        return lease
 
     # -- revocation ----------------------------------------------------------------
 

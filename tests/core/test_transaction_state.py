@@ -29,6 +29,7 @@ from repro.qos import AdmissionController
 from repro.replica.node import Replica
 from repro.replica.session import ReplicatedDatabase
 from repro.shard import ShardedDatabase
+from repro.storage.gc import SnapshotLease
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -235,7 +236,23 @@ class TestFinishedTransactionHoldsNothing:
         for txn in begun:
             assert held_machinery(txn) == [], txn
             assert txn.span is None and not txn.admitted, txn
+            # The walk reads ``__slots__``: a record with a ``__dict__``
+            # would pass it unseen.
+            assert txn.private is None or not hasattr(txn.private, "__dict__"), txn
         assert not db.active_transactions()
+
+    @pytest.mark.parametrize("name", sorted(n for n in PROTOCOLS if n.startswith("vc-")))
+    def test_version_controlled_reader_holds_its_snapshot_lease(self, name):
+        """The DESIGN.md owner row: written at read-only begin, never
+        cleared — ``release()`` has nothing to drop."""
+        db, begin_ro, keys, _ = TARGETS[name]()
+        begun = exercise(db, begin_ro, keys)
+        readers = [txn for txn in begun if txn.is_read_only]
+        assert len(readers) == 2
+        for txn in readers:
+            assert type(txn.private) is SnapshotLease
+            assert txn.private.txn_id == txn.txn_id and txn.private.sn == txn.sn
+            assert db.ro_registry.lease_of(txn) is None  # deregistered at finish
 
     def test_replica_session(self):
         replica = _replica()

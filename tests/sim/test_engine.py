@@ -154,6 +154,34 @@ class TestProcesses:
         assert [p.name for p in blocked] == ["stuck"]
         assert not sim.all_finished()
 
+    def test_a_sleeper_is_not_blocked(self):
+        """``run(until=)`` stops with one client asleep and one parked on a
+        future nobody will settle: only the second has no queued resumption."""
+        sim = Simulator()
+        never = OpFuture("never")
+
+        def sleeper():
+            yield 10
+
+        def stuck():
+            yield 1
+            yield never
+
+        def starts_now():
+            yield 0
+
+        sim.spawn(sleeper(), name="sleeper")
+        sim.spawn(stuck(), name="stuck")
+        sim.run(until=5)
+        sim.spawn(starts_now(), name="starts-now")  # queued at ``now``, not yet run
+        assert [p.name for p in sim.blocked_processes()] == ["stuck"]
+        sim.run()
+        assert [p.name for p in sim.blocked_processes()] == ["stuck"]
+        never.resolve(None)
+        assert sim.blocked_processes() == []  # its resumption is queued
+        sim.run()
+        assert sim.all_finished()
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_fingerprints(self):
