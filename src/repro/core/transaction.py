@@ -57,7 +57,9 @@ class Transaction:
 
     Attributes:
         txn_id: unique identity, independent of serialization order.
-        txn_class: read-only or read-write.
+        txn_class: read-only or read-write; fixed at construction, and with
+            it ``is_read_only`` / ``is_read_write`` (plain slots, read on
+            every operation).
         tn: transaction number (serialization order) once assigned, else None.
         sn: start number governing which versions are visible to reads.
         state: lifecycle state.
@@ -83,6 +85,8 @@ class Transaction:
     __slots__ = (
         "txn_id",
         "txn_class",
+        "is_read_only",
+        "is_read_write",
         "tn",
         "sn",
         "state",
@@ -107,6 +111,8 @@ class Transaction:
     ):
         self.txn_id = txn_id if txn_id is not None else next(Transaction._ids)
         self.txn_class = txn_class
+        self.is_read_only = txn_class is TxnClass.READ_ONLY
+        self.is_read_write = txn_class is TxnClass.READ_WRITE
         self.tn: int | None = None
         self.sn: float | None = None
         self.state = TxnState.ACTIVE
@@ -121,16 +127,6 @@ class Transaction:
         self.span: Any = None
         self.private: Any = None
         self.meta: dict[str, Any] = {}
-
-    # -- classification ------------------------------------------------------
-
-    @property
-    def is_read_only(self) -> bool:
-        return self.txn_class is TxnClass.READ_ONLY
-
-    @property
-    def is_read_write(self) -> bool:
-        return self.txn_class is TxnClass.READ_WRITE
 
     # -- state transitions ---------------------------------------------------
 

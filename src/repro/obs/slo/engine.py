@@ -85,8 +85,9 @@ SLO_SCHEMA = "repro.slo/1"
 #: entry turns the event's ``field`` value into one sample of ``signal``
 #: (no sample when the field is absent); a ``None`` field means the constant
 #: 1.0, one count per event.  The stateful ``txn.*`` and ``lock.*`` families
-#: are handled by methods.  The taxonomy table above and in docs/slo.md is
-#: checked against this table (tests/obs/test_slo.py).
+#: are handled by methods (``_DISPATCH``, below the class, holds both).  The
+#: taxonomy table above and in docs/slo.md is checked against this table
+#: (tests/obs/test_slo.py).
 SIGNAL_ROUTES: dict[str, tuple[tuple[str | None, str], ...]] = {
     "qos.shed": ((None, "shed.rw"),),
     "slo.ro_shed": ((None, "shed.ro"),),
@@ -209,6 +210,8 @@ class SLOEngine:
 
     def export(self, event: TraceEvent) -> None:
         """Live path: called by the tracer for every emitted event."""
+        if self.finished:
+            return  # still on a shared tracer: no copy made for nobody
         record = event.to_dict() if self.recorder is not None else None
         self._process(event.name, event.ts, event.fields, record)
 
@@ -237,18 +240,22 @@ class SLOEngine:
         if self.finished:
             return
         self.events_seen += 1
-        self._advance(ts)
+        if ts >= self._last_ts and math.floor(ts / self.window) == self._win:
+            self._last_ts = ts  # same window, clock not behind
+        else:
+            self._advance(ts)
         if record is not None:
             self.recorder.record(record)
-        if name.startswith("txn."):
-            self._txn_event(name, ts, fields)
-        elif name.startswith("lock."):
-            self._lock_event(name, fields)
-        else:
-            for field, signal in SIGNAL_ROUTES.get(name, ()):
+        route = _DISPATCH.get(name)
+        if route is None:
+            return
+        if type(route) is tuple:  # a SIGNAL_ROUTES entry
+            for field, signal in route:
                 value = 1.0 if field is None else fields.get(field)
                 if value is not None:
                     self._signal(signal, value)
+        else:
+            route(self, name, ts, fields)
 
     def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
@@ -273,7 +280,7 @@ class SLOEngine:
         elif name == "txn.block":
             self._signal(f"blocked.{cls}", 1.0)
 
-    def _lock_event(self, name: str, fields: dict[str, Any]) -> None:
+    def _lock_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
         if txn is None:
             return
@@ -473,3 +480,15 @@ class SLOEngine:
                 f"value={breach.value:g} vs {breach.threshold}{cleared}"
             )
         return "\n".join(lines)
+
+
+#: The one lookup an event takes: its SIGNAL_ROUTES entry, or the method that
+#: pairs or tracks it (the stateful names; any other ``txn.*``/``lock.*``
+#: name carries no signal).
+_DISPATCH: dict[str, Any] = {
+    **SIGNAL_ROUTES,
+    **dict.fromkeys(
+        ("txn.begin", "txn.commit", "txn.abort", "txn.block"), SLOEngine._txn_event
+    ),
+    **dict.fromkeys(("lock.block", "lock.grant"), SLOEngine._lock_event),
+}

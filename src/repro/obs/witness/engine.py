@@ -226,6 +226,9 @@ class WitnessEngine:
         #: Per-key sorted list of committed, still-readable writer idents
         #: (active nodes and sealed-but-readable frontier versions).
         self._writers: dict[Any, list[int]] = {}
+        #: The keys of ``_writers`` listing two or more idents, in the order
+        #: they got there: the only keys a prune pass can take anything from.
+        self._prunable: dict[Any, None] = {}
         #: Sealed writers whose versions are still readable; T0 pre-sealed.
         self._sealed_readable: set[int] = {0}
         #: Keys a sealed-readable writer still appears under (prune state).
@@ -272,6 +275,8 @@ class WitnessEngine:
 
     def export(self, event: Any) -> None:
         """Live path: called by the tracer for every emitted event."""
+        if self.finished:
+            return  # still on a shared tracer: no copy made for nobody
         record = event.to_dict() if self.flight is not None else None
         self._process(event.name, event.ts, event.fields, record)
 
@@ -312,48 +317,47 @@ class WitnessEngine:
             self.flight.record(record)
         self._last_ts = ts
         self._segment_events += 1
-        if name.startswith("history."):
-            self.events_seen += 1
-            txn = fields.get("txn")
-            if name == "history.begin":
-                self._on_begin(txn, fields.get("cls", "rw"), ts)
-            elif name == "history.read":
-                self._on_read(txn, _norm_key(fields.get("key")), fields.get("version"))
-            elif name == "history.write":
-                self._on_write(txn, _norm_key(fields.get("key")))
-            elif name == "history.commit":
-                self._on_commit(txn, fields.get("ident"), fields.get("tn"), ts)
-            elif name == "history.abort":
-                self._on_abort(txn, fields.get("tn"), fields.get("ident"), ts)
-        elif name.startswith("vc."):
+        handler = self._HANDLERS.get(name)
+        if handler is not None:
+            handler(self, fields, ts)
+        elif name.startswith(("vc.", "history.")):  # one test for both
+            if name[0] == "h":
+                self.events_seen += 1  # a history.* name with no handler
+            else:
+                self._on_vc(fields)
+
+    def _on_vc(self, fields: dict[str, Any]) -> None:
+        tnc = fields.get("tnc")
+        vtnc = fields.get("vtnc")
+        if tnc is not None:
+            self._vc_seen = True
+            self._tnc = max(self._tnc, int(tnc))
+        if vtnc is not None:
+            self._vtnc = max(self._vtnc, int(vtnc))
+
+    def _on_site_advance(self, fields: dict[str, Any], ts: float) -> None:
+        site = fields.get("site")
+        if site is not None:
+            vtnc = fields.get("vtnc")
+            if vtnc is not None and int(vtnc) > self._site_vtnc.get(site, -1):
+                self._site_vtnc[site] = int(vtnc)
             tnc = fields.get("tnc")
-            vtnc = fields.get("vtnc")
-            if tnc is not None:
-                self._vc_seen = True
-                self._tnc = max(self._tnc, int(tnc))
-            if vtnc is not None:
-                self._vtnc = max(self._vtnc, int(vtnc))
-        elif name == "dvc.advance":
-            site = fields.get("site")
-            if site is not None:
-                vtnc = fields.get("vtnc")
-                if vtnc is not None and int(vtnc) > self._site_vtnc.get(site, -1):
-                    self._site_vtnc[site] = int(vtnc)
-                tnc = fields.get("tnc")
-                if tnc is not None and int(tnc) > self._site_tnc.get(site, -1):
-                    self._site_tnc[site] = int(tnc)
-        elif name in ("replica.watermark", "replica.ack"):
-            rid = fields.get("replica")
-            vtnc = fields.get("vtnc")
-            if rid is not None and vtnc is not None:
-                self._replica_vtnc[rid] = int(vtnc)
-        elif name == "replica.promote":
-            # The chosen replica becomes the primary; its watermark now
-            # arrives through the new primary's vc.* events.
-            self._replica_vtnc.pop(fields.get("replica"), None)
-            vtnc = fields.get("vtnc")
-            if vtnc is not None:
-                self._rebase(int(vtnc))
+            if tnc is not None and int(tnc) > self._site_tnc.get(site, -1):
+                self._site_tnc[site] = int(tnc)
+
+    def _on_replica_watermark(self, fields: dict[str, Any], ts: float) -> None:
+        rid = fields.get("replica")
+        vtnc = fields.get("vtnc")
+        if rid is not None and vtnc is not None:
+            self._replica_vtnc[rid] = int(vtnc)
+
+    def _on_promote(self, fields: dict[str, Any], ts: float) -> None:
+        # The chosen replica becomes the primary; its watermark now
+        # arrives through the new primary's vc.* events.
+        self._replica_vtnc.pop(fields.get("replica"), None)
+        vtnc = fields.get("vtnc")
+        if vtnc is not None:
+            self._rebase(int(vtnc))
 
     # -- floors ----------------------------------------------------------------
 
@@ -436,6 +440,8 @@ class WitnessEngine:
                     index = bisect_left(writers, ident)
                     if index < len(writers) and writers[index] == ident:
                         del writers[index]
+                    if len(writers) < 2:
+                        self._prunable.pop(key, None)
                     if not writers:
                         del self._writers[key]
                 pairs = self._rf_pairs.get(key)
@@ -478,26 +484,36 @@ class WitnessEngine:
 
     # -- transaction lifecycle -------------------------------------------------
 
-    def _on_begin(self, txn: int, cls: str, ts: float) -> None:
+    def _on_begin(self, fields: dict[str, Any], ts: float) -> None:
+        self.events_seen += 1
+        txn = fields.get("txn")
         if txn is None or txn in self._tokens:
             return
+        cls = fields.get("cls", "rw")
         self._tokens[txn] = _Token(txn, cls, self._begin_floor(cls), ts)
         self.peak_live = max(self.peak_live, len(self._tokens))
         self._note_peak()
 
-    def _on_read(self, txn: int, key: Any, version: Any) -> None:
-        token = self._tokens.get(txn)
+    def _on_read(self, fields: dict[str, Any], ts: float) -> None:
+        self.events_seen += 1
+        token = self._tokens.get(fields.get("txn"))
         if token is None:
             return
+        key = _norm_key(fields.get("key"))
+        version = fields.get("version")
         version = None if version is None else int(version)
         token.reads.append((key, version))
         if version is not None:
-            self._live_reads.setdefault(key, Counter())[version] += 1
+            live = self._live_reads.get(key)
+            if live is None:
+                live = self._live_reads[key] = Counter()
+            live[version] += 1
 
-    def _on_write(self, txn: int, key: Any) -> None:
-        token = self._tokens.get(txn)
+    def _on_write(self, fields: dict[str, Any], ts: float) -> None:
+        self.events_seen += 1
+        token = self._tokens.get(fields.get("txn"))
         if token is not None:
-            token.writes.append(key)
+            token.writes.append(_norm_key(fields.get("key")))
 
     def _release_token(self, txn: int) -> _Token | None:
         token = self._tokens.pop(txn, None)
@@ -514,7 +530,9 @@ class WitnessEngine:
                         del self._live_reads[key]
         return token
 
-    def _on_abort(self, txn: int, tn: Any, ident: Any, ts: float) -> None:
+    def _on_abort(self, fields: dict[str, Any], ts: float) -> None:
+        self.events_seen += 1
+        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
         self._release_token(txn)
         self.aborted += 1
         if self.track_edges and ident is not None:
@@ -531,7 +549,9 @@ class WitnessEngine:
         if self.seal:
             self._seal_pass()
 
-    def _on_commit(self, txn: int, ident: Any, tn: Any, ts: float) -> None:
+    def _on_commit(self, fields: dict[str, Any], ts: float) -> None:
+        self.events_seen += 1
+        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
         token = self._release_token(txn)
         if ident is None:
             return
@@ -576,7 +596,10 @@ class WitnessEngine:
                 ):
                     edges.append((src, dst, kind, key))
             self.folded_edges += self._sealed_rf_count.get(key, 0)
-            insort(self._writers.setdefault(key, []), ident)
+            writers = self._writers.setdefault(key, [])
+            insort(writers, ident)
+            if len(writers) == 2:
+                self._prunable[key] = None
 
         # Reads: SG edge + version-order edges against the writers known so
         # far; later writers are covered by the write rule above.
@@ -706,14 +729,19 @@ class WitnessEngine:
     # -- sealing ----------------------------------------------------------------
 
     def _seal_pass(self) -> None:
+        """Seal to the fixpoint: every tracked node once, then only what a
+        seal can enable — the sealed node's successors and the later writers
+        of each key it wrote.  Nothing a seal does can disable another."""
         floor = self._current_floor()
-        progress = True
-        while progress:
-            progress = False
-            for ident in list(self._nodes):
-                if self._sealable(ident, floor):
-                    self._seal(ident)
-                    progress = True
+        nodes = self._nodes
+        work = list(nodes)
+        for ident in work:  # grows while it is walked
+            if ident in nodes and self._sealable(ident, floor):
+                work.extend(self._topo.successors(ident))
+                for key in nodes[ident].writes:
+                    writers = self._writers[key]
+                    work.extend(writers[bisect_right(writers, ident):])
+                self._seal(ident)
         self._prune_pass(floor)
 
     def _sealable(self, ident: int, floor: int) -> bool:
@@ -766,8 +794,8 @@ class WitnessEngine:
     def _prune_pass(self, floor: int) -> None:
         """Drop sealed versions that can never be read again: those with a
         readable successor at or below the floor and no live read at or
-        below them."""
-        for key in list(self._writers):
+        below them.  Only a key listing two or more writers can have one."""
+        for key in list(self._prunable):
             writers = self._writers[key]
             index = bisect_right(writers, floor)
             if index <= 1:
@@ -795,8 +823,8 @@ class WitnessEngine:
                         del self._sealed_writes[writer]
                         self._sealed_readable.discard(writer)
                         self.pruned += 1
-            if not writers:
-                del self._writers[key]
+            if len(writers) < 2:
+                del self._prunable[key]
 
     def _note_peak(self) -> None:
         tracked = len(self._nodes) + len(self._tokens) + len(self._sealed_writes)
@@ -941,6 +969,19 @@ class WitnessEngine:
     def order(self) -> list[int]:
         """Certified serialization order of the unsealed suffix."""
         return self._topo.order()
+
+    #: Dispatch by exact name; ``vc.*`` is a prefix test after a miss.
+    _HANDLERS = {
+        "history.begin": _on_begin,
+        "history.read": _on_read,
+        "history.write": _on_write,
+        "history.commit": _on_commit,
+        "history.abort": _on_abort,
+        "dvc.advance": _on_site_advance,
+        "replica.watermark": _on_replica_watermark,
+        "replica.ack": _on_replica_watermark,
+        "replica.promote": _on_promote,
+    }
 
 
 def witness_history(history: Any, *, seal: bool = False, **kwargs: Any) -> WitnessEngine:

@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.core.futures import OpFuture
 from repro.core.interface import TransactionBookkeeping
-from repro.core.transaction import Transaction
+from repro.core.transaction import Transaction, TxnClass
 from repro.distributed import DistributedMV2PL, DistributedVCDatabase
 from repro.errors import TransactionAborted
 from repro.obs.instrument import attach_tracer
@@ -97,6 +97,33 @@ class TestGuard:
             txn.particpants = set()
         with pytest.raises(AttributeError):
             txn.dedline
+
+    def test_class_flags_are_slots_that_cannot_drift_from_txn_class(self):
+        """``is_read_only`` / ``is_read_write`` are set once from ``txn_class``
+        so the hot path reads a slot; nothing may assign any of the three
+        again, or the flags would say one class and ``txn_class`` another."""
+        for txn_class in TxnClass:
+            txn = Transaction(txn_class)
+            assert txn.is_read_only is (txn_class is TxnClass.READ_ONLY)
+            assert txn.is_read_write is (txn_class is TxnClass.READ_WRITE)
+            assert txn.is_read_only is not txn.is_read_write
+        assert {"txn_class", "is_read_only", "is_read_write"} <= set(
+            Transaction.__slots__
+        )
+        stores = []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("txn_class", "is_read_only", "is_read_write")
+                    and not isinstance(node.ctx, ast.Load)
+                ):
+                    stores.append((path.relative_to(SRC).as_posix(), node.attr))
+        assert stores == [
+            ("core/transaction.py", "txn_class"),
+            ("core/transaction.py", "is_read_only"),
+            ("core/transaction.py", "is_read_write"),
+        ]
 
     def test_descriptor_imports_no_topology(self):
         tree = ast.parse((SRC / "core/transaction.py").read_text())

@@ -15,6 +15,7 @@ replayed drill trace report, taken before the sweeps changed.
 import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from bisect import bisect_right
@@ -81,14 +82,14 @@ class FullScanWitness(WitnessEngine):
 KEYS = ["a", "b", "c", "d", "e", ["t", 1]]
 
 BEGIN_RW, BEGIN_RO, READ, WRITE, COMMIT, ABORT = range(6)
-ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT = range(6, 11)
+ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT, UPDATE = range(6, 12)
 
 #: One drawn action is ``(op, i, j, k)``; what the small integers select
 #: depends on the op (which open token, which key, which version, how far a
 #: watermark lags).  Reads, writes and commits are drawn most often.
 OPS = (
-    [BEGIN_RW] * 3 + [BEGIN_RO] * 2 + [READ] * 4 + [WRITE] * 4 + [COMMIT] * 4
-    + [ABORT, ADVANCE, ADVANCE, ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT]
+    [BEGIN_RW] * 3 + [BEGIN_RO] * 2 + [READ] * 3 + [WRITE] * 4 + [COMMIT] * 5
+    + [ADVANCE] * 5 + [UPDATE] * 5 + [ABORT, PROMOTE, SEAM, NOISE, RECOMMIT]
 )
 ACTIONS = st.tuples(
     st.sampled_from(OPS), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)
@@ -110,7 +111,7 @@ def events_of(actions, families):
     long-superseded versions, tokens left open for the rest of the run)."""
     use_vc, use_dvc, use_replica = families
     ts, txn_ids, ro_count = 0.0, 0, 0
-    open_, next_tn, last_vtnc = [], 1, 0
+    open_, held, next_tn, last_vtnc = [], [], 1, 0
     committed = {}  # key index -> committed writer numbers, oldest first
     done, aborted = [], []
 
@@ -120,16 +121,42 @@ def events_of(actions, families):
         return {"name": name, "ts": ts, **fields}
 
     for op, i, j, k in actions:
-        token = open_[i % len(open_)] if open_ else None
-        key = KEYS[j % len(KEYS)]
+        # Mostly one of the oldest four open tokens, so tokens finish in
+        # near begin order and the floor moves; one begin in sixteen is *held*:
+        # only an action with i == 7 reads, writes or finishes it.
+        pool = held if i == 7 and held else open_
+        token = pool[i // 2 % len(pool)] if pool else None
+        index = j % 3 if k < 6 else j % len(KEYS)  # three keys are hot
+        key = KEYS[index]
         if op in (BEGIN_RW, BEGIN_RO):
             txn_ids += 1
             cls = "rw" if op == BEGIN_RW else "ro"
-            open_.append(_Open(txn_ids, cls))
+            (held if k == 0 and j < 4 else open_).append(_Open(txn_ids, cls))
             yield line("history.begin", txn=txn_ids, cls=cls)
+        elif op == UPDATE:
+            # The common case whole: read the latest version (or write
+            # blind), write (one time in four a second key too), commit.
+            txn_ids += 1
+            versions = committed.setdefault(index, [])
+            yield line("history.begin", txn=txn_ids, cls="rw")
+            if i % 2:
+                yield line(
+                    "history.read", txn=txn_ids, key=key,
+                    version=versions[-1] if versions else 0,
+                )
+            yield line("history.write", txn=txn_ids, key=key)
+            tn, next_tn = next_tn, next_tn + 1
+            versions.append(tn)
+            if i >= 6:
+                yield line("history.write", txn=txn_ids, key=KEYS[(index + 1) % 3])
+                committed.setdefault((index + 1) % 3, []).append(tn)
+            done.append((txn_ids, tn, tn, "rw"))
+            yield line("history.commit", txn=txn_ids, ident=tn, tn=tn, cls="rw")
         elif op == READ and token is not None:
-            versions = committed.get(j % len(KEYS), [])
-            staged = [t.tn for t in open_ if t.tn is not None and t is not token]
+            versions = committed.get(index, [])
+            staged = [
+                t.tn for t in open_ + held if t.tn is not None and t is not token
+            ]
             version = (
                 (versions[-1] if versions else 0) if k % 5 == 0
                 else versions[k % len(versions)] if k % 5 == 1 and versions
@@ -140,12 +167,14 @@ def events_of(actions, families):
             )
             yield line("history.read", txn=token.txn, key=key, version=version)
         elif op == WRITE and token is not None and token.cls == "rw":
-            if token.tn is None:
+            if token.tn is None and k >= 6:
+                # Numbered early: others can read the staged version, and
+                # the commit may arrive after a later number's.
                 token.tn, next_tn = next_tn, next_tn + 1
-            token.writes.append(j % len(KEYS))
+            token.writes.append(index)
             yield line("history.write", txn=token.txn, key=key)
         elif op == COMMIT and token is not None:
-            open_.remove(token)
+            pool.remove(token)
             if token.cls == "ro":
                 ro_count += 1
                 ident, tn = RO_ID_OFFSET + ro_count, None
@@ -153,14 +182,14 @@ def events_of(actions, families):
                 if token.tn is None:
                     token.tn, next_tn = next_tn, next_tn + 1
                 ident = tn = token.tn
-                for index in token.writes:
-                    committed.setdefault(index, []).append(tn)
+                for written in token.writes:
+                    committed.setdefault(written, []).append(tn)
             done.append((token.txn, ident, tn, token.cls))
             yield line(
                 "history.commit", txn=token.txn, ident=ident, tn=tn, cls=token.cls
             )
         elif op == ABORT and token is not None:
-            open_.remove(token)
+            pool.remove(token)
             if token.tn is not None:
                 aborted.append(token.tn)
             yield line(
@@ -168,12 +197,15 @@ def events_of(actions, families):
                 cls=token.cls,
             )
         elif op == ADVANCE:
-            # k picks lag / exact / jump past uncommitted numbers / repeat.
+            # Mostly the true watermark (every number below it is decided);
+            # k also picks a lag, a repeat, or a jump past undecided numbers.
+            undecided = [t.tn for t in open_ + held if t.tn is not None]
+            frontier = min(undecided, default=next_tn) - 1
             vtnc = (
-                max(0, next_tn - 1 - j) if k % 4 == 0
-                else next_tn - 1 if k % 4 == 1
-                else next_tn + j if k % 4 == 2
-                else last_vtnc
+                next_tn + j if k == 7
+                else last_vtnc if k == 6
+                else max(0, frontier - j % 3) if k < 2
+                else frontier
             )
             last_vtnc = vtnc
             if use_vc and i % 3 != 2:
@@ -183,15 +215,15 @@ def events_of(actions, families):
             if use_replica and i % 3 != 1:
                 name = "replica.watermark" if k < 4 else "replica.ack"
                 yield line(name, replica=f"r{i % 2}", vtnc=max(0, vtnc - j), staleness=j)
-        elif op == PROMOTE and use_replica and k < 3:
+        elif op == PROMOTE and use_replica and k < 2:
             vtnc = max(0, next_tn - 1 - j)
             yield line("replica.promote", replica=f"r{i % 2}", vtnc=vtnc)
             next_tn = vtnc + 1  # the new primary re-issues the lost numbers
             for versions in committed.values():
                 versions[:] = [v for v in versions if v <= vtnc]
-        elif op == SEAM and k < 2:
+        elif op == SEAM and k == 0:
             # The next drill of a campaign: the clock and the numbers restart.
-            ts, open_, next_tn, last_vtnc, ro_count = 0.0, [], 1, 0, 0
+            ts, open_, held, next_tn, last_vtnc, ro_count = 0.0, [], [], 1, 0, 0
             committed, done, aborted = {}, [], []
             yield line("sim.start")
         elif op == NOISE:
@@ -199,7 +231,7 @@ def events_of(actions, families):
                 ["history.checkpoint", "txn.begin", "lock.grant", "gc.sweep"][k % 4],
                 txn=i, cls="rw", key=key, version=j,
             )
-        elif op == RECOMMIT and done:
+        elif op == RECOMMIT and done and k < 3:
             txn, ident, tn, cls = done[i % len(done)]
             yield line("history.commit", txn=txn, ident=ident, tn=tn, cls=cls)
 
@@ -234,25 +266,24 @@ def assert_sweeps_agree(candidate, actions, families, track_edges):
 #: passing both: the later writer is visited first and can seal only once the
 #: earlier one has — the case a worklist must revisit.
 OUT_OF_ORDER_WRITERS = [
-    (BEGIN_RW, 0, 0, 0), (BEGIN_RW, 0, 0, 0),
-    (WRITE, 0, 0, 0), (WRITE, 1, 0, 0),
-    (COMMIT, 1, 0, 0), (COMMIT, 0, 0, 0),
-    (ADVANCE, 0, 0, 1), (BEGIN_RO, 0, 0, 0), (COMMIT, 0, 0, 0),
-    (BEGIN_RO, 0, 0, 0), (COMMIT, 0, 0, 0),
+    (BEGIN_RW, 0, 0, 1), (BEGIN_RW, 0, 0, 1),
+    (WRITE, 0, 0, 6), (WRITE, 2, 0, 6),  # numbered 1 and 2 as they write
+    (COMMIT, 2, 0, 0), (COMMIT, 0, 0, 0),  # 2 commits first
+    (ADVANCE, 0, 0, 2), (BEGIN_RO, 0, 0, 1), (COMMIT, 0, 0, 0),
 ]
 #: A key rewritten three times under a watermark that keeps up: every commit
 #: leaves a superseded version to prune.
 REWRITTEN_KEY = [
     step
     for _ in range(3)
-    for step in [(BEGIN_RW, 0, 0, 0), (WRITE, 0, 0, 0), (COMMIT, 0, 0, 0), (ADVANCE, 0, 0, 1)]
-] + [(BEGIN_RO, 0, 0, 0), (READ, 0, 0, 0), (COMMIT, 0, 0, 0)]
+    for step in [(BEGIN_RW, 0, 0, 1), (WRITE, 0, 0, 0), (COMMIT, 0, 0, 0), (ADVANCE, 0, 0, 2)]
+] + [(BEGIN_RO, 0, 0, 1), (READ, 0, 0, 0), (COMMIT, 0, 0, 0)]
 
 
 def sweeps_property(candidate, *, max_examples=150, phases=tuple(Phase)):
     @settings(max_examples=max_examples, deadline=None, phases=phases, database=None)
     @given(
-        actions=st.lists(ACTIONS, max_size=120),
+        actions=st.lists(ACTIONS, min_size=40, max_size=160),
         families=FAMILIES,
         track_edges=st.booleans(),
     )
@@ -269,25 +300,79 @@ test_worklist_and_candidates_match_the_full_scans = sweeps_property(
 )
 
 
+# -- the oracle can fail -----------------------------------------------------------
+
+
+class _NeverFilled(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class MissesTheInsortSite(WitnessEngine):
+    """Mutant: a key's second writer does not make it a prune candidate.
+    (That ``insort`` is the candidate set's only way in.)"""
+
+    def _reset_stream_state(self):
+        super()._reset_stream_state()
+        self._prunable = _NeverFilled()
+
+
+class ForgetsLaterWriters(WitnessEngine):
+    """Mutant: ``_seal_pass`` less the two lines that revisit the later
+    writers of each key a sealed node wrote."""
+
+    def _seal_pass(self):
+        floor = self._current_floor()
+        nodes = self._nodes
+        work = list(nodes)
+        for ident in work:
+            if ident in nodes and self._sealable(ident, floor):
+                work.extend(self._topo.successors(ident))
+                self._seal(ident)
+        self._prune_pass(floor)
+
+
+@pytest.mark.parametrize("mutant", [MissesTheInsortSite, ForgetsLaterWriters])
+def test_a_planted_mutant_fails_the_property(mutant):
+    with pytest.raises(AssertionError):
+        sweeps_property(mutant, phases=(Phase.explicit,))()
+
+
+def seeded_stream(seed, length=100):
+    rng = random.Random(seed)
+    actions = [
+        (rng.choice(OPS), rng.randrange(8), rng.randrange(8), rng.randrange(8))
+        for _ in range(length)
+    ]
+    return actions, (seed % 2 == 0, seed % 5 == 0, seed % 3 == 0)
+
+
+@pytest.mark.parametrize(
+    "mutant,at_least", [(MissesTheInsortSite, 150), (ForgetsLaterWriters, 4)]
+)
+def test_generated_streams_alone_find_each_mutant(mutant, at_least):
+    """Without the two hand-written examples: of 250 seeded streams from the
+    same generator, how many tell the mutant from the full scans."""
+    caught = 0
+    for seed in range(250):
+        try:
+            assert_sweeps_agree(mutant, *seeded_stream(seed), track_edges=False)
+        except AssertionError:
+            caught += 1
+    assert caught >= at_least
+
+
 def test_the_streams_reach_every_exit():
     """The generator is only evidence if its streams seal, prune, rebase,
     roll over, leave reads pending and trip both tripwires."""
-    import random
-
     totals = dict.fromkeys(
         ["sealed", "pruned", "rebases", "lost_commits", "late_sealed_reads",
          "duplicate_commits", "pending_dropped", "pending_unresolved", "aborted"], 0
     )
     segments = 0
     for seed in range(40):
-        rng = random.Random(seed)
-        actions = [
-            (rng.choice(OPS), rng.randrange(8), rng.randrange(8), rng.randrange(8))
-            for _ in range(120)
-        ]
         engine = WitnessEngine(seal=True)
-        families = (seed % 2 == 0, seed % 5 == 0, seed % 3 == 0)
-        for event in events_of(actions, families):
+        for event in events_of(*seeded_stream(seed)):
             engine.ingest(event)
         engine.finish()
         report = engine.report()

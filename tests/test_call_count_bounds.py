@@ -1,4 +1,4 @@
-"""What a read-only read costs in Python-level calls, held as a bound.
+"""What a read-only read, and watching a run, cost in calls, held as bounds.
 
 A read-only read is ``VCstart`` once and then, per read, "the largest
 version ``<= sn(T)``" (paper Figure 2); a simulated client resuming on a
@@ -6,13 +6,24 @@ future that is already resolved is one queue append and one ``send``.
 Neither is modelled work, so neither may grow back.  ``sys.setprofile``
 ``call`` events count Python frames entered — exact, and the same on every
 machine (the pattern of ``tests/test_per_call_allocation.py``, for calls).
+
+The second half holds the two stream consumers to work proportional to what
+changed: the witness's prune pass visits only keys listing two or more
+writers, its seal pass revisits only what a seal can enable, and an event
+neither engine consumes is one table miss in each.
 """
 
 import ast
 import inspect
 import sys
 import types
+from bisect import bisect_right
+from collections import Counter
 
+from repro.obs.slo import SLOEngine, bench_objectives
+from repro.obs.slo.recorder import FlightRecorder
+from repro.obs.tracer import TraceEvent
+from repro.obs.witness import WitnessEngine
 from repro.protocols.registry import make_scheduler
 from repro.sim import engine
 from repro.sim.engine import Process, Simulator
@@ -90,3 +101,153 @@ def test_dispatching_an_event_creates_no_function_object():
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
     assert not hasattr(Simulator, "_handle_yield")
     assert "_on_settle" not in inspect.getsource(engine)
+
+
+# -- the price of watching ---------------------------------------------------------
+
+
+def profiled(fn, *, frames=(), builtins=(), inside=None):
+    """Run ``fn()`` and count, exactly: entries into each function of
+    ``frames`` (by code object) and calls of each C function or method name
+    of ``builtins`` — of the latter only those made directly from the
+    function ``inside``, when given."""
+    codes = {function.__code__: function for function in frames}
+    seen = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+        elif event == "c_call" and (inside is None or frame.f_code is inside.__code__):
+            for builtin in builtins:
+                if arg is builtin or getattr(arg, "__name__", None) == builtin:
+                    seen[builtin] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def feed(engine, ts, name, **fields):
+    engine._process(name, ts, fields)
+
+
+def commit_writer(engine, ts, tn, key, *, watermark=True):
+    feed(engine, ts, "history.begin", txn=tn, cls="rw")
+    feed(engine, ts, "history.write", txn=tn, key=key)
+    feed(engine, ts, "history.commit", txn=tn, ident=tn, tn=tn, cls="rw")
+    if watermark:
+        feed(engine, ts, "vc.advance", number=tn, tnc=tn + 1, vtnc=tn)
+
+
+def test_a_prune_pass_bisects_only_keys_with_a_superseded_version():
+    """2 000 writers over 200 keys, the watermark one commit behind: a key
+    lists two writers from its rewrite until the next pass prunes the older,
+    so a pass bisects a handful of lists (186 of 200 when it tried them all)."""
+    engine = WitnessEngine(seal=True)
+
+    def stream():
+        for tn in range(1, 2_001):
+            commit_writer(engine, float(tn), tn, f"k{tn * 7919 % 200}")
+
+    seen = profiled(stream, builtins=[bisect_right], inside=WitnessEngine._prune_pass)
+    assert engine.pruned > 1_700 and engine.ok
+    assert seen[bisect_right] / 2_000 <= 10
+
+
+def test_a_seal_pass_revisits_only_what_a_seal_enables():
+    """One read-write token held open pins the floor, so the writers of 500
+    mixed commits stay tracked; every read-only commit seals at once (its
+    own node) and its pass must not re-scan the N nodes that cannot move."""
+    engine = WitnessEngine(seal=True)
+    feed(engine, 0.0, "vc.advance", number=0, tnc=1, vtnc=0)
+    feed(engine, 0.0, "history.begin", txn=9_999, cls="rw")
+    passes = []
+    for n in range(2, 502):  # the held token's floor is 1: all stay above it
+        ts = float(n)
+        if n % 2:
+            commit_writer(engine, ts, n, f"k{n * 7919 % 200}")
+            continue
+        feed(engine, ts, "history.begin", txn=n, cls="ro")
+        # Every fourth reader reads a tracked writer's version and so stays
+        # tracked itself; the others read the initial version and seal.
+        version = n - 1 if n % 8 == 0 else 0
+        key = f"k{(n - 1) * 7919 % 200}"
+        feed(engine, ts, "history.read", txn=n, key=key, version=version)
+        tracked, sealed = len(engine._nodes) + 1, engine.sealed
+        seen = profiled(
+            lambda: feed(
+                engine, ts, "history.commit", txn=n, ident=10**10 + n, tn=None, cls="ro"
+            ),
+            frames=[WitnessEngine._sealable],
+        )
+        if engine.sealed > sealed:
+            passes.append((tracked, seen[WitnessEngine._sealable]))
+    assert len(passes) > 150 and max(tracked for tracked, _ in passes) > 300
+    for tracked, calls in passes:
+        assert tracked <= calls <= 1.25 * tracked + 8, (tracked, calls)
+    # The token finishes, the floor jumps past every writer, everything seals:
+    # in commit order on the first walk, so still no second one.
+    tracked = len(engine._nodes)
+    seen = profiled(
+        lambda: feed(engine, 502.0, "history.abort", txn=9_999, tn=None, ident=None),
+        frames=[WitnessEngine._sealable],
+    )
+    assert engine._nodes == {} and engine.ok
+    assert seen[WitnessEngine._sealable] <= 1.25 * tracked + 8
+
+
+def test_an_event_nobody_consumes_is_one_table_miss_in_each_engine():
+    witness = WitnessEngine(seal=True)
+    slo = SLOEngine(bench_objectives(ro_never_blocks=True), window=25.0)
+    for engine in (witness, slo):
+        engine.export(TraceEvent("wal.append", 1.0, {"lsn": 1}))  # opens the window
+    event = TraceEvent("wal.append", 2.0, {"lsn": 2})
+    for engine, prefix_tests in ((witness, 1), (slo, 0)):
+        assert python_calls(lambda: engine.export(event)) <= 2  # export, _process
+        seen = profiled(lambda: engine.export(event), builtins=["startswith"])
+        assert seen["startswith"] <= prefix_tests
+    assert witness.events_seen == 0 and slo.events_seen == 3  # history.* only; all
+
+
+def test_a_read_of_a_key_already_being_read_allocates_no_counter():
+    engine = WitnessEngine(seal=True)
+    for txn in (1, 2):
+        feed(engine, 1.0, "history.begin", txn=txn, cls="ro")
+    feed(engine, 2.0, "history.read", txn=1, key="x", version=0)
+    seen = profiled(
+        lambda: feed(engine, 3.0, "history.read", txn=2, key="x", version=0),
+        frames=[Counter.__init__],
+    )
+    assert engine._live_reads == {"x": {0: 2}}
+    assert seen[Counter.__init__] == 0
+
+
+def test_a_finished_engine_left_on_a_tracer_does_no_work():
+    """``finish()`` is public and a drill's engines stay on the shared tracer
+    until the drill's observers are removed: the flight-recorder copy of an
+    event must not be made for an engine that will drop it."""
+
+    class Recorder(FlightRecorder):
+        recorded = 0
+
+        def record(self, event):
+            Recorder.recorded += 1
+
+    witness = WitnessEngine(seal=True, flight=Recorder())
+    slo = SLOEngine(bench_objectives(ro_never_blocks=True), recorder=Recorder())
+    event = TraceEvent("history.begin", 1.0, {"txn": 1, "cls": "rw"})
+    for engine in (witness, slo):
+        engine.export(event)
+        engine.finish()
+    assert Recorder.recorded == 2
+    before = (witness.report(), slo.report())
+    seen = profiled(
+        lambda: [engine.export(event) for engine in (witness, slo)],
+        frames=[TraceEvent.to_dict, Recorder.record],
+    )
+    assert not seen
+    assert (witness.report(), slo.report()) == before
+    assert witness.events_seen == 1 and slo.events_seen == 1
