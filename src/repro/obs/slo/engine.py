@@ -247,14 +247,12 @@ class SLOEngine:
         if record is not None:
             self.recorder.record(record)
         route = _DISPATCH.get(name)
-        if route is None:
-            return
         if type(route) is tuple:  # a SIGNAL_ROUTES entry
             for field, signal in route:
                 value = 1.0 if field is None else fields.get(field)
                 if value is not None:
                     self._signal(signal, value)
-        else:
+        elif route is not None:  # a stateful name's method
             route(self, name, ts, fields)
 
     def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:

@@ -86,7 +86,8 @@ ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT, UPDATE = range(6, 12)
 
 #: One drawn action is ``(op, i, j, k)``; what the small integers select
 #: depends on the op (which open token, which key, which version, how far a
-#: watermark lags).  Reads, writes and commits are drawn most often.
+#: watermark lags).  Whole short updates, commits and watermark advances are
+#: drawn most often, so versions get superseded and the floor keeps moving.
 OPS = (
     [BEGIN_RW] * 3 + [BEGIN_RO] * 2 + [READ] * 3 + [WRITE] * 4 + [COMMIT] * 5
     + [ADVANCE] * 5 + [UPDATE] * 5 + [ABORT, PROMOTE, SEAM, NOISE, RECOMMIT]
