@@ -69,10 +69,39 @@ PINNED_TRACED_STDOUT = (
 PINNED_TRACE_FILE = (
     "d03ca29c78b93f0531663f82442859cee4dee2fbda97346f3adff10baa08f634"
 )
+#: sha256 of ``explain T <txn> --json`` stdout, T the trace above: a committed
+#: transaction with 20 serialization-graph edges and a lock wait, and a
+#: deadlock victim with two waits and a critical path.
+PINNED_EXPLAIN_JSON = {
+    247: "97bf257f100a9976b0ff70ed5b24df64c88dcd030feb16228af0852954bd2236",
+    41: "5ac2e8da40e3d80564193d5d88e1a262d3f44a5e015f2e621c107b77582de912",
+}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _repro(*argv: str) -> bytes:
+    """stdout of ``python -m repro *argv`` in a fresh interpreter."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+@pytest.fixture(scope="class")
+def traced_drill(tmp_path_factory):
+    """The traced fault drill, run once: its stdout and its trace file."""
+    trace = tmp_path_factory.mktemp("traced") / "drill.jsonl"
+    stdout = _repro(
+        "drill", "--seeds", "2", "--duration", "200",
+        "--slo", "--witness", "--trace", str(trace),
+    )
+    return stdout, trace
 
 
 class TestPinnedOutput:
@@ -86,20 +115,15 @@ class TestPinnedOutput:
         assert code == 0
         assert _sha256(out.encode()) == digest, out
 
-    def test_traced_fault_drill_is_pinned(self, tmp_path):
-        trace = tmp_path / "drill.jsonl"
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "drill",
-                "--seeds", "2", "--duration", "200",
-                "--slo", "--witness", "--trace", str(trace),
-            ],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, timeout=120, check=True,
-        )
-        assert _sha256(done.stdout) == PINNED_TRACED_STDOUT, done.stdout
+    def test_traced_fault_drill_is_pinned(self, traced_drill):
+        stdout, trace = traced_drill
+        assert _sha256(stdout) == PINNED_TRACED_STDOUT, stdout
         assert _sha256(trace.read_bytes()) == PINNED_TRACE_FILE
+
+    @pytest.mark.parametrize("txn", sorted(PINNED_EXPLAIN_JSON))
+    def test_explain_of_the_traced_drill_is_pinned(self, traced_drill, txn):
+        out = _repro("explain", str(traced_drill[1]), str(txn), "--json")
+        assert _sha256(out) == PINNED_EXPLAIN_JSON[txn], out
 
 
 # -- the shared core: every verdict path shown able to fail ----------------------
