@@ -214,7 +214,7 @@ def _bench_slo(
         window=suite.duration / 16.0,
     )
     for event in events:
-        engine.ingest(event)
+        engine.export(event)
     engine.finish()
     report = engine.report()
     return {

@@ -47,7 +47,7 @@ from repro.obs.spans import (
     start_span,
     transaction_trees,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "ConsoleSummaryExporter",
@@ -66,7 +66,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanNode",
-    "TraceEvent",
     "Tracer",
     "activate",
     "aggregate_phase_shares",

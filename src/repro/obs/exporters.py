@@ -1,9 +1,14 @@
 """Trace exporters: ring buffer, JSONL file, console summary.
 
-An exporter is anything with ``export(event: TraceEvent) -> None`` and an
-optional ``close()``.  Exporters are synchronous and see events in emit
-order — the tracer stamps timestamps before fan-out, so every exporter
-records the same virtual-time view of the run.
+An exporter is anything with ``export(event)`` and an optional ``close()``,
+where ``event`` is the dict one JSONL line decodes to: ``name``, ``ts``,
+then the fields in emit order.  (Live, the field values are the emitter's
+own objects — a tuple key is a tuple until the JSONL exporter writes it.)
+The tracer builds that dict once per event and hands the same object to
+every exporter, so an exporter must not mutate it.  Exporters are
+synchronous and see events in emit order — the tracer stamps timestamps
+before fan-out, so every exporter records the same virtual-time view of
+the run.
 """
 
 from __future__ import annotations
@@ -15,30 +20,28 @@ from collections import Counter as _TallyCounter
 from collections import deque
 from typing import IO, Any
 
-from repro.obs.tracer import TraceEvent
-
 
 class RingBufferExporter:
     """Keep the most recent ``capacity`` events in memory.
 
     The default capacity is large enough for a whole experiment run but
     bounded, so an always-on tracer cannot exhaust memory.  ``events()``
-    returns a snapshot list, oldest first.
+    returns a snapshot list of the event dicts themselves, oldest first.
     """
 
     def __init__(self, capacity: int = 65_536):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
+        self._buffer: deque[dict[str, Any]] = deque(maxlen=capacity)
         self.dropped = 0
 
-    def export(self, event: TraceEvent) -> None:
+    def export(self, event: dict[str, Any]) -> None:
         if len(self._buffer) == self.capacity:
             self.dropped += 1
         self._buffer.append(event)
 
-    def events(self) -> list[TraceEvent]:
+    def events(self) -> list[dict[str, Any]]:
         return list(self._buffer)
 
     def clear(self) -> None:
@@ -70,10 +73,10 @@ class JsonlExporter:
         self.exported = 0
         self._closed = False
 
-    def export(self, event: TraceEvent) -> None:
+    def export(self, event: dict[str, Any]) -> None:
         if self._closed:
             return
-        json.dump(event.to_dict(), self._stream, default=repr, separators=(",", ":"))
+        json.dump(event, self._stream, default=repr, separators=(",", ":"))
         self._stream.write("\n")
         self.exported += 1
 
@@ -118,11 +121,11 @@ class ConsoleSummaryExporter:
         self._last_ts: float | None = None
         self._closed = False
 
-    def export(self, event: TraceEvent) -> None:
-        self._tally[event.name] += 1
+    def export(self, event: dict[str, Any]) -> None:
+        self._tally[event["name"]] += 1
         if self._first_ts is None:
-            self._first_ts = event.ts
-        self._last_ts = event.ts
+            self._first_ts = event["ts"]
+        self._last_ts = event["ts"]
 
     def counts(self) -> dict[str, int]:
         return dict(self._tally)

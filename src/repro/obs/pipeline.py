@@ -26,11 +26,7 @@ from __future__ import annotations
 
 from typing import IO, Any, Iterable
 
-from repro.obs.exporters import (
-    ConsoleSummaryExporter,
-    JsonlExporter,
-    RingBufferExporter,
-)
+from repro.obs.exporters import JsonlExporter, RingBufferExporter
 from repro.obs.instrument import Instrumentation, attach_tracer
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -43,7 +39,6 @@ class ObsPipeline:
         clock: explicit zero-argument clock callable.
         ring: capacity for an in-memory :class:`RingBufferExporter`.
         jsonl: path or stream for a :class:`JsonlExporter`.
-        console: add a :class:`ConsoleSummaryExporter` (summary on close).
         engine: a :class:`~repro.obs.slo.SLOEngine` to evaluate online.
         witness: a :class:`~repro.obs.witness.WitnessEngine` certifying
             the ``history.*`` stream live (finished on close, like the
@@ -58,19 +53,17 @@ class ObsPipeline:
         clock: Any | None = None,
         ring: int | None = None,
         jsonl: str | IO[str] | None = None,
-        console: bool = False,
         engine: Any | None = None,
         witness: Any | None = None,
         exporters: Iterable[Any] = (),
     ):
         self.ring = RingBufferExporter(capacity=ring) if ring else None
         self.jsonl = JsonlExporter(jsonl) if jsonl is not None else None
-        self.console = ConsoleSummaryExporter() if console else None
         self.engine = engine
         self.witness = witness
         all_exporters = [
             exporter
-            for exporter in (self.ring, self.jsonl, self.console, engine, witness)
+            for exporter in (self.ring, self.jsonl, engine, witness)
             if exporter is not None
         ]
         all_exporters.extend(exporters)
@@ -99,10 +92,9 @@ class ObsPipeline:
         return handle
 
     def events(self) -> list[dict[str, Any]]:
-        """The ring buffer's contents as event dicts (empty without a ring)."""
-        if self.ring is None:
-            return []
-        return [event.to_dict() for event in self.ring.events()]
+        """The ring buffer's event dicts, as emitted — none is copied
+        (empty without a ring)."""
+        return self.ring.events() if self.ring is not None else []
 
     def detach(self) -> None:
         for handle in self._handles:

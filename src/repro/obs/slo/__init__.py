@@ -32,7 +32,7 @@ from repro.obs.slo.objectives import (
     shard_objectives,
 )
 from repro.obs.slo.recorder import BUNDLE_SCHEMA, FlightRecorder
-from repro.obs.slo.windows import Ewma, WindowStats
+from repro.obs.slo.windows import Ewma
 
 __all__ = [
     "BUNDLE_SCHEMA",
@@ -46,7 +46,6 @@ __all__ = [
     "RatioObjective",
     "SLOEngine",
     "SLO_SCHEMA",
-    "WindowStats",
     "WindowVerdict",
     "ZeroObjective",
     "availability_objectives",

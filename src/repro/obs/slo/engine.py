@@ -3,11 +3,11 @@
 :class:`SLOEngine` is a tracer *exporter* — plug it into any
 :class:`~repro.obs.tracer.Tracer` (directly or via
 :class:`~repro.obs.pipeline.ObsPipeline`) and it evaluates its objectives
-online, in virtual time, while the run is still going.  The same engine
-replays a recorded JSONL trace through :meth:`ingest` and — because every
-judgment depends only on event names, timestamps, and field values — two
-replays of the same trace produce byte-identical reports and bundles
-(``python -m repro watch``).
+online, in virtual time, while the run is still going.  Replay is the same
+call: :meth:`export` takes the tracer's event dict live and a decoded JSONL
+line on replay (``python -m repro watch``), and — because every judgment
+depends only on event names, timestamps, and field values — two replays of
+the same trace produce byte-identical reports and bundles.
 
 **Signal taxonomy.**  Raw events are reduced to named signal samples; an
 objective subscribes to signals, never to events:
@@ -77,7 +77,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.obs.slo.objectives import Objective, WindowVerdict
-from repro.obs.tracer import TraceEvent
 
 SLO_SCHEMA = "repro.slo/1"
 
@@ -206,54 +205,36 @@ class SLOEngine:
         self._win: int | None = None
         self._last_ts = -math.inf
 
-    # -- exporter / replay surface -------------------------------------------------
+    # -- the one entry point: live and replay --------------------------------------
 
-    def export(self, event: TraceEvent) -> None:
-        """Live path: called by the tracer for every emitted event."""
+    def export(self, event: dict[str, Any]) -> None:
+        """Take one event: the tracer's dict live, a decoded trace line on
+        replay (:func:`~repro.obs.analyze.load_trace` checked it)."""
         if self.finished:
-            return  # still on a shared tracer: no copy made for nobody
-        record = event.to_dict() if self.recorder is not None else None
-        self._process(event.name, event.ts, event.fields, record)
-
-    def ingest(self, event: dict[str, Any]) -> None:
-        """Replay path: one decoded JSONL trace line."""
-        name = event.get("name")
-        if name is None:
-            return
-        ts = float(event.get("ts", 0.0))
-        record = event if self.recorder is not None else None
-        self._process(name, ts, event, record)
+            return  # still on a shared tracer after finish(): nothing to do
+        self.events_seen += 1
+        ts = event["ts"]
+        if ts >= self._last_ts and math.floor(ts / self.window) == self._win:
+            self._last_ts = ts  # same window, clock not behind
+        else:
+            self._advance(ts)
+        if self.recorder is not None:
+            self.recorder.export(event)
+        name = event["name"]
+        route = _DISPATCH.get(name)
+        if type(route) is tuple:  # a SIGNAL_ROUTES entry
+            for field, signal in route:
+                value = 1.0 if field is None else event.get(field)
+                if value is not None:
+                    self._signal(signal, value)
+        elif route is not None:  # a stateful name's method
+            route(self, name, ts, event)
 
     def close(self) -> None:
         """Tracer-close hook: finish evaluation (idempotent)."""
         self.finish()
 
     # -- event processing ----------------------------------------------------------
-
-    def _process(
-        self,
-        name: str,
-        ts: float,
-        fields: dict[str, Any],
-        record: dict[str, Any] | None,
-    ) -> None:
-        if self.finished:
-            return
-        self.events_seen += 1
-        if ts >= self._last_ts and math.floor(ts / self.window) == self._win:
-            self._last_ts = ts  # same window, clock not behind
-        else:
-            self._advance(ts)
-        if record is not None:
-            self.recorder.record(record)
-        route = _DISPATCH.get(name)
-        if type(route) is tuple:  # a SIGNAL_ROUTES entry
-            for field, signal in route:
-                value = 1.0 if field is None else fields.get(field)
-                if value is not None:
-                    self._signal(signal, value)
-        elif route is not None:  # a stateful name's method
-            route(self, name, ts, fields)
 
     def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.slo.windows import Ewma, WindowStats
+from repro.obs.slo.windows import Ewma
+from repro.sim.stats import nearest_rank
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,13 @@ class Objective:
 
 
 class PercentileObjective(Objective):
-    """Windowed quantile must stay under a ceiling and/or near its baseline."""
+    """Windowed quantile must stay under a ceiling and/or near its baseline.
+
+    A window's samples are kept exactly, as floats, and judged when it
+    closes by the nearest-rank rule every report uses
+    (:func:`~repro.sim.stats.nearest_rank`); :class:`MaxObjective` is this
+    rule at the quantile 1.
+    """
 
     kind = "percentile"
 
@@ -118,29 +125,29 @@ class PercentileObjective(Objective):
         if ceiling is None and baseline is None:
             raise ValueError(f"objective {name!r} needs a ceiling or a baseline")
         self.quantile = quantile
+        self.label = f"p{quantile * 100:g}"
         self.ceiling = ceiling
         self.baseline = baseline
         self.rel_limit = rel_limit
         self.min_count = max(1, min_count)
-        self._stats = WindowStats()
+        self._samples: list[float] = []
 
     def observe(self, signal: str, value: float) -> None:
-        self._stats.add(value)
+        self._samples.append(float(value))
 
     def threshold_text(self) -> str:
         parts = []
         if self.ceiling is not None:
-            parts.append(f"p{self.quantile * 100:g} <= {self.ceiling:g}")
+            parts.append(f"{self.label} <= {self.ceiling:g}")
         if self.baseline is not None:
-            parts.append(f"p{self.quantile * 100:g} <= ewma*(1+{self.rel_limit:g})")
+            parts.append(f"{self.label} <= ewma*(1+{self.rel_limit:g})")
         return " and ".join(parts)
 
     def close_window(self) -> WindowVerdict:
-        if self._stats.count < self.min_count:
-            self._stats.reset()
+        samples, self._samples = self._samples, []
+        if len(samples) < self.min_count:
             return WindowVerdict(None, False, self.threshold_text())
-        value = self._stats.percentile(self.quantile)
-        self._stats.reset()
+        value = nearest_rank(samples, self.quantile)
         violated = self.ceiling is not None and value > self.ceiling
         if (
             not violated
@@ -154,59 +161,14 @@ class PercentileObjective(Objective):
         return WindowVerdict(value, violated, self.threshold_text())
 
 
-class MaxObjective(Objective):
+class MaxObjective(PercentileObjective):
     """Windowed maximum must stay under a ceiling and/or near its baseline."""
 
     kind = "max"
 
-    def __init__(
-        self,
-        name: str,
-        signal: str,
-        *,
-        ceiling: float | None = None,
-        baseline: Ewma | None = None,
-        rel_limit: float = 2.0,
-        min_count: int = 1,
-        **kwargs,
-    ):
-        super().__init__(name, (signal,), **kwargs)
-        if ceiling is None and baseline is None:
-            raise ValueError(f"objective {name!r} needs a ceiling or a baseline")
-        self.ceiling = ceiling
-        self.baseline = baseline
-        self.rel_limit = rel_limit
-        self.min_count = max(1, min_count)
-        self._stats = WindowStats()
-
-    def observe(self, signal: str, value: float) -> None:
-        self._stats.add(value)
-
-    def threshold_text(self) -> str:
-        parts = []
-        if self.ceiling is not None:
-            parts.append(f"max <= {self.ceiling:g}")
-        if self.baseline is not None:
-            parts.append(f"max <= ewma*(1+{self.rel_limit:g})")
-        return " and ".join(parts)
-
-    def close_window(self) -> WindowVerdict:
-        if self._stats.count < self.min_count:
-            self._stats.reset()
-            return WindowVerdict(None, False, self.threshold_text())
-        value = self._stats.maximum
-        self._stats.reset()
-        violated = self.ceiling is not None and value > self.ceiling
-        if (
-            not violated
-            and self.baseline is not None
-            and self.baseline.ready
-            and self.baseline.relative_deviation(value) > self.rel_limit
-        ):
-            violated = True
-        if self.baseline is not None and not violated:
-            self.baseline.update(value)
-        return WindowVerdict(value, violated, self.threshold_text())
+    def __init__(self, name: str, signal: str, *, rel_limit: float = 2.0, **kwargs):
+        super().__init__(name, signal, 1.0, rel_limit=rel_limit, **kwargs)
+        self.label = "max"
 
 
 class ZeroObjective(Objective):

@@ -1,7 +1,8 @@
 """The breach-triggered flight recorder: bounded history, diagnostic bundles.
 
-A :class:`FlightRecorder` keeps the most recent events in a bounded ring —
-cheap enough to leave on for a whole campaign — and, when the SLO engine
+A :class:`FlightRecorder` is a :class:`~repro.obs.exporters.RingBufferExporter`
+— the most recent events in a bounded ring, cheap enough to leave on for a
+whole campaign — and, when the SLO engine
 declares a breach, freezes the slice around the breach window into a
 *diagnostic bundle*: the raw events, who-blocked-whom chains
 (:func:`repro.obs.analyze.blocking_chains`), the critical-path phase
@@ -19,43 +20,27 @@ JSON with ``repr`` fallback — byte-identical across same-trace replays.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from typing import Any, TYPE_CHECKING
+
+from repro.obs.exporters import RingBufferExporter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.slo.engine import Breach
-    from repro.obs.tracer import TraceEvent
 
 BUNDLE_SCHEMA = "repro.slo.bundle/1"
 
 
-class FlightRecorder:
-    """Bounded ring of recent event dicts, snapshottable around a breach."""
+class FlightRecorder(RingBufferExporter):
+    """A ring of recent event dicts, snapshottable around a breach.
 
-    def __init__(self, capacity: int = 8192):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self.recorded = 0
-        self.dropped = 0
-
-    def record(self, event: dict[str, Any]) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(event)
-        self.recorded += 1
-
-    def export(self, event: "TraceEvent") -> None:
-        """Standalone-exporter form, for use without an engine."""
-        self.record(event.to_dict())
-
-    def events(self) -> list[dict[str, Any]]:
-        return list(self._ring)
+    An engine holding one exports every event it takes into it; on its own
+    it is an exporter like any other ring.
+    """
 
     def window(self, start: float, end: float) -> list[dict[str, Any]]:
         """Events stamped within ``[start, end]``, ring order preserved."""
-        return [e for e in self._ring if start <= float(e.get("ts", 0.0)) <= end]
+        return [e for e in self._buffer if start <= e["ts"] <= end]
 
     def bundle(
         self,

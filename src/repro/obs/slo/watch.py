@@ -29,11 +29,7 @@ from repro.obs.slo.recorder import FlightRecorder
 
 
 def build_engine(
-    profile: str,
-    *,
-    window: float,
-    bundle_dir: str | None = None,
-    recorder_capacity: int = 8192,
+    profile: str, *, window: float, bundle_dir: str | None = None
 ) -> SLOEngine:
     try:
         objectives = PROFILES[profile]()
@@ -44,7 +40,7 @@ def build_engine(
     return SLOEngine(
         objectives,
         window=window,
-        recorder=FlightRecorder(capacity=recorder_capacity),
+        recorder=FlightRecorder(capacity=8192),
         bundle_dir=bundle_dir,
         bundle_prefix="watch",
     )
@@ -117,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
 
         certifier = WitnessEngine(seal=True)
     for event in events:
-        engine.ingest(event)
+        engine.export(event)
         if certifier is not None:
-            certifier.ingest(event)
+            certifier.export(event)
     engine.finish()
     if certifier is not None:
         certifier.finish()

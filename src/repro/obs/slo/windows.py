@@ -1,12 +1,12 @@
-"""Window accumulators and EWMA baselines for the streaming SLO engine.
+"""EWMA baselines for the streaming SLO engine's windowed objectives.
 
 The engine (:mod:`repro.obs.slo.engine`) chops virtual time into tumbling
 windows of fixed width ``W`` — window ``k`` covers the half-open interval
 ``[k*W, (k+1)*W)`` — and each objective accumulates the samples of its
-signal into a :class:`WindowStats` that is evaluated and reset when the
-window closes.  Half-open intervals make boundary behavior exact: a sample
-stamped precisely at ``k*W`` belongs to window ``k``, never to ``k-1``,
-so two replays of the same trace always bucket identically.
+signal over a window and judges them when it closes.  Half-open intervals
+make boundary behavior exact: a sample stamped precisely at ``k*W`` belongs
+to window ``k``, never to ``k-1``, so two replays of the same trace always
+bucket identically.
 
 :class:`Ewma` is the anomaly baseline: an exponentially weighted moving
 mean of per-window values, updated only from windows the detector accepted
@@ -14,55 +14,6 @@ as normal, so a sustained anomaly cannot drag the baseline up to meet it.
 """
 
 from __future__ import annotations
-
-import math
-
-
-class WindowStats:
-    """Samples accumulated over one evaluation window."""
-
-    __slots__ = ("_samples", "total", "maximum", "minimum")
-
-    def __init__(self) -> None:
-        self._samples: list[float] = []
-        self.total = 0.0
-        self.maximum = -math.inf
-        self.minimum = math.inf
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self._samples.append(value)
-        self.total += value
-        if value > self.maximum:
-            self.maximum = value
-        if value < self.minimum:
-            self.minimum = value
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self._samples) if self._samples else 0.0
-
-    def percentile(self, quantile: float) -> float:
-        """Empirical quantile by the nearest-rank rule (matches
-        :class:`repro.sim.stats.Summary`): the ``ceil(q*n)``-th smallest
-        sample.  Undefined (0.0) on an empty window — callers gate on
-        :attr:`count` first.
-        """
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(quantile * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-    def reset(self) -> None:
-        self._samples.clear()
-        self.total = 0.0
-        self.maximum = -math.inf
-        self.minimum = math.inf
 
 
 class Ewma:

@@ -164,7 +164,7 @@ def start_span(
         op=name,
         **fields,
     )
-    t0 = event.ts if event is not None else tracer.clock()
+    t0 = event["ts"] if event is not None else tracer.clock()
     return Span(tracer, name, context, parent_id, t0)
 
 

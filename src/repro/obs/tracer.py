@@ -14,8 +14,12 @@ is a first-class subsystem rather than debug printf.  Design constraints:
   simulation the default clock is a deterministic monotone sequence, which
   keeps traces reproducible and diffable.
 * **Pluggable exporters** (:mod:`repro.obs.exporters`): ring buffer, JSONL
-  file, console summary.  An event is fanned out to every exporter at emit
-  time; exporters never see events from a disabled tracer.
+  file, console summary, and the two stream consumers (the SLO engine and
+  the 1SR witness).  An event is one dict — ``name``, ``ts``, then its
+  fields in emit order, the form one JSONL trace line decodes to — built
+  once at emit time and handed to every exporter, so a consumer reads a
+  live run and a replayed trace through the same ``export``.  Exporters
+  never see events from a disabled tracer.
 
 Event names form dotted families (``txn.*``, ``cc.*``, ``vc.*``,
 ``lock.*``, ``gc.*``, ``wal.*``, ``sim.*``, ``span.*``) — the schema is
@@ -35,27 +39,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Any, Callable, Iterable
-
-
-class TraceEvent:
-    """One structured trace event: a name, a timestamp, and free-form fields."""
-
-    __slots__ = ("name", "ts", "fields")
-
-    def __init__(self, name: str, ts: float, fields: dict[str, Any]):
-        self.name = name
-        self.ts = ts
-        self.fields = fields
-
-    def to_dict(self) -> dict[str, Any]:
-        """Flat dict form (``name`` and ``ts`` first) for JSONL export."""
-        out: dict[str, Any] = {"name": self.name, "ts": self.ts}
-        out.update(self.fields)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kv = " ".join(f"{k}={v!r}" for k, v in self.fields.items())
-        return f"<TraceEvent {self.name} @{self.ts} {kv}>"
 
 
 class Tracer:
@@ -108,14 +91,15 @@ class Tracer:
 
     # -- emitting --------------------------------------------------------------
 
-    def emit(self, name: str, **fields: Any) -> TraceEvent | None:
+    def emit(self, name: str, **fields: Any) -> dict[str, Any] | None:
         """Stamp and export one event.  Cheap no-op when no exporter listens.
 
         While a span context is active (see :mod:`repro.obs.spans`), the
         event is stamped with its ``span``/``trace`` ids unless the caller
         supplied them — this is how flat events from components that know
         nothing about spans end up attached to the right span tree.
-        Returns the exported event (the span layer reads its timestamp).
+        Returns the exported event dict (the span layer reads its ``ts``);
+        every exporter received that same object.
         """
         if not self._exporters:
             return None
@@ -123,7 +107,7 @@ class Tracer:
         if active is not None and "span" not in fields:
             fields["span"] = active.span_id
             fields["trace"] = active.trace_id
-        event = TraceEvent(name, self.clock(), fields)
+        event = {"name": name, "ts": self.clock(), **fields}
         for exporter in self._exporters:
             exporter.export(event)
         return event

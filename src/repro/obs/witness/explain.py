@@ -59,7 +59,7 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
     """
     engine = WitnessEngine(seal=False, track_edges=True)
     for event in events:
-        engine.ingest(dict(event))
+        engine.export(event)
     engine.finish()
 
     mine = [e for e in events if e.get("txn") == txn]

@@ -3,6 +3,19 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+
+def nearest_rank(samples: Sequence[float], q: float) -> float:
+    """Exact empirical quantile by the nearest-rank rule: the ``ceil(q*n)``-th
+    smallest sample (the smallest at ``q == 0``); 0.0 when there are none."""
+    if not samples:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    ordered = sorted(samples)
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
 
 
 class Summary:
@@ -50,13 +63,7 @@ class Summary:
 
     def quantile(self, q: float) -> float:
         """Exact empirical quantile (nearest-rank)."""
-        if not self._samples:
-            return 0.0
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(self._samples, q)
 
     @property
     def p50(self) -> float:

@@ -40,7 +40,7 @@ def traced_commit(make_db):
     sim.run()
     instrumentation.detach()
     assert "txn" in done, "transaction did not commit"
-    events = [event.to_dict() for event in ring.events()]
+    events = ring.events()
     return done["txn"], transaction_trees(events), events
 
 

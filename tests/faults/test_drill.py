@@ -85,7 +85,7 @@ class TestRunDrill:
         ring = RingBufferExporter()
         tracer = Tracer(exporters=[ring])
         report = run_drill("dvc", seed=0, duration=150.0, tracer=tracer)
-        names = {e.name for e in ring.events()}
+        names = {e["name"] for e in ring.events()}
         assert any(name.startswith("fault.") for name in names)
         assert "fault.drill.done" in names
         assert report.ok

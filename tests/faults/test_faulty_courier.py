@@ -156,7 +156,7 @@ class TestTraceEvents:
         )
         courier.tracer = tracer
         courier.dispatch(lambda: None)
-        names = {e.name for e in ring.events()}
+        names = {e["name"] for e in ring.events()}
         assert "fault.drop" in names or "fault.retry.exhausted" in names
 
     def test_partition_events(self):
@@ -166,7 +166,7 @@ class TestTraceEvents:
         courier.partition("x")
         courier.dispatch(lambda: None, channel="x")
         courier.heal("x")
-        names = [e.name for e in ring.events()]
+        names = [e["name"] for e in ring.events()]
         assert names[:3] == [
             "fault.partition.start",
             "fault.partition.hold",

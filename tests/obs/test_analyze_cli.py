@@ -200,8 +200,8 @@ class TestGcSummary:
             store.install("k", txn.tn, round_no)
             vc.vc_complete(txn)
         gc.collect()
-        sweeps = [e for e in ring.events() if e.name == "gc.sweep"]
-        assert sweeps and sweeps[-1].fields["scanned"] == gc.versions_scanned
+        sweeps = [e for e in ring.events() if e["name"] == "gc.sweep"]
+        assert sweeps and sweeps[-1]["scanned"] == gc.versions_scanned
 
 
 class TestTraceReport:

@@ -11,22 +11,21 @@ from repro.obs import (
     RingBufferExporter,
     Tracer,
 )
-from repro.obs.tracer import TraceEvent
 
 
 class TestRingBuffer:
     def test_bounded_with_drop_accounting(self):
         ring = RingBufferExporter(capacity=3)
         for i in range(5):
-            ring.export(TraceEvent("e", float(i), {"i": i}))
+            ring.export({"name": "e", "ts": float(i), "i": i})
         assert len(ring) == 3
         assert ring.dropped == 2
-        assert [e.fields["i"] for e in ring.events()] == [2, 3, 4]
+        assert [e["i"] for e in ring.events()] == [2, 3, 4]
 
     def test_clear(self):
         ring = RingBufferExporter(capacity=2)
         for i in range(4):
-            ring.export(TraceEvent("e", float(i), {}))
+            ring.export({"name": "e", "ts": float(i)})
         ring.clear()
         assert len(ring) == 0 and ring.dropped == 0
 
@@ -51,14 +50,14 @@ class TestJsonl:
     def test_file_path_and_context_manager(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlExporter(str(path)) as exporter:
-            exporter.export(TraceEvent("a", 0.0, {}))
+            exporter.export({"name": "a", "ts": 0.0})
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows == [{"name": "a", "ts": 0.0}]
 
     def test_non_json_fields_fall_back_to_repr(self):
         stream = io.StringIO()
         exporter = JsonlExporter(stream)
-        exporter.export(TraceEvent("lock.grant", 0.0, {"key": {"acct", 7}}))
+        exporter.export({"name": "lock.grant", "ts": 0.0, "key": {"acct", 7}})
         row = json.loads(stream.getvalue())
         assert row["key"] == repr({"acct", 7})
 
@@ -66,7 +65,7 @@ class TestJsonl:
 class TestConsoleSummary:
     def _fill(self, exporter):
         for ts, name in [(1.0, "txn.begin"), (2.0, "txn.begin"), (5.0, "txn.commit")]:
-            exporter.export(TraceEvent(name, ts, {}))
+            exporter.export({"name": name, "ts": ts})
 
     def test_counts_and_summary_text(self):
         exporter = ConsoleSummaryExporter(stream=io.StringIO())

@@ -35,7 +35,7 @@ class TestAttach:
         db, ring, tracer, handle = traced("vc-2pl-wal")
         assert db.log.tracer is tracer
         run_one_txn(db)
-        names = {e.name for e in ring.events()}
+        names = {e["name"] for e in ring.events()}
         assert "wal.append" in names and "wal.force" in names
         handle.detach()
 
@@ -46,27 +46,27 @@ class TestAttach:
             assert getattr(engine, "locks", None) is None or engine.locks.tracer is tracer
         assert len(db.vc._observers) == 1  # shared VC subscribed exactly once
         run_one_txn(db)
-        names = {e.name for e in ring.events()}
+        names = {e["name"] for e in ring.events()}
         assert {"txn.begin", "txn.commit", "vc.register", "vc.advance"} <= names
         handle.detach()
 
     def test_granular_lock_manager_emits(self):
         db, ring, _, handle = traced("vc-2pl-granular")
         run_one_txn(db)
-        assert any(e.name == "lock.grant" for e in ring.events())
+        assert any(e["name"] == "lock.grant" for e in ring.events())
         handle.detach()
 
     def test_lifecycle_events_for_one_committed_txn(self):
         db, ring, _, handle = traced()
         txn = run_one_txn(db)
-        names = [e.name for e in ring.events()]
+        names = [e["name"] for e in ring.events()]
         for expected in ("txn.begin", "cc.call", "lock.grant", "vc.register",
                          "vc.advance", "txn.commit"):
             assert expected in names, expected
-        begin = next(e for e in ring.events() if e.name == "txn.begin")
-        assert begin.fields["txn"] == txn.txn_id and begin.fields["cls"] == "rw"
-        register = next(e for e in ring.events() if e.name == "vc.register")
-        assert register.fields["number"] == txn.tn
+        begin = next(e for e in ring.events() if e["name"] == "txn.begin")
+        assert begin["txn"] == txn.txn_id and begin["cls"] == "rw"
+        register = next(e for e in ring.events() if e["name"] == "vc.register")
+        assert register["number"] == txn.tn
         handle.detach()
 
 

@@ -80,22 +80,18 @@ class TestJsonlDeterministicClose:
     def test_close_exactly_once(self, tmp_path):
         path = tmp_path / "t.jsonl"
         exporter = JsonlExporter(str(path))
-        from repro.obs.tracer import TraceEvent
-
-        exporter.export(TraceEvent("a", 0.0, {}))
+        exporter.export({"name": "a", "ts": 0.0})
         exporter.close()
         assert exporter.closed
         exporter.close()  # second close is a no-op, not an error
-        exporter.export(TraceEvent("b", 1.0, {}))  # post-close export dropped
+        exporter.export({"name": "b", "ts": 1.0})  # post-close export dropped
         rows = path.read_text().splitlines()
         assert len(rows) == 1
 
     def test_borrowed_stream_flushed_not_closed(self):
         stream = io.StringIO()
         exporter = JsonlExporter(stream)
-        from repro.obs.tracer import TraceEvent
-
-        exporter.export(TraceEvent("a", 0.0, {}))
+        exporter.export({"name": "a", "ts": 0.0})
         exporter.close()
         assert not stream.closed
         assert stream.getvalue().endswith("\n")

@@ -31,10 +31,6 @@ def traced(capacity: int = 4096):
     return Tracer(exporters=[ring]), ring
 
 
-def dicts(ring):
-    return [event.to_dict() for event in ring.events()]
-
-
 class TestSpanRuntime:
     def test_disabled_tracer_returns_shared_null_span(self):
         assert start_span(NULL_TRACER, "txn") is NULL_SPAN
@@ -47,7 +43,7 @@ class TestSpanRuntime:
         tracer, ring = traced()
         span = start_span(tracer, "txn", txn=7)
         span.end(ok=True)
-        start, end = dicts(ring)
+        start, end = ring.events()
         assert start["name"] == "span.start" and end["name"] == "span.end"
         assert start["op"] == "txn" and start["txn"] == 7
         assert start["parent"] is None
@@ -60,7 +56,7 @@ class TestSpanRuntime:
         span = start_span(tracer, "txn")
         span.end()
         span.end(ok=False)
-        ends = [e for e in dicts(ring) if e["name"] == "span.end"]
+        ends = [e for e in ring.events() if e["name"] == "span.end"]
         assert len(ends) == 1 and ends[0]["ok"] is True
 
     def test_context_manager_activates_and_parents(self):
@@ -69,7 +65,7 @@ class TestSpanRuntime:
             assert tracer.active_span is outer.context
             start_span(tracer, "commit").end()
         assert tracer.active_span is None
-        starts = [e for e in dicts(ring) if e["name"] == "span.start"]
+        starts = [e for e in ring.events() if e["name"] == "span.start"]
         assert starts[1]["parent"] == starts[0]["span"]
         assert starts[1]["trace"] == starts[0]["trace"]
 
@@ -84,7 +80,7 @@ class TestSpanRuntime:
         tracer, ring = traced()
         with start_span(tracer, "txn") as span:
             tracer.emit("wal.force", site=1)
-        event = [e for e in dicts(ring) if e["name"] == "wal.force"][0]
+        event = [e for e in ring.events() if e["name"] == "wal.force"][0]
         assert event["span"] == span.context.span_id
         assert event["trace"] == span.context.trace_id
 
@@ -114,7 +110,7 @@ class TestEnvelope:
                 tracer, lambda: seen.append(tracer.active_span), "2pc"
             )
         deliver()
-        events = dicts(ring)
+        events = ring.events()
         msg = [e for e in events if e.get("op") == "msg"][0]
         assert msg["parent"] == root.context.span_id
         assert msg["channel"] == "2pc"
@@ -138,7 +134,7 @@ class TestEnvelope:
         assert len(seen) == 2
         assert seen[0].span_id == seen[1].span_id
         redeliveries = [
-            e for e in dicts(ring) if e["name"] == "courier.redelivery"
+            e for e in ring.events() if e["name"] == "courier.redelivery"
         ]
         assert len(redeliveries) == 1
         assert redeliveries[0]["span"] == seen[0].span_id
@@ -168,7 +164,7 @@ class TestFaultyCourierContext:
         assert len(contexts) == 2
         assert contexts[0].span_id == contexts[1].span_id
         redeliveries = [
-            e for e in dicts(ring) if e["name"] == "courier.redelivery"
+            e for e in ring.events() if e["name"] == "courier.redelivery"
         ]
         assert len(redeliveries) == 1
         assert redeliveries[0]["span"] == contexts[0].span_id
@@ -185,7 +181,7 @@ class TestFaultyCourierContext:
             )
         sim.run()
         assert len(contexts) == 1  # forced through after the retry budget
-        events = dicts(ring)
+        events = ring.events()
         msg = [e for e in events if e.get("op") == "msg"][0]
         assert contexts[0].span_id == msg["span"]
         assert msg["parent"] == root.context.span_id
@@ -209,7 +205,7 @@ class TestFaultyCourierContext:
         assert delivered == []
         courier.heal("2pc")
         assert len(delivered) == 1
-        msg_starts = [e for e in dicts(ring) if e.get("op") == "msg"]
+        msg_starts = [e for e in ring.events() if e.get("op") == "msg"]
         assert len(msg_starts) == 1  # sealed once at dispatch, not at heal
         assert delivered[0].span_id == msg_starts[0]["span"]
 
@@ -218,7 +214,7 @@ class TestFaultyCourierContext:
         delivered = []
         courier.dispatch(lambda: delivered.append(tracer.active_span))
         assert delivered == [None]
-        assert not [e for e in dicts(ring) if e.get("op") == "msg"]
+        assert not [e for e in ring.events() if e.get("op") == "msg"]
 
 
 class TestBuildTrees:
@@ -227,7 +223,7 @@ class TestBuildTrees:
         with start_span(tracer, "txn", txn=1):
             with start_span(tracer, "commit"):
                 start_span(tracer, "2pc.prepare", site=2).end()
-        trees = transaction_trees(dicts(ring))
+        trees = transaction_trees(ring.events())
         root = trees[1]
         assert root.name == "txn" and root.ok is True
         assert [c.name for c in root.children] == ["commit"]
@@ -238,7 +234,7 @@ class TestBuildTrees:
         tracer, ring = traced()
         with start_span(tracer, "txn", txn=1):
             start_span(tracer, "commit")  # never ended — crashed run
-        root = transaction_trees(dicts(ring))[1]
+        root = transaction_trees(ring.events())[1]
         assert root.children[0].end is None
         assert root.children[0].duration == 0.0
 
@@ -273,14 +269,14 @@ class TestBuildTrees:
         tracer, ring = traced()
         with start_span(tracer, "txn", txn=1):
             tracer.emit("wal.force", site=0)
-        root = transaction_trees(dicts(ring))[1]
+        root = transaction_trees(ring.events())[1]
         assert [e["name"] for e in root.events] == ["wal.force"]
 
     def test_render_tree_smoke(self):
         tracer, ring = traced()
         with start_span(tracer, "txn", txn=1):
             start_span(tracer, "msg", channel="2pc").end()
-        root = transaction_trees(dicts(ring))[1]
+        root = transaction_trees(ring.events())[1]
         text = render_tree(root)
         assert "txn" in text and "msg[2pc]" in text
 
@@ -302,7 +298,7 @@ class TestBaselineSpans:
             SimConfig(duration=120.0, check_serializability=False),
             tracer=sim_tracer,
         )
-        return transaction_trees(dicts(ring))
+        return transaction_trees(ring.events())
 
     def test_mv2pl_chan_baseline_produces_span_trees(self):
         trees = self._trees_for("mv2pl-chan")

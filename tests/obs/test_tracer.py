@@ -13,15 +13,16 @@ class TestTracer:
         tracer.emit("x.two", k=2)
         for ring in (a, b):
             events = ring.events()
-            assert [e.name for e in events] == ["x.one", "x.two"]
-            assert events[0].fields == {"k": 1}
+            assert [e["name"] for e in events] == ["x.one", "x.two"]
+            assert events[0] == {"name": "x.one", "ts": 0.0, "k": 1}
+        assert a.events()[0] is b.events()[0]  # one dict, handed to both
 
     def test_default_clock_is_deterministic_monotone(self):
         ring = RingBufferExporter()
         tracer = Tracer(exporters=[ring])
         for _ in range(3):
             tracer.emit("tick")
-        assert [e.ts for e in ring.events()] == [0.0, 1.0, 2.0]
+        assert [e["ts"] for e in ring.events()] == [0.0, 1.0, 2.0]
 
     def test_custom_clock(self):
         now = {"t": 10.5}
@@ -30,7 +31,7 @@ class TestTracer:
         tracer.emit("e")
         now["t"] = 11.0
         tracer.emit("e")
-        assert [e.ts for e in ring.events()] == [10.5, 11.0]
+        assert [e["ts"] for e in ring.events()] == [10.5, 11.0]
 
     def test_emit_without_exporters_is_cheap_noop(self):
         tracer = Tracer()
@@ -38,7 +39,7 @@ class TestTracer:
         ring = RingBufferExporter()
         tracer.add_exporter(ring)
         tracer.emit("someone.listens")
-        assert ring.events()[0].ts == 0.0  # clock untouched by the no-op emit
+        assert ring.events()[0]["ts"] == 0.0  # clock untouched by the no-op emit
 
     def test_add_remove_exporter(self):
         ring = RingBufferExporter()
@@ -47,14 +48,17 @@ class TestTracer:
         tracer.emit("a")
         tracer.remove_exporter(ring)
         tracer.emit("b")
-        assert [e.name for e in ring.events()] == ["a"]
+        assert [e["name"] for e in ring.events()] == ["a"]
 
-    def test_event_to_dict_round_trip(self):
+    def test_event_is_the_jsonl_dict_in_field_order(self):
         ring = RingBufferExporter()
         tracer = Tracer(exporters=[ring])
-        tracer.emit("vc.advance", number=3, lag=0)
-        d = ring.events()[0].to_dict()
-        assert d == {"name": "vc.advance", "ts": 0.0, "number": 3, "lag": 0}
+        returned = tracer.emit("vc.advance", number=3, lag=0)
+        [event] = ring.events()
+        assert event is returned
+        assert list(event.items()) == [
+            ("name", "vc.advance"), ("ts", 0.0), ("number", 3), ("lag", 0)
+        ]
 
 
 class TestNullTracer:

@@ -149,7 +149,7 @@ class TestLockEventsMatchTheFlatManager:
             SimConfig(duration=200),
             tracer=Tracer([ring]),
         )
-        return [event.to_dict() for event in ring.events()]
+        return ring.events()
 
     def test_every_lock_wait_ends_in_a_waited_grant_a_victim_or_an_abort(self):
         from repro.obs.spans import build_span_trees

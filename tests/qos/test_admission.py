@@ -121,7 +121,7 @@ class TestEvents:
         queued = gate.acquire()
         gate.release()
         assert queued.done
-        names = [event.name for event in ring.events()]
+        names = [event["name"] for event in ring.events()]
         assert "qos.admit" in names
         assert "qos.shed" in names
         assert "qos.queue" in names

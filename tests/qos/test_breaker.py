@@ -86,7 +86,7 @@ class TestCircuitBreaker:
         clock.now = 5.0
         breaker.allow()
         breaker.record_success()
-        states = [e.fields["state"] for e in ring.events() if e.name == "qos.breaker"]
+        states = [e["state"] for e in ring.events() if e["name"] == "qos.breaker"]
         assert states == [OPEN, HALF_OPEN, CLOSED]
 
     def test_threshold_validation(self):
@@ -116,4 +116,4 @@ class TestBreakerBoard:
         board.tracer = Tracer(exporters=[ring])
         assert breaker.tracer.enabled
         board.record_failure(1)
-        assert any(e.name == "qos.breaker" for e in ring.events())
+        assert any(e["name"] == "qos.breaker" for e in ring.events())

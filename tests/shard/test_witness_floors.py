@@ -21,7 +21,7 @@ class TestDvcAdvanceBridge:
         ring = RingBufferExporter()
         handle = attach_tracer(db, Tracer(exporters=[ring]))
         sites = {
-            e.fields["site"] for e in ring.events() if e.name == "dvc.advance"
+            e["site"] for e in ring.events() if e["name"] == "dvc.advance"
         }
         assert sites == {1, 2, 3}
         handle.detach()
@@ -35,10 +35,10 @@ class TestDvcAdvanceBridge:
         db.commit(t).result()
         advances = [
             e for e in ring.events()
-            if e.name == "dvc.advance" and e.fields["site"] == 2
+            if e["name"] == "dvc.advance" and e["site"] == 2
         ]
-        assert advances[-1].fields["vtnc"] >= t.tn
-        assert advances[-1].fields["tnc"] >= t.tn
+        assert advances[-1]["vtnc"] >= t.tn
+        assert advances[-1]["tnc"] >= t.tn
         handle.detach()
 
     def test_detach_unsubscribes_the_site_observers(self):

@@ -7,10 +7,12 @@ Neither is modelled work, so neither may grow back.  ``sys.setprofile``
 ``call`` events count Python frames entered — exact, and the same on every
 machine (the pattern of ``tests/test_per_call_allocation.py``, for calls).
 
-The second half holds the two stream consumers to work proportional to what
-changed: the witness's prune pass visits only keys listing two or more
-writers, its seal pass revisits only what a seal can enable, and an event
-neither engine consumes is one table miss in each.
+The second half holds watching to work proportional to what changed: the
+tracer builds each event once, as the dict every exporter takes, and
+constructs nothing else; the witness's prune pass visits only keys listing
+two or more writers, its seal pass revisits only what a seal can enable; an
+event neither engine consumes is one frame and one table miss in each; and
+an engine hands its flight recorder the event itself.
 """
 
 import ast
@@ -20,9 +22,10 @@ import types
 from bisect import bisect_right
 from collections import Counter
 
+from repro.obs.exporters import RingBufferExporter
 from repro.obs.slo import SLOEngine, bench_objectives
 from repro.obs.slo.recorder import FlightRecorder
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import Tracer
 from repro.obs.witness import WitnessEngine
 from repro.protocols.registry import make_scheduler
 from repro.sim import engine
@@ -31,21 +34,26 @@ from repro.sim.engine import Process, Simulator
 READS = 1_000
 
 
-def python_calls(fn) -> int:
-    """Python frames entered while running ``fn()``, its own excluded."""
-    count = -1
+def frames_entered(fn) -> list[str]:
+    """Qualified names of the Python frames entered while running ``fn()``,
+    its own excluded."""
+    names = []
 
     def hook(frame, event, arg):
-        nonlocal count
         if event == "call":
-            count += 1
+            names.append(frame.f_code.co_qualname)
 
     sys.setprofile(hook)
     try:
         fn()
     finally:
         sys.setprofile(None)
-    return count
+    return names[1:]
+
+
+def python_calls(fn) -> int:
+    """Python frames entered while running ``fn()``, its own excluded."""
+    return len(frames_entered(fn))
 
 
 def reader_over(keys):
@@ -130,8 +138,18 @@ def profiled(fn, *, frames=(), builtins=(), inside=None):
     return seen
 
 
+def test_emitting_into_a_ring_constructs_nothing():
+    """The event is the dict ``emit`` builds: the clock, the ring, no
+    ``__init__`` (an event object's constructor was the third frame)."""
+    ring = RingBufferExporter()
+    tracer = Tracer(exporters=[ring])
+    frames = frames_entered(lambda: tracer.emit("wal.append", lsn=1))
+    assert frames == ["Tracer.emit", "Tracer._tick", "RingBufferExporter.export"]
+    assert ring.events() == [{"name": "wal.append", "ts": 0.0, "lsn": 1}]
+
+
 def feed(engine, ts, name, **fields):
-    engine._process(name, ts, fields)
+    engine.export({"name": name, "ts": ts, **fields})
 
 
 def commit_writer(engine, ts, tn, key, *, watermark=True):
@@ -203,10 +221,10 @@ def test_an_event_nobody_consumes_is_one_table_miss_in_each_engine():
     witness = WitnessEngine(seal=True)
     slo = SLOEngine(bench_objectives(ro_never_blocks=True), window=25.0)
     for engine in (witness, slo):
-        engine.export(TraceEvent("wal.append", 1.0, {"lsn": 1}))  # opens the window
-    event = TraceEvent("wal.append", 2.0, {"lsn": 2})
+        engine.export({"name": "wal.append", "ts": 1.0, "lsn": 1})  # opens the window
+    event = {"name": "wal.append", "ts": 2.0, "lsn": 2}
     for engine, prefix_tests in ((witness, 1), (slo, 0)):
-        assert python_calls(lambda: engine.export(event)) <= 2  # export, _process
+        assert python_calls(lambda: engine.export(event)) == 1  # export alone
         seen = profiled(lambda: engine.export(event), builtins=["startswith"])
         assert seen["startswith"] <= prefix_tests
     assert witness.events_seen == 0 and slo.events_seen == 3  # history.* only; all
@@ -225,29 +243,44 @@ def test_a_read_of_a_key_already_being_read_allocates_no_counter():
     assert seen[Counter.__init__] == 0
 
 
+class Recorder(FlightRecorder):
+    """A flight recorder that keeps what it is handed, for identity checks."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed = []
+
+    def export(self, event):
+        self.handed.append(event)
+
+
+def test_an_engine_hands_its_recorder_the_event_itself():
+    witness = WitnessEngine(seal=True, recorder=Recorder())
+    slo = SLOEngine(bench_objectives(ro_never_blocks=True), recorder=Recorder())
+    tracer = Tracer(exporters=[witness, slo])
+    event = tracer.emit("history.begin", txn=1, cls="rw")
+    for engine in (witness, slo):
+        [handed] = engine.recorder.handed
+        assert handed is event  # no copy, live or on replay
+
+
 def test_a_finished_engine_left_on_a_tracer_does_no_work():
     """``finish()`` is public and a drill's engines stay on the shared tracer
-    until the drill's observers are removed: the flight-recorder copy of an
-    event must not be made for an engine that will drop it."""
-
-    class Recorder(FlightRecorder):
-        recorded = 0
-
-        def record(self, event):
-            Recorder.recorded += 1
-
-    witness = WitnessEngine(seal=True, flight=Recorder())
+    until the drill's observers are removed: an event must not reach the
+    flight recorder of an engine that will drop it."""
+    witness = WitnessEngine(seal=True, recorder=Recorder())
     slo = SLOEngine(bench_objectives(ro_never_blocks=True), recorder=Recorder())
-    event = TraceEvent("history.begin", 1.0, {"txn": 1, "cls": "rw"})
+    event = {"name": "history.begin", "ts": 1.0, "txn": 1, "cls": "rw"}
     for engine in (witness, slo):
         engine.export(event)
         engine.finish()
-    assert Recorder.recorded == 2
+    assert [len(e.recorder.handed) for e in (witness, slo)] == [1, 1]
     before = (witness.report(), slo.report())
     seen = profiled(
         lambda: [engine.export(event) for engine in (witness, slo)],
-        frames=[TraceEvent.to_dict, Recorder.record],
+        frames=[Recorder.export],
     )
     assert not seen
+    assert [len(e.recorder.handed) for e in (witness, slo)] == [1, 1]
     assert (witness.report(), slo.report()) == before
     assert witness.events_seen == 1 and slo.events_seen == 1
