@@ -14,12 +14,15 @@ checker's equal (see ``docs/witness.md``):
   window, not run length.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.histories import History, check_one_copy_serializable
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.slo.recorder import FlightRecorder
 from repro.obs.witness import IncrementalTopology, WitnessEngine, witness_history
 
 
@@ -142,6 +145,20 @@ def commit_rw(engine, txn, tn, *, reads=(), writes=()):
     feed(engine, *events)
 
 
+#: T1 reads x_0 and writes y; T2 reads y_0 and writes x: the classic MVSG
+#: cycle, closed by the second commit (ts 8 when fed from ts 1).
+WRITE_SKEW = (
+    ("history.begin", {"txn": 1, "cls": "rw"}),
+    ("history.begin", {"txn": 2, "cls": "rw"}),
+    ("history.read", {"txn": 1, "key": "x", "version": 0}),
+    ("history.read", {"txn": 2, "key": "y", "version": 0}),
+    ("history.write", {"txn": 1, "key": "y"}),
+    ("history.write", {"txn": 2, "key": "x"}),
+    ("history.commit", {"txn": 1, "ident": 1, "tn": 1, "cls": "rw"}),
+    ("history.commit", {"txn": 2, "ident": 2, "tn": 2, "cls": "rw"}),
+)
+
+
 class TestWitnessSyntheticStreams:
     def test_serial_writers_certify(self):
         engine = WitnessEngine(seal=False)
@@ -152,20 +169,8 @@ class TestWitnessSyntheticStreams:
         assert engine.committed == 2
 
     def test_write_skew_cycle_reported_at_closing_edge(self):
-        # T1 reads x_0 writes y; T2 reads y_0 writes x — the classic MVSG
-        # cycle; the second commit closes it.
         engine = WitnessEngine(seal=False)
-        feed(
-            engine,
-            ("history.begin", {"txn": 1, "cls": "rw"}),
-            ("history.begin", {"txn": 2, "cls": "rw"}),
-            ("history.read", {"txn": 1, "key": "x", "version": 0}),
-            ("history.read", {"txn": 2, "key": "y", "version": 0}),
-            ("history.write", {"txn": 1, "key": "y"}),
-            ("history.write", {"txn": 2, "key": "x"}),
-            ("history.commit", {"txn": 1, "ident": 1, "tn": 1, "cls": "rw"}),
-            ("history.commit", {"txn": 2, "ident": 2, "tn": 2, "cls": "rw"}),
-        )
+        feed(engine, *WRITE_SKEW)
         engine.finish()
         assert not engine.serializable
         assert engine.violation_count == 1
@@ -176,6 +181,23 @@ class TestWitnessSyntheticStreams:
         # The report carries the violation verbatim.
         report = engine.report()
         assert report["ok"] is False and report["violation_count"] == 1
+
+    def test_breach_bundle_is_pinned(self, tmp_path):
+        # Every campaign attaches a recorder, so a real 1SR violation goes
+        # down this path: the cycle freezes one bundle around its edge.
+        engine = WitnessEngine(seal=False, recorder=FlightRecorder(capacity=64))
+        feed(engine, *WRITE_SKEW)
+        engine.finish()
+        [bundle] = engine.bundles
+        assert bundle["breach"] == {
+            "objective": "serializability", "signal": "witness.cycle",
+            "edge": [2, 1], "edge_kind": "rw", "cycle": [2, 1, 2], "ts": 8.0,
+        }
+        path = tmp_path / "breach.jsonl"
+        FlightRecorder.write_bundle(bundle, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "18b8f6c8418c59d67a20aab07d3ea8237a4db5e8bb30efb5af531615c73201e2"
+        )
 
     def test_aborted_transactions_leave_the_projection(self):
         # Same write skew, but T2 aborts: committed projection is clean.
@@ -450,17 +472,7 @@ class TestTraceSeams:
     def test_cycle_in_any_segment_fails_the_whole_verdict(self):
         engine = WitnessEngine(seal=True)
         watermarked_writer_stream(engine, 10)
-        skew = [
-            ("history.begin", {"txn": 1, "cls": "rw"}),
-            ("history.begin", {"txn": 2, "cls": "rw"}),
-            ("history.read", {"txn": 1, "key": "x", "version": 0}),
-            ("history.read", {"txn": 2, "key": "y", "version": 0}),
-            ("history.write", {"txn": 1, "key": "y"}),
-            ("history.write", {"txn": 2, "key": "x"}),
-            ("history.commit", {"txn": 1, "ident": 1, "tn": 1, "cls": "rw"}),
-            ("history.commit", {"txn": 2, "ident": 2, "tn": 2, "cls": "rw"}),
-        ]
-        for ts, (name, fields) in enumerate(skew, start=1):
+        for ts, (name, fields) in enumerate(WRITE_SKEW, start=1):
             engine.export({"name": name, "ts": float(ts), **fields})
         engine.finish()
         assert engine.segments == 2
