@@ -45,7 +45,6 @@ from repro.errors import (
     TransactionAborted,
     ValidationError,
     VersionNotFound,
-    is_infrastructure,
     is_retryable,
 )
 from repro.faults import (
@@ -66,7 +65,6 @@ from repro.histories import (
 )
 from repro.obs import (
     NULL_TRACER,
-    ConsoleSummaryExporter,
     JsonlExporter,
     MetricsRegistry,
     RingBufferExporter,
@@ -106,7 +104,6 @@ __all__ = [
     "BreakerBoard",
     "CircuitBreaker",
     "RetryBudget",
-    "ConsoleSummaryExporter",
     "CorruptLogError",
     "SiteUnavailable",
     "Database",
@@ -154,7 +151,6 @@ __all__ = [
     "assert_one_copy_serializable",
     "attach_tracer",
     "check_one_copy_serializable",
-    "is_infrastructure",
     "is_one_copy_serializable",
     "is_retryable",
     "run_campaign",

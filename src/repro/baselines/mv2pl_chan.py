@@ -130,6 +130,3 @@ class MV2PLScheduler(StrictTwoPhaseLocking, Scheduler):
         self._complete_abort(txn, reason)
 
     # -- plumbing ------------------------------------------------------------------------
-
-    def ctl_size(self) -> int:
-        return len(self.ctl)

@@ -2,7 +2,7 @@
 
 from repro.bench.experiments import ExperimentResult
 from repro.bench.metrics import RunMetrics
-from repro.bench.runner import SimConfig, run_protocols, run_simulation
+from repro.bench.runner import SimConfig, run_simulation
 from repro.bench.tables import print_table, render_table
 
 __all__ = [
@@ -11,6 +11,5 @@ __all__ = [
     "SimConfig",
     "print_table",
     "render_table",
-    "run_protocols",
     "run_simulation",
 ]

@@ -64,6 +64,3 @@ class RunMetrics:
     def per_ro_commit(self, name: str) -> float:
         """A counter normalized per committed read-only transaction."""
         return self.counter(name) / self.commits_ro if self.commits_ro else 0.0
-
-    def per_rw_commit(self, name: str) -> float:
-        return self.counter(name) / self.commits_rw if self.commits_rw else 0.0

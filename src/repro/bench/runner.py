@@ -77,11 +77,6 @@ def run_simulation(
     generator = WorkloadGenerator(workload)
     think_rng = generator.streams.stream("think")
     metrics = RunMetrics(protocol=scheduler.name)
-    registry = scheduler.counters.registry
-    latency_hist = {
-        True: registry.histogram("latency.ro"),
-        False: registry.histogram("latency.rw"),
-    }
     lag_gauge = None
     lag_observer = None
 
@@ -89,7 +84,7 @@ def run_simulation(
     if isinstance(scheduler, VersionControlledScheduler):
         lag = TimeWeighted(0.0, 0.0)
         metrics.vc_lag = lag
-        lag_gauge = registry.gauge("vc.lag")
+        lag_gauge = scheduler.counters.registry.gauge("vc.lag")
 
         def lag_observer(_event: str, _number: int) -> None:
             lag.update(sim.now, scheduler.vc.lag)
@@ -141,7 +136,6 @@ def run_simulation(
                     continue
                 return
             latency = sim.now - start
-            latency_hist[spec.read_only].record(latency)
             if spec.read_only:
                 metrics.commits_ro += 1
                 metrics.latency_ro.add(latency)
@@ -184,18 +178,3 @@ def run_simulation(
         metrics.history_transactions = report.transactions
     return metrics
 
-
-def run_protocols(
-    protocol_names,
-    workload: WorkloadSpec,
-    config: SimConfig | None = None,
-    **scheduler_kwargs,
-) -> dict[str, RunMetrics]:
-    """Run the same workload through several protocols."""
-    from repro.protocols.registry import make_scheduler
-
-    results: dict[str, RunMetrics] = {}
-    for name in protocol_names:
-        scheduler = make_scheduler(name, **scheduler_kwargs)
-        results[name] = run_simulation(scheduler, workload, config)
-    return results

@@ -2,8 +2,9 @@
 
 The lock manager records an edge ``A -> B`` whenever transaction A starts
 waiting for a lock B holds (or for a request queued ahead of A that is
-incompatible with A's).  Edges are reference-counted because A may wait on B
-for several reasons at once (multiple holders, holder plus queued upgrade).
+incompatible with A's).  A waits on B once however many reasons it has
+(multiple holders, holder plus queued upgrade), and its edges leave together
+when it stops waiting.
 
 Detection runs on every new wait (continuous detection); a found cycle
 selects a victim by policy:
@@ -34,10 +35,11 @@ _POLICIES = ("requester", "youngest", "oldest")
 
 
 class WaitsForGraph:
-    """Reference-counted directed waits-for graph over transaction ids."""
+    """Directed waits-for graph over transaction ids."""
 
     def __init__(self) -> None:
-        self._count: dict[tuple[int, int], int] = defaultdict(int)
+        #: Edges in the order they were first added (detection walks them).
+        self._edges: dict[tuple[int, int], None] = {}
         self._succ: dict[int, set[int]] = defaultdict(set)
         #: Structured-event tracer (deadlock.detect on every found cycle).
         #: One graph may serve several lock managers (distributed sites), so
@@ -49,30 +51,16 @@ class WaitsForGraph:
     def add(self, waiter: int, holder: int) -> None:
         if waiter == holder:
             return
-        key = (waiter, holder)
-        self._count[key] += 1
+        self._edges[(waiter, holder)] = None
         self._succ[waiter].add(holder)
-
-    def remove(self, waiter: int, holder: int) -> None:
-        key = (waiter, holder)
-        if key not in self._count:
-            return
-        self._count[key] -= 1
-        if self._count[key] <= 0:
-            del self._count[key]
-            self._succ[waiter].discard(holder)
-            if not self._succ[waiter]:
-                del self._succ[waiter]
 
     def remove_waiter(self, waiter: int) -> None:
         """Drop every outgoing edge of ``waiter`` (it stopped waiting)."""
-        for holder in list(self._succ.get(waiter, ())):
-            key = (waiter, holder)
-            self._count.pop(key, None)
-        self._succ.pop(waiter, None)
+        for holder in self._succ.pop(waiter, ()):
+            del self._edges[(waiter, holder)]
 
     def edges(self) -> list[tuple[int, int]]:
-        return list(self._count)
+        return list(self._edges)
 
     def waiters(self) -> set[int]:
         return set(self._succ)
@@ -84,12 +72,12 @@ class WaitsForGraph:
         """A cycle ``[v0, ..., v0]`` if one exists, else None."""
         self.detections += 1
         graph = Digraph()
-        for (waiter, holder) in self._count:
+        for (waiter, holder) in self._edges:
             graph.add_edge(waiter, holder)
         cycle = graph.find_cycle()
         if cycle is not None and self.tracer.enabled:
             self.tracer.emit(
-                "deadlock.detect", cycle=list(cycle), edges=len(self._count)
+                "deadlock.detect", cycle=list(cycle), edges=len(self._edges)
             )
         return cycle
 

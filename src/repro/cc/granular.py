@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from typing import Hashable, Iterable
 
-from repro.cc.lock_manager import LockTable, _LockState
+from repro.cc.lock_manager import LockTable
 from repro.core.futures import OpFuture
 from repro.errors import ProtocolError
 
@@ -128,9 +128,6 @@ class GranularLockManager(
 ):
     """The lock table with the intention-mode algebra over path-addressed
     resources."""
-
-    def node(self, path: Path) -> _LockState:
-        return self._entry(path)
 
     def acquire(
         self,

@@ -100,8 +100,5 @@ class WaitList:
             else:
                 del self._parked[key]
 
-    def waiting_on(self, key: Hashable) -> int:
-        return len(self._parked.get(key, ()))
-
     def is_empty(self) -> bool:
         return not self._parked

@@ -3,11 +3,7 @@
 from repro.core.futures import OpFuture, OpStatus, failed, resolved
 from repro.core.interface import Scheduler, SchedulerCounters
 from repro.core.session import Database, TransactionContext
-from repro.core.snapshot import (
-    SnapshotManager,
-    VisibilityWaiter,
-    read_only_snapshot_is_current,
-)
+from repro.core.snapshot import SnapshotManager, VisibilityWaiter
 from repro.core.transaction import SN_INFINITY, Transaction, TxnClass, TxnState
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
@@ -28,6 +24,5 @@ __all__ = [
     "VersionControlledScheduler",
     "VisibilityWaiter",
     "failed",
-    "read_only_snapshot_is_current",
     "resolved",
 ]

@@ -72,10 +72,6 @@ class OpFuture:
         return label
 
     @property
-    def status(self) -> OpStatus:
-        return self._status
-
-    @property
     def pending(self) -> bool:
         return self._status is OpStatus.PENDING
 

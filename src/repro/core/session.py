@@ -220,14 +220,6 @@ class Database:
 
     # -- passthroughs ----------------------------------------------------------------
 
-    @property
-    def history(self):
-        return self.scheduler.history
-
-    @property
-    def counters(self):
-        return self.scheduler.counters
-
     def check_serializable(self):
         """Run the oracle on everything committed so far."""
         from repro.histories.checker import assert_one_copy_serializable

@@ -45,10 +45,6 @@ class VisibilityWaiter:
         self._waiters.append((threshold, future))
         return future
 
-    @property
-    def pending(self) -> int:
-        return len(self._waiters)
-
     def _on_event(self, event: str, number: int) -> None:
         if event != "advance" or not self._waiters:
             return
@@ -100,17 +96,3 @@ class SnapshotManager:
         exchange observes the most recent database state.
         """
         return self._scheduler.begin(read_only=False)
-
-    def staleness_bound(self) -> int:
-        """Current worst-case staleness for a new read-only transaction.
-
-        The number of serialization slots between the snapshot a read-only
-        transaction would receive now (``vtnc``) and the newest assigned
-        number (``tnc - 1``) — the paper's "lag between the two counters".
-        """
-        return self._scheduler.vc.lag
-
-
-def read_only_snapshot_is_current(scheduler: VersionControlledScheduler) -> bool:
-    """True when a read-only transaction starting now sees all assigned work."""
-    return scheduler.vc.lag == 0

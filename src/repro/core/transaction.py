@@ -34,11 +34,6 @@ class TxnClass(enum.Enum):
     READ_ONLY = "read_only"
     READ_WRITE = "read_write"
 
-    @classmethod
-    def default(cls) -> "TxnClass":
-        """Class used when the client cannot declare one a priori."""
-        return cls.READ_WRITE
-
 
 class TxnState(enum.Enum):
     """Transaction lifecycle."""

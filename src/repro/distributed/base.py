@@ -10,9 +10,9 @@ nothing else.  Everything else lives here, once:
   commit leg**, the one place the sequence *log → force → adopt number →
   install → release → complete* is written (DESIGN.md, "The commit
   sequence").  A subclass supplies only the numbering hooks.
-* :class:`Distributed2PLDatabase` — key placement, courier sends, deadline
-  timers, the locked read-write ``read``/``write``, the commit entry and
-  exit, ``abort`` and its fault-path variants, and the crash / recover /
+* :class:`Distributed2PLDatabase` — key placement, courier sends, the
+  locked read-write ``read``/``write``, the commit entry and exit,
+  ``abort`` and its fault-path variants, and the crash / recover /
   redeliver skeleton.  A subclass supplies begin, the read-only read, and
   how a read-write commit is numbered (:meth:`_commit_rw`).
 
@@ -35,12 +35,7 @@ from repro.core.futures import OpFuture
 from repro.core.interface import TransactionBookkeeping
 from repro.core.transaction import Transaction, TxnClass
 from repro.distributed.courier import Courier
-from repro.errors import (
-    AbortReason,
-    DeadlineExceeded,
-    ProtocolError,
-    TransactionAborted,
-)
+from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.obs.spans import Span, activate, start_span, txn_context
 from repro.obs.tracer import Tracer
 from repro.qos.breaker import BreakerBoard
@@ -257,11 +252,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
     def _build_site(self, sid: int) -> SiteBase:
         raise NotImplementedError
 
-    def _now(self) -> float:
-        """Virtual time when the courier has a clock; 0.0 otherwise."""
-        sim = self.courier.sim
-        return sim.now if sim is not None else 0.0
-
     # -- placement and messaging ---------------------------------------------------
 
     def site_of_key(self, key: Hashable) -> Any:
@@ -301,61 +291,20 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         else:
             self._send(site, fn, channel)
 
-    # -- begin / deadlines -----------------------------------------------------------
+    # -- begin ----------------------------------------------------------------------
 
-    def _begin(self, read_only: bool, deadline: float | None = None) -> Transaction:
-        txn = Transaction(
-            TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE, deadline=deadline
-        )
+    def _begin(self, read_only: bool) -> Transaction:
+        txn = Transaction(TxnClass.READ_ONLY if read_only else TxnClass.READ_WRITE)
         self.counters.note_begin(txn)
         self.recorder.record_begin(txn)
         return txn
 
-    def _begin_rw(self, deadline: float | None) -> Transaction:
-        """Start a read-write transaction.
-
-        ``deadline`` (absolute virtual time) bounds how long it may block
-        or wait to be numbered: a virtual-time timer aborts it with
-        ``DEADLINE_EXCEEDED`` if it has not reached its commit decision
-        (``txn.tn`` assigned) by then.  Past the decision the commit always
-        completes — the sites have been promised it — and the late
-        deadline is only counted (``qos.deadline.too_late``).
-        """
-        txn = self._begin(read_only=False, deadline=deadline)
+    def _begin_rw(self) -> Transaction:
+        """Start a read-write transaction."""
+        txn = self._begin(read_only=False)
         txn.private = self.rw_record()
         self._active[txn.txn_id] = txn
-        if txn.deadline is not None:
-            self._arm_deadline(txn)
         return txn
-
-    def _arm_deadline(self, txn: Transaction) -> None:
-        """Virtual-time timer enforcing ``txn``'s deadline (pre-decision only)."""
-
-        def on_deadline() -> None:
-            if not txn.is_finished:
-                self._expire(txn)
-
-        delay = max(txn.deadline - self._now(), 0.0)
-        if not self.courier.call_later(delay, on_deadline):
-            # No clock (immediate/manual courier): fall back to passive
-            # checks at operation entry (_check_deadline).
-            self.counters.bump("qos.deadline.unarmed")
-
-    def _check_deadline(self, txn: Transaction) -> bool:
-        """Passive deadline check at operation entry; True when aborted."""
-        if txn.deadline is None or self._now() < txn.deadline:
-            return False
-        return self._expire(txn)
-
-    def _expire(self, txn: Transaction) -> bool:
-        """``txn``'s deadline has passed; True when that aborted it."""
-        if txn.tn is not None:
-            # Past the commit decision: the commit must complete.
-            self.counters.bump("qos.deadline.too_late")
-            return False
-        self.counters.bump("qos.deadline.aborts")
-        self._fault_abort(txn, AbortReason.DEADLINE_EXCEEDED)
-        return True
 
     # -- read-write operations -------------------------------------------------------
 
@@ -396,7 +345,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             label=("{}{}[{}]@s{}", "r" if reading else "w", txn.txn_id, key, site.site_id)
         )
         record.futures.append(result)  # so a fault abort can fail it
-        if self._check_deadline(txn) or self._breaker_reject(txn, site):
+        if self._breaker_reject(txn, site):
             return result
         started = False
 
@@ -405,7 +354,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             if started or not txn.is_active or result.done:
                 return
             started = True
-            lock = site.locks.acquire(txn.txn_id, key, mode, deadline=txn.deadline)
+            lock = site.locks.acquire(txn.txn_id, key, mode)
 
             def locked(done: OpFuture) -> None:
                 if done.failed:
@@ -440,8 +389,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             self._finish_commit(txn, result)
             return result
         txn.private.futures.append(result)
-        if self._check_deadline(txn):
-            return result
         # Touched nothing: commit trivially at the first site.
         participants = sorted(txn.private.participants) or [next(iter(self.sites))]
         self._commit_rw(txn, participants, result)
@@ -536,12 +483,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         """
         if txn.is_finished:
             return
-        if reason is AbortReason.DEADLINE_EXCEEDED:
-            error: TransactionAborted = DeadlineExceeded(
-                txn.txn_id, txn.deadline, self._now(), detail=detail
-            )
-        else:
-            error = TransactionAborted(txn.txn_id, reason, detail=detail)
+        error = TransactionAborted(txn.txn_id, reason, detail=detail)
         futures = txn.private.futures  # taken first: the abort's _finish drops them
         self.abort(txn, reason)
         for future in futures:

@@ -98,10 +98,6 @@ class Courier:
         """The simulator driving simulated deliveries, if any."""
         return self._sim
 
-    @property
-    def manual(self) -> bool:
-        return self._manual
-
     def _draw_latency(self, channel: str = "default") -> float:
         source = self._channel_latency.get(channel, self._latency)
         if callable(source):

@@ -172,7 +172,6 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         read_only: bool = False,
         origin_site: int | None = None,
         fresh: bool = False,
-        deadline: float | None = None,
     ) -> Transaction:
         """Start a transaction.
 
@@ -185,13 +184,9 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         counted), guaranteeing the snapshot covers everything completed
         anywhere at begin time.  Any start number is equally consistent —
         freshness only trades messages and potential waiting for currency.
-
-        ``deadline`` (read-write only) is enforced up to the 2PC decision
-        point; see :meth:`~repro.distributed.base.Distributed2PLDatabase.
-        _begin_rw`.
         """
         if not read_only:
-            return self._begin_rw(deadline)
+            return self._begin_rw()
         txn = self._begin(read_only=True)
         origin = self.sites[origin_site] if origin_site else next(iter(self.sites.values()))
         if fresh:
@@ -301,13 +296,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
 
         self._broadcast(participants, commit_span, prepare_at)
 
-        # The effective prepare timeout is tightened by the transaction's
-        # deadline: there is no point waiting for holds past the instant the
-        # deadline timer would abort the 2PC anyway.
         timeout = self.prepare_timeout
-        if txn.deadline is not None:
-            budget = max(txn.deadline - self._now(), 0.0)
-            timeout = budget if timeout is None else min(timeout, budget)
         if timeout is not None:
 
             def on_timeout() -> None:

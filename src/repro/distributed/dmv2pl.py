@@ -23,7 +23,7 @@ anomaly).  Version numbers are per-site local counters mapped into the
 global number space by site for uniqueness.
 
 Everything that is not numbering or visibility — locked read-write
-operations, deadlines, abort, the per-site commit leg, crash and WAL-replay
+operations, abort, the per-site commit leg, crash and WAL-replay
 restart — is :mod:`repro.distributed.base`, shared with
 :mod:`repro.distributed.database`, so the ``repro.faults`` drills exercise
 both protocols through the same code.  What restart means *here*: the
@@ -135,7 +135,6 @@ class DistributedMV2PL(Distributed2PLDatabase):
         self,
         read_only: bool = False,
         read_sites: Iterable[int] | None = None,
-        deadline: float | None = None,
     ) -> Transaction:
         """Start a transaction.
 
@@ -144,13 +143,9 @@ class DistributedMV2PL(Distributed2PLDatabase):
         (per-site start timestamp + CTL copy) is fetched one site at a time
         through the courier; reads issued before all fetches arrive are
         parked.
-
-        ``deadline`` (read-write only) is enforced until the transaction
-        *enters commit* — commit entry is this protocol's decision point
-        (each site numbers and applies independently afterwards).
         """
         if not read_only:
-            return self._begin_rw(deadline)
+            return self._begin_rw()
         if read_sites is None:
             raise ProtocolError(
                 "distributed MV2PL read-only transactions must declare "

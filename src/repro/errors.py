@@ -183,9 +183,8 @@ class DeadlineExceeded(TransactionAborted):
     """A transaction's deadline passed while an operation was blocked.
 
     Raised instead of waiting forever: the lock manager fails the blocked
-    request's future with this, and the distributed layer aborts a 2PC that
-    cannot reach its decision point before the deadline.  Deadlines are virtual-time and
-    carried on the transaction descriptor (``txn.deadline``).
+    request's future with this.  Deadlines are virtual-time and carried on
+    the transaction descriptor (``txn.deadline``).
     """
 
     def __init__(self, txn_id: int, deadline: float = 0.0, now: float = 0.0, detail: str = ""):
@@ -329,20 +328,13 @@ class SiteUnavailable(ReproError):
 class Overloaded(ReproError):
     """Admission control shed this request: the system is over capacity.
 
-    A typed, never-silent rejection — the caller learns the policy that
-    shed it and how deep the wait queue was, and can back off and retry
+    A typed, never-silent rejection: the caller can back off and retry
     (shedding is always retryable, but consumes retry budget so storms
     cannot amplify the overload).
     """
 
-    def __init__(self, policy: str = "fifo", queue_depth: int = 0, detail: str = ""):
-        self.policy = policy
-        self.queue_depth = queue_depth
-        message = detail or (
-            f"admission control shed the request (policy={policy}, "
-            f"queue_depth={queue_depth})"
-        )
-        super().__init__(message)
+    def __init__(self) -> None:
+        super().__init__("admission control shed the request")
 
 
 class ReplicaLagging(ReproError):
@@ -414,13 +406,4 @@ def is_retryable(error: BaseException) -> bool:
         return True
     if isinstance(error, TransactionAborted):
         return error.reason in RETRYABLE_REASONS
-    return False
-
-
-def is_infrastructure(error: BaseException) -> bool:
-    """Whether the failure was caused by infrastructure, not contention."""
-    if isinstance(error, (SiteUnavailable, ReplicaLagging)):
-        return True
-    if isinstance(error, TransactionAborted):
-        return error.reason in INFRASTRUCTURE_REASONS
     return False

@@ -436,11 +436,10 @@ CAMPAIGNS: dict[str, Campaign] = {
     ),
     "overload": Campaign(
         runner="repro.qos.overload:run_overload_campaign",
-        flags=("policy",),
-        kwargs=lambda args: dict(policy=args.policy),
+        flags=(),
+        kwargs=lambda args: {},
         banner=lambda args, kwargs: (
-            f"overload campaign: seeds={args.seeds} policy={args.policy} "
-            f"duration={args.duration}"
+            f"overload campaign: seeds={args.seeds} duration={args.duration}"
         ),
         row=_overload_row,
     ),
@@ -511,10 +510,6 @@ _SWITCH = dict(action="store_const", const=True)
 #: :func:`parse_args` can tell "passed" from "left alone"; a fault
 #: probability left alone stays None and the campaign's own spec fills it.
 FLAGS: dict[str, tuple[Any, dict[str, Any]]] = {
-    "policy": ("fifo", dict(
-        choices=("fifo", "lifo-shed", "priority"),
-        help="admission shedding policy (overload campaign only)",
-    )),
     "protocol": ("both", dict(
         choices=(*PROTOCOLS, "both"),
         help="which distributed protocol to drill (default: both)",

@@ -267,16 +267,3 @@ class ClusterInvariantChecker:
         self.check_prefixes()
         self.check_unique_commit_numbers()
         self.check_no_acked_commit_loss()
-
-    # -- verdict ---------------------------------------------------------------------
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def assert_ok(self) -> None:
-        if self.violations:
-            raise InvariantViolation(
-                f"{len(self.violations)} cluster invariant violation(s): "
-                + "; ".join(self.violations)
-            )

@@ -99,15 +99,6 @@ class FaultCounts:
     retries_exhausted: int = 0
     crashes: int = 0
 
-    def total(self) -> int:
-        return (
-            self.drops
-            + self.duplicates
-            + self.delay_spikes
-            + self.partition_deferrals
-            + self.crashes
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "drops": self.drops,

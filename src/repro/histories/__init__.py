@@ -28,14 +28,12 @@ from repro.histories.operations import (
     Op,
     OpKind,
     abort,
-    begin,
     commit,
     read,
     write,
 )
 from repro.histories.recorder import RO_ID_OFFSET, HistoryRecorder
 from repro.histories.serialization_graph import (
-    conflict_serial_order,
     is_conflict_serializable,
     serialization_graph,
 )
@@ -51,12 +49,10 @@ __all__ = [
     "RO_ID_OFFSET",
     "abort",
     "assert_one_copy_serializable",
-    "begin",
     "brute_force_one_copy_serializable",
     "check_one_copy_serializable",
     "commit",
     "exists_acyclic_version_order",
-    "conflict_serial_order",
     "is_conflict_serializable",
     "is_one_copy_serializable",
     "multiversion_serialization_graph",

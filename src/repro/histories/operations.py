@@ -80,10 +80,6 @@ def abort(txn: int) -> Op:
     return Op(OpKind.ABORT, txn)
 
 
-def begin(txn: int) -> Op:
-    return Op(OpKind.BEGIN, txn)
-
-
 @dataclass
 class History:
     """A totally ordered (multiversion or single-version) history.
@@ -98,9 +94,6 @@ class History:
     ops: list[Op] = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
-
-    def append(self, op: Op) -> None:
-        self.ops.append(op)
 
     def extend(self, ops: Iterable[Op]) -> None:
         self.ops.extend(ops)
@@ -154,9 +147,6 @@ class History:
 
     def reads(self) -> Iterator[Op]:
         return (op for op in self.ops if op.kind is OpKind.READ)
-
-    def writes(self) -> Iterator[Op]:
-        return (op for op in self.ops if op.kind is OpKind.WRITE)
 
     def keys(self) -> set[Hashable]:
         return {op.key for op in self.ops if op.key is not None}

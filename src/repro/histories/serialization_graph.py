@@ -39,11 +39,3 @@ def serialization_graph(history: History) -> Digraph:
 def is_conflict_serializable(history: History) -> bool:
     """True iff the committed projection of ``history`` is conflict-serializable."""
     return serialization_graph(history).is_acyclic()
-
-
-def conflict_serial_order(history: History) -> list[int]:
-    """A witness serial order (topological order of SG(H)).
-
-    Raises ValueError when the history is not conflict-serializable.
-    """
-    return serialization_graph(history).topological_order(tie_break=lambda t: t)

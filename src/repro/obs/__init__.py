@@ -4,8 +4,8 @@ Three pieces, designed to keep the paper's observability claims honest:
 
 * :mod:`repro.obs.tracer` — structured, virtual-time-stamped events with a
   no-op :data:`NULL_TRACER` default (near-zero cost when disabled);
-* :mod:`repro.obs.metrics` — counters, gauges, HDR-style histograms behind
-  a :class:`MetricsRegistry` that backs every scheduler's counters;
+* :mod:`repro.obs.metrics` — counters and gauges behind a
+  :class:`MetricsRegistry` that backs every scheduler's counters;
 * :mod:`repro.obs.exporters` / :mod:`repro.obs.instrument` /
   :mod:`repro.obs.analyze` — where events go, how they get wired through a
   scheduler, and how a recorded trace is read back
@@ -18,17 +18,13 @@ Three pieces, designed to keep the paper's observability claims honest:
 See ``docs/observability.md`` for the event-name schema and CLI usage.
 """
 
-from repro.obs.exporters import (
-    ConsoleSummaryExporter,
-    JsonlExporter,
-    RingBufferExporter,
-)
+from repro.obs.exporters import JsonlExporter, RingBufferExporter
 from repro.obs.instrument import (
     Instrumentation,
     attach_tracer,
     subscribe_version_control,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.profile import (
     CriticalPath,
@@ -50,11 +46,9 @@ from repro.obs.spans import (
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "ConsoleSummaryExporter",
     "Counter",
     "CriticalPath",
     "Gauge",
-    "Histogram",
     "Instrumentation",
     "JsonlExporter",
     "MetricsRegistry",

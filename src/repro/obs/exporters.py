@@ -1,4 +1,4 @@
-"""Trace exporters: ring buffer, JSONL file, console summary.
+"""Trace exporters: ring buffer and JSONL file.
 
 An exporter is anything with ``export(event)`` and an optional ``close()``,
 where ``event`` is the dict one JSONL line decodes to: ``name``, ``ts``,
@@ -13,10 +13,7 @@ the run.
 
 from __future__ import annotations
 
-import io
 import json
-import sys
-from collections import Counter as _TallyCounter
 from collections import deque
 from typing import IO, Any
 
@@ -43,10 +40,6 @@ class RingBufferExporter:
 
     def events(self) -> list[dict[str, Any]]:
         return list(self._buffer)
-
-    def clear(self) -> None:
-        self._buffer.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -80,13 +73,6 @@ class JsonlExporter:
         self._stream.write("\n")
         self.exported += 1
 
-    def flush(self) -> None:
-        self._stream.flush()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Flush-then-close, exactly once: every exported event is on disk
         (or in the caller's stream) the moment this returns, so a trace
@@ -105,45 +91,3 @@ class JsonlExporter:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-class ConsoleSummaryExporter:
-    """Tally events by name and print a human-readable summary on close.
-
-    Deliberately stores no events — only per-name counts and the time span —
-    so it is safe for arbitrarily long runs.  ``summary()`` renders the
-    table at any point without closing.
-    """
-
-    def __init__(self, stream: IO[str] | None = None):
-        self._stream = stream if stream is not None else sys.stdout
-        self._tally: _TallyCounter[str] = _TallyCounter()
-        self._first_ts: float | None = None
-        self._last_ts: float | None = None
-        self._closed = False
-
-    def export(self, event: dict[str, Any]) -> None:
-        self._tally[event["name"]] += 1
-        if self._first_ts is None:
-            self._first_ts = event["ts"]
-        self._last_ts = event["ts"]
-
-    def counts(self) -> dict[str, int]:
-        return dict(self._tally)
-
-    def summary(self) -> str:
-        total = sum(self._tally.values())
-        if not total:
-            return "trace summary: no events"
-        out = io.StringIO()
-        span = (self._last_ts or 0.0) - (self._first_ts or 0.0)
-        out.write(f"trace summary: {total} events over {span:g} time units\n")
-        width = max(len(name) for name in self._tally)
-        for name, count in sorted(self._tally.items(), key=lambda kv: (-kv[1], kv[0])):
-            out.write(f"  {name:<{width}}  {count}\n")
-        return out.getvalue().rstrip("\n")
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        print(self.summary(), file=self._stream)

@@ -7,14 +7,14 @@ is a first-class subsystem rather than debug printf.  Design constraints:
 * **Near-zero cost when disabled.**  Every instrumentation site is written
   as ``if tracer.enabled: tracer.emit(...)`` so a disabled tracer costs one
   attribute load and a falsy test.  :data:`NULL_TRACER` (the default on
-  every component) additionally has a no-op :meth:`~NullTracer.emit`, so
-  even un-guarded call sites are cheap.
+  every component) has no exporters, so :meth:`Tracer.emit` returns at
+  once and even un-guarded call sites are cheap.
 * **Virtual time, not wall time.**  Simulated runs stamp events with the
   simulator's clock (``tracer.clock = lambda: sim.now``); outside a
   simulation the default clock is a deterministic monotone sequence, which
   keeps traces reproducible and diffable.
 * **Pluggable exporters** (:mod:`repro.obs.exporters`): ring buffer, JSONL
-  file, console summary, and the two stream consumers (the SLO engine and
+  file, and the two stream consumers (the SLO engine and
   the 1SR witness).  An event is one dict — ``name``, ``ts``, then its
   fields in emit order, the form one JSONL trace line decodes to — built
   once at emit time and handed to every exporter, so a consumer reads a
@@ -85,10 +85,6 @@ class Tracer:
     def remove_exporter(self, exporter: Any) -> None:
         self._exporters.remove(exporter)
 
-    @property
-    def exporters(self) -> list[Any]:
-        return list(self._exporters)
-
     # -- emitting --------------------------------------------------------------
 
     def emit(self, name: str, **fields: Any) -> dict[str, Any] | None:
@@ -133,9 +129,6 @@ class NullTracer(Tracer):
 
     def __init__(self) -> None:
         super().__init__()
-
-    def emit(self, name: str, **fields: Any) -> None:
-        return None
 
     def add_exporter(self, exporter: Any) -> None:
         raise ValueError("NULL_TRACER is shared and immutable; create a Tracer()")

@@ -955,10 +955,6 @@ class WitnessEngine:
         )
         return {"in": incoming, "out": outgoing}
 
-    def order(self) -> list[int]:
-        """Certified serialization order of the unsealed suffix."""
-        return self._topo.order()
-
     #: Dispatch by exact name; ``vc.*`` is a prefix test after a miss.
     _HANDLERS = {
         "history.begin": _on_begin,

@@ -23,8 +23,6 @@ unlinks one in O(out-degree).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 
 class IncrementalTopology:
     """A DAG under incremental edge insertion, Pearce–Kelly style."""
@@ -51,12 +49,6 @@ class IncrementalTopology:
     def __contains__(self, node: int) -> bool:
         return node in self._ord
 
-    def __len__(self) -> int:
-        return len(self._ord)
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self._ord)
-
     def indegree(self, node: int) -> int:
         return len(self._pred[node])
 
@@ -65,9 +57,6 @@ class IncrementalTopology:
 
     def predecessors(self, node: int) -> set[int]:
         return set(self._pred.get(node, ()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._succ.get(u, ())
 
     def remove_source(self, node: int) -> None:
         """Unlink a node with no incoming edges (the sealing operation)."""

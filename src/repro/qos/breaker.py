@@ -19,7 +19,7 @@ three-state machine:
 
 Failures are recorded by the distributed layer on
 :class:`~repro.errors.SiteUnavailable` and prepare timeouts — the
-infrastructure signals of :func:`repro.errors.is_infrastructure` — not on
+infrastructure signals of :data:`repro.errors.INFRASTRUCTURE_REASONS` — not on
 contention aborts, which say nothing about site health.
 
 Time is virtual and injected (``clock`` returns "now"), so breakers are

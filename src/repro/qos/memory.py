@@ -294,9 +294,7 @@ def _run_phase(
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams = run.sim, run.streams
     scheduler = VC2PLScheduler()
-    scheduler.admission = AdmissionController(
-        capacity=max(2, writers), queue_limit=2 * max(2, writers), policy="fifo"
-    )
+    scheduler.admission = AdmissionController(capacity=max(2, writers))
     scheduler.ro_registry.ttl = ttl
     scheduler.ro_registry.clock = lambda: sim.now
     run.pipeline.attach(scheduler)

@@ -89,7 +89,6 @@ class OverloadReport(CampaignReport):
     capacity: int
     writers: int
     readers: int
-    policy: str
     deadline: float
     baseline: PhaseStats
     overload: PhaseStats
@@ -131,7 +130,6 @@ def _run_phase(
     capacity: int,
     writers: int,
     readers: int,
-    policy: str,
     deadline: float,
     n_keys: int = 6,
     reap_period: float = 1.0,
@@ -155,9 +153,7 @@ def _run_phase(
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams, tracer = run.sim, run.streams, run.tracer
     scheduler = VC2PLScheduler()
-    scheduler.admission = AdmissionController(
-        capacity=capacity, queue_limit=2 * capacity, policy=policy
-    )
+    scheduler.admission = AdmissionController(capacity=capacity)
     run.pipeline.attach(scheduler)
     backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
     stats = PhaseStats()
@@ -274,7 +270,6 @@ def run_overload_campaign(
     capacity: int = 4,
     overload_factor: float = 4.0,
     readers: int = 4,
-    policy: str = "fifo",
     deadline: float = 10.0,
     verify_determinism: bool = True,
     slo: bool = True,
@@ -308,7 +303,6 @@ def run_overload_campaign(
         duration=duration,
         capacity=capacity,
         readers=readers,
-        policy=policy,
         deadline=deadline,
     )
     baseline = _run_phase(seed, writers=0, **knobs)
@@ -329,7 +323,6 @@ def run_overload_campaign(
         capacity=capacity,
         writers=writers,
         readers=readers,
-        policy=policy,
         deadline=deadline,
         baseline=baseline,
         overload=overload,

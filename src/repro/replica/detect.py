@@ -77,9 +77,6 @@ class FailureDetector:
         self.last_beat = now
         self.beats = 0
 
-    def reset(self, now: float) -> None:
-        self.last_beat = now
-
     def on_heartbeat(self, now: float) -> None:
         self.beats += 1
         if now > self.last_beat:
@@ -148,9 +145,6 @@ class ClusterSupervisor:
             self.cluster.on_promote.append(self._after_promotion)
             self._hook_installed = True
         self._tick()
-
-    def stop(self) -> None:
-        self.active = False
 
     def _reset_round(self) -> None:
         now = self._now()

@@ -199,7 +199,6 @@ class ShardedDatabase(DistributedVCDatabase):
         read_only: bool = False,
         origin_site: int | None = None,
         fresh: bool = False,
-        deadline: float | None = None,
     ) -> Transaction:
         """Start a transaction; read-only sessions get a snapshot *vector*.
 
@@ -212,7 +211,7 @@ class ShardedDatabase(DistributedVCDatabase):
         interface parity but moot — a vector begin is inherently fresh.
         """
         if not read_only:
-            return self._begin_rw(deadline)
+            return self._begin_rw()
         txn = self._begin(read_only=True)
         self._prune_xlogs()
         raw = {sid: site.vc.vc_start() for sid, site in sorted(self.sites.items())}

@@ -71,10 +71,6 @@ class HashRing:
             index = 0  # wrap past the top of the ring
         return self._owners[index]
 
-    def assignment(self, keys) -> dict[Hashable, int]:
-        """Placement of every key in ``keys`` (a stable snapshot for tests)."""
-        return {key: self.shard_of(key) for key in keys}
-
     def moved_fraction(self, other: "HashRing", keys) -> float:
         """Fraction of ``keys`` placed differently by ``other``.
 

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation substrate."""
 
-from repro.sim.engine import Process, SimError, Simulator, run_processes
+from repro.sim.engine import Process, SimError, Simulator
 from repro.sim.random_streams import RandomStreams, ZipfGenerator
 from repro.sim.server import FifoServer
 from repro.sim.stats import Summary, TimeWeighted
@@ -14,5 +14,4 @@ __all__ = [
     "Summary",
     "TimeWeighted",
     "ZipfGenerator",
-    "run_processes",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.core.futures import OpFuture, OpStatus
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -205,12 +205,3 @@ class Simulator:
 
     def all_finished(self) -> bool:
         return all(p.finished for p in self.processes)
-
-
-def run_processes(generators: Iterable[Generator], until: float | None = None) -> Simulator:
-    """Convenience: spawn all generators into a fresh simulator and run it."""
-    sim = Simulator()
-    for gen in generators:
-        sim.spawn(gen)
-    sim.run(until)
-    return sim

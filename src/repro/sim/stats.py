@@ -19,7 +19,7 @@ def nearest_rank(samples: Sequence[float], q: float) -> float:
 
 
 class Summary:
-    """Streaming summary: count, mean, variance (Welford), min/max, quantiles.
+    """Streaming summary: count, mean, maximum, exact quantiles.
 
     Keeps all samples for exact quantiles — experiment populations are small
     (thousands), so memory is a non-issue and exactness beats sketching.
@@ -28,13 +28,10 @@ class Summary:
     def __init__(self) -> None:
         self._samples: list[float] = []
         self._mean = 0.0
-        self._m2 = 0.0
 
     def add(self, value: float) -> None:
         self._samples.append(value)
-        delta = value - self._mean
-        self._mean += delta / len(self._samples)
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / len(self._samples)
 
     @property
     def count(self) -> int:
@@ -43,19 +40,6 @@ class Summary:
     @property
     def mean(self) -> float:
         return self._mean if self._samples else 0.0
-
-    @property
-    def variance(self) -> float:
-        n = len(self._samples)
-        return self._m2 / (n - 1) if n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
 
     @property
     def maximum(self) -> float:

@@ -19,7 +19,7 @@ notional initializing transaction T0.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Hashable, Iterator
 
 from repro.storage.version import Version
 from repro.storage.versioned_object import VersionedObject
@@ -199,11 +199,3 @@ class MVStore:
         next_cursor = (cursor + scanned) % len(keys)
         self.gc_discarded += discarded
         return discarded, next_cursor
-
-    def dump(self, reader: Callable[[Version], Any] | None = None) -> dict[Hashable, list[tuple[int, Any]]]:
-        """Debug/inspection snapshot: ``{key: [(tn, value), ...]}``."""
-        take = reader or (lambda v: v.value)
-        return {
-            key: [(v.tn, take(v)) for v in obj.versions()]
-            for key, obj in self._objects.items()
-        }

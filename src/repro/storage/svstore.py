@@ -11,7 +11,7 @@ protocols with deferred update), so abort needs no undo log.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 
 class SVStore:
@@ -21,12 +21,6 @@ class SVStore:
         self._values: dict[Hashable, Any] = {}
         self._writer_tn: dict[Hashable, int] = {}
         self._initial_value = initial_value
-
-    def preload(self, contents: dict[Hashable, Any]) -> None:
-        """Populate initial values, attributed to transaction 0."""
-        for key, value in contents.items():
-            self._values[key] = value
-            self._writer_tn[key] = 0
 
     def read(self, key: Hashable) -> tuple[Any, int]:
         """Return ``(value, writer_tn)`` for ``key``.
@@ -41,12 +35,3 @@ class SVStore:
         """Overwrite ``key`` with a committed value."""
         self._values[key] = value
         self._writer_tn[key] = writer_tn
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self._values)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)

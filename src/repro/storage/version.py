@@ -44,11 +44,6 @@ class Version:
         self.r_ts_rw = 0
         self.creator_txn_id = creator_txn_id if creator_txn_id is not None else tn
 
-    @property
-    def w_ts(self) -> int:
-        """Write timestamp — an alias for the version number."""
-        return self.tn
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " pending" if self.pending else ""
         return f"<v{self.tn}={self.value!r} r_ts={self.r_ts}{flag}>"

@@ -1,6 +1,6 @@
 """Synthetic workload generation."""
 
-from repro.workload.mixes import MIXES, balanced, contended_small, read_heavy, write_heavy_hotspot
+from repro.workload.mixes import MIXES, balanced, contended_small, write_heavy_hotspot
 from repro.workload.spec import OpSpec, TxnSpec, WorkloadGenerator, WorkloadSpec
 
 __all__ = [
@@ -11,6 +11,5 @@ __all__ = [
     "WorkloadSpec",
     "balanced",
     "contended_small",
-    "read_heavy",
     "write_heavy_hotspot",
 ]

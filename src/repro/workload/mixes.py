@@ -20,21 +20,6 @@ def balanced(seed: int = 0, **overrides) -> WorkloadSpec:
     return WorkloadSpec(**params)
 
 
-def read_heavy(seed: int = 0, **overrides) -> WorkloadSpec:
-    """Reporting-style: long read-only transactions over a hot working set."""
-    params = dict(
-        n_objects=200,
-        ro_fraction=0.8,
-        ro_ops=(5, 15),
-        rw_ops=(2, 4),
-        write_fraction=0.6,
-        zipf_theta=0.9,
-        seed=seed,
-    )
-    params.update(overrides)
-    return WorkloadSpec(**params)
-
-
 def write_heavy_hotspot(seed: int = 0, **overrides) -> WorkloadSpec:
     """Update-intensive with a severe hot spot: maximal RO/RW interference."""
     params = dict(
@@ -67,7 +52,6 @@ def contended_small(seed: int = 0, **overrides) -> WorkloadSpec:
 
 MIXES = {
     "balanced": balanced,
-    "read-heavy": read_heavy,
     "write-heavy-hotspot": write_heavy_hotspot,
     "contended-small": contended_small,
 }

@@ -55,10 +55,6 @@ class OrderEntryOutcome:
     conservation_violations: int = 0
     books_violations: int = 0
 
-    @property
-    def clean(self) -> bool:
-        return self.conservation_violations == 0 and self.books_violations == 0
-
 
 def seed_database(scheduler: Scheduler, config: OrderEntryConfig) -> None:
     """Install the initial inventory in one transaction."""

@@ -18,7 +18,7 @@ class TestReadWritePath:
         db.commit(t).result()
         assert t.tn == 1
         assert 1 in db.ctl
-        assert db.ctl_size() == 2  # {0, 1}
+        assert len(db.ctl) == 2  # {0, 1}
 
     def test_locking_conflicts_apply(self, db):
         w = db.begin()
@@ -89,7 +89,7 @@ class TestReadOnlyPath:
             t = db.begin()
             db.write(t, "x", i).result()
             db.commit(t).result()
-        assert db.ctl_size() == 51
+        assert len(db.ctl) == 51
         ro = db.begin(read_only=True)
         assert len(ro.private.ctl_copy) == 51
 

@@ -259,3 +259,7 @@ class TestCli:
     def test_unknown_suite_is_an_error(self, capsys):
         assert main(["--suite", "nope"]) == 2
         assert "nope" in capsys.readouterr().out
+
+    def test_protocol_outside_the_suite_is_an_error(self, capsys):
+        assert main(["--protocols", "vc-2pl, nope,"]) == 2
+        assert "protocols not in suite 'quick': nope " in capsys.readouterr().out

@@ -7,7 +7,7 @@ test invariants: they must hold for every seed, not just the benchmark's.
 import pytest
 
 from repro.bench.metrics import RunMetrics
-from repro.bench.runner import SimConfig, run_protocols, run_simulation
+from repro.bench.runner import SimConfig, run_simulation
 from repro.protocols.registry import PROTOCOLS, VC_PROTOCOLS, make_scheduler
 from repro.workload.mixes import balanced, contended_small, write_heavy_hotspot
 
@@ -37,10 +37,6 @@ class TestRunnerBasics:
         m = run_simulation(make_scheduler("vc-occ"), balanced(seed=1), config)
         assert m.serializable is None
 
-    def test_run_protocols_helper(self):
-        results = run_protocols(["vc-2pl", "sv-2pl"], balanced(seed=1), FAST)
-        assert set(results) == {"vc-2pl", "sv-2pl"}
-
     def test_gc_runs_when_configured(self):
         config = SimConfig(duration=200.0, n_clients=6, gc_period=20.0)
         m = run_simulation(make_scheduler("vc-2pl"), balanced(seed=1), config)
@@ -66,7 +62,7 @@ class TestMetricsDerivation:
         m = RunMetrics()
         assert m.throughput == 0.0
         assert m.abort_rate_rw == 0.0
-        assert m.per_rw_commit("x") == 0.0
+        assert m.per_ro_commit("x") == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.futures import OpFuture, OpStatus, failed, resolved
+from repro.core.futures import OpFuture, failed, resolved
 from repro.errors import FutureNotReady
 
 
@@ -11,7 +11,7 @@ class TestLifecycle:
         f = OpFuture("op")
         assert f.pending
         assert not f.done
-        assert f.status is OpStatus.PENDING
+        assert f.pending
 
     def test_resolve_sets_value(self):
         f = OpFuture()

@@ -137,7 +137,7 @@ class TestRunWithRetries:
             txn["x"] = 9
         value = db.run(lambda txn: txn["x"], read_only=True)
         assert value == 9
-        assert db.counters.get("cc.ro") == 0
+        assert db.scheduler.counters.get("cc.ro") == 0
 
     def test_check_serializable_passthrough(self):
         db = Database("vc-2pl")

@@ -8,7 +8,7 @@ from repro.errors import AbortReason, ProtocolError
 
 class TestClassification:
     def test_default_class_is_read_write(self):
-        assert TxnClass.default() is TxnClass.READ_WRITE
+        assert Transaction().txn_class is TxnClass.READ_WRITE
 
     def test_read_only_flags(self):
         t = Transaction(TxnClass.READ_ONLY)

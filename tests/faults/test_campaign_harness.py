@@ -44,7 +44,7 @@ PINNED_STDOUT = {
         "200", "1943e9062eab727efbdb4330c248076e6db510bfe37f565566d9ffd534ee3c0c"
     ),
     "overload": (
-        "200", "3930814ee941a9dd892466749d5ecc8bbb6b07a5a3c85245e05eddcdde6d3ae5"
+        "200", "18da7179cf729694ecadb61bdf60c8da9006617451d84455d3ad3ef3facfc79b"
     ),
     "replication": (
         "150", "120954e60b49022ef131cab69292c7b6d95df593b25019414edea11313f0940a"
@@ -358,7 +358,7 @@ class TestDrillCLI:
         [
             ("overload", ["--trace", "t.jsonl"], "faults"),
             ("availability", ["--slo"], "faults"),
-            ("memory", ["--policy", "fifo"], "overload"),
+            ("memory", ["--sites", "3"], "faults, shard"),
             ("shard", ["--mode", "quorum"], "replication"),
             ("faults", ["--replicas", "3"], "replication, availability"),
             ("overload", ["--drop", "0.1"], "faults, replication"),

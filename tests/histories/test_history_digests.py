@@ -144,8 +144,8 @@ def runs(only=None):
         """Read-only transactions declare every site, so the stock client
         loop (which knows nothing of a-priori read sites) can drive it."""
 
-        def begin(self, read_only=False, deadline=None):
-            return super().begin(read_only, self.sites if read_only else None, deadline)
+        def begin(self, read_only=False):
+            return super().begin(read_only, self.sites if read_only else None)
 
     config = SimConfig(
         duration=200, user_abort_probability=0.02, check_serializability=False

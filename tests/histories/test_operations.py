@@ -7,7 +7,6 @@ from repro.histories.operations import (
     Op,
     OpKind,
     abort,
-    begin,
     commit,
     read,
     write,

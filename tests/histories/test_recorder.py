@@ -159,7 +159,7 @@ class _BufferingReference:
             self.abort_seq += 1
             ident = -self.abort_seq
         self.history.extend(self._flush(self.buffers.pop(txn.txn_id, []), ident))
-        self.history.append(Op(kind, ident))
+        self.history.ops.append(Op(kind, ident))
         self.live.append((kind.value, txn.txn_id, None, None, txn.tn))
 
     @staticmethod

@@ -1,16 +1,11 @@
-"""Exporters: ring buffer bounds, JSONL round trips, console summaries."""
+"""Exporters: ring buffer bounds and JSONL round trips."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs import (
-    ConsoleSummaryExporter,
-    JsonlExporter,
-    RingBufferExporter,
-    Tracer,
-)
+from repro.obs import JsonlExporter, RingBufferExporter, Tracer
 
 
 class TestRingBuffer:
@@ -21,13 +16,6 @@ class TestRingBuffer:
         assert len(ring) == 3
         assert ring.dropped == 2
         assert [e["i"] for e in ring.events()] == [2, 3, 4]
-
-    def test_clear(self):
-        ring = RingBufferExporter(capacity=2)
-        for i in range(4):
-            ring.export({"name": "e", "ts": float(i)})
-        ring.clear()
-        assert len(ring) == 0 and ring.dropped == 0
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -61,27 +49,3 @@ class TestJsonl:
         row = json.loads(stream.getvalue())
         assert row["key"] == repr({"acct", 7})
 
-
-class TestConsoleSummary:
-    def _fill(self, exporter):
-        for ts, name in [(1.0, "txn.begin"), (2.0, "txn.begin"), (5.0, "txn.commit")]:
-            exporter.export({"name": name, "ts": ts})
-
-    def test_counts_and_summary_text(self):
-        exporter = ConsoleSummaryExporter(stream=io.StringIO())
-        self._fill(exporter)
-        assert exporter.counts() == {"txn.begin": 2, "txn.commit": 1}
-        text = exporter.summary()
-        assert "3 events over 4 time units" in text
-        assert text.index("txn.begin") < text.index("txn.commit")  # sorted by count
-
-    def test_close_prints_once(self):
-        stream = io.StringIO()
-        exporter = ConsoleSummaryExporter(stream=stream)
-        self._fill(exporter)
-        exporter.close()
-        exporter.close()
-        assert stream.getvalue().count("trace summary") == 1
-
-    def test_empty_summary(self):
-        assert "no events" in ConsoleSummaryExporter(stream=io.StringIO()).summary()

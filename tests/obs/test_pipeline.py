@@ -82,7 +82,6 @@ class TestJsonlDeterministicClose:
         exporter = JsonlExporter(str(path))
         exporter.export({"name": "a", "ts": 0.0})
         exporter.close()
-        assert exporter.closed
         exporter.close()  # second close is a no-op, not an error
         exporter.export({"name": "b", "ts": 1.0})  # post-close export dropped
         rows = path.read_text().splitlines()

@@ -66,7 +66,7 @@ class TestBasicOperation:
                 t = db.begin()
                 db.write(t, "x", 1).result()
                 finish(t)
-            assert db.admission.in_flight == 0
+            assert db.admission._in_flight == 0
             assert db.active_transactions() == []
 
     def test_read_only_path_is_mode_independent(self):

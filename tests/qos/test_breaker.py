@@ -102,6 +102,16 @@ class TestBreakerBoard:
         assert board.allow(2), "site 2's breaker is independent"
         assert board.states() == {1: OPEN, 2: CLOSED}
 
+    def test_probe_success_closes_that_site_only(self):
+        clock = Clock()
+        board = BreakerBoard(failure_threshold=1, recovery_time=5.0, clock=clock)
+        board.record_failure(1)
+        board.record_failure(2)
+        clock.now = 5.0
+        assert board.allow(1), "site 1's probe"
+        board.record_success(1)
+        assert board.states() == {1: CLOSED, 2: OPEN}
+
     def test_bind_clock_reaches_existing_breakers(self):
         board = BreakerBoard(failure_threshold=1, recovery_time=5.0)
         board.record_failure(1)  # breaker created with the default clock

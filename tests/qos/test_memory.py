@@ -127,7 +127,7 @@ class TestController:
 
     def test_admission_tightened_under_pressure_and_restored(self):
         rig = Rig()
-        admission = AdmissionController(capacity=8, queue_limit=16)
+        admission = AdmissionController(capacity=8)
         rig.commit_round()
         pin = rig.pin()
         for _ in range(3):
@@ -143,7 +143,7 @@ class TestController:
 
     def test_admission_stays_tight_while_pressured(self):
         rig = Rig()
-        admission = AdmissionController(capacity=8, queue_limit=16)
+        admission = AdmissionController(capacity=8)
         rig.commit_round()
         # In-flight writers hold pending versions the sweep must retain:
         # 4 chains x (1 committed + 2 pending) = 12 live, no lease to

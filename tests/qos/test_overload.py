@@ -8,7 +8,6 @@ baseline, bounded snapshot staleness — deterministically under the seed,
 with every decision visible as a ``qos.*`` event.
 """
 
-from repro.qos.admission import POLICIES
 from repro.qos.overload import RO_P99_CEILING, run_overload_campaign
 
 
@@ -59,14 +58,11 @@ class TestAcceptance:
             "violations",
         }
 
-    def test_every_policy_upholds_the_guarantees(self):
-        for policy in POLICIES:
-            report = run_overload_campaign(
-                seed=2, duration=80.0, policy=policy, verify_determinism=False
-            )
-            assert report.overload.ro_shed == 0, policy
-            assert report.overload.rw_shed > 0, policy
-            assert report.ok, (policy, report.violations)
+    def test_shedding_upholds_the_guarantees(self):
+        report = run_overload_campaign(seed=2, duration=80.0, verify_determinism=False)
+        assert report.overload.ro_shed == 0
+        assert report.overload.rw_shed > 0
+        assert report.ok, report.violations
 
     def test_slo_watchdogs_ride_the_campaign(self):
         report = run_overload_campaign(seed=3, duration=80.0)

@@ -16,10 +16,12 @@ writes the set when it exits.  Two sets are run:
 
 * (i) the product paths, :data:`PRODUCT`: each command the CLI, the
   examples and the host-time benchmark offer a user;
-* (ii) tier-1, ``python -m pytest -x -q`` with this module loaded as a
-  plugin.  The plugin re-arms the hook before each test (a test may
-  install its own profiler) and tags what runs with the test's file, so a
-  subprocess a test starts is charged to that file too.
+* (ii) tier-1, ``python -m pytest -q`` with this module loaded as a
+  plugin, run to the end (without ``-x`` one failure cannot shorten the
+  table; it still fails the run).  The plugin re-arms the hook before
+  each test (a test may install its own profiler) and tags what runs with
+  the test's file, so a subprocess a test starts is charged to that file
+  too.
 
 The table, ``docs/reach.md``, lists every function that (i) does not run,
 with its length, the test files that run it, and its verdict from
@@ -37,7 +39,6 @@ deterministic function of the code: regenerate it and ``git diff``.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -97,7 +98,7 @@ PRODUCT: tuple[tuple[str, ...], ...] = (
     ("-m", "benchmarks.perf", "--selftest"),
 )
 
-TIER1 = ("-m", "pytest", "-x", "-q", "-p", "tests.reach", "--hypothesis-seed=0")
+TIER1 = ("-m", "pytest", "-q", "-p", "tests.reach", "--hypothesis-seed=0")
 
 #: The closed set of allow-list categories.
 CATEGORIES = {
@@ -110,29 +111,32 @@ CATEGORIES = {
     "paper": "the vocabulary of the paper's Section 3",
 }
 
-_BREAKERS = "the per-site breakers, docs/robustness.md"
-_REPORT = "a campaign report's `as_dict` field (`DERIVED`), docs/faults.md"
+
+def _allow(category: str, reason: str, *idents: str) -> dict[str, tuple[str, str]]:
+    return {ident: (category, reason) for ident in idents}
+
 
 #: ``path::qualname`` (path under ``src/repro``) -> (category, reason).
 #: A function (i) does not run needs an entry when tier-1 runs it from one
 #: test file only, or when nothing runs it (then ``abstract`` or ``debug``).
 ALLOW: dict[str, tuple[str, str]] = {
-    # -- abstract
-    **{f"core/interface.py::Scheduler.{name}": ("abstract", "every protocol overrides it")
-       for name in ("_on_begin", "read", "write", "commit", "abort")},
-    **{f"core/vc_scheduler.py::VersionControlledScheduler._rw_{name}":
-       ("abstract", "every VC protocol overrides it")
-       for name in ("begin", "read", "write", "commit", "abort")},
-    **{f"distributed/base.py::{name}": ("abstract", "both site types override it")
-       for name in ("SiteBase._complete", "SiteBase._restart_numbering",
-                    "SiteBase.recovery_frontier")},
-    **{f"distributed/base.py::Distributed2PLDatabase.{name}":
-       ("abstract", "both distributed databases override it")
-       for name in ("_build_site", "_ro_read", "_commit_rw")},
-    **{f"obs/slo/objectives.py::Objective.{name}": ("abstract", "both objective kinds override it")
-       for name in ("observe", "close_window", "threshold_text")},
-    # -- debug
-    **{f"{name}.__repr__": ("debug", "`__repr__`") for name in (
+    **_allow("abstract", "every protocol overrides it",
+             *(f"core/interface.py::Scheduler.{name}"
+               for name in ("_on_begin", "read", "write", "commit", "abort"))),
+    **_allow("abstract", "every VC protocol overrides it",
+             *(f"core/vc_scheduler.py::VersionControlledScheduler._rw_{name}"
+               for name in ("begin", "read", "write", "commit", "abort"))),
+    **_allow("abstract", "both site types override it",
+             "distributed/base.py::SiteBase._complete",
+             "distributed/base.py::SiteBase._restart_numbering",
+             "distributed/base.py::SiteBase.recovery_frontier"),
+    **_allow("abstract", "both distributed databases override it",
+             *(f"distributed/base.py::Distributed2PLDatabase.{name}"
+               for name in ("_build_site", "_ro_read", "_commit_rw"))),
+    **_allow("abstract", "both objective kinds override it",
+             *(f"obs/slo/objectives.py::Objective.{name}"
+               for name in ("observe", "close_window", "threshold_text"))),
+    **_allow("debug", "`__repr__`", *(f"{owner}.__repr__" for owner in (
         "cc/lock_manager.py::_Request", "core/futures.py::OpFuture",
         "core/interface.py::Scheduler", "core/transaction.py::Transaction",
         "core/version_control.py::_QueueEntry", "core/version_control.py::VersionControl",
@@ -142,81 +146,102 @@ ALLOW: dict[str, tuple[str, str]] = {
         "replica/cluster.py::ReplicaCluster", "replica/node.py::Replica",
         "shard/ring.py::HashRing", "sim/engine.py::Process",
         "storage/version.py::Version", "storage/versioned_object.py::VersionedObject",
-    )},
-    # -- failure
-    "bench/artifact.py::_uncertified": ("failure", "the `--slo` gate's text for a witness block that failed"),
-    "errors.py::CorruptLogError.__init__": ("failure", "raised on a malformed WAL record"),
-    "errors.py::ReplicaLagging.__init__": ("failure", "raised under the `reject` staleness policy"),
-    "faults/drill.py::replay_command": ("failure", "printed under a seed that failed"),
-    "histories/checker.py::NotSerializable.__init__": ("failure", "raised on a history that is not 1SR"),
-    "obs/tracer.py::NullTracer.add_exporter": ("failure", "refuses to mutate the shared disabled tracer"),
-    "obs/witness/engine.py::WitnessBreach.__init__": ("failure", "a 1SR violation's flight-recorder bundle"),
-    "obs/witness/engine.py::WitnessBreach.as_dict": ("failure", "a 1SR violation's flight-recorder bundle"),
-    "replica/node.py::Replica.write": ("failure", "a read-only replica refuses writes"),
-    "storage/gc.py::ReadOnlyRegistry.snapshot_counts": ("failure", "the message of a lease error"),
-    # -- oracle
-    **{f"histories/enumeration.py::{name}": ("oracle", "the brute-force 1SR reference")
-       for name in ("_serial_reads_from", "brute_force_one_copy_serializable",
-                    "exists_acyclic_version_order", "exists_acyclic_version_order.search",
-                    "witness_serial_orders")},
-    "histories/operations.py::History.operations_of": ("oracle", "the brute-force 1SR reference reads it"),
-    **{f"histories/graphs.py::Digraph.{name}": ("oracle", "the plain graph `FanGraph` is checked against")
-       for name in ("successors", "__contains__", "__len__")},
-    "obs/witness/engine.py::witness_history": ("oracle", "the parity bridge from a `History` to the witness"),
-    "obs/witness/engine.py::witness_history.send": ("oracle", "the parity bridge from a `History` to the witness"),
-    "obs/witness/topology.py::IncrementalTopology.order": ("oracle", "the Pearce-Kelly numbering tests audit"),
-    "obs/witness/topology.py::IncrementalTopology.check": ("oracle", "the Pearce-Kelly invariant audit"),
-    # -- shim
-    "storage/mvstore.py::MVStore.version_leq": ("shim", "the `storage.read` layer's wrap target"),
-    "distributed/dvc.py::DistributedVersionControl.discard": ("shim", "the `distributed.dvc` layer's wrap target"),
-    # -- api
-    "bench/artifact.py::_protocol_list": ("api", "`bench --protocols`, docs/benchmarks.md"),
-    **{f"core/session.py::{name}": ("api", "the session API, docs/api.md") for name in (
+    ))),
+    **_allow("failure", "the `--slo` gate's text for a witness block that failed",
+             "bench/artifact.py::_uncertified"),
+    **_allow("failure", "raised on a malformed WAL record", "errors.py::CorruptLogError.__init__"),
+    **_allow("failure", "raised under the `reject` staleness policy",
+             "errors.py::ReplicaLagging.__init__"),
+    **_allow("failure", "printed under a seed that failed", "faults/drill.py::replay_command"),
+    **_allow("failure", "raised on a history that is not 1SR",
+             "histories/checker.py::NotSerializable.__init__"),
+    **_allow("failure", "refuses to mutate the shared disabled tracer",
+             "obs/tracer.py::NullTracer.add_exporter"),
+    **_allow("failure", "a 1SR violation's flight-recorder bundle",
+             "obs/witness/engine.py::WitnessBreach.__init__",
+             "obs/witness/engine.py::WitnessBreach.as_dict"),
+    **_allow("failure", "a read-only replica refuses writes", "replica/node.py::Replica.write"),
+    **_allow("failure", "the message of a lease error",
+             "storage/gc.py::ReadOnlyRegistry.snapshot_counts"),
+    **_allow("oracle", "the brute-force 1SR reference",
+             *(f"histories/enumeration.py::{name}" for name in (
+                 "_serial_reads_from", "brute_force_one_copy_serializable",
+                 "exists_acyclic_version_order", "exists_acyclic_version_order.search",
+                 "witness_serial_orders")),
+             "histories/operations.py::History.operations_of"),
+    **_allow("oracle", "the plain graph `FanGraph` is checked against",
+             *(f"histories/graphs.py::Digraph.{name}"
+               for name in ("successors", "__contains__", "__len__"))),
+    **_allow("oracle", "the parity bridge from a `History` to the witness",
+             "obs/witness/engine.py::witness_history",
+             "obs/witness/engine.py::witness_history.send"),
+    **_allow("oracle", "the Pearce-Kelly numbering and its invariant audit",
+             "obs/witness/topology.py::IncrementalTopology.order",
+             "obs/witness/topology.py::IncrementalTopology.check"),
+    **_allow("shim", "the `storage.read` layer's wrap target",
+             "storage/mvstore.py::MVStore.version_leq"),
+    **_allow("shim", "the `distributed.dvc` layer's wrap target",
+             "distributed/dvc.py::DistributedVersionControl.discard"),
+    **_allow("shim", "the `cc.lock` layer's wrap target",
+             "cc/lock_manager.py::LockTable.cancel_request"),
+    **_allow("api", "`bench --protocols`, docs/benchmarks.md", "bench/artifact.py::_protocol_list"),
+    **_allow("api", "the session API, docs/api.md", *(f"core/session.py::{name}" for name in (
         "TransactionContext.read_many", "TransactionContext.abort", "Database.run",
-        "Database._spend_retry", "Database._backoff", "Database.check_serializable",
-    )},
-    "core/snapshot.py::SnapshotManager.begin_current_reader": ("api", "Section 6 remedy 2, docs/api.md"),
-    "faults/courier.py::FaultyCourier.parked": ("api", "manual-mode partitions, docs/faults.md"),
-    "faults/courier.py::FaultyCourier._dispatch_manual": ("api", "manual mode, docs/faults.md"),
-    "faults/drill.py::run_campaign": ("api", "the library entry point, docs/faults.md"),
-    "faults/invariants.py::FaultInvariantChecker.ok": ("api", "docs/faults.md"),
-    "faults/invariants.py::FaultInvariantChecker.assert_ok": ("api", "docs/faults.md"),
-    "histories/recorder.py::HistoryRecorder.full_history": ("api", "docs/api.md"),
-    **{f"{name}.{method}": ("api", f"a context manager, {doc}")
-       for name, doc in (("obs/exporters.py::JsonlExporter", "docs/observability.md"),
-                         ("obs/instrument.py::Instrumentation", "docs/observability.md"),
-                         ("obs/pipeline.py::ObsPipeline", "docs/api.md"))
-       for method in ("__enter__", "__exit__")},
-    "obs/spans.py::SpanNode.walk": ("api", "the span tree, docs/observability.md"),
-    "protocols/vc_granular.py::VCGranular2PLScheduler.snapshot_scan": ("api", "`scan()` of a read-only transaction, docs/api.md"),
-    **{f"qos/breaker.py::BreakerBoard.{name}": ("api", _BREAKERS) for name in (
-        "__init__", "tracer", "bind_clock", "for_site", "allow", "record_success",
-        "record_failure", "states",
-    )},
-    **{f"qos/memory.py::MemoryReport.{name}": ("api", _REPORT)
-       for name in ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")},
-    "qos/retry.py::RetryBudget.tokens": ("api", "retry budgets, docs/robustness.md"),
-    "qos/retry.py::RetryBudget.record_success": ("api", "retry budgets, docs/robustness.md"),
-    "replica/availability.py::CrashPointResult.as_dict": ("api", _REPORT),
-    "replica/campaign.py::ReplicationReport.staleness_max": ("api", _REPORT),
-    "replica/node.py::Replica.abort": ("api", "the scheduler interface, docs/api.md"),
-    "replica/ship.py::ShippedLog.partial_force": ("api", "the torn-write fault, docs/faults.md"),
-    "shard/ring.py::HashRing.moved_fraction": ("api", "docs/api.md"),
-    "storage/gc.py::ReadOnlyRegistry.check": ("api", "the snapshot-lease table, docs/gc.md"),
-    "storage/gc.py::ReadOnlyRegistry.renew": ("api", "the snapshot-lease table, docs/gc.md"),
-    "workload/spec.py::TxnSpec.reads": ("api", "workloads, docs/api.md"),
-    "workload/spec.py::TxnSpec.writes": ("api", "workloads, docs/api.md"),
-    "workload/spec.py::WorkloadGenerator.transactions": ("api", "workloads, docs/api.md"),
-    # -- paper
-    **{f"histories/operations.py::{name}": ("paper", "the notation r/w/c/a of Section 3")
-       for name in ("read", "write", "commit", "abort")},
-    **{f"histories/operations.py::History.{name}": ("paper", "the history model of Section 3")
-       for name in ("aborted", "keys", "writers_of", "validate")},
-    "histories/mvsg.py::is_one_copy_serializable": ("paper", "Section 3.2: 1SR iff MVSG(H) is acyclic"),
-    "histories/mvsg.py::one_copy_serial_order": ("paper", "Section 3.2: a serial order from MVSG(H)"),
-    "histories/recoverability.py::check_read_strictness": ("paper", "recoverability, Section 3"),
-    "histories/serialization_graph.py::serialization_graph": ("paper", "SG(H), Section 3"),
-    "histories/serialization_graph.py::is_conflict_serializable": ("paper", "conflict serializability, Section 3"),
+        "Database._spend_retry", "Database._backoff", "Database.check_serializable"))),
+    **_allow("api", "Section 6 remedy 2, docs/api.md",
+             "core/snapshot.py::SnapshotManager.begin_current_reader"),
+    **_allow("api", "manual mode and its partitions, docs/faults.md",
+             "faults/courier.py::FaultyCourier.parked",
+             "faults/courier.py::FaultyCourier._dispatch_manual"),
+    **_allow("api", "docs/faults.md", "faults/drill.py::run_campaign",
+             "faults/invariants.py::FaultInvariantChecker.ok",
+             "faults/invariants.py::FaultInvariantChecker.assert_ok"),
+    **_allow("api", "docs/api.md", "histories/recorder.py::HistoryRecorder.full_history",
+             "shard/ring.py::HashRing.moved_fraction"),
+    **_allow("api", "a context manager, docs/observability.md",
+             *(f"{owner}.{method}"
+               for owner in ("obs/exporters.py::JsonlExporter",
+                             "obs/instrument.py::Instrumentation")
+               for method in ("__enter__", "__exit__"))),
+    **_allow("api", "a context manager, docs/api.md",
+             "obs/pipeline.py::ObsPipeline.__enter__", "obs/pipeline.py::ObsPipeline.__exit__"),
+    **_allow("api", "the span tree, docs/observability.md", "obs/spans.py::SpanNode.walk"),
+    **_allow("api", "`scan()` of a read-only transaction, docs/api.md",
+             "protocols/vc_granular.py::VCGranular2PLScheduler.snapshot_scan"),
+    **_allow("api", "the per-site breakers, docs/robustness.md",
+             *(f"qos/breaker.py::BreakerBoard.{name}" for name in (
+                 "__init__", "tracer", "bind_clock", "for_site", "allow", "record_success",
+                 "record_failure", "states"))),
+    **_allow("api", "a campaign report's `as_dict` field (`DERIVED`), docs/faults.md",
+             *(f"qos/memory.py::MemoryReport.{name}"
+               for name in ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")),
+             "replica/availability.py::CrashPointResult.as_dict",
+             "replica/campaign.py::ReplicationReport.staleness_max"),
+    **_allow("api", "retry budgets, docs/robustness.md",
+             "qos/retry.py::RetryBudget.tokens", "qos/retry.py::RetryBudget.record_success"),
+    **_allow("api", "the scheduler interface, docs/api.md", "replica/node.py::Replica.abort"),
+    **_allow("api", "the torn-write fault, docs/faults.md",
+             "replica/ship.py::ShippedLog.partial_force"),
+    **_allow("api", "the snapshot-lease table, docs/gc.md",
+             "storage/gc.py::ReadOnlyRegistry.check", "storage/gc.py::ReadOnlyRegistry.renew"),
+    **_allow("api", "workloads, docs/api.md", "workload/spec.py::TxnSpec.reads",
+             "workload/spec.py::TxnSpec.writes",
+             "workload/spec.py::WorkloadGenerator.transactions"),
+    **_allow("paper", "the notation r/w/c/a of Section 3",
+             *(f"histories/operations.py::{name}"
+               for name in ("read", "write", "commit", "abort"))),
+    **_allow("paper", "the history model of Section 3",
+             *(f"histories/operations.py::History.{name}"
+               for name in ("aborted", "keys", "writers_of", "validate"))),
+    **_allow("paper", "Section 3.2: 1SR iff MVSG(H) is acyclic",
+             "histories/mvsg.py::is_one_copy_serializable"),
+    **_allow("paper", "Section 3.2: a serial order from MVSG(H)",
+             "histories/mvsg.py::one_copy_serial_order"),
+    **_allow("paper", "recoverability, Section 3",
+             "histories/recoverability.py::check_read_strictness"),
+    **_allow("paper", "SG(H), Section 3", "histories/serialization_graph.py::serialization_graph"),
+    **_allow("paper", "conflict serializability, Section 3",
+             "histories/serialization_graph.py::is_conflict_serializable"),
 }
 
 
@@ -244,8 +269,8 @@ class Function:
         return self.last - self.first + 1
 
 
-def functions(src: Path = SRC) -> list[Function]:
-    """Every ``def`` under ``src``, nested ones included, in file order."""
+def functions() -> list[Function]:
+    """Every ``def`` under ``src/repro``, nested ones included, in file order."""
     found: list[Function] = []
 
     def walk(node: ast.AST, path: str, prefix: str) -> None:
@@ -260,8 +285,8 @@ def functions(src: Path = SRC) -> list[Function]:
             else:
                 walk(child, path, prefix)
 
-    for file in sorted(src.rglob("*.py")):
-        path = file.relative_to(src).as_posix()
+    for file in sorted(SRC.rglob("*.py")):
+        path = file.relative_to(SRC).as_posix()
         walk(ast.parse(file.read_text(encoding="utf-8"), str(file)), path, "")
     return found
 
@@ -345,26 +370,24 @@ def record(copy: Path, out: Path) -> tuple[list[str], bool]:
     traces = copy / "reach-traces"
     traces.mkdir()
     paths = {"q": str(traces / "quickstart.jsonl"), "t": str(traces / "drill.jsonl")}
-    log = open(traces / "tier1.log", "w+", encoding="utf-8")
-    tier1 = subprocess.Popen(
-        [sys.executable, *TIER1], cwd=copy, env=_env(copy, out, COLLECTION_TAG),
-        stdout=log, stderr=subprocess.STDOUT, text=True,
-    )
     failed = []
     env = _env(copy, out, PRODUCT_TAG)
     env["REPRO_TRACE"] = paths["q"]  # what the quickstart writes its trace to
-    for argv in PRODUCT:
-        argv = [arg.format(**paths) for arg in argv]
-        done = subprocess.run(
-            [sys.executable, *argv], cwd=copy, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    with open(traces / "tier1.log", "w+", encoding="utf-8") as log:
+        tier1 = subprocess.Popen(
+            [sys.executable, *TIER1], cwd=copy, env=_env(copy, out, COLLECTION_TAG),
+            stdout=log, stderr=subprocess.STDOUT, text=True,
         )
-        if done.returncode != 0:
-            failed.append(f"{' '.join(argv)} (exit {done.returncode}): "
-                          f"{done.stderr.strip()[-500:]}")
-    with log:
-        tier1.wait()
-        if tier1.returncode != 0:
+        for argv in PRODUCT:
+            argv = [arg.format(**paths) for arg in argv]
+            done = subprocess.run(
+                [sys.executable, *argv], cwd=copy, env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            if done.returncode != 0:
+                failed.append(f"{' '.join(argv)} (exit {done.returncode}): "
+                              f"{done.stderr.strip()[-500:]}")
+        if tier1.wait() != 0:
             log.seek(0)
             print(log.read()[-4000:], file=sys.stderr)
     return failed, tier1.returncode == 0
@@ -397,7 +420,8 @@ class Row:
     @property
     def problem(self) -> str | None:
         """Why the table is not closed on this row, or None."""
-        if not self.files and (self.verdict is None or self.verdict[0] not in ("abstract", "debug")):
+        category = None if self.verdict is None else self.verdict[0]
+        if not self.files and category not in ("abstract", "debug"):
             return "run by neither set; delete it, or allow-list it as abstract or debug"
         if len(self.files) == 1 and self.verdict is None:
             return f"run only from {self.files[0]}; delete it with its test, or allow-list it"
@@ -441,7 +465,7 @@ def render(inventory: list[Function], product: set, tier1: dict) -> str:
         "",
         "  `Q` is the trace `examples/quickstart.py` writes (`REPRO_TRACE=Q`),",
         "  `T` the traced fault drill's.",
-        "- **(ii) tier-1**: `python -m pytest -x -q`, with the hook re-armed and",
+        "- **(ii) tier-1**: `python -m pytest -q`, with the hook re-armed and",
         "  re-tagged before each test.  Subprocesses count for whoever started them.",
         "",
         "Both run under `PYTHONHASHSEED=0`; tier-1 under `--hypothesis-seed=0`.",
@@ -474,11 +498,7 @@ def render(inventory: list[Function], product: set, tier1: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m tests.reach", description=__doc__.split("\n")[0])
-    parser.add_argument("--out", type=Path, default=TABLE, help="where to write the table")
-    parser.add_argument("--json", type=Path, help="also dump the raw reached sets here")
-    args = parser.parse_args(argv)
+def main() -> int:
     inventory = functions()
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         copy, out = Path(tmp) / "tree", Path(tmp) / "out"
@@ -486,12 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         _copy_tree(copy)
         failed, tier1_ok = record(copy, out)
         product, tier1 = collect(out)
-    if args.json:
-        args.json.write_text(json.dumps({
-            "product": sorted(product),
-            "tier1": sorted([list(k), sorted(v)] for k, v in tier1.items()),
-        }))
-    args.out.write_text(render(inventory, product, tier1), encoding="utf-8")
+    TABLE.write_text(render(inventory, product, tier1), encoding="utf-8")
     problems = [
         f"{row.function.ident}: {row.problem}"
         for row in rows(inventory, product, tier1)

@@ -62,7 +62,7 @@ class TestReadOnlyNeverDegrades:
             assert replica.counters.get("block.ro") == 0
 
     def test_ro_begin_bypasses_saturated_admission(self):
-        db = _loaded_db(admission=AdmissionController(capacity=1, queue_limit=0))
+        db = _loaded_db(admission=AdmissionController(capacity=1))
         hog = db.cluster.primary.begin()  # takes the only token
         with pytest.raises(Overloaded):
             db.cluster.primary.begin()    # RW sheds...

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.futures import OpFuture
-from repro.sim.engine import SimError, Simulator, run_processes
+from repro.sim.engine import SimError, Simulator
 
 
 class TestEventLoop:
@@ -206,10 +206,3 @@ class TestDeterminism:
 
         assert build() == build()
 
-    def test_run_processes_helper(self):
-        def p():
-            yield 2
-
-        sim = run_processes([p(), p()])
-        assert sim.all_finished()
-        assert sim.now == 2

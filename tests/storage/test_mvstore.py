@@ -84,10 +84,6 @@ class TestMaintenance:
         assert discarded == 3  # x loses v0,v1; y loses v0
         assert store.gc_discarded == 3
 
-    def test_dump(self):
-        store = MVStore()
-        store.install("x", 1, "a")
-        assert store.dump() == {"x": [(0, None), (1, "a")]}
 
 
 class TestChainStatsUnderSweep:

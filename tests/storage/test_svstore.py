@@ -12,17 +12,9 @@ class TestSVStore:
         store = SVStore()
         store.apply("x", "hello", writer_tn=3)
         assert store.read("x") == ("hello", 3)
-        assert "x" in store
-        assert len(store) == 1
 
     def test_overwrite_updates_attribution(self):
         store = SVStore()
         store.apply("x", 1, writer_tn=1)
         store.apply("x", 2, writer_tn=2)
         assert store.read("x") == (2, 2)
-
-    def test_preload_attributes_to_t0(self):
-        store = SVStore()
-        store.preload({"a": 10})
-        assert store.read("a") == (10, 0)
-        assert set(store.keys()) == {"a"}

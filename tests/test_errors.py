@@ -18,7 +18,6 @@ from repro.errors import (
     TransactionAborted,
     ValidationError,
     VersionNotFound,
-    is_infrastructure,
     is_retryable,
 )
 
@@ -99,8 +98,6 @@ class TestSpecificErrors:
     def test_snapshot_too_old_is_retryable_contention(self):
         err = SnapshotTooOld(7, sn=3)
         assert is_retryable(err)
-        # The database shedding memory load must not trip circuit breakers.
-        assert not is_infrastructure(err)
 
 
 class TestClassificationPartitions:
@@ -147,8 +144,3 @@ class TestQuorumUnavailable:
         assert "indeterminate" in str(err)
         # One except-clause catches it alongside every protocol abort.
         assert isinstance(err, TransactionAborted)
-
-    def test_retryable_infrastructure(self):
-        err = QuorumUnavailable(7, epoch=0, fenced=True)
-        assert is_retryable(err)
-        assert is_infrastructure(err)
