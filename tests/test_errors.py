@@ -98,6 +98,8 @@ class TestSpecificErrors:
     def test_snapshot_too_old_is_retryable_contention(self):
         err = SnapshotTooOld(7, sn=3)
         assert is_retryable(err)
+        # The database shedding memory load must not trip circuit breakers.
+        assert err.reason not in INFRASTRUCTURE_REASONS
 
 
 class TestClassificationPartitions:
