@@ -207,14 +207,14 @@ def _bench_slo(
     comparator never reads, so older baselines stay comparable.
     """
     from repro.obs.slo import SLOEngine, bench_objectives
+    from repro.obs.tracer import replay
 
     ro_never_blocks = protocol.startswith(RO_NEVER_BLOCKS_PREFIXES)
     engine = SLOEngine(
         bench_objectives(ro_never_blocks=ro_never_blocks),
         window=suite.duration / 16.0,
     )
-    for event in events:
-        engine.export(event)
+    replay(events, engine)
     engine.finish()
     report = engine.report()
     return {

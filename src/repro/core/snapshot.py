@@ -17,7 +17,7 @@ implemented here:
 
 from __future__ import annotations
 
-from repro.core.futures import OpFuture, resolved
+from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl

@@ -23,7 +23,7 @@ Fault taxonomy (``docs/faults.md``):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.random_streams import RandomStreams
 

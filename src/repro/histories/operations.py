@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 
 class OpKind(enum.Enum):

@@ -4,11 +4,14 @@ An exporter is anything with ``export(event)`` and an optional ``close()``,
 where ``event`` is the dict one JSONL line decodes to: ``name``, ``ts``,
 then the fields in emit order.  (Live, the field values are the emitter's
 own objects — a tuple key is a tuple until the JSONL exporter writes it.)
-The tracer builds that dict once per event and hands the same object to
-every exporter, so an exporter must not mutate it.  Exporters are
-synchronous and see events in emit order — the tracer stamps timestamps
-before fan-out, so every exporter records the same virtual-time view of
-the run.
+An exporter may also define ``route(name)``, returning the callable that
+takes events of that name or ``None`` for a name it does not use; the
+tracer asks once per name and calls only what was returned.  The two
+exporters here define none, so they take every event.  The tracer builds
+that dict once per event and hands the same object to every sink, so an
+exporter must not mutate it.  Exporters are synchronous and see events in
+emit order — the tracer stamps timestamps before fan-out, so every
+exporter records the same virtual-time view of the run.
 """
 
 from __future__ import annotations

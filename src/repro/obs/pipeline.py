@@ -24,6 +24,7 @@ decide.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import IO, Any, Iterable
 
 from repro.obs.exporters import JsonlExporter, RingBufferExporter
@@ -69,7 +70,7 @@ class ObsPipeline:
         all_exporters.extend(exporters)
         if all_exporters:
             if clock is None and sim is not None:
-                clock = lambda: sim.now
+                clock = partial(getattr, sim, "now")  # no Python frame per read
             self.tracer: Tracer = Tracer(exporters=all_exporters, clock=clock)
         else:
             self.tracer = NULL_TRACER

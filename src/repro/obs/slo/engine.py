@@ -7,7 +7,11 @@ online, in virtual time, while the run is still going.  Replay is the same
 call: :meth:`export` takes the tracer's event dict live and a decoded JSONL
 line on replay (``python -m repro watch``), and — because every judgment
 depends only on event names, timestamps, and field values — two replays of
-the same trace produce byte-identical reports and bundles.
+the same trace produce byte-identical reports and bundles.  Live and on
+replay (:func:`repro.obs.tracer.replay`) an event reaches the engine only
+when :meth:`route` subscribes to its name — a ``_DISPATCH`` name, or every
+name while a flight recorder is attached — so ``events_seen`` counts the
+events routed to it, and only those move the window clock.
 
 **Signal taxonomy.**  Raw events are reduced to named signal samples; an
 objective subscribes to signals, never to events:
@@ -74,7 +78,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.obs.slo.objectives import Objective, WindowVerdict
 
@@ -206,6 +210,13 @@ class SLOEngine:
         self._last_ts = -math.inf
 
     # -- the one entry point: live and replay --------------------------------------
+
+    def route(self, name: str) -> Callable[[dict[str, Any]], None] | None:
+        """Tracer subscription: the names ``_DISPATCH`` holds — or every
+        name while a flight recorder needs the whole stream."""
+        if self.recorder is not None or name in _DISPATCH:
+            return self.export
+        return None
 
     def export(self, event: dict[str, Any]) -> None:
         """Take one event: the tracer's dict live, a decoded trace line on
@@ -463,7 +474,7 @@ class SLOEngine:
 
 #: The one lookup an event takes: its SIGNAL_ROUTES entry, or the method that
 #: pairs or tracks it (the stateful names; any other ``txn.*``/``lock.*``
-#: name carries no signal).
+#: name carries no signal).  Its keys are the engine's subscription.
 _DISPATCH: dict[str, Any] = {
     **SIGNAL_ROUTES,
     **dict.fromkeys(

@@ -26,6 +26,7 @@ from repro.obs.analyze import load_trace
 from repro.obs.slo.engine import SLOEngine
 from repro.obs.slo.objectives import PROFILES
 from repro.obs.slo.recorder import FlightRecorder
+from repro.obs.tracer import replay
 
 
 def build_engine(
@@ -112,10 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.witness import WitnessEngine
 
         certifier = WitnessEngine(seal=True)
-    for event in events:
-        engine.export(event)
-        if certifier is not None:
-            certifier.export(event)
+    replay(events, *filter(None, (engine, certifier)))
     engine.finish()
     if certifier is not None:
         certifier.finish()

@@ -10,21 +10,28 @@ is a first-class subsystem rather than debug printf.  Design constraints:
   every component) has no exporters, so :meth:`Tracer.emit` returns at
   once and even un-guarded call sites are cheap.
 * **Virtual time, not wall time.**  Simulated runs stamp events with the
-  simulator's clock (``tracer.clock = lambda: sim.now``); outside a
+  simulator's clock (``ObsPipeline`` reads ``sim.now``); outside a
   simulation the default clock is a deterministic monotone sequence, which
   keeps traces reproducible and diffable.
 * **Pluggable exporters** (:mod:`repro.obs.exporters`): ring buffer, JSONL
   file, and the two stream consumers (the SLO engine and
   the 1SR witness).  An event is one dict — ``name``, ``ts``, then its
   fields in emit order, the form one JSONL trace line decodes to — built
-  once at emit time and handed to every exporter, so a consumer reads a
-  live run and a replayed trace through the same ``export``.  Exporters
+  once at emit time and handed to every sink of its name, so a consumer
+  reads a live run and a replayed trace through the same call.  Exporters
   never see events from a disabled tracer.
+* **Compiled fan-out.**  An exporter with ``route(name)`` subscribes by
+  name: it returns the callable that takes events of that name, or
+  ``None``; one without ``route`` takes every name through ``export``.
+  The tracer compiles each name's tuple of sinks on its first emit (and
+  again after ``add_exporter``/``remove_exporter``), so an event reaches
+  only the consumers that use it, and a name nobody takes builds nothing.
+  :func:`replay` routes a recorded trace through the same table.
 
 Event names form dotted families (``txn.*``, ``cc.*``, ``vc.*``,
-``lock.*``, ``gc.*``, ``wal.*``, ``sim.*``, ``span.*``) — the schema is
-documented in ``docs/observability.md`` and consumed by
-:mod:`repro.obs.analyze`.
+``lock.*``, ``gc.*``, ``wal.*``, ``sim.*``, ``span.*``) — every name is
+registered in :mod:`repro.obs.events`, which ``docs/observability.md``'s
+schema table is rendered from.
 
 Causal spans (:mod:`repro.obs.spans`) build on two small hooks here: the
 tracer hands out process-unique span/trace ids, and it carries an
@@ -42,7 +49,8 @@ from typing import Any, Callable, Iterable
 
 
 class Tracer:
-    """Fan-out tracer: stamps events with its clock and feeds every exporter.
+    """Fan-out tracer: stamps events with its clock and feeds the sinks
+    compiled for each name.
 
     Args:
         exporters: initial exporter list; more can be added later.
@@ -59,6 +67,8 @@ class Tracer:
         clock: Callable[[], float] | None = None,
     ):
         self._exporters: list[Any] = list(exporters)
+        #: Event name -> the sinks it goes to, compiled on its first emit.
+        self._sinks: dict[str, tuple[Callable[[dict[str, Any]], None], ...]] = {}
         self._seq = itertools.count()
         self._span_seq = itertools.count(1)
         self._trace_seq = itertools.count(1)
@@ -81,31 +91,51 @@ class Tracer:
 
     def add_exporter(self, exporter: Any) -> None:
         self._exporters.append(exporter)
+        self._sinks.clear()
 
     def remove_exporter(self, exporter: Any) -> None:
         self._exporters.remove(exporter)
+        self._sinks.clear()
+
+    def _compile(self, name: str) -> tuple[Callable[[dict[str, Any]], None], ...]:
+        """The callables an event of ``name`` goes to: each exporter's
+        ``route(name)`` when it has one (``None`` leaves it out), else its
+        ``export``.  Cached per name until the exporter list changes."""
+        sinks = []
+        for exporter in self._exporters:
+            route = getattr(exporter, "route", None)
+            sink = route(name) if route is not None else exporter.export
+            if sink is not None:
+                sinks.append(sink)
+        compiled = self._sinks[name] = tuple(sinks)
+        return compiled
 
     # -- emitting --------------------------------------------------------------
 
     def emit(self, name: str, **fields: Any) -> dict[str, Any] | None:
         """Stamp and export one event.  Cheap no-op when no exporter listens.
 
-        While a span context is active (see :mod:`repro.obs.spans`), the
-        event is stamped with its ``span``/``trace`` ids unless the caller
-        supplied them — this is how flat events from components that know
-        nothing about spans end up attached to the right span tree.
-        Returns the exported event dict (the span layer reads its ``ts``);
-        every exporter received that same object.
+        An event goes only to the sinks compiled for its name; a name with
+        none builds nothing, reads no clock and returns ``None``.  While a
+        span context is active (see :mod:`repro.obs.spans`), the event is
+        stamped with its ``span``/``trace`` ids unless the caller supplied
+        them — this is how flat events from components that know nothing
+        about spans end up attached to the right span tree.  Returns the
+        exported event dict (the span layer reads its ``ts``); every sink
+        received that same object.
         """
-        if not self._exporters:
+        sinks = self._sinks.get(name)
+        if sinks is None:
+            sinks = self._compile(name)
+        if not sinks:
             return None
         active = self.active_span
         if active is not None and "span" not in fields:
             fields["span"] = active.span_id
             fields["trace"] = active.trace_id
         event = {"name": name, "ts": self.clock(), **fields}
-        for exporter in self._exporters:
-            exporter.export(event)
+        for sink in sinks:
+            sink(event)
         return event
 
     def close(self) -> None:
@@ -114,6 +144,21 @@ class Tracer:
             close = getattr(exporter, "close", None)
             if close is not None:
                 close()
+
+
+def replay(events: Iterable[dict[str, Any]], *exporters: Any) -> None:
+    """Route recorded events (``load_trace``'s dicts) to ``exporters``
+    through the table a live :class:`Tracer` compiles, so each consumer
+    takes on replay exactly the events it would have taken live."""
+    tracer = Tracer(exporters)
+    sinks_of = tracer._sinks.get
+    for event in events:
+        name = event["name"]
+        sinks = sinks_of(name)
+        if sinks is None:
+            sinks = tracer._compile(name)
+        for sink in sinks:
+            sink(event)
 
 
 class NullTracer(Tracer):

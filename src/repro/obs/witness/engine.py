@@ -67,8 +67,7 @@ hide a cycle.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.histories.derive import number_precedes, sg_edge, version_order_edges
 from repro.histories.recorder import RO_ID_OFFSET
@@ -234,6 +233,8 @@ class WitnessEngine:
         self._prunable: dict[Any, None] = {}
         #: Sealed writers whose versions are still readable; T0 pre-sealed.
         self._sealed_readable: set[int] = {0}
+        #: The committed set ``sg_edge`` asks about, over both tiers.
+        self._committed = _CommittedView(self._nodes, self._sealed_readable)
         #: Keys a sealed-readable writer still appears under (prune state).
         self._sealed_writes: dict[int, set[Any]] = {}
         #: Per-key active reads-from pairs (reader, writer); pruned when the
@@ -241,8 +242,9 @@ class WitnessEngine:
         self._rf_pairs: dict[Any, set[tuple[int, int]]] = {}
         #: version tn -> [(reader ident, key)] awaiting the writer's commit.
         self._pending: dict[int, list[tuple[int, Any]]] = {}
-        #: Versions currently being read by live transactions, per key.
-        self._live_reads: dict[Any, Counter] = {}
+        #: Versions currently being read by live transactions, per key:
+        #: version -> number of live reads of it.
+        self._live_reads: dict[Any, dict[int, int]] = {}
         # Frontier summary of the sealed/pruned prefix.
         self._max_pruned: dict[Any, int] = {}
         self._pruned_writer_count: dict[Any, int] = {}
@@ -276,6 +278,13 @@ class WitnessEngine:
 
     # -- the one entry point: live and replay ----------------------------------
 
+    def route(self, name: str) -> Callable[[dict[str, Any]], None] | None:
+        """Tracer subscription: the names ``_HANDLERS`` takes — or every
+        name while a flight recorder needs the whole stream."""
+        if self.recorder is not None or name in self._HANDLERS:
+            return self.export
+        return None
+
     def export(self, event: dict[str, Any]) -> None:
         """Take one event: the tracer's dict live, a decoded trace line on
         replay (:func:`~repro.obs.analyze.load_trace` checked it)."""
@@ -288,15 +297,9 @@ class WitnessEngine:
             self.recorder.export(event)
         self._last_ts = ts
         self._segment_events += 1
-        name = event["name"]
-        handler = self._HANDLERS.get(name)
+        handler = self._HANDLERS.get(event["name"])
         if handler is not None:
             handler(self, event, ts)
-        elif name.startswith(("vc.", "history.")):  # one test for both
-            if name[0] == "h":
-                self.events_seen += 1  # a history.* name with no handler
-            else:
-                self._on_vc(event)
 
     def close(self) -> None:
         """Tracer-close hook: finish certification (idempotent)."""
@@ -312,7 +315,7 @@ class WitnessEngine:
 
     # -- event processing -----------------------------------------------------
 
-    def _on_vc(self, fields: dict[str, Any]) -> None:
+    def _on_vc(self, fields: dict[str, Any], ts: float) -> None:
         tnc = fields.get("tnc")
         vtnc = fields.get("vtnc")
         if tnc is not None:
@@ -492,8 +495,9 @@ class WitnessEngine:
         if version is not None:
             live = self._live_reads.get(key)
             if live is None:
-                live = self._live_reads[key] = Counter()
-            live[version] += 1
+                self._live_reads[key] = {version: 1}
+            else:
+                live[version] = live.get(version, 0) + 1
 
     def _on_write(self, fields: dict[str, Any], ts: float) -> None:
         self.events_seen += 1
@@ -509,11 +513,13 @@ class WitnessEngine:
                     continue
                 live = self._live_reads.get(key)
                 if live is not None:
-                    live[version] -= 1
-                    if live[version] <= 0:
+                    left = live[version] - 1
+                    if left:
+                        live[version] = left
+                    else:
                         del live[version]
-                    if not live:
-                        del self._live_reads[key]
+                        if not live:
+                            del self._live_reads[key]
         return token
 
     def _on_abort(self, fields: dict[str, Any], ts: float) -> None:
@@ -662,8 +668,7 @@ class WitnessEngine:
         rnode: _Node,
     ) -> None:
         """Activate a pair whose writer is committed (or T0/self)."""
-        committed = _CommittedView(self._nodes, self._sealed_readable)
-        edge = sg_edge(reader, writer, committed)
+        edge = sg_edge(reader, writer, self._committed)
         if edge is not None:
             edges.append((*edge, key))
         for src, dst, kind in version_order_edges(
@@ -955,8 +960,11 @@ class WitnessEngine:
         )
         return {"in": incoming, "out": outgoing}
 
-    #: Dispatch by exact name; ``vc.*`` is a prefix test after a miss.
+    #: Dispatch by exact name; the keys are the witness's subscription.
     _HANDLERS = {
+        "vc.register": _on_vc,
+        "vc.advance": _on_vc,
+        "vc.discard": _on_vc,
         "history.begin": _on_begin,
         "history.read": _on_read,
         "history.write": _on_write,

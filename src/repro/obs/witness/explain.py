@@ -27,6 +27,7 @@ from typing import Any
 from repro.cli import Parser
 from repro.errors import RETRYABLE_REASONS
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.tracer import replay
 from repro.obs.witness.engine import WitnessEngine, _norm_key
 
 EXPLAIN_SCHEMA = "repro.explain/1"
@@ -58,8 +59,7 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
     run traced without the scheduler's recorder attached.
     """
     engine = WitnessEngine(seal=False, track_edges=True)
-    for event in events:
-        engine.export(event)
+    replay(events, engine)
     engine.finish()
 
     mine = [e for e in events if e.get("txn") == txn]
