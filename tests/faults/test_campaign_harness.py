@@ -13,6 +13,7 @@ move unless a change *means* to alter what a drill does or prints.
 
 import hashlib
 import importlib
+import json
 import os
 import pathlib
 import re
@@ -38,7 +39,8 @@ from repro.faults.drill import CAMPAIGNS, build_parser, parse_args
 from repro.faults.drill import main as drill_main
 from repro.replica.campaign import REPLICATION_SPEC
 
-#: sha256 of ``drill --campaign C --seeds 2 --duration D`` stdout.
+#: sha256 of ``drill --campaign C --seeds 2 --duration D`` stdout (a key
+#: with more words passes them as further flags).
 PINNED_STDOUT = {
     "faults": (
         "200", "1943e9062eab727efbdb4330c248076e6db510bfe37f565566d9ffd534ee3c0c"
@@ -57,6 +59,34 @@ PINNED_STDOUT = {
     ),
     "shard": (
         "120", "ac7a458e99c45151f817eed892da34512f986636e940603615c7ea158da75765"
+    ),
+    "replication --mode quorum": (
+        "150", "17da8ea28151d8d6d68f9734e0158b7f794116f2c1e36d0c4c01eca3d4207f7b"
+    ),
+}
+
+#: sha256 of ``json.dumps(report.as_dict(), sort_keys=True)`` for each seed-0
+#: report of ``drill --campaign C --seeds 1 --duration 60`` (faults: one per
+#: protocol): the knob fields and derived values the rows do not print.
+PINNED_REPORTS = {
+    "faults": (
+        "193332784c0398e4e2111e28509149f635c98ec214cd9ae8f7b81e2e86e74ed2",
+        "af9693225b54074406678751a4b5480ae8775b45d0b37c3ef6211d8bd48195dd",
+    ),
+    "overload": (
+        "289fa6bdf214e5175923abed856fe40c366dad8cbdacfd9c5515028b2d5ed187",
+    ),
+    "replication": (
+        "a36bc333195a66a97c59abed7ec7cd0ec9dc9a0250f6b6572e2aaaae020f1d94",
+    ),
+    "memory": (
+        "3d6583b75e326b8621b4a71fe08a22947b0bd2ca122513bc2e33269ca710c958",
+    ),
+    "availability": (
+        "1f14c66ec885a4d8cdb1fe4161bdaae7af35b364f8e4376c2c1049836c088a37",
+    ),
+    "shard": (
+        "da3aa03f01503c7c442d4c3a669eeb71c107636824b42b697a9d50262a2b1b07",
     ),
 }
 
@@ -109,7 +139,7 @@ class TestPinnedOutput:
     def test_drill_stdout_is_pinned(self, campaign, capsys):
         duration, digest = PINNED_STDOUT[campaign]
         code = drill_main(
-            ["--campaign", campaign, "--seeds", "2", "--duration", duration]
+            ["--campaign", *campaign.split(), "--seeds", "2", "--duration", duration]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -291,13 +321,26 @@ def _sabotaged(monkeypatch, campaign, violation="forced failure"):
 
 class TestDrillCLI:
     @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
-    def test_every_campaign_runs(self, campaign, capsys):
+    def test_every_campaign_runs(self, campaign, monkeypatch, capsys):
+        reports = []
+        conclude = CampaignReport.conclude
+
+        def record(report, outcome):
+            conclude(report, outcome)
+            reports.append(report)
+
+        monkeypatch.setattr(CampaignReport, "conclude", record)
         code = drill_main(
             ["--campaign", campaign, "--seeds", "1", "--duration", "60"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
         assert "seed=0" in out and "0 failed" in out
+        digests = tuple(
+            _sha256(json.dumps(report.as_dict(), sort_keys=True).encode())
+            for report in reports
+        )
+        assert digests == PINNED_REPORTS[campaign]
 
     @pytest.mark.parametrize(
         "argv",
