@@ -5,6 +5,12 @@ Six drills — ``faults``, ``overload``, ``memory``, ``replication``,
 module; the shape they share is here, once (``docs/faults.md``, "The
 campaign harness"):
 
+* :class:`Campaign` — a campaign as a declaration (its knobs and their
+  defaults, phase, report class, objectives and checks) and
+  :meth:`Campaign.run`, the one run sequence every declared campaign
+  shares: merge, double run, report, checks, ``conclude``, witness checks.
+* :class:`CampaignCLI` — how ``python -m repro drill`` runs a campaign,
+  declared by the module that owns it.
 * :class:`CampaignReport` — the report base: one ``ok`` (no violations
   **and** no wedged process), one ``as_dict()``, and
   :meth:`~CampaignReport.conclude`, the only place the determinism
@@ -18,21 +24,23 @@ campaign harness"):
 * :class:`PhaseRun` — the scaffold of one phase: simulator, seeded streams,
   faulty courier, observability pipeline, named clients, and the one read
   of the simulator's blocked processes.
-* :func:`closed_loop`, :func:`increment`, :func:`acked_commit`,
-  :meth:`PhaseRun.prober` — the client-loop pieces that were literally
-  repeated; a loop whose middle is its own (admission back-off, the long
+* :func:`closed_loop`, :func:`backoff_loop`, :func:`increment`,
+  :func:`acked_commit`, :meth:`PhaseRun.prober` — the client-loop pieces
+  that were literally repeated; a loop whose middle is its own (the long
   scanner) calls the pieces and keeps its middle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import argparse
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Generator, Iterable
 
-from repro.errors import ProtocolError, TransactionAborted
+from repro.errors import Overloaded, ProtocolError, TransactionAborted
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.obs.pipeline import ObsPipeline
+from repro.qos.retry import BackoffPolicy
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 
@@ -43,59 +51,46 @@ class DoubleRun:
 
     #: The live run's phase result, exactly as ``run`` returned it.
     result: Any
-    #: The live run's SLO engine (None when ``slo`` was off).
+    #: The live run's SLO engine (None when no engine rode the run).
     engine: Any | None
-    #: The live run's witness certifier (None when ``witness`` was off).
+    #: The live run's witness certifier (None when no witness rode the run).
     certifier: Any | None
     #: True when no replay was requested, or the replay matched everywhere.
     deterministic: bool
 
 
 def verify_double_run(
-    run: Callable[[Any | None, Any | None], Any],
+    run: Callable[[Any, Any], Any],
+    make_engine: Callable[[], Any],
     *,
-    slo: bool = False,
-    witness: bool = False,
-    make_engine: Callable[[], Any] | None = None,
     verify: bool = True,
-    fingerprint: Callable[[Any], Any] | None = None,
-    extra_check: Callable[[], bool] | None = None,
 ) -> DoubleRun:
     """Run a campaign phase, optionally replay it, and compare everything.
 
     ``run(engine, certifier)`` executes one phase under the given observers
     and returns its result object; ``make_engine`` builds a fresh SLO
-    engine per run (required when ``slo`` is set — engines accumulate state
-    and must never be shared between the live run and the replay).
-    ``fingerprint`` extracts the comparable summary from a result (default:
-    its ``fingerprint()`` method).  ``extra_check`` is a campaign-specific
-    continuation evaluated only if everything else matched — e.g. the
-    availability campaign's crash-point resweep.
+    engine per run (engines accumulate state and must never be shared
+    between the live run and the replay), and every run gets a fresh
+    sealing witness.
 
     Comparison is three-deep, mirroring what the drill later prints:
     phase fingerprints, then full SLO reports, then witness reports.
     """
     from repro.obs.witness import WitnessEngine
 
-    if slo and make_engine is None:
-        raise ValueError("slo=True requires a make_engine factory")
-    take = fingerprint if fingerprint is not None else lambda r: r.fingerprint()
-
-    engine = make_engine() if slo else None
-    certifier = WitnessEngine(seal=True) if witness else None
+    engine = make_engine()
+    certifier = WitnessEngine(seal=True)
     result = run(engine, certifier)
     deterministic = True
     if verify:
-        replay_engine = make_engine() if slo else None
-        replay_certifier = WitnessEngine(seal=True) if witness else None
+        replay_engine = make_engine()
+        replay_certifier = WitnessEngine(seal=True)
         replay = run(replay_engine, replay_certifier)
-        deterministic = take(replay) == take(result)
-        if deterministic and engine is not None:
-            deterministic = replay_engine.report() == engine.report()
-        if deterministic and certifier is not None:
-            deterministic = replay_certifier.report() == certifier.report()
-        if deterministic and extra_check is not None:
-            deterministic = extra_check()
+        deterministic = (
+            replay.fingerprint() == result.fingerprint()
+            and replay_engine.report() == engine.report()
+            and replay_certifier.report() == certifier.report()
+        )
     return DoubleRun(
         result=result,
         engine=engine,
@@ -183,8 +178,9 @@ class CampaignReport:
 
     A subclass adds its knobs as fields, names the attribute holding the
     phase whose tallies the report flattens (:attr:`PHASE`; ``None`` when
-    the report carries its tallies itself), and lists the computed
-    properties ``as_dict()`` should include (:attr:`DERIVED`).
+    the report carries its tallies itself), lists the computed properties
+    ``as_dict()`` should include (:attr:`DERIVED`), and renders its
+    ``drill`` table line with a ``row()`` method.
     """
 
     PHASE: ClassVar[str | None] = "phase"
@@ -196,11 +192,11 @@ class CampaignReport:
     duration: float
     deterministic: bool = True
     violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
+    #: Online watchdog verdict block (``SLOEngine.report()``); None when no
+    #: engine rode the run (a fault drill without ``slo``).
     slo: dict[str, Any] | None = None
     #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
+    #: when no witness rode the run (a fault drill without ``witness``).
     witness: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
@@ -225,6 +221,18 @@ class CampaignReport:
         out["ok"] = self.ok
         return out
 
+    def slo_tag(self) -> str:
+        """The row's `` slo=ok|BREACH`` suffix (empty without a verdict)."""
+        if self.slo is None:
+            return ""
+        return f" slo={'ok' if self.slo['ok'] else 'BREACH'}"
+
+    def witness_tag(self) -> str:
+        """The row's `` witness=1SR|FAIL`` suffix (empty without a verdict)."""
+        if self.witness is None:
+            return ""
+        return f" witness={'1SR' if self.witness['ok'] else 'FAIL'}"
+
     def conclude(self, outcome: DoubleRun) -> None:
         """Fold the run's shared verdicts into ``violations``: determinism,
         then unexpected SLO breaches, then the witness gate."""
@@ -242,6 +250,102 @@ class CampaignReport:
         if outcome.certifier is not None:
             self.witness = outcome.certifier.report()
             self.violations.extend(outcome.certifier.gate_violations())
+
+
+# -- campaigns as declarations ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One seeded campaign as a declaration: its knobs, and what it runs
+    and checks.  :meth:`run` is the sequence every declared campaign
+    shares."""
+
+    #: Names the campaign in an unknown-knob error.
+    name: str
+    #: Every knob a caller may set, with its default (``duration`` among
+    #: them); a report field of the same name is filled from it.
+    defaults: dict[str, Any]
+    #: ``phase(seed, *, engine, witness, **knobs)`` -> the report's phase.
+    phase: Callable[..., CampaignPhase]
+    report: type[CampaignReport]
+    #: ``objectives()`` -> the SLO objectives the phase's engine watches.
+    objectives: Callable[[], Any]
+    #: ``checks(report)`` -> the campaign's own violations.
+    checks: Callable[[Any], Iterable[str]]
+    #: ``witness_checks(report)`` -> the violations read off ``report.witness``.
+    witness_checks: Callable[[Any], Iterable[str]] = lambda report: ()
+
+    def run(
+        self, seed: int, *, verify_determinism: bool = True, **overrides: Any
+    ) -> Any:
+        """Merge ``overrides`` onto the defaults (one merge, no per-knob
+        fallbacks; an unknown knob is a ``TypeError``), double-run the phase
+        under a fresh SLO engine and witness, build the report, append the
+        campaign's checks, ``conclude``, then append the checks that read
+        the witness verdict."""
+        unknown = sorted(set(overrides) - set(self.defaults))
+        if unknown:
+            raise TypeError(
+                f"the {self.name} campaign has no knob {', '.join(unknown)} "
+                f"(its knobs: {', '.join(self.defaults)}, verify_determinism)"
+            )
+        knobs = {**self.defaults, **overrides}
+        outcome = verify_double_run(
+            lambda engine, certifier: self.phase(
+                seed, engine=engine, witness=certifier, **knobs
+            ),
+            make_engine=lambda: slo_engine(self.objectives(), knobs["duration"]),
+            verify=verify_determinism,
+        )
+        names = {item.name for item in fields(self.report)}
+        report = self.report(
+            seed=seed,
+            **{self.report.PHASE: outcome.result},
+            **{name: value for name, value in knobs.items() if name in names},
+        )
+        report.violations.extend(self.checks(report))
+        report.conclude(outcome)
+        report.violations.extend(self.witness_checks(report))
+        return report
+
+
+@dataclass(frozen=True)
+class CampaignCLI:
+    """One ``python -m repro drill --campaign`` value, declared by the
+    module that owns the campaign (column by column in ``docs/faults.md``,
+    "Anatomy of a table row"); the report renders its own row."""
+
+    #: Called as ``run(seed=..., duration=..., **knobs(args))``.
+    run: Callable[..., Any]
+    banner: Callable[[argparse.Namespace, dict[str, Any]], str]
+    #: The campaign-specific flag dests it consumes (beyond the common
+    #: ones); passing any other campaign's flag is a usage error.
+    flags: tuple[str, ...] = ()
+    #: parsed args -> the runner's knobs beyond seed/duration.
+    knobs: Callable[[argparse.Namespace], dict[str, Any]] = lambda args: {}
+    #: Flag dest -> the least value the campaign can run with.
+    minimum: dict[str, int] = field(default_factory=dict)
+    #: The runner's ``protocol`` values to sweep the seeds over (``(None,)``:
+    #: it takes no such keyword), and the summary line's
+    #: ``<runs> <noun>, <totals(reports)><failed> failed``.
+    variants: Callable[[argparse.Namespace], tuple] = lambda args: (None,)
+    noun: str = "campaigns"
+    totals: Callable[[list], str] = lambda reports: ""
+
+
+def cli_spec(args: argparse.Namespace, base: FaultSpec) -> FaultSpec:
+    """The campaign's own fault mix, overridden by the flags that were passed."""
+    passed = {
+        name: getattr(args, name)
+        for name in ("drop", "duplicate", "delay_spike")
+        if getattr(args, name) is not None
+    }
+    return replace(base, **passed)
+
+
+def spec_text(spec: FaultSpec) -> str:
+    return f"spec=(drop={spec.drop}, dup={spec.duplicate}, spike={spec.delay_spike})"
 
 
 # -- the phase scaffold ---------------------------------------------------------------
@@ -387,6 +491,37 @@ def closed_loop(
         if sim.now >= until:
             return
         yield from once() or ()
+
+
+def backoff_loop(
+    sim: Simulator,
+    until: float,
+    gap: Callable[[], float],
+    begin: Callable[[], Any],
+    attempt: Callable[[Any], Generator],
+    shed: Callable[[], Any],
+    jitter: Any,
+) -> Generator:
+    """A closed-loop client behind admission control: ``begin()`` may be
+    shed with :class:`~repro.errors.Overloaded`, which calls ``shed()`` and
+    backs off exponentially with seeded ``jitter``; an admitted
+    transaction runs ``attempt(txn)`` and resets the back-off."""
+    backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
+    failures = 0
+
+    def once():
+        nonlocal failures
+        try:
+            txn = begin()
+        except Overloaded:
+            shed()
+            yield backoff.delay(failures, jitter)
+            failures += 1
+            return
+        failures = 0
+        yield from attempt(txn)
+
+    return closed_loop(sim, until, gap, once)
 
 
 def increment(

@@ -36,19 +36,25 @@ from repro.distributed.database import DistributedVCDatabase
 from repro.distributed.dmv2pl import DistributedMV2PL
 from repro.errors import ProtocolError, TransactionAborted
 from repro.faults.campaign import (
+    CampaignCLI,
     CampaignReport,
     DoubleRun,
     PhaseRun,
+    cli_spec,
     closed_loop,
     increment,
     slo_engine,
+    spec_text,
 )
-from repro.faults.courier import RetryPolicy
 from repro.faults.invariants import FaultInvariantChecker
 from repro.faults.schedule import DEFAULT_SPEC, FaultSpec
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 PROTOCOLS = ("dvc", "dmv2pl")
+
+#: Read-write and read-only clients per drill (DMV2PL drills run no readers).
+WRITERS = 4
+READERS = 2
 
 
 @dataclass
@@ -66,6 +72,17 @@ class DrillReport(CampaignReport):
     faults: dict[str, int] = field(default_factory=dict)
     wedged: list[str] = field(default_factory=list)
 
+    def row(self) -> str:
+        faults = self.faults
+        return (
+            f"commits={self.commits:<4d} aborts={self.aborts:<3d} "
+            f"crashes={self.crashes:<2d} drops={faults.get('drops', 0):<3d} "
+            f"dups={faults.get('duplicates', 0):<3d} "
+            f"parked={faults.get('partition_deferrals', 0)}"
+            + self.slo_tag()
+            + self.witness_tag()
+        )
+
 
 def run_drill(
     protocol: str = "dvc",
@@ -73,10 +90,7 @@ def run_drill(
     *,
     duration: float = 300.0,
     n_sites: int = 3,
-    writers: int = 4,
-    readers: int = 2,
-    spec: FaultSpec | None = None,
-    retry: RetryPolicy | None = None,
+    spec: FaultSpec = DEFAULT_SPEC,
     crash_mean: float | None = 90.0,
     tracer: Tracer = NULL_TRACER,
     slo: bool = False,
@@ -84,6 +98,8 @@ def run_drill(
 ) -> DrillReport:
     """Run one seeded fault drill; returns its :class:`DrillReport`.
 
+    :data:`WRITERS` read-write and :data:`READERS` read-only clients run
+    against ``n_sites`` sites over a courier faulted per ``spec``.
     ``crash_mean`` is the mean virtual time between site crash-restarts
     (``None`` disables crashes).  Crashes stop at ``0.8 * duration`` so the
     run always has a quiet tail in which in-flight work settles before the
@@ -101,11 +117,11 @@ def run_drill(
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; pick from {PROTOCOLS}")
-    spec = spec if spec is not None else DEFAULT_SPEC
     run = PhaseRun(seed)
     sim = run.sim
-    courier = run.courier(1.0, spec=spec, retry=retry)
+    courier = run.courier(1.0, spec=spec)
     schedule = courier.schedule
+    readers = READERS
     if protocol == "dvc":
         db: Any = DistributedVCDatabase(
             n_sites=n_sites, courier=courier, prepare_timeout=80.0
@@ -186,7 +202,7 @@ def run_drill(
             checker.snapshot()
 
     run.spawn(
-        "writer", writers,
+        "writer", WRITERS,
         lambda _i: closed_loop(sim, duration, lambda: rng.expovariate(0.3), write_once),
     )
     run.spawn(
@@ -241,252 +257,69 @@ def run_campaign(
     return reports
 
 
-# -- the CLI: one table, one seed loop --------------------------------------------------
+def _tracer(args: argparse.Namespace) -> Tracer:
+    if not args.trace:
+        return NULL_TRACER
+    from repro.obs.exporters import JsonlExporter
+
+    return Tracer(exporters=[JsonlExporter(args.trace)])
 
 
-def _slo_tag(report: Any) -> str:
-    if report.slo is None:
-        return ""
-    return f" slo={'ok' if report.slo['ok'] else 'BREACH'}"
-
-
-def _witness_tag(report: Any) -> str:
-    if report.witness is None:
-        return ""
-    return f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-
-
-def _fault_spec(args: argparse.Namespace, base: FaultSpec) -> FaultSpec:
-    """The campaign's own fault mix, overridden by the flags that were passed."""
-    return FaultSpec(
-        drop=base.drop if args.drop is None else args.drop,
-        duplicate=base.duplicate if args.duplicate is None else args.duplicate,
-        delay_spike=base.delay_spike if args.delay_spike is None else args.delay_spike,
-    )
-
-
-def _spec_text(spec: FaultSpec) -> str:
-    return f"spec=(drop={spec.drop}, dup={spec.duplicate}, spike={spec.delay_spike})"
-
-
-@dataclass(frozen=True)
-class Campaign:
-    """One ``--campaign`` value: everything :func:`main` needs to run it
-    (column by column in ``docs/faults.md``, "Anatomy of a table row")."""
-
-    #: ``"module:function"`` of ``run(seed=..., **kwargs)`` — imported only
-    #: when the campaign is chosen, so ``import repro`` never pays for it.
-    runner: str
-    #: The campaign-specific flag dests it consumes (beyond COMMON_FLAGS);
-    #: passing any other campaign's flag is a usage error.
-    flags: tuple[str, ...]
-    #: parsed args -> the runner's keyword arguments beyond seed/duration.
-    kwargs: Callable[[argparse.Namespace], dict[str, Any]]
-    banner: Callable[[argparse.Namespace, dict[str, Any]], str]
-    #: report -> the per-seed line, after the ``seed=N verdict`` prefix.
-    row: Callable[[Any], str]
-    #: The runner's ``protocol`` values to sweep the seeds over (``(None,)``:
-    #: it takes no such keyword), and the summary line's
-    #: ``<runs> <noun>, <totals(reports)><failed> failed``.
-    variants: Callable[[argparse.Namespace], tuple] = lambda args: (None,)
-    noun: str = "campaigns"
-    totals: Callable[[list], str] = lambda reports: ""
-
-
-def _faults_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    tracer: Tracer = NULL_TRACER
-    if args.trace:
-        from repro.obs.exporters import JsonlExporter
-
-        tracer = Tracer(exporters=[JsonlExporter(args.trace)])
-    return dict(
-        n_sites=args.sites,
-        spec=_fault_spec(args, DEFAULT_SPEC),
-        crash_mean=args.crash_mean or None,
-        tracer=tracer,
-        slo=args.slo,
-        witness=args.witness,
-    )
-
-
-def _faults_protocols(args: argparse.Namespace) -> tuple[str, ...]:
+def _protocols(args: argparse.Namespace) -> tuple[str, ...]:
     return PROTOCOLS if args.protocol == "both" else (args.protocol,)
 
 
-def _faults_row(report: DrillReport) -> str:
-    faults = report.faults
-    return (
-        f"commits={report.commits:<4d} aborts={report.aborts:<3d} "
-        f"crashes={report.crashes:<2d} drops={faults.get('drops', 0):<3d} "
-        f"dups={faults.get('duplicates', 0):<3d} "
-        f"parked={faults.get('partition_deferrals', 0)}"
-        + _slo_tag(report)
-        + _witness_tag(report)
-    )
-
-
-def _overload_row(report: Any) -> str:
-    return (
-        f"shed={report.shed_rate:<7.2%} "
-        f"miss={report.deadline_miss_rate:<7.2%} "
-        f"ro_p99x={report.ro_p99_ratio:<5.2f} "
-        f"rw_commits={report.overload.rw_commits:<5d} "
-        f"ro_commits={report.overload.ro_commits}"
-        + _witness_tag(report)
-    )
-
-
-def _memory_row(report: Any) -> str:
-    stats = report.stats
-    return (
-        f"peak={stats.peak_live:<4d} (bound {report.live_bound}) "
-        f"revoked={len(stats.revocations):<3d} "
-        f"too_old={stats.too_old_total:<3d} "
-        f"scans={stats.scan_commits:<3d} "
-        f"ro={stats.ro_commits:<4d} rw={stats.rw_commits:<4d} "
-        f"shed={stats.rw_shed}"
-        + _slo_tag(report)
-        + (
-            f"{_witness_tag(report)} (peak {report.witness['peak_tracked']})"
-            if report.witness is not None
-            else ""
-        )
-    )
-
-
-def _replication_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    from repro.replica.campaign import REPLICATION_SPEC
-
-    return dict(
-        n_replicas=args.replicas,
-        spec=_fault_spec(args, REPLICATION_SPEC),
-        mode=args.mode,
-        promote=not args.no_promote,
-    )
-
-
-def _replication_row(report: Any) -> str:
-    phase = report.phase
-    return (
-        f"rw={phase.rw_commits:<4d} ro={phase.ro_commits:<5d} "
-        f"lag_max={phase.max_lag_txns:<3d} "
-        f"redirects={phase.ro_redirects:<4d} "
-        f"promoted=r{phase.promoted_replica or '-'} "
-        f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
-        f"drops={report.faults.get('drops', 0):<3d} "
-        f"parked={report.faults.get('partition_deferrals', 0)}"
-        + _witness_tag(report)
-    )
-
-
-def _availability_row(report: Any) -> str:
-    phase = report.phase
-    outage = max(phase.outages) if phase.outages else 0.0
-    crash_ok = sum(1 for p in report.crash_points if p.ok)
-    return (
-        f"rw={phase.rw_commits:<4d} post={phase.rw_commits_post:<3d} "
-        f"ro={phase.ro_commits:<5d} "
-        f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
-        f"outage={outage:<6.2f} fenced={phase.fenced:<2d} "
-        f"split={'fenced' if phase.split_brain_fenced else 'FAIL'} "
-        f"crash={crash_ok}/{len(report.crash_points)}"
-        + _slo_tag(report)
-        + _witness_tag(report)
-    )
-
-
-def _shard_row(report: Any) -> str:
-    phase = report.phase
-    failed_outages = phase.outages_per_shard.get(report.fail_shard, ())
-    outage = max(failed_outages) if failed_outages else 0.0
-    return (
-        f"fast={phase.fast_commits:<4d} x={phase.cross_commits:<3d} "
-        f"ro={phase.ro_sessions:<4d} "
-        f"audits={phase.audits_failed} "
-        f"survive={phase.survivor_commits_during:<3d} "
-        f"outage={outage:<6.2f} "
-        f"det={'yes' if report.deterministic else 'NO'}"
-        + _slo_tag(report)
-        + _witness_tag(report)
-    )
-
-
-#: Every ``--campaign`` value.  A new drill is one more row here (plus its
-#: campaign module); ``docs/api.md`` lists the flags column.
-CAMPAIGNS: dict[str, Campaign] = {
-    "faults": Campaign(
-        runner="repro.faults.drill:run_drill",
-        flags=(
-            "protocol", "sites", "drop", "duplicate", "delay_spike",
-            "crash_mean", "trace", "slo", "witness",
-        ),
-        kwargs=_faults_kwargs,
-        banner=lambda args, kwargs: (
-            f"fault drill: protocols={','.join(_faults_protocols(args))} "
-            f"seeds={args.seeds} {_spec_text(kwargs['spec'])} "
-            f"crash_mean={args.crash_mean or 'off'}"
-        ),
-        row=_faults_row,
-        variants=_faults_protocols,
-        noun="drills",
-        totals=lambda reports: (
-            f"{sum(r.commits for r in reports)} commits, "
-            f"{sum(sum(r.faults.values()) for r in reports)} injected faults, "
-        ),
+CLI = CampaignCLI(
+    run=run_drill,
+    flags=(
+        "protocol", "sites", "drop", "duplicate", "delay_spike",
+        "crash_mean", "trace", "slo", "witness",
     ),
-    "overload": Campaign(
-        runner="repro.qos.overload:run_overload_campaign",
-        flags=(),
-        kwargs=lambda args: {},
-        banner=lambda args, kwargs: (
-            f"overload campaign: seeds={args.seeds} duration={args.duration}"
-        ),
-        row=_overload_row,
+    knobs=lambda args: dict(
+        n_sites=args.sites,
+        spec=cli_spec(args, DEFAULT_SPEC),
+        crash_mean=args.crash_mean or None,
+        tracer=_tracer(args),
+        slo=args.slo,
+        witness=args.witness,
     ),
-    "replication": Campaign(
-        runner="repro.replica.campaign:run_replication_campaign",
-        flags=("replicas", "no_promote", "mode", "drop", "duplicate", "delay_spike"),
-        kwargs=_replication_kwargs,
-        banner=lambda args, kwargs: (
-            f"replication campaign: seeds={args.seeds} replicas={args.replicas} "
-            f"duration={args.duration} mode={args.mode} "
-            f"{_spec_text(kwargs['spec'])} promote={kwargs['promote']}"
-        ),
-        row=_replication_row,
+    banner=lambda args, knobs: (
+        f"fault drill: protocols={','.join(_protocols(args))} "
+        f"seeds={args.seeds} {spec_text(knobs['spec'])} "
+        f"crash_mean={args.crash_mean or 'off'}"
     ),
-    "memory": Campaign(
-        runner="repro.qos.memory:run_memory_campaign",
-        flags=(),
-        kwargs=lambda args: {},
-        banner=lambda args, kwargs: (
-            f"memory campaign: seeds={args.seeds} duration={args.duration}"
-        ),
-        row=_memory_row,
+    minimum={"sites": 1},
+    variants=_protocols,
+    noun="drills",
+    totals=lambda reports: (
+        f"{sum(r.commits for r in reports)} commits, "
+        f"{sum(sum(r.faults.values()) for r in reports)} injected faults, "
     ),
-    "availability": Campaign(
-        runner="repro.replica.availability:run_availability_campaign",
-        flags=("replicas",),
-        kwargs=lambda args: dict(n_replicas=args.replicas),
-        banner=lambda args, kwargs: (
-            f"availability campaign: seeds={args.seeds} replicas={args.replicas} "
-            f"duration={args.duration} mode=quorum (partition -> automatic "
-            f"fail-over + crash-point sweep)"
-        ),
-        row=_availability_row,
-    ),
-    "shard": Campaign(
-        runner="repro.shard.campaign:run_shard_campaign",
-        flags=("sites",),
-        kwargs=lambda args: dict(n_shards=args.sites),
-        banner=lambda args, kwargs: (
-            f"shard campaign: seeds={args.seeds} shards={args.sites} "
-            f"duration={args.duration} (partition one shard -> fail-over "
-            f"mid-batch; certify 1SR + vector consistency + determinism + "
-            f"fail-over isolation)"
-        ),
-        row=_shard_row,
-    ),
+)
+
+
+# -- the CLI: one table, one seed loop --------------------------------------------------
+
+
+#: Every ``--campaign`` value -> ``"module:attribute"`` of its
+#: :class:`~repro.faults.campaign.CampaignCLI`, imported only when needed so
+#: ``import repro`` never pays for a campaign module.  A new drill is one
+#: more row here (plus its campaign module); ``docs/api.md`` lists the
+#: flags each consumes.
+CAMPAIGNS: dict[str, str] = {
+    "faults": "repro.faults.drill:CLI",
+    "overload": "repro.qos.overload:CLI",
+    "replication": "repro.replica.campaign:CLI",
+    "memory": "repro.qos.memory:CLI",
+    "availability": "repro.replica.availability:CLI",
+    "shard": "repro.shard.campaign:CLI",
 }
+
+
+def campaign_cli(name: str) -> CampaignCLI:
+    """The declaration behind ``--campaign name``."""
+    return pkgutil.resolve_name(CAMPAIGNS[name])
+
 
 _CAMPAIGN_HELP = (
     "faults: network faults + crashes over the distributed "
@@ -582,15 +415,22 @@ def parse_args(
 ) -> argparse.Namespace:
     """Parse, reject flags the chosen campaign does not consume, fill defaults."""
     args = parser.parse_args(argv)
-    consumed = COMMON_FLAGS + CAMPAIGNS[args.campaign].flags
+    cli = campaign_cli(args.campaign)
+    consumed = COMMON_FLAGS + cli.flags
     for dest, (default, _keywords) in FLAGS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         elif dest not in consumed:
-            users = [name for name, c in CAMPAIGNS.items() if dest in c.flags]
+            users = [name for name in CAMPAIGNS if dest in campaign_cli(name).flags]
             parser.error(
                 f"{_option(dest)} is not consumed by --campaign {args.campaign} "
                 f"(only by: {', '.join(users)})"
+            )
+    for dest, least in {"seeds": 1, **cli.minimum}.items():
+        if getattr(args, dest) < least:
+            parser.error(
+                f"{_option(dest)} must be at least {least} for "
+                f"--campaign {args.campaign}"
             )
     return args
 
@@ -602,7 +442,7 @@ def replay_command(args: argparse.Namespace, seed: int, protocol: str | None) ->
     if protocol is not None:
         values["protocol"] = protocol
     parts = [f"python -m repro drill --campaign {args.campaign}"]
-    for dest in ("seeds", "seed_base", "duration", *CAMPAIGNS[args.campaign].flags):
+    for dest in ("seeds", "seed_base", "duration", *campaign_cli(args.campaign).flags):
         if values[dest] == FLAGS[dest][0]:
             continue
         parts.append(_option(dest))
@@ -614,21 +454,22 @@ def replay_command(args: argparse.Namespace, seed: int, protocol: str | None) ->
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro drill`` — seeded campaigns with a verdict."""
     args = parse_args(build_parser(), argv)
-    campaign = CAMPAIGNS[args.campaign]
-    run = pkgutil.resolve_name(campaign.runner)
-    kwargs = campaign.kwargs(args)
-    print(campaign.banner(args, kwargs))
+    campaign = campaign_cli(args.campaign)
+    knobs = campaign.knobs(args)
+    print(campaign.banner(args, knobs))
     runs: list[tuple[str | None, Any]] = []
     for protocol in campaign.variants(args):
         selector = {} if protocol is None else {"protocol": protocol}
         tag = "" if protocol is None else f"{protocol:7s} "
         for seed in range(args.seed_base, args.seed_base + args.seeds):
-            report = run(seed=seed, duration=args.duration, **selector, **kwargs)
+            report = campaign.run(
+                seed=seed, duration=args.duration, **selector, **knobs
+            )
             runs.append((protocol, report))
             if not args.quiet:
                 verdict = "ok" if report.ok else "FAIL"
-                print(f"  {tag}seed={seed:<4d} {verdict:4s} {campaign.row(report)}")
-    kwargs.get("tracer", NULL_TRACER).close()
+                print(f"  {tag}seed={seed:<4d} {verdict:4s} {report.row()}")
+    knobs.get("tracer", NULL_TRACER).close()
 
     reports = [report for _, report in runs]
     failed = [(protocol, report) for protocol, report in runs if not report.ok]

@@ -40,27 +40,44 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-from repro.errors import Overloaded, SnapshotTooOld, TransactionAborted
+from repro.errors import SnapshotTooOld, TransactionAborted
 from repro.faults.campaign import (
+    Campaign,
+    CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
+    backoff_loop,
     closed_loop,
     increment,
-    slo_engine,
-    verify_double_run,
 )
 from repro.obs.tracer import NULL_TRACER
 from repro.qos.admission import AdmissionController
-from repro.qos.retry import BackoffPolicy
 
-#: Default peak-footprint bound as a multiple of the high watermark.  The
-#: footprint may legitimately overshoot the watermark by the versions
-#: produced between two controller checks; what matters is that the bound
-#: is a *constant*, independent of run length.
-LIVE_BOUND_FACTOR = 2.0
+#: The campaign's client population and keyspace.
+WRITERS = 4
+READERS = 3
+LONG_SCANS = 2
+N_KEYS = 12
+#: Lease TTL, and the virtual time between two pressure checks.
+TTL = 40.0
+CHECK_PERIOD = 5.0
+#: Retained-version watermarks the controller degrades between.
+LOW_WATERMARK = 24
+HIGH_WATERMARK = 32
+#: Peak-footprint bound, twice the high watermark.  The footprint may
+#: legitimately overshoot the watermark by the versions produced between
+#: two controller checks; what matters is that the bound is a *constant*,
+#: independent of run length.
+LIVE_BOUND = 2 * HIGH_WATERMARK
+#: Ceiling on ``witness["peak_tracked"]``.  Sealing keeps the certifier's
+#: footprint at the keyspace frontier plus the live-client window plus the
+#: versions a lease-pinned long scan holds readable (its lifetime is
+#: TTL-bounded, so this is a constant too; empirically the asymptote is
+#: ~175, identical at duration 400 and 800).
+WITNESS_BOUND = 4 * LIVE_BOUND + 8 * (N_KEYS + WRITERS + READERS + LONG_SCANS)
 
 #: Multiplier applied to admission capacity on entering pressure (floored
 #: at one token).
@@ -226,7 +243,7 @@ class MemoryStats(CampaignPhase):
         return sum(self.too_old_by_cause.values())
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MemoryReport(CampaignReport):
     """Outcome of one seeded memory campaign."""
 
@@ -234,18 +251,16 @@ class MemoryReport(CampaignReport):
     DERIVED = ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")
     NONDETERMINISTIC = "memory campaign not deterministic under fixed seed"
 
-    writers: int
-    readers: int
-    long_scans: int
-    ttl: float
-    check_period: float
-    low_watermark: int
-    high_watermark: int
-    live_bound: int
+    writers: int = WRITERS
+    readers: int = READERS
+    long_scans: int = LONG_SCANS
+    ttl: float = TTL
+    check_period: float = CHECK_PERIOD
+    low_watermark: int = LOW_WATERMARK
+    high_watermark: int = HIGH_WATERMARK
+    live_bound: int = LIVE_BOUND
     stats: MemoryStats
-    #: Ceiling asserted on ``witness["peak_tracked"]`` — like ``live_bound``
-    #: a constant independent of ``duration``.
-    witness_bound: int = 0
+    witness_bound: int = WITNESS_BOUND
 
     @property
     def revocations(self) -> int:
@@ -261,20 +276,24 @@ class MemoryReport(CampaignReport):
             return None
         return self.stats.gc_scanned / self.stats.gc_discarded
 
+    def row(self) -> str:
+        stats = self.stats
+        return (
+            f"peak={stats.peak_live:<4d} (bound {self.live_bound}) "
+            f"revoked={len(stats.revocations):<3d} "
+            f"too_old={stats.too_old_total:<3d} "
+            f"scans={stats.scan_commits:<3d} "
+            f"ro={stats.ro_commits:<4d} rw={stats.rw_commits:<4d} "
+            f"shed={stats.rw_shed}"
+            + self.slo_tag()
+            + f"{self.witness_tag()} (peak {self.witness['peak_tracked']})"
+        )
+
 
 def _run_phase(
     seed: int,
     *,
     duration: float,
-    writers: int,
-    readers: int,
-    long_scans: int,
-    n_keys: int,
-    ttl: float,
-    check_period: float,
-    low_watermark: int,
-    high_watermark: int,
-    scan_passes: int = 3,
     engine: Any | None = None,
     witness: Any | None = None,
 ) -> MemoryStats:
@@ -294,22 +313,21 @@ def _run_phase(
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams = run.sim, run.streams
     scheduler = VC2PLScheduler()
-    scheduler.admission = AdmissionController(capacity=max(2, writers))
-    scheduler.ro_registry.ttl = ttl
+    scheduler.admission = AdmissionController(capacity=max(2, WRITERS))
+    scheduler.ro_registry.ttl = TTL
     scheduler.ro_registry.clock = lambda: sim.now
     run.pipeline.attach(scheduler)
     controller = MemoryPressureController(
         scheduler.store,
         scheduler.gc,
         scheduler.ro_registry,
-        low_watermark=low_watermark,
-        high_watermark=high_watermark,
+        low_watermark=LOW_WATERMARK,
+        high_watermark=HIGH_WATERMARK,
         admission=scheduler.admission,
     )
     controller.tracer = run.tracer
-    backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
     stats = MemoryStats()
-    keys = [f"k{i}" for i in range(n_keys)]
+    keys = [f"k{i}" for i in range(N_KEYS)]
     # Every chain springs into existence with initial version 0.
     shadow: dict[str, list[int]] = {key: [0] for key in keys}
 
@@ -331,21 +349,8 @@ def _run_phase(
 
     def writer(i: int):
         rng = streams.stream(f"writer-{i}")
-        jitter_rng = streams.stream(f"backoff-{i}")
-        attempt = 0
 
-        def once():
-            nonlocal attempt
-            try:
-                txn = scheduler.begin()
-            except Overloaded:
-                # Admission tightened under memory pressure (or plain full):
-                # back off with seeded jitter and try again.
-                stats.rw_shed += 1
-                yield backoff.delay(attempt, jitter_rng)
-                attempt += 1
-                return
-            attempt = 0
+        def attempt(txn):
             try:
                 yield from increment(
                     scheduler, txn, rng.sample(keys, 2),
@@ -362,7 +367,15 @@ def _run_phase(
             for key in txn.write_set:
                 insort(shadow[key], txn.tn)
 
-        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+        def shed():
+            # Admission tightened under memory pressure (or plain full):
+            # back off with seeded jitter and try again.
+            stats.rw_shed += 1
+
+        return backoff_loop(
+            sim, duration, lambda: rng.expovariate(1.0), scheduler.begin,
+            attempt, shed, streams.stream(f"backoff-{i}"),
+        )
 
     def reader(i: int):
         """Short OLTP snapshot reads; renewed every read, rarely revoked."""
@@ -403,7 +416,7 @@ def _run_phase(
             txn = scheduler.begin(read_only=True)
             seen: dict[str, int] = {}
             try:
-                for _ in range(scan_passes):
+                for _ in range(3):  # passes over the keyspace
                     for key in keys:
                         yield rng.expovariate(rate)
                         if sim.now >= duration:
@@ -440,7 +453,7 @@ def _run_phase(
             try:
                 yield scheduler.read(txn, keys[0])
                 check_read(txn, keys[0], "zombie")
-                yield ttl * 1.5  # sleeps through the lease TTL, no renewal
+                yield TTL * 1.5  # sleeps through the lease TTL, no renewal
                 yield scheduler.read(txn, keys[1])
                 check_read(txn, keys[1], "zombie")
                 yield scheduler.commit(txn)
@@ -451,12 +464,12 @@ def _run_phase(
 
     def pressure():
         while sim.now < duration:
-            yield check_period
+            yield CHECK_PERIOD
             controller.check(sim.now)
 
-    run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
-    run.spawn("scanner", long_scans, scanner)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("reader", READERS, reader)
+    run.spawn("scanner", LONG_SCANS, scanner)
     sim.spawn(zombie(), name="zombie")
     sim.spawn(pressure(), name="memory-pressure")
     sim.run()
@@ -480,40 +493,64 @@ def _run_phase(
     return stats
 
 
-def _memory_engine(live_bound: int, duration: float):
+def _objectives() -> Any:
     from repro.obs.slo import memory_objectives
 
-    return slo_engine(memory_objectives(live_versions_bound=live_bound), duration)
+    return memory_objectives(live_versions_bound=LIVE_BOUND)
 
 
-def run_memory_campaign(
-    seed: int = 0,
-    *,
-    duration: float = 400.0,
-    writers: int = 4,
-    readers: int = 3,
-    long_scans: int = 2,
-    n_keys: int = 12,
-    ttl: float = 40.0,
-    check_period: float = 5.0,
-    low_watermark: int = 24,
-    high_watermark: int = 32,
-    live_bound: int | None = None,
-    witness_bound: int | None = None,
-    verify_determinism: bool = True,
-    slo: bool = True,
-    witness: bool = True,
-) -> MemoryReport:
+def _checks(report: MemoryReport) -> Iterable[str]:
+    stats = report.stats
+    yield from stats.invariant_violations
+    if stats.peak_live > LIVE_BOUND:
+        yield f"peak live versions {stats.peak_live} above bound {LIVE_BOUND}"
+    if not stats.revocations:
+        yield "no lease revocations: memory-pressure controller inert"
+    if not stats.too_old_total:
+        yield "no SnapshotTooOld surfaced despite revocations"
+    if not stats.scan_commits:
+        yield (
+            "long scans never completed: revoked sessions did not retry "
+            "to completion"
+        )
+    if not stats.ro_commits:
+        yield "no read-only commits"
+    if not stats.gc_passes:
+        yield "garbage collector never ran"
+
+
+def _witness_checks(report: MemoryReport) -> Iterable[str]:
+    peak = report.witness["peak_tracked"]
+    if peak > WITNESS_BOUND:
+        yield (
+            f"witness peak tracked {peak} above bound {WITNESS_BOUND}: "
+            "sealing failed to fold the prefix"
+        )
+
+
+MEMORY = Campaign(
+    name="memory",
+    defaults=dict(duration=400.0),
+    phase=_run_phase,
+    report=MemoryReport,
+    objectives=_objectives,
+    checks=_checks,
+    witness_checks=_witness_checks,
+)
+
+
+def run_memory_campaign(seed: int = 0, **knobs: Any) -> MemoryReport:
     """Run one seeded memory campaign and check the acceptance criteria.
 
-    The guarantees checked, in ISSUE order:
+    Knobs: ``duration`` (default 400) and ``verify_determinism`` (default
+    True).  The guarantees checked, in ISSUE order:
 
     * **fault invariant** — no session, short or long, ever observes a
       state implying its needed version was reclaimed (shadow-history
       oracle plus per-transaction repeatable-read check);
     * **bounded footprint** — peak post-sweep retained versions stay under
-      ``live_bound`` (default ``2 * high_watermark``), a constant
-      independent of ``duration``, despite pinned long scans;
+      :data:`LIVE_BOUND`, a constant independent of ``duration``, despite
+      pinned long scans;
     * **degradation works** — revocations actually happen, every revoked
       session surfaces :class:`~repro.errors.SnapshotTooOld` (never a
       wrong read), and retried scans run to completion;
@@ -523,83 +560,18 @@ def run_memory_campaign(
     * **memory SLO profile** — ``gc.live_versions`` max objective holds
       online, ``snapshot.revoked`` is recorded as an expected anomaly,
       and ``ro_blocking`` stays a hard zero;
-    * **bounded witness** — with ``witness`` (the default) a sealing
+    * **bounded witness** — a sealing
       :class:`~repro.obs.witness.WitnessEngine` certifies the history
       stream online, the verdict must be a clean 1SR, and its
-      ``peak_tracked`` must stay under ``witness_bound`` (default: a
-      multiple of keyspace + client population, independent of
-      ``duration``) — sealing, not run length, bounds the certifier.
+      ``peak_tracked`` must stay under :data:`WITNESS_BOUND`, independent
+      of ``duration`` — sealing, not run length, bounds the certifier.
     """
-    if live_bound is None:
-        live_bound = int(high_watermark * LIVE_BOUND_FACTOR)
-    if witness_bound is None:
-        # Sealing keeps the certifier's footprint at the keyspace frontier
-        # plus the live-client window plus the versions a lease-pinned long
-        # scan holds readable (its lifetime is TTL-bounded, so this is a
-        # constant too; empirically the asymptote is ~175 for the default
-        # knobs, identical at duration 400 and 800).
-        witness_bound = 4 * live_bound + 8 * (
-            n_keys + writers + readers + long_scans
-        )
-    knobs = dict(
-        duration=duration,
-        writers=writers,
-        readers=readers,
-        long_scans=long_scans,
-        n_keys=n_keys,
-        ttl=ttl,
-        check_period=check_period,
-        low_watermark=low_watermark,
-        high_watermark=high_watermark,
-    )
-    outcome = verify_double_run(
-        lambda engine, certifier: _run_phase(
-            seed, engine=engine, witness=certifier, **knobs
-        ),
-        slo=slo,
-        witness=witness,
-        make_engine=lambda: _memory_engine(live_bound, duration),
-        verify=verify_determinism,
-    )
-    stats = outcome.result
+    return MEMORY.run(seed, **knobs)
 
-    report = MemoryReport(
-        seed=seed,
-        duration=duration,
-        writers=writers,
-        readers=readers,
-        long_scans=long_scans,
-        ttl=ttl,
-        check_period=check_period,
-        low_watermark=low_watermark,
-        high_watermark=high_watermark,
-        live_bound=live_bound,
-        stats=stats,
-        witness_bound=witness_bound,
-    )
-    checks = report.violations
-    checks.extend(stats.invariant_violations)
-    if stats.peak_live > live_bound:
-        checks.append(
-            f"peak live versions {stats.peak_live} above bound {live_bound}"
-        )
-    if not stats.revocations:
-        checks.append("no lease revocations: memory-pressure controller inert")
-    if not stats.too_old_total:
-        checks.append("no SnapshotTooOld surfaced despite revocations")
-    if not stats.scan_commits:
-        checks.append(
-            "long scans never completed: revoked sessions did not retry "
-            "to completion"
-        )
-    if not stats.ro_commits:
-        checks.append("no read-only commits")
-    if not stats.gc_passes:
-        checks.append("garbage collector never ran")
-    report.conclude(outcome)
-    if report.witness is not None and report.witness["peak_tracked"] > witness_bound:
-        checks.append(
-            f"witness peak tracked {report.witness['peak_tracked']} above bound "
-            f"{witness_bound}: sealing failed to fold the prefix"
-        )
-    return report
+
+CLI = CampaignCLI(
+    run=run_memory_campaign,
+    banner=lambda args, knobs: (
+        f"memory campaign: seeds={args.seeds} duration={args.duration}"
+    ),
+)

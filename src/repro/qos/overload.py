@@ -1,7 +1,7 @@
 """Seeded overload campaign: the read-only fast-path guarantee under stress.
 
 The campaign drives the paper's central VC + 2PL scheduler with a
-read-write load far beyond admission capacity (4x by default) while a
+read-write load far beyond admission capacity (4x) while a
 steady population of read-only clients runs alongside, and measures what
 the QoS layer promises:
 
@@ -31,16 +31,17 @@ from typing import Any
 
 from repro.errors import AbortReason, Overloaded, TransactionAborted
 from repro.faults.campaign import (
+    CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
+    backoff_loop,
     closed_loop,
     increment,
     slo_engine,
     verify_double_run,
 )
 from repro.qos.admission import AdmissionController
-from repro.qos.retry import BackoffPolicy
 from repro.sim.stats import Summary
 
 #: Acceptance ceiling: overload RO p99 may not exceed this multiple of the
@@ -53,6 +54,13 @@ RO_P99_CEILING = 1.5
 #: effectively a maximum with much heavier tails; the run-level 1.5x check
 #: still applies unchanged.
 RO_P99_WINDOW_CEILING = 2.0
+
+#: Admission capacity, and the read-write writers offered against it (4x).
+CAPACITY = 4
+WRITERS = 4 * CAPACITY
+#: Read-only clients, and the virtual-time budget of an admitted writer.
+READERS = 4
+DEADLINE = 10.0
 
 
 @dataclass
@@ -71,7 +79,7 @@ class PhaseStats(CampaignPhase):
     qos_events: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class OverloadReport(CampaignReport):
     """Outcome of one seeded overload campaign."""
 
@@ -86,10 +94,10 @@ class OverloadReport(CampaignReport):
     )
     NONDETERMINISTIC = "overload phase not deterministic under fixed seed"
 
-    capacity: int
-    writers: int
-    readers: int
-    deadline: float
+    capacity: int = CAPACITY
+    writers: int = WRITERS
+    readers: int = READERS
+    deadline: float = DEADLINE
     baseline: PhaseStats
     overload: PhaseStats
 
@@ -122,17 +130,22 @@ class OverloadReport(CampaignReport):
     def staleness_max(self) -> float:
         return self.overload.staleness.maximum
 
+    def row(self) -> str:
+        return (
+            f"shed={self.shed_rate:<7.2%} "
+            f"miss={self.deadline_miss_rate:<7.2%} "
+            f"ro_p99x={self.ro_p99_ratio:<5.2f} "
+            f"rw_commits={self.overload.rw_commits:<5d} "
+            f"ro_commits={self.overload.ro_commits}"
+            + self.witness_tag()
+        )
+
 
 def _run_phase(
     seed: int,
     *,
     duration: float,
-    capacity: int,
     writers: int,
-    readers: int,
-    deadline: float,
-    n_keys: int = 6,
-    reap_period: float = 1.0,
     engine: Any | None = None,
     witness: Any | None = None,
 ) -> PhaseStats:
@@ -140,7 +153,7 @@ def _run_phase(
 
     The writer population hammers a small hot key set so admitted writers
     genuinely convoy on locks — that is what makes deadlines bite — while
-    arrivals beyond ``capacity`` are shed at begin and retry with seeded
+    arrivals beyond :data:`CAPACITY` are shed at begin and retry with seeded
     exponential backoff, exactly the loop ``Session.run`` implements.
 
     ``engine`` is an optional :class:`~repro.obs.slo.SLOEngine` evaluated
@@ -153,27 +166,15 @@ def _run_phase(
     run = PhaseRun(seed, engine=engine, witness=witness, ring=65_536)
     sim, streams, tracer = run.sim, run.streams, run.tracer
     scheduler = VC2PLScheduler()
-    scheduler.admission = AdmissionController(capacity=capacity)
+    scheduler.admission = AdmissionController(capacity=CAPACITY)
     run.pipeline.attach(scheduler)
-    backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
     stats = PhaseStats()
-    keys = [f"k{i}" for i in range(n_keys)]
+    keys = [f"k{i}" for i in range(6)]
 
     def writer(i: int):
         rng = streams.stream(f"writer-{i}")
-        jitter_rng = streams.stream(f"backoff-{i}")
-        attempt = 0
 
-        def once():
-            nonlocal attempt
-            try:
-                txn = scheduler.begin(deadline=sim.now + deadline)
-            except Overloaded:
-                stats.rw_shed += 1
-                yield backoff.delay(attempt, jitter_rng)
-                attempt += 1
-                return
-            attempt = 0
+        def attempt(txn):
             try:
                 yield from increment(
                     scheduler, txn, rng.sample(keys, 2),
@@ -189,7 +190,14 @@ def _run_phase(
                 else:
                     stats.rw_aborts_other += 1
 
-        return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
+        def shed():
+            stats.rw_shed += 1
+
+        return backoff_loop(
+            sim, duration, lambda: rng.expovariate(1.0),
+            lambda: scheduler.begin(deadline=sim.now + DEADLINE),
+            attempt, shed, streams.stream(f"backoff-{i}"),
+        )
 
     def reader(i: int):
         rng = streams.stream(f"reader-{i}")
@@ -228,11 +236,11 @@ def _run_phase(
         # The lock manager is clock-free by design: deadlines on queued
         # requests only fire when someone sweeps them with "now".
         while sim.now < duration:
-            yield reap_period
+            yield 1.0
             scheduler.locks.expire_due(sim.now)
 
     run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("reader", READERS, reader)
     if writers:
         sim.spawn(reaper(), name="deadline-reaper")
     sim.run()
@@ -246,7 +254,7 @@ def _run_phase(
     return stats
 
 
-def _overload_engine(baseline: PhaseStats, capacity: int, duration: float):
+def _overload_engine(baseline: PhaseStats, duration: float):
     """The overload phase's online watchdogs, thresholds anchored to the
     campaign's own uncontended baseline phase."""
     from repro.obs.slo import overload_objectives
@@ -254,7 +262,7 @@ def _overload_engine(baseline: PhaseStats, capacity: int, duration: float):
     base_p99 = baseline.ro_latency.p99
     return slo_engine(
         overload_objectives(
-            capacity=capacity,
+            capacity=CAPACITY,
             ro_p99_ceiling=(
                 RO_P99_WINDOW_CEILING * base_p99 if base_p99 > 0 else None
             ),
@@ -264,68 +272,42 @@ def _overload_engine(baseline: PhaseStats, capacity: int, duration: float):
 
 
 def run_overload_campaign(
-    seed: int = 0,
-    *,
-    duration: float = 400.0,
-    capacity: int = 4,
-    overload_factor: float = 4.0,
-    readers: int = 4,
-    deadline: float = 10.0,
-    verify_determinism: bool = True,
-    slo: bool = True,
-    witness: bool = True,
+    seed: int = 0, *, duration: float = 400.0, verify_determinism: bool = True
 ) -> OverloadReport:
     """Run one seeded overload campaign and check the acceptance criteria.
 
     Phase 1 measures the read-only latency distribution with zero
     read-write load (the uncontended baseline).  Phase 2 adds
-    ``capacity * overload_factor`` read-write writers and re-measures.
-    With ``verify_determinism`` the overload phase runs twice and the two
+    :data:`WRITERS` read-write writers and re-measures.  With
+    ``verify_determinism`` the overload phase runs twice and the two
     fingerprints must match — a mismatch is reported as a violation, not
     an exception, so campaigns report it like any other failed guarantee.
 
-    With ``slo`` (the default) an :class:`~repro.obs.slo.SLOEngine` rides
-    the overload phase, evaluating the RO-p99/zero-shed/staleness
-    objectives online; its verdict lands in ``report.slo`` and an
-    unexpected breach is a campaign violation.  Under
-    ``verify_determinism`` the replay carries a fresh engine and both
-    verdict blocks must compare equal — the watchdogs themselves are held
-    to the seeded-replay standard.
+    An :class:`~repro.obs.slo.SLOEngine` rides the overload phase,
+    evaluating the RO-p99/zero-shed/staleness objectives online; its
+    verdict lands in ``report.slo`` and an unexpected breach is a campaign
+    violation.  A sealing :class:`~repro.obs.witness.WitnessEngine`
+    certifies the phase's history stream online; an MVSG cycle (or a
+    tainted seal) is a campaign violation.  Under ``verify_determinism``
+    the replay carries a fresh engine and witness and both verdict blocks
+    must compare equal.
 
-    With ``witness`` (the default) a sealing
-    :class:`~repro.obs.witness.WitnessEngine` certifies the overload
-    phase's history stream online; an MVSG cycle (or a tainted seal) is a
-    campaign violation, and under ``verify_determinism`` its verdict block
-    must replay byte-identically too.
+    This campaign keeps its own run rather than a
+    :class:`~repro.faults.campaign.Campaign` declaration: the engine's
+    RO-p99 ceiling comes from the baseline phase, which runs first.
     """
-    writers = max(1, int(capacity * overload_factor))
-    knobs = dict(
-        duration=duration,
-        capacity=capacity,
-        readers=readers,
-        deadline=deadline,
-    )
-    baseline = _run_phase(seed, writers=0, **knobs)
+    baseline = _run_phase(seed, duration=duration, writers=0)
     outcome = verify_double_run(
         lambda engine, certifier: _run_phase(
-            seed, writers=writers, engine=engine, witness=certifier, **knobs
+            seed, duration=duration, writers=WRITERS, engine=engine, witness=certifier
         ),
-        slo=slo,
-        witness=witness,
-        make_engine=lambda: _overload_engine(baseline, capacity, duration),
+        make_engine=lambda: _overload_engine(baseline, duration),
         verify=verify_determinism,
     )
     overload = outcome.result
 
     report = OverloadReport(
-        seed=seed,
-        duration=duration,
-        capacity=capacity,
-        writers=writers,
-        readers=readers,
-        deadline=deadline,
-        baseline=baseline,
-        overload=overload,
+        seed=seed, duration=duration, baseline=baseline, overload=overload
     )
     checks = report.violations
     if overload.ro_shed:
@@ -343,16 +325,24 @@ def run_overload_campaign(
             f"RO p99 {overload.ro_latency.p99:.3f} above "
             f"{RO_P99_CEILING}x baseline {baseline.ro_latency.p99:.3f}"
         )
-    # Staleness bound: with at most `capacity` admitted writers in flight,
-    # a snapshot can trail the newest commit by at most that many numbers.
-    if overload.staleness.maximum > capacity:
+    # Staleness bound: with at most CAPACITY admitted writers in flight, a
+    # snapshot can trail the newest commit by at most that many numbers.
+    if overload.staleness.maximum > CAPACITY:
         checks.append(
-            f"staleness {overload.staleness.maximum} above bound {capacity}"
+            f"staleness {overload.staleness.maximum} above bound {CAPACITY}"
         )
     if not any(name.startswith("qos.") for name in overload.qos_events):
         checks.append("no qos.* trace events emitted")
     report.conclude(outcome)
     return report
+
+
+CLI = CampaignCLI(
+    run=run_overload_campaign,
+    banner=lambda args, knobs: (
+        f"overload campaign: seeds={args.seeds} duration={args.duration}"
+    ),
+)
 
 
 def bench_block(seed: int, duration: float) -> dict[str, Any]:

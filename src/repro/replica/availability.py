@@ -38,7 +38,8 @@ quorum-acked with another in flight — and asserts the acknowledged set
 survives promotion every time (the only commits allowed to disappear are
 the ones whose futures failed: fenced, indeterminate, or deposed).
 
-Both phases are pure functions of the seed; ``verify_determinism`` reruns
+Both phases are pure functions of the seed and make up one campaign phase
+(the sweep's results ride its fingerprint); ``verify_determinism`` reruns
 everything and compares fingerprints, SLO verdicts, and witness reports.
 ``python -m repro drill --campaign availability`` sweeps seeds through it.
 """
@@ -46,11 +47,13 @@ everything and compares fingerprints, SLO verdicts, and witness reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.distributed.courier import Courier
 from repro.errors import ProtocolError, QuorumUnavailable, TransactionAborted
 from repro.faults.campaign import (
+    Campaign,
+    CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
@@ -58,8 +61,6 @@ from repro.faults.campaign import (
     closed_loop,
     flat_dict,
     increment,
-    slo_engine,
-    verify_double_run,
 )
 from repro.faults.courier import RetryPolicy
 from repro.faults.invariants import ClusterInvariantChecker
@@ -76,6 +77,12 @@ CRASH_POINTS = (
     "quorum_acked",    # acked by a majority: the session saw it commit
     "post_ack_inflight",  # one acked commit, a second still in flight
 )
+
+#: Writers and replica-served readers.
+WRITERS = 3
+READERS = 4
+#: Bound on the write outage around the automatic fail-over.
+MAX_OUTAGE = 25.0
 
 
 def _link_channels(rid: int) -> tuple[str, ...]:
@@ -109,6 +116,8 @@ class AvailabilityPhase(CampaignPhase):
     split_brain_fenced: bool | None = None
     primary_vtnc: int = 0
     epoch: int = 0
+    #: The crash-point sweep (phase 2), one result per :data:`CRASH_POINTS`.
+    crash_points: list[CrashPointResult] = field(default_factory=list)
 
 
 @dataclass
@@ -134,32 +143,46 @@ class CrashPointResult:
         return {**flat_dict(self), "ok": self.ok}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AvailabilityReport(CampaignReport):
     """Outcome of one seeded availability campaign."""
 
     n_replicas: int
-    writers: int
-    max_outage: float
+    writers: int = WRITERS
+    max_outage: float = MAX_OUTAGE
     phase: AvailabilityPhase
-    crash_points: list[CrashPointResult] = field(default_factory=list)
+
+    @property
+    def crash_points(self) -> list[CrashPointResult]:
+        return self.phase.crash_points
+
+    def row(self) -> str:
+        phase = self.phase
+        outage = max(phase.outages) if phase.outages else 0.0
+        crash_ok = sum(1 for p in self.crash_points if p.ok)
+        return (
+            f"rw={phase.rw_commits:<4d} post={phase.rw_commits_post:<3d} "
+            f"ro={phase.ro_commits:<5d} "
+            f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
+            f"outage={outage:<6.2f} fenced={phase.fenced:<2d} "
+            f"split={'fenced' if phase.split_brain_fenced else 'FAIL'} "
+            f"crash={crash_ok}/{len(self.crash_points)}"
+            + self.slo_tag()
+            + self.witness_tag()
+        )
 
 
-def _run_partition_phase(
+def _run_phase(
     seed: int,
     *,
     duration: float,
     n_replicas: int,
-    writers: int,
-    readers: int,
-    partition_at: float,
-    heartbeat: HeartbeatConfig,
-    n_keys: int = 8,
-    probe_interval: float = 1.0,
     engine: Any | None = None,
     witness: Any | None = None,
 ) -> AvailabilityPhase:
-    """One seeded partition drill (phase 1)."""
+    """One seeded campaign phase: the partition drill (phase 1), then the
+    crash-point sweep (phase 2)."""
+    partition_at = 0.4 * duration
     run = PhaseRun(seed, engine=engine, witness=witness)
     sim, streams = run.sim, run.streams
     # A clean fault schedule: the only injected fault is the explicit
@@ -174,12 +197,15 @@ def _run_partition_phase(
     session = ReplicatedDatabase(
         cluster, max_staleness=None, stale_policy="stale"
     )
+    heartbeat = HeartbeatConfig(
+        interval=1.5, suspect_after=6.0, lease_ttl=4.5, commit_timeout=5.0
+    )
     supervisor = ClusterSupervisor(
         cluster, heartbeat, until=duration, crash_old=False
     )
     checker = ClusterInvariantChecker(cluster)
     stats = AvailabilityPhase(partition_at=partition_at)
-    keys = [f"k{i}" for i in range(n_keys)]
+    keys = [f"k{i}" for i in range(8)]
     outages: list[float] = []
     held_channels: list[str] = []
     #: The primary handle and replica objects as of the partition moment —
@@ -291,12 +317,12 @@ def _run_partition_phase(
 
     supervisor.start()
     cluster.on_promote.append(after_promotion)
-    run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("reader", READERS, reader)
     # Write availability: each unavailability window is one ``avail.outage``
     # event for the SLO engine.
     prober = run.prober(
-        duration, probe_interval, lambda: cluster.primary, "__probe__",
+        duration, 1.0, lambda: cluster.primary, "__probe__",
         outages, stats.violations, "avail.outage",
     )
     sim.spawn(prober, name="availability-prober")
@@ -326,6 +352,9 @@ def _run_partition_phase(
         for replica in deposed.get("replicas", {}).values()
     )
     run.settle(stats)
+    stats.crash_points = [
+        _run_crash_point(point, n_replicas=n_replicas) for point in CRASH_POINTS
+    ]
     return stats
 
 
@@ -416,133 +445,101 @@ def _run_crash_point(point: str, *, n_replicas: int = 3) -> CrashPointResult:
     )
 
 
-def run_availability_campaign(
-    seed: int = 0,
-    *,
-    duration: float = 120.0,
-    n_replicas: int = 3,
-    writers: int = 3,
-    readers: int = 4,
-    partition_at: float | None = None,
-    heartbeat: HeartbeatConfig | None = None,
-    max_outage: float = 25.0,
-    verify_determinism: bool = True,
-    slo: bool = True,
-    witness: bool = True,
-) -> AvailabilityReport:
-    """Run one seeded availability campaign and check the healing promises.
+def _objectives() -> Any:
+    from repro.obs.slo import availability_objectives
 
-    Phase 1 partitions the primary from every replica at ``partition_at``
-    (default ``0.4 * duration``) and requires the supervisor to fail over
-    on its own; phase 2 sweeps :data:`CRASH_POINTS`.  With ``slo`` the
-    ``availability`` profile rides the run (``write_outage <= max_outage``
-    is the headline objective); with ``witness`` the sealing witness
-    certifies the history stream across the automatic promotion and its
-    ``duplicate_commits`` count must be zero — the fenced deposed primary
-    contributed no second timeline.
-    """
-    if heartbeat is None:
-        heartbeat = HeartbeatConfig(
-            interval=1.5, suspect_after=6.0, lease_ttl=4.5, commit_timeout=5.0
-        )
-    if partition_at is None:
-        partition_at = 0.4 * duration
+    return availability_objectives(max_outage=MAX_OUTAGE)
 
-    def make_engine() -> Any:
-        from repro.obs.slo import availability_objectives
 
-        return slo_engine(availability_objectives(max_outage=max_outage), duration)
-
-    knobs = dict(
-        duration=duration,
-        n_replicas=n_replicas,
-        writers=writers,
-        readers=readers,
-        partition_at=partition_at,
-        heartbeat=heartbeat,
-    )
-    crash_points: list[Any] = []
-
-    def sweep() -> list[CrashPointResult]:
-        return [
-            _run_crash_point(point, n_replicas=n_replicas) for point in CRASH_POINTS
-        ]
-
-    def first_run(engine: Any | None, certifier: Any | None) -> Any:
-        phase = _run_partition_phase(seed, engine=engine, witness=certifier, **knobs)
-        if not crash_points:
-            crash_points.extend(sweep())
-        return phase
-
-    outcome = verify_double_run(
-        first_run,
-        slo=slo,
-        witness=witness,
-        make_engine=make_engine,
-        verify=verify_determinism,
-        extra_check=lambda: crash_points == sweep(),
-    )
-    phase = outcome.result
-
-    report = AvailabilityReport(
-        seed=seed,
-        duration=duration,
-        n_replicas=n_replicas,
-        writers=writers,
-        max_outage=max_outage,
-        phase=phase,
-        crash_points=crash_points,
-    )
+def _checks(report: AvailabilityReport) -> Iterable[str]:
+    phase = report.phase
     if not phase.rw_commits:
-        report.violations.append("no read-write commits: workload inert")
+        yield "no read-write commits: workload inert"
     if not phase.ro_commits:
-        report.violations.append("no read-only commits: replica path inert")
+        yield "no read-only commits: replica path inert"
     if phase.auto_promotions < 1:
-        report.violations.append(
-            "no automatic fail-over: the supervisor never promoted"
-        )
+        yield "no automatic fail-over: the supervisor never promoted"
     if phase.rpo_txns is None:
-        report.violations.append("promotion happened but RPO not measured")
+        yield "promotion happened but RPO not measured"
     elif phase.rpo_txns != 0:
-        report.violations.append(
+        yield (
             f"quorum mode lost {phase.rpo_txns} acknowledged commit(s) at "
             "the automatic fail-over (RPO must be 0)"
         )
     if not phase.rw_commits_post:
-        report.violations.append(
+        yield (
             "no acknowledged commits after the promotion: writes never "
             "resumed"
         )
     if not phase.outages:
-        report.violations.append(
-            "the prober measured no outage: the partition had no effect"
-        )
-    elif max(phase.outages) > max_outage:
-        report.violations.append(
+        yield "the prober measured no outage: the partition had no effect"
+    elif max(phase.outages) > MAX_OUTAGE:
+        yield (
             f"write outage {max(phase.outages):g} exceeded the "
-            f"{max_outage:g} bound"
+            f"{MAX_OUTAGE:g} bound"
         )
     if phase.split_brain_fenced is None:
-        report.violations.append("the split-brain probe never ran")
+        yield "the split-brain probe never ran"
     if not phase.stale_segments:
-        report.violations.append(
+        yield (
             "no stale-epoch segments rejected: the deposed primary's "
             "traffic never exercised the epoch guard"
         )
-    for point in crash_points:
+    for point in phase.crash_points:
         if not point.ok:
-            report.violations.append(
+            yield (
                 f"crash point {point.point!r}: lost_acked="
                 f"{point.lost_acked} recovered={point.recovered}"
             )
-    report.conclude(outcome)
-    if report.witness is not None and report.witness.get("duplicate_commits"):
-        report.violations.append(
+
+
+def _witness_checks(report: AvailabilityReport) -> Iterable[str]:
+    if report.witness.get("duplicate_commits"):
+        yield (
             f"witness counted {report.witness['duplicate_commits']} "
             "duplicate commit(s): the deposed primary leaked a second "
             "timeline"
         )
-    return report
+
+
+AVAILABILITY = Campaign(
+    name="availability",
+    defaults=dict(duration=120.0, n_replicas=3),
+    phase=_run_phase,
+    report=AvailabilityReport,
+    objectives=_objectives,
+    checks=_checks,
+    witness_checks=_witness_checks,
+)
+
+
+def run_availability_campaign(seed: int = 0, **knobs: Any) -> AvailabilityReport:
+    """Run one seeded availability campaign and check the healing promises.
+
+    Knobs: ``duration`` (default 120), ``n_replicas`` (3) and
+    ``verify_determinism`` (True).  Phase 1 partitions the primary from
+    every replica at ``0.4 * duration`` and requires the supervisor to fail
+    over on its own; phase 2 sweeps :data:`CRASH_POINTS`.  The
+    ``availability`` SLO profile rides the run (``write_outage <=``
+    :data:`MAX_OUTAGE` is the headline objective); the sealing witness
+    certifies the history stream across the automatic promotion and its
+    ``duplicate_commits`` count must be zero — the fenced deposed primary
+    contributed no second timeline.
+    """
+    return AVAILABILITY.run(seed, **knobs)
+
+
+CLI = CampaignCLI(
+    run=run_availability_campaign,
+    flags=("replicas",),
+    knobs=lambda args: dict(n_replicas=args.replicas),
+    banner=lambda args, knobs: (
+        f"availability campaign: seeds={args.seeds} replicas={args.replicas} "
+        f"duration={args.duration} mode=quorum (partition -> automatic "
+        f"fail-over + crash-point sweep)"
+    ),
+    minimum={"replicas": 1},
+)
 
 
 __all__ = [

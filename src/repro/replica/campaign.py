@@ -5,8 +5,8 @@ population whose snapshots route through :class:`ReplicatedDatabase` to the
 replica tier, while a :class:`~repro.faults.FaultyCourier` corrupts the
 shipping channels per a seeded spec — drops, duplicates, delay spikes, and
 per-replica partition windows derived from the master seed.  Half-way
-through (by default) the primary fail-stops and the most advanced replica
-is promoted through the recovery path.
+through (unless ``promote`` is off) the primary fail-stops and the most
+advanced replica is promoted through the recovery path.
 
 Checked throughout and at the end:
 
@@ -31,29 +31,37 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import ProtocolError, TransactionAborted
 from repro.faults.campaign import (
+    Campaign,
+    CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
     acked_commit,
+    cli_spec,
     closed_loop,
     increment,
-    slo_engine,
-    verify_double_run,
+    spec_text,
 )
 from repro.faults.courier import RetryPolicy
 from repro.faults.schedule import FaultSpec, PartitionWindow
 from repro.replica.cluster import ReplicaCluster
-from repro.replica.quorum import ReplicationMode
 from repro.replica.session import ReplicatedDatabase
 from repro.sim.random_streams import RandomStreams
 from repro.sim.stats import Summary
 
 #: Fault mix for the replication drill: noticeably lossy shipping channels.
 REPLICATION_SPEC = FaultSpec(drop=0.10, duplicate=0.08, delay_spike=0.08)
+
+#: Writers on the primary, and snapshot readers routed to the replicas.
+WRITERS = 4
+READERS = 6
+#: Commits a served snapshot may trail the primary by before the session
+#: redirects it.
+MAX_STALENESS = 8
 
 
 @dataclass
@@ -84,24 +92,42 @@ class ReplicationPhase(CampaignPhase):
     messages: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ReplicationReport(CampaignReport):
     """Outcome of one seeded replication campaign."""
 
     DERIVED = ("staleness_max",)
 
     n_replicas: int
-    writers: int
-    readers: int
+    writers: int = WRITERS
+    readers: int = READERS
     promote: bool
     phase: ReplicationPhase
     mode: str = "async"
     faults: dict[str, int] = field(default_factory=dict)
     messages: int = 0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.faults = dict(self.phase.faults)
+        self.messages = self.phase.messages
+
     @property
     def staleness_max(self) -> float:
         return self.phase.staleness.maximum
+
+    def row(self) -> str:
+        phase = self.phase
+        return (
+            f"rw={phase.rw_commits:<4d} ro={phase.ro_commits:<5d} "
+            f"lag_max={phase.max_lag_txns:<3d} "
+            f"redirects={phase.ro_redirects:<4d} "
+            f"promoted=r{phase.promoted_replica or '-'} "
+            f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
+            f"drops={self.faults.get('drops', 0):<3d} "
+            f"parked={self.faults.get('partition_deferrals', 0)}"
+            + self.witness_tag()
+        )
 
 
 def _committed_dump(store) -> dict:
@@ -152,17 +178,14 @@ def _run_phase(
     *,
     duration: float,
     n_replicas: int,
-    writers: int,
-    readers: int,
     spec: FaultSpec,
-    max_staleness: int,
-    promote_at: float | None,
-    n_keys: int = 8,
-    mode: str = "async",
+    mode: str,
+    promote: bool,
     engine: Any | None = None,
     witness: Any | None = None,
 ) -> ReplicationPhase:
-    """One seeded run.  ``engine`` is an optional
+    """One seeded run; with ``promote`` the primary fail-stops at
+    ``0.55 * duration``.  ``engine`` is an optional
     :class:`~repro.obs.slo.SLOEngine` — and ``witness`` an optional
     :class:`~repro.obs.witness.WitnessEngine` — fed online through an
     :class:`~repro.obs.ObsPipeline` attached to the cluster (and
@@ -178,10 +201,10 @@ def _run_phase(
     cluster = ReplicaCluster(n_replicas=n_replicas, courier=courier, mode=mode)
     run.pipeline.attach(cluster)
     session = ReplicatedDatabase(
-        cluster, max_staleness=max_staleness, stale_policy="redirect"
+        cluster, max_staleness=MAX_STALENESS, stale_policy="redirect"
     )
     stats = ReplicationPhase()
-    keys = [f"k{i}" for i in range(n_keys)]
+    keys = [f"k{i}" for i in range(8)]
     last_vtnc: dict[int, int] = {rid: 0 for rid in cluster.replicas}
     #: Transaction numbers whose commit future resolved successfully — the
     #: set the durability promise is *about*.  In async mode resolution is
@@ -277,8 +300,7 @@ def _run_phase(
             check_watermarks()
 
     def promoter():
-        assert promote_at is not None
-        yield promote_at
+        yield 0.55 * duration
         promoted = cluster.fail_over()
         stats.promoted_replica = promoted.replica_id
         # The measured RPO: commits acknowledged to a session whose tn the
@@ -292,10 +314,10 @@ def _run_phase(
         run.pipeline.attach(cluster)
         check_watermarks()
 
-    run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("reader", READERS, reader)
     sim.spawn(watcher(), name="watermark-watcher")
-    if promote_at is not None:
+    if promote:
         sim.spawn(promoter(), name="promoter")
     sim.run()
 
@@ -334,113 +356,101 @@ def _run_phase(
     return stats
 
 
-def run_replication_campaign(
-    seed: int = 0,
-    *,
-    duration: float = 400.0,
-    n_replicas: int = 3,
-    writers: int = 4,
-    readers: int = 6,
-    max_staleness: int = 8,
-    spec: FaultSpec | None = None,
-    mode: "ReplicationMode | str" = "async",
-    promote: bool = True,
-    verify_determinism: bool = True,
-    slo: bool = True,
-    witness: bool = True,
-) -> ReplicationReport:
+def _objectives() -> Any:
+    from repro.obs.slo import replication_objectives
+
+    return replication_objectives(max_staleness=MAX_STALENESS, writers=WRITERS)
+
+
+def _checks(report: ReplicationReport) -> Iterable[str]:
+    phase = report.phase
+    if not phase.rw_commits:
+        yield "no read-write commits: workload inert"
+    if not phase.ro_commits:
+        yield "no read-only commits: replica path inert"
+    if not report.promote:
+        return
+    if phase.promoted_replica is None:
+        yield "promotion did not happen"
+        return
+    # The durability promise, stated as data.  Quorum mode acknowledges
+    # only majority-durable commits, so a fail-over may lose *nothing*
+    # that was acknowledged (RPO=0).  Async mode acknowledges at the
+    # local force, so what it loses is exactly the replication lag.
+    if phase.rpo_txns is None:
+        yield "promotion happened but RPO not measured"
+    elif report.mode == "quorum" and phase.rpo_txns != 0:
+        yield (
+            f"quorum mode lost {phase.rpo_txns} acknowledged commits "
+            "at fail-over (RPO must be 0)"
+        )
+    elif report.mode == "async" and phase.rpo_txns != phase.failover_lag_txns:
+        yield (
+            f"async RPO {phase.rpo_txns} != measured replication lag "
+            f"{phase.failover_lag_txns} at fail-over"
+        )
+
+
+REPLICATION = Campaign(
+    name="replication",
+    defaults=dict(
+        duration=400.0,
+        n_replicas=3,
+        spec=REPLICATION_SPEC,
+        mode="async",
+        promote=True,
+    ),
+    phase=_run_phase,
+    report=ReplicationReport,
+    objectives=_objectives,
+    checks=_checks,
+)
+
+
+def run_replication_campaign(seed: int = 0, **knobs: Any) -> ReplicationReport:
     """Run one seeded replication campaign and check its guarantees.
+
+    Knobs: ``duration`` (default 400), ``n_replicas`` (3), ``spec``
+    (:data:`REPLICATION_SPEC`), ``mode`` (``"async"`` or ``"quorum"``),
+    ``promote`` (True) and ``verify_determinism`` (True).
 
     With ``promote`` the primary fail-stops at ``0.55 * duration`` and the
     most advanced replica takes over through the recovery path.  With
     ``verify_determinism`` the whole run repeats from the same seed and the
     two fingerprints must match.
 
-    With ``slo`` (the default) an :class:`~repro.obs.slo.SLOEngine` rides
-    the run, evaluating the staleness objectives online: the hard bound on
-    what served snapshots may observe, zero RO blocking, and the
-    ``replica_lag`` anomaly watchdog whose breaches during injected
-    partition windows are *expected* (they trigger the flight recorder —
-    the bundle captures the partition that caused them — without failing
-    the campaign).  The verdict lands in ``report.slo``; under
-    ``verify_determinism`` the replay carries a fresh engine and both
-    verdict blocks must compare equal.
+    An :class:`~repro.obs.slo.SLOEngine` rides the run, evaluating the
+    staleness objectives online: the hard bound on what served snapshots
+    may observe, zero RO blocking, and the ``replica_lag`` anomaly
+    watchdog whose breaches during injected partition windows are
+    *expected* (they trigger the flight recorder — the bundle captures the
+    partition that caused them — without failing the campaign).  The
+    verdict lands in ``report.slo``; under ``verify_determinism`` the
+    replay carries a fresh engine and both verdict blocks must compare
+    equal.
 
-    With ``witness`` (the default) a sealing
-    :class:`~repro.obs.witness.WitnessEngine` certifies the primary's
-    history stream online — across the fail-over, whose ``replica.promote``
-    event retires the promoted replica's watermark from the sealing floor —
-    and an MVSG cycle (or a tainted seal) is a campaign violation.
+    A sealing :class:`~repro.obs.witness.WitnessEngine` certifies the
+    primary's history stream online — across the fail-over, whose
+    ``replica.promote`` event retires the promoted replica's watermark from
+    the sealing floor — and an MVSG cycle (or a tainted seal) is a
+    campaign violation.
     """
-    spec = spec if spec is not None else REPLICATION_SPEC
-    mode = ReplicationMode(mode).value
+    return REPLICATION.run(seed, **knobs)
 
-    def make_engine() -> Any:
-        from repro.obs.slo import replication_objectives
 
-        return slo_engine(
-            replication_objectives(max_staleness=max_staleness, writers=writers),
-            duration,
-        )
-
-    knobs = dict(
-        duration=duration,
-        n_replicas=n_replicas,
-        writers=writers,
-        readers=readers,
-        spec=spec,
-        max_staleness=max_staleness,
-        mode=mode,
-        promote_at=0.55 * duration if promote else None,
-    )
-    outcome = verify_double_run(
-        lambda engine, certifier: _run_phase(
-            seed, engine=engine, witness=certifier, **knobs
-        ),
-        slo=slo,
-        witness=witness,
-        make_engine=make_engine,
-        verify=verify_determinism,
-    )
-    phase = outcome.result
-
-    report = ReplicationReport(
-        seed=seed,
-        duration=duration,
-        n_replicas=n_replicas,
-        writers=writers,
-        readers=readers,
-        promote=promote,
-        phase=phase,
-        mode=mode,
-        faults=dict(phase.faults),
-        messages=phase.messages,
-    )
-    if not phase.rw_commits:
-        report.violations.append("no read-write commits: workload inert")
-    if not phase.ro_commits:
-        report.violations.append("no read-only commits: replica path inert")
-    if promote and phase.promoted_replica is None:
-        report.violations.append("promotion did not happen")
-    if promote and phase.promoted_replica is not None:
-        # The durability promise, stated as data.  Quorum mode acknowledges
-        # only majority-durable commits, so a fail-over may lose *nothing*
-        # that was acknowledged (RPO=0).  Async mode acknowledges at the
-        # local force, so what it loses is exactly the replication lag.
-        if phase.rpo_txns is None:
-            report.violations.append("promotion happened but RPO not measured")
-        elif mode == ReplicationMode.QUORUM.value and phase.rpo_txns != 0:
-            report.violations.append(
-                f"quorum mode lost {phase.rpo_txns} acknowledged commits "
-                "at fail-over (RPO must be 0)"
-            )
-        elif (
-            mode == ReplicationMode.ASYNC.value
-            and phase.rpo_txns != phase.failover_lag_txns
-        ):
-            report.violations.append(
-                f"async RPO {phase.rpo_txns} != measured replication lag "
-                f"{phase.failover_lag_txns} at fail-over"
-            )
-    report.conclude(outcome)
-    return report
+CLI = CampaignCLI(
+    run=run_replication_campaign,
+    flags=("replicas", "no_promote", "mode", "drop", "duplicate", "delay_spike"),
+    knobs=lambda args: dict(
+        n_replicas=args.replicas,
+        spec=cli_spec(args, REPLICATION_SPEC),
+        mode=args.mode,
+        promote=not args.no_promote,
+    ),
+    banner=lambda args, knobs: (
+        f"replication campaign: seeds={args.seeds} replicas={args.replicas} "
+        f"duration={args.duration} mode={args.mode} "
+        f"{spec_text(knobs['spec'])} promote={knobs['promote']}"
+    ),
+    minimum={"replicas": 1},
+)

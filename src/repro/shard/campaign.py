@@ -19,7 +19,7 @@ them per seed:
    failed over, the *other* shards' probers measure **zero** outage and
    their writers keep committing (the multi-primary claim: a fast path
    references nothing of the failed shard), and the failed shard's own
-   write outage closes within ``max_outage`` once a warm standby is
+   write outage closes within :data:`MAX_OUTAGE` once a warm standby is
    promoted from its durable WAL.
 
 The workload mixes pinned single-shard writers (the fast path), cross-shard
@@ -35,7 +35,7 @@ hard zero.  ``python -m repro drill --campaign shard`` sweeps seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import (
     ProtocolError,
@@ -43,17 +43,24 @@ from repro.errors import (
     VersionNotFound,
 )
 from repro.faults.campaign import (
+    Campaign,
+    CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
     closed_loop,
     increment,
-    slo_engine,
-    verify_double_run,
 )
 from repro.faults.courier import RetryPolicy
 from repro.histories.checker import check_one_copy_serializable
 from repro.shard.database import ShardedDatabase
+
+#: Pinned single-shard writers, cross-shard writers and vector readers.
+WRITERS = 6
+CROSS_WRITERS = 2
+READERS = 4
+#: Bound on the failed shard's write outage.
+MAX_OUTAGE = 30.0
 
 
 @dataclass
@@ -91,14 +98,36 @@ class ShardPhase(CampaignPhase):
     epoch: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ShardReport(CampaignReport):
     """Outcome of one seeded shard campaign."""
 
+    DERIVED = ("fail_shard",)
+
     n_shards: int
-    fail_shard: int
-    max_outage: float
+    max_outage: float = MAX_OUTAGE
     phase: ShardPhase
+
+    @property
+    def fail_shard(self) -> int:
+        """The shard the drill partitions and fails over: the last one, so
+        shard 1's degenerate single-shard behavior stays untouched."""
+        return self.n_shards
+
+    def row(self) -> str:
+        phase = self.phase
+        failed_outages = phase.outages_per_shard.get(self.fail_shard, ())
+        outage = max(failed_outages) if failed_outages else 0.0
+        return (
+            f"fast={phase.fast_commits:<4d} x={phase.cross_commits:<3d} "
+            f"ro={phase.ro_sessions:<4d} "
+            f"audits={phase.audits_failed} "
+            f"survive={phase.survivor_commits_during:<3d} "
+            f"outage={outage:<6.2f} "
+            f"det={'yes' if self.deterministic else 'NO'}"
+            + self.slo_tag()
+            + self.witness_tag()
+        )
 
 
 def pinned_keys(
@@ -115,25 +144,16 @@ def pinned_keys(
     return home, keys
 
 
-def _run_shard_phase(
+def _run_phase(
     seed: int,
     *,
     duration: float,
     n_shards: int,
-    writers: int,
-    cross_writers: int,
-    readers: int,
-    fail_shard: int,
-    partition_at: float,
-    failover_after: float,
-    replicas_per_shard: int,
-    prepare_timeout: float,
-    keys_per_writer: int = 4,
-    probe_interval: float = 1.0,
     engine: Any | None = None,
     witness: Any | None = None,
 ) -> ShardPhase:
     """One seeded shard drill."""
+    fail_shard = n_shards
     run = PhaseRun(seed, engine=engine, witness=witness)
     sim, streams = run.sim, run.streams
     # A clean fault schedule: the only injected fault is the explicit
@@ -143,20 +163,20 @@ def _run_shard_phase(
     db = ShardedDatabase(
         n_shards=n_shards,
         courier=courier,
-        prepare_timeout=prepare_timeout,
-        replicas_per_shard=replicas_per_shard,
+        prepare_timeout=4.0,
+        replicas_per_shard=1,
     )
     run.pipeline.attach(db)
     stats = ShardPhase()
     stats.commits_per_shard = {sid: 0 for sid in db.sites}
     outages: dict[int, list[float]] = {sid: [] for sid in db.sites}
 
-    home, keys = pinned_keys(n_shards, writers, keys_per_writer)
+    home, keys = pinned_keys(n_shards, WRITERS, 4)
     # Cross-shard writers own one key per shard; every transaction touches
     # two shards, exercising 2PC and populating the visibility xlogs.
     cross_keys = {
         i: {sid: f"s{sid}:x{i}" for sid in db.sites}
-        for i in range(cross_writers)
+        for i in range(CROSS_WRITERS)
     }
     read_pool = [ks[0] for ks in keys.values()] + [
         key for per in cross_keys.values() for key in per.values()
@@ -237,11 +257,11 @@ def _run_shard_phase(
         return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
     def partitioner():
-        yield partition_at
+        yield 0.35 * duration
         for channel in ShardedDatabase.shard_channels(fail_shard):
             courier.partition(channel)
         stats.partitioned_at = sim.now
-        yield failover_after
+        yield 10.0
         # Promote the warm standby from the durable WAL first, then heal:
         # the parked client traffic releases straight into the recovered
         # incarnation (pre-decision transactions there were aborted with
@@ -255,15 +275,15 @@ def _run_shard_phase(
         run.pipeline.attach(db)
         stats.failover_at = sim.now
 
-    run.spawn("writer", writers, writer)
-    run.spawn("cross-writer", cross_writers, cross_writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("cross-writer", CROSS_WRITERS, cross_writer)
+    run.spawn("reader", READERS, reader)
     # Per-shard write availability.  The failed shard's prober must measure
     # a bounded outage; every *other* shard's prober must measure none at
     # all — the fail-over isolation promise.
     for sid in db.sites:
         prober = run.prober(
-            duration, probe_interval, lambda: db, f"s{sid}:__probe__",
+            duration, 1.0, lambda: db, f"s{sid}:__probe__",
             outages[sid], stats.violations, "shard.outage", f"shard {sid} ",
             shard=sid,
         )
@@ -305,152 +325,123 @@ def _run_shard_phase(
     return stats
 
 
-def run_shard_campaign(
-    seed: int = 0,
-    *,
-    duration: float = 120.0,
-    n_shards: int = 3,
-    writers: int = 6,
-    cross_writers: int = 2,
-    readers: int = 4,
-    fail_shard: int | None = None,
-    partition_at: float | None = None,
-    failover_after: float = 10.0,
-    replicas_per_shard: int = 1,
-    prepare_timeout: float = 4.0,
-    max_outage: float = 30.0,
-    max_staleness: float = 24.0,
-    verify_determinism: bool = True,
-    slo: bool = True,
-    witness: bool = True,
-) -> ShardReport:
-    """Run one seeded shard campaign and check all four certifications.
+def _objectives() -> Any:
+    from repro.obs.slo import shard_objectives
 
-    One shard (default: the last, so shard 1's degenerate single-shard
-    behavior stays untouched in other tests) is partitioned at
-    ``partition_at`` (default ``0.35 * duration``) and failed over
-    ``failover_after`` later.  With ``slo`` the ``shard`` profile rides
-    the run; with ``witness`` the sealing witness certifies the history
-    stream across the fail-over.
-    """
-    if fail_shard is None:
-        fail_shard = n_shards
-    if partition_at is None:
-        partition_at = 0.35 * duration
+    return shard_objectives(max_staleness=24.0, max_outage=MAX_OUTAGE)
 
-    def make_engine() -> Any:
-        from repro.obs.slo import shard_objectives
 
-        return slo_engine(
-            shard_objectives(max_staleness=max_staleness, max_outage=max_outage),
-            duration,
-        )
-
-    knobs = dict(
-        duration=duration,
-        n_shards=n_shards,
-        writers=writers,
-        cross_writers=cross_writers,
-        readers=readers,
-        fail_shard=fail_shard,
-        partition_at=partition_at,
-        failover_after=failover_after,
-        replicas_per_shard=replicas_per_shard,
-        prepare_timeout=prepare_timeout,
-    )
-    outcome = verify_double_run(
-        lambda engine, certifier: _run_shard_phase(
-            seed, engine=engine, witness=certifier, **knobs
-        ),
-        slo=slo,
-        witness=witness,
-        make_engine=make_engine,
-        verify=verify_determinism,
-    )
-    phase = outcome.result
-
-    report = ShardReport(
-        seed=seed,
-        duration=duration,
-        n_shards=n_shards,
-        fail_shard=fail_shard,
-        max_outage=max_outage,
-        phase=phase,
-    )
+def _checks(report: ShardReport) -> Iterable[str]:
+    phase, fail_shard = report.phase, report.fail_shard
     # Certification 1: 1SR.
     if not phase.serializable:
-        report.violations.append(
-            "the multi-shard history is not one-copy serializable"
-        )
+        yield "the multi-shard history is not one-copy serializable"
     # Certification 2: snapshot-vector consistency.
     if phase.audits_failed:
-        report.violations.append(
+        yield (
             f"{phase.audits_failed} snapshot vector(s) tore a cross-shard "
             "commit (audit non-empty)"
         )
     if phase.vector_inconsistent:
-        report.violations.append(
+        yield (
             f"shard.vector_inconsistent tripped {phase.vector_inconsistent} "
             "time(s)"
         )
     # Certification 4: fail-over isolation.
     if phase.failovers != 1:
-        report.violations.append(
-            f"expected exactly 1 fail-over, observed {phase.failovers}"
-        )
+        yield f"expected exactly 1 fail-over, observed {phase.failovers}"
     if not phase.survivor_commits_during:
-        report.violations.append(
+        yield (
             "no survivor-shard commits during the outage window: the "
             "fail-over stalled the other shards"
         )
     if not phase.failed_commits_post:
-        report.violations.append(
+        yield (
             "no commits on the failed shard after its fail-over: writes "
             "never resumed there"
         )
     failed_outages = phase.outages_per_shard.get(fail_shard, ())
     if not failed_outages:
-        report.violations.append(
+        yield (
             "the failed shard's prober measured no outage: the partition "
             "had no effect"
         )
-    elif max(failed_outages) > max_outage:
-        report.violations.append(
+    elif max(failed_outages) > MAX_OUTAGE:
+        yield (
             f"failed-shard write outage {max(failed_outages):g} exceeded "
-            f"the {max_outage:g} bound"
+            f"the {MAX_OUTAGE:g} bound"
         )
     for sid, windows in sorted(phase.outages_per_shard.items()):
         if sid != fail_shard and windows:
-            report.violations.append(
+            yield (
                 f"surviving shard {sid} measured a write outage "
                 f"({max(windows):g}): fail-over isolation broken"
             )
     # Hard zeros and liveness.
     if phase.ro_blocked:
-        report.violations.append(
+        yield (
             f"{phase.ro_blocked} vector read(s) blocked on a shard "
             "watermark (the zero-coordination claim)"
         )
     if phase.replica_lag:
-        report.violations.append(
+        yield (
             f"replica chains {phase.replica_lag} txn(s) behind their "
             "shards after quiesce"
         )
     # Inertness guards: every path under test must actually have run.
     if not phase.rw_commits:
-        report.violations.append("no fast-path commits: workload inert")
+        yield "no fast-path commits: workload inert"
     if not phase.cross_commits:
-        report.violations.append("no cross-shard commits: the 2PC path is inert")
+        yield "no cross-shard commits: the 2PC path is inert"
     if not phase.ro_sessions:
-        report.violations.append("no vector snapshots: the read path is inert")
-    # Certification 3: byte-deterministic double runs.
-    report.conclude(outcome)
-    if report.witness is not None and report.witness.get("duplicate_commits"):
-        report.violations.append(
+        yield "no vector snapshots: the read path is inert"
+    # Certification 3, byte-deterministic double runs, is conclude's.
+
+
+def _witness_checks(report: ShardReport) -> Iterable[str]:
+    if report.witness.get("duplicate_commits"):
+        yield (
             f"witness counted {report.witness['duplicate_commits']} "
             "duplicate commit(s) across the fail-over"
         )
-    return report
+
+
+SHARD = Campaign(
+    name="shard",
+    defaults=dict(duration=120.0, n_shards=3),
+    phase=_run_phase,
+    report=ShardReport,
+    objectives=_objectives,
+    checks=_checks,
+    witness_checks=_witness_checks,
+)
+
+
+def run_shard_campaign(seed: int = 0, **knobs: Any) -> ShardReport:
+    """Run one seeded shard campaign and check all four certifications.
+
+    Knobs: ``duration`` (default 120), ``n_shards`` (3, at least 2) and
+    ``verify_determinism`` (True).  The last shard is partitioned at
+    ``0.35 * duration`` and failed over 10 virtual-time units later.  The
+    ``shard`` SLO profile rides the run, and the sealing witness certifies
+    the history stream across the fail-over.
+    """
+    return SHARD.run(seed, **knobs)
+
+
+CLI = CampaignCLI(
+    run=run_shard_campaign,
+    flags=("sites",),
+    knobs=lambda args: dict(n_shards=args.sites),
+    banner=lambda args, knobs: (
+        f"shard campaign: seeds={args.seeds} shards={args.sites} "
+        f"duration={args.duration} (partition one shard -> fail-over "
+        f"mid-batch; certify 1SR + vector consistency + determinism + "
+        f"fail-over isolation)"
+    ),
+    # The cross-shard writers draw two distinct shards per transaction.
+    minimum={"sites": 2},
+)
 
 
 __all__ = ["ShardPhase", "ShardReport", "run_shard_campaign"]

@@ -12,14 +12,13 @@ move unless a change *means* to alter what a drill does or prints.
 """
 
 import hashlib
-import importlib
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import pytest
@@ -35,9 +34,10 @@ from repro.faults.campaign import (
     closed_loop,
     verify_double_run,
 )
-from repro.faults.drill import CAMPAIGNS, build_parser, parse_args
+from repro.faults.drill import CAMPAIGNS, build_parser, campaign_cli, parse_args
 from repro.faults.drill import main as drill_main
 from repro.replica.campaign import REPLICATION_SPEC
+from repro.shard.campaign import run_shard_campaign
 
 #: sha256 of ``drill --campaign C --seeds 2 --duration D`` stdout (a key
 #: with more words passes them as further flags).
@@ -202,7 +202,9 @@ class _Certifier:
 class TestSharedCore:
     def test_divergent_replay_is_a_violation(self):
         values = iter([1, 2])
-        outcome = verify_double_run(lambda engine, certifier: _Result(next(values)))
+        outcome = verify_double_run(
+            lambda engine, certifier: _Result(next(values)), _Engine
+        )
         assert not outcome.deterministic
         report = _report()
         report.conclude(outcome)
@@ -211,11 +213,11 @@ class TestSharedCore:
         assert not report.ok
 
     def test_matching_replay_is_clean(self):
-        outcome = verify_double_run(lambda engine, certifier: _Result(1))
+        outcome = verify_double_run(lambda engine, certifier: _Result(1), _Engine)
         report = _report()
         report.conclude(outcome)
         assert report.deterministic and report.ok
-        assert report.slo is None and report.witness is None
+        assert report.slo == {"ok": True} and report.witness["ok"]
 
     def test_unexpected_breach_is_one_slo_line(self):
         breach = SimpleNamespace(
@@ -265,26 +267,10 @@ class TestSharedCore:
         assert not report.violations and not report.ok
         assert report.as_dict()["wedged"] == ["stuck-0"]
 
-    def test_extra_check_only_runs_when_everything_else_matched(self):
-        calls = []
-
-        def extra():
-            calls.append(1)
-            return False
-
-        values = iter([1, 2])
-        verify_double_run(
-            lambda engine, certifier: _Result(next(values)), extra_check=extra
-        )
-        assert not calls  # fingerprints already diverged
-        outcome = verify_double_run(
-            lambda engine, certifier: _Result(1), extra_check=extra
-        )
-        assert calls == [1] and not outcome.deterministic
-        verify_double_run(
-            lambda engine, certifier: _Result(1), extra_check=extra, verify=False
-        )
-        assert calls == [1]  # no replay, nothing to continue
+    def test_merge_rejects_an_unknown_knob_naming_the_campaign(self):
+        unknown = r"the shard campaign has no knob n_shard\b"
+        with pytest.raises(TypeError, match=unknown):
+            run_shard_campaign(seed=0, n_shard=2)
 
     def test_closed_loop_does_not_start_past_the_deadline(self):
         run = PhaseRun(seed=0)
@@ -305,17 +291,16 @@ class TestSharedCore:
 def _sabotaged(monkeypatch, campaign, violation="forced failure"):
     """Make ``campaign``'s runner return its real report, plus a violation;
     records the keyword arguments of every call."""
-    module, _, function = CAMPAIGNS[campaign].runner.partition(":")
-    real = getattr(importlib.import_module(module), function)
+    cli = campaign_cli(campaign)
     calls = []
 
     def runner(**kwargs):
         calls.append(kwargs)
-        report = real(**kwargs)
+        report = cli.run(**kwargs)
         report.violations.append(violation)
         return report
 
-    monkeypatch.setattr(f"{module}.{function}", runner)
+    monkeypatch.setattr(CAMPAIGNS[campaign].replace(":", "."), replace(cli, run=runner))
     return calls
 
 
@@ -419,6 +404,23 @@ class TestDrillCLI:
         assert f"(only by: {users})" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, flag, least",
+        [
+            (["--seeds", "0"], "--seeds", 1),
+            (["--campaign", "shard", "--sites", "1"], "--sites", 2),
+            (["--sites", "0"], "--sites", 1),
+            (["--campaign", "replication", "--replicas", "0"], "--replicas", 1),
+        ],
+    )
+    def test_a_count_the_campaign_cannot_run_is_a_usage_error(
+        self, argv, flag, least, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            drill_main([*argv, "--duration", "20"])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be at least {least}" in capsys.readouterr().err
+
     def test_api_doc_lists_the_flags_each_campaign_consumes(self):
         doc = pathlib.Path(repro.__file__).resolve().parents[2] / "docs" / "api.md"
         rows = re.findall(r"^\s*\| `(\w+)` \| (.*?) \|$", doc.read_text(), re.M)
@@ -428,6 +430,8 @@ class TestDrillCLI:
             if campaign in CAMPAIGNS
         }
         assert documented == {
-            campaign: tuple(flag.replace("_", "-") for flag in row.flags)
-            for campaign, row in CAMPAIGNS.items()
+            campaign: tuple(
+                flag.replace("_", "-") for flag in campaign_cli(campaign).flags
+            )
+            for campaign in CAMPAIGNS
         }

@@ -196,10 +196,10 @@ class TestAcceptance:
         tracks the live-transaction window plus per-key frontier constants,
         never the number of committed transactions."""
         shorter = run_memory_campaign(
-            seed=0, duration=400.0, verify_determinism=False, slo=False
+            seed=0, duration=400.0, verify_determinism=False
         )
         longer = run_memory_campaign(
-            seed=0, duration=800.0, verify_determinism=False, slo=False
+            seed=0, duration=800.0, verify_determinism=False
         )
         assert shorter.ok and longer.ok
         assert longer.stats.rw_commits > shorter.stats.rw_commits
@@ -211,7 +211,7 @@ class TestAcceptance:
 
     def test_report_serializes(self):
         report = run_memory_campaign(
-            seed=1, duration=200.0, verify_determinism=False, slo=False
+            seed=1, duration=200.0, verify_determinism=False
         )
         data = report.as_dict()
         assert data["ok"] == report.ok
@@ -224,4 +224,4 @@ class TestAcceptance:
             "gc_scan_per_reclaimed",
             "violations",
         }
-        assert data["slo"] is None
+        assert data["slo"] == report.slo and data["slo"]["ok"]

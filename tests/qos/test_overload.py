@@ -78,10 +78,3 @@ class TestAcceptance:
         # Determinism covers the verdict block too (engine-report equality
         # is folded into the campaign's own replay check).
         assert report.deterministic
-
-    def test_slo_can_be_disabled(self):
-        report = run_overload_campaign(
-            seed=3, duration=60.0, slo=False, verify_determinism=False
-        )
-        assert report.slo is None
-        assert report.ok, report.violations

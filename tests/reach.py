@@ -217,7 +217,6 @@ ALLOW: dict[str, tuple[str, str]] = {
     **_allow("api", "a campaign report's `as_dict` field (`DERIVED`), docs/faults.md",
              *(f"qos/memory.py::MemoryReport.{name}"
                for name in ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")),
-             "replica/availability.py::CrashPointResult.as_dict",
              "replica/campaign.py::ReplicationReport.staleness_max"),
     **_allow("api", "retry budgets, docs/robustness.md",
              "qos/retry.py::RetryBudget.tokens", "qos/retry.py::RetryBudget.record_success"),

@@ -76,11 +76,9 @@ class TestReplicationCampaign:
             0,
             duration=150.0,
             n_replicas=3,
-            writers=4,
-            readers=6,
             spec=REPLICATION_SPEC,
-            max_staleness=8,
-            promote_at=None,
+            mode="async",
+            promote=False,
             engine=engine,
         )
         assert phase.rw_commits > 0
