@@ -278,7 +278,7 @@ class Campaign:
 
     def run(
         self, seed: int, *, verify_determinism: bool = True, **overrides: Any
-    ) -> Any:
+    ) -> CampaignReport:
         """Merge ``overrides`` onto the defaults (one merge, no per-knob
         fallbacks; an unknown knob is a ``TypeError``), double-run the phase
         under a fresh SLO engine and witness, build the report, append the
