@@ -32,15 +32,19 @@ def test_pinned_bench_quick_stdout():
 
 
 @pytest.mark.parametrize("hashseed", ["0", "7"])
-def test_pinned_report_stdout(hashseed):
-    # ``python -m repro report EXP-A ABL-VICTIM`` less its ``(N.Ns)`` lines,
-    # in an interpreter of its own: ABL-VICTIM's victim choice reads
-    # transaction ids, which come from a process-wide counter.
+@pytest.mark.parametrize(
+    "ids", [("EXP-A", "ABL-VICTIM"), ("EXP-J2", "ABL-ADAPT")], ids="_".join
+)
+def test_pinned_report_stdout(ids, hashseed):
+    # ``python -m repro report <ids>`` less its ``(N.Ns)`` lines, in an
+    # interpreter of its own: ABL-VICTIM's victim choice reads transaction
+    # ids, which come from a process-wide counter.  EXP-J2 and ABL-ADAPT
+    # drive their own closed-loop clients.
     done = subprocess.run(
-        [sys.executable, "-m", "repro", "report", "EXP-A", "ABL-VICTIM"],
+        [sys.executable, "-m", "repro", "report", *ids],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed},
         capture_output=True, text=True, timeout=120, check=True,
     )
     lines = done.stdout.splitlines(keepends=True)
     printed = "".join(line for line in lines if not re.fullmatch(r"\(\d+\.\ds\)\n", line))
-    assert printed == (PINS / "report_EXP-A_ABL-VICTIM.stdout").read_text()
+    assert printed == (PINS / f"report_{'_'.join(ids)}.stdout").read_text()

@@ -12,6 +12,7 @@ from repro.histories import assert_one_copy_serializable
 from repro.protocols.registry import PROTOCOLS, make_scheduler
 from repro.workload.order_entry import (
     OrderEntryConfig,
+    OrderEntryOutcome,
     run_order_entry,
     seed_database,
 )
@@ -67,6 +68,26 @@ def test_seed_database_is_one_transaction():
     reader = scheduler.begin(read_only=True)
     assert scheduler.read(reader, "stock:0").result() == 1000
     assert scheduler.read(reader, "orders").result() == 0
+
+
+#: ``run_order_entry(make_scheduler(name), OrderEntryConfig())``, field by
+#: field: the same under any ``PYTHONHASHSEED`` and on a repeat in-process.
+PINNED_OUTCOMES = {
+    "vc-2pl": OrderEntryOutcome(
+        orders_placed=467, orders_rejected=0, order_retries=98, audits=26,
+        audit_restarts=0, conservation_violations=0, books_violations=0,
+    ),
+    "sv-2pl": OrderEntryOutcome(
+        orders_placed=388, orders_rejected=0, order_retries=125, audits=7,
+        audit_restarts=20, conservation_violations=0, books_violations=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTCOMES))
+def test_default_outcome_is_pinned(name):
+    outcome = run_order_entry(make_scheduler(name), OrderEntryConfig())
+    assert outcome == PINNED_OUTCOMES[name]
 
 
 def test_deterministic_outcomes():
