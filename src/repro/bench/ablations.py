@@ -27,7 +27,7 @@ from repro.errors import TransactionAborted, VersionNotFound
 from repro.protocols.adaptive import AdaptiveVCScheduler
 from repro.protocols.registry import make_scheduler
 from repro.protocols.vc_two_phase_locking import VC2PLScheduler
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, closed_loop
 from repro.storage.gc import GarbageCollector
 from repro.storage.gc_strategies import BudgetedCollector, EagerCollector
 from repro.storage.mvstore import MVStore
@@ -269,34 +269,30 @@ def _run_two_phase(scheduler, seed: int, duration: float) -> dict[str, Any]:
     half = duration / 2
     phases = {"hot": _PhaseMetrics(), "cool": _PhaseMetrics()}
 
-    def client(_i: int):
-        while sim.now < duration:
-            yield think_rng.expovariate(0.5)
-            if sim.now >= duration:
-                return
-            in_hot = sim.now < half
-            spec = (hot_gen if in_hot else cool_gen).next_txn()
-            phase = phases["hot" if in_hot else "cool"]
-            for attempt in range(6):
-                txn = scheduler.begin(read_only=spec.read_only)
-                try:
-                    for op in spec.ops:
-                        yield 1.0
-                        if op.kind == "r":
-                            yield scheduler.read(txn, op.key)
-                        else:
-                            yield scheduler.write(txn, op.key, sim.now)
-                    yield scheduler.commit(txn)
-                except (TransactionAborted, VersionNotFound):
-                    scheduler.abort(txn)
-                    phase.aborts += 1
-                    phase.restarts += 1
-                    continue
-                phase.commits += 1
-                break
+    def once():
+        in_hot = sim.now < half
+        spec = (hot_gen if in_hot else cool_gen).next_txn()
+        phase = phases["hot" if in_hot else "cool"]
+        for attempt in range(6):
+            txn = scheduler.begin(read_only=spec.read_only)
+            try:
+                for op in spec.ops:
+                    yield 1.0
+                    if op.kind == "r":
+                        yield scheduler.read(txn, op.key)
+                    else:
+                        yield scheduler.write(txn, op.key, sim.now)
+                yield scheduler.commit(txn)
+            except (TransactionAborted, VersionNotFound):
+                scheduler.abort(txn)
+                phase.aborts += 1
+                phase.restarts += 1
+                continue
+            phase.commits += 1
+            break
 
-    for i in range(10):
-        sim.spawn(client(i))
+    for _ in range(10):
+        sim.spawn(closed_loop(sim, duration, lambda: think_rng.expovariate(0.5), once))
     sim.run()
     from repro.histories.checker import check_one_copy_serializable
 

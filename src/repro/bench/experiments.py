@@ -447,9 +447,9 @@ def exp_j2_site_scaling(seed: int = 0, duration: float = 300.0) -> ExperimentRes
     one-copy serializability at every scale.
     """
     from repro.distributed import Courier, DistributedVCDatabase
-    from repro.errors import TransactionAborted
+    from repro.faults.campaign import rw_attempt
     from repro.histories.checker import check_one_copy_serializable
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Simulator, closed_loop
     from repro.sim.random_streams import RandomStreams
 
     rows = []
@@ -464,37 +464,22 @@ def exp_j2_site_scaling(seed: int = 0, duration: float = 300.0) -> ExperimentRes
         keys = [f"s{s}:k{i}" for s in range(1, n_sites + 1) for i in range(3)]
         stats = {"rw": 0, "ro": 0, "aborts": 0}
 
-        def writer():
-            while sim.now < duration:
-                yield rng.expovariate(0.3)
-                if sim.now >= duration:
-                    return
-                txn = db.begin()
-                try:
-                    for key in rng.sample(keys, 2):
-                        value = yield db.read(txn, key)
-                        yield db.write(txn, key, (value or 0) + 1)
-                    yield db.commit(txn)
-                    stats["rw"] += 1
-                except TransactionAborted:
-                    db.abort(txn)
-                    stats["aborts"] += 1
+        def write_once():
+            txn = db.begin()
+            error = yield from rw_attempt(db, txn, rng.sample(keys, 2))
+            stats["rw" if error is None else "aborts"] += 1
 
-        def reader():
-            while sim.now < duration:
-                yield rng.expovariate(0.4)
-                if sim.now >= duration:
-                    return
-                txn = db.begin(read_only=True, origin_site=rng.randint(1, n_sites))
-                for key in rng.sample(keys, 3):
-                    yield db.read(txn, key)
-                yield db.commit(txn)
-                stats["ro"] += 1
+        def read_once():
+            txn = db.begin(read_only=True, origin_site=rng.randint(1, n_sites))
+            for key in rng.sample(keys, 3):
+                yield db.read(txn, key)
+            yield db.commit(txn)
+            stats["ro"] += 1
 
         for _ in range(4):
-            sim.spawn(writer())
+            sim.spawn(closed_loop(sim, duration, lambda: rng.expovariate(0.3), write_once))
         for _ in range(3):
-            sim.spawn(reader())
+            sim.spawn(closed_loop(sim, duration, lambda: rng.expovariate(0.4), read_once))
         sim.run()
         serializable = check_one_copy_serializable(db.history).serializable
         commits = stats["rw"] + stats["ro"]

@@ -22,9 +22,9 @@ from repro.errors import TransactionAborted, VersionNotFound
 from repro.histories.checker import check_one_copy_serializable
 from repro.obs.instrument import attach_tracer
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, closed_loop
 from repro.sim.stats import TimeWeighted
-from repro.workload.spec import TxnSpec, WorkloadGenerator, WorkloadSpec
+from repro.workload.spec import WorkloadGenerator, WorkloadSpec
 
 
 @dataclass
@@ -92,16 +92,11 @@ def run_simulation(
 
         scheduler.vc.subscribe(lag_observer)
 
-    def client(client_id: int):
-        while sim.now < config.duration:
-            think = think_rng.expovariate(1.0 / config.think_time_mean)
-            yield think
-            if sim.now >= config.duration:
-                return
-            spec = generator.next_txn()
-            yield from _run_transaction(spec)
+    def think() -> float:
+        return think_rng.expovariate(1.0 / config.think_time_mean)
 
-    def _run_transaction(spec: TxnSpec):
+    def _run_transaction():
+        spec = generator.next_txn()
         attempts = 0
         while attempts <= config.max_restarts:
             attempts += 1
@@ -132,7 +127,7 @@ def run_simulation(
                     metrics.aborts_rw += 1
                 if attempts <= config.max_restarts:
                     metrics.restarts += 1
-                    yield think_rng.expovariate(1.0 / config.think_time_mean)
+                    yield think()
                     continue
                 return
             latency = sim.now - start
@@ -151,7 +146,10 @@ def run_simulation(
             scheduler.gc.collect()
 
     for i in range(config.n_clients):
-        sim.spawn(client(i), name=f"client-{i}")
+        sim.spawn(
+            closed_loop(sim, config.duration, think, _run_transaction),
+            name=f"client-{i}",
+        )
     if config.gc_period > 0 and isinstance(scheduler, VersionControlledScheduler):
         sim.spawn(collector(), name="gc")
 

@@ -24,10 +24,12 @@ campaign harness"):
 * :class:`PhaseRun` — the scaffold of one phase: simulator, seeded streams,
   faulty courier, observability pipeline, named clients, and the one read
   of the simulator's blocked processes.
-* :func:`closed_loop`, :func:`backoff_loop`, :func:`increment`,
-  :func:`acked_commit`, :meth:`PhaseRun.prober` — the client-loop pieces
-  that were literally repeated; a loop whose middle is its own (the long
-  scanner) calls the pieces and keeps its middle.
+* :func:`backoff_loop`, :func:`rw_attempt`, :func:`acked_commit`,
+  :meth:`PhaseRun.prober` — the client pieces, each written once.  The
+  arrival rule they loop on is :func:`repro.sim.engine.closed_loop`, beside
+  the simulator; :func:`rw_attempt` is the read-write attempt and owns the
+  one error set a read-write client absorbs.  A loop whose middle is its
+  own (the long scanner) calls the pieces and keeps its middle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.obs.pipeline import ObsPipeline
 from repro.qos.retry import BackoffPolicy
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, closed_loop
 from repro.sim.random_streams import RandomStreams
 
 
@@ -476,23 +478,6 @@ class PhaseRun:
 # -- client-loop pieces ---------------------------------------------------------------
 
 
-def closed_loop(
-    sim: Simulator,
-    until: float,
-    gap: Callable[[], float],
-    once: Callable[[], Generator | None],
-) -> Generator:
-    """A closed-loop client: think for ``gap()``, then run ``once()`` to
-    completion, until virtual time ``until`` — an arrival that lands past
-    the deadline is not started.  ``once`` is a generator function, or a
-    plain function when its body never waits."""
-    while sim.now < until:
-        yield gap()
-        if sim.now >= until:
-            return
-        yield from once() or ()
-
-
 def backoff_loop(
     sim: Simulator,
     until: float,
@@ -524,18 +509,40 @@ def backoff_loop(
     return closed_loop(sim, until, gap, once)
 
 
-def increment(
+def rw_attempt(
     db: Any,
     txn: Any,
     keys: Iterable[Any],
     service: Callable[[], float] | None = None,
+    commit: Callable[[], Generator] | None = None,
 ) -> Generator:
-    """Read-increment-write each key in turn, after ``service()`` time."""
-    for key in keys:
-        if service is not None:
-            yield service()
-        value = yield db.read(txn, key)
-        yield db.write(txn, key, (value or 0) + 1)
+    """Read-increment-write each of ``keys`` in turn in the begun ``txn``,
+    after ``service()`` time, then commit: ``commit()`` when given (a
+    generator function), else ``yield db.commit(txn)``.  Returns ``None`` on
+    commit and the error on abort.
+
+    A client absorbs ``TransactionAborted`` (a lock victim, a missed
+    deadline, a site failure, a fenced or indeterminate quorum commit, a
+    2PC timeout through a pending future) and ``ProtocolError`` (the fault
+    path aborted ``txn`` while the client slept between operations, so the
+    next operation's entry guard fired).  Either way ``txn`` is aborted only
+    if still active: the fault path may have finished it already.
+    """
+    try:
+        for key in keys:
+            if service is not None:
+                yield service()
+            value = yield db.read(txn, key)
+            yield db.write(txn, key, (value or 0) + 1)
+        if commit is None:
+            yield db.commit(txn)
+        else:
+            yield from commit()
+    except (TransactionAborted, ProtocolError) as error:
+        if txn.is_active:
+            db.abort(txn)
+        return error
+    return None
 
 
 def acked_commit(db: Any, txn: Any, note_ack: Callable[[int], Any]) -> Any:

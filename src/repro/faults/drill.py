@@ -34,21 +34,20 @@ from typing import Any, Callable
 
 from repro.distributed.database import DistributedVCDatabase
 from repro.distributed.dmv2pl import DistributedMV2PL
-from repro.errors import ProtocolError, TransactionAborted
 from repro.faults.campaign import (
     CampaignCLI,
     CampaignReport,
     DoubleRun,
     PhaseRun,
     cli_spec,
-    closed_loop,
-    increment,
+    rw_attempt,
     slo_engine,
     spec_text,
 )
 from repro.faults.invariants import FaultInvariantChecker
 from repro.faults.schedule import DEFAULT_SPEC, FaultSpec
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim.engine import closed_loop
 
 PROTOCOLS = ("dvc", "dmv2pl")
 
@@ -160,19 +159,11 @@ def run_drill(
 
     def write_once():
         txn = db.begin()
-        try:
-            yield from increment(db, txn, rng.sample(keys, 2))
-            yield db.commit(txn)
+        error = yield from rw_attempt(db, txn, rng.sample(keys, 2))
+        if error is None:
             checker.note_commit(txn)
             report.commits += 1
-        except (TransactionAborted, ProtocolError):
-            # TransactionAborted: deadlock victim, site failure, or 2PC
-            # timeout surfaced through a pending future.  ProtocolError:
-            # the transaction was fault-aborted while the client slept
-            # between operations, so the next operation's entry guard
-            # fired.  Either way: clean up and move on.
-            if txn.is_active:
-                db.abort(txn)
+        else:
             report.aborts += 1
 
     def read_once():

@@ -50,11 +50,11 @@ from repro.faults.campaign import (
     CampaignReport,
     PhaseRun,
     backoff_loop,
-    closed_loop,
-    increment,
+    rw_attempt,
 )
 from repro.obs.tracer import NULL_TRACER
 from repro.qos.admission import AdmissionController
+from repro.sim.engine import closed_loop
 
 #: The campaign's client population and keyspace.
 WRITERS = 4
@@ -351,15 +351,11 @@ def _run_phase(
         rng = streams.stream(f"writer-{i}")
 
         def attempt(txn):
-            try:
-                yield from increment(
-                    scheduler, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
-                yield scheduler.commit(txn)
-            except TransactionAborted:
-                if txn.is_active:
-                    scheduler.abort(txn)
+            error = yield from rw_attempt(
+                scheduler, txn, rng.sample(keys, 2),
+                service=lambda: rng.expovariate(2.0),
+            )
+            if error is not None:
                 stats.rw_aborts += 1
                 return
             stats.rw_commits += 1

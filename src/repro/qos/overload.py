@@ -36,12 +36,12 @@ from repro.faults.campaign import (
     CampaignReport,
     PhaseRun,
     backoff_loop,
-    closed_loop,
-    increment,
+    rw_attempt,
     slo_engine,
     verify_double_run,
 )
 from repro.qos.admission import AdmissionController
+from repro.sim.engine import closed_loop
 from repro.sim.stats import Summary
 
 #: Acceptance ceiling: overload RO p99 may not exceed this multiple of the
@@ -175,20 +175,16 @@ def _run_phase(
         rng = streams.stream(f"writer-{i}")
 
         def attempt(txn):
-            try:
-                yield from increment(
-                    scheduler, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(1.0 / 2.0),
-                )
-                yield scheduler.commit(txn)
+            error = yield from rw_attempt(
+                scheduler, txn, rng.sample(keys, 2),
+                service=lambda: rng.expovariate(1.0 / 2.0),
+            )
+            if error is None:
                 stats.rw_commits += 1
-            except TransactionAborted as exc:
-                if txn.is_active:
-                    scheduler.abort(txn)
-                if exc.reason is AbortReason.DEADLINE_EXCEEDED:
-                    stats.rw_deadline_misses += 1
-                else:
-                    stats.rw_aborts_other += 1
+            elif getattr(error, "reason", None) is AbortReason.DEADLINE_EXCEEDED:
+                stats.rw_deadline_misses += 1
+            else:
+                stats.rw_aborts_other += 1
 
         def shed():
             stats.rw_shed += 1

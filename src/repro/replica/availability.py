@@ -58,9 +58,8 @@ from repro.faults.campaign import (
     CampaignReport,
     PhaseRun,
     acked_commit,
-    closed_loop,
     flat_dict,
-    increment,
+    rw_attempt,
 )
 from repro.faults.courier import RetryPolicy
 from repro.faults.invariants import ClusterInvariantChecker
@@ -68,6 +67,7 @@ from repro.replica.cluster import ReplicaCluster
 from repro.replica.detect import ClusterSupervisor, HeartbeatConfig
 from repro.replica.quorum import ReplicationMode
 from repro.replica.session import ReplicatedDatabase
+from repro.sim.engine import closed_loop
 
 #: Commit-pipeline stages the crash sweep kills the primary at.
 CRASH_POINTS = (
@@ -218,20 +218,19 @@ def _run_phase(
         def once():
             db = cluster.primary  # re-fetch: survives the fail-over
             txn = db.begin()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
+
+            def commit():
                 yield acked_commit(db, txn, checker.note_ack)
+
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys, 2),
+                service=lambda: rng.expovariate(2.0), commit=commit,
+            )
+            if error is None:
                 stats.rw_commits += 1
                 if stats.promoted_at is not None:
                     stats.rw_commits_post += 1
-            except (TransactionAborted, ProtocolError):
-                # Fenced, indeterminate, deposed, or a deadlock victim —
-                # all typed and retryable; the loop simply tries again.
-                if txn.is_active:
-                    db.abort(txn)
+            else:
                 stats.rw_aborts += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(0.8), once)

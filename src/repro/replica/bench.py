@@ -18,11 +18,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.distributed.courier import Courier
-from repro.errors import ProtocolError, TransactionAborted
-from repro.faults.campaign import PhaseRun, closed_loop, increment
+from repro.faults.campaign import PhaseRun, rw_attempt
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.quorum import ReplicationMode
+from repro.sim.engine import closed_loop
 from repro.sim.server import FifoServer
+from repro.sim.stats import nearest_rank
 
 #: Acceptance floor: RO ops/s at 4 replicas over RO ops/s at 1 replica.
 RO_SPEEDUP_FLOOR = 2.0
@@ -63,17 +64,10 @@ def _run_scale_point(
 
         def once():
             txn = db.begin()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
-                yield db.commit(txn)
-                tallies["rw_commits"] += 1
-            except TransactionAborted:
-                if txn.is_active:
-                    db.abort(txn)
-                tallies["rw_aborts"] += 1
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys, 2), service=lambda: rng.expovariate(2.0)
+            )
+            tallies["rw_commits" if error is None else "rw_aborts"] += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
@@ -168,13 +162,6 @@ def run_replica_scaling(
     }
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[index]
-
-
 def _run_sync_point(
     seed: int,
     mode: ReplicationMode,
@@ -208,32 +195,29 @@ def _run_sync_point(
 
         def once():
             txn = db.begin()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
+
+            def timed_commit():
                 submitted = sim.now
                 yield db.commit(txn)
                 latencies.append(sim.now - submitted)
-                tallies["rw_commits"] += 1
-            except (TransactionAborted, ProtocolError):
-                if txn.is_active:
-                    db.abort(txn)
-                tallies["rw_aborts"] += 1
+
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys, 2),
+                service=lambda: rng.expovariate(2.0), commit=timed_commit,
+            )
+            tallies["rw_commits" if error is None else "rw_aborts"] += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
     run.spawn("writer", writers, writer)
     sim.run()
 
-    latencies.sort()
     return {
         "mode": mode.value,
         "rw_commits_per_s": round(tallies["rw_commits"] / duration, 4),
         "rw_aborts": tallies["rw_aborts"],
-        "commit_p50": round(_percentile(latencies, 0.50), 4),
-        "commit_p95": round(_percentile(latencies, 0.95), 4),
+        "commit_p50": round(nearest_rank(latencies, 0.50), 4),
+        "commit_p95": round(nearest_rank(latencies, 0.95), 4),
         "quorum_indeterminate": cluster.counters.get("quorum.indeterminate"),
         "quorum_fenced": cluster.counters.get("quorum.fenced"),
         "events": sim.events_dispatched,

@@ -33,7 +33,6 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-from repro.errors import ProtocolError, TransactionAborted
 from repro.faults.campaign import (
     Campaign,
     CampaignCLI,
@@ -42,14 +41,14 @@ from repro.faults.campaign import (
     PhaseRun,
     acked_commit,
     cli_spec,
-    closed_loop,
-    increment,
+    rw_attempt,
     spec_text,
 )
 from repro.faults.courier import RetryPolicy
 from repro.faults.schedule import FaultSpec, PartitionWindow
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.session import ReplicatedDatabase
+from repro.sim.engine import closed_loop
 from repro.sim.random_streams import RandomStreams
 from repro.sim.stats import Summary
 
@@ -252,20 +251,17 @@ def _run_phase(
         def once():
             db = cluster.primary  # re-fetch: survives a fail-over
             txn = db.begin()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys, 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
+
+            def commit():
                 yield acked_commit(db, txn, acked_tns.add)
+
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys, 2),
+                service=lambda: rng.expovariate(2.0), commit=commit,
+            )
+            if error is None:
                 stats.rw_commits += 1
-            except (TransactionAborted, ProtocolError):
-                # Deadlock victim, or the primary failed over while this
-                # client held an open transaction (SITE_FAILURE through a
-                # pending lock future, or ProtocolError from the entry
-                # guard of an already-aborted descriptor).
-                if txn.is_active:
-                    db.abort(txn)
+            else:
                 stats.rw_aborts += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)

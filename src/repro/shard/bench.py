@@ -26,10 +26,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.distributed.courier import Courier
-from repro.errors import TransactionAborted, VersionNotFound
-from repro.faults.campaign import PhaseRun, closed_loop, increment
+from repro.errors import VersionNotFound
+from repro.faults.campaign import PhaseRun, rw_attempt
 from repro.shard.campaign import pinned_keys
 from repro.shard.database import ShardedDatabase
+from repro.sim.engine import closed_loop
 from repro.sim.server import FifoServer
 
 #: Acceptance floor: RW ops/s at 2 shards over RW ops/s at 1 shard.
@@ -64,18 +65,16 @@ def _run_scale_point(
 
         def once():
             txn = db.begin()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys[i], 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
+
+            def commit():
                 yield servers[sid].submit()  # the shard's commit turn
                 yield db.commit(txn)
-                tallies["rw_commits"] += 1
-            except TransactionAborted:
-                if txn.is_active:
-                    db.abort(txn)
-                tallies["rw_aborts"] += 1
+
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys[i], 2),
+                service=lambda: rng.expovariate(2.0), commit=commit,
+            )
+            tallies["rw_commits" if error is None else "rw_aborts"] += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(2.0), once)
 

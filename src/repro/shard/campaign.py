@@ -37,23 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.errors import (
-    ProtocolError,
-    TransactionAborted,
-    VersionNotFound,
-)
+from repro.errors import VersionNotFound
 from repro.faults.campaign import (
     Campaign,
     CampaignCLI,
     CampaignPhase,
     CampaignReport,
     PhaseRun,
-    closed_loop,
-    increment,
+    rw_attempt,
 )
 from repro.faults.courier import RetryPolicy
 from repro.histories.checker import check_one_copy_serializable
 from repro.shard.database import ShardedDatabase
+from repro.sim.engine import closed_loop
 
 #: Pinned single-shard writers, cross-shard writers and vector readers.
 WRITERS = 6
@@ -196,22 +192,18 @@ def _run_phase(
         def once():
             txn = db.begin()
             during = in_outage_window()
-            try:
-                yield from increment(
-                    db, txn, rng.sample(keys[i], 2),
-                    service=lambda: rng.expovariate(2.0),
-                )
-                yield db.commit(txn)
-                stats.rw_commits += 1
-                stats.commits_per_shard[sid] += 1
-                if during and sid != fail_shard:
-                    stats.survivor_commits_during += 1
-                if stats.failover_at is not None and sid == fail_shard:
-                    stats.failed_commits_post += 1
-            except (TransactionAborted, ProtocolError):
-                if txn.is_active:
-                    db.abort(txn)
+            error = yield from rw_attempt(
+                db, txn, rng.sample(keys[i], 2), service=lambda: rng.expovariate(2.0)
+            )
+            if error is not None:
                 stats.rw_aborts += 1
+                return
+            stats.rw_commits += 1
+            stats.commits_per_shard[sid] += 1
+            if during and sid != fail_shard:
+                stats.survivor_commits_during += 1
+            if stats.failover_at is not None and sid == fail_shard:
+                stats.failed_commits_post += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(0.8), once)
 
@@ -222,13 +214,10 @@ def _run_phase(
         def once():
             a, b = rng.sample(sids, 2)
             txn = db.begin()
-            try:
-                yield from increment(db, txn, (cross_keys[i][a], cross_keys[i][b]))
-                yield db.commit(txn)
+            error = yield from rw_attempt(db, txn, (cross_keys[i][a], cross_keys[i][b]))
+            if error is None:
                 stats.cross_commits += 1
-            except (TransactionAborted, ProtocolError):
-                if txn.is_active:
-                    db.abort(txn)
+            else:
                 stats.cross_aborts += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)

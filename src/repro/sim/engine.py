@@ -23,6 +23,9 @@ plain callable to call.  Records due later sit on a heap keyed
 resumption after a future settles — go to a FIFO beside it, because a
 zero-delay event always sorts after everything already queued for this
 instant and before anything later (DESIGN.md, "Simulation driver").
+
+:func:`closed_loop` is the arrival rule every closed-loop client process
+shares: think, then start only while still before the deadline.
 """
 
 from __future__ import annotations
@@ -205,3 +208,20 @@ class Simulator:
 
     def all_finished(self) -> bool:
         return all(p.finished for p in self.processes)
+
+
+def closed_loop(
+    sim: Simulator,
+    until: float,
+    gap: Callable[[], float],
+    once: Callable[[], Generator | None],
+) -> Generator:
+    """A closed-loop client: think for ``gap()``, then run ``once()`` to
+    completion, until virtual time ``until`` — an arrival that lands past
+    the deadline is not started.  ``once`` is a generator function, or a
+    plain function when its body never waits."""
+    while sim.now < until:
+        yield gap()
+        if sim.now >= until:
+            return
+        yield from once() or ()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.interface import Scheduler
 from repro.errors import TransactionAborted
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, closed_loop
 from repro.sim.random_streams import RandomStreams
 
 UNIT_PRICE = 5
@@ -79,10 +79,8 @@ def run_order_entry(
 
     def clerk(clerk_id: int):
         rng = streams.stream(f"clerk{clerk_id}")
-        while sim.now < config.duration:
-            yield rng.expovariate(0.4)
-            if sim.now >= config.duration:
-                return
+
+        def once():
             items = rng.sample(
                 range(config.n_items), rng.randint(1, config.max_order_size)
             )
@@ -118,12 +116,12 @@ def run_order_entry(
                     scheduler.abort(txn)
                     outcome.order_retries += 1
 
+        return closed_loop(sim, config.duration, lambda: rng.expovariate(0.4), once)
+
     def auditor(auditor_id: int):
         rng = streams.stream(f"auditor{auditor_id}")
-        while sim.now < config.duration:
-            yield rng.expovariate(0.05)
-            if sim.now >= config.duration:
-                return
+
+        def once():
             txn = scheduler.begin(read_only=True)
             total_sold = 0
             consistent = True
@@ -142,12 +140,14 @@ def run_order_entry(
                 # the audit simply restarts on its next tick.
                 scheduler.abort(txn)
                 outcome.audit_restarts += 1
-                continue
+                return
             outcome.audits += 1
             if not consistent:
                 outcome.conservation_violations += 1
             if revenue != total_sold * UNIT_PRICE:
                 outcome.books_violations += 1
+
+        return closed_loop(sim, config.duration, lambda: rng.expovariate(0.05), once)
 
     for c in range(config.n_clerks):
         sim.spawn(clerk(c), name=f"clerk-{c}")

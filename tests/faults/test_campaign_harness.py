@@ -25,19 +25,23 @@ import pytest
 
 import repro
 from repro.core.futures import OpFuture
+from repro.core.transaction import TxnState
+from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.faults import FaultSpec
 from repro.faults.campaign import (
     CampaignPhase,
     CampaignReport,
     DoubleRun,
     PhaseRun,
-    closed_loop,
+    rw_attempt,
     verify_double_run,
 )
 from repro.faults.drill import CAMPAIGNS, build_parser, campaign_cli, parse_args
 from repro.faults.drill import main as drill_main
+from repro.protocols.registry import make_scheduler
 from repro.replica.campaign import REPLICATION_SPEC
 from repro.shard.campaign import run_shard_campaign
+from repro.sim.engine import Simulator, closed_loop
 
 #: sha256 of ``drill --campaign C --seeds 2 --duration D`` stdout (a key
 #: with more words passes them as further flags).
@@ -283,6 +287,71 @@ class TestSharedCore:
         run.sim.spawn(closed_loop(run.sim, 10.0, lambda: 2.0, once))
         run.sim.run()
         assert started == [2.0, 7.0]  # the arrival at 12.0 is not started
+
+
+class _CountedAborts:
+    """A scheduler whose ``abort`` calls are counted."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.aborts = 0
+
+    def __getattr__(self, name):
+        return getattr(self.scheduler, name)
+
+    def abort(self, txn):
+        self.aborts += 1
+        self.scheduler.abort(txn)
+
+
+class TestReadWriteAttempt:
+    """``rw_attempt`` increments ``x`` at t=1 and ``y`` at t=2, then commits."""
+
+    def _attempt(self, db, txn, *others):
+        sim = Simulator()
+        attempt = sim.spawn(rw_attempt(db, txn, ["x", "y"], service=lambda: 1.0))
+        for other in others:
+            sim.spawn(other)
+        sim.run()
+        assert attempt.finished and attempt.error is None
+        return attempt.result
+
+    def test_a_commit_returns_none(self):
+        db = _CountedAborts(make_scheduler("vc-2pl"))
+        txn = db.begin()
+        assert self._attempt(db, txn) is None
+        assert txn.state is TxnState.COMMITTED
+        reader = db.begin(read_only=True)
+        assert [db.read(reader, key).result() for key in "xy"] == [1, 1]
+        assert db.aborts == 0
+
+    def test_a_fault_abort_between_operations_returns_the_protocol_error(self):
+        db = _CountedAborts(make_scheduler("vc-2pl"))
+        txn = db.begin()
+
+        def fault():
+            yield 1.5  # after x's increment, before y's
+            db.scheduler.abort(txn)
+
+        error = self._attempt(db, txn, fault())
+        assert isinstance(error, ProtocolError)
+        assert txn.state is TxnState.ABORTED
+        assert db.aborts == 0  # already finished: not aborted a second time
+
+    def test_a_lock_victim_returns_the_abort(self):
+        db = _CountedAborts(make_scheduler("vc-2pl"))
+        holder = db.begin()
+        db.write(holder, "y", 0).result()
+        txn = db.begin()
+
+        def close_the_cycle():
+            yield 1.5  # txn holds x and is about to ask for holder's y
+            yield db.write(holder, "x", 0)
+
+        error = self._attempt(db, txn, close_the_cycle())
+        assert isinstance(error, TransactionAborted)
+        assert error.reason is AbortReason.DEADLOCK_VICTIM
+        assert txn.state is TxnState.ABORTED
 
 
 # -- the CLI contract --------------------------------------------------------------
