@@ -1,7 +1,8 @@
 """The campaign harness: pinned drill output, shared-core units, CLI contract.
 
 ``TestSharedCore`` shows every verdict path of
-:mod:`repro.faults.campaign` able to fail; ``TestDrillCLI`` holds the
+:mod:`repro.faults.campaign` able to fail; ``TestReadWriteAttempt`` shows
+each outcome of the one read-write client attempt; ``TestDrillCLI`` holds the
 ``python -m repro drill`` contract (every campaign runs, the replay hint
 replays, a flag is honoured or rejected — never ignored).
 ``TestPinnedOutput`` is the refactoring oracle as a tier-1 test.  Every
