@@ -230,6 +230,67 @@ class TestRetryClassification:
         assert other.last_retry_schedule != schedules[0]
 
 
+class TestRetrySchedulePinned:
+    """``last_retry_schedule`` as exact floats for two fixed seeds.
+
+    The delays are the session's whole back-off decision (formula, jitter
+    stream, draw order), so any rewrite of the retry loop must replay them
+    bit for bit.  Each run is made twice from a fresh ``Database``.
+    """
+
+    SCHEDULES = {
+        3: [0.5611400667112991, 0.6249569078730295, 2.412607545082668, 5.676106900528071],
+        41: [0.39408707177536745, 1.036719980725489, 2.577521723520229, 5.376675314979284],
+    }
+
+    @staticmethod
+    def contended_occ_counter(seed):
+        db = Database("vc-occ", retry_seed=seed)
+        with db.transaction() as txn:
+            txn["c"] = 0
+        conflicts = []
+
+        def increment(txn):
+            value = txn["c"]
+            if len(conflicts) < 4:
+                conflicts.append(1)
+                with db.transaction() as other:
+                    other["c"] = value + 10
+            txn["c"] = value + 1
+            return value + 1
+
+        assert db.run(increment, retries=10) == 41
+        return db.last_retry_schedule
+
+    @staticmethod
+    def shed_then_admitted(seed):
+        gate = AdmissionController(capacity=1)
+        db = Database("vc-2pl", admission=gate, retry_seed=seed)
+        hog = db.scheduler.begin()
+        slept = []
+
+        def sleep(delay):
+            slept.append(delay)
+            if len(slept) == 3:
+                db.scheduler.abort(hog)  # frees the token: next begin admits
+
+        db._sleep = sleep
+        assert db.run(lambda txn: 7, retries=10) == 7
+        assert gate.shed == 3
+        assert slept == db.last_retry_schedule
+        return db.last_retry_schedule
+
+    @pytest.mark.parametrize("seed", sorted(SCHEDULES))
+    def test_pinned_contended_occ_schedule(self, seed):
+        for _ in range(2):
+            assert self.contended_occ_counter(seed) == self.SCHEDULES[seed]
+
+    @pytest.mark.parametrize("seed", sorted(SCHEDULES))
+    def test_pinned_shed_then_admit_schedule(self, seed):
+        for _ in range(2):
+            assert self.shed_then_admitted(seed) == self.SCHEDULES[seed][:3]
+
+
 class TestAdmissionAtTheSession:
     def test_shed_begin_is_retried_then_raises(self):
         gate = AdmissionController(capacity=1)
