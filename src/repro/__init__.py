@@ -41,7 +41,6 @@ from repro.errors import (
     ProtocolError,
     ReplicaLagging,
     ReproError,
-    SiteUnavailable,
     TransactionAborted,
     ValidationError,
     VersionNotFound,
@@ -78,13 +77,7 @@ from repro.protocols import (
     VCOCCScheduler,
     VCTOScheduler,
 )
-from repro.qos import (
-    AdmissionController,
-    BackoffPolicy,
-    BreakerBoard,
-    CircuitBreaker,
-    RetryBudget,
-)
+from repro.qos import AdmissionController, BackoffPolicy
 from repro.replica import (
     Replica,
     ReplicaCluster,
@@ -101,11 +94,7 @@ __all__ = [
     "AdaptiveVCScheduler",
     "AdmissionController",
     "BackoffPolicy",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "RetryBudget",
     "CorruptLogError",
-    "SiteUnavailable",
     "Database",
     "RecoverableVC2PLScheduler",
     "DeadlineExceeded",

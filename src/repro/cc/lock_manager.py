@@ -342,7 +342,7 @@ class LockTable:
 
     def cancel_request(self, txn_id: int, error: BaseException) -> bool:
         """Fail ``txn_id``'s pending request with ``error`` — the path a
-        deadline timer or breaker uses to evict a specific waiter.  Returns
+        deadline timer or a fault path uses to evict a specific waiter.  Returns
         False when nothing was pending."""
         return self._withdraw(txn_id, error)
 

@@ -17,9 +17,9 @@ application would actually use::
 (:func:`repro.errors.is_retryable`): contention aborts and transient
 infrastructure trouble retry with exponential backoff and deterministic
 seeded jitter; ``CorruptLogError``, ``ProtocolError``, deadline expiry and
-exceptions raised by the body propagate immediately.  A per-client
-:class:`~repro.qos.RetryBudget` optionally bounds total retry volume so a
-fleet of sessions cannot amplify an overload (see ``docs/robustness.md``).
+any other exception the body raises propagate immediately.  The rule is
+:class:`~repro.qos.retry.Retry`, the one the campaign clients use too (see
+``docs/robustness.md``).
 
 Sessions are for *sequential* client code: an operation that would block on
 another in-flight transaction raises
@@ -33,8 +33,8 @@ from typing import Any, Callable, Hashable, Iterable
 
 from repro.core.interface import Scheduler
 from repro.core.transaction import Transaction
-from repro.errors import AbortReason, Overloaded, TransactionAborted, is_retryable
-from repro.qos.retry import BackoffPolicy, RetryBudget
+from repro.errors import AbortReason
+from repro.qos.retry import BackoffPolicy, Retry
 from repro.sim.random_streams import RandomStreams
 
 
@@ -104,9 +104,6 @@ class Database:
             the scheduler — read-write begins then take a token or raise
             :class:`~repro.errors.Overloaded`; read-only begins bypass it.
         backoff: the :class:`~repro.qos.BackoffPolicy` between retries.
-        retry_budget: a :class:`~repro.qos.RetryBudget`; when exhausted a
-            retryable failure propagates instead of retrying.  None means
-            unbounded (budget disabled).
         retry_seed: master seed for the deterministic retry jitter stream.
         sleep: optional ``sleep(delay)`` callable honoring backoff delays
             (e.g. wired to a simulator); None just records the schedule in
@@ -119,7 +116,6 @@ class Database:
         *,
         admission=None,
         backoff: BackoffPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
         retry_seed: int = 0,
         sleep: Callable[[float], None] | None = None,
         **scheduler_kwargs,
@@ -134,7 +130,6 @@ class Database:
         if admission is not None:
             self.scheduler.admission = admission
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.retry_budget = retry_budget
         self._retry_rng = RandomStreams(retry_seed).stream("session.retry")
         self._sleep = sleep
         #: Backoff delays issued by the most recent :meth:`run` call — the
@@ -167,56 +162,32 @@ class Database:
         :func:`repro.errors.is_retryable`:
 
         * contention aborts (timestamp rejections, deadlock victims,
-          validation failures, wounds) and transient infrastructure errors
-          (:class:`Overloaded` shedding, site failures, prepare timeouts)
-          retry up to ``retries`` times, after an exponential-backoff delay
-          with deterministic seeded jitter, while the retry budget lasts;
+          validation failures, wounds), fault aborts (site failures,
+          prepare timeouts) and :class:`Overloaded` shedding retry up to
+          ``retries`` times, after an exponential-backoff delay with
+          deterministic seeded jitter;
         * everything else — ``CorruptLogError``, ``ProtocolError``,
-          deadline expiry, user-requested aborts, and exceptions raised by
-          ``body`` itself — aborts and propagates immediately.
+          deadline expiry, user-requested aborts, and any other exception
+          ``body`` raises — aborts and propagates immediately.
 
-        The last error is re-raised when retries (or the budget) run out.
+        The last error is re-raised when the retries run out.
         """
-        last_error: BaseException | None = None
+        retry = Retry(self.backoff, self._retry_rng, limit=retries)
         self.last_retry_schedule = []
-        for attempt in range(retries + 1):
+        while True:
+            txn = None
             try:
                 txn = self.scheduler.begin(read_only=read_only, deadline=deadline)
-            except Overloaded as error:
-                last_error = error
-                if attempt >= retries or not self._spend_retry():
-                    raise
-                self._backoff(attempt)
-                continue
-            context = TransactionContext(self.scheduler, txn)
-            try:
-                result = body(context)
+                result = body(TransactionContext(self.scheduler, txn))
                 self.scheduler.commit(txn).result()
-                if self.retry_budget is not None:
-                    self.retry_budget.record_success()
                 return result
-            except TransactionAborted as error:
-                self.scheduler.abort(txn)
-                last_error = error
-                if not is_retryable(error):
-                    raise
-                if attempt >= retries or not self._spend_retry():
-                    raise
-                self._backoff(attempt)
-            except BaseException:
-                self.scheduler.abort(txn)
-                raise
-        assert last_error is not None
-        raise last_error
-
-    def _spend_retry(self) -> bool:
-        return self.retry_budget is None or self.retry_budget.try_spend()
-
-    def _backoff(self, attempt: int) -> None:
-        delay = self.backoff.delay(attempt, self._retry_rng)
-        self.last_retry_schedule.append(delay)
-        if self._sleep is not None:
-            self._sleep(delay)
+            except BaseException as error:
+                if txn is not None:
+                    self.scheduler.abort(txn)
+                delay = retry.failed(error)
+            self.last_retry_schedule.append(delay)
+            if self._sleep is not None:
+                self._sleep(delay)
 
     # -- passthroughs ----------------------------------------------------------------
 

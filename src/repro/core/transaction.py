@@ -20,7 +20,7 @@ import enum
 import itertools
 from typing import Any
 
-from repro.errors import AbortReason, ProtocolError
+from repro.errors import AbortReason, ProtocolError, TransactionAborted
 
 #: Sentinel start number for read-write transactions under two-phase locking:
 #: the paper sets ``sn(T) = infinity`` "for uniformity", meaning such a
@@ -135,9 +135,19 @@ class Transaction:
         return self.state in (TxnState.COMMITTED, TxnState.ABORTED)
 
     def require_active(self) -> None:
-        """Guard used by schedulers at every operation entry point."""
+        """Guard used by schedulers at every operation entry point.
+
+        An aborted transaction raises :class:`TransactionAborted` with its
+        abort reason — the fault path may have aborted it between two of the
+        client's operations, and the client's retry rule needs that reason.
+        A committed one raises :class:`ProtocolError`: that is misuse.
+        """
         state = self.state
         if state is not TxnState.ACTIVE and state is not TxnState.COMMITTING:
+            if state is TxnState.ABORTED:
+                raise TransactionAborted(
+                    self.txn_id, self.abort_reason, "no further operations allowed"
+                )
             raise ProtocolError(
                 f"transaction {self.txn_id} is {self.state.value}; no further operations allowed"
             )

@@ -38,7 +38,6 @@ from repro.distributed.courier import Courier
 from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.obs.spans import Span, activate, start_span, txn_context
 from repro.obs.tracer import Tracer
-from repro.qos.breaker import BreakerBoard
 from repro.storage.mvstore import MVStore
 from repro.storage.wal import (
     LogRecord,
@@ -231,11 +230,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
     #: The record a read-write begin hangs on ``txn.private``.
     rw_record: type[TwoPLRecord] = TwoPLRecord
 
-    #: Optional per-site circuit breakers (repro.qos): operations addressed
-    #: to a site whose breaker is open fail fast with ``SITE_UNAVAILABLE``
-    #: instead of parking on a dead site.  None disables the feature.
-    breakers: BreakerBoard | None = None
-
     def __init__(self, n_sites: int, courier: Courier | None):
         if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
@@ -345,8 +339,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             label=("{}{}[{}]@s{}", "r" if reading else "w", txn.txn_id, key, site.site_id)
         )
         record.futures.append(result)  # so a fault abort can fail it
-        if self._breaker_reject(txn, site):
-            return result
         started = False
 
         def deliver() -> None:
@@ -362,7 +354,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                     return
                 if result.done:  # fault abort raced the grant
                     return
-                self._breaker_success(site.site_id)
                 if not reading:
                     self._note_write(txn, key, value)
                     result.resolve(None)
@@ -490,39 +481,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
             if future.pending:
                 future.fail(error)
 
-    # -- circuit breakers (repro.qos) ----------------------------------------------
-
-    def _breaker_reject(self, txn: Transaction, site: SiteBase) -> bool:
-        """Fast-fail a read-write op against an unavailable site.
-
-        True when the op was rejected: the site is known down (crashed) or
-        its breaker is open / refusing probes.  The transaction aborts with
-        ``SITE_UNAVAILABLE`` — typed, retryable, and much cheaper than
-        parking on a site that cannot answer.
-        """
-        if self.breakers is None:
-            return False
-        sid = site.site_id
-        if site.crashed:
-            self.breakers.record_failure(sid)
-        elif self.breakers.allow(sid):
-            return False
-        self.counters.bump("qos.breaker.fastfail")
-        self._fault_abort(
-            txn,
-            AbortReason.SITE_UNAVAILABLE,
-            detail=f"site {sid} unavailable (breaker {self.breakers.for_site(sid).state})",
-        )
-        return True
-
-    def _breaker_success(self, site_id: int) -> None:
-        if self.breakers is not None:
-            self.breakers.record_success(site_id)
-
-    def _breaker_failure(self, site_id: int) -> None:
-        if self.breakers is not None:
-            self.breakers.record_failure(site_id)
-
     # -- crash / recovery -------------------------------------------------------------
 
     def crash_site(self, site_id: int) -> int:
@@ -541,7 +499,6 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         # half-crashed table could grant a queued request that the crash
         # is about to erase.
         lost = self.sites[site_id].crash(self.courier.tracer)
-        self._breaker_failure(site_id)
         for txn in list(self._active.values()):
             if site_id in txn.private.participants and txn.tn is None:
                 self._fault_abort(

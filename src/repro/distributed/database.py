@@ -53,9 +53,8 @@ from repro.core.transaction import Transaction
 from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
 from repro.distributed.dvc import DistributedVersionControl
-from repro.errors import AbortReason, SiteUnavailable, VersionNotFound
+from repro.errors import AbortReason, VersionNotFound
 from repro.obs.spans import start_span
-from repro.qos.breaker import BreakerBoard
 
 
 class Site(SiteBase):
@@ -149,16 +148,11 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         n_sites: int = 3,
         courier: Courier | None = None,
         prepare_timeout: float | None = None,
-        breakers: BreakerBoard | None = None,
     ):
         super().__init__(n_sites, courier)
         #: Coordinator-side timeout for the 2PC prepare round; None = wait
         #: forever.  Only effective when the courier has a clock (sim mode).
         self.prepare_timeout = prepare_timeout
-        self.breakers = breakers
-        if breakers is not None and self.courier.sim is not None:
-            sim = self.courier.sim
-            breakers.bind_clock(lambda: sim.now)
 
     def _build_site(self, sid: int) -> Site:
         """Site constructor hook; subclasses substitute richer node types
@@ -205,18 +199,6 @@ class DistributedVCDatabase(Distributed2PLDatabase):
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         site = self.site_of_key(key)
         result = OpFuture(label=("r{}[{}]@s{}", txn.txn_id, key, site.site_id))
-        if self.breakers is not None and (
-            site.crashed or not self.breakers.allow(site.site_id)
-        ):
-            # Fail fast with a typed, retryable error rather than parking a
-            # snapshot read on a dead site.  The transaction itself is NOT
-            # aborted — the read-only guarantee: the client may re-issue
-            # the read (or read elsewhere) at the same snapshot.
-            if site.crashed:
-                self.breakers.record_failure(site.site_id)
-            self.counters.bump("qos.breaker.fastfail")
-            result.fail(SiteUnavailable(site.site_id))
-            return result
         sn = self._ro_start_number(txn, site)
         started = False
 
@@ -236,7 +218,6 @@ class DistributedVCDatabase(Distributed2PLDatabase):
                     result.fail(exc)
                     return
                 self._note_read(txn, key, version.tn)
-                self._breaker_success(site.site_id)
                 result.resolve(version.value)
 
             visible.add_callback(ready)
@@ -304,10 +285,6 @@ class DistributedVCDatabase(Distributed2PLDatabase):
                     # Still pre-decision: abort is safe (no site installed
                     # anything; holds are discarded by the abort path).
                     self.counters.bump("2pc.prepare_timeouts")
-                    for sid in sorted(remaining):
-                        # The sites whose holds never arrived are the ones
-                        # the breaker should learn about.
-                        self._breaker_failure(sid)
                     self._fault_abort(
                         txn,
                         AbortReason.PREPARE_TIMEOUT,

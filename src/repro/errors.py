@@ -10,14 +10,12 @@ string matching.  The taxonomy mirrors the failure modes the paper discusses:
 * garbage-collected versions (paper Section 6),
 * protocol misuse by client code,
 * quality-of-service outcomes (deadline expiry, admission-control shedding,
-  infrastructure unavailability, snapshot-lease revocation under memory
-  pressure) from :mod:`repro.qos`.
+  snapshot-lease revocation under memory pressure) from :mod:`repro.qos`.
 
-The QoS layer additionally needs to *classify* failures: a deadlock victim
+Retry loops additionally need to *classify* failures: a deadlock victim
 should be retried, a corrupt log must never be.  The classification lives
-here, next to the taxonomy, so retry loops and dashboards agree on it
-(:data:`RETRYABLE_REASONS`, :data:`INFRASTRUCTURE_REASONS`,
-:func:`is_retryable`).
+here, next to the taxonomy, so every retry loop agrees on it
+(:data:`RETRYABLE_REASONS`, :func:`is_retryable`).
 """
 
 from __future__ import annotations
@@ -41,12 +39,9 @@ class AbortReason(enum.Enum):
     SITE_FAILURE = "site_failure"
     COORDINATOR_ABORT = "coordinator_abort"
     #: The 2PC prepare round did not gather its holds in time.  Distinct
-    #: from COORDINATOR_ABORT so dashboards and retry classification can
-    #: tell infrastructure aborts from contention aborts.
+    #: from COORDINATOR_ABORT so dashboards can tell a slow round from a
+    #: coordinator's decision.
     PREPARE_TIMEOUT = "prepare_timeout"
-    #: A required site was unreachable (crashed, or its circuit breaker is
-    #: open) at the time of the operation.
-    SITE_UNAVAILABLE = "site_unavailable"
     #: The transaction's deadline passed while it was blocked or in flight.
     DEADLINE_EXCEEDED = "deadline_exceeded"
     #: A read-only transaction's snapshot lease was revoked (memory
@@ -72,7 +67,6 @@ RETRYABLE_REASONS = frozenset(
         AbortReason.SITE_FAILURE,
         AbortReason.COORDINATOR_ABORT,
         AbortReason.PREPARE_TIMEOUT,
-        AbortReason.SITE_UNAVAILABLE,
         AbortReason.SNAPSHOT_TOO_OLD,
         AbortReason.QUORUM_UNAVAILABLE,
     }
@@ -81,7 +75,7 @@ RETRYABLE_REASONS = frozenset(
 #: Abort reasons a retry cannot fix: the user asked for the abort, or the
 #: transaction's time budget is already spent.  Kept explicit (not derived
 #: as the complement) so adding an AbortReason without classifying it is a
-#: loud error: the partition invariants below fail at import time, and the
+#: loud error: the partition invariant below fails at import time, and the
 #: regression test in ``tests/test_errors.py`` names the stray member.
 NONRETRYABLE_REASONS = frozenset(
     {
@@ -90,43 +84,11 @@ NONRETRYABLE_REASONS = frozenset(
     }
 )
 
-#: Abort reasons caused by infrastructure (sites, network), not by data
-#: contention — the signal circuit breakers and operators care about.
-INFRASTRUCTURE_REASONS = frozenset(
-    {
-        AbortReason.SITE_FAILURE,
-        AbortReason.PREPARE_TIMEOUT,
-        AbortReason.SITE_UNAVAILABLE,
-        AbortReason.QUORUM_UNAVAILABLE,
-    }
-)
-
-#: Abort reasons caused by data contention, resource pressure, or the
-#: client itself — the complement of :data:`INFRASTRUCTURE_REASONS`.
-#: ``SNAPSHOT_TOO_OLD`` lands here: a revoked lease is the *database*
-#: protecting its memory, not a site or network failure, so it must not
-#: trip circuit breakers.
-CONTENTION_REASONS = frozenset(
-    {
-        AbortReason.USER_REQUESTED,
-        AbortReason.TIMESTAMP_REJECTED,
-        AbortReason.DEADLOCK_VICTIM,
-        AbortReason.VALIDATION_FAILED,
-        AbortReason.WOUNDED,
-        AbortReason.COORDINATOR_ABORT,
-        AbortReason.DEADLINE_EXCEEDED,
-        AbortReason.SNAPSHOT_TOO_OLD,
-    }
-)
-
 # Classification audit: every AbortReason appears in exactly one of the
-# retryable/non-retryable lists and exactly one of the
-# infrastructure/contention lists.  A new reason that skips classification
+# retryable/non-retryable lists.  A new reason that skips classification
 # breaks the import, not a retry loop at 3am.
 assert RETRYABLE_REASONS | NONRETRYABLE_REASONS == frozenset(AbortReason)
 assert not RETRYABLE_REASONS & NONRETRYABLE_REASONS
-assert INFRASTRUCTURE_REASONS | CONTENTION_REASONS == frozenset(AbortReason)
-assert not INFRASTRUCTURE_REASONS & CONTENTION_REASONS
 
 
 class ReproError(Exception):
@@ -209,9 +171,7 @@ MemoryPressureController` revoked the oldest leases so garbage collection
       renewal (every read renews; an idle session eventually loses its pin).
 
     Always retryable (:data:`RETRYABLE_REASONS`): a fresh ``begin`` obtains
-    a new snapshot at the current ``vtnc`` and a new lease.  Classified as
-    contention, not infrastructure — revocation is the database shedding
-    memory load, and must not trip circuit breakers.
+    a new snapshot at the current ``vtnc`` and a new lease.
     """
 
     def __init__(
@@ -248,11 +208,10 @@ class QuorumUnavailable(TransactionAborted):
       retries are the caller's contract, exactly as with any distributed
       commit timeout.
 
-    Always retryable (:data:`RETRYABLE_REASONS`) and classified as
-    infrastructure (:data:`INFRASTRUCTURE_REASONS`): the quorum being out
-    of reach is a site/network condition, and circuit breakers should see
-    it.  Sessions degrade rather than block — read-only snapshots keep
-    serving from replicas while writes fail fast with this error.
+    Always retryable (:data:`RETRYABLE_REASONS`): the quorum being out of
+    reach is a site/network condition the cluster heals by promotion.
+    Sessions degrade rather than block — read-only snapshots keep serving
+    from replicas while writes fail fast with this error.
     """
 
     def __init__(
@@ -308,29 +267,11 @@ class CorruptLogError(ReproError):
         super().__init__(message)
 
 
-class SiteUnavailable(ReproError):
-    """An operation was addressed to a site that is currently unreachable.
-
-    Raised by the distributed layer when client code operates on a site
-    between :meth:`crash_site` and :meth:`recover_site`, or when the site's
-    circuit breaker is open and the operation fails fast instead of joining
-    a doomed wait (see :mod:`repro.qos.breaker`).
-    """
-
-    def __init__(self, site_id: int | None = None, detail: str = ""):
-        self.site_id = site_id
-        message = detail or (
-            f"site {site_id} is unavailable" if site_id is not None else "site unavailable"
-        )
-        super().__init__(message)
-
-
 class Overloaded(ReproError):
     """Admission control shed this request: the system is over capacity.
 
     A typed, never-silent rejection: the caller can back off and retry
-    (shedding is always retryable, but consumes retry budget so storms
-    cannot amplify the overload).
+    (shedding is always retryable).
     """
 
     def __init__(self) -> None:
@@ -344,9 +285,8 @@ class ReplicaLagging(ReproError):
     :class:`~repro.replica.ReplicatedDatabase`: the caller asked for a
     snapshot no staler than ``bound`` transactions and every routing choice
     would violate it.  Retryable — replication lag is transient by nature
-    (the backlog drains as soon as shipping heals) — and classified as
-    infrastructure, like the network faults that usually cause it.  The
-    default policies degrade instead of raising: ``"redirect"`` serves the
+    (the backlog drains as soon as shipping heals), like the network faults
+    that usually cause it.  The default policies degrade instead of raising: ``"redirect"`` serves the
     snapshot from the primary, ``"stale"`` serves it anyway and marks it.
     """
 
@@ -366,6 +306,9 @@ class ProtocolError(ReproError):
 
     Examples: writing inside a transaction declared read-only, operating on a
     committed transaction, reading a key twice when the model forbids it.
+    Operating on an *aborted* transaction is not misuse — the fault path may
+    have aborted it between two operations — and raises
+    :class:`TransactionAborted` instead.
     """
 
 
@@ -390,11 +333,10 @@ class InvariantViolation(ReproError):
 def is_retryable(error: BaseException) -> bool:
     """Whether a fresh attempt of the failed transaction could succeed.
 
-    The single classification point shared by :meth:`Database.run` and any
-    other retry loop:
+    The single classification point of :class:`repro.qos.retry.Retry`, the
+    rule :meth:`Database.run` and the campaign clients retry by:
 
     * :class:`Overloaded` — yes (back off first; shedding is transient);
-    * :class:`SiteUnavailable` — yes (infrastructure may recover);
     * :class:`ReplicaLagging` — yes (lag drains once shipping heals);
     * :class:`TransactionAborted` — per :data:`RETRYABLE_REASONS`; notably
       ``USER_REQUESTED`` and ``DEADLINE_EXCEEDED`` are *not* retryable (the
@@ -402,7 +344,7 @@ def is_retryable(error: BaseException) -> bool:
     * everything else (``CorruptLogError``, ``ProtocolError``, user
       exceptions) — no: retrying cannot fix a damaged log or a usage bug.
     """
-    if isinstance(error, (Overloaded, SiteUnavailable, ReplicaLagging)):
+    if isinstance(error, (Overloaded, ReplicaLagging)):
         return True
     if isinstance(error, TransactionAborted):
         return error.reason in RETRYABLE_REASONS

@@ -38,11 +38,11 @@ import argparse
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Generator, Iterable
 
-from repro.errors import Overloaded, ProtocolError, TransactionAborted
+from repro.errors import Overloaded, TransactionAborted
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.obs.pipeline import ObsPipeline
-from repro.qos.retry import BackoffPolicy
+from repro.qos.retry import BackoffPolicy, Retry
 from repro.sim.engine import Simulator, closed_loop
 from repro.sim.random_streams import RandomStreams
 
@@ -461,7 +461,7 @@ class PhaseRun:
                             event, **event_fields, duration=window, healed_at=sim.now
                         )
                     outage_start = None
-            except (TransactionAborted, ProtocolError):
+            except TransactionAborted:
                 if txn.is_active:
                     db.abort(txn)
                 if outage_start is None:
@@ -489,21 +489,19 @@ def backoff_loop(
 ) -> Generator:
     """A closed-loop client behind admission control: ``begin()`` may be
     shed with :class:`~repro.errors.Overloaded`, which calls ``shed()`` and
-    backs off exponentially with seeded ``jitter``; an admitted
-    transaction runs ``attempt(txn)`` and resets the back-off."""
-    backoff = BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5)
-    failures = 0
+    backs off one :class:`~repro.qos.retry.Retry` delay drawn from seeded
+    ``jitter`` before going back to the loop; an admitted transaction runs
+    ``attempt(txn)`` and resets the back-off."""
+    retry = Retry(BackoffPolicy(base=0.5, factor=2.0, cap=8.0, jitter=0.5), jitter)
 
     def once():
-        nonlocal failures
         try:
             txn = begin()
-        except Overloaded:
+        except Overloaded as error:
             shed()
-            yield backoff.delay(failures, jitter)
-            failures += 1
+            yield retry.failed(error)
             return
-        failures = 0
+        retry.reset()
         yield from attempt(txn)
 
     return closed_loop(sim, until, gap, once)
@@ -521,12 +519,12 @@ def rw_attempt(
     generator function), else ``yield db.commit(txn)``.  Returns ``None`` on
     commit and the error on abort.
 
-    A client absorbs ``TransactionAborted`` (a lock victim, a missed
+    A client absorbs ``TransactionAborted``: a lock victim, a missed
     deadline, a site failure, a fenced or indeterminate quorum commit, a
-    2PC timeout through a pending future) and ``ProtocolError`` (the fault
-    path aborted ``txn`` while the client slept between operations, so the
-    next operation's entry guard fired).  Either way ``txn`` is aborted only
-    if still active: the fault path may have finished it already.
+    2PC timeout through a pending future, or the next operation's entry
+    guard when the fault path aborted ``txn`` while the client slept.
+    ``txn`` is aborted only if still active: the fault path may have
+    finished it already.
     """
     try:
         for key in keys:
@@ -538,7 +536,7 @@ def rw_attempt(
             yield db.commit(txn)
         else:
             yield from commit()
-    except (TransactionAborted, ProtocolError) as error:
+    except TransactionAborted as error:
         if txn.is_active:
             db.abort(txn)
         return error

@@ -137,12 +137,9 @@ EVENTS: dict[str, EventSpec] = {
     "shard.outage": _spec(
         "faults", "shard duration healed_at", by="the shard campaign's per-shard prober"
     ),
-    # Admission, breakers, memory pressure.
+    # Admission, memory pressure.
     "qos.admit": _spec("qos", "in_flight", by="admission: token granted"),
     "qos.shed": _spec("qos", "in_flight", by="admission: arrival shed with `Overloaded`"),
-    "qos.breaker": _spec(
-        "qos", "site state previous now failures", by="circuit-breaker state transition"
-    ),
     "qos.memory_pressure": _spec(
         "qos", "state live_versions", "high_watermark low_watermark",
         by="memory-pressure controller state change",

@@ -166,10 +166,9 @@ def attach_tracer(scheduler: Any, tracer: Tracer) -> Instrumentation:
                 for replica in site_replicas.values():
                     handle._set_tracer(replica)
                     handle._set_tracer(getattr(replica, "counters", None))
-    # QoS components (repro.qos): admission controller and circuit-breaker
-    # board, when installed, emit qos.admit/qos.shed/qos.breaker events.
+    # The admission controller (repro.qos), when installed, emits
+    # qos.admit/qos.shed events.
     handle._set_tracer(getattr(scheduler, "admission", None))
-    handle._set_tracer(getattr(scheduler, "breakers", None))
     # Replica clusters (repro.replica): passing a ReplicaCluster — or a
     # ReplicatedDatabase carrying one — instruments the primary scheduler,
     # the log shipper (replica.ship / replica.ack), and every replica node

@@ -11,10 +11,8 @@ Pieces (each usable standalone; see ``docs/robustness.md``):
 
 * :class:`AdmissionController` — token-based admission that sheds what
   it cannot admit;
-* :class:`CircuitBreaker` / :class:`BreakerBoard` — per-site breakers for
-  the distributed courier path;
-* :class:`BackoffPolicy` / :class:`RetryBudget` — classified retries with
-  deterministic seeded jitter and storm-proof budgets;
+* :class:`BackoffPolicy` and :class:`~repro.qos.retry.Retry` — classified
+  retries with deterministic seeded jitter, one rule for every retry loop;
 * deadlines: ``begin(deadline=...)`` stamps ``txn.deadline``; the lock
   manager enforces it (no helper here);
 * :mod:`repro.qos.overload` — the seeded overload drill behind
@@ -27,13 +25,9 @@ All decisions emit ``qos.*`` trace events through :mod:`repro.obs`.
 """
 
 from repro.qos.admission import AdmissionController
-from repro.qos.breaker import BreakerBoard, CircuitBreaker
-from repro.qos.retry import BackoffPolicy, RetryBudget
+from repro.qos.retry import BackoffPolicy
 
 __all__ = [
     "AdmissionController",
     "BackoffPolicy",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "RetryBudget",
 ]

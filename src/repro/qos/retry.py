@@ -1,9 +1,6 @@
-"""Classified retries: backoff with deterministic jitter and retry budgets.
+"""Classified retries: one rule for every retry loop.
 
-``Database.run`` used to retry *any* :class:`TransactionAborted` up to N
-times, immediately — a retry storm amplifier and a bug (it happily retried
-errors no retry can fix).  This module supplies the three pieces of a
-well-behaved retry loop:
+A retry loop makes three decisions, each written once here:
 
 * **classification** — delegated to :func:`repro.errors.is_retryable`:
   contention and transient infrastructure aborts retry; deadline expiry,
@@ -14,11 +11,12 @@ well-behaved retry loop:
   :class:`~repro.sim.random_streams.RandomStreams` stream, so the same
   master seed always produces the same retry schedule (the property
   ``tests/sim`` asserts);
-* **budget** — :class:`RetryBudget`, a token bucket spent on every retry
-  and refilled by successes, so a fleet of clients cannot convert an
-  overload blip into a sustained retry storm.  An exhausted budget turns
-  a retryable error into a terminal one.
+* **limit** — :class:`Retry` counts consecutive failures and turns a
+  retryable error terminal once ``limit`` retries are spent.
 
+:class:`Retry` is the rule both client loops share: ``Database.run``
+retries in place, and :func:`repro.faults.campaign.backoff_loop` sheds,
+sleeps one delay and goes back to its closed loop.
 :meth:`BackoffPolicy.delay` is the one back-off formula:
 :class:`repro.faults.RetryPolicy` (the courier-level retransmit policy) is
 this policy plus an attempt limit.
@@ -29,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.errors import is_retryable  # re-exported for callers  # noqa: F401
+from repro.errors import is_retryable
 
 
 @dataclass(frozen=True)
@@ -61,37 +59,32 @@ class BackoffPolicy:
         return [self.delay(i, rng) for i in range(attempts)]
 
 
-class RetryBudget:
-    """Token bucket limiting how many retries a client may issue.
+class Retry:
+    """One client's retry state: classify a failure, count it, delay.
 
-    Every retry spends one token; every *success* earns back
-    ``refill_per_success`` tokens (capped at ``capacity``).  When the
-    bucket is empty a retryable failure becomes terminal — under sustained
-    overload each client degrades to roughly ``refill_per_success``
-    retries per success instead of ``retries`` per attempt, which is what
-    stops a shed-retry feedback loop.
+    :meth:`failed` re-raises ``error`` unless :func:`is_retryable` holds and
+    fewer than ``limit`` retries were spent (None: no limit); otherwise it
+    counts the retry and returns ``policy.delay(n, rng)`` for the ``n``-th.
+    :meth:`reset` zeroes the count after a success.
     """
 
-    def __init__(self, capacity: float = 10.0, refill_per_success: float = 0.5):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = float(capacity)
-        self.refill_per_success = float(refill_per_success)
-        self._tokens = float(capacity)
-        #: Retries denied because the bucket was empty.
-        self.exhausted = 0
+    def __init__(
+        self, policy: BackoffPolicy, rng: random.Random, limit: int | None = None
+    ):
+        self.policy = policy
+        self.rng = rng
+        self.limit = limit
+        self.count = 0
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
+    def failed(self, error: BaseException) -> float:
+        """The delay before the next attempt, or ``error`` re-raised."""
+        if not is_retryable(error) or (
+            self.limit is not None and self.count >= self.limit
+        ):
+            raise error
+        delay = self.policy.delay(self.count, self.rng)
+        self.count += 1
+        return delay
 
-    def try_spend(self) -> bool:
-        """Take one token for a retry; False when the budget is exhausted."""
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        self.exhausted += 1
-        return False
-
-    def record_success(self) -> None:
-        self._tokens = min(self.capacity, self._tokens + self.refill_per_success)
+    def reset(self) -> None:
+        self.count = 0

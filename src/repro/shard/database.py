@@ -55,7 +55,6 @@ from repro.distributed.database import DistributedVCDatabase, Site
 from repro.distributed.gtn import counter_of
 from repro.errors import ProtocolError
 from repro.obs.spans import start_span
-from repro.qos.breaker import BreakerBoard
 from repro.replica.node import Replica
 from repro.replica.ship import LogShipper, ShippedLog
 from repro.shard.ring import HashRing
@@ -154,7 +153,6 @@ class ShardedDatabase(DistributedVCDatabase):
         n_shards: int = 2,
         courier: Courier | None = None,
         prepare_timeout: float | None = None,
-        breakers: BreakerBoard | None = None,
         replicas_per_shard: int = 0,
     ):
         #: Placement is fixed at construction; `_build_site` runs during
@@ -164,7 +162,6 @@ class ShardedDatabase(DistributedVCDatabase):
             n_sites=n_shards,
             courier=courier,
             prepare_timeout=prepare_timeout,
-            breakers=breakers,
         )
         self.n_shards = n_shards
         self._next_replica_id = 0

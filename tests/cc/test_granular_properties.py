@@ -8,7 +8,7 @@ from repro.cc.granular import (
     GranularMode as M,
     granular_compatible,
 )
-from repro.errors import DeadlineExceeded, SiteUnavailable
+from repro.errors import AbortReason, DeadlineExceeded, TransactionAborted
 
 KEYS = ["a", "b"]
 PATHS = [("db",)] + [("db", k) for k in KEYS]
@@ -60,7 +60,7 @@ def test_property_random_granular_traffic(data):
                 assert isinstance(pending[txn].error, DeadlineExceeded)
         elif action == "cancel":
             txn = data.draw(st.integers(1, N_TXNS))
-            assert lm.cancel_request(txn, SiteUnavailable()) == (txn in pending)
+            assert lm.cancel_request(txn, TransactionAborted(txn, AbortReason.SITE_FAILURE)) == (txn in pending)
         else:
             txn = data.draw(st.integers(1, N_TXNS))
             lm.release_all(txn)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.cc.granular import GranularLockManager, GranularMode
 from repro.cc.lock_manager import LockManager, LockTable
 from repro.cc.locks import LockMode
-from repro.errors import SiteUnavailable
+from repro.errors import AbortReason, TransactionAborted
 
 KEYS = ["a", "b", "c"]
 N_TXNS = 5
@@ -86,7 +86,7 @@ def test_property_flat_and_depth_one_granular_stay_identical(data, policy):
             assert flat.expire_due(now) == deep.expire_due(now)
         elif action == "cancel":
             txn = data.draw(st.integers(1, N_TXNS))
-            error = SiteUnavailable(site_id=txn)
+            error = TransactionAborted(txn, AbortReason.SITE_FAILURE)
             assert flat.cancel_request(txn, error) == deep.cancel_request(txn, error)
         settle()
         assert snapshot(flat, lambda k: k) == snapshot(deep, lambda k: (k,))

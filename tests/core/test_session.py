@@ -11,7 +11,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.protocols import VCOCCScheduler, VCTOScheduler
-from repro.qos import AdmissionController, RetryBudget
+from repro.qos import AdmissionController
 
 
 class TestTransactionContext:
@@ -193,16 +193,6 @@ class TestRetryClassification:
         assert len(calls) == 2
         assert len(db.last_retry_schedule) == 1
         assert db.last_retry_schedule[0] > 0
-
-    def test_retry_budget_exhaustion_turns_terminal(self):
-        db = Database("vc-2pl", retry_budget=RetryBudget(capacity=2.0))
-        body, calls = self._failing_body(
-            lambda txn_id: TransactionAborted(txn_id, AbortReason.DEADLOCK_VICTIM)
-        )
-        with pytest.raises(TransactionAborted):
-            db.run(body, retries=50)
-        assert len(calls) == 3, "initial attempt + the two budgeted retries"
-        assert db.retry_budget.exhausted == 1
 
     def test_retry_schedule_deterministic_under_seed(self):
         def flaky_maker():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.transaction import SN_INFINITY, Transaction, TxnClass, TxnState
-from repro.errors import AbortReason, ProtocolError
+from repro.errors import AbortReason, ProtocolError, TransactionAborted
 
 
 class TestClassification:
@@ -64,8 +64,9 @@ class TestStateMachine:
     def test_commit_after_abort_rejected(self):
         t = Transaction()
         t.mark_aborted(AbortReason.USER_REQUESTED)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(TransactionAborted) as info:
             t.mark_committed()
+        assert info.value.reason is AbortReason.USER_REQUESTED
 
     def test_require_active_on_finished_raises(self):
         t = Transaction()

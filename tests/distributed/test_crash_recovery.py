@@ -250,8 +250,9 @@ class TestDMV2PLCrashRecovery:
         db.write(t, "s1:x", 1).result()
         db.crash_restart_site(1)
         assert t.state.value == "aborted"
-        with pytest.raises(ProtocolError):
+        with pytest.raises(TransactionAborted) as info:
             db.read(t, "s1:x")
+        assert info.value.reason is AbortReason.SITE_FAILURE
 
     def test_in_doubt_commit_applied_during_recovery(self):
         courier = Courier(manual=True)

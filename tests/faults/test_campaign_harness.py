@@ -27,7 +27,7 @@ import pytest
 import repro
 from repro.core.futures import OpFuture
 from repro.core.transaction import TxnState
-from repro.errors import AbortReason, ProtocolError, TransactionAborted
+from repro.errors import AbortReason, TransactionAborted
 from repro.faults import FaultSpec
 from repro.faults.campaign import (
     CampaignPhase,
@@ -326,7 +326,7 @@ class TestReadWriteAttempt:
         assert [db.read(reader, key).result() for key in "xy"] == [1, 1]
         assert db.aborts == 0
 
-    def test_a_fault_abort_between_operations_returns_the_protocol_error(self):
+    def test_a_fault_abort_between_operations_returns_the_abort(self):
         db = _CountedAborts(make_scheduler("vc-2pl"))
         txn = db.begin()
 
@@ -335,7 +335,8 @@ class TestReadWriteAttempt:
             db.scheduler.abort(txn)
 
         error = self._attempt(db, txn, fault())
-        assert isinstance(error, ProtocolError)
+        assert isinstance(error, TransactionAborted)
+        assert error.reason is AbortReason.USER_REQUESTED
         assert txn.state is TxnState.ABORTED
         assert db.aborts == 0  # already finished: not aborted a second time
 

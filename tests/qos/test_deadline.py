@@ -5,7 +5,7 @@ import pytest
 from repro.cc.granular import GranularLockManager, GranularMode
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
-from repro.errors import DeadlineExceeded, SiteUnavailable
+from repro.errors import AbortReason, DeadlineExceeded, TransactionAborted
 from repro.protocols.vc_granular import VCGranular2PLScheduler
 
 
@@ -110,18 +110,20 @@ class TestLockManagerExpiry:
         rig.acquire(1, "x", rig.X)
         blocked = rig.acquire(2, "x", rig.X)
         behind = rig.acquire(3, "x", rig.X)
-        assert rig.lm.cancel_request(2, SiteUnavailable(site_id=7))
-        assert isinstance(blocked.error, SiteUnavailable)
+        error = TransactionAborted(2, AbortReason.SITE_FAILURE)
+        assert rig.lm.cancel_request(2, error)
+        assert blocked.error is error
         assert rig.waiting("x") == [3]
-        assert not rig.lm.cancel_request(2, SiteUnavailable()), "nothing pending"
+        assert not rig.lm.cancel_request(2, error), "nothing pending"
         rig.lm.release_all(1)
         assert behind.done, "the evicted waiter no longer stands in the queue"
 
     def test_crash_fails_waiters_and_forgets_everything(self, rig):
         rig.acquire(1, "x", rig.X)
         waiters = [rig.acquire(2, "x", rig.X), rig.acquire(3, "x", rig.S)]
-        assert rig.lm.crash(lambda txn_id: SiteUnavailable(site_id=txn_id)) == [2, 3]
-        assert [f.error.site_id for f in waiters] == [2, 3]
+        fail = lambda txn_id: TransactionAborted(txn_id, AbortReason.SITE_FAILURE)
+        assert rig.lm.crash(fail) == [2, 3]
+        assert [f.error.txn_id for f in waiters] == [2, 3]
         assert rig.lm.is_idle() and not rig.lm.waits_for.waiters()
         assert rig.lm.holders(rig.node("x")) == {}
         assert rig.acquire(3, "x", rig.X).done, "a crashed table starts empty"

@@ -1,8 +1,9 @@
-"""Backoff policy and retry budget."""
+"""Backoff policy and the one retry rule."""
 
 import pytest
 
-from repro.qos.retry import BackoffPolicy, RetryBudget
+from repro.errors import AbortReason, Overloaded, ProtocolError, TransactionAborted
+from repro.qos.retry import BackoffPolicy, Retry
 from repro.sim.random_streams import RandomStreams
 
 
@@ -33,27 +34,42 @@ class TestBackoffPolicy:
         assert first != second
 
 
-class TestRetryBudget:
-    def test_spends_down_to_exhaustion(self):
-        budget = RetryBudget(capacity=2.0)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        assert budget.exhausted == 1
+class TestRetry:
+    POLICY = BackoffPolicy(base=1.0, factor=2.0, cap=8.0, jitter=0.5)
 
-    def test_success_refills_capped(self):
-        budget = RetryBudget(capacity=2.0, refill_per_success=0.5)
-        budget.try_spend()
-        budget.try_spend()
-        budget.record_success()
-        assert budget.tokens == 0.5
-        assert not budget.try_spend(), "half a token is not a retry"
-        budget.record_success()
-        assert budget.try_spend()
-        for _ in range(10):
-            budget.record_success()
-        assert budget.tokens == 2.0, "refills never exceed capacity"
+    def test_delays_are_the_policy_schedule(self):
+        retry = Retry(self.POLICY, RandomStreams(42).stream("r"))
+        delays = [retry.failed(Overloaded()) for _ in range(5)]
+        assert delays == self.POLICY.schedule(5, RandomStreams(42).stream("r"))
+        assert retry.count == 5
 
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=-1.0)
+    def test_non_retryable_errors_are_re_raised_uncounted(self):
+        retry = Retry(self.POLICY, RandomStreams(0).stream("r"))
+        for error in (
+            TransactionAborted(1, AbortReason.USER_REQUESTED),
+            ProtocolError("misuse"),
+            KeyError("body bug"),
+        ):
+            with pytest.raises(type(error)) as info:
+                retry.failed(error)
+            assert info.value is error
+        assert retry.count == 0
+
+    def test_limit_turns_a_retryable_error_terminal(self):
+        retry = Retry(self.POLICY, RandomStreams(0).stream("r"), limit=2)
+        error = TransactionAborted(1, AbortReason.DEADLOCK_VICTIM)
+        retry.failed(error)
+        retry.failed(error)
+        with pytest.raises(TransactionAborted):
+            retry.failed(error)
+        assert retry.count == 2
+
+    def test_reset_restarts_the_exponent_not_the_jitter_stream(self):
+        rng = RandomStreams(7).stream("r")
+        retry = Retry(self.POLICY, rng, limit=1)
+        retry.failed(Overloaded())
+        retry.reset()
+        second = retry.failed(Overloaded())
+        expected = RandomStreams(7).stream("r")
+        expected.random()  # the first delay's draw
+        assert second == self.POLICY.delay(0, expected)

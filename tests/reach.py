@@ -189,7 +189,7 @@ ALLOW: dict[str, tuple[str, str]] = {
     **_allow("api", "`bench --protocols`, docs/benchmarks.md", "bench/artifact.py::_protocol_list"),
     **_allow("api", "the session API, docs/api.md", *(f"core/session.py::{name}" for name in (
         "TransactionContext.read_many", "TransactionContext.abort", "Database.run",
-        "Database._spend_retry", "Database._backoff", "Database.check_serializable"))),
+        "Database.check_serializable"))),
     **_allow("api", "Section 6 remedy 2, docs/api.md",
              "core/snapshot.py::SnapshotManager.begin_current_reader"),
     **_allow("api", "manual mode and its partitions, docs/faults.md",
@@ -210,16 +210,10 @@ ALLOW: dict[str, tuple[str, str]] = {
     **_allow("api", "the span tree, docs/observability.md", "obs/spans.py::SpanNode.walk"),
     **_allow("api", "`scan()` of a read-only transaction, docs/api.md",
              "protocols/vc_granular.py::VCGranular2PLScheduler.snapshot_scan"),
-    **_allow("api", "the per-site breakers, docs/robustness.md",
-             *(f"qos/breaker.py::BreakerBoard.{name}" for name in (
-                 "__init__", "tracer", "bind_clock", "for_site", "allow", "record_success",
-                 "record_failure", "states"))),
     **_allow("api", "a campaign report's `as_dict` field (`DERIVED`), docs/faults.md",
              *(f"qos/memory.py::MemoryReport.{name}"
                for name in ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")),
              "replica/campaign.py::ReplicationReport.staleness_max"),
-    **_allow("api", "retry budgets, docs/robustness.md",
-             "qos/retry.py::RetryBudget.tokens", "qos/retry.py::RetryBudget.record_success"),
     **_allow("api", "the scheduler interface, docs/api.md", "replica/node.py::Replica.abort"),
     **_allow("api", "the torn-write fault, docs/faults.md",
              "replica/ship.py::ShippedLog.partial_force"),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.distributed.courier import Courier
-from repro.errors import QuorumUnavailable
+from repro.errors import QuorumUnavailable, is_retryable
 from repro.faults.courier import FaultyCourier
 from repro.faults.schedule import FaultSchedule
 from repro.replica.cluster import ReplicaCluster
@@ -120,6 +120,41 @@ class TestQuorumGate:
         assert future.failed
         assert isinstance(future.error, QuorumUnavailable)
         assert future.error.reason.value == "quorum_unavailable"
+
+
+class TestFailOverClients:
+    """What a client of a quorum cluster sees across a fail-over."""
+
+    def test_crashed_primary_fails_in_flight_commits_retryably(self):
+        cluster = quorum_cluster(n_replicas=2)
+        in_flight = [start_commit(cluster, f"k{i}", i)[1] for i in range(2)]
+        cluster.fail_over(crash_old=True)
+        for future in in_flight:
+            assert future.failed
+            assert isinstance(future.error, QuorumUnavailable)
+            assert is_retryable(future.error)
+        # A retry re-fetches cluster.primary and lands on the promoted
+        # scheduler, inside the new term.
+        epoch = cluster.epoch
+        _, retried = start_commit(cluster, "k0", 0)
+        cluster.courier.pump()
+        assert retried.done and not retried.failed
+        assert cluster.epoch == epoch
+
+    def test_deposed_primary_never_acknowledges(self):
+        # The partition case: the deposed primary survives (crash_old=False)
+        # and is never told.  A client still holding its handle cannot get
+        # a commit acknowledged: the survivors reject its segments by epoch.
+        cluster = quorum_cluster(n_replicas=2)
+        deposed = cluster.primary
+        cluster.fail_over(crash_old=False)
+        survivors = list(cluster.replicas.values())
+        txn = deposed.begin()
+        deposed.write(txn, "pinned", 1).result()
+        future = deposed.commit(txn)
+        cluster.courier.pump()
+        assert future.pending, "no valid-epoch ack can ever arrive"
+        assert any(replica.segments_stale > 0 for replica in survivors)
 
 
 class TestLeaseFencing:

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import (
-    CONTENTION_REASONS,
-    INFRASTRUCTURE_REASONS,
     NONRETRYABLE_REASONS,
     RETRYABLE_REASONS,
     AbortReason,
@@ -98,12 +96,10 @@ class TestSpecificErrors:
     def test_snapshot_too_old_is_retryable_contention(self):
         err = SnapshotTooOld(7, sn=3)
         assert is_retryable(err)
-        # The database shedding memory load must not trip circuit breakers.
-        assert err.reason not in INFRASTRUCTURE_REASONS
 
 
 class TestClassificationPartitions:
-    """Every AbortReason lands in exactly one side of each partition.
+    """Every AbortReason lands in exactly one side of the partition.
 
     The import-time asserts in repro.errors enforce the same thing, but
     a failed module import points nowhere; these name the stray member.
@@ -115,21 +111,13 @@ class TestClassificationPartitions:
         both = RETRYABLE_REASONS & NONRETRYABLE_REASONS
         assert not both, f"doubly classified: {sorted(r.value for r in both)}"
 
-    def test_cause_partition_is_exhaustive_and_disjoint(self):
-        unclassified = frozenset(AbortReason) - INFRASTRUCTURE_REASONS - CONTENTION_REASONS
-        assert not unclassified, f"unclassified cause: {sorted(r.value for r in unclassified)}"
-        both = INFRASTRUCTURE_REASONS & CONTENTION_REASONS
-        assert not both, f"doubly classified: {sorted(r.value for r in both)}"
-
     def test_snapshot_too_old_membership(self):
         assert AbortReason.SNAPSHOT_TOO_OLD in RETRYABLE_REASONS
-        assert AbortReason.SNAPSHOT_TOO_OLD in CONTENTION_REASONS
 
     def test_quorum_unavailable_membership(self):
-        # Retryable (the cluster heals itself; the retry lands on the new
-        # primary) and infrastructure (circuit breakers must see it).
+        # Retryable: the cluster heals itself; the retry lands on the new
+        # primary.
         assert AbortReason.QUORUM_UNAVAILABLE in RETRYABLE_REASONS
-        assert AbortReason.QUORUM_UNAVAILABLE in INFRASTRUCTURE_REASONS
 
 
 class TestQuorumUnavailable:
