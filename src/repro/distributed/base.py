@@ -26,6 +26,7 @@ messages and recovery redelivers them.
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.cc.deadlock import WaitsForGraph
@@ -36,7 +37,7 @@ from repro.core.interface import TransactionBookkeeping
 from repro.core.transaction import Transaction, TxnClass
 from repro.distributed.courier import Courier
 from repro.errors import AbortReason, ProtocolError, TransactionAborted
-from repro.obs.spans import Span, activate, start_span, txn_context
+from repro.obs.spans import NULL_SPAN, NullSpan, Span, activate, start_span, txn_context
 from repro.obs.tracer import Tracer
 from repro.storage.mvstore import MVStore
 from repro.storage.wal import (
@@ -199,7 +200,10 @@ class TwoPLRecord:
     """``txn.private`` of a read-write transaction under distributed 2PL.
 
     ``futures`` is every operation and commit future handed to the client —
-    what a fault abort must fail so nobody waits on a dead site.  Past the
+    what a fault abort must fail so nobody waits on a dead site.
+    ``writes`` is the staged writes grouped by owning site, each in write
+    order, filled as each exclusive lock is granted: what that site's
+    commit leg logs and installs, so a commit places no key.  Past the
     commit decision ``acks`` is the sites whose leg has not run yet and
     ``commit_at`` the idempotent handler that runs one: what
     :meth:`Distributed2PLDatabase.recover_site` finishes an in-doubt commit
@@ -207,17 +211,24 @@ class TwoPLRecord:
     in-flight machinery.
     """
 
-    __slots__ = ("participants", "futures", "acks", "commit_at")
+    __slots__ = ("participants", "futures", "writes", "acks", "commit_at")
 
     def __init__(self) -> None:
         self.participants: set[int] = set()
         self.futures: list[OpFuture] = []
+        self.writes: dict[int, dict[Hashable, Any]] = {}
         self.acks: set[int] | tuple[()] = ()  # nothing in doubt before the decision
         self.commit_at: Callable[[int], None] | None = None
 
     def release(self) -> None:
         self.futures = []
+        self.writes = {}
         self.commit_at = None
+
+    def writes_at(self, sid: int) -> Iterable[tuple[Hashable, Any]]:
+        """Site ``sid``'s staged writes, in write order (re-iterable)."""
+        writes = self.writes.get(sid)
+        return writes.items() if writes is not None else ()
 
 
 class Distributed2PLDatabase(TransactionBookkeeping):
@@ -241,6 +252,8 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         self.sites: dict[int, Any] = {
             sid: self._build_site(sid) for sid in range(1, n_sites + 1)
         }
+        #: key -> owning site, filled by :meth:`site_of_key`.
+        self._placement: dict[Hashable, Any] = {}
         self.courier = courier if courier is not None else Courier()
 
     def _build_site(self, sid: int) -> SiteBase:
@@ -249,24 +262,31 @@ class Distributed2PLDatabase(TransactionBookkeeping):
     # -- placement and messaging ---------------------------------------------------
 
     def site_of_key(self, key: Hashable) -> Any:
-        """Owning site for ``key``: explicit ``"s<id>:..."`` prefix or hash."""
+        """Owning site for ``key``, placed by :meth:`_place` on first ask.
+
+        Placement is a pure function of the key and the site set, and the
+        site set is fixed: ``sites`` is built once in ``__init__`` and never
+        reassigned (``recover_site`` replaces a site's store and locks, not
+        the site).  So each key is placed once and remembered — one entry
+        per distinct key ever asked about.  Keys equal as dict keys share a
+        placement, as they share a store object.
+        """
+        site = self._placement.get(key)
+        if site is None:
+            site = self._placement[key] = self._place(key)
+        return site
+
+    def _place(self, key: Hashable) -> Any:
+        """The placement rule: explicit ``"s<id>:..."`` prefix, else hash."""
         if isinstance(key, str) and key[:1] == "s" and ":" in key:
             prefix = key.split(":", 1)[0][1:]
             if prefix.isdigit() and int(prefix) in self.sites:
                 return self.sites[int(prefix)]
         return self.sites[(zlib.crc32(str(key).encode()) % len(self.sites)) + 1]
 
-    def _items_at(self, txn: Transaction, site: SiteBase) -> list[tuple[Hashable, Any]]:
-        """``txn``'s staged writes owned by ``site``, in write order."""
-        return [
-            (key, value)
-            for key, value in txn.write_set.items()
-            if self.site_of_key(key) is site
-        ]
-
     def _send(self, site: SiteBase, fn: Callable[[], None], channel: str) -> None:
         """Dispatch a message to ``site``; parks if the site is down."""
-        self.courier.dispatch(lambda: site.receive(fn), channel=channel)
+        self.courier.dispatch(partial(site.receive, fn), channel=channel)
 
     def _send_for(
         self, txn: Transaction, site: SiteBase, fn: Callable[[], None], channel: str
@@ -356,6 +376,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                     return
                 if not reading:
                     self._note_write(txn, key, value)
+                    record.writes.setdefault(site.site_id, {})[key] = value
                     result.resolve(None)
                 elif key in txn.write_set:
                     self._note_read(txn, key, None)
@@ -389,29 +410,41 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         """Number ``txn`` and run the commit leg at every participant."""
         raise NotImplementedError
 
-    def _commit_span(self, txn: Transaction, result: OpFuture) -> Span:
+    def _commit_span(self, txn: Transaction, result: OpFuture) -> Span | NullSpan:
         """One "commit" span from the coordinator's first message to the
-        final ack; each round's messages and per-site work hang off it."""
-        span = start_span(
-            self.courier.tracer, "commit", parent=txn_context(txn), txn=txn.txn_id
-        )
+        final ack; each round's messages and per-site work hang off it.
+        A disabled tracer gets :data:`NULL_SPAN` and nothing is built."""
+        tracer = self.courier.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        span = start_span(tracer, "commit", parent=txn_context(txn), txn=txn.txn_id)
         result.add_callback(lambda f: span.end(ok=not f.failed))
         return span
 
     def _broadcast(
-        self, participants: list[int], commit_span: Span, handler: Callable[[int], None]
+        self,
+        participants: list[int],
+        commit_span: Span | NullSpan,
+        handler: Callable[[int], None],
     ) -> None:
         """Send one commit-protocol round: ``handler(sid)`` at every participant."""
-        with activate(self.courier.tracer, commit_span.context):
-            for sid in participants:
-                self._send(self.sites[sid], lambda s=sid: handler(s), channel="2pc")
+        tracer = self.courier.tracer
+        if tracer.enabled:
+            with activate(tracer, commit_span.context):
+                self._send_round(participants, handler)
+        else:
+            self._send_round(participants, handler)
+
+    def _send_round(self, participants: list[int], handler: Callable[[int], None]) -> None:
+        for sid in participants:
+            self._send(self.sites[sid], partial(handler, sid), channel="2pc")
 
     def _commit_legs(
         self,
         txn: Transaction,
         participants: list[int],
         result: OpFuture,
-        commit_span: Span,
+        commit_span: Span | NullSpan,
         leg: Callable[[SiteBase, Any, Callable[[int], None]], None],
     ) -> Callable[[int], None]:
         """Past the decision: the handler that runs ``txn``'s leg at a site.

@@ -47,6 +47,7 @@ duplicates, delay spikes and partitions from a seeded schedule.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.obs.spans import bind_envelope
@@ -120,12 +121,13 @@ class Courier:
 
     def _route(self, fn: Callable[[], None], channel: str) -> None:
         """Mode-specific delivery; overridden by the fault-injecting courier."""
-        if self._sim is not None:
-            self._sim.call_in(self._draw_latency(channel), self._wrap(fn))
+        sim = self._sim
+        if sim is not None:
+            sim.call_at(sim.now + self._draw_latency(channel), partial(self._deliver, fn))
         elif self._manual:
             self._enqueue(fn, channel, self._draw_latency(channel))
         else:
-            self._wrap(fn)()
+            self._deliver(fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> bool:
         """Schedule ``fn`` after ``delay`` time units, when a clock exists.
@@ -139,12 +141,10 @@ class Courier:
         self._sim.call_in(delay, fn)
         return True
 
-    def _wrap(self, fn: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            self.delivered += 1
-            fn()
-
-        return run
+    def _deliver(self, fn: Callable[[], None]) -> None:
+        """One delivery: counted, then run."""
+        self.delivered += 1
+        fn()
 
     # -- manual mode ------------------------------------------------------------
 

@@ -46,6 +46,7 @@ forced-before-ack commit leg, :meth:`crash_site` / :meth:`recover_site` /
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable
 
 from repro.core.futures import OpFuture
@@ -202,25 +203,26 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         sn = self._ro_start_number(txn, site)
         started = False
 
+        def read(_visible: OpFuture | None = None) -> None:
+            if not result.pending:
+                return
+            try:
+                version = site.store.read_snapshot(key, sn)
+            except VersionNotFound as exc:
+                result.fail(exc)
+                return
+            self._note_read(txn, key, version.tn)
+            result.resolve(version.value)
+
         def deliver() -> None:
             nonlocal started
             if started:  # duplicated delivery
                 return
             started = True
-            visible = site.wait_visible(sn)
-
-            def ready(_f: OpFuture) -> None:
-                if not result.pending:
-                    return
-                try:
-                    version = site.store.read_snapshot(key, sn)
-                except VersionNotFound as exc:
-                    result.fail(exc)
-                    return
-                self._note_read(txn, key, version.tn)
-                result.resolve(version.value)
-
-            visible.add_callback(ready)
+            if site.vc.try_advance_to(sn):
+                read()  # already visible here: no future to wait on
+            else:
+                site.wait_visible(sn).add_callback(read)
 
         self._send_for(txn, site, deliver, channel="read")
         return result
@@ -243,13 +245,19 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         tracer = self.courier.tracer
         commit_span = self._commit_span(txn, result)
 
+        def hold_at(site: Site) -> None:
+            if not site.vc.is_registered(txn.txn_id):
+                holds[site.site_id] = site.vc.hold(txn.txn_id)
+
         def prepare_at(sid: int) -> None:
             if txn.is_finished or sid not in remaining:
                 return  # aborted meanwhile, or duplicated delivery
             site = self.sites[sid]
-            with start_span(tracer, "2pc.prepare", txn=txn.txn_id, site=sid):
-                if not site.vc.is_registered(txn.txn_id):
-                    holds[sid] = site.vc.hold(txn.txn_id)
+            if tracer.enabled:
+                with start_span(tracer, "2pc.prepare", txn=txn.txn_id, site=sid):
+                    hold_at(site)
+            else:
+                hold_at(site)
             remaining.discard(sid)
             if not remaining:
                 decide()
@@ -258,16 +266,23 @@ class DistributedVCDatabase(Distributed2PLDatabase):
             tn = max(holds.values())
             txn.tn = tn
 
+            def commit_here(site: Site, acked: Callable[[int], None]) -> None:
+                site.commit_leg(
+                    txn.txn_id,
+                    tn,
+                    txn.private.writes_at(site.site_id),
+                    partial(self._site_committed, site, txn, tn, participants),
+                )
+                acked(site.site_id)
+
             def leg(site: Site, parent, acked: Callable[[int], None]) -> None:
-                sid = site.site_id
-                with start_span(tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=sid):
-                    site.commit_leg(
-                        txn.txn_id,
-                        tn,
-                        self._items_at(txn, site),
-                        lambda: self._site_committed(site, txn, tn, participants),
-                    )
-                    acked(sid)
+                if tracer.enabled:
+                    with start_span(
+                        tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=site.site_id
+                    ):
+                        commit_here(site, acked)
+                else:
+                    commit_here(site, acked)
 
             self._broadcast(
                 participants,

@@ -237,7 +237,11 @@ class DistributedMV2PL(Distributed2PLDatabase):
             local_tn = site.next_commit_number()
             txn.private.site_numbers[sid] = local_tn
             self._ident_of_version[local_tn] = txn.tn
-            items = self._items_at(txn, site)
+            items = txn.private.writes_at(sid)
+            if not tracer.enabled:
+                site.commit_leg(txn.txn_id, local_tn, items)
+                acked(sid)
+                return
             # One-phase commit still has a prepare-equivalent point: the
             # forced WAL write before acking is this site's durability
             # promise, so the leg's first half is spanned as the prepare

@@ -31,6 +31,7 @@ Mode behavior (see the base class's mode matrix):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.distributed.courier import Courier, LatencySource
@@ -167,12 +168,12 @@ class FaultyCourier(Courier):
             self.tracer.emit(
                 "fault.delay", channel=channel, extra=decision.extra_delay
             )
-        self._sim.call_in(latency, self._wrap(fn))
+        self._sim.call_in(latency, partial(self._deliver, fn))
         if decision.duplicate:
             if self.tracer.enabled:
                 self.tracer.emit("fault.duplicate", channel=channel)
             echo = self._draw_latency(channel) + self.retry.base
-            self._sim.call_in(latency + echo, self._wrap(fn))
+            self._sim.call_in(latency + echo, partial(self._deliver, fn))
 
     # -- manual mode -------------------------------------------------------------
 
@@ -212,8 +213,8 @@ class FaultyCourier(Courier):
                 break
             if self.tracer.enabled:
                 self.tracer.emit("fault.drop", channel=channel, attempt=attempt - 1)
-        self._wrap(fn)()
+        self._deliver(fn)
         if decision.duplicate:
             if self.tracer.enabled:
                 self.tracer.emit("fault.duplicate", channel=channel)
-            self._wrap(fn)()
+            self._deliver(fn)

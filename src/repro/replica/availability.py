@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.distributed.courier import Courier
-from repro.errors import ProtocolError, QuorumUnavailable, TransactionAborted
+from repro.errors import QuorumUnavailable, TransactionAborted
 from repro.faults.campaign import (
     Campaign,
     CampaignCLI,
@@ -280,7 +280,7 @@ def _run_phase(
             )
         except QuorumUnavailable:
             stats.split_brain_fenced = True
-        except (TransactionAborted, ProtocolError):
+        except TransactionAborted:
             stats.split_brain_fenced = False
             stats.violations.append(
                 "deposed primary refused the split-brain commit, but not "

@@ -46,6 +46,7 @@ their fast paths never reference the failed one.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable
 
 from repro.core.futures import OpFuture
@@ -60,6 +61,10 @@ from repro.replica.ship import LogShipper, ShippedLog
 from repro.shard.ring import HashRing
 from repro.shard.vector import XlogEntry, sweep_consistent_vector, torn_entries
 from repro.storage.wal import LogRecord, RecordKind, validate_durable
+
+
+#: The protocol channels; each shard has its own copy of every one.
+CHANNELS = ("2pc", "data", "read")
 
 
 class _VectorSnapshot:
@@ -99,6 +104,8 @@ class ShardNode(Site):
         self.shipper: LogShipper | None = None
         #: Replicas chained behind this shard, by replica id.
         self.replicas: dict[int, Replica] = {}
+        #: Protocol channel -> this shard's courier channel (``2pc.s3``...).
+        self.channels = dict(zip(CHANNELS, ShardedDatabase.shard_channels(site_id)))
         self.vc.subscribe(self._on_visibility)
 
     def _on_visibility(self, vtnc: int) -> None:
@@ -173,7 +180,7 @@ class ShardedDatabase(DistributedVCDatabase):
     def _build_site(self, sid: int) -> Site:
         return ShardNode(sid, waits_for=self._global_waits_for)
 
-    def site_of_key(self, key: Hashable) -> ShardNode:
+    def _place(self, key: Hashable) -> ShardNode:
         return self.sites[self.ring.shard_of(key)]  # type: ignore[return-value]
 
     def _send(self, site: Site, fn: Callable[[], None], channel: str) -> None:
@@ -181,13 +188,13 @@ class ShardedDatabase(DistributedVCDatabase):
         # fault drill partitions to isolate exactly one shard while the
         # others keep committing.
         self.courier.dispatch(
-            lambda: site.receive(fn), channel=f"{channel}.s{site.site_id}"
+            partial(site.receive, fn), channel=site.channels[channel]  # type: ignore[attr-defined]
         )
 
     @staticmethod
     def shard_channels(site_id: int) -> list[str]:
         """Every courier channel addressing shard ``site_id`` (drill unit)."""
-        return [f"2pc.s{site_id}", f"data.s{site_id}", f"read.s{site_id}"]
+        return [f"{name}.s{site_id}" for name in CHANNELS]
 
     # -- read-only snapshot vectors ---------------------------------------------------
 
@@ -343,15 +350,22 @@ class ShardedDatabase(DistributedVCDatabase):
             self.counters.bump("shard.fast_commits")
             acked(sid)
 
+        def hold_and_commit() -> None:
+            txn.tn = site.vc.hold(txn.txn_id)
+            self._commit_legs(txn, [sid], result, commit_span, leg)(sid)
+
         def deliver() -> None:
             if txn.tn is not None or txn.is_finished:
                 return
-            with start_span(
-                self.courier.tracer, "shard.fast_commit", parent=commit_span.context,
-                txn=txn.txn_id, site=sid,
-            ):
-                txn.tn = site.vc.hold(txn.txn_id)
-                self._commit_legs(txn, [sid], result, commit_span, leg)(sid)
+            tracer = self.courier.tracer
+            if tracer.enabled:
+                with start_span(
+                    tracer, "shard.fast_commit", parent=commit_span.context,
+                    txn=txn.txn_id, site=sid,
+                ):
+                    hold_and_commit()
+            else:
+                hold_and_commit()
 
         self._send_for(txn, site, deliver, channel="2pc")
 

@@ -23,8 +23,7 @@ versions under its transaction number, in number order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, NamedTuple
 
 from repro.core.version_control import VersionControl
 from repro.errors import CorruptLogError
@@ -39,8 +38,13 @@ class RecordKind(enum.Enum):
     CHECKPOINT = "ckpt"      # value = {"versions": [(key, tn, value)...], "next_tn": int}
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
+    """One log record: immutable, compared and hashed by its fields.
+
+    A tuple underneath, because one is built per logged write and per
+    commit on every WAL path.
+    """
+
     kind: RecordKind
     txn_id: int
     key: Hashable | None = None

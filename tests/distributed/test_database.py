@@ -1,10 +1,13 @@
 """Tests for the distributed VC database (paper Section 6 / ref [3])."""
 
+import zlib
+
 import pytest
 
-from repro.distributed import Courier, DistributedVCDatabase
+from repro.distributed import Courier, DistributedMV2PL, DistributedVCDatabase
 from repro.errors import ProtocolError
 from repro.histories import assert_one_copy_serializable
+from repro.storage.wal import RecordKind
 
 
 @pytest.fixture
@@ -20,6 +23,72 @@ class TestPlacement:
     def test_hash_routing_is_stable(self, db):
         first = db.site_of_key("unprefixed").site_id
         assert db.site_of_key("unprefixed").site_id == first
+
+    @pytest.mark.parametrize("n_sites", [1, 3])
+    def test_remembered_placement_is_the_rule(self, n_sites):
+        db = DistributedVCDatabase(n_sites=n_sites)
+        for key in PLACEMENT_KEYS:
+            expected = uncached_site_id(key, n_sites)
+            assert db.site_of_key(key).site_id == expected, key
+            assert db.site_of_key(key).site_id == expected, key  # remembered
+
+    def test_a_repeat_lookup_does_not_place_again(self, db):
+        placed = []
+        place = db._place
+        db._place = lambda key: placed.append(key) or place(key)
+        for _ in range(3):
+            for key in PLACEMENT_KEYS:
+                db.site_of_key(key)
+        assert placed == PLACEMENT_KEYS
+
+    @pytest.mark.parametrize("protocol", [DistributedVCDatabase, DistributedMV2PL])
+    def test_each_site_commits_its_writes_in_write_order(self, protocol):
+        """A commit leg gets exactly what filtering the write set by
+        placement gave it: the site's keys in first-write order, last value."""
+        db = protocol(n_sites=3)
+        t = db.begin()
+        for key, value in [
+            ("s2:b", 1), ("s1:a", 2), (7, 3), ("s2:c", 4), (("t", 1), 5),
+            ("s1:a", 6), ("key", 7), ("s2:b", 8),
+        ]:
+            db.write(t, key, value).result()
+        db.read(t, "s3:r").result()  # a participant that writes nothing
+        old_filter = {
+            sid: [(k, v) for k, v in t.write_set.items() if db.site_of_key(k) is site]
+            for sid, site in db.sites.items()
+        }
+        assert t.private.participants == {1, 2, 3}
+        for sid in db.sites:
+            assert list(t.private.writes_at(sid)) == old_filter[sid], sid
+        db.commit(t).result()
+        for sid, site in db.sites.items():
+            logged = [
+                (r.key, r.value) for r in site.wal.durable_records()
+                if r.kind is RecordKind.WRITE and r.txn_id == t.txn_id
+            ]
+            assert logged == old_filter[sid], sid
+        assert old_filter == {
+            1: [("s1:a", 6), (7, 3), (("t", 1), 5)],
+            2: [("s2:b", 8), ("s2:c", 4), ("key", 7)],
+            3: [],
+        }
+
+
+#: Keys with a valid "s<id>:" prefix, an out-of-range or malformed one, no
+#: prefix, and int and tuple keys.
+PLACEMENT_KEYS = [
+    "s1:x", "s2:y", "s3:z", "s0:x", "s4:x", "s9:x", "sx:y", "s:y", "s1",
+    "plain", "", 0, 7, 12345, -3, ("a", 1), (3, "b"),
+]
+
+
+def uncached_site_id(key, n_sites: int) -> int:
+    """The placement rule written out: a valid prefix, else crc32 of str(key)."""
+    if isinstance(key, str) and key[:1] == "s" and ":" in key:
+        prefix = key.split(":", 1)[0][1:]
+        if prefix.isdigit() and 1 <= int(prefix) <= n_sites:
+            return int(prefix)
+    return zlib.crc32(str(key).encode()) % n_sites + 1
 
 
 class TestReadWriteTransactions:

@@ -13,6 +13,32 @@ def db():
     return ShardedDatabase(n_shards=3)
 
 
+class TestPlacement:
+    KEYS = [
+        "s1:x", "s2:y", "s3:z", "s0:x", "s4:x", "sx:y", "plain", "",
+        0, 7, 12345, ("a", 1), (3, "b"),
+    ] + [f"k{i}" for i in range(50)]
+
+    def test_site_of_key_is_the_ring(self, db):
+        for key in self.KEYS:
+            assert db.site_of_key(key).site_id == db.ring.shard_of(key), key
+            assert db.site_of_key(key) is db.sites[db.ring.shard_of(key)], key
+
+    def test_a_repeat_lookup_does_not_ask_the_ring(self, db):
+        asked = []
+        shard_of = db.ring.shard_of
+        db.ring.shard_of = lambda key: asked.append(key) or shard_of(key)
+        for _ in range(3):
+            for key in self.KEYS:
+                db.site_of_key(key)
+        assert asked == self.KEYS
+
+    def test_channels_are_per_shard(self, db):
+        for sid, site in db.sites.items():
+            assert list(site.channels.values()) == ShardedDatabase.shard_channels(sid)
+            assert site.channels["2pc"] == f"2pc.s{sid}"
+
+
 class TestFastPath:
     def test_single_shard_commit_skips_2pc(self, db):
         t = db.begin()

@@ -33,6 +33,31 @@ class TestWriteAheadLog:
         assert lost == 1
         assert len(log.all_records()) == 1
 
+    def test_a_record_is_immutable(self):
+        record = LogRecord(RecordKind.WRITE, 1, key="x", value=1)
+        with pytest.raises(AttributeError):
+            record.key = "y"
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record.key == "x"
+
+    def test_record_defaults(self):
+        record = LogRecord(RecordKind.ABORT, 4)
+        assert (record.key, record.value, record.tn) == (None, None, None)
+
+    def test_records_compare_and_hash_by_fields(self):
+        a = LogRecord(RecordKind.COMMIT, 1, tn=3)
+        assert a == LogRecord(RecordKind.COMMIT, 1, tn=3)
+        assert hash(a) == hash(LogRecord(RecordKind.COMMIT, 1, tn=3))
+        assert a != LogRecord(RecordKind.COMMIT, 1, tn=4)
+        assert len({a, LogRecord(RecordKind.COMMIT, 1, tn=3)}) == 1
+
+    def test_record_repr(self):
+        assert repr(LogRecord(RecordKind.WRITE, 1, key="x", value=1)) == (
+            "LogRecord(kind=<RecordKind.WRITE: 'write'>, txn_id=1, key='x', "
+            "value=1, tn=None)"
+        )
+
     def test_forces_counted(self):
         log = WriteAheadLog()
         log.force()

@@ -1,4 +1,5 @@
-"""What a read-only read, and watching a run, cost in calls, held as bounds.
+"""What a read-only read, a distributed commit, and watching a run cost in
+calls, held as bounds.
 
 A read-only read is ``VCstart`` once and then, per read, "the largest
 version ``<= sn(T)``" (paper Figure 2); a simulated client resuming on a
@@ -6,6 +7,10 @@ future that is already resolved is one queue append and one ``send``.
 Neither is modelled work, so neither may grow back.  ``sys.setprofile``
 ``call`` events count Python frames entered — exact, and the same on every
 machine (the pattern of ``tests/test_per_call_allocation.py``, for calls).
+
+A distributed read-write commit costs its messages, its 2PC legs and its
+WAL records; placing keys, regrouping the write set and building spans for
+a disabled tracer are not modelled work either.
 
 The second half holds watching to work proportional to what changed: the
 tracer builds each event once, as the dict every sink of its name takes, and
@@ -16,12 +21,14 @@ flight recorder the event itself.
 """
 
 import ast
+import gc
 import inspect
 import sys
 import types
 from bisect import bisect_right
 from collections import Counter
 
+from repro.distributed import Courier, DistributedVCDatabase
 from repro.obs.exporters import RingBufferExporter
 from repro.obs.slo import SLOEngine, bench_objectives
 from repro.obs.slo.recorder import FlightRecorder
@@ -36,18 +43,22 @@ READS = 1_000
 
 def frames_entered(fn) -> list[str]:
     """Qualified names of the Python frames entered while running ``fn()``,
-    its own excluded."""
+    its own excluded.  The collector is paused, so no finalizer of an earlier
+    test's garbage (a suspended generator being closed) is counted."""
     names = []
 
     def hook(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_qualname)
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(hook)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return names[1:]
 
 
@@ -90,6 +101,55 @@ def test_yielding_an_already_resolved_read_is_at_most_17_calls():
     assert sim.now == 0.0
     # 29.0 when every resumption was a heap push and pop and two closures.
     assert calls / READS <= 17
+
+
+def distributed_on_a_clock():
+    sim = Simulator()
+    return sim, DistributedVCDatabase(n_sites=3, courier=Courier(sim=sim, latency=1.0))
+
+
+def test_a_two_site_read_write_commit_is_at_most_262_calls():
+    """Two writes on two of three sites, then 2PC: 6 messages, 4 WAL
+    records, no tracer.  The first run places the keys and opens their
+    version chains; the second is measured."""
+    sim, db = distributed_on_a_clock()
+
+    def client(value):
+        txn = db.begin()
+        yield db.write(txn, "s1:x", value)
+        yield db.write(txn, "s2:y", value)
+        yield db.commit(txn)
+
+    sim.spawn(client(1))
+    sim.run()
+    sim.spawn(client(2))
+    delivered = db.courier.delivered
+    frames = frames_entered(sim.run)
+    assert db.courier.delivered - delivered == 6  # 2 writes, 2 prepares, 2 legs
+    assert [site.wal.forces for site in db.sites.values()] == [2, 2, 0]
+    assert "Distributed2PLDatabase._place" not in frames
+    assert "start_span" not in frames and "activate.__init__" not in frames
+    # 310 when every commit re-placed the write set per site, every record
+    # was a dataclass and the 2PC path built spans for a disabled tracer.
+    assert len(frames) <= 262, frames
+
+
+def test_a_read_at_an_idle_site_builds_no_future():
+    """The site's visibility already covers the start number: the read runs
+    at delivery, with no visibility future built, subscribed or settled —
+    the only ``OpFuture`` frames are the result's own."""
+    sim, db = distributed_on_a_clock()
+    reader = db.begin(read_only=True)
+    db.site_of_key("s1:x")
+    reads = []
+    frames = frames_entered(lambda: (reads.append(db.read(reader, "s1:x")), sim.run()))
+    assert reads[0].result() is None
+    futures = [name for name in frames if name.startswith("OpFuture")]
+    assert futures == [
+        "OpFuture.__init__", "OpFuture.pending", "OpFuture.resolve", "OpFuture._settle",
+    ]
+    assert "Site.wait_visible" not in frames
+    assert len(frames) <= 30, frames  # 38 with a resolved future and its callback
 
 
 def nested_code(code: types.CodeType):
