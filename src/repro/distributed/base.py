@@ -421,6 +421,16 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         result.add_callback(lambda f: span.end(ok=not f.failed))
         return span
 
+    def _spanned(self, name: str, body: Callable[..., None], *args: Any, **fields: Any) -> None:
+        """Run ``body(*args)`` inside span ``name`` opened with ``fields``
+        (as :func:`start_span` takes them); a disabled tracer runs it bare."""
+        tracer = self.courier.tracer
+        if not tracer.enabled:
+            body(*args)
+            return
+        with start_span(tracer, name, **fields):
+            body(*args)
+
     def _broadcast(
         self,
         participants: list[int],

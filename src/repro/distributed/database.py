@@ -55,7 +55,6 @@ from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
 from repro.distributed.dvc import DistributedVersionControl
 from repro.errors import AbortReason, VersionNotFound
-from repro.obs.spans import start_span
 
 
 class Site(SiteBase):
@@ -103,11 +102,12 @@ class Site(SiteBase):
     # -- visibility waits ---------------------------------------------------------
 
     def wait_visible(self, sn: int) -> OpFuture:
-        """Future resolving once this site's visibility covers ``sn``."""
+        """Park until this site's visibility covers ``sn``.
+
+        The caller has already found ``try_advance_to(sn)`` false; the
+        returned future resolves when an advance reaches ``sn``.
+        """
         future = OpFuture(label=("site{} vtnc >= {}", self.site_id, sn))
-        if self.vc.try_advance_to(sn):
-            future.resolve(None)
-            return future
         self._visibility_waiters.append((sn, future))
         return future
 
@@ -242,7 +242,6 @@ class DistributedVCDatabase(Distributed2PLDatabase):
     def _commit_rw(self, txn: Transaction, participants: list[int], result: OpFuture) -> None:
         holds: dict[int, int] = {}
         remaining = set(participants)
-        tracer = self.courier.tracer
         commit_span = self._commit_span(txn, result)
 
         def hold_at(site: Site) -> None:
@@ -252,12 +251,7 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         def prepare_at(sid: int) -> None:
             if txn.is_finished or sid not in remaining:
                 return  # aborted meanwhile, or duplicated delivery
-            site = self.sites[sid]
-            if tracer.enabled:
-                with start_span(tracer, "2pc.prepare", txn=txn.txn_id, site=sid):
-                    hold_at(site)
-            else:
-                hold_at(site)
+            self._spanned("2pc.prepare", hold_at, self.sites[sid], txn=txn.txn_id, site=sid)
             remaining.discard(sid)
             if not remaining:
                 decide()
@@ -276,13 +270,10 @@ class DistributedVCDatabase(Distributed2PLDatabase):
                 acked(site.site_id)
 
             def leg(site: Site, parent, acked: Callable[[int], None]) -> None:
-                if tracer.enabled:
-                    with start_span(
-                        tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=site.site_id
-                    ):
-                        commit_here(site, acked)
-                else:
-                    commit_here(site, acked)
+                self._spanned(
+                    "2pc.commit", commit_here, site, acked,
+                    parent=parent, txn=txn.txn_id, site=site.site_id,
+                )
 
             self._broadcast(
                 participants,

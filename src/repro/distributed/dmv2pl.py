@@ -230,7 +230,12 @@ class DistributedMV2PL(Distributed2PLDatabase):
         # version numbers together for history recording only.
         self._ident_counter += 1
         txn.tn = make_gtn(self._ident_counter, 1023)
-        tracer = self.courier.tracer
+
+        def apply_and_ack(
+            site: _ChanSite, local_tn: int, items: Iterable, acked: Callable[[int], None]
+        ) -> None:
+            site.apply_commit(txn.txn_id, local_tn, items)
+            acked(site.site_id)
 
         def leg(site: _ChanSite, parent, acked: Callable[[int], None]) -> None:
             sid = site.site_id
@@ -238,19 +243,18 @@ class DistributedMV2PL(Distributed2PLDatabase):
             txn.private.site_numbers[sid] = local_tn
             self._ident_of_version[local_tn] = txn.tn
             items = txn.private.writes_at(sid)
-            if not tracer.enabled:
-                site.commit_leg(txn.txn_id, local_tn, items)
-                acked(sid)
-                return
             # One-phase commit still has a prepare-equivalent point: the
             # forced WAL write before acking is this site's durability
             # promise, so the leg's first half is spanned as the prepare
             # leg; installing and releasing is the commit leg.
-            with start_span(tracer, "2pc.prepare", parent=parent, txn=txn.txn_id, site=sid):
-                site.log_commit(txn.txn_id, local_tn, items)
-            with start_span(tracer, "2pc.commit", parent=parent, txn=txn.txn_id, site=sid):
-                site.apply_commit(txn.txn_id, local_tn, items)
-                acked(sid)
+            self._spanned(
+                "2pc.prepare", site.log_commit, txn.txn_id, local_tn, items,
+                parent=parent, txn=txn.txn_id, site=sid,
+            )
+            self._spanned(
+                "2pc.commit", apply_and_ack, site, local_tn, items, acked,
+                parent=parent, txn=txn.txn_id, site=sid,
+            )
 
         commit_span = self._commit_span(txn, result)
         self._broadcast(

@@ -55,7 +55,6 @@ from repro.distributed.courier import Courier
 from repro.distributed.database import DistributedVCDatabase, Site
 from repro.distributed.gtn import counter_of
 from repro.errors import ProtocolError
-from repro.obs.spans import start_span
 from repro.replica.node import Replica
 from repro.replica.ship import LogShipper, ShippedLog
 from repro.shard.ring import HashRing
@@ -286,8 +285,9 @@ class ShardedDatabase(DistributedVCDatabase):
         if sn > site.vc.vtnc:
             # A vector component above the shard's live watermark can only
             # follow a crash that rolled back a fast-forwarded (never
-            # durable) frontier; the read parks on wait_visible and the
-            # idle fast-forward re-grants it.  Counted because the design
+            # durable) frontier; at delivery the idle fast-forward
+            # (try_advance_to) re-grants it, or the read parks on
+            # wait_visible until an advance does.  Counted because the design
             # goal is that vector reads never block.
             self.counters.bump("shard.ro_blocked")
             tracer = self.courier.tracer
@@ -357,15 +357,10 @@ class ShardedDatabase(DistributedVCDatabase):
         def deliver() -> None:
             if txn.tn is not None or txn.is_finished:
                 return
-            tracer = self.courier.tracer
-            if tracer.enabled:
-                with start_span(
-                    tracer, "shard.fast_commit", parent=commit_span.context,
-                    txn=txn.txn_id, site=sid,
-                ):
-                    hold_and_commit()
-            else:
-                hold_and_commit()
+            self._spanned(
+                "shard.fast_commit", hold_and_commit,
+                parent=commit_span.context, txn=txn.txn_id, site=sid,
+            )
 
         self._send_for(txn, site, deliver, channel="2pc")
 

@@ -108,7 +108,7 @@ def distributed_on_a_clock():
     return sim, DistributedVCDatabase(n_sites=3, courier=Courier(sim=sim, latency=1.0))
 
 
-def test_a_two_site_read_write_commit_is_at_most_262_calls():
+def test_a_two_site_read_write_commit_is_at_most_266_calls():
     """Two writes on two of three sites, then 2PC: 6 messages, 4 WAL
     records, no tracer.  The first run places the keys and opens their
     version chains; the second is measured."""
@@ -131,7 +131,11 @@ def test_a_two_site_read_write_commit_is_at_most_262_calls():
     assert "start_span" not in frames and "activate.__init__" not in frames
     # 310 when every commit re-placed the write set per site, every record
     # was a dataclass and the 2PC path built spans for a disabled tracer.
-    assert len(frames) <= 262, frames
+    # Measured on CPython 3.11.  Ten of the frames are the standard
+    # library's: four LogRecord constructors (namedtuple's generated
+    # ``__new__``, a ``<lambda>``) and, per lock request, the lock mode's
+    # ``property.__get__``, ``Enum.value`` and ``Enum.__hash__``.
+    assert len(frames) <= 266, frames
 
 
 def test_a_read_at_an_idle_site_builds_no_future():
