@@ -146,7 +146,8 @@ class GranularLockManager(
         """
         if not path:
             raise ProtocolError("path must have at least one element")
-        self._require_no_pending(txn_id)
+        if txn_id in self._pending:
+            raise self._second_request(txn_id)
         result = OpFuture(label=("{}{} T{}", mode.value, path, txn_id))
         intention = _INTENTION_FOR[mode]
         steps: list[tuple[Path, GranularMode]] = [

@@ -2,9 +2,10 @@
 
 :class:`LockTable` is the one implementation of granted maps, FIFO wait
 queues, lock conversions, continuous deadlock detection over a waits-for
-graph, deadlines and crash.  Threadless: a blocked ``acquire`` returns a
-pending :class:`~repro.core.futures.OpFuture` that the table resolves when a
-release makes the grant possible, or fails with
+graph, deadlines and crash.  Threadless: ``acquire`` returns an
+:class:`~repro.core.futures.OpFuture` — already settled when the grant is
+immediate (a table update, nothing pending built), else pending until a
+release makes the grant possible, or failed with
 :class:`~repro.errors.DeadlockError` when the requester (or another cycle
 member, per policy) is chosen as a deadlock victim.
 
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable
 
-from repro.cc.deadlock import VictimPolicy, WaitsForGraph, choose_victim
+from repro.cc.deadlock import VICTIM_POLICIES, VictimPolicy, WaitsForGraph, choose_victim
 from repro.cc.locks import LockMode, combine, compatible
-from repro.core.futures import OpFuture
+from repro.core.futures import OpFuture, resolved
 from repro.errors import DeadlineExceeded, DeadlockError, ProtocolError
 from repro.obs.tracer import NULL_TRACER
 
@@ -137,17 +138,26 @@ class LockTable:
         on_deadlock: Callable[[int, list[int]], None] | None = None,
         waits_for: WaitsForGraph | None = None,
     ):
+        if victim_policy not in VICTIM_POLICIES:
+            raise ValueError(
+                f"unknown victim policy {victim_policy!r}; expected one of {VICTIM_POLICIES}"
+            )
+        # A waits-for graph may be shared by several managers (one per
+        # distributed site) so cycles spanning sites are detected; with a
+        # shared graph the victim policy must be "requester", the only
+        # transaction guaranteed to have its pending request in *this*
+        # manager.
+        if waits_for is not None and victim_policy != "requester":
+            raise ValueError(
+                f"a shared waits-for graph needs the 'requester' victim policy, "
+                f"not {victim_policy!r}"
+            )
         self._table: dict[Hashable, _LockState] = {}
         # Acquisition order, not a set: release_all re-grants waiters
         # resource by resource, and string-hash order would make that order
         # (and every seeded run downstream of it) depend on PYTHONHASHSEED.
         self._held: dict[int, dict[Hashable, Any]] = {}
         self._pending: dict[int, _Request] = {}
-        # A waits-for graph may be shared by several managers (one per
-        # distributed site) so cycles spanning sites are detected; with a
-        # shared graph the victim policy must be "requester", the only
-        # transaction guaranteed to have its pending request in *this*
-        # manager.
         self.waits_for = waits_for if waits_for is not None else WaitsForGraph()
         self.victim_policy = victim_policy
         self._on_block = on_block
@@ -198,51 +208,51 @@ class LockTable:
         blocks: a later :meth:`expire_due` sweep fails it with
         :class:`DeadlineExceeded` instead of leaving it to wait forever.
         """
-        self._require_no_pending(txn_id)
+        if txn_id in self._pending:
+            raise self._second_request(txn_id)
         return self._request(txn_id, resource, mode, deadline)
 
-    def _require_no_pending(self, txn_id: int) -> None:
-        pending = self._pending.get(txn_id)
-        if pending is not None:
-            raise ProtocolError(
-                f"transaction {txn_id} already has a pending lock request on "
-                f"{pending.resource!r}"
-            )
-
-    def _entry(self, resource: Hashable) -> _LockState:
-        state = self._table.get(resource)
-        if state is None:
-            state = self._table[resource] = _LockState()
-        return state
+    def _second_request(self, txn_id: int) -> ProtocolError:
+        return ProtocolError(
+            f"transaction {txn_id} already has a pending lock request on "
+            f"{self._pending[txn_id].resource!r}"
+        )
 
     def _request(
         self, txn_id: int, resource: Hashable, mode: Any, deadline: float | None
     ) -> OpFuture:
-        """One resource, one mode: grant now or queue and look for a cycle."""
-        state = self._entry(resource)
-        future = OpFuture(label=("{}-lock({}) T{}", mode.value, resource, txn_id))
+        """One resource, one mode: grant now or queue and look for a cycle.
+
+        A grant now is a table update: it returns a settled future, and a
+        :class:`_Request` with a pending future is built only to queue.
+        """
+        state = self._table.get(resource)
+        if state is None:
+            state = self._table[resource] = _LockState()
+        # Deferred: most labels are never read, so no ``mode.value`` here.
+        label = ("{0.value}-lock({1}) T{2}", mode, resource, txn_id)
 
         held = state.granted.get(txn_id)
         if held is None:
             target = mode
         elif mode in self._covers[held]:
-            future.resolve(None)
-            return future
+            return resolved(None, label)
         else:
             target = self._combine(held, mode)
         upgrade = held is not None
-        request = _Request(
-            txn_id, resource, target, self._conflicts[target], future, upgrade, deadline
-        )
+        conflicts = self._conflicts[target]
 
         # No overtaking for fresh requests; a conversion only needs the
         # other holders to admit it.
-        if (upgrade or not state.queue) and self._admits(state, request):
-            self._grant(state, request, waited=False)
-            return future
+        if (upgrade or not state.queue) and self._admits(state, conflicts, txn_id):
+            self._grant(state, txn_id, resource, target, waited=False)
+            return resolved(None, label)
 
         # Block: conversions queue ahead of fresh requests (they already
         # hold a mode that new requests could never be granted past).
+        request = _Request(
+            txn_id, resource, target, conflicts, OpFuture(label), upgrade, deadline
+        )
         self.blocks += 1
         if upgrade:
             pos = 0
@@ -252,7 +262,8 @@ class LockTable:
         else:
             state.queue.append(request)
         self._pending[txn_id] = request
-        self._add_wait_edges(state, request)
+        for blocker in self._blockers(state, request):
+            self.waits_for.add(txn_id, blocker)
         if self.tracer.enabled:
             self.tracer.emit(
                 "lock.block",
@@ -265,43 +276,39 @@ class LockTable:
         if self._on_block is not None:
             self._on_block(txn_id, resource)
         self._detect(requester=txn_id)
-        return future
+        return request.future
 
     @staticmethod
-    def _admits(state: _LockState, request: _Request) -> bool:
+    def _admits(state: _LockState, conflicts: tuple, txn_id: int) -> bool:
         """Every *other* holder is compatible with the requested mode."""
-        conflicts, txn_id = request.conflicts, request.txn_id
         for holder, mode in state.granted.items():
             if mode in conflicts and holder != txn_id:
                 return False
         return True
 
-    def _grant(self, state: _LockState, request: _Request, waited: bool) -> None:
-        state.granted[request.txn_id] = request.mode
-        self._held.setdefault(request.txn_id, {})[request.resource] = request.mode
+    def _grant(
+        self, state: _LockState, txn_id: int, resource: Hashable, mode: Any, waited: bool
+    ) -> None:
+        state.granted[txn_id] = mode
+        self._held.setdefault(txn_id, {})[resource] = mode
         self.grants += 1
         if self.tracer.enabled:
             self.tracer.emit(
-                "lock.grant",
-                txn=request.txn_id,
-                key=request.resource,
-                mode=request.mode.value,
-                waited=waited,
+                "lock.grant", txn=txn_id, key=resource, mode=mode.value, waited=waited
             )
-        request.future.resolve(None)
 
-    def _add_wait_edges(self, state: _LockState, request: _Request) -> None:
-        """``request`` waits for conflicting holders and for conflicting
-        requests queued ahead of it."""
-        conflicts, txn_id = request.conflicts, request.txn_id
-        for holder, mode in state.granted.items():
-            if mode in conflicts:
-                self.waits_for.add(txn_id, holder)
+    @staticmethod
+    def _blockers(state: _LockState, request: _Request) -> list[int]:
+        """Whom ``request`` waits for: conflicting holders, then conflicting
+        requests queued ahead of it (possibly with repeats)."""
+        conflicts = request.conflicts
+        blockers = [holder for holder, mode in state.granted.items() if mode in conflicts]
         for queued in state.queue:
             if queued is request:
                 break
             if queued.mode in conflicts:
-                self.waits_for.add(txn_id, queued.txn_id)
+                blockers.append(queued.txn_id)
+        return blockers
 
     # -- release ---------------------------------------------------------------------
 
@@ -391,15 +398,17 @@ class LockTable:
         """Grant the longest now-compatible prefix of the wait queue, then
         rebuild the remaining waiters' edges (the holders changed)."""
         state = self._table[resource]
-        while state.queue and self._admits(state, state.queue[0]):
-            head = state.queue.pop(0)
+        while state.queue:
+            head = state.queue[0]
+            if not self._admits(state, head.conflicts, head.txn_id):
+                break
+            state.queue.pop(0)
             self._pending.pop(head.txn_id, None)
             self.waits_for.remove_waiter(head.txn_id)
-            self._grant(state, head, waited=True)
+            self._grant(state, head.txn_id, resource, head.mode, waited=True)
+            head.future.resolve(None)
         for request in state.queue:
-            self.waits_for.remove_waiter(request.txn_id)
-        for request in state.queue:
-            self._add_wait_edges(state, request)
+            self.waits_for.rewire(request.txn_id, self._blockers(state, request))
 
     # -- crash -----------------------------------------------------------------------
 
@@ -429,7 +438,7 @@ class LockTable:
     # -- deadlock ---------------------------------------------------------------------
 
     def _detect(self, requester: int) -> None:
-        cycle = self.waits_for.find_cycle()
+        cycle = self.waits_for.find_cycle(requester)
         if cycle is None:
             return
         victim = choose_victim(cycle, self.victim_policy, requester)

@@ -9,6 +9,12 @@ overrides, never a branch here: how the lock is requested (:meth:`_lock`),
 where the committed value comes from (:meth:`_read_committed`), and what a
 deadlock callback checks beyond counting (:meth:`_note_deadlock`).  When
 and how locks are released belongs to each scheduler's commit sequence.
+
+An uncontended lock costs its table update: the lock manager returns an
+immediate grant as a settled future, and the operation then acts inline
+(:meth:`_read_held`, :meth:`_stage_write`) and returns a settled future of
+its own.  A closure and a pending result future are built only when the
+lock waits; the same two methods run when it is granted.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Any, Hashable
 
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
-from repro.core.futures import OpFuture
+from repro.core.futures import OpFuture, OpStatus, resolved
 from repro.core.transaction import Transaction
 
 
@@ -49,35 +55,53 @@ class StrictTwoPhaseLocking:
 
     def _locked_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=("r{}[{}]", txn.txn_id, key))
+        lock = self._lock(txn, key, exclusive=False)
+        label = ("r{}[{}]", txn.txn_id, key)
+        if lock._status is OpStatus.RESOLVED:  # granted at once: read now
+            return resolved(self._read_held(txn, key), label)
+        result = OpFuture(label)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
-            elif key in txn.write_set:
-                # Own staged write: visible to the writer itself.
-                self._note_read(txn, key, None)
-                result.resolve(txn.write_set[key])
             else:
-                value, tn = self._read_committed(key)
-                self._note_read(txn, key, tn)
-                result.resolve(value)
+                result.resolve(self._read_held(txn, key))
 
-        self._lock(txn, key, exclusive=False).add_callback(_locked)
+        lock.add_callback(_locked)
         return result
+
+    def _read_held(self, txn: Transaction, key: Hashable) -> Any:
+        """The read under a granted S lock: the transaction's own staged
+        write if it has one (visible to the writer itself), else the latest
+        committed value."""
+        if key in txn.write_set:
+            self._note_read(txn, key, None)
+            return txn.write_set[key]
+        value, tn = self._read_committed(key)
+        self._note_read(txn, key, tn)
+        return value
 
     def _locked_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=("w{}[{}]", txn.txn_id, key))
+        lock = self._lock(txn, key, exclusive=True)
+        label = ("w{}[{}]", txn.txn_id, key)
+        if lock._status is OpStatus.RESOLVED:  # granted at once: stage now
+            self._stage_write(txn, key, value)
+            return resolved(None, label)
+        result = OpFuture(label)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
             else:
-                # "create y_j with version phi" — staged privately until
-                # commit; no one can see it while the X lock is held.
-                self._note_write(txn, key, value)
+                self._stage_write(txn, key, value)
                 result.resolve(None)
 
-        self._lock(txn, key, exclusive=True).add_callback(_locked)
+        lock.add_callback(_locked)
         return result
+
+    def _stage_write(self, txn: Transaction, key: Hashable, value: Any) -> None:
+        """The write under a granted X lock.  "create y_j with version phi":
+        staged privately until commit; no one can see it while the X lock
+        is held."""
+        self._note_write(txn, key, value)

@@ -24,7 +24,9 @@ Most futures are never printed, so most labels are never built.
 
 The simulator's step (``repro.sim.engine``) is the one driver on every hot
 path; it reads ``_status``, ``_value`` and ``_error`` directly instead of
-through the properties.
+through the properties.  The lock path reads ``_status`` the same way, to
+act at once on a lock granted at once (``repro.cc.two_phase``,
+``Distributed2PLDatabase._locked_op``).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Any, Callable, Hashable, Iterable
 from repro.cc.deadlock import WaitsForGraph
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
-from repro.core.futures import OpFuture
+from repro.core.futures import OpFuture, OpStatus
 from repro.core.interface import TransactionBookkeeping
 from repro.core.transaction import Transaction, TxnClass
 from repro.distributed.courier import Courier
@@ -367,30 +367,42 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                 return
             started = True
             lock = site.locks.acquire(txn.txn_id, key, mode)
+            if lock._status is OpStatus.RESOLVED:  # granted at once: act now
+                self._act_locked(txn, site, key, reading, value, result)
+                return
 
             def locked(done: OpFuture) -> None:
                 if done.failed:
                     self._failure_abort(txn, done.error, result)
-                    return
-                if result.done:  # fault abort raced the grant
-                    return
-                if not reading:
-                    self._note_write(txn, key, value)
-                    record.writes.setdefault(site.site_id, {})[key] = value
-                    result.resolve(None)
-                elif key in txn.write_set:
-                    self._note_read(txn, key, None)
-                    result.resolve(txn.write_set[key])
-                else:
-                    version = site.store.read_latest_committed(key)
-                    ident = self._version_ident(version.tn)
-                    self._note_read(txn, key, ident)
-                    result.resolve(version.value)
+                elif not result.done:  # else a fault abort raced the grant
+                    self._act_locked(txn, site, key, reading, value, result)
 
             lock.add_callback(locked)
 
         self._send_for(txn, site, deliver, channel="data")
         return result
+
+    def _act_locked(
+        self,
+        txn: Transaction,
+        site: SiteBase,
+        key: Hashable,
+        reading: bool,
+        value: Any,
+        result: OpFuture,
+    ) -> None:
+        """The operation under its granted lock, settling ``result``."""
+        if not reading:
+            self._note_write(txn, key, value)
+            txn.private.writes.setdefault(site.site_id, {})[key] = value
+            result.resolve(None)
+        elif key in txn.write_set:
+            self._note_read(txn, key, None)
+            result.resolve(txn.write_set[key])
+        else:
+            version = site.store.read_latest_committed(key)
+            self._note_read(txn, key, self._version_ident(version.tn))
+            result.resolve(version.value)
 
     # -- termination ----------------------------------------------------------------------
 

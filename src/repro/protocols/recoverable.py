@@ -48,17 +48,9 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
 
     # -- logging hooks ----------------------------------------------------------
 
-    def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        result = super()._rw_write(txn, key, value)
-
-        def _log(done: OpFuture) -> None:
-            if not done.failed:
-                self.log.append(
-                    LogRecord(RecordKind.WRITE, txn.txn_id, key=key, value=value)
-                )
-
-        result.add_callback(_log)
-        return result
+    def _stage_write(self, txn: Transaction, key: Hashable, value: Any) -> None:
+        super()._stage_write(txn, key, value)
+        self.log.append(LogRecord(RecordKind.WRITE, txn.txn_id, key=key, value=value))
 
     def _durability_gate(self, txn: Transaction, tn: int) -> OpFuture | None:
         self.log.append(LogRecord(RecordKind.COMMIT, txn.txn_id, tn=tn))

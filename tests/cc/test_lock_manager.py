@@ -6,6 +6,7 @@ from repro.cc.deadlock import WaitsForGraph, choose_victim
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode, compatible
 from repro.errors import DeadlockError, ProtocolError
+from repro.protocols.registry import make_scheduler
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 
@@ -249,6 +250,21 @@ class TestWaitsForGraph:
         g.add(1, 2)
         g.add(2, 1)
         assert g.find_cycle() is not None
+
+
+class TestConstruction:
+    def test_unknown_victim_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown victim policy 'yongest'"):
+            LockManager(victim_policy="yongest")
+        with pytest.raises(ValueError, match="unknown victim policy"):
+            make_scheduler("vc-2pl", victim_policy="yongest")
+
+    @pytest.mark.parametrize("policy", ["youngest", "oldest"])
+    def test_shared_graph_needs_the_requester_policy(self, policy):
+        shared = WaitsForGraph()
+        LockManager(waits_for=shared)
+        with pytest.raises(ValueError, match="shared waits-for graph"):
+            LockManager(victim_policy=policy, waits_for=shared)
 
 
 class TestChooseVictim:
