@@ -11,8 +11,9 @@ restarts), this subclass keeps its read phase and write phase and validates
   intersects T's write set is **wounded** (aborted) before T installs —
   T's commit never waits and never fails;
 * a wounded transaction discovers its fate at its next operation, which
-  returns a failed future with ``AbortReason.WOUNDED`` (so drivers retry it
-  like any protocol abort).
+  raises ``TransactionAborted`` with ``AbortReason.WOUNDED`` (the check
+  every operation makes, ``Transaction.require_active``), so drivers retry
+  it like any protocol abort.
 
 Soundness sketch: by induction over commits, no active transaction ever
 holds a stale read — any commit that would have made a read stale wounded
@@ -29,12 +30,10 @@ transactions that would never have committed anyway.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
-
-from repro.core.futures import OpFuture, failed
+from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.core.version_control import VersionControl
-from repro.errors import AbortReason, TransactionAborted
+from repro.errors import AbortReason
 from repro.protocols.vc_optimistic import VCOCCScheduler
 from repro.storage.mvstore import MVStore
 
@@ -51,33 +50,6 @@ class VCOCCForwardScheduler(VCOCCScheduler):
     ):
         super().__init__(store, version_control)
         self._active_rw: dict[int, Transaction] = {}
-
-    # -- wounded-transaction interception ---------------------------------------
-
-    def _wounded_future(self, txn: Transaction, label: tuple) -> OpFuture | None:
-        if txn.state.value == "aborted" and txn.abort_reason is AbortReason.WOUNDED:
-            return failed(
-                TransactionAborted(txn.txn_id, AbortReason.WOUNDED), label=label
-            )
-        return None
-
-    def read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        wounded = self._wounded_future(txn, ("r{}[{}]", txn.txn_id, key))
-        if wounded is not None:
-            return wounded
-        return super().read(txn, key)
-
-    def write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
-        wounded = self._wounded_future(txn, ("w{}[{}]", txn.txn_id, key))
-        if wounded is not None:
-            return wounded
-        return super().write(txn, key, value)
-
-    def commit(self, txn: Transaction) -> OpFuture:
-        wounded = self._wounded_future(txn, ("commit T{}", txn.txn_id))
-        if wounded is not None:
-            return wounded
-        return super().commit(txn)
 
     # -- forward validation (read phase and write phase are backward OCC's) -----------
 
