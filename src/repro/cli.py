@@ -1,9 +1,10 @@
 """Argument parsing for ``python -m repro`` subcommands that return a status.
 
-``bench``, ``trace`` and ``explain`` are called as ``main(argv) -> int`` by
-``repro.__main__`` and by their tests, and report usage errors on stdout
-with status 2.  :class:`Parser` is an ``ArgumentParser`` that keeps that
-contract: parsing never leaves the process.
+``bench``, ``trace``, ``explain`` and ``watch`` are called as
+``main(argv) -> int`` by ``repro.__main__`` and by their tests, and report
+usage errors on stdout with status 2.  :class:`Parser` is an
+``ArgumentParser`` that keeps that contract: parsing never leaves the
+process.
 """
 
 from __future__ import annotations

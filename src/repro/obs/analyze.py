@@ -1,36 +1,40 @@
-"""Trace analysis: timelines, blocking chains, visibility-lag trajectories.
+"""Reading a trace back: one pass into a :class:`TraceIndex`, then views.
 
-Consumes JSONL traces written by :class:`~repro.obs.exporters.JsonlExporter`
-and reconstructs the three views the paper's arguments revolve around:
+``replay(events, index)`` hands every event of a JSONL trace (written by
+:class:`~repro.obs.exporters.JsonlExporter`) or a ring to one
+:class:`TraceIndex`, once; ``trace``'s sections and ``--json`` digest,
+``explain`` and the flight-recorder bundle all read that index:
 
 * **per-transaction timelines** — every event a transaction touched, with
   its VC registration (``tn`` assignment) paired to the ``vc.advance`` that
   made it visible: the register→advance distance *is* delayed visibility;
 * **blocking chains** — who waited on whom, rebuilt from ``lock.block``
-  events (which carry the holder set at block time) and the interval each
-  transaction spent blocked;
+  events (which carry the holder set at block time);
 * **visibility-lag series** — ``lag = tnc - vtnc - 1`` after every counter
   movement, turning EXP-D's single time-weighted average into an
   inspectable trajectory;
 * **span trees and critical paths** (``--spans``) — per-transaction causal
-  trees rebuilt by :func:`repro.obs.spans.build_span_trees` and profiled by
-  :mod:`repro.obs.profile`.
+  trees, profiled by :mod:`repro.obs.profile`.
 
-Analysis is tolerant by construction: unknown event names are ignored and
-known events missing their expected fields are skipped, because a trace may
-come from a newer/older writer or a crashed run — an analyzer that throws
-on the trace it was built to debug is useless.
+Analysis is tolerant by construction: unknown event names are only counted
+and known events missing their expected fields are skipped, because a trace
+may come from a newer/older writer or a crashed run — an analyzer that
+throws on the trace it was built to debug is useless.
 
-The ``python -m repro trace`` subcommand is a thin wrapper over
-:func:`main` here.
+The ``python -m repro trace`` subcommand is :func:`main` here.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Any, Iterable
 
 from repro.cli import Parser
+from repro.obs.profile import aggregate_phase_shares, render_critical_path
+from repro.obs.spans import SpanNode, render_tree
+from repro.obs.tracer import replay
+from repro.obs.witness.engine import _norm_key
 
 TraceDicts = list[dict[str, Any]]
 
@@ -61,43 +65,259 @@ def load_trace(path: str) -> TraceDicts:
     return events
 
 
-# -- per-transaction timelines ---------------------------------------------------
+def read_trace(path: str) -> TraceDicts | None:
+    """:func:`load_trace` for a command: print why and return ``None`` when
+    the file cannot be read or holds no events."""
+    try:
+        events = load_trace(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load trace: {exc}")
+        return None
+    if not events:
+        print(
+            f"trace file {path!r} contains no events — "
+            "was the run traced (and the exporter closed)?"
+        )
+        return None
+    return events
 
 
-def visibility_pairs(events: Iterable[dict[str, Any]]) -> dict[int, tuple[float, float | None]]:
-    """Map each registered ``tn`` to ``(register_ts, visible_ts)``.
+# -- the index: one pass over the trace ---------------------------------------------
 
-    A transaction number becomes visible at the first ``vc.advance`` whose
-    ``vtnc`` reaches it; ``None`` means the trace ended while the number was
-    still invisible (or it was discarded by an abort).
+
+class LockWait:
+    """A ``lock.block`` and the ``waited`` ``lock.grant`` that closed it."""
+
+    __slots__ = ("block", "key", "granted_ts")
+
+    def __init__(self, block: dict[str, Any], key: Any):
+        self.block = block
+        self.key = key
+        self.granted_ts: float | None = None  # None: never granted
+
+
+_SPAN_META = {"name", "ts", "span", "parent", "trace", "op"}
+#: Span bookkeeping events, which attach to no span's ``events``.
+_SPAN_EVENTS = frozenset(("span.start", "span.end", "courier.redelivery"))
+
+
+class TraceIndex:
+    """What ``trace``, ``explain`` and the flight-recorder bundle read from a
+    trace, collected as its events pass: an exporter that takes every name
+    through :meth:`export`.  Feed it with ``replay(events, index)``.
+
+    ``visibility`` maps each registered ``tn`` to ``(register_ts,
+    visible_ts)``: the number becomes visible at the first ``vc.advance``
+    whose ``vtnc`` reaches it, and stays ``None`` if the trace ended first
+    or an abort discarded it (a discard is permanent, even across a seam
+    that reuses the number; a re-register restarts the pair).  A min-heap
+    of the registered-but-invisible numbers keeps the pairing linear.
+
+    ``chains`` holds, at every ``lock.block``, who waits on whom: the event
+    carries the holders at block time, and a chain follows waiter -> first
+    holder while that holder is itself blocked, so ``[5, 3, 1]`` reads "T5
+    waited on T3 which was waiting on T1" (a repeated id is a deadlock in
+    flight).
+
+    ``waits`` and ``granted`` are the one place a block is paired with its
+    grant: a ``lock.block`` opens a wait for ``(txn, key)`` and the next
+    ``waited`` grant of that pair closes it (a client has one request
+    outstanding at a time).
     """
-    pairs: dict[int, tuple[float, float | None]] = {}
-    discarded: set[int] = set()
-    for event in events:
-        name = event.get("name")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.first_ts = self.last_ts = 0.0
+        self.counts: dict[str, int] = {}  # per name, in first-seen order
+        self.timelines: dict[Any, list[dict[str, Any]]] = {}  # txn -> its events
+        self.committed: set[Any] = set()  # txns that emitted txn.commit
+        self.aborted: set[Any] = set()  # ... and txn.abort
+        self.visibility: dict[int, tuple[float, float | None]] = {}
+        self._invisible: list[int] = []
+        self._discarded: set[int] = set()
+        self.lag: list[tuple[float, int]] = []  # (ts, tnc - vtnc - 1) per VC move
+        self.chains: list[dict[str, Any]] = []  # {"ts", "key", "chain"}
+        self._blocked_on: dict[Any, Any] = {}  # txn -> first holder it waits on
+        self.waits: dict[Any, list[LockWait]] = {}  # txn -> its waits, block order
+        self.granted: list[LockWait] = []  # the closed waits, grant order
+        self._open: dict[tuple[Any, Any], LockWait] = {}
+        self.deadlocks: list[dict[str, Any]] = []
+        self.sweeps: list[dict[str, Any]] = []
+        self._nodes: dict[int, SpanNode] = {}
+        self._txn_roots: dict[Any, SpanNode] = {}
+        self._roots: list[SpanNode] | None = None
+
+    def export(self, event: dict[str, Any]) -> None:
+        name = event["name"]
+        ts = event.get("ts", 0.0)
+        if not self.count:
+            self.first_ts = ts
+        self.count += 1
+        self.last_ts = ts
+        self.counts[name] = self.counts.get(name, 0) + 1
+        txn = event.get("txn")
+        if txn is not None:
+            self.timelines.setdefault(txn, []).append(event)
+        on = self._ON.get(name)
+        if on is not None:
+            on(self, event, txn, ts)
+        if name in _SPAN_EVENTS:
+            return
+        node = self._nodes.get(event.get("span"))
+        if node is None:
+            node = self._txn_roots.get(txn)
+        if node is not None:
+            node.events.append(event)
+
+    def _on_vc(self, event, txn, ts) -> None:
+        if "lag" in event:
+            self.lag.append((ts, event["lag"]))
         number = event.get("number")
         if number is None:
-            continue
-        if name == "vc.register":
-            pairs[number] = (event.get("ts", 0.0), None)
-        elif name == "vc.discard":
-            discarded.add(number)
-        elif name == "vc.advance":
-            for tn, (reg_ts, vis_ts) in pairs.items():
-                if vis_ts is None and tn <= number and tn not in discarded:
-                    pairs[tn] = (reg_ts, event.get("ts", 0.0))
-    return pairs
+            return
+        if event["name"] == "vc.register":
+            self.visibility[number] = (ts, None)
+            heapq.heappush(self._invisible, number)
+        elif event["name"] == "vc.discard":
+            self._discarded.add(number)
+        else:  # vc.advance to vtnc = number
+            invisible, pairs = self._invisible, self.visibility
+            while invisible and invisible[0] <= number:
+                tn = heapq.heappop(invisible)
+                registered, visible = pairs[tn]
+                # Skip stale entries: visible since, or discarded.
+                if visible is None and tn not in self._discarded:
+                    pairs[tn] = (registered, ts)
 
-
-def transaction_timelines(events: TraceDicts) -> dict[int, list[dict[str, Any]]]:
-    """Group events carrying a ``txn`` field by transaction id, in order."""
-    timelines: dict[int, list[dict[str, Any]]] = {}
-    for event in events:
-        txn = event.get("txn")
+    def _on_block(self, event, txn, ts) -> None:
         if txn is None:
-            continue
-        timelines.setdefault(txn, []).append(event)
-    return timelines
+            return
+        holders = event.get("holders") or []
+        if holders:
+            self._blocked_on[txn] = holders[0]
+        chain, seen, cursor = [txn], {txn}, txn
+        while cursor in self._blocked_on:
+            cursor = self._blocked_on[cursor]
+            chain.append(cursor)
+            if cursor in seen:  # a cycle: deadlock in flight
+                break
+            seen.add(cursor)
+        self.chains.append({"ts": ts, "key": event.get("key"), "chain": chain})
+        wait = LockWait(event, _norm_key(event.get("key")))
+        self.waits.setdefault(txn, []).append(wait)
+        self._open[txn, wait.key] = wait
+
+    def _on_grant(self, event, txn, ts) -> None:
+        if event.get("waited"):
+            self._blocked_on.pop(txn, None)
+            wait = self._open.pop((txn, _norm_key(event.get("key"))), None)
+            if wait is not None:
+                wait.granted_ts = ts
+                self.granted.append(wait)
+
+    def _on_finish(self, event, txn, ts) -> None:  # lock.release, txn.commit/abort
+        if txn is not None:
+            self._blocked_on.pop(txn, None)
+            if event["name"] == "txn.commit":
+                self.committed.add(txn)
+            elif event["name"] == "txn.abort":
+                self.aborted.add(txn)
+
+    def _on_span(self, event, txn, ts) -> None:
+        span_id = event.get("span")
+        if event["name"] == "span.start" and span_id is not None:
+            fields = {k: v for k, v in event.items() if k not in _SPAN_META and v is not None}
+            node = self._nodes[span_id] = SpanNode(
+                span_id, event.get("trace", 0), event.get("parent"),
+                str(event.get("op", "?")), float(ts), fields,
+            )
+            if node.name == "txn" and "txn" in fields:
+                self._txn_roots[fields["txn"]] = node
+        elif (node := self._nodes.get(span_id)) is not None:
+            if event["name"] == "span.end":
+                node.end = float(ts)
+                node.ok = bool(event.get("ok", True))
+            elif event["name"] == "courier.redelivery":
+                node.redeliveries += 1
+
+    _ON = {
+        "vc.register": _on_vc,
+        "vc.discard": _on_vc,
+        "vc.advance": _on_vc,
+        "lock.block": _on_block,
+        "lock.grant": _on_grant,
+        "lock.release": _on_finish,
+        "txn.commit": _on_finish,
+        "txn.abort": _on_finish,
+        "lock.deadlock": lambda self, event, txn, ts: self.deadlocks.append(event),
+        "gc.sweep": lambda self, event, txn, ts: self.sweeps.append(event),
+        "span.start": _on_span,
+        "span.end": _on_span,
+        "courier.redelivery": _on_span,
+    }
+
+    def span_roots(self) -> list[SpanNode]:
+        """The span trees' roots by start time; built on the first call, so
+        read them after the last event.
+
+        Flat events stamped with a ``span`` attach to that node, others to
+        their transaction's root ``txn`` span.  Each granted lock wait is a
+        synthetic ``lock.wait`` child (ids below 0) of the blocking event's
+        span, else of the waiter's root: the grant fires from the
+        *releaser's* call stack.  Unfinished spans stay in the tree; orphans
+        whose parent never appeared (ring eviction) become roots.
+        """
+        if self._roots is not None:
+            return self._roots
+        nodes = self._nodes
+        for position, wait in enumerate(self.granted, start=1):
+            block = wait.block
+            parent = nodes.get(block.get("span")) or self._txn_roots.get(block.get("txn"))
+            synthetic = SpanNode(
+                -position,
+                parent.trace_id if parent is not None else 0,
+                parent.span_id if parent is not None else None,
+                "lock.wait",
+                float(block.get("ts", 0.0)),
+                {k: v for k, v in block.items()
+                 if k in ("txn", "key", "mode", "site") and v is not None},
+            )
+            synthetic.end = float(wait.granted_ts)
+            synthetic.ok = True
+            if parent is not None:
+                parent.children.append(synthetic)
+            else:
+                nodes[synthetic.span_id] = synthetic
+        roots: list[SpanNode] = []
+        for node in nodes.values():
+            parent = nodes.get(node.parent_id) if node.parent_id is not None else None
+            if parent is not None:
+                parent.children.append(node)
+            else:
+                roots.append(node)
+        for node in nodes.values():
+            node.children.sort(key=lambda n: (n.start, n.span_id))
+        roots.sort(key=lambda n: (n.start, n.span_id))
+        self._roots = roots
+        return roots
+
+    def transaction_trees(self) -> dict[Any, SpanNode]:
+        """Map ``txn_id`` -> its root ``txn`` span tree."""
+        return {
+            root.fields["txn"]: root
+            for root in self.span_roots()
+            if root.name == "txn" and "txn" in root.fields
+        }
+
+
+def index_trace(events: Iterable[dict[str, Any]]) -> TraceIndex:
+    """A :class:`TraceIndex` over ``events``, built in one ``replay``."""
+    index = TraceIndex()
+    replay(events, index)
+    return index
+
+
+# -- per-transaction timelines ---------------------------------------------------
 
 
 def _event_detail(event: dict[str, Any]) -> str:
@@ -106,35 +326,34 @@ def _event_detail(event: dict[str, Any]) -> str:
     return " ".join(parts)
 
 
-def render_timelines(events: TraceDicts, limit: int = 50) -> str:
+def render_timelines(index: TraceIndex, limit: int = 50) -> str:
     """Per-transaction timelines, VC visibility pairs included."""
-    timelines = transaction_timelines(events)
+    timelines = index.timelines
     if not timelines:
         return "no transaction events in trace"
-    pairs = visibility_pairs(events)
     lines: list[str] = []
-    for index, (txn, txn_events) in enumerate(sorted(timelines.items())):
-        if index >= limit:
+    for position, (txn, txn_events) in enumerate(sorted(timelines.items())):
+        if position >= limit:
             lines.append(f"... ({len(timelines) - limit} more transactions)")
             break
-        cls = next((e.get("cls") for e in txn_events if e.get("cls")), "?")
+        cls = outcome = tn = None
+        rows = []
+        for event in txn_events:
+            cls = cls or event.get("cls")
+            if outcome is None and event["name"] in ("txn.commit", "txn.abort"):
+                outcome = event["name"].split(".", 1)[1]
+            if tn is None:
+                tn = event.get("tn")
+            detail = _event_detail(event)
+            rows.append(f"  {event['ts']:>10g}  {event['name']:<16} {detail}".rstrip())
         first, last = txn_events[0], txn_events[-1]
-        outcome = next(
-            (e["name"].split(".", 1)[1] for e in txn_events
-             if e["name"] in ("txn.commit", "txn.abort")),
-            "open",
-        )
-        header = (
-            f"T{txn} [{cls}] {outcome}: "
+        lines.append(
+            f"T{txn} [{cls or '?'}] {outcome or 'open'}: "
             f"{len(txn_events)} events @{first['ts']:g}..{last['ts']:g}"
         )
-        lines.append(header)
-        for event in txn_events:
-            detail = _event_detail(event)
-            lines.append(f"  {event['ts']:>10g}  {event['name']:<16} {detail}".rstrip())
-        tn = next((e.get("tn") for e in txn_events if e.get("tn") is not None), None)
-        if tn is not None and tn in pairs:
-            reg_ts, vis_ts = pairs[tn]
+        lines.extend(rows)
+        if tn is not None and tn in index.visibility:
+            reg_ts, vis_ts = index.visibility[tn]
             if vis_ts is None:
                 lines.append(f"  {'':>10}  vc.visible       tn={tn} never (trace ended)")
             else:
@@ -148,53 +367,10 @@ def render_timelines(events: TraceDicts, limit: int = 50) -> str:
 # -- blocking chains --------------------------------------------------------------
 
 
-def blocking_chains(events: TraceDicts) -> list[dict[str, Any]]:
-    """Reconstruct who-waits-on-whom chains at every ``lock.block`` event.
-
-    ``lock.block`` carries the holder set at block time.  A chain follows
-    waiter → holder edges while the holder is itself blocked, so a result
-    like ``[5, 3, 1]`` reads "T5 waited on T3 which was waiting on T1".
-    Each entry: ``{"ts", "key", "chain"}``.
-    """
-    blocked_on: dict[int, int] = {}  # txn -> first holder it currently waits on
-    chains: list[dict[str, Any]] = []
-    for event in events:
-        name = event.get("name")
-        if name == "lock.block":
-            txn = event.get("txn")
-            if txn is None:
-                continue
-            holders = event.get("holders") or []
-            if holders:
-                blocked_on[txn] = holders[0]
-            chain = [txn]
-            seen = {txn}
-            cursor = txn
-            while cursor in blocked_on:
-                nxt = blocked_on[cursor]
-                if nxt in seen:
-                    chain.append(nxt)  # cycle (deadlock in flight)
-                    break
-                chain.append(nxt)
-                seen.add(nxt)
-                cursor = nxt
-            chains.append(
-                {"ts": event.get("ts", 0.0), "key": event.get("key"), "chain": chain}
-            )
-        elif name == "lock.grant" and event.get("waited"):
-            blocked_on.pop(event.get("txn"), None)
-        elif name in ("txn.abort", "txn.commit", "lock.release"):
-            txn = event.get("txn")
-            if txn is not None:
-                blocked_on.pop(txn, None)
-    return chains
-
-
-def render_blocking(events: TraceDicts, limit: int = 50) -> str:
-    chains = blocking_chains(events)
+def render_blocking(index: TraceIndex, limit: int = 50) -> str:
+    chains, deadlocks = index.chains, index.deadlocks
     if not chains:
         return "no blocking events in trace"
-    deadlocks = [e for e in events if e["name"] == "lock.deadlock"]
     lines = [f"{len(chains)} blocking events, {len(deadlocks)} deadlocks"]
     for entry in chains[:limit]:
         arrow = " -> ".join(f"T{t}" for t in entry["chain"])
@@ -212,18 +388,8 @@ def render_blocking(events: TraceDicts, limit: int = 50) -> str:
 # -- visibility lag ----------------------------------------------------------------
 
 
-def visibility_lag_series(events: TraceDicts) -> list[tuple[float, int]]:
-    """``(ts, lag)`` after every VC counter movement, in trace order."""
-    return [
-        (event.get("ts", 0.0), event["lag"])
-        for event in events
-        if event.get("name") in ("vc.register", "vc.advance", "vc.discard")
-        and "lag" in event
-    ]
-
-
-def render_lag_series(events: TraceDicts, max_rows: int = 40, width: int = 40) -> str:
-    series = visibility_lag_series(events)
+def render_lag_series(index: TraceIndex, max_rows: int = 40, width: int = 40) -> str:
+    series = index.lag
     if not series:
         return "no version-control events in trace"
     peak = max(lag for _ts, lag in series)
@@ -247,25 +413,16 @@ def render_lag_series(events: TraceDicts, max_rows: int = 40, width: int = 40) -
 # -- span trees + critical paths ---------------------------------------------------
 
 
-def render_spans(events: TraceDicts, limit: int = 50) -> str:
-    """Per-transaction span trees with their critical-path profiles.
-
-    Imports lazily so the flat-event sections keep working even if the span
-    modules are unavailable (e.g. a stripped vendored copy).
-    """
-    from repro.obs.profile import aggregate_phase_shares, render_critical_path
-    from repro.obs.spans import render_tree, transaction_trees
-
-    trees = transaction_trees(events)
+def render_spans(index: TraceIndex, limit: int = 50) -> str:
+    """Per-transaction span trees with their critical-path profiles."""
+    trees = index.transaction_trees()
     if not trees:
         return "no span events in trace (was the run traced with spans?)"
     lines: list[str] = []
-    shown = 0
-    for txn, root in sorted(trees.items(), key=lambda kv: str(kv[0])):
-        if shown >= limit:
+    for position, (txn, root) in enumerate(sorted(trees.items(), key=lambda kv: str(kv[0]))):
+        if position >= limit:
             lines.append(f"... ({len(trees) - limit} more transactions)")
             break
-        shown += 1
         lines.append(render_tree(root))
         if root.end is not None:
             lines.append(render_critical_path(root))
@@ -280,7 +437,7 @@ def render_spans(events: TraceDicts, limit: int = 50) -> str:
 # -- garbage-collection cost --------------------------------------------------------
 
 
-def gc_summary(events: TraceDicts) -> dict[str, Any] | None:
+def gc_summary(index: TraceIndex) -> dict[str, Any] | None:
     """Aggregate ``gc.sweep`` events into the collector's cost counters.
 
     Mirrors the :class:`~repro.storage.gc.GarbageCollector` accounting —
@@ -289,7 +446,7 @@ def gc_summary(events: TraceDicts) -> dict[str, Any] | None:
     but rebuilt from the trace, so a recorded run can be audited offline.
     Returns ``None`` when the trace has no sweep events.
     """
-    sweeps = [e for e in events if e.get("name") == "gc.sweep"]
+    sweeps = index.sweeps
     if not sweeps:
         return None
     discarded = sum(e.get("discarded", 0) for e in sweeps)
@@ -310,18 +467,15 @@ def gc_summary(events: TraceDicts) -> dict[str, Any] | None:
 # -- summary + CLI -----------------------------------------------------------------
 
 
-def render_summary(events: TraceDicts) -> str:
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event["name"]] = counts.get(event["name"], 0) + 1
+def render_summary(index: TraceIndex) -> str:
+    counts = index.counts
     if not counts:
         return "empty trace"
-    span = events[-1]["ts"] - events[0]["ts"]
-    lines = [f"{len(events)} events over {span:g} time units"]
+    lines = [f"{index.count} events over {index.last_ts - index.first_ts:g} time units"]
     width = max(len(name) for name in counts)
     for name, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append(f"  {name:<{width}}  {count}")
-    gc = gc_summary(events)
+    gc = gc_summary(index)
     if gc is not None:
         lines.append(
             f"gc: {gc['sweeps']} sweeps scanned {gc['versions_scanned']} versions, "
@@ -337,7 +491,7 @@ def render_summary(events: TraceDicts) -> str:
 REPORT_SCHEMA = "repro.trace/1"
 
 
-def trace_report(events: TraceDicts) -> dict[str, Any]:
+def trace_report(index: TraceIndex) -> dict[str, Any]:
     """Machine-readable trace digest for ``trace --json``.
 
     Shape (all keys always present)::
@@ -353,20 +507,13 @@ def trace_report(events: TraceDicts) -> dict[str, Any]:
 
     The digest is a pure function of the event stream — two runs over the
     same trace are byte-identical, so it can be diffed or gated in CI.
+    A transaction that both committed and aborted (a seam reusing its id)
+    counts as committed.
     """
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event["name"]] = counts.get(event["name"], 0) + 1
-    timelines = transaction_timelines(events)
-    committed = aborted = 0
-    for txn_events in timelines.values():
-        outcomes = {e["name"] for e in txn_events}
-        if "txn.commit" in outcomes:
-            committed += 1
-        elif "txn.abort" in outcomes:
-            aborted += 1
-    chains = blocking_chains(events)
-    series = visibility_lag_series(events)
+    total = len(index.timelines)
+    committed = len(index.committed)
+    aborted = len(index.aborted - index.committed)
+    series = index.lag
     visibility = None
     if series:
         visibility = {
@@ -376,31 +523,31 @@ def trace_report(events: TraceDicts) -> dict[str, Any]:
         }
     return {
         "schema": REPORT_SCHEMA,
-        "events": len(events),
-        "span": round(events[-1]["ts"] - events[0]["ts"], 9) if events else 0.0,
-        "counts": counts,
+        "events": index.count,
+        "span": round(index.last_ts - index.first_ts, 9) if index.count else 0.0,
+        "counts": index.counts,
         "transactions": {
-            "total": len(timelines),
+            "total": total,
             "committed": committed,
             "aborted": aborted,
-            "open": len(timelines) - committed - aborted,
+            "open": total - committed - aborted,
         },
         "blocking": {
-            "events": len(chains),
-            "deadlocks": counts.get("lock.deadlock", 0),
-            "longest_chain": max((len(c["chain"]) for c in chains), default=0),
+            "events": len(index.chains),
+            "deadlocks": index.counts.get("lock.deadlock", 0),
+            "longest_chain": max((len(c["chain"]) for c in index.chains), default=0),
         },
         "visibility": visibility,
-        "gc": gc_summary(events),
+        "gc": gc_summary(index),
     }
 
 
-#: The ``trace`` sections in print order: flag -> (heading, render(events, limit)).
+#: The ``trace`` sections in print order: flag -> (heading, render(index, limit)).
 SECTIONS = {
-    "summary": ("summary", lambda events, limit: render_summary(events)),
+    "summary": ("summary", lambda index, limit: render_summary(index)),
     "timelines": ("per-transaction timelines", render_timelines),
     "blocking": ("blocking chains", render_blocking),
-    "lag": ("visibility lag", lambda events, limit: render_lag_series(events)),
+    "lag": ("visibility lag", lambda index, limit: render_lag_series(index)),
     "spans": ("span trees & critical paths", render_spans),
 }
 
@@ -429,23 +576,16 @@ def main(argv: list[str]) -> int:
     args = parser.parse(argv)
     if isinstance(args, int):
         return args
-    try:
-        events = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load trace: {exc}")
+    events = read_trace(args.trace)
+    if events is None:
         return 1
-    if not events:
-        print(
-            f"trace file {args.trace!r} contains no events — "
-            "was the run traced (and the exporter closed)?"
-        )
-        return 1
+    index = index_trace(events)
     if args.json:
-        print(json.dumps(trace_report(events), sort_keys=True, indent=2))
+        print(json.dumps(trace_report(index), sort_keys=True, indent=2))
         return 0
     chosen = [flag for flag in SECTIONS if getattr(args, flag)] or list(SECTIONS)
     blocks = [
-        f"== {heading} ==\n" + render(events, args.limit)
+        f"== {heading} ==\n" + render(index, args.limit)
         for heading, render in map(SECTIONS.get, chosen)
     ]
     try:

@@ -2,15 +2,15 @@
 
 A :class:`FlightRecorder` is a :class:`~repro.obs.exporters.RingBufferExporter`
 — the most recent events in a bounded ring, cheap enough to leave on for a
-whole campaign — and, when the SLO engine
-declares a breach, freezes the slice around the breach window into a
-*diagnostic bundle*: the raw events, who-blocked-whom chains
-(:func:`repro.obs.analyze.blocking_chains`), the critical-path phase
-profile of the transactions completed inside the window
-(:mod:`repro.obs.profile`), an event tally, and a counter snapshot.  The
-point is that the cause is captured *at the moment it happened* — the
-partition that froze a replica, the convoy that spiked a p99 — instead of
-being reconstructed from a full trace later.
+whole campaign — and, when the SLO engine declares a breach, freezes the
+slice around the breach window into a *diagnostic bundle*: the raw events,
+a counter snapshot, and, read off one :class:`repro.obs.analyze.TraceIndex`
+over the events, an event tally, who-blocked-whom chains and the
+critical-path phase profile of the transactions completed inside the
+window (:mod:`repro.obs.profile`).  The point is that the cause is captured
+*at the moment it happened* — the partition that froze a replica, the
+convoy that spiked a p99 — instead of being reconstructed from a full
+trace later.
 
 Bundles serialize to JSONL (:meth:`FlightRecorder.write_bundle`): a header
 line (breach + analysis), then one event per line, everything sorted-key
@@ -20,10 +20,10 @@ JSON with ``repr`` fallback — byte-identical across same-trace replays.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from typing import Any, TYPE_CHECKING
 
 from repro.obs.exporters import RingBufferExporter
+from repro.obs.profile import aggregate_phase_shares
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.slo.engine import Breach
@@ -51,26 +51,25 @@ class FlightRecorder(RingBufferExporter):
     ) -> dict[str, Any]:
         """Freeze the breach window (plus ``pre_roll`` of history) into a
         diagnostic bundle dict."""
-        from repro.obs.analyze import blocking_chains
-        from repro.obs.profile import aggregate_phase_shares
-        from repro.obs.spans import transaction_trees
+        # Imported here, not at the top: a run that never breaches should not
+        # pay for loading the offline trace reader.
+        from repro.obs.analyze import index_trace
 
         start = breach.window_start - pre_roll
         end = breach.window_end
         events = self.window(start, end)
-        tally = Counter(e.get("name", "?") for e in events)
-        chains = blocking_chains(events)
-        trees = transaction_trees(events)
-        finished = [root for root in trees.values() if root.end is not None]
-        shares = aggregate_phase_shares(finished)
+        index = index_trace(events)
+        shares = aggregate_phase_shares(
+            root for root in index.transaction_trees().values() if root.end is not None
+        )
         return {
             "schema": BUNDLE_SCHEMA,
             "breach": breach.as_dict(),
             "window": [round(start, 9), round(end, 9)],
             "events_in_window": len(events),
             "ring_dropped": self.dropped,
-            "event_tally": dict(sorted(tally.items())),
-            "blocking_chains": chains,
+            "event_tally": dict(sorted(index.counts.items())),
+            "blocking_chains": index.chains,
             "critical_path": {
                 phase: round(share, 6) for phase, share in shares.items()
             },

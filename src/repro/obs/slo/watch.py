@@ -19,99 +19,66 @@ unreadable; 2 — bad usage.
 
 from __future__ import annotations
 
-import argparse
 import json
 
-from repro.obs.analyze import load_trace
+from repro.cli import Parser
+from repro.obs.analyze import read_trace
 from repro.obs.slo.engine import SLOEngine
 from repro.obs.slo.objectives import PROFILES
 from repro.obs.slo.recorder import FlightRecorder
 from repro.obs.tracer import replay
+from repro.obs.witness import WitnessEngine
 
 
-def build_engine(
-    profile: str, *, window: float, bundle_dir: str | None = None
-) -> SLOEngine:
-    try:
-        objectives = PROFILES[profile]()
-    except KeyError:
-        raise ValueError(
-            f"unknown profile {profile!r}; available: {', '.join(sorted(PROFILES))}"
-        ) from None
-    return SLOEngine(
-        objectives,
-        window=window,
-        recorder=FlightRecorder(capacity=8192),
-        bundle_dir=bundle_dir,
-        bundle_prefix="watch",
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+def main(argv: list[str]) -> int:
+    """``python -m repro watch <trace.jsonl> [--window W] [--profile P] ...``."""
+    parser = Parser(
+        {
+            "window": dict(
+                type=float, default=25.0,
+                help="tumbling-window width in virtual time units (default 25)",
+            ),
+            "profile": dict(
+                choices=sorted(PROFILES), default="default",
+                help="objective profile to evaluate (default: default)",
+            ),
+            "bundle_dir": dict(
+                metavar="DIR", help="write a flight-recorder bundle per breach into DIR"
+            ),
+            "json": dict(
+                action="store_true",
+                help="print the machine-readable verdict block instead of the table",
+            ),
+            "strict": dict(
+                action="store_true",
+                help="fail (exit 3) on expected breaches too, not just unexpected",
+            ),
+            "witness": dict(
+                action="store_true",
+                help="also certify the trace's history.* stream with the streaming "
+                "MVSG witness; exit 3 if it refuses to certify 1SR",
+            ),
+        },
         prog="repro watch",
         description="Replay a JSONL trace through the SLO watchdogs and "
         "report breach verdicts (see docs/slo.md).",
     )
     parser.add_argument("trace", help="JSONL trace file to replay")
-    parser.add_argument(
-        "--window",
-        type=float,
-        default=25.0,
-        help="tumbling-window width in virtual time units (default 25)",
-    )
-    parser.add_argument(
-        "--profile",
-        choices=sorted(PROFILES),
-        default="default",
-        help="objective profile to evaluate (default: default)",
-    )
-    parser.add_argument(
-        "--bundle-dir",
-        metavar="DIR",
-        default=None,
-        help="write a flight-recorder bundle per breach into DIR",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable verdict block instead of the table",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail (exit 3) on expected breaches too, not just unexpected",
-    )
-    parser.add_argument(
-        "--witness",
-        action="store_true",
-        help="also certify the trace's history.* stream with the streaming "
-        "MVSG witness; exit 3 if it refuses to certify 1SR",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        engine = build_engine(
-            args.profile, window=args.window, bundle_dir=args.bundle_dir
-        )
-    except ValueError as exc:
-        print(exc)
-        return 2
-    try:
-        events = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load trace: {exc}")
+    args = parser.parse(argv)
+    if isinstance(args, int):
+        return args
+    events = read_trace(args.trace)
+    if events is None:
         return 1
-    if not events:
-        print(
-            f"trace file {args.trace!r} contains no events — "
-            "was the run traced (and the exporter closed)?"
-        )
-        return 1
+    engine = SLOEngine(
+        PROFILES[args.profile](),
+        window=args.window,
+        recorder=FlightRecorder(capacity=8192),
+        bundle_dir=args.bundle_dir,
+        bundle_prefix="watch",
+    )
     certifier = None
     if args.witness:
-        from repro.obs.witness import WitnessEngine
-
         certifier = WitnessEngine(seal=True)
     replay(events, *filter(None, (engine, certifier)))
     engine.finish()

@@ -299,117 +299,20 @@ class SpanNode:
         return f"<SpanNode {self.label()} #{self.span_id} {self.start}..{self.end}>"
 
 
-_SPAN_META = {"name", "ts", "span", "parent", "trace", "op"}
-
-
 def build_span_trees(events: Iterable[dict[str, Any]]) -> list[SpanNode]:
-    """Reconstruct span trees from an event stream (dict form).
+    """Reconstruct span trees from an event stream (dict form): the roots of
+    :meth:`repro.obs.analyze.TraceIndex.span_roots`, ordered by start time,
+    synthetic ``lock.wait`` spans and promoted orphans included."""
+    from repro.obs.analyze import index_trace  # analyze builds on SpanNode
 
-    Returns root nodes ordered by start time.  Besides real ``span.start`` /
-    ``span.end`` pairs this grafts two kinds of derived data onto the tree:
-
-    * flat events stamped with a ``span`` field attach to that node's
-      ``events`` list;
-    * ``lock.block`` → ``lock.grant(waited=True)`` pairs become synthetic
-      ``lock.wait`` child spans (of the blocking event's span when stamped,
-      else of the waiter's root ``txn`` span), because the lock manager
-      cannot know the requester's span — the grant fires from the
-      *releaser's* call stack.
-
-    Unfinished spans (``end is None``) stay in the tree; orphans whose
-    parent never appeared (ring-buffer eviction) are promoted to roots.
-    """
-    nodes: dict[int, SpanNode] = {}
-    txn_roots: dict[Any, SpanNode] = {}
-    open_blocks: dict[Any, dict[str, Any]] = {}
-    waits: list[tuple[dict[str, Any], float]] = []  # (block event, grant ts)
-
-    for event in events:
-        name = event.get("name")
-        if name == "span.start":
-            span_id = event.get("span")
-            if span_id is None:
-                continue
-            fields = {
-                k: v for k, v in event.items() if k not in _SPAN_META and v is not None
-            }
-            node = SpanNode(
-                span_id,
-                event.get("trace", 0),
-                event.get("parent"),
-                str(event.get("op", "?")),
-                float(event.get("ts", 0.0)),
-                fields,
-            )
-            nodes[span_id] = node
-            if node.name == "txn" and "txn" in fields:
-                txn_roots[fields["txn"]] = node
-        elif name == "span.end":
-            node = nodes.get(event.get("span"))
-            if node is not None:
-                node.end = float(event.get("ts", 0.0))
-                node.ok = bool(event.get("ok", True))
-        elif name == "courier.redelivery":
-            node = nodes.get(event.get("span"))
-            if node is not None:
-                node.redeliveries += 1
-        else:
-            if name == "lock.block" and "txn" in event:
-                open_blocks[event["txn"]] = event
-            elif name == "lock.grant" and event.get("waited") and "txn" in event:
-                block = open_blocks.pop(event["txn"], None)
-                if block is not None:
-                    waits.append((block, float(event.get("ts", 0.0))))
-            span_id = event.get("span")
-            if span_id is not None and span_id in nodes:
-                nodes[span_id].events.append(event)
-            elif "txn" in event and event["txn"] in txn_roots:
-                txn_roots[event["txn"]].events.append(event)
-
-    # Synthetic lock-wait spans (ids below 0 so they never collide).
-    for index, (block, grant_ts) in enumerate(waits):
-        parent = nodes.get(block.get("span"))
-        if parent is None:
-            parent = txn_roots.get(block.get("txn"))
-        synthetic = SpanNode(
-            -(index + 1),
-            parent.trace_id if parent is not None else 0,
-            parent.span_id if parent is not None else None,
-            "lock.wait",
-            float(block.get("ts", 0.0)),
-            {
-                k: v
-                for k, v in block.items()
-                if k in ("txn", "key", "mode", "site") and v is not None
-            },
-        )
-        synthetic.end = grant_ts
-        synthetic.ok = True
-        if parent is not None:
-            parent.children.append(synthetic)
-        else:
-            nodes[synthetic.span_id] = synthetic
-
-    roots: list[SpanNode] = []
-    for node in nodes.values():
-        parent = nodes.get(node.parent_id) if node.parent_id is not None else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
-    for node in nodes.values():
-        node.children.sort(key=lambda n: (n.start, n.span_id))
-    roots.sort(key=lambda n: (n.start, n.span_id))
-    return roots
+    return index_trace(events).span_roots()
 
 
 def transaction_trees(events: Iterable[dict[str, Any]]) -> dict[Any, SpanNode]:
     """Map ``txn_id`` → its root ``txn`` span tree."""
-    out: dict[Any, SpanNode] = {}
-    for root in build_span_trees(events):
-        if root.name == "txn" and "txn" in root.fields:
-            out[root.fields["txn"]] = root
-    return out
+    from repro.obs.analyze import index_trace
+
+    return index_trace(events).transaction_trees()
 
 
 def render_tree(root: SpanNode, indent: str = "") -> str:

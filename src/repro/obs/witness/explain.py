@@ -22,13 +22,17 @@ trace always renders byte-identical output.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.cli import Parser
 from repro.errors import RETRYABLE_REASONS
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.profile import critical_path
 from repro.obs.tracer import replay
 from repro.obs.witness.engine import WitnessEngine, _norm_key
+
+if TYPE_CHECKING:  # analyze imports this package
+    from repro.obs.analyze import TraceIndex
 
 EXPLAIN_SCHEMA = "repro.explain/1"
 
@@ -58,19 +62,20 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
     trace holds no ``history.*`` events for ``txn`` — the usual cause is a
     run traced without the scheduler's recorder attached.
     """
+    from repro.obs.analyze import TraceIndex  # analyze imports this package
+
     engine = WitnessEngine(seal=False, track_edges=True)
-    replay(events, engine)
+    index = TraceIndex()
+    replay(events, engine, index)
     engine.finish()
 
-    mine = [e for e in events if e.get("txn") == txn]
-    history = [e for e in mine if e.get("name", "").startswith("history.")]
+    mine = index.timelines.get(txn, [])
+    history = [e for e in mine if e["name"].startswith("history.")]
     if not history:
         known = sorted(
-            {
-                e["txn"]
-                for e in events
-                if e.get("name", "").startswith("history.") and e.get("txn") is not None
-            }
+            other
+            for other, evs in index.timelines.items()
+            if any(e["name"].startswith("history.") for e in evs)
         )
         preview = ", ".join(str(t) for t in known[:20])
         if len(known) > 20:
@@ -121,40 +126,11 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
                     }
                 )
 
-    # Lock waits: block -> grant(waited) pairs, plus deadlock involvement.
-    waits = []
-    pending_block: dict[Any, dict[str, Any]] = {}
-    deadlocks = []
-    for event in events:
-        name = event.get("name")
-        if name == "lock.block" and event.get("txn") == txn:
-            entry = {
-                "ts": event.get("ts", 0.0),
-                "key": _norm_key(event.get("key")),
-                "mode": event.get("mode"),
-                "holders": list(event.get("holders") or []),
-                "granted_ts": None,
-            }
-            waits.append(entry)
-            pending_block[entry["key"]] = entry
-        elif name == "lock.grant" and event.get("txn") == txn and event.get("waited"):
-            entry = pending_block.pop(_norm_key(event.get("key")), None)
-            if entry is not None:
-                entry["granted_ts"] = event.get("ts", 0.0)
-        elif name == "lock.deadlock":
-            cycle = list(event.get("cycle") or [])
-            if event.get("victim") == txn or txn in cycle:
-                deadlocks.append(
-                    {
-                        "ts": event.get("ts", 0.0),
-                        "victim": event.get("victim"),
-                        "cycle": cycle,
-                    }
-                )
+    waits, deadlocks = lock_story(index, txn)
 
     abort = None
     for event in mine:
-        if event.get("name") == "txn.abort":
+        if event["name"] == "txn.abort":
             reason = event.get("reason")
             abort = {
                 "ts": event.get("ts", 0.0),
@@ -165,7 +141,7 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
     qos = [
         {"ts": e.get("ts", 0.0), "event": e["name"]}
         for e in mine
-        if e.get("name", "").startswith("qos.")
+        if e["name"].startswith("qos.")
     ]
 
     begin_ts = history[0].get("ts", 0.0)
@@ -188,31 +164,45 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
             "serializable": engine.serializable,
             "violations": engine.violation_count,
         },
+        "critical_path": [],
     }
-    record["critical_path"] = _critical_path(events, txn)
+    root = index.transaction_trees().get(txn)
+    if root is not None and root.end is not None:
+        record["critical_path"] = [
+            {
+                "phase": segment.phase,
+                "span": segment.node.name,
+                "start": segment.start,
+                "elapsed": segment.duration,
+            }
+            for segment in critical_path(root).segments
+        ]
     return record
 
 
-def _critical_path(events: list[dict[str, Any]], txn: int) -> list[dict[str, Any]]:
-    """Critical-path slice from span events, when the run was span-traced."""
-    try:
-        from repro.obs.profile import critical_path
-        from repro.obs.spans import transaction_trees
-    except ImportError:  # stripped vendored copy
-        return []
-    trees = transaction_trees(events)
-    root = trees.get(txn)
-    if root is None or root.end is None:
-        return []
-    return [
+def lock_story(index: TraceIndex, txn: int) -> tuple[list[dict], list[dict]]:
+    """``txn``'s lock waits (granted or not) and the deadlocks it was party
+    to, read off a :class:`~repro.obs.analyze.TraceIndex`."""
+    waits = [
         {
-            "phase": segment.phase,
-            "span": segment.node.name,
-            "start": segment.start,
-            "elapsed": segment.duration,
+            "ts": wait.block.get("ts", 0.0),
+            "key": wait.key,
+            "mode": wait.block.get("mode"),
+            "holders": list(wait.block.get("holders") or []),
+            "granted_ts": wait.granted_ts,
         }
-        for segment in critical_path(root).segments
+        for wait in index.waits.get(txn, ())
     ]
+    deadlocks = [
+        {
+            "ts": event.get("ts", 0.0),
+            "victim": event.get("victim"),
+            "cycle": list(event.get("cycle") or []),
+        }
+        for event in index.deadlocks
+        if event.get("victim") == txn or txn in (event.get("cycle") or ())
+    ]
+    return waits, deadlocks
 
 
 def render_explain(record: dict[str, Any]) -> str:
@@ -313,7 +303,7 @@ def txn_id(text: str) -> int:
 
 def main(argv: list[str]) -> int:
     """``python -m repro explain <trace.jsonl> <txn> [--json]``."""
-    from repro.obs.analyze import load_trace
+    from repro.obs.analyze import read_trace  # analyze imports this package
 
     parser = Parser(
         {
@@ -333,10 +323,8 @@ def main(argv: list[str]) -> int:
     args = parser.parse(argv)
     if isinstance(args, int):
         return args
-    try:
-        events = load_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load trace: {exc}")
+    events = read_trace(args.trace)
+    if events is None:
         return 1
     try:
         record = explain_transaction(events, args.txn)

@@ -6,14 +6,12 @@ import pytest
 
 import repro.__main__ as repro_main
 from repro.obs.analyze import (
-    blocking_chains,
+    index_trace,
     load_trace,
     main,
     render_blocking,
     render_lag_series,
     render_timelines,
-    visibility_lag_series,
-    visibility_pairs,
 )
 
 
@@ -51,7 +49,7 @@ class TestLoadTrace:
 
 class TestVisibility:
     def test_pairs_honor_discards(self):
-        pairs = visibility_pairs(VC_EVENTS)
+        pairs = index_trace(VC_EVENTS).visibility
         assert pairs[1] == (1.0, 3.0)
         assert pairs[2] == (2.0, None)  # discarded: never became visible
 
@@ -61,12 +59,12 @@ class TestVisibility:
             {"name": "vc.register", "ts": 1.0, "number": 2},
             {"name": "vc.advance", "ts": 5.0, "number": 2},  # vtnc jumps to 2
         ]
-        pairs = visibility_pairs(events)
+        pairs = index_trace(events).visibility
         assert pairs[1] == (0.0, 5.0) and pairs[2] == (1.0, 5.0)
 
     def test_lag_series_and_rendering(self):
-        assert visibility_lag_series(VC_EVENTS) == [(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1)]
-        text = render_lag_series(VC_EVENTS)
+        assert index_trace(VC_EVENTS).lag == [(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1)]
+        text = render_lag_series(index_trace(VC_EVENTS))
         assert "peak=2" in text and "4 samples" in text
         assert "##" in text  # bar for the lag-2 sample
 
@@ -75,7 +73,7 @@ class TestVisibility:
             {"name": "vc.register", "ts": float(i), "number": i, "lag": 1}
             for i in range(1, 200)
         ]
-        text = render_lag_series(events, max_rows=10)
+        text = render_lag_series(index_trace(events), max_rows=10)
         assert len(text.splitlines()) == 11  # header + 10 resampled rows
         assert "199 samples" in text.splitlines()[0]
         assert text.splitlines()[-1].lstrip().startswith("199")  # last sample kept
@@ -89,7 +87,7 @@ class TestTimelines:
             {"name": "txn.commit", "ts": 2.0, "txn": 7, "cls": "rw", "tn": 3},
             {"name": "vc.advance", "ts": 6.0, "number": 3},
         ]
-        text = render_timelines(events)
+        text = render_timelines(index_trace(events))
         assert "T7 [rw] commit" in text
         assert "vc.visible       tn=3 registered@1 delay=5" in text
 
@@ -98,7 +96,7 @@ class TestTimelines:
             {"name": "txn.begin", "ts": float(i), "txn": i, "cls": "rw"}
             for i in range(5)
         ]
-        text = render_timelines(events, limit=2)
+        text = render_timelines(index_trace(events), limit=2)
         assert "(3 more transactions)" in text
 
     def test_open_transaction_never_visible(self):
@@ -106,7 +104,7 @@ class TestTimelines:
             {"name": "txn.commit", "ts": 0.0, "txn": 1, "cls": "rw", "tn": 9},
             {"name": "vc.register", "ts": 0.0, "number": 9},
         ]
-        assert "never (trace ended)" in render_timelines(events)
+        assert "never (trace ended)" in render_timelines(index_trace(events))
 
 
 class TestBlockingChains:
@@ -115,9 +113,9 @@ class TestBlockingChains:
             {"name": "lock.block", "ts": 1.0, "txn": 3, "key": "x", "holders": [1]},
             {"name": "lock.block", "ts": 2.0, "txn": 5, "key": "y", "holders": [3]},
         ]
-        chains = blocking_chains(events)
+        chains = index_trace(events).chains
         assert chains[1]["chain"] == [5, 3, 1]
-        assert "T5 -> T3 -> T1" in render_blocking(events)
+        assert "T5 -> T3 -> T1" in render_blocking(index_trace(events))
 
     def test_grant_clears_waiter(self):
         events = [
@@ -125,21 +123,21 @@ class TestBlockingChains:
             {"name": "lock.grant", "ts": 2.0, "txn": 3, "key": "x", "waited": True},
             {"name": "lock.block", "ts": 3.0, "txn": 5, "key": "y", "holders": [3]},
         ]
-        assert blocking_chains(events)[1]["chain"] == [5, 3]
+        assert index_trace(events).chains[1]["chain"] == [5, 3]
 
     def test_cycle_detected_in_flight(self):
         events = [
             {"name": "lock.block", "ts": 1.0, "txn": 1, "key": "x", "holders": [2]},
             {"name": "lock.block", "ts": 2.0, "txn": 2, "key": "y", "holders": [1]},
         ]
-        assert blocking_chains(events)[1]["chain"] == [2, 1, 2]
+        assert index_trace(events).chains[1]["chain"] == [2, 1, 2]
 
     def test_deadlock_events_rendered(self):
         events = [
             {"name": "lock.block", "ts": 1.0, "txn": 1, "key": "x", "holders": [2]},
             {"name": "lock.deadlock", "ts": 2.0, "victim": 1, "cycle": [1, 2], "policy": "youngest"},
         ]
-        assert "DEADLOCK victim=T1 cycle: T1 -> T2" in render_blocking(events)
+        assert "DEADLOCK victim=T1 cycle: T1 -> T2" in render_blocking(index_trace(events))
 
 
 GC_EVENTS = [
@@ -156,7 +154,7 @@ class TestGcSummary:
     def test_counters_aggregate_across_sweeps(self):
         from repro.obs.analyze import gc_summary
 
-        gc = gc_summary(VC_EVENTS + GC_EVENTS)
+        gc = gc_summary(index_trace(VC_EVENTS + GC_EVENTS))
         assert gc == {
             "sweeps": 2,
             "versions_discarded": 10,
@@ -170,12 +168,12 @@ class TestGcSummary:
     def test_none_without_sweep_events(self):
         from repro.obs.analyze import gc_summary
 
-        assert gc_summary(VC_EVENTS) is None
+        assert gc_summary(index_trace(VC_EVENTS)) is None
 
     def test_summary_section_renders_gc_line(self):
         from repro.obs.analyze import render_summary
 
-        text = render_summary(VC_EVENTS + GC_EVENTS)
+        text = render_summary(index_trace(VC_EVENTS + GC_EVENTS))
         assert "gc: 2 sweeps scanned 20 versions" in text
         assert "(3 interior)" in text
 
@@ -215,8 +213,8 @@ class TestTraceReport:
             {"name": "txn.begin", "ts": 3.0, "txn": 2, "cls": "rw"},
             {"name": "txn.abort", "ts": 4.0, "txn": 2, "cls": "rw"},
         ]
-        first = trace_report(list(events))
-        second = trace_report(list(events))
+        first = trace_report(index_trace(list(events)))
+        second = trace_report(index_trace(list(events)))
         assert first == second
         assert first["schema"] == "repro.trace/1"
         assert first["transactions"] == {

@@ -183,6 +183,17 @@ class TestWatchCli:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert watch_main([str(tmp_path / "nope.jsonl")]) == 1
 
+    def test_usage_errors_print_to_stdout_and_return_two(self, capsys):
+        assert watch_main(["--bogus"]) == 2
+        assert watch_main([]) == 2
+        assert watch_main(["t.jsonl", "--window"]) == 2
+        assert watch_main(["t.jsonl", "--profile", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("usage: repro watch") == 4
+        assert captured.err == ""
+        assert watch_main(["--help"]) == 0
+        assert "--bundle-dir DIR" in capsys.readouterr().out
+
     def test_empty_trace_exits_one(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
