@@ -16,7 +16,7 @@ mechanism:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.bench.experiments import ExperimentResult
@@ -32,7 +32,7 @@ from repro.storage.gc import GarbageCollector
 from repro.storage.gc_strategies import BudgetedCollector, EagerCollector
 from repro.storage.mvstore import MVStore
 from repro.workload.mixes import balanced, contended_small, write_heavy_hotspot
-from repro.workload.spec import WorkloadGenerator, WorkloadSpec
+from repro.workload.spec import WorkloadGenerator
 
 
 # -- GC strategy ablation --------------------------------------------------------

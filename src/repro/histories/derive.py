@@ -16,7 +16,9 @@ the rule lives here and nowhere else, once per shape of caller:
   reads-from pair against some candidate writers, one stored edge per rule
   edge.  The online witness (:mod:`repro.obs.witness`) applies it as commits
   stream in: to the writers known so far, and again for each writer that
-  arrives later.
+  arrives later.  It writes the rule out in place on its commit path; the
+  reference engines of ``tests/obs/test_witness_sweeps.py`` call these two
+  functions and hold it equal after every event.
 * **Per object, compact** -- :func:`fan_version_order_edges`.  A version
   order is a chain ``w_0 << ... << w_m``, so "every writer after ``w_p``" and
   "every writer before ``w_p``" are a suffix and a prefix of one list and

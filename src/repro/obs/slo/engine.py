@@ -202,11 +202,26 @@ class SLOEngine:
         for objective in self.objectives:
             for signal in objective.signals:
                 self._routes.setdefault(signal, []).append(objective)
+        #: ``_DISPATCH`` with each SIGNAL_ROUTES entry narrowed to the signals
+        #: an objective takes, as ``(field, signal, objectives)``.
+        self._dispatch: dict[str, Any] = {
+            name: route if type(route) is not tuple else tuple(
+                (field, signal, tuple(self._routes[signal]))
+                for field, signal in route
+                if signal in self._routes
+            )
+            for name, route in _DISPATCH.items()
+        }
+        #: Per transaction class, its ``txn.*`` signals and their objectives,
+        #: resolved on the class's first event.
+        self._class_signals: dict[str, _ClassSignals] = {}
         self._states = {o.name: _ObjectiveState() for o in self.objectives}
         self._begin_ts: dict[Any, float] = {}
         self._begin_cls: dict[Any, str] = {}
         self._lock_blocked: set[Any] = set()
         self._win: int | None = None
+        #: The least timestamp past window ``_win``; -inf before the first.
+        self._win_end = -math.inf
         self._last_ts = -math.inf
 
     # -- the one entry point: live and replay --------------------------------------
@@ -225,19 +240,22 @@ class SLOEngine:
             return  # still on a shared tracer after finish(): nothing to do
         self.events_seen += 1
         ts = event["ts"]
-        if ts >= self._last_ts and math.floor(ts / self.window) == self._win:
+        if self._last_ts <= ts < self._win_end:
             self._last_ts = ts  # same window, clock not behind
         else:
             self._advance(ts)
         if self.recorder is not None:
             self.recorder.export(event)
         name = event["name"]
-        route = _DISPATCH.get(name)
+        if name == "lock.grant" and not event.get("waited"):
+            return  # an immediate grant changes no wait depth
+        route = self._dispatch.get(name)
         if type(route) is tuple:  # a SIGNAL_ROUTES entry
-            for field, signal in route:
+            for field, signal, objectives in route:
                 value = 1.0 if field is None else event.get(field)
                 if value is not None:
-                    self._signal(signal, value)
+                    for objective in objectives:
+                        objective.observe(signal, value)
         elif route is not None:  # a stateful name's method
             route(self, name, ts, event)
 
@@ -247,28 +265,55 @@ class SLOEngine:
 
     # -- event processing ----------------------------------------------------------
 
-    def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
+    def _resolve_class(self, cls: str) -> _ClassSignals:
+        signals = self._class_signals[cls] = _ClassSignals(cls, self._routes)
+        return signals
+
+    def _txn_begin(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
         cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
-        if name == "txn.begin":
-            if txn is not None:
-                self._begin_ts[txn] = ts
-                self._begin_cls[txn] = cls
-            self._signal(f"begin.{cls}", 1.0)
-        elif name == "txn.commit":
-            begun = self._begin_ts.pop(txn, None)
-            self._begin_cls.pop(txn, None)
-            if begun is not None:
-                self._signal(f"latency.{cls}", ts - begun)
-            self._signal(f"commit.{cls}", 1.0)
+        signals = self._class_signals.get(cls) or self._resolve_class(cls)
+        if txn is not None:
+            self._begin_ts[txn] = ts
+            self._begin_cls[txn] = cls
+        signal, objectives = signals.begin
+        for objective in objectives:
+            objective.observe(signal, 1.0)
+
+    def _txn_commit(self, name: str, ts: float, fields: dict[str, Any]) -> None:
+        txn = fields.get("txn")
+        cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
+        signals = self._class_signals.get(cls) or self._resolve_class(cls)
+        begun = self._begin_ts.pop(txn, None)
+        self._begin_cls.pop(txn, None)
+        if begun is not None:
+            signal, objectives = signals.latency
+            for objective in objectives:
+                objective.observe(signal, ts - begun)
+        signal, objectives = signals.commit
+        for objective in objectives:
+            objective.observe(signal, 1.0)
+        if txn in self._lock_blocked:
             self._unblock(txn)
-        elif name == "txn.abort":
-            self._begin_ts.pop(txn, None)
-            self._begin_cls.pop(txn, None)
-            self._signal(f"abort.{cls}", 1.0)
+
+    def _txn_abort(self, name: str, ts: float, fields: dict[str, Any]) -> None:
+        txn = fields.get("txn")
+        cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
+        signals = self._class_signals.get(cls) or self._resolve_class(cls)
+        self._begin_ts.pop(txn, None)
+        self._begin_cls.pop(txn, None)
+        signal, objectives = signals.abort
+        for objective in objectives:
+            objective.observe(signal, 1.0)
+        if txn in self._lock_blocked:
             self._unblock(txn)
-        elif name == "txn.block":
-            self._signal(f"blocked.{cls}", 1.0)
+
+    def _txn_block(self, name: str, ts: float, fields: dict[str, Any]) -> None:
+        cls = fields.get("cls") or self._begin_cls.get(fields.get("txn")) or "rw"
+        signals = self._class_signals.get(cls) or self._resolve_class(cls)
+        signal, objectives = signals.blocked
+        for objective in objectives:
+            objective.observe(signal, 1.0)
 
     def _lock_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
@@ -277,13 +322,12 @@ class SLOEngine:
         if name == "lock.block":
             self._lock_blocked.add(txn)
             self._signal("lock.wait_depth", float(len(self._lock_blocked)))
-        elif name == "lock.grant" and fields.get("waited"):
+        elif txn in self._lock_blocked:  # a waited lock.grant
             self._unblock(txn)
 
     def _unblock(self, txn: Any) -> None:
-        if txn in self._lock_blocked:
-            self._lock_blocked.discard(txn)
-            self._signal("lock.wait_depth", float(len(self._lock_blocked)))
+        self._lock_blocked.discard(txn)
+        self._signal("lock.wait_depth", float(len(self._lock_blocked)))
 
     def _signal(self, signal: str, value: float) -> None:
         for objective in self._routes.get(signal, ()):
@@ -294,9 +338,7 @@ class SLOEngine:
     def _advance(self, ts: float) -> None:
         if self._win is None:
             self._win = math.floor(ts / self.window)
-            self._last_ts = ts
-            return
-        if ts < self._last_ts - 1e-9:
+        elif ts < self._last_ts - 1e-9:
             # Virtual clock restarted (next drill in a campaign sharing this
             # engine): close the window in progress, drop cross-run pairing
             # state, restart the window clock.  Baselines and streaks live on.
@@ -305,17 +347,27 @@ class SLOEngine:
             self._begin_cls.clear()
             self._lock_blocked.clear()
             self._win = math.floor(ts / self.window)
-            self._last_ts = ts
-            return
+        else:
+            index = math.floor(ts / self.window)
+            if index - self._win > _GAP_LIMIT:
+                self._close_window(self._win)
+                self._win = index
+            while index > self._win:
+                self._close_window(self._win)
+                self._win += 1
         self._last_ts = ts
-        index = math.floor(ts / self.window)
-        if index - self._win > _GAP_LIMIT:
-            self._close_window(self._win)
-            self._win = index
-            return
-        while index > self._win:
-            self._close_window(self._win)
-            self._win += 1
+        self._win_end = self._window_end(self._win)
+
+    def _window_end(self, index: int) -> float:
+        """The least timestamp ``math.floor(ts / window)`` puts past window
+        ``index``, so that ``ts < end`` asks what the division would."""
+        window = self.window
+        end = (index + 1) * window
+        while math.floor(end / window) <= index:
+            end = math.nextafter(end, math.inf)
+        while math.floor(math.nextafter(end, -math.inf) / window) > index:
+            end = math.nextafter(end, -math.inf)
+        return end
 
     def _close_window(self, index: int) -> None:
         start = index * self.window
@@ -392,6 +444,7 @@ class SLOEngine:
         if self._win is not None:
             self._close_window(self._win)
             self._win = None
+            self._win_end = -math.inf
         self.finished = True
 
     @property
@@ -472,13 +525,27 @@ class SLOEngine:
         return "\n".join(lines)
 
 
+class _ClassSignals:
+    """The ``txn.*`` signals of one transaction class, each paired with the
+    objectives it feeds."""
+
+    __slots__ = ("begin", "latency", "commit", "abort", "blocked")
+
+    def __init__(self, cls: str, routes: dict[str, list[Objective]]):
+        for kind in self.__slots__:
+            signal = f"{kind}.{cls}"
+            setattr(self, kind, (signal, tuple(routes.get(signal, ()))))
+
+
 #: The one lookup an event takes: its SIGNAL_ROUTES entry, or the method that
 #: pairs or tracks it (the stateful names; any other ``txn.*``/``lock.*``
-#: name carries no signal).  Its keys are the engine's subscription.
+#: name carries no signal).  Its keys are the engine's subscription; each
+#: engine narrows the routes to its objectives (``SLOEngine._dispatch``).
 _DISPATCH: dict[str, Any] = {
     **SIGNAL_ROUTES,
-    **dict.fromkeys(
-        ("txn.begin", "txn.commit", "txn.abort", "txn.block"), SLOEngine._txn_event
-    ),
+    "txn.begin": SLOEngine._txn_begin,
+    "txn.commit": SLOEngine._txn_commit,
+    "txn.abort": SLOEngine._txn_abort,
+    "txn.block": SLOEngine._txn_block,
     **dict.fromkeys(("lock.block", "lock.grant"), SLOEngine._lock_event),
 }

@@ -7,8 +7,9 @@ dict live and a decoded trace line on replay, then
 ``history.*`` operation stream emitted by :class:`repro.histories.recorder.
 HistoryRecorder` and maintains the multiversion serialization graph of the
 committed projection *incrementally*, under the paper's version-number
-order.  Edge derivation is shared with the offline checker
-(:mod:`repro.histories.derive`), cycle detection is incremental
+order.  Edge derivation is the offline checker's rule
+(:mod:`repro.histories.derive`, written out in place on the commit path),
+cycle detection is incremental
 (:mod:`repro.obs.witness.topology`), so a 1SR violation is reported at the
 moment the closing edge appears — with the closed cycle and, when a
 :class:`~repro.obs.slo.recorder.FlightRecorder` is attached, the
@@ -62,6 +63,12 @@ a pruned version — impossible for the protocols here, possible in
 adversarial synthetic streams — are counted as ``late_sealed_reads`` and
 taint the verdict (``ok`` requires zero), so sealing can never silently
 hide a cycle.
+
+A read-only commit no edge of which can enter the graph (it read only
+sealed or initial versions, and every later writer of those keys is sealed)
+is sealed in place without becoming a node.  Each seal pass starts from
+what changed since the last one, and each prune pass visits only the keys
+touched since then (docs/witness.md, "Bounded memory: sealing").
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Callable, Iterable
 
-from repro.histories.derive import number_precedes, sg_edge, version_order_edges
+from repro.histories.derive import RW, WR, WW
 from repro.histories.recorder import RO_ID_OFFSET
 from repro.obs.witness.topology import IncrementalTopology
 
@@ -90,13 +97,10 @@ def _norm_key(key: Any) -> Any:
 class _Token:
     """One in-flight transaction: buffered operations + its snapshot floor."""
 
-    __slots__ = ("txn_id", "cls", "begin_floor", "begin_ts", "reads", "writes")
+    __slots__ = ("begin_floor", "reads", "writes")
 
-    def __init__(self, txn_id: int, cls: str, begin_floor: int, begin_ts: float):
-        self.txn_id = txn_id
-        self.cls = cls
+    def __init__(self, begin_floor: int):
         self.begin_floor = begin_floor
-        self.begin_ts = begin_ts
         self.reads: list[tuple[Any, int | None]] = []
         self.writes: list[Any] = []
 
@@ -114,20 +118,6 @@ class _Node:
         #: Unresolved reads-from (await an uncommitted writer's fate).
         self.pending_out = 0
         self.finish_ts = finish_ts
-
-
-class _CommittedView:
-    """Committed-writer membership across the active and sealed tiers, so
-    the shared ``sg_edge`` rule sees one "committed set" as offline does."""
-
-    __slots__ = ("active", "sealed")
-
-    def __init__(self, active: dict, sealed: set):
-        self.active = active
-        self.sealed = sealed
-
-    def __contains__(self, ident: int) -> bool:
-        return ident in self.active or ident in self.sealed
 
 
 class WitnessBreach:
@@ -223,18 +213,34 @@ class WitnessEngine:
         stream (a campaign's next drill restarting its simulator at 0),
         with transaction numbers restarting from scratch."""
         self._topo = IncrementalTopology()
+        #: The topology's node numbering and edge sets, read in place on the
+        #: commit and seal paths (membership, in-degree, successors).
+        self._ord = self._topo._ord
+        self._pred = self._topo._pred
+        self._succ = self._topo._succ
         self._tokens: dict[int, _Token] = {}
+        #: Live tokens per begin floor, and the least of those floors: the
+        #: floor's token term without a scan of every token.
+        self._token_floors: dict[int, int] = {}
+        self._low_floor: int | None = None
         self._nodes: dict[int, _Node] = {}
         #: Per-key sorted list of committed, still-readable writer idents
         #: (active nodes and sealed-but-readable frontier versions).
         self._writers: dict[Any, list[int]] = {}
+        #: Sorted idents of every writer in ``_writers``: the ones a floor
+        #: rise passes are a slice of it.
+        self._readable: list[int] = []
         #: The keys of ``_writers`` listing two or more idents, in the order
         #: they got there: the only keys a prune pass can take anything from.
         self._prunable: dict[Any, None] = {}
+        #: What changed since the last seal pass: nodes that may have become
+        #: sealable, keys that may have a version to prune.
+        self._seeds: list[int] = []
+        self._touched: dict[Any, None] = {}
+        #: The floor the last seal pass ran at.
+        self._last_floor = 0
         #: Sealed writers whose versions are still readable; T0 pre-sealed.
         self._sealed_readable: set[int] = {0}
-        #: The committed set ``sg_edge`` asks about, over both tiers.
-        self._committed = _CommittedView(self._nodes, self._sealed_readable)
         #: Keys a sealed-readable writer still appears under (prune state).
         self._sealed_writes: dict[int, set[Any]] = {}
         #: Per-key active reads-from pairs (reader, writer); pruned when the
@@ -320,9 +326,13 @@ class WitnessEngine:
         vtnc = fields.get("vtnc")
         if tnc is not None:
             self._vc_seen = True
-            self._tnc = max(self._tnc, int(tnc))
+            tnc = int(tnc)
+            if tnc > self._tnc:
+                self._tnc = tnc
         if vtnc is not None:
-            self._vtnc = max(self._vtnc, int(vtnc))
+            vtnc = int(vtnc)
+            if vtnc > self._vtnc:
+                self._vtnc = vtnc
 
     def _on_site_advance(self, fields: dict[str, Any], ts: float) -> None:
         site = fields.get("site")
@@ -393,10 +403,8 @@ class WitnessEngine:
 
     def _current_floor(self) -> int:
         floor = self._watermark_floor()
-        for token in self._tokens.values():
-            if token.begin_floor < floor:
-                floor = token.begin_floor
-        return floor
+        low = self._low_floor
+        return low if low is not None and low < floor else floor
 
     def _rebase(self, vtnc: int) -> None:
         """Fail-over epoch boundary: commits above the promoted watermark
@@ -408,7 +416,9 @@ class WitnessEngine:
         Lost writers are never sealed — sealing requires ``ident <= floor``
         and the floor never exceeds the slowest replica's watermark, which
         the promoted (most advanced) replica dominates — so removal only
-        touches the live graph.
+        touches the live graph.  What the removal enables is not tracked:
+        the next seal pass starts from every node, and its prune pass from
+        every candidate key.
         """
         lost = sorted(
             ident
@@ -423,6 +433,9 @@ class WitnessEngine:
                 for pred in self._topo.predecessors(ident):
                     self._edge_kinds.pop((pred, ident), None)
             self._topo.remove_node(ident)
+            index = bisect_left(self._readable, ident)
+            if index < len(self._readable) and self._readable[index] == ident:
+                del self._readable[index]
             for key in node.writes:
                 writers = self._writers.get(key)
                 if writers is not None:
@@ -466,9 +479,16 @@ class WitnessEngine:
         self._vtnc = min(self._vtnc, vtnc)
         self._tnc = min(self._tnc, vtnc)
         self._max_committed_tn = min(self._max_committed_tn, vtnc)
+        floors: dict[int, int] = {}
         for token in self._tokens.values():
             if token.begin_floor > vtnc:
                 token.begin_floor = vtnc
+            floors[token.begin_floor] = floors.get(token.begin_floor, 0) + 1
+        self._token_floors = floors
+        self._low_floor = min(floors) if floors else None
+        if self.seal:
+            self._seeds.extend(self._nodes)
+            self._touched.update(self._prunable)
         self.rebases += 1
 
     # -- transaction lifecycle -------------------------------------------------
@@ -479,18 +499,30 @@ class WitnessEngine:
         if txn is None or txn in self._tokens:
             return
         cls = fields.get("cls", "rw")
-        self._tokens[txn] = _Token(txn, cls, self._begin_floor(cls), ts)
-        self.peak_live = max(self.peak_live, len(self._tokens))
-        self._note_peak()
+        floor = self._begin_floor(cls)
+        self._tokens[txn] = _Token(floor)
+        floors = self._token_floors
+        floors[floor] = floors.get(floor, 0) + 1
+        if self._low_floor is None or floor < self._low_floor:
+            self._low_floor = floor
+        live = len(self._tokens)
+        if live > self.peak_live:
+            self.peak_live = live
+        tracked = len(self._nodes) + live + len(self._sealed_writes)
+        if tracked > self.peak_tracked:
+            self.peak_tracked = tracked
 
     def _on_read(self, fields: dict[str, Any], ts: float) -> None:
         self.events_seen += 1
         token = self._tokens.get(fields.get("txn"))
         if token is None:
             return
-        key = _norm_key(fields.get("key"))
+        key = fields.get("key")
+        if isinstance(key, list):
+            key = tuple(key)  # a JSONL round trip turned a tuple key into a list
         version = fields.get("version")
-        version = None if version is None else int(version)
+        if version is not None and type(version) is not int:
+            version = int(version)
         token.reads.append((key, version))
         if version is not None:
             live = self._live_reads.get(key)
@@ -503,23 +535,49 @@ class WitnessEngine:
         self.events_seen += 1
         token = self._tokens.get(fields.get("txn"))
         if token is not None:
-            token.writes.append(_norm_key(fields.get("key")))
+            key = fields.get("key")
+            token.writes.append(tuple(key) if isinstance(key, list) else key)
 
     def _release_token(self, txn: int) -> _Token | None:
+        """Retire a finished transaction's token.  A version nobody reads
+        any more unpins the later writers of its key — seeds for the next
+        seal pass, those the floor had passed (the floor hands the pass the
+        rest when it rises) — and, below the key's last two writers, may
+        leave an older version to prune."""
         token = self._tokens.pop(txn, None)
-        if token is not None:
-            for key, version in token.reads:
-                if version is None:
+        if token is None:
+            return None
+        floors = self._token_floors
+        floor = token.begin_floor
+        left = floors[floor] - 1
+        if left:
+            floors[floor] = left
+        else:
+            del floors[floor]
+            if floor == self._low_floor:
+                self._low_floor = min(floors) if floors else None
+        for key, version in token.reads:
+            if version is None:
+                continue
+            live = self._live_reads.get(key)
+            if live is not None:
+                left = live[version] - 1
+                if left:
+                    live[version] = left
                     continue
-                live = self._live_reads.get(key)
-                if live is not None:
-                    left = live[version] - 1
-                    if left:
-                        live[version] = left
-                    else:
-                        del live[version]
-                        if not live:
-                            del self._live_reads[key]
+                del live[version]
+                if not live:
+                    del self._live_reads[key]
+                writers = self._writers.get(key)
+                if self.seal and writers and version < writers[-1]:
+                    self._seeds.extend(
+                        writers[
+                            bisect_right(writers, version):
+                            bisect_right(writers, self._last_floor)
+                        ]
+                    )
+                    if len(writers) > 1 and version <= writers[-2]:
+                        self._touched[key] = None
         return token
 
     def _on_abort(self, fields: dict[str, Any], ts: float) -> None:
@@ -537,6 +595,8 @@ class WitnessEngine:
                 node = self._nodes.get(reader)
                 if node is not None:
                     node.pending_out -= 1
+                    if self.seal:
+                        self._seeds.append(reader)
                 self.pending_dropped += 1
         if self.seal:
             self._seal_pass()
@@ -549,6 +609,8 @@ class WitnessEngine:
             return
         ident = int(ident)
         read_only = ident >= RO_ID_OFFSET
+        nodes = self._nodes
+        sealed = self._sealed_readable
         # Duplicate commits can arrive from crash-recovery replay.  An
         # unsealed duplicate is caught by membership; a sealed one by the
         # frontier bound — sealing requires the floor at or above the ident,
@@ -556,8 +618,8 @@ class WitnessEngine:
         # assignment is monotone, so a *genuine* first commit always arrives
         # above every sealed read-write ident.
         if (
-            ident in self._nodes
-            or ident in self._sealed_readable
+            ident in nodes
+            or ident in sealed
             or (not read_only and 0 < ident <= self._max_sealed_rw)
         ):
             self.duplicate_commits += 1
@@ -568,12 +630,49 @@ class WitnessEngine:
         if self.track_edges:
             self._txn_ident[txn] = ident
             self._txn_outcome[txn] = "committed"
-        node = _Node(ident, ts)
-        self._nodes[ident] = node
-        self._topo.add_node(ident)
-        edges: list[tuple[int, int, str, Any]] = []
         reads = token.reads if token is not None else []
         writes = token.writes if token is not None else []
+
+        # Each read once: below the sealed/pruned frontier, linked to a
+        # committed writer (or T0, or the reader's own staged write), or
+        # waiting on a writer whose fate is not decided yet.
+        links: list[tuple[int, int, Any]] = []
+        waits: list[tuple[int, Any]] = []
+        for key, version in reads:
+            if version is None:
+                version = ident  # reads own staged write
+            elif version <= 0:
+                version = 0  # initial version, written by T0
+            if version != ident and (
+                version <= self._max_pruned.get(key, -1)
+                or (version == 0 and self._sealed_key_count.get(key, 0) > 0)
+            ):
+                # A read below the sealed/pruned frontier (for the initial
+                # version: any sealed writer of the key would gain an edge
+                # from it).  Impossible under the floor rule, so the verdict
+                # is tainted rather than wrong.
+                self.late_sealed_reads += 1
+            elif version == ident or version in nodes or version in sealed:
+                links.append((ident, version, key))
+            else:
+                waits.append((version, key))
+        if (
+            read_only
+            and not writes
+            and not waits
+            and self.seal
+            and self._commit_sealed_reader(ident, links)
+        ):
+            self._seal_pass()
+            return
+
+        node = _Node(ident, ts)
+        nodes[ident] = node
+        self._topo.add_node(ident)
+        # A writer the floor has not passed waits for it (the pass takes
+        # it when the floor rises); so does its keys' prune.
+        passed = ident <= self._last_floor
+        edges: list[tuple[int, int, str, Any]] = []
 
         # Writes first: the rule's "other writer Tk" quantifier, arriving
         # late — re-derive against every active pair on the key.  Pairs whose
@@ -582,110 +681,138 @@ class WitnessEngine:
             if key in node.writes:
                 continue
             node.writes.add(key)
+            if passed:
+                self._touched[key] = None
             for reader, writer in self._rf_pairs.get(key, ()):
-                for src, dst, kind in version_order_edges(
-                    reader, writer, (ident,), number_precedes
-                ):
-                    edges.append((src, dst, kind, key))
+                if writer == ident or reader == ident:
+                    continue
+                if writer < ident:
+                    edges.append((reader, ident, RW, key))
+                else:
+                    edges.append((ident, writer, WW, key))
             self.folded_edges += self._sealed_rf_count.get(key, 0)
             writers = self._writers.setdefault(key, [])
             insort(writers, ident)
             if len(writers) == 2:
                 self._prunable[key] = None
+        if node.writes:
+            insort(self._readable, ident)
 
         # Reads: SG edge + version-order edges against the writers known so
-        # far; later writers are covered by the write rule above.
-        for key, version in reads:
-            if version is None:
-                version = ident  # reads own staged write
-            elif version <= 0:
-                version = 0  # initial version, written by T0
-            if version != ident and self._late_read(key, version):
-                # A read below the sealed/pruned frontier: impossible under
-                # the floor rule, so the verdict is tainted rather than wrong.
-                self.late_sealed_reads += 1
-                continue
-            self._add_pair(ident, version, key, edges)
-
-        self._apply_edges(edges, ts, ident)
+        # far; later writers are covered by the write rule above.  A read of
+        # an uncommitted (or unknown) writer stays pending until its fate is
+        # decided — exactly the committed projection's treatment.
+        for version, key in waits:
+            self._pending.setdefault(version, []).append((ident, key))
+        node.pending_out = len(waits)
+        if links:
+            self._link(links, edges)
+        if edges:
+            self._apply_edges(edges, ts, ident)
 
         # Resolve reads that were waiting for this writer's fate.
         if not read_only:
             resolved = self._pending.pop(ident, ())
             if resolved:
-                edges = []
+                links = []
                 for reader, key in resolved:
-                    rnode = self._nodes.get(reader)
+                    rnode = nodes.get(reader)
                     if rnode is None:
                         continue
                     rnode.pending_out -= 1
-                    self._link_pair(reader, ident, key, edges, rnode)
+                    if self.seal:
+                        self._seeds.append(reader)
+                    links.append((reader, ident, key))
+                edges = []
+                self._link(links, edges)
                 self._apply_edges(edges, ts, ident)
 
-        self._note_peak()
-        if self.seal:
-            self._seal_pass()
+        tracked = len(nodes) + len(self._tokens) + len(self._sealed_writes)
+        if tracked > self.peak_tracked:
+            self.peak_tracked = tracked
+        if not self.seal:
+            return
+        if not node.pending_out and not self._pred[ident] and (passed or not node.writes):
+            self._seeds.append(ident)
+        self._seal_pass()
+
+    def _commit_sealed_reader(self, ident: int, links: list[tuple[int, int, Any]]) -> bool:
+        """Commit and seal a read-only transaction in place, when no edge
+        the rule derives for it can enter the graph: each version it read is
+        T0's or a sealed writer's, and so is every later writer of the key.
+        With no pending pair and no writes it would seal in the pass that
+        follows its commit, every edge folded — so it is counted as
+        add-then-seal counts it, with no node and no reads-from pair.  False,
+        having changed nothing, when any read falls outside that."""
+        sealed = self._sealed_readable
+        nodes = self._nodes
+        for _reader, version, key in links:
+            if version not in sealed:
+                return False  # an active writer's version, or its own
+            writers = self._writers.get(key, ())
+            for writer in writers[bisect_right(writers, version):]:
+                if writer in nodes:
+                    return False  # its rw edge would enter the graph
+        edges: list[tuple[int, int, str, Any]] = []
+        self._link(links, edges)
+        self.folded_edges += len(edges)  # every edge has a sealed end
+        # A pair counts once, as ``_seal`` counts it: a key read twice at
+        # one version lists it twice.
+        counts = self._sealed_rf_count
+        pairs: set[tuple[Any, int]] = set()
+        for _reader, version, key in links:
+            if (key, version) not in pairs:
+                pairs.add((key, version))
+                counts[key] = counts.get(key, 0) + 1
+        tracked = len(nodes) + 1 + len(self._tokens) + len(self._sealed_writes)
+        if tracked > self.peak_tracked:
+            self.peak_tracked = tracked
+        self.sealed += 1
+        return True
 
     # -- pair and edge derivation ----------------------------------------------
 
-    def _late_read(self, key: Any, version: int) -> bool:
-        """True when a read's version lies below the sealed frontier — its
-        version-order edges against sealed writers would be silently wrong."""
-        if version <= self._max_pruned.get(key, -1):
-            return True
-        if version == 0:
-            # An initial-version read derives reader->w for *every* writer of
-            # the key; any sealed one would gain an incoming edge.
-            return self._sealed_key_count.get(key, 0) > 0
-        return False
-
-    def _add_pair(
+    def _link(
         self,
-        reader: int,
-        version: int,
-        key: Any,
+        links: list[tuple[int, int, Any]],
         edges: list[tuple[int, int, str, Any]],
     ) -> None:
-        """One reads-from pair (reader reads ``version`` of ``key``)."""
-        if (
-            version == reader
-            or version in self._nodes
-            or version in self._sealed_readable
-        ):
-            self._link_pair(reader, version, key, edges, self._nodes[reader])
-        else:
-            # Uncommitted (or unknown) writer: pending until its fate is
-            # decided — exactly the committed projection's treatment.
-            self._pending.setdefault(version, []).append((reader, key))
-            self._nodes[reader].pending_out += 1
-
-    def _link_pair(
-        self,
-        reader: int,
-        writer: int,
-        key: Any,
-        edges: list[tuple[int, int, str, Any]],
-        rnode: _Node,
-    ) -> None:
-        """Activate a pair whose writer is committed (or T0/self)."""
-        edge = sg_edge(reader, writer, self._committed)
-        if edge is not None:
-            edges.append((*edge, key))
-        for src, dst, kind in version_order_edges(
-            reader, writer, self._writers.get(key, ()), number_precedes
-        ):
-            edges.append((src, dst, kind, key))
-        # Version-order edges against pruned writers all left the frontier
-        # (pruned < any acceptable read version), so they fold to a count.
-        self.folded_edges += self._pruned_writer_count.get(key, 0)
-        self._rf_pairs.setdefault(key, set()).add((reader, writer))
-        rnode.pairs.append((key, writer))
+        """Activate reads-from pairs ``(reader, writer, key)`` whose writer
+        is committed (or T0, or the reader itself): the rule of
+        :mod:`repro.histories.derive` (``sg_edge`` and ``version_order_edges``
+        under ``number_precedes``) against the writers known so far, written
+        out in place.  A reader that is a graph node keeps its pairs for the
+        write rule of later writers; one sealed in place keeps none."""
+        nodes = self._nodes
+        for reader, writer, key in links:
+            if writer != reader:
+                edges.append((writer, reader, WR, key))
+            for other in self._writers.get(key, ()):
+                if other == writer or other == reader:
+                    continue
+                if writer < other:
+                    edges.append((reader, other, RW, key))
+                else:
+                    edges.append((other, writer, WW, key))
+            # Version-order edges against pruned writers all left the
+            # frontier (pruned < any acceptable read version): a count.
+            self.folded_edges += self._pruned_writer_count.get(key, 0)
+            rnode = nodes.get(reader)
+            if rnode is None:
+                continue
+            pairs = self._rf_pairs.get(key)
+            if pairs is None:
+                self._rf_pairs[key] = {(reader, writer)}
+            else:
+                pairs.add((reader, writer))
+            rnode.pairs.append((key, writer))
 
     def _apply_edges(
         self, edges: Iterable[tuple[int, int, str, Any]], ts: float, at: int
     ) -> None:
+        tracked = self._ord
         for src, dst, kind, key in edges:
-            if src not in self._topo or dst not in self._topo:
+            if src not in tracked or dst not in tracked:
                 # A sealed endpoint: sealed nodes are sources forever, so no
                 # cycle can pass through them — the edge folds to a count.
                 # (Edges *into* a sealed node are impossible outside the
@@ -720,24 +847,43 @@ class WitnessEngine:
     # -- sealing ----------------------------------------------------------------
 
     def _seal_pass(self) -> None:
-        """Seal to the fixpoint: every tracked node once, then only what a
-        seal can enable — the sealed node's successors and the later writers
-        of each key it wrote.  Nothing a seal does can disable another."""
+        """Seal to the fixpoint from what changed since the last pass: the
+        seeds (the committed node, readers whose pending pair resolved or
+        dropped, later writers of a version nobody reads any more, every
+        node after a rebase) and the writers a floor rise passed.  A node
+        none of these reach was not sealable at the last pass and nothing
+        it depends on moved.  Then only what a seal can enable is revisited
+        — the sealed node's successors and the later writers of each key it
+        wrote.  Nothing a seal does can disable another."""
         floor = self._current_floor()
         nodes = self._nodes
-        work = list(nodes)
+        work = self._seeds
+        self._seeds = []
+        if floor > self._last_floor:
+            readable = self._readable
+            risen = readable[
+                bisect_right(readable, self._last_floor):bisect_right(readable, floor)
+            ]
+            for ident in risen:
+                # A version the floor passed may supersede an older one.
+                node = nodes.get(ident)
+                for key in node.writes if node is not None else self._sealed_writes[ident]:
+                    self._touched[key] = None
+            work.extend(risen)
+        self._last_floor = floor
         for ident in work:  # grows while it is walked
             if ident in nodes and self._sealable(ident, floor):
-                work.extend(self._topo.successors(ident))
+                work.extend(self._succ[ident])
                 for key in nodes[ident].writes:
                     writers = self._writers[key]
                     work.extend(writers[bisect_right(writers, ident):])
                 self._seal(ident)
-        self._prune_pass(floor)
+        if self._touched:
+            self._prune_pass(floor)
 
     def _sealable(self, ident: int, floor: int) -> bool:
         node = self._nodes[ident]
-        if node.pending_out or self._topo.indegree(ident):
+        if node.pending_out or self._pred[ident]:
             return False
         if not node.writes:
             # Pure reader: with no pending pairs left, nothing can ever
@@ -761,16 +907,18 @@ class WitnessEngine:
     def _seal(self, ident: int) -> None:
         node = self._nodes.pop(ident)
         if self.track_edges:
-            for succ in self._topo.successors(ident):
+            for succ in self._succ[ident]:
                 self._edge_kinds.pop((ident, succ), None)
         self._topo.remove_source(ident)
         if node.writes:
             # Still readable: stays in the per-key version lists until a
             # successor at or below the floor supersedes it (prune).
             self._sealed_readable.add(ident)
-            self._sealed_writes[ident] = set(node.writes)
+            self._sealed_writes[ident] = node.writes
             for key in node.writes:
                 self._sealed_key_count[key] = self._sealed_key_count.get(key, 0) + 1
+                if ident != self._writers[key][-1]:
+                    self._touched[key] = None  # a successor may supersede it
         if 0 < ident < RO_ID_OFFSET and ident > self._max_sealed_rw:
             self._max_sealed_rw = ident
         for key, writer in node.pairs:
@@ -788,8 +936,18 @@ class WitnessEngine:
     def _prune_pass(self, floor: int) -> None:
         """Drop sealed versions that can never be read again: those with a
         readable successor at or below the floor and no live read at or
-        below them.  Only a key listing two or more writers can have one."""
-        for key in list(self._prunable):
+        below them.  Only a key listing two or more writers can have one,
+        and only a key touched since the last pass (a writer added or
+        sealed, a live read gone, a floor rise past one of its writers)
+        can have gained one: every other key was left with nothing to
+        prune, and a floor rise alone changes that only where the key's
+        second writer is what the floor passed."""
+        touched = self._touched
+        self._touched = {}
+        prunable = self._prunable
+        for key in touched:
+            if key not in prunable:
+                continue
             writers = self._writers[key]
             index = bisect_right(writers, floor)
             if index <= 1:
@@ -803,8 +961,8 @@ class WitnessEngine:
                 if min_live is not None and min_live <= writer:
                     break  # an in-flight read may still resolve against it
                 removed.append(writer)
+            del writers[: len(removed)]
             for writer in removed:
-                writers.remove(writer)
                 self._pruned_writer_count[key] = (
                     self._pruned_writer_count.get(key, 0) + 1
                 )
@@ -816,14 +974,10 @@ class WitnessEngine:
                     if not keys:
                         del self._sealed_writes[writer]
                         self._sealed_readable.discard(writer)
+                        del self._readable[bisect_left(self._readable, writer)]
                         self.pruned += 1
             if len(writers) < 2:
-                del self._prunable[key]
-
-    def _note_peak(self) -> None:
-        tracked = len(self._nodes) + len(self._tokens) + len(self._sealed_writes)
-        if tracked > self.peak_tracked:
-            self.peak_tracked = tracked
+                del prunable[key]
 
     # -- results -----------------------------------------------------------------
 

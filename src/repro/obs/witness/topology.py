@@ -18,7 +18,10 @@ the refused edge itself, which *is* an MVSG edge — it just is not stored).
 
 Sealing support: the witness folds away finished prefixes by removing
 *source* nodes (no incoming edges); :meth:`IncrementalTopology.remove_source`
-unlinks one in O(out-degree).
+unlinks one in O(out-degree).  On its commit and seal paths the witness reads
+the numbering and the edge sets (``_ord``, ``_pred``, ``_succ``) in place —
+membership, in-degree, successors — instead of calling an accessor per
+question; only this class writes them.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class IncrementalTopology:
 
     def __contains__(self, node: int) -> bool:
         return node in self._ord
-
-    def indegree(self, node: int) -> int:
-        return len(self._pred[node])
 
     def successors(self, node: int) -> set[int]:
         return set(self._succ.get(node, ()))
@@ -94,8 +94,10 @@ class IncrementalTopology:
         """
         if u == v:
             return [u, u]
-        self.add_node(u)
-        self.add_node(v)
+        if u not in self._ord:
+            self.add_node(u)
+        if v not in self._ord:
+            self.add_node(v)
         if v in self._succ[u]:
             return None
         lower = self._ord[v]
@@ -136,7 +138,7 @@ class IncrementalTopology:
         # relative order), reusing the same pool of indices.
         ordkey = self._ord.__getitem__
         affected = sorted(backward, key=ordkey) + sorted(forward, key=ordkey)
-        pool = sorted(self._ord[x] for x in affected)
+        pool = sorted(map(ordkey, affected))
         for node, index in zip(affected, pool):
             self._ord[node] = index
         self._insert(u, v)

@@ -45,7 +45,7 @@ after.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.futures import OpFuture, failed
 from repro.core.interface import SchedulerCounters

@@ -10,7 +10,7 @@ seed execute identical operation sequences regardless of protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.sim.random_streams import RandomStreams, ZipfGenerator

@@ -92,7 +92,7 @@ class TestIncrementalTopology:
         topo.add_edge(1, 3)
         topo.remove_source(1)
         assert 1 not in topo
-        assert topo.indegree(2) == 0 and topo.indegree(3) == 0
+        assert topo.predecessors(2) == set() and topo.predecessors(3) == set()
         assert topo.edges == 0
         assert topo.check()
 

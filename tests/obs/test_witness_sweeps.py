@@ -1,16 +1,22 @@
-"""The witness's seal and prune sweeps, held equal to the full scans.
+"""The witness's commit path and its seal and prune sweeps, held equal to
+the code they replaced and to the full scans.
 
-``WitnessEngine`` seals by worklist and prunes by candidacy (docs/witness.md,
-"Bounded memory: sealing").  The sweeps it had before — re-scan every tracked
-node until nothing moves, bisect every key's writer list — survive here and
-only here, verbatim, on :class:`FullScanWitness`, the way
+``WitnessEngine`` commits a read-only transaction that can gain no edge
+without the graph, seals from what changed and prunes only touched keys
+(docs/witness.md, "Bounded memory: sealing").  The code it had before
+survives here and only here, verbatim, the way
 ``tests/histories/test_serializability.py`` keeps the Section 3.2 rule as a
 nested loop and ``tests/sim/test_dispatch_equivalence.py`` the heap-only
-simulator.  A hypothesis property feeds random event streams to both, and to
-the worklist walked in reverse, and compares them after **every** event; two
-planted mutants show the property able to fail; and the digests at the bottom
-pin what one observed run and one replayed drill trace report, taken before
-the sweeps changed, and the bytes of one flight-recorder bundle.
+simulator: :class:`ParentWitness` keeps the previous commit path (every
+commit a graph node through the shared rule) and its worklist sweeps, and
+:class:`FullScanWitness` puts the sweeps of ``f2ba72d`` under that commit
+path (re-scan every tracked node until nothing moves, bisect every key), so
+neither the revisit argument nor the prune candidates are taken on trust.
+A hypothesis property feeds random event streams to all of them, and to the
+seeded worklist walked in reverse, and compares them after **every** event;
+three planted mutants show the property able to fail; and the digests at
+the bottom pin what one observed run and one replayed drill trace report,
+taken before the sweeps changed, and the bytes of one flight-recorder bundle.
 """
 
 import hashlib
@@ -19,19 +25,256 @@ import pathlib
 import random
 import subprocess
 import sys
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from collections import Counter
+from typing import Any
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.histories.derive import number_precedes, sg_edge, version_order_edges
 from repro.histories.recorder import RO_ID_OFFSET
 from repro.obs.witness import WitnessEngine
+from repro.obs.witness.engine import _Node
 
 
-class FullScanWitness(WitnessEngine):
-    """The sweeps as they were at ``f2ba72d``, bodies verbatim."""
+class _CommittedView:
+    """Committed-writer membership across the active and sealed tiers, so
+    the shared ``sg_edge`` rule sees one "committed set" as offline does."""
+
+    __slots__ = ("active", "sealed")
+
+    def __init__(self, active: dict, sealed: set):
+        self.active = active
+        self.sealed = sealed
+
+    def __contains__(self, ident: int) -> bool:
+        return ident in self.active or ident in self.sealed
+
+
+class ParentWitness(WitnessEngine):
+    """The commit path and the sweeps as they were at ``56f0730``, bodies
+    verbatim: every commit adds a graph node, a read-only one included (the
+    pass after it seals it), through the shared rule of
+    :mod:`repro.histories.derive`; every pass walks every tracked node once
+    and bisects every candidate key; the floor scans every token."""
+
+    def _reset_stream_state(self) -> None:
+        super()._reset_stream_state()
+        self._committed = _CommittedView(self._nodes, self._sealed_readable)
+
+    def _current_floor(self) -> int:
+        floor = self._watermark_floor()
+        for token in self._tokens.values():
+            if token.begin_floor < floor:
+                floor = token.begin_floor
+        return floor
+
+    def _on_commit(self, fields, ts):
+        self.events_seen += 1
+        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
+        token = self._release_token(txn)
+        if ident is None:
+            return
+        ident = int(ident)
+        read_only = ident >= RO_ID_OFFSET
+        # Duplicate commits can arrive from crash-recovery replay.  An
+        # unsealed duplicate is caught by membership; a sealed one by the
+        # frontier bound — sealing requires the floor at or above the ident,
+        # every live token holds the floor below its own eventual tn, and tn
+        # assignment is monotone, so a *genuine* first commit always arrives
+        # above every sealed read-write ident.
+        if (
+            ident in self._nodes
+            or ident in self._sealed_readable
+            or (not read_only and 0 < ident <= self._max_sealed_rw)
+        ):
+            self.duplicate_commits += 1
+            return
+        self.committed += 1
+        if not read_only and tn is not None:
+            self._max_committed_tn = max(self._max_committed_tn, int(tn))
+        if self.track_edges:
+            self._txn_ident[txn] = ident
+            self._txn_outcome[txn] = "committed"
+        node = _Node(ident, ts)
+        self._nodes[ident] = node
+        self._topo.add_node(ident)
+        edges: list[tuple[int, int, str, Any]] = []
+        reads = token.reads if token is not None else []
+        writes = token.writes if token is not None else []
+
+        # Writes first: the rule's "other writer Tk" quantifier, arriving
+        # late — re-derive against every active pair on the key.  Pairs whose
+        # reader sealed fold: their edge would leave a forever-source.
+        for key in writes:
+            if key in node.writes:
+                continue
+            node.writes.add(key)
+            for reader, writer in self._rf_pairs.get(key, ()):
+                for src, dst, kind in version_order_edges(
+                    reader, writer, (ident,), number_precedes
+                ):
+                    edges.append((src, dst, kind, key))
+            self.folded_edges += self._sealed_rf_count.get(key, 0)
+            writers = self._writers.setdefault(key, [])
+            insort(writers, ident)
+            if len(writers) == 2:
+                self._prunable[key] = None
+
+        # Reads: SG edge + version-order edges against the writers known so
+        # far; later writers are covered by the write rule above.
+        for key, version in reads:
+            if version is None:
+                version = ident  # reads own staged write
+            elif version <= 0:
+                version = 0  # initial version, written by T0
+            if version != ident and self._late_read(key, version):
+                # A read below the sealed/pruned frontier: impossible under
+                # the floor rule, so the verdict is tainted rather than wrong.
+                self.late_sealed_reads += 1
+                continue
+            self._add_pair(ident, version, key, edges)
+
+        self._apply_edges(edges, ts, ident)
+
+        # Resolve reads that were waiting for this writer's fate.
+        if not read_only:
+            resolved = self._pending.pop(ident, ())
+            if resolved:
+                edges = []
+                for reader, key in resolved:
+                    rnode = self._nodes.get(reader)
+                    if rnode is None:
+                        continue
+                    rnode.pending_out -= 1
+                    self._link_pair(reader, ident, key, edges, rnode)
+                self._apply_edges(edges, ts, ident)
+
+        self._note_peak()
+        if self.seal:
+            self._seal_pass()
+
+    def _late_read(self, key: Any, version: int) -> bool:
+        """True when a read's version lies below the sealed frontier — its
+        version-order edges against sealed writers would be silently wrong."""
+        if version <= self._max_pruned.get(key, -1):
+            return True
+        if version == 0:
+            # An initial-version read derives reader->w for *every* writer of
+            # the key; any sealed one would gain an incoming edge.
+            return self._sealed_key_count.get(key, 0) > 0
+        return False
+
+    def _add_pair(
+        self,
+        reader: int,
+        version: int,
+        key: Any,
+        edges: list[tuple[int, int, str, Any]],
+    ) -> None:
+        """One reads-from pair (reader reads ``version`` of ``key``)."""
+        if (
+            version == reader
+            or version in self._nodes
+            or version in self._sealed_readable
+        ):
+            self._link_pair(reader, version, key, edges, self._nodes[reader])
+        else:
+            # Uncommitted (or unknown) writer: pending until its fate is
+            # decided — exactly the committed projection's treatment.
+            self._pending.setdefault(version, []).append((reader, key))
+            self._nodes[reader].pending_out += 1
+
+    def _link_pair(
+        self,
+        reader: int,
+        writer: int,
+        key: Any,
+        edges: list[tuple[int, int, str, Any]],
+        rnode: _Node,
+    ) -> None:
+        """Activate a pair whose writer is committed (or T0/self)."""
+        edge = sg_edge(reader, writer, self._committed)
+        if edge is not None:
+            edges.append((*edge, key))
+        for src, dst, kind in version_order_edges(
+            reader, writer, self._writers.get(key, ()), number_precedes
+        ):
+            edges.append((src, dst, kind, key))
+        # Version-order edges against pruned writers all left the frontier
+        # (pruned < any acceptable read version), so they fold to a count.
+        self.folded_edges += self._pruned_writer_count.get(key, 0)
+        self._rf_pairs.setdefault(key, set()).add((reader, writer))
+        rnode.pairs.append((key, writer))
+
+    def _seal_pass(self) -> None:
+        """Seal to the fixpoint: every tracked node once, then only what a
+        seal can enable — the sealed node's successors and the later writers
+        of each key it wrote.  Nothing a seal does can disable another."""
+        floor = self._current_floor()
+        nodes = self._nodes
+        work = list(nodes)
+        for ident in work:  # grows while it is walked
+            if ident in nodes and self._sealable(ident, floor):
+                work.extend(self._topo.successors(ident))
+                for key in nodes[ident].writes:
+                    writers = self._writers[key]
+                    work.extend(writers[bisect_right(writers, ident):])
+                self._seal(ident)
+        self._prune_pass(floor)
+
+    def _prune_pass(self, floor: int) -> None:
+        """Drop sealed versions that can never be read again: those with a
+        readable successor at or below the floor and no live read at or
+        below them.  Only a key listing two or more writers can have one."""
+        for key in list(self._prunable):
+            writers = self._writers[key]
+            index = bisect_right(writers, floor)
+            if index <= 1:
+                continue  # at most one version at/below the floor: keep it
+            live = self._live_reads.get(key)
+            min_live = min(live) if live else None
+            removed = []
+            for writer in writers[: index - 1]:
+                if writer not in self._sealed_readable:
+                    break  # still active in the graph; derivation needs it
+                if min_live is not None and min_live <= writer:
+                    break  # an in-flight read may still resolve against it
+                removed.append(writer)
+            for writer in removed:
+                writers.remove(writer)
+                self._pruned_writer_count[key] = (
+                    self._pruned_writer_count.get(key, 0) + 1
+                )
+                if self._max_pruned.get(key, -1) < writer:
+                    self._max_pruned[key] = writer
+                keys = self._sealed_writes.get(writer)
+                if keys is not None:
+                    keys.discard(key)
+                    if not keys:
+                        del self._sealed_writes[writer]
+                        self._sealed_readable.discard(writer)
+                        self.pruned += 1
+            if len(writers) < 2:
+                del self._prunable[key]
+
+    def _note_peak(self) -> None:
+        tracked = len(self._nodes) + len(self._tokens) + len(self._sealed_writes)
+        if tracked > self.peak_tracked:
+            self.peak_tracked = tracked
+
+    # ``export`` dispatches through the table, which holds the functions
+    # themselves: an override takes effect only through its own entry.
+    _HANDLERS = {**WitnessEngine._HANDLERS, "history.commit": _on_commit}
+
+
+class FullScanWitness(ParentWitness):
+    """That commit path under the sweeps as they were at ``f2ba72d``, bodies
+    verbatim: re-scan every tracked node until nothing moves, then bisect
+    every key's writer list."""
 
     def _seal_pass(self) -> None:
         floor = self._current_floor()
@@ -77,24 +320,47 @@ class FullScanWitness(WitnessEngine):
                 del self._writers[key]
 
 
+def seeded_walk(engine, *, newest_first=False, later_writers=True):
+    """``WitnessEngine._seal_pass``, body for body, with two switches for the
+    variants below: walk the worklist last in, first out, or leave out the
+    lines that revisit the later writers of each key a sealed node wrote."""
+    floor = engine._current_floor()
+    nodes = engine._nodes
+    work = engine._seeds
+    engine._seeds = []
+    if floor > engine._last_floor:
+        readable = engine._readable
+        risen = readable[
+            bisect_right(readable, engine._last_floor):bisect_right(readable, floor)
+        ]
+        for ident in risen:
+            node = nodes.get(ident)
+            for key in node.writes if node is not None else engine._sealed_writes[ident]:
+                engine._touched[key] = None
+        work.extend(risen)
+    engine._last_floor = floor
+    at = 0
+    while at < len(work):
+        ident = work.pop() if newest_first else work[at]
+        at += not newest_first
+        if ident in nodes and engine._sealable(ident, floor):
+            work.extend(engine._succ[ident])
+            if later_writers:
+                for key in nodes[ident].writes:
+                    writers = engine._writers[key]
+                    work.extend(writers[bisect_right(writers, ident):])
+            engine._seal(ident)
+    if engine._touched:
+        engine._prune_pass(floor)
+
+
 class ReversedWorklist(WitnessEngine):
-    """The engine's worklist walked last in, first out, newest node first:
-    the same fixpoint reached in another order.  docs/witness.md says no
-    counter depends on that order; this engine is how the property checks."""
+    """The engine's seeded worklist walked last in, first out, newest node
+    first: the same fixpoint reached in another order.  docs/witness.md says
+    no counter depends on that order; this engine is how the property checks."""
 
     def _seal_pass(self) -> None:
-        floor = self._current_floor()
-        nodes = self._nodes
-        work = list(nodes)
-        while work:
-            ident = work.pop()
-            if ident in nodes and self._sealable(ident, floor):
-                work.extend(self._topo.successors(ident))
-                for key in nodes[ident].writes:
-                    writers = self._writers[key]
-                    work.extend(writers[bisect_right(writers, ident):])
-                self._seal(ident)
-        self._prune_pass(floor)
+        seeded_walk(self, newest_first=True)
 
 
 # -- random event streams ----------------------------------------------------------
@@ -103,7 +369,7 @@ class ReversedWorklist(WitnessEngine):
 KEYS = ["a", "b", "c", "d", "e", ["t", 1]]
 
 BEGIN_RW, BEGIN_RO, READ, WRITE, COMMIT, ABORT = range(6)
-ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT, UPDATE = range(6, 12)
+ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT, UPDATE, SCAN = range(6, 13)
 
 #: One drawn action is ``(op, i, j, k)``; what the small integers select
 #: depends on the op (which open token, which key, which version, how far a
@@ -111,7 +377,8 @@ ADVANCE, PROMOTE, SEAM, NOISE, RECOMMIT, UPDATE = range(6, 12)
 #: drawn most often, so versions get superseded and the floor keeps moving.
 OPS = (
     [BEGIN_RW] * 3 + [BEGIN_RO] * 2 + [READ] * 3 + [WRITE] * 4 + [COMMIT] * 5
-    + [ADVANCE] * 5 + [UPDATE] * 5 + [ABORT, PROMOTE, SEAM, NOISE, RECOMMIT]
+    + [ADVANCE] * 5 + [UPDATE] * 5 + [SCAN] * 4
+    + [ABORT, PROMOTE, SEAM, NOISE, RECOMMIT]
 )
 ACTIONS = st.tuples(
     st.sampled_from(OPS), st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)
@@ -174,6 +441,30 @@ def events_of(actions, families):
                 committed.setdefault((index + 1) % 3, []).append(tn)
             done.append((txn_ids, tn, tn, "rw"))
             yield line("history.commit", txn=txn_ids, ident=tn, tn=tn, cls="rw")
+        elif op == SCAN:
+            # A whole read-only transaction, the commit a VC run has most of.
+            # Each read takes, by k: the latest version at the watermark (as
+            # a snapshot read does: usually a sealed writer's), the latest
+            # (perhaps still an active writer's), the oldest (pruned once
+            # superseded), one an open token staged (pending), or T0's.
+            txn_ids += 1
+            ro_count += 1
+            yield line("history.begin", txn=txn_ids, cls="ro")
+            staged = [t.tn for t in open_ + held if t.tn is not None]
+            for n in range(2 + i % 2):
+                versions = committed.get((j + n) % 3, [])
+                pick = (k + 5 * n) % 8
+                version = (
+                    max((v for v in versions if v <= last_vtnc), default=0) if pick < 4
+                    else versions[-1] if pick == 4 and versions
+                    else versions[0] if pick == 5 and versions
+                    else staged[-1] if pick == 6 and staged
+                    else 0
+                )
+                yield line("history.read", txn=txn_ids, key=KEYS[(j + n) % 3], version=version)
+            ident = RO_ID_OFFSET + ro_count
+            done.append((txn_ids, ident, None, "ro"))
+            yield line("history.commit", txn=txn_ids, ident=ident, tn=None, cls="ro")
         elif op == READ and token is not None:
             versions = committed.get(index, [])
             staged = [
@@ -265,6 +556,10 @@ def observable(engine):
         "report": engine.report(),
         "tracked": engine.tracked(),
         "nodes": set(engine._nodes),
+        # The Pearce-Kelly order every later search and cycle report is read
+        # from.  Its numbers may differ by the reader nodes that were never
+        # added; only their order decides anything.
+        "order": engine._topo.order(),
         "sealed_readable": set(engine._sealed_readable),
         "sealed_writes": engine._sealed_writes,
         "writers": engine._writers,
@@ -274,27 +569,27 @@ def observable(engine):
 
 
 def assert_sweeps_agree(candidate, actions, families, track_edges):
-    """Feed one stream to ``candidate``, to the full scans and to the
-    reversed worklist; compare the verdict, every counter and the frontier
-    after each event."""
+    """Feed one stream to ``candidate``, to the previous code, to the full
+    scans and to the reversed worklist; compare the verdict, every counter
+    and the frontier after each event."""
     engines = [
         engine(seal=True, track_edges=track_edges)
-        for engine in (candidate, FullScanWitness, ReversedWorklist)
+        for engine in (candidate, ParentWitness, FullScanWitness, ReversedWorklist)
     ]
     for n, event in enumerate(events_of(actions, families)):
         seen = []
         for engine in engines:
             engine.export(event)
             seen.append(observable(engine))
-        assert seen[0] == seen[1] == seen[2], (n, event)
+        assert all(view == seen[0] for view in seen), (n, event)
     for engine in engines:
         engine.finish()
-    assert observable(engines[0]) == observable(engines[1]) == observable(engines[2])
+    assert all(observable(engine) == observable(engines[0]) for engine in engines)
 
 
 #: Two writers of one key committing out of number order, then the watermark
-#: passing both: the later writer is visited first and can seal only once the
-#: earlier one has — the case a worklist must revisit.
+#: passing both: the later writer can seal only once the earlier one has (the
+#: floor's rise hands the seal pass both, in number order).
 OUT_OF_ORDER_WRITERS = [
     (BEGIN_RW, 0, 0, 1), (BEGIN_RW, 0, 0, 1),
     (WRITE, 0, 0, 6), (WRITE, 2, 0, 6),  # numbered 1 and 2 as they write
@@ -321,6 +616,29 @@ A_KEY_READ_TWICE = [
 ]
 
 
+#: No watermark events, so a read-only token holds the floor at 0 while
+#: writers 1, 2 and 4 of ``a`` and 6 of ``c`` commit; a scan reads ``c`` at
+#: T0 and ``a`` at 4 (``4 -> R -> 6``), the token aborts, and once writer 8
+#: of ``c`` commits the pass finds 6 behind R and R behind 4: 8 can seal only
+#: after 6, which a seal reaches only through 4's successor R — the later-
+#: writer revisit is the one way back to 8.
+A_READER_BETWEEN_TWO_WRITERS = [
+    (BEGIN_RW, 0, 0, 1), (UPDATE, 0, 0, 0), (UPDATE, 0, 0, 0), (COMMIT, 0, 0, 0),
+    (BEGIN_RW, 0, 0, 1), (UPDATE, 0, 0, 0), (BEGIN_RW, 0, 0, 1), (BEGIN_RO, 0, 0, 1),
+    (COMMIT, 0, 0, 0), (UPDATE, 0, 2, 0), (ADVANCE, 0, 0, 0), (BEGIN_RO, 0, 0, 1),
+    (COMMIT, 0, 0, 0), (SCAN, 1, 1, 1), (ABORT, 0, 0, 0), (UPDATE, 0, 2, 0),
+    (COMMIT, 0, 0, 0),
+]
+#: Writer 1 of ``a`` sealed under the watermark, writer 2 of ``a`` committed
+#: above it; a read-only token begun at the watermark reads ``a`` at 1 and
+#: commits: every version it read is sealed, but its ``rw`` edge into the
+#: active writer 2 belongs in the graph, so it must not be sealed in place.
+READ_BESIDE_A_LATER_WRITER = [
+    (UPDATE, 0, 0, 1), (ADVANCE, 0, 0, 2), (BEGIN_RO, 0, 0, 1), (UPDATE, 0, 0, 1),
+    (READ, 0, 0, 6), (COMMIT, 0, 0, 0),
+]
+
+
 def sweeps_property(candidate, *, max_examples=150, phases=tuple(Phase)):
     @settings(max_examples=max_examples, deadline=None, phases=phases, database=None)
     @given(
@@ -331,6 +649,13 @@ def sweeps_property(candidate, *, max_examples=150, phases=tuple(Phase)):
     @example(actions=OUT_OF_ORDER_WRITERS, families=(True, False, False), track_edges=False)
     @example(actions=REWRITTEN_KEY, families=(True, False, False), track_edges=True)
     @example(actions=A_KEY_READ_TWICE, families=(True, False, False), track_edges=False)
+    @example(
+        actions=A_READER_BETWEEN_TWO_WRITERS, families=(False, False, False),
+        track_edges=False,
+    )
+    @example(
+        actions=READ_BESIDE_A_LATER_WRITER, families=(True, False, False), track_edges=True
+    )
     def check(actions, families, track_edges):
         assert_sweeps_agree(candidate, actions, families, track_edges)
 
@@ -359,22 +684,35 @@ class MissesTheInsortSite(WitnessEngine):
         self._prunable = _NeverFilled()
 
 
+class _NoneActive(dict):
+    def __contains__(self, ident):
+        return False
+
+
+class IgnoresActiveLaterWriters(WitnessEngine):
+    """Mutant: the sealed-reader commit blind to an active later writer of
+    a key it read, so it seals such a reader in place and the ``rw`` edge
+    into that writer folds instead of entering the graph."""
+
+    def _commit_sealed_reader(self, ident, links):
+        nodes, self._nodes = self._nodes, _NoneActive(self._nodes)
+        try:
+            return super()._commit_sealed_reader(ident, links)
+        finally:
+            self._nodes = nodes
+
+
 class ForgetsLaterWriters(WitnessEngine):
     """Mutant: ``_seal_pass`` less the two lines that revisit the later
     writers of each key a sealed node wrote."""
 
     def _seal_pass(self):
-        floor = self._current_floor()
-        nodes = self._nodes
-        work = list(nodes)
-        for ident in work:
-            if ident in nodes and self._sealable(ident, floor):
-                work.extend(self._topo.successors(ident))
-                self._seal(ident)
-        self._prune_pass(floor)
+        seeded_walk(self, later_writers=False)
 
 
-@pytest.mark.parametrize("mutant", [MissesTheInsortSite, ForgetsLaterWriters])
+@pytest.mark.parametrize(
+    "mutant", [MissesTheInsortSite, ForgetsLaterWriters, IgnoresActiveLaterWriters]
+)
 def test_a_planted_mutant_fails_the_property(mutant):
     with pytest.raises(AssertionError):
         sweeps_property(mutant, phases=(Phase.explicit,))()
@@ -390,10 +728,11 @@ def seeded_stream(seed, length=100):
 
 
 @pytest.mark.parametrize(
-    "mutant,at_least", [(MissesTheInsortSite, 150), (ForgetsLaterWriters, 4)]
+    "mutant,at_least",
+    [(MissesTheInsortSite, 150), (ForgetsLaterWriters, 4), (IgnoresActiveLaterWriters, 150)],
 )
 def test_generated_streams_alone_find_each_mutant(mutant, at_least):
-    """Without the two hand-written examples: of 250 seeded streams from the
+    """Without the hand-written examples: of 250 seeded streams from the
     same generator, how many tell the mutant from the full scans."""
     caught = 0
     for seed in range(250):
@@ -404,16 +743,37 @@ def test_generated_streams_alone_find_each_mutant(mutant, at_least):
     assert caught >= at_least
 
 
+class CountsSealedReaders(WitnessEngine):
+    """Tallies the sealed-reader commit: taken or refused, and taken after a
+    seam or after a fail-over rebase."""
+
+    def _reset_stream_state(self):
+        super()._reset_stream_state()
+        self.__dict__.setdefault("readers", Counter())
+
+    def _commit_sealed_reader(self, ident, links):
+        taken = super()._commit_sealed_reader(ident, links)
+        self.readers["taken" if taken else "refused"] += 1
+        if taken and self.segments > 1:
+            self.readers["after a seam"] += 1
+        if taken and self.rebases:
+            self.readers["after a rebase"] += 1
+        return taken
+
+
 def test_the_streams_reach_every_exit():
     """The generator is only evidence if its streams seal, prune, rebase,
-    roll over, leave reads pending and trip both tripwires."""
+    roll over, leave reads pending, trip both tripwires, and commit read-only
+    transactions both ways — sealed in place, seams and rebases behind them,
+    and through the graph."""
     totals = dict.fromkeys(
         ["sealed", "pruned", "rebases", "lost_commits", "late_sealed_reads",
          "duplicate_commits", "pending_dropped", "pending_unresolved", "aborted"], 0
     )
     segments = 0
+    readers = Counter()
     for seed in range(40):
-        engine = WitnessEngine(seal=True)
+        engine = CountsSealedReaders(seal=True)
         for event in events_of(*seeded_stream(seed)):
             engine.export(event)
         engine.finish()
@@ -421,8 +781,22 @@ def test_the_streams_reach_every_exit():
         for name in totals:
             totals[name] += report[name]
         segments += report["segments"] - 1
+        readers += engine.readers
     assert all(totals.values()), totals
     assert segments
+    assert sorted(readers) == ["after a rebase", "after a seam", "refused", "taken"]
+
+
+def test_an_unsealed_engine_keeps_nothing_for_a_seal_pass():
+    """Without sealing no pass drains the seeds or the touched keys, so
+    nothing may fill them: ``explain`` and ``witness_history`` run unsealed
+    over whole traces."""
+    for seed in range(40):
+        engine = WitnessEngine(seal=False)
+        for event in events_of(*seeded_stream(seed)):
+            engine.export(event)
+            assert engine._seeds == [] and engine._touched == {}, (seed, event)
+        engine.finish()
 
 
 # -- the pins ----------------------------------------------------------------------

@@ -172,6 +172,10 @@ ALLOW: dict[str, tuple[str, str]] = {
     **_allow("oracle", "the plain graph `FanGraph` is checked against",
              *(f"histories/graphs.py::Digraph.{name}"
                for name in ("successors", "__contains__", "__len__"))),
+    **_allow("oracle", "the per-pair rule the witness writes out in place, called by "
+             "the reference engines it is held to",
+             "histories/derive.py::version_order_edges",
+             "histories/derive.py::number_precedes"),
     **_allow("oracle", "the parity bridge from a `History` to the witness",
              "obs/witness/engine.py::witness_history",
              "obs/witness/engine.py::witness_history.send"),
