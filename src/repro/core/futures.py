@@ -22,10 +22,10 @@ A label may be a deferred format: a site on a hot path passes
 ``FutureNotReady`` and "settled twice" messages — and keeps the string.
 Most futures are never printed, so most labels are never built.
 
-The simulator's step (``repro.sim.engine``) is the one driver on every hot
-path; it reads ``_status``, ``_value`` and ``_error`` directly instead of
-through the properties.  The lock path reads ``_status`` the same way, to
-act at once on a lock granted at once (``repro.cc.two_phase``,
+The simulator's loop (``repro.sim.engine.Simulator.run``) is the one driver
+on every hot path; it reads ``_status``, ``_value`` and ``_error`` directly
+instead of through the properties.  The lock path reads ``_status`` the same
+way, to act at once on a lock granted at once (``repro.cc.two_phase``,
 ``Distributed2PLDatabase._locked_op``).
 """
 

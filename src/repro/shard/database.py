@@ -225,10 +225,11 @@ class ShardedDatabase(DistributedVCDatabase):
         self.counters.note_vc_interaction(txn, "start")
         self.counters.bump("ro.freshness_probes", len(self.sites))
         # Staleness in committed-transaction units: how many counter ticks
-        # the sweep cost against the freshest watermark, worst shard.
-        staleness = max(
-            counter_of(raw[sid]) - counter_of(vector[sid]) for sid in raw
-        )
+        # the sweep cost against the freshest watermark, worst shard: none
+        # when it lowered nothing, the vector then being ``raw`` itself.
+        staleness = 0
+        if lowered:
+            staleness = max(counter_of(raw[sid]) - counter_of(vector[sid]) for sid in raw)
         txn.meta["shard.staleness"] = staleness
         # Base-protocol-compatible bound: held-but-invisible commits queued
         # anywhere at begin time.

@@ -8,21 +8,24 @@ those interleavings, reproducibly under a seed, with every event observable.
 
 Processes are plain generators.  A process yields:
 
-* a number — sleep that many virtual time units;
+* a finite, non-negative number — sleep that many virtual time units;
 * an :class:`~repro.core.futures.OpFuture` — suspend until it settles; the
   yield expression evaluates to the future's value, or the future's failure
   exception is thrown into the generator at the suspension point.
 
-Resumptions are *scheduled*, never run inline from a future callback, so
-scheduler internals are not re-entered while they resolve futures.
+Resumptions after a future settles are *scheduled*, never run inline from
+its callback, so scheduler internals are not re-entered while they resolve
+futures.
 
 The queue holds *records* ``(target, value, error)``: ``target`` is a
 :class:`Process` to resume with ``value`` (or to throw ``error`` into), or a
 plain callable to call.  Records due later sit on a heap keyed
 ``(when, seq)``; records due at ``now`` — a spawn, ``call_in(0)``, every
-resumption after a future settles — go to a FIFO beside it, because a
+resumption on a settled future — go to a FIFO beside it, because a
 zero-delay event always sorts after everything already queued for this
-instant and before anything later (DESIGN.md, "Simulation driver").
+instant and before anything later.  :meth:`Simulator.run` is one loop over
+both; a settled yield with nothing else due resumes in place, as its record
+would be popped next anyway (DESIGN.md, "Simulation driver").
 
 :func:`closed_loop` is the arrival rule every closed-loop client process
 shares: think, then start only while still before the deadline.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from math import inf
 from typing import Any, Callable, Generator
 
 from repro.core.futures import OpFuture, OpStatus
@@ -96,10 +100,12 @@ class Simulator:
         now = self.now
         if when == now:
             self._ready.append((fn, None, None))
+        elif now < when < inf:  # a NaN fails both comparisons
+            heapq.heappush(self._heap, (when, next(self._sequence), fn, None, None))
         elif when < now:
             raise SimError(f"cannot schedule in the past ({when} < {now})")
         else:
-            heapq.heappush(self._heap, (when, next(self._sequence), fn, None, None))
+            raise SimError(f"cannot schedule at a non-finite time ({when})")
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> None:
         self.call_at(self.now + delay, fn)
@@ -116,58 +122,6 @@ class Simulator:
         self._ready.append((process, None, None))
         return process
 
-    def _step(
-        self,
-        process: Process,
-        value: Any,
-        error: BaseException | None,
-    ) -> None:
-        """Advance a process by one yield and queue its next resumption."""
-        if process.finished:  # pragma: no cover - defensive
-            return
-        try:
-            if error is not None:
-                yielded = process.generator.throw(error)
-            else:
-                yielded = process.generator.send(value)
-        except StopIteration as stop:
-            process.finished = True
-            process.result = stop.value
-            if self.tracer.enabled:
-                self.tracer.emit("sim.process.end", process=process.name)
-            return
-        except BaseException as exc:  # noqa: BLE001 - report, do not mask
-            process.finished = True
-            process.error = exc
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "sim.process.error", process=process.name, error=type(exc).__name__
-                )
-            raise
-        if isinstance(yielded, OpFuture):
-            # Already settled: one record, at this timestamp.  Pending: the
-            # process's own bound method queues the same record on settle.
-            if yielded._status is _PENDING:
-                yielded.add_callback(process._resume_with)
-            else:
-                self._ready.append((process, yielded._value, yielded._error))
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise SimError(f"process {process.name} yielded negative delay")
-            # ``call_at(now + delay, process)``, inlined: half of all events.
-            now = self.now
-            when = now + float(yielded)
-            if when == now:
-                self._ready.append((process, None, None))
-            else:
-                heapq.heappush(
-                    self._heap, (when, next(self._sequence), process, None, None)
-                )
-        else:
-            raise SimError(
-                f"process {process.name} yielded {yielded!r}; expected a delay or an OpFuture"
-            )
-
     # -- running ------------------------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:
@@ -175,28 +129,73 @@ class Simulator:
 
         One rule: the heap's head if it is due (``when <= now``), else the
         head of the "now" queue, else advance the clock to the heap's head.
-        Returns the final virtual time.  Processes still blocked when the
-        queue drains simply stay suspended (their futures never settled) —
-        :meth:`blocked_processes` lists them.
+        ``now`` is written before a record at a new instant runs and
+        ``events_dispatched`` whenever this returns or raises.  Returns the
+        final virtual time.  Processes still blocked when the queue drains
+        simply stay suspended — :meth:`blocked_processes` lists them.
         """
-        heap, ready = self._heap, self._ready
-        if until is not None and until < self.now:
-            return self.now  # everything queued is due at ``now`` or later
-        while True:
-            if heap and heap[0][0] <= self.now:
-                _when, _seq, target, value, error = heapq.heappop(heap)
-            elif ready:
-                target, value, error = ready.popleft()
-            elif heap and (until is None or heap[0][0] <= until):
-                self.now, _seq, target, value, error = heapq.heappop(heap)
-            else:
-                break
-            self.events_dispatched += 1
-            if type(target) is Process:
-                self._step(target, value, error)
-            else:
-                target()
-        if until is not None and self.now < until:
+        heap, ready, sequence = self._heap, self._ready, self._sequence
+        heappop, heappush, append = heapq.heappop, heapq.heappush, ready.append
+        now, dispatched = self.now, self.events_dispatched
+        if until is not None and until < now:
+            return now  # everything queued is due at ``now`` or later
+        try:
+            while True:
+                if heap and heap[0][0] <= now:
+                    _when, _seq, target, value, error = heappop(heap)
+                elif ready:
+                    target, value, error = ready.popleft()
+                elif heap and (until is None or heap[0][0] <= until):
+                    now, _seq, target, value, error = heappop(heap)
+                    self.now = now
+                else:
+                    break
+                dispatched += 1
+                if type(target) is not Process:
+                    target()
+                    continue
+                while not target.finished:  # once per resumption of ``target``
+                    try:
+                        if error is not None:
+                            yielded = target.generator.throw(error)
+                        else:
+                            yielded = target.generator.send(value)
+                    except StopIteration as stop:
+                        target.finished, target.result = True, stop.value
+                        if self.tracer.enabled:
+                            self.tracer.emit("sim.process.end", process=target.name)
+                        break
+                    except BaseException as exc:  # noqa: BLE001 - report, do not mask
+                        target.finished, target.error = True, exc
+                        if self.tracer.enabled:
+                            name = type(exc).__name__
+                            self.tracer.emit("sim.process.error", process=target.name, error=name)
+                        raise
+                    if isinstance(yielded, OpFuture):
+                        if yielded._status is _PENDING:  # its own method queues the record
+                            yielded.add_callback(target._resume_with)
+                        elif ready or (heap and heap[0][0] <= now):
+                            append((target, yielded._value, yielded._error))
+                        else:  # the record would be the next one popped
+                            dispatched += 1
+                            value, error = yielded._value, yielded._error
+                            continue
+                    elif isinstance(yielded, (int, float)):
+                        if not 0 <= yielded < inf:  # a NaN fails both comparisons
+                            kind = "negative" if yielded < 0 else "non-finite"
+                            raise SimError(f"process {target.name} yielded {kind} delay")
+                        when = now + float(yielded)
+                        if when == now:
+                            append((target, None, None))
+                        else:
+                            heappush(heap, (when, next(sequence), target, None, None))
+                    else:
+                        expected = "expected a delay or an OpFuture"
+                        raise SimError(f"process {target.name} yielded {yielded!r}; {expected}")
+                    break
+        finally:
+            self.events_dispatched = dispatched
+        if until is not None and now < until:
             self.now = until
         return self.now
 

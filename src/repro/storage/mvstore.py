@@ -69,7 +69,10 @@ class MVStore:
         at or below ``sn`` is committed and the committed filter never skips
         anything; it is kept for defense in depth and for baselines.
         """
-        return self.object(key).committed_version_leq(sn)
+        obj = self._objects.get(key)  # ``object``'s hit, written out: reads dominate
+        if obj is None:
+            obj = self.object(key)
+        return obj.committed_version_leq(sn)
 
     def read_latest_committed(self, key: Hashable) -> Version:
         """Most recent committed version — the 2PL read-write read rule."""

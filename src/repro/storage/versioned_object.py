@@ -90,12 +90,13 @@ class VersionedObject:
         read never needs to skip pending versions; baselines without that
         guarantee do.
         """
-        idx = self._index_leq(bound)
-        while idx >= 0 and self._versions[idx].pending:
+        versions = self._versions
+        idx = bisect_right(versions, bound, key=_tn) - 1  # ``_index_leq``, inlined
+        while idx >= 0 and versions[idx].pending:
             idx -= 1
         if idx < 0:
             raise VersionNotFound(self.key, bound)
-        return self._versions[idx]
+        return versions[idx]
 
     # -- writes -----------------------------------------------------------------
 

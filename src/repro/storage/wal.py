@@ -26,7 +26,7 @@ import enum
 from typing import Any, Hashable, Iterable, NamedTuple
 
 from repro.core.version_control import VersionControl
-from repro.errors import CorruptLogError
+from repro.errors import CorruptLogError, ProtocolError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.mvstore import MVStore
 
@@ -224,12 +224,10 @@ def install_committed(
     in log order, so the last write per key wins — same as first apply.
     """
     for key, value in items:
-        obj = store.object(key)
-        existing = obj.find(tn)
-        if existing is None:
+        try:
             store.install(key, tn, value)
-        else:
-            existing.value = value
+        except ProtocolError:  # version ``tn`` is already there: a re-apply
+            store.object(key).find(tn).value = value
 
 
 def replay_committed(store: MVStore, records: Iterable[LogRecord]) -> list[int]:

@@ -11,6 +11,8 @@ process results.
 
 import heapq
 import itertools
+import sys
+from collections import deque
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -232,11 +234,29 @@ def test_same_dispatch_order_as_a_when_seq_heap(program):
     assert Runner(Simulator()).execute(program) == expected
 
 
+class CountingQueue(deque):
+    """The simulator's "now" queue, counting the records appended to it and,
+    of those, the ones ``Simulator.run`` queues for a settled yield (a zero
+    delay queues ``(process, None, None)``; every settled future the
+    programs yield carries a value or an error)."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = self.settled = 0
+
+    def append(self, record):
+        self.records += 1
+        if sys._getframe(1).f_code is Simulator.run.__code__ and record[1:] != (None, None):
+            self.settled += 1
+        super().append(record)
+
+
 def test_the_programs_reach_every_case_the_property_names():
     """A fixed program touching each case, so the property cannot go green
     by generating nothing: zero and sub-ulp sleeps, the three kinds of
-    future, callbacks scheduled at ``now`` from callbacks, a spawn from a
-    process, a process that raises, uneven ``run(until=)`` chunks."""
+    future, a settled one both resumed in place and queued behind a record
+    already due, callbacks scheduled at ``now`` from callbacks, a spawn from
+    a process, a process that raises, uneven ``run(until=)`` chunks."""
     program = (
         [
             [("sleep", 1), ("sleep", 1e-17), ("sleep", 0), ("resolved", 4), ("failed", True),
@@ -244,11 +264,19 @@ def test_the_programs_reach_every_case_the_property_names():
             [("shared", 0), ("later", 0, False), ("bad", -1)],
             [("sleep", 1.0), ("settle", 0, True), ("callback", ("in-zero", 0, 1)), ("failed", False)],
         ],
-        [(0.3, [("callback", ("at-now", 0, 1))]), (0, [("spawn", [("sleep", 0.25)])]),
+        [(0.3, [("callback", ("at-now", 0, 1))]),
+         (0, [("spawn", [("sleep", 0.25), ("resolved", 7)])]),
          (-1, [("callback", ("in", 2.5, 0))]), (1, [])],
     )
     expected = Runner(HeapSimulator()).execute(program)
-    assert Runner(Simulator()).execute(program) == expected
+    sim = Simulator()
+    sim._ready = queue = CountingQueue()
+    assert Runner(sim).execute(program) == expected
+    assert not queue and not sim._heap  # every record queued was dispatched
+    # An event is a record popped from the FIFO or the heap (one push per
+    # sequence number), or a settled yield resumed in place.
+    in_place = sim.events_dispatched - queue.records - next(sim._sequence)
+    assert in_place > 0 and queue.settled > 0
     kinds = {entry[2] for entry in expected["trace"] if entry[1:2] == ("run raised",)}
     assert kinds == {"Boom", "SimError"}
     assert any(entry[2:3] == ("caught",) for entry in expected["trace"])

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation engine."""
 
+import math
+
 import pytest
 
 from repro.core.futures import OpFuture
@@ -31,6 +33,26 @@ class TestEventLoop:
         sim.run()
         with pytest.raises(SimError, match="in the past"):
             sim.call_at(1, lambda: None)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf])
+    def test_scheduling_at_a_non_finite_time_rejected(self, when):
+        """A NaN ``when`` compares false with everything, so unchecked it
+        would be queued and fire before an event at 1.0; ``inf`` would move
+        the clock to ``inf``."""
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda: seen.append(1.0))
+        with pytest.raises(SimError, match="non-finite"):
+            sim.call_at(when, lambda: seen.append(when))
+        sim.run()
+        assert seen == [1.0] and sim.now == 1.0
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_call_in_a_non_finite_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimError, match="non-finite|in the past"):
+            sim.call_in(delay, lambda: None)
+        assert sim.run() == 0.0 and sim.events_dispatched == 0
 
     def test_run_until_stops_early(self):
         sim = Simulator()
@@ -140,6 +162,25 @@ class TestProcesses:
         sim.spawn(bad())
         with pytest.raises(SimError, match="negative"):
             sim.run()
+
+    @pytest.mark.parametrize(
+        "delay, kind", [(math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "negative")]
+    )
+    def test_non_finite_delay_rejected(self, delay, kind):
+        """Unchecked, ``yield nan`` would move the clock from 2.0 to ``nan``
+        and back to 3.0 at the next event, and ``yield inf`` to ``inf``."""
+        sim = Simulator()
+        sim.call_at(3.0, lambda: None)
+
+        def bad():
+            yield 2.0
+            yield delay
+
+        sim.spawn(bad())
+        with pytest.raises(SimError, match=kind):
+            sim.run()
+        assert sim.now == 2.0
+        assert sim.run() == 3.0
 
     def test_blocked_process_detected_at_drain(self):
         sim = Simulator()

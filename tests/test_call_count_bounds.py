@@ -3,7 +3,8 @@ calls, held as bounds.
 
 A read-only read is ``VCstart`` once and then, per read, "the largest
 version ``<= sn(T)``" (paper Figure 2); a simulated client resuming on a
-future that is already resolved is one queue append and one ``send``.
+future that is already resolved is one ``send``, with no queue record when
+nothing else is due.
 Neither is modelled work, so neither may grow back.  ``sys.setprofile``
 ``call`` events count Python frames entered — exact, and the same on every
 machine (the pattern of ``tests/test_per_call_allocation.py``, for calls).
@@ -120,15 +121,20 @@ def reader_over(keys):
     return db, db.begin(read_only=True)
 
 
-def test_one_read_only_read_is_at_most_14_calls():
+def test_one_read_only_read_is_at_most_10_calls():
     db, reader = reader_over(["x", "y"])
     db.read(reader, "x")
     calls = python_calls(lambda: db.read(reader, "y"))
     assert reader.read_set == {"x": 1, "y": 1}
-    assert calls <= 14  # 19 before the lease rode on the transaction
+    # 19 before the lease rode on the transaction; 12 while the store's read
+    # went through ``object`` and ``_index_leq``.  Measured 10 on CPython
+    # 3.10, 3.11 and 3.12.
+    assert calls <= 10
 
 
-def test_yielding_an_already_resolved_read_is_at_most_17_calls():
+def resolved_reads():
+    """A simulator with one client spawned that yields ``READS`` read-only
+    reads, each returning an already resolved future, and the values seen."""
     keys = [f"k{i}" for i in range(READS)]
     db, reader = reader_over(keys)
     seen = []
@@ -139,12 +145,30 @@ def test_yielding_an_already_resolved_read_is_at_most_17_calls():
 
     sim = Simulator()
     sim.spawn(client())
+    return sim, seen
+
+
+def test_yielding_an_already_resolved_read_is_at_most_11_calls():
+    sim, seen = resolved_reads()
     calls = python_calls(sim.run)
     assert seen == [1] * READS
     assert sim.events_dispatched == READS + 1  # the spawn, then one per read
     assert sim.now == 0.0
-    # 29.0 when every resumption was a heap push and pop and two closures.
-    assert calls / READS <= 17
+    # 29.0 when every resumption was a heap push and pop and two closures;
+    # 14.002 while each went through the "now" queue and ``Simulator._step``
+    # and the store's read was four frames.  Measured 11 per read and the
+    # spawn's first resumption on CPython 3.10, 3.11 and 3.12.
+    assert calls <= 11 * READS + 1
+
+
+def test_a_settled_yield_with_nothing_else_due_is_resumed_in_place():
+    """Nothing else is queued, so each read's resumption would be the next
+    record popped: ``run`` resumes the client at once, with no record
+    queued — the one ``popleft`` is the spawn's."""
+    sim, seen = resolved_reads()
+    calls = profiled(sim.run, builtins=("append", "popleft"), inside=Simulator.run)
+    assert seen == [1] * READS and sim.events_dispatched == READS + 1
+    assert calls == {"popleft": 1}
 
 
 def test_a_warm_uncontended_wal_transaction_builds_no_pending_future():
@@ -256,8 +280,8 @@ def test_dispatching_an_event_creates_no_function_object():
     """A ``lambda`` or a nested ``def`` is a code object among its
     function's constants; none of the per-event functions has one."""
     per_event = [
-        Simulator.call_at, Simulator.call_in, Simulator.spawn, Simulator._step,
-        Simulator.run, Process.__init__, Process._resume_with,
+        Simulator.call_at, Simulator.call_in, Simulator.spawn, Simulator.run,
+        Process.__init__, Process._resume_with,
     ]
     for function in per_event:
         assert nested_code(function.__code__) == [], function.__qualname__
