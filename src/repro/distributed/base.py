@@ -43,9 +43,9 @@ from repro.storage.mvstore import MVStore
 from repro.storage.wal import (
     LogRecord,
     RecordKind,
+    Redo,
     WriteAheadLog,
     install_committed,
-    replay_committed,
     validate_durable,
 )
 
@@ -177,13 +177,14 @@ class SiteBase:
     def recover(self) -> None:
         """Rebuild store, lock table and numbering from the durable WAL.
 
-        Uncommitted WRITE records (no durable COMMIT) are skipped; a torn
+        Redo runs in log order (:class:`~repro.storage.wal.Redo`):
+        uncommitted WRITE records (no durable COMMIT) leave nothing; a torn
         tail is the durable boundary; a malformed mid-log record raises
         :class:`~repro.errors.CorruptLogError`.  The site stays ``crashed``
         — the database reopens it once in-doubt commits are applied.
         """
         self.store = MVStore()
-        committed = replay_committed(self.store, validate_durable(self.wal))
+        committed = Redo(self.store).replay(validate_durable(self.wal))
         self.locks = LockManager(waits_for=self._waits_for)
         self._restart_numbering(committed)
 

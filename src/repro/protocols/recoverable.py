@@ -25,7 +25,7 @@ from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.errors import AbortReason, ProtocolError
 from repro.protocols.vc_two_phase_locking import VC2PLScheduler
-from repro.storage.wal import LogRecord, RecordKind, WriteAheadLog, recover
+from repro.storage.wal import LogRecord, RecordKind, WriteAheadLog, checkpoint_record, recover
 
 
 class RecoverableVC2PLScheduler(VC2PLScheduler):
@@ -84,13 +84,7 @@ class RecoverableVC2PLScheduler(VC2PLScheduler):
             for version in self.store.object(key).versions():
                 if version.tn != 0:
                     versions.append((key, version.tn, version.value))
-        self.log.append(
-            LogRecord(
-                RecordKind.CHECKPOINT,
-                txn_id=0,
-                value={"versions": versions, "next_tn": self.vc.tnc},
-            )
-        )
+        self.log.append(checkpoint_record(self.vc.tnc, versions))
         self.log.force()
         return self.log.truncate_before_checkpoint() if truncate else 0
 

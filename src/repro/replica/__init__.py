@@ -39,7 +39,7 @@ from repro.replica.quorum import (
     ReplicationMode,
 )
 from repro.replica.session import ReplicatedDatabase
-from repro.replica.ship import LogShipper, ShippedLog
+from repro.replica.ship import LogShipper
 
 __all__ = [
     "AvailabilityPhase",
@@ -60,7 +60,6 @@ __all__ = [
     "ReplicationMode",
     "ReplicationPhase",
     "ReplicationReport",
-    "ShippedLog",
     "run_availability_campaign",
     "run_replica_scaling",
     "run_replica_sync",

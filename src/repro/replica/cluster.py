@@ -1,6 +1,6 @@
 """A primary plus N log-shipped read replicas behind one handle.
 
-The cluster owns the wiring: a :class:`~repro.replica.ship.ShippedLog`
+The cluster owns the wiring: a :class:`~repro.storage.wal.WriteAheadLog`
 under a recoverable primary scheduler, a :class:`~repro.replica.ship.
 LogShipper` subscribed to the log's force hook, and the
 :class:`~repro.replica.node.Replica` set.  Every commit on the primary
@@ -50,8 +50,8 @@ from repro.obs.tracer import NULL_TRACER
 from repro.protocols.recoverable import RecoverableVC2PLScheduler
 from repro.replica.node import Replica
 from repro.replica.quorum import QuorumGate, QuorumVC2PLScheduler, ReplicationMode
-from repro.replica.ship import LogShipper, ShippedLog
-from repro.storage.wal import recover
+from repro.replica.ship import LogShipper
+from repro.storage.wal import WriteAheadLog, recover
 
 
 class ReplicaCluster:
@@ -84,13 +84,13 @@ class ReplicaCluster:
         self._rr = 0  # round-robin cursor for pick_replica
         self.gate: QuorumGate | None = None
         self._ship_token: int | None = None
-        self._build_primary(ShippedLog())
+        self._build_primary(WriteAheadLog())
         for _ in range(n_replicas):
             self.add_replica()
 
     # -- primary construction ------------------------------------------------------
 
-    def _build_primary(self, log: ShippedLog, store=None, version_control=None) -> None:
+    def _build_primary(self, log: WriteAheadLog, store=None, version_control=None) -> None:
         """(Re)build the primary, shipper, and (in quorum mode) the gate."""
         self.log = log
         self.shipper = LogShipper(log, self.courier, epoch=self.epoch)

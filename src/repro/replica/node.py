@@ -32,9 +32,8 @@ from repro.core.interface import SchedulerCounters
 from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason, ProtocolError
 from repro.obs.tracer import NULL_TRACER
-from repro.replica.ship import ShippedLog
 from repro.storage.mvstore import MVStore
-from repro.storage.wal import LogRecord, RecordKind, install_committed
+from repro.storage.wal import LogRecord, RecordKind, Redo, WriteAheadLog
 
 
 class Replica:
@@ -47,7 +46,7 @@ class Replica:
         #: record identical to the primary's durable prefix up to
         #: ``applied_offset``, which is what lets promotion reuse the
         #: ordinary crash-recovery path (``recover(replica.log)``).
-        self.log = ShippedLog()
+        self.log = WriteAheadLog()
         #: The replica's visible watermark: largest tn such that every
         #: transaction numbered <= it is applied here.  Invariant:
         #: ``vtnc <= vtnc_primary``, and monotone non-decreasing.
@@ -64,8 +63,8 @@ class Replica:
         self.segments_received = 0
         self.segments_buffered = 0
         self.segments_stale = 0
-        #: Writes staged per txn_id between WRITE records and their COMMIT.
-        self._staged: dict[int, list[tuple[Hashable, Any]]] = {}
+        #: Applies the received records to ``store``, in log order.
+        self._redo = Redo(self.store)
         #: Applied committed tns above the watermark (waiting for the gap
         #: below them to fill before the watermark may pass them).
         self._applied_above: set[int] = set()
@@ -148,26 +147,25 @@ class Replica:
                     self.frontier_tn = record.tn
 
     def _apply(self, records: list[LogRecord]) -> None:
+        redo = self._redo
         for record in records:
             self.log.append(record)
             self.applied_offset += 1
-            if record.kind is RecordKind.WRITE:
-                self._staged.setdefault(record.txn_id, []).append(
-                    (record.key, record.value)
-                )
-            elif record.kind is RecordKind.COMMIT:
-                assert record.tn is not None
-                install_committed(
-                    self.store, record.tn, self._staged.pop(record.txn_id, ())
-                )
-                if record.tn > self.frontier_tn:
-                    self.frontier_tn = record.tn
-                self._applied_above.add(record.tn)
+            tn = redo.apply(record)
+            if tn is not None:
+                if tn > self.frontier_tn:
+                    self.frontier_tn = tn
+                if tn > self.vtnc:
+                    self._applied_above.add(tn)
                 self._advance_watermark()
-            elif record.kind is RecordKind.ABORT:
-                self._staged.pop(record.txn_id, None)
-            elif record.kind is RecordKind.CHECKPOINT:
-                self._apply_checkpoint(record)
+            elif redo.floor > self.vtnc:
+                # A checkpoint settles every tn up to its floor, so the
+                # watermark may jump straight past them.
+                self.vtnc = redo.floor
+                self._applied_above = {t for t in self._applied_above if t > self.vtnc}
+                if self.vtnc > self.frontier_tn:
+                    self.frontier_tn = self.vtnc
+                self._advance_watermark()
         # One durable flush per received batch, mirroring group commit.
         self.log.force()
 
@@ -190,22 +188,6 @@ class Replica:
                 vtnc=self.vtnc, advanced=self.vtnc - before,
                 staleness=self.staleness_bound,
             )
-
-    def _apply_checkpoint(self, record: LogRecord) -> None:
-        # A checkpoint summarizes every tn below next_tn, so the watermark
-        # may jump straight past them.
-        for key, tn, value in record.value["versions"]:
-            if tn == 0:
-                self.store.object(key)
-            else:
-                install_committed(self.store, tn, [(key, value)])
-        next_tn = record.value["next_tn"]
-        if next_tn - 1 > self.vtnc:
-            self.vtnc = next_tn - 1
-        self._applied_above = {t for t in self._applied_above if t > self.vtnc}
-        if next_tn - 1 > self.frontier_tn:
-            self.frontier_tn = next_tn - 1
-        self._advance_watermark()
 
     # -- staleness ---------------------------------------------------------------
 

@@ -34,48 +34,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.storage.wal import WriteAheadLog
 
 
-class ShippedLog(WriteAheadLog):
-    """A write-ahead log whose durable frontier is observable.
-
-    ``force`` / ``partial_force`` notify subscribers *after* the durable
-    boundary moves, so a :class:`LogShipper` subscribed here ships every
-    commit the instant it becomes durable — the log itself stays unaware of
-    replication, exactly like the tracer hook pattern.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._on_force: dict[int, Callable[[], None]] = {}
-        self._next_token = 0
-
-    def subscribe_force(self, fn: Callable[[], None]) -> int:
-        """Subscribe ``fn`` to durable-boundary movement; returns a token.
-
-        Tokens, not callback equality, identify subscriptions: two
-        subscriptions of the same bound method (``==`` but not ``is``)
-        stay independent, so unsubscribing one cannot deregister the
-        other.
-        """
-        token = self._next_token
-        self._next_token += 1
-        self._on_force[token] = fn
-        return token
-
-    def unsubscribe_force(self, token: int) -> None:
-        self._on_force.pop(token, None)
-
-    def force(self) -> None:
-        super().force()
-        for fn in list(self._on_force.values()):
-            fn()
-
-    def partial_force(self, records: int, tear_last: bool = True) -> int:
-        made = super().partial_force(records, tear_last)
-        for fn in list(self._on_force.values()):
-            fn()
-        return made
-
-
 class LogShipper:
     """Streams the primary's durable WAL suffix to each subscribed replica.
 
@@ -143,7 +101,7 @@ class LogShipper:
     def ship(self) -> None:
         """Ship the durable suffix each replica has not been sent yet.
 
-        Subscribed to :meth:`ShippedLog.force`, so this runs at every
+        Subscribed to :meth:`WriteAheadLog.force`, so this runs at every
         commit point.  Delivery is asynchronous through the courier; a
         drop only delays a replica until the courier's retransmission (or
         the next :meth:`catch_up`) re-covers the records.

@@ -28,14 +28,14 @@ advancing independently.  Nothing global remains on the write path:
   ``docs/sharding.md`` and is machine-checked by the S1 history checker
   and the online witness in ``drill --campaign shard``.
 
-Each shard's WAL is a :class:`~repro.replica.ship.ShippedLog`, so an
-optional :mod:`repro.replica` chain can hang behind every shard
+Every WAL's durable frontier is observable, so an optional
+:mod:`repro.replica` chain can hang behind every shard
 (:meth:`ShardedDatabase.attach_replicas`).  Shard visibility advances in
 global-transaction-number jumps (GTN encoding spaces numbers by
 ``SITE_SPACE``), which the replica watermark's contiguous ``+1`` rule
 cannot follow — so the shard appends a CHECKPOINT *visibility marker*
-(``{"versions": [], "next_tn": vtnc + 1}``) after each advance, which
-:meth:`~repro.replica.node.Replica._apply_checkpoint` adopts directly.
+(no versions, ``next_tn = vtnc + 1``) after each advance, which a replica
+adopts directly as its watermark floor.
 
 Fault surface: messages travel per-shard channels (``2pc.s3``,
 ``data.s3``, ``read.s3``...), so a drill can partition exactly one shard;
@@ -56,10 +56,10 @@ from repro.distributed.database import DistributedVCDatabase, Site
 from repro.distributed.gtn import counter_of
 from repro.errors import ProtocolError
 from repro.replica.node import Replica
-from repro.replica.ship import LogShipper, ShippedLog
+from repro.replica.ship import LogShipper
 from repro.shard.ring import HashRing
 from repro.shard.vector import XlogEntry, sweep_consistent_vector, torn_entries
-from repro.storage.wal import LogRecord, RecordKind, validate_durable
+from repro.storage.wal import RecordKind, checkpoint_record, validate_durable
 
 
 #: The protocol channels; each shard has its own copy of every one.
@@ -80,12 +80,12 @@ class _VectorSnapshot:
 
 
 class ShardNode(Site):
-    """One primary shard: a Site with a shippable WAL, an xlog, and an epoch.
+    """One primary shard: a Site with a replica chain, an xlog, and an epoch.
 
     The three additions over a plain site:
 
-    * ``wal`` is a :class:`ShippedLog` so a replica chain can subscribe to
-      the durable frontier;
+    * ``shipper`` streams the WAL to an optional replica chain, subscribed
+      to the log's durable frontier;
     * ``xlog`` is the in-memory cross-shard commit log the snapshot-vector
       sweep consults; its durable twin rides CHECKPOINT records in the WAL
       (``value["xlog"]``) and :meth:`recover` rebuilds it from there;
@@ -95,7 +95,6 @@ class ShardNode(Site):
 
     def __init__(self, site_id: int, waits_for=None):
         super().__init__(site_id, waits_for=waits_for)
-        self.wal = ShippedLog()
         #: Cross-shard commits durable here: ``(tn, participant ids)``.
         self.xlog: list[XlogEntry] = []
         #: Fail-over count; shipped segments carry it (see LogShipper).
@@ -121,13 +120,7 @@ class ShardNode(Site):
         """
         if self.shipper is None or self.crashed:
             return
-        self.wal.append(
-            LogRecord(
-                RecordKind.CHECKPOINT,
-                0,
-                value={"versions": [], "next_tn": vtnc + 1},
-            )
-        )
+        self.wal.append(checkpoint_record(vtnc + 1))
         self.wal.force()
 
     def recover(self) -> None:
@@ -381,17 +374,7 @@ class ShardedDatabase(DistributedVCDatabase):
             return
         entry: XlogEntry = (tn, tuple(sorted(participants)))
         site.xlog.append(entry)  # type: ignore[attr-defined]
-        site.wal.append(
-            LogRecord(
-                RecordKind.CHECKPOINT,
-                txn.txn_id,
-                value={
-                    "versions": [],
-                    "next_tn": site.vc.vtnc + 1,
-                    "xlog": [tn, list(entry[1])],
-                },
-            )
-        )
+        site.wal.append(checkpoint_record(site.vc.vtnc + 1, xlog=entry, txn_id=txn.txn_id))
         site.wal.force()
         tracer = self.courier.tracer
         if tracer.enabled:

@@ -101,7 +101,7 @@ class Simulator:
         if when == now:
             self._ready.append((fn, None, None))
         elif now < when < inf:  # a NaN fails both comparisons
-            heapq.heappush(self._heap, (when, next(self._sequence), fn, None, None))
+            heapq.heappush(self._heap, (float(when), next(self._sequence), fn, None, None))
         elif when < now:
             raise SimError(f"cannot schedule in the past ({when} < {now})")
         else:
@@ -196,7 +196,7 @@ class Simulator:
         finally:
             self.events_dispatched = dispatched
         if until is not None and now < until:
-            self.now = until
+            self.now = float(until)
         return self.now
 
     def blocked_processes(self) -> list[Process]:

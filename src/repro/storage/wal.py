@@ -11,19 +11,24 @@ schedulers:
   ``COMMIT(tn)`` record are forced **before** versions are installed, so a
   committed transaction is always reconstructible and an uncommitted one
   never resurfaces;
+* :class:`Redo` — the one record applier, shared by crash recovery
+  (:func:`recover`), a distributed site's restart and a replica's catch-up;
 * :func:`recover` — rebuild the store, the version-control counters, and
   the visibility frontier from the durable log alone.
 
 Multiversioning makes recovery pleasantly simple: there is nothing to undo
 (uncommitted writes are private; pending versions are recreated only by a
 logged commit) and redo is just re-installing each committed transaction's
-versions under its transaction number, in number order.
+versions under its transaction number.  Redo runs in log order: a COMMIT
+installs the writes staged before it, and since every version carries its
+own number the chains come out the same whatever order the commits were
+logged in.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Hashable, Iterable, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.core.version_control import VersionControl
 from repro.errors import CorruptLogError, ProtocolError
@@ -35,7 +40,7 @@ class RecordKind(enum.Enum):
     WRITE = "write"          # (txn_id, key, value)
     COMMIT = "commit"        # (txn_id, tn)
     ABORT = "abort"          # (txn_id,)
-    CHECKPOINT = "ckpt"      # value = {"versions": [(key, tn, value)...], "next_tn": int}
+    CHECKPOINT = "ckpt"      # value: see checkpoint_record()
 
 
 class LogRecord(NamedTuple):
@@ -59,6 +64,12 @@ class WriteAheadLog:
     durable; ``crash`` discards the volatile suffix.  Real systems flush to
     stable storage — the boundary models exactly that, letting tests inject
     crashes at any point of the commit protocol.
+
+    The durable frontier is observable: ``force`` / ``partial_force``
+    notify :meth:`subscribe_force` subscribers *after* the boundary moves,
+    so a :class:`~repro.replica.ship.LogShipper` subscribed here ships
+    every commit the instant it becomes durable — the log itself stays
+    unaware of replication, exactly like the tracer hook pattern.
     """
 
     def __init__(self) -> None:
@@ -74,6 +85,24 @@ class WriteAheadLog:
         #: Structured-event tracer (wal.append / wal.force / wal.crash);
         #: NULL_TRACER unless attach_tracer() wired one.
         self.tracer = NULL_TRACER
+        self._on_force: dict[int, Callable[[], None]] = {}
+        self._next_token = 0
+
+    def subscribe_force(self, fn: Callable[[], None]) -> int:
+        """Subscribe ``fn`` to durable-boundary movement; returns a token.
+
+        Tokens, not callback equality, identify subscriptions: two
+        subscriptions of the same bound method (``==`` but not ``is``)
+        stay independent, so unsubscribing one cannot deregister the
+        other.
+        """
+        token = self._next_token
+        self._next_token += 1
+        self._on_force[token] = fn
+        return token
+
+    def unsubscribe_force(self, token: int) -> None:
+        self._on_force.pop(token, None)
 
     def append(self, record: LogRecord) -> None:
         self._records.append(record)
@@ -88,6 +117,9 @@ class WriteAheadLog:
         self.forces += 1
         if self.tracer.enabled:
             self.tracer.emit("wal.force", made_durable=volatile, durable=self._durable)
+        if self._on_force:
+            for fn in list(self._on_force.values()):
+                fn()
 
     def partial_force(self, records: int, tear_last: bool = True) -> int:
         """A ``force()`` interrupted by a crash mid-flush.
@@ -108,6 +140,9 @@ class WriteAheadLog:
             self.tracer.emit(
                 "wal.force", made_durable=made, durable=self._durable, torn=tear_last
             )
+        if self._on_force:
+            for fn in list(self._on_force.values()):
+                fn()
         return made
 
     def torn_indices(self) -> set[int]:
@@ -164,6 +199,27 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def checkpoint_record(
+    next_tn: int,
+    versions: Iterable[tuple[Hashable, int, Any]] = (),
+    xlog: tuple[int, Iterable[int]] | None = None,
+    txn_id: int = 0,
+) -> LogRecord:
+    """The one constructor of CHECKPOINT records.
+
+    ``value = {"versions": [(key, tn, value)...], "next_tn": int}``: the
+    retained versions and the numbering frontier (every number below
+    ``next_tn`` is settled).  Without versions it is a *visibility
+    marker*; ``xlog = (tn, participants)`` adds a shard's cross-shard
+    visibility-log entry as ``value["xlog"] = [tn, [participant ids]]``.
+    """
+    value: dict[str, Any] = {"versions": list(versions), "next_tn": next_tn}
+    if xlog is not None:
+        tn, participants = xlog
+        value["xlog"] = [tn, list(participants)]
+    return LogRecord(RecordKind.CHECKPOINT, txn_id, value=value)
 
 
 def _record_fault(index: int, record: object) -> str | None:
@@ -230,35 +286,54 @@ def install_committed(
             store.object(key).find(tn).value = value
 
 
-def replay_committed(store: MVStore, records: Iterable[LogRecord]) -> list[int]:
-    """Redo ``records`` into ``store``; returns the committed tns, ascending.
+class Redo:
+    """Applies log records, in log order, to one store: the one redo of
+    :func:`recover`, a distributed site's restart and a replica's catch-up.
 
-    The one place WRITE/COMMIT/ABORT records are parsed into committed
-    write sets, shared by every recovery path (the centralized
-    :func:`recover`, a distributed site's restart).  A transaction's
-    writes are installed — idempotently, via :func:`install_committed` —
-    only if its COMMIT record is among ``records``; uncommitted and
-    aborted transactions are skipped, CHECKPOINT records ignored.
-    Transactions replay in transaction-number order.
+    WRITE stages the write under its transaction; COMMIT installs the
+    staged writes under its ``tn`` (:func:`install_committed`: a
+    transaction logged twice, an in-doubt leg re-applied after a crash,
+    converges); ABORT drops them; CHECKPOINT installs its versions and
+    raises :attr:`floor`.
     """
-    writes: dict[int, list[tuple[Hashable, Any]]] = {}
-    committed: dict[int, int] = {}  # txn_id -> tn
-    aborted: set[int] = set()
-    for record in records:
-        if record.kind is RecordKind.WRITE:
-            writes.setdefault(record.txn_id, []).append((record.key, record.value))
-        elif record.kind is RecordKind.COMMIT:
-            assert record.tn is not None
-            committed[record.txn_id] = record.tn
-        elif record.kind is RecordKind.ABORT:
-            aborted.add(record.txn_id)
-    tns: list[int] = []
-    for txn_id, tn in sorted(committed.items(), key=lambda item: item[1]):
-        if txn_id in aborted:  # pragma: no cover - protocol never does both
-            continue
-        install_committed(store, tn, writes.get(txn_id, ()))
-        tns.append(tn)
-    return tns
+
+    __slots__ = ("store", "floor", "_staged")
+
+    def __init__(self, store: MVStore) -> None:
+        self.store = store
+        #: Highest number a CHECKPOINT settled (``next_tn - 1``), 0 if none.
+        self.floor = 0
+        #: Writes staged per txn_id between WRITE records and their COMMIT.
+        self._staged: dict[int, list[tuple[Hashable, Any]]] = {}
+
+    def apply(self, record: LogRecord) -> int | None:
+        """Apply one record; returns the ``tn`` a COMMIT installed, else None."""
+        kind = record.kind
+        if kind is RecordKind.WRITE:
+            self._staged.setdefault(record.txn_id, []).append((record.key, record.value))
+        elif kind is RecordKind.COMMIT:
+            install_committed(self.store, record.tn, self._staged.pop(record.txn_id, ()))
+            return record.tn
+        elif kind is RecordKind.ABORT:
+            self._staged.pop(record.txn_id, None)
+        elif kind is RecordKind.CHECKPOINT:
+            for key, tn, value in record.value["versions"]:
+                if tn == 0:
+                    self.store.object(key)  # initial version exists implicitly
+                else:
+                    install_committed(self.store, tn, ((key, value),))
+            if record.value["next_tn"] - 1 > self.floor:
+                self.floor = record.value["next_tn"] - 1
+        return None
+
+    def replay(self, records: Iterable[LogRecord]) -> list[int]:
+        """Apply ``records``; the committed tns, ascending, one per transaction."""
+        committed: dict[int, int] = {}
+        for record in records:
+            tn = self.apply(record)
+            if tn is not None:
+                committed[record.txn_id] = tn
+        return sorted(committed.values())
 
 
 def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
@@ -266,11 +341,11 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
 
     Recovery starts from the last durable CHECKPOINT (if any) — which
     carries the retained version set and the numbering frontier — and
-    replays committed transactions' writes after it, in transaction-number
-    order.  Uncommitted writes (no durable COMMIT) and aborted transactions
-    are skipped — their versions never existed durably.  The rebuilt
-    ``VersionControl`` resumes numbering above the highest committed
-    number, with full visibility (every surviving transaction is complete).
+    redoes the records after it in log order (:class:`Redo`).  Uncommitted
+    writes (no durable COMMIT) and aborted transactions leave nothing —
+    their versions never existed durably.  The rebuilt ``VersionControl``
+    resumes numbering above the highest committed number, with full
+    visibility (every surviving transaction is complete).
 
     A torn tail record (interrupted ``force()``) marks the durable
     boundary; a malformed record before the tail raises
@@ -278,24 +353,14 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     """
     records = validate_durable(log)
     start = 0
-    base_versions: list[tuple[Hashable, int, Any]] = []
-    base_next_tn = 1
     for index in range(len(records) - 1, -1, -1):
         if records[index].kind is RecordKind.CHECKPOINT:
-            base_versions = records[index].value["versions"]
-            base_next_tn = records[index].value["next_tn"]
-            start = index + 1
+            start = index
             break
-
-    store = MVStore()
-    for key, tn, value in base_versions:
-        if tn == 0:
-            store.object(key)  # initial version exists implicitly
-        else:
-            store.install(key, tn, value)
-    replayed = replay_committed(store, records[start:])
-    max_tn = max(base_next_tn - 1, replayed[-1] if replayed else 0)
-    return store, VersionControl(first_tn=max_tn + 1)
+    redo = Redo(MVStore())
+    committed = redo.replay(records[start:])
+    max_tn = max(redo.floor, committed[-1] if committed else 0)
+    return redo.store, VersionControl(first_tn=max_tn + 1)
 
 
 def redo_summary(records: Iterable[LogRecord]) -> dict[str, int]:

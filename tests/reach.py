@@ -219,8 +219,6 @@ ALLOW: dict[str, tuple[str, str]] = {
                for name in ("revocations", "revoked_by_cause", "gc_scan_per_reclaimed")),
              "replica/campaign.py::ReplicationReport.staleness_max"),
     **_allow("api", "the scheduler interface, docs/api.md", "replica/node.py::Replica.abort"),
-    **_allow("api", "the torn-write fault, docs/faults.md",
-             "replica/ship.py::ShippedLog.partial_force"),
     **_allow("api", "the snapshot-lease table, docs/gc.md",
              "storage/gc.py::ReadOnlyRegistry.check", "storage/gc.py::ReadOnlyRegistry.renew"),
     **_allow("api", "workloads, docs/api.md", "workload/spec.py::TxnSpec.reads",

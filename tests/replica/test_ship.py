@@ -2,8 +2,8 @@
 
 from repro.distributed.courier import Courier
 from repro.replica.node import Replica
-from repro.replica.ship import LogShipper, ShippedLog
-from repro.storage.wal import LogRecord, RecordKind
+from repro.replica.ship import LogShipper
+from repro.storage.wal import LogRecord, RecordKind, WriteAheadLog
 
 
 def _commit(log, txn_id, tn, key="x", value=None):
@@ -13,8 +13,10 @@ def _commit(log, txn_id, tn, key="x", value=None):
 
 
 class TestShippedLog:
+    """The force hook a shipper subscribes to on every WriteAheadLog."""
+
     def test_force_notifies_after_boundary_moves(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         seen = []
         log.subscribe_force(lambda: seen.append(log.durable_length()))
         log.append(LogRecord(RecordKind.WRITE, 1, key="x", value=1))
@@ -23,7 +25,7 @@ class TestShippedLog:
         assert seen == [1]  # the subscriber saw the new durable frontier
 
     def test_unsubscribe(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         calls = []
         fn = lambda: calls.append(1)  # noqa: E731
         token = log.subscribe_force(fn)
@@ -33,7 +35,7 @@ class TestShippedLog:
         assert calls == [1]
 
     def test_unsubscribe_unknown_token_is_noop(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         calls = []
         log.subscribe_force(lambda: calls.append(1))
         log.unsubscribe_force(999)
@@ -52,7 +54,7 @@ class TestShippedLog:
             def on_force(self):
                 self.calls += 1
 
-        log = ShippedLog()
+        log = WriteAheadLog()
         listener = Listener()
         assert listener.on_force == listener.on_force  # the equality trap
         first = log.subscribe_force(listener.on_force)
@@ -65,7 +67,7 @@ class TestShippedLog:
         assert listener.calls == 3  # the second subscription survived
 
     def test_partial_force_notifies_too(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         calls = []
         log.subscribe_force(lambda: calls.append(log.durable_length()))
         log.append(LogRecord(RecordKind.WRITE, 1, key="x", value=1))
@@ -76,7 +78,7 @@ class TestShippedLog:
 
 class TestLogShipper:
     def _wired(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         shipper = LogShipper(log, Courier())
         log.subscribe_force(shipper.ship)
         replica = Replica(1)
@@ -93,7 +95,7 @@ class TestLogShipper:
         assert shipper.lag_records(1) == 0
 
     def test_late_subscriber_catches_up_from_zero(self):
-        log = ShippedLog()
+        log = WriteAheadLog()
         shipper = LogShipper(log, Courier())
         log.subscribe_force(shipper.ship)
         _commit(log, txn_id=10, tn=1)
@@ -130,7 +132,7 @@ class TestLogShipper:
                     return
                 super().dispatch(fn, channel=channel)
 
-        log = ShippedLog()
+        log = WriteAheadLog()
         courier = DroppingCourier()
         shipper = LogShipper(log, courier)
         log.subscribe_force(shipper.ship)

@@ -65,6 +65,15 @@ class TestEventLoop:
         sim.run()
         assert seen == [1, 10]
 
+    def test_the_clock_is_always_a_float(self):
+        """An int ``when`` or ``until`` leaves the clock a float, as a
+        yielded delay does."""
+        sim = Simulator()
+        sim.call_at(5, lambda: None)
+        sim.run()
+        assert sim.now == 5 and type(sim.now) is float
+        assert sim.run(until=7) == 7 and type(sim.now) is float
+
 
 class TestProcesses:
     def test_delay_yields_advance_time(self):

@@ -9,6 +9,7 @@ from repro.histories import assert_one_copy_serializable
 from repro.storage.wal import (
     LogRecord,
     RecordKind,
+    Redo,
     WriteAheadLog,
     install_committed,
     recover,
@@ -249,15 +250,8 @@ class TestIdempotentApply:
         store, _vc = recover(log)
         baseline = _chains(store)
         # Re-apply the whole durable prefix, exactly as a replica would on a
-        # duplicated shipment: stage writes, install on commit.
-        staged: dict[int, list] = {}
-        for record in log.durable_suffix(0):
-            if record.kind is RecordKind.WRITE:
-                staged.setdefault(record.txn_id, []).append(
-                    (record.key, record.value)
-                )
-            elif record.kind is RecordKind.COMMIT:
-                install_committed(store, record.tn, staged.pop(record.txn_id, ()))
+        # duplicated shipment: the one record applier, in log order.
+        Redo(store).replay(log.durable_suffix(0))
         assert _chains(store) == baseline
 
     def test_durable_suffix_bounds(self):
