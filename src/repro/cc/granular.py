@@ -47,6 +47,8 @@ class GranularMode(enum.Enum):
     SIX = "SIX"
     X = "X"
 
+    __hash__ = object.__hash__  # identity, in C: see LockMode
+
 
 _COMPAT: dict[tuple[GranularMode, GranularMode], bool] = {}
 

@@ -122,9 +122,8 @@ class LockTable:
         modes = tuple(modes)
         if any(compatible(a, b) != compatible(b, a) for a in modes for b in modes):
             raise TypeError(f"{cls.__name__}: compatibility must be symmetric")
-        # Identity scans over small tuples: enum members hash through a
-        # Python-level __hash__, so a per-check dict or set probe would cost
-        # more than the comparison it replaces.
+        # Identity scans over small tuples: for two to five modes a scan
+        # costs less than a per-check set probe.
         cls._conflicts = {
             m: tuple(h for h in modes if not compatible(h, m)) for m in modes
         }

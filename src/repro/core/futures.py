@@ -26,7 +26,8 @@ The simulator's loop (``repro.sim.engine.Simulator.run``) is the one driver
 on every hot path; it reads ``_status``, ``_value`` and ``_error`` directly
 instead of through the properties.  The lock path reads ``_status`` the same
 way, to act at once on a lock granted at once (``repro.cc.two_phase``,
-``Distributed2PLDatabase._locked_op``).
+``Distributed2PLDatabase._locked_op``), and so do the distributed message
+handlers that test whether their result is still pending.
 """
 
 from __future__ import annotations
@@ -108,28 +109,34 @@ class OpFuture:
 
     # -- resolution (scheduler side) ----------------------------------------
 
+    # ``resolve`` and ``fail`` are each written out in one frame: every
+    # operation settles through one of them.
+
     def resolve(self, value: Any = None) -> None:
         """Complete the future successfully with ``value``."""
-        self._settle(OpStatus.RESOLVED, value=value)
+        if self._status is not OpStatus.PENDING:
+            raise self._settled_twice(OpStatus.RESOLVED)
+        self._status = OpStatus.RESOLVED
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, ()
+        for callback in callbacks:
+            callback(self)
 
     def fail(self, error: BaseException) -> None:
         """Complete the future with an exception."""
-        self._settle(OpStatus.FAILED, error=error)
-
-    def _settle(
-        self, status: OpStatus, value: Any = None, error: BaseException | None = None
-    ) -> None:
         if self._status is not OpStatus.PENDING:
-            raise RuntimeError(
-                f"future {self.label or '<unnamed>'} settled twice "
-                f"(was {self._status.value}, now {status.value})"
-            )
-        self._status = status
-        self._value = value
+            raise self._settled_twice(OpStatus.FAILED)
+        self._status = OpStatus.FAILED
         self._error = error
         callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
+
+    def _settled_twice(self, status: OpStatus) -> RuntimeError:
+        return RuntimeError(
+            f"future {self.label or '<unnamed>'} settled twice "
+            f"(was {self._status.value}, now {status.value})"
+        )
 
     # -- subscription (driver side) -----------------------------------------
 

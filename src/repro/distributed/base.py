@@ -53,6 +53,9 @@ from repro.storage.wal import (
 class SiteBase:
     """One database site: partition store + lock table + WAL, fail-stop."""
 
+    #: Protocol channel -> this site's courier channel (a shard's: ``2pc.s3``...).
+    channels: dict[str, str] = {name: name for name in ("2pc", "data", "read", "snapshot")}
+
     def __init__(self, site_id: int, waits_for: WaitsForGraph | None = None):
         self.site_id = site_id
         self.store = MVStore()
@@ -79,10 +82,6 @@ class SiteBase:
             self._parked.append(fn)
         else:
             fn()
-
-    def drain_parked(self) -> list[Callable[[], None]]:
-        parked, self._parked = self._parked, []
-        return parked
 
     # -- the per-site commit leg ---------------------------------------------------
 
@@ -285,26 +284,22 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                 return self.sites[int(prefix)]
         return self.sites[(zlib.crc32(str(key).encode()) % len(self.sites)) + 1]
 
-    def _send(self, site: SiteBase, fn: Callable[[], None], channel: str) -> None:
-        """Dispatch a message to ``site``; parks if the site is down."""
-        self.courier.dispatch(partial(site.receive, fn), channel=channel)
-
     def _send_for(
         self, txn: Transaction, site: SiteBase, fn: Callable[[], None], channel: str
     ) -> None:
-        """Dispatch on ``txn``'s behalf, parenting the message span causally.
+        """Dispatch to ``site`` on ``txn``'s behalf, parenting the span causally.
 
         Inside a delivered handler the ambient context (the incoming
         message's span) already names the cause; from client code there is
         none, so the transaction's root span steps in.  Disabled tracer:
-        plain send.
+        plain dispatch, on the courier channel ``site`` names for ``channel``.
         """
         tracer = self.courier.tracer
         if tracer.enabled:
             with activate(tracer, tracer.active_span or txn_context(txn)):
-                self._send(site, fn, channel)
+                self.courier.dispatch(partial(site.receive, fn), site.channels[channel])
         else:
-            self._send(site, fn, channel)
+            self.courier.dispatch(partial(site.receive, fn), site.channels[channel])
 
     # -- begin ----------------------------------------------------------------------
 
@@ -351,7 +346,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         transaction's own staged write); an exclusive lock stages ``value``
         privately until commit.
         """
-        site = self.site_of_key(key)
+        site = self._placement.get(key) or self.site_of_key(key)
         reading = mode is LockMode.SHARED
         record = txn.private
         record.participants.add(site.site_id)
@@ -364,7 +359,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
         def deliver() -> None:
             nonlocal started
-            if started or not txn.is_active or result.done:
+            if started or not txn.is_active or result._status is not OpStatus.PENDING:
                 return
             started = True
             lock = site.locks.acquire(txn.txn_id, key, mode)
@@ -373,14 +368,17 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                 return
 
             def locked(done: OpFuture) -> None:
-                if done.failed:
-                    self._failure_abort(txn, done.error, result)
-                elif not result.done:  # else a fault abort raced the grant
+                if done._status is OpStatus.FAILED:
+                    self._failure_abort(txn, done._error, result)
+                elif result._status is OpStatus.PENDING:  # else a fault abort raced the grant
                     self._act_locked(txn, site, key, reading, value, result)
 
             lock.add_callback(locked)
 
-        self._send_for(txn, site, deliver, channel="data")
+        if self.courier.tracer.enabled:
+            self._send_for(txn, site, deliver, channel="data")
+        else:
+            self.courier.dispatch(partial(site.receive, deliver), site.channels["data"])
         return result
 
     def _act_locked(
@@ -460,7 +458,8 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
     def _send_round(self, participants: list[int], handler: Callable[[int], None]) -> None:
         for sid in participants:
-            self._send(self.sites[sid], partial(handler, sid), channel="2pc")
+            receive = partial(self.sites[sid].receive, partial(handler, sid))
+            self.courier.dispatch(receive, self.sites[sid].channels["2pc"])
 
     def _commit_legs(
         self,
@@ -593,7 +592,8 @@ class Distributed2PLDatabase(TransactionBookkeeping):
                 "fault.recover", site=site_id, **site.recovery_frontier(),
                 incarnation=site.incarnation,
             )
-        for fn in site.drain_parked():
+        parked, site._parked = site._parked, []
+        for fn in parked:
             fn()
 
     def _resync_numbering(self, site: SiteBase, in_doubt: list[Transaction]) -> None:

@@ -24,6 +24,9 @@ mode              construction                latency handling
                                               drawn latency.
 ================  ==========================  ===========================
 
+Latencies are resolved at construction: a number becomes the float each
+message looks up, a callable stays a source drawn once per message.
+
 Messages carry a *channel* label (default ``"default"``).  Manual pumping
 can target one channel, modeling independent network paths whose relative
 ordering is unconstrained — the freedom distributed anomalies need.
@@ -38,7 +41,8 @@ so cross-site work stays on one causal tree.  The seal happens *once*, at
 dispatch — retransmissions and duplicates re-deliver the sealed thunk, so
 a :class:`~repro.faults.FaultyCourier` retry cannot detach the context.
 Mode-specific routing lives in :meth:`Courier._route`, which subclasses
-override; ``dispatch`` itself stays the single sealing point.
+override; ``dispatch`` stays the single sealing point (and schedules a
+simulated delivery in place unless a subclass overrides ``_route``).
 
 :class:`~repro.faults.FaultyCourier` subclasses this to inject drops,
 duplicates, delay spikes and partitions from a seeded schedule.
@@ -83,9 +87,14 @@ class Courier:
         if sim is not None and manual:
             raise ValueError("choose either simulated or manual delivery")
         self._sim = sim
-        self._latency = latency
-        self._channel_latency = dict(channel_latency) if channel_latency else {}
+        self._latency = latency if callable(latency) else float(latency)
+        self._channel_latency = {
+            channel: source if callable(source) else float(source)
+            for channel, source in (channel_latency or {}).items()
+        }
         self._manual = manual
+        #: The simulator ``dispatch`` schedules on in place; None if a subclass re-routes.
+        self._direct = sim if sim is not None and type(self)._route is Courier._route else None
         self._queue: deque[_Message] = deque()
         self._sends = 0  # manual-mode send tick (one per dispatch)
         #: Messages delivered (a cost proxy for the distributed protocols).
@@ -101,9 +110,7 @@ class Courier:
 
     def _draw_latency(self, channel: str = "default") -> float:
         source = self._channel_latency.get(channel, self._latency)
-        if callable(source):
-            return float(source())
-        return float(source)
+        return float(source()) if callable(source) else source
 
     def dispatch(self, fn: Callable[[], None], channel: str = "default") -> None:
         """Deliver ``fn`` per the configured mode.
@@ -117,14 +124,16 @@ class Courier:
         """
         if self.tracer.enabled and self.tracer.active_span is not None:
             fn = bind_envelope(self.tracer, fn, channel)
-        self._route(fn, channel)
+        sim = self._direct
+        if sim is None:
+            return self._route(fn, channel)
+        latency = self._channel_latency.get(channel, self._latency)
+        latency = float(latency()) if callable(latency) else latency
+        sim.call_at(sim.now + latency, partial(self._deliver, fn))
 
     def _route(self, fn: Callable[[], None], channel: str) -> None:
-        """Mode-specific delivery; overridden by the fault-injecting courier."""
-        sim = self._sim
-        if sim is not None:
-            sim.call_at(sim.now + self._draw_latency(channel), partial(self._deliver, fn))
-        elif self._manual:
+        """Manual or immediate delivery; the fault-injecting courier overrides it."""
+        if self._manual:
             self._enqueue(fn, channel, self._draw_latency(channel))
         else:
             self._deliver(fn)

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Hashable
 
-from repro.core.futures import OpFuture
+from repro.core.futures import OpFuture, OpStatus
 from repro.core.transaction import Transaction
 from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
@@ -70,7 +70,7 @@ class Site(SiteBase):
     # -- numbering hooks of the commit leg ----------------------------------------
 
     def _adopt(self, txn_id: int, tn: int) -> None:
-        if self.vc.is_registered(txn_id):
+        if txn_id in self.vc.registered:
             self.vc.adopt(txn_id, tn)
         else:
             # The site crashed after preparing and lost its hold; numbering
@@ -78,23 +78,22 @@ class Site(SiteBase):
             self.vc.observe(tn)
 
     def _complete(self, txn_id: int, tn: int) -> None:
-        if self.vc.is_registered(txn_id):
+        if txn_id in self.vc.registered:
             self.vc.complete(txn_id)
 
     def abort_local(self, txn_id: int) -> None:
-        if self.vc.is_registered(txn_id):
+        if txn_id in self.vc.registered:
             self.vc.discard(txn_id)
             # A discard can empty the queue without advancing vtnc (no
             # observer fires); parked visibility waits must then retry the
             # idle fast-forward themselves.
-            self.reevaluate_waiters()
+            self._on_advance(self.vc.vtnc)
         super().abort_local(txn_id)
 
     def _restart_numbering(self, committed: list[int]) -> None:
         self.vc = DistributedVersionControl(self.site_id)
         self.vc.subscribe(self._on_advance)
-        for tn in committed:
-            self.vc.observe(tn)
+        self.vc.observe(committed[-1] if committed else 0)  # the largest covers them all
 
     def recovery_frontier(self) -> dict[str, int]:
         return {"vtnc": self.vc.vtnc}
@@ -126,16 +125,6 @@ class Site(SiteBase):
             # idle frontier, below a waiter's start number drawn from a
             # busier site.  An idle site may fast-forward (try_advance_to),
             # and nothing else will ever retry it for a parked waiter.
-            self.vc.try_advance_to(max(sn for sn, _ in self._visibility_waiters))
-
-    def reevaluate_waiters(self) -> None:
-        """Re-check parked visibility waits against a recovered VC module."""
-        if not self._visibility_waiters:
-            return
-        self._on_advance(self.vc.vtnc)
-        if self._visibility_waiters:
-            # An idle recovered site may fast-forward; a site with holds
-            # correctly refuses until those commits arrive.
             self.vc.try_advance_to(max(sn for sn, _ in self._visibility_waiters))
 
 
@@ -198,13 +187,13 @@ class DistributedVCDatabase(Distributed2PLDatabase):
     # -- read-only path ------------------------------------------------------------------
 
     def _ro_read(self, txn: Transaction, key: Hashable) -> OpFuture:
-        site = self.site_of_key(key)
+        site = self._placement.get(key) or self.site_of_key(key)
         result = OpFuture(label=("r{}[{}]@s{}", txn.txn_id, key, site.site_id))
         sn = self._ro_start_number(txn, site)
         started = False
 
         def read(_visible: OpFuture | None = None) -> None:
-            if not result.pending:
+            if result._status is not OpStatus.PENDING:
                 return
             try:
                 version = site.store.read_snapshot(key, sn)
@@ -224,7 +213,10 @@ class DistributedVCDatabase(Distributed2PLDatabase):
             else:
                 site.wait_visible(sn).add_callback(read)
 
-        self._send_for(txn, site, deliver, channel="read")
+        if self.courier.tracer.enabled:
+            self._send_for(txn, site, deliver, channel="read")
+        else:
+            self.courier.dispatch(partial(site.receive, deliver), site.channels["read"])
         return result
 
     def _ro_start_number(self, txn: Transaction, site: Site) -> int:
@@ -244,14 +236,18 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         remaining = set(participants)
         commit_span = self._commit_span(txn, result)
 
-        def hold_at(site: Site) -> None:
-            if not site.vc.is_registered(txn.txn_id):
-                holds[site.site_id] = site.vc.hold(txn.txn_id)
+        def hold_at(sid: int) -> None:
+            vc = self.sites[sid].vc
+            if txn.txn_id not in vc.registered:
+                holds[sid] = vc.hold(txn.txn_id)
 
         def prepare_at(sid: int) -> None:
             if txn.is_finished or sid not in remaining:
                 return  # aborted meanwhile, or duplicated delivery
-            self._spanned("2pc.prepare", hold_at, self.sites[sid], txn=txn.txn_id, site=sid)
+            if self.courier.tracer.enabled:
+                self._spanned("2pc.prepare", hold_at, sid, txn=txn.txn_id, site=sid)
+            else:
+                hold_at(sid)
             remaining.discard(sid)
             if not remaining:
                 decide()
@@ -270,6 +266,8 @@ class DistributedVCDatabase(Distributed2PLDatabase):
                 acked(site.site_id)
 
             def leg(site: Site, parent, acked: Callable[[int], None]) -> None:
+                if not self.courier.tracer.enabled:
+                    return commit_here(site, acked)
                 self._spanned(
                     "2pc.commit", commit_here, site, acked,
                     parent=parent, txn=txn.txn_id, site=site.site_id,
@@ -323,14 +321,10 @@ class DistributedVCDatabase(Distributed2PLDatabase):
         durable committed frontier — which the in-doubt commits recovery
         just applied are part of.
         """
-        for other in self.sites.values():
-            for key in other.store.keys():
-                for version in other.store.object(key).versions():
-                    if version.tn:
-                        site.vc.observe(version.tn)
-        for txn in self._active.values():
-            if txn.tn is not None:
-                site.vc.observe(txn.tn)
+        known = [txn.tn for txn in self._active.values() if txn.tn is not None]
+        for store in (other.store for other in self.sites.values()):
+            known += [v.tn for key in store.keys() for v in store.object(key).versions()]
+        site.vc.observe(max(known, default=0))  # observing the largest observes them all
         max_committed = max(
             [txn.tn for txn in in_doubt]
             + [v.tn for key in site.store.keys() for v in site.store.object(key).versions()],
@@ -341,7 +335,8 @@ class DistributedVCDatabase(Distributed2PLDatabase):
 
     def recover_site(self, site_id: int) -> None:
         super().recover_site(site_id)
-        self.sites[site_id].reevaluate_waiters()
+        site = self.sites[site_id]
+        site._on_advance(site.vc.vtnc)  # parked visibility waits re-check the restarted VC
 
     # -- inspection -----------------------------------------------------------------------
 

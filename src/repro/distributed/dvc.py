@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.distributed.gtn import counter_of, make_gtn
+from repro.distributed.gtn import SITE_SPACE
 from repro.errors import InvariantViolation, ProtocolError
 
 
@@ -48,10 +48,13 @@ class DistributedVersionControl:
     """One site's version-control state over global transaction numbers."""
 
     def __init__(self, site_id: int):
+        if not 1 <= site_id < SITE_SPACE:
+            raise ValueError(f"site_id must be in [1, {SITE_SPACE - 1}]")
         self.site_id = site_id
-        self._counter = 1  # local counter component
+        self._counter = 1  # local component of ``counter * SITE_SPACE + site_id``
         self._vtnc = 0
-        self._entries: dict[int, _Entry] = {}
+        #: txn key -> its queue entry while it holds a number here (callers test membership).
+        self.registered: dict[int, _Entry] = {}
         self._order: list[_Entry] = []  # sorted by num
         self._observers: list[Callable[[int], None]] = []
 
@@ -63,13 +66,10 @@ class DistributedVersionControl:
 
     @property
     def next_local_number(self) -> int:
-        return make_gtn(self._counter, self.site_id)
+        return self._counter * SITE_SPACE + self.site_id
 
     def queue_length(self) -> int:
         return len(self._order)
-
-    def is_registered(self, txn_key: int) -> bool:
-        return txn_key in self._entries
 
     def subscribe(self, observer: Callable[[int], None]) -> None:
         """``observer(vtnc)`` fires after every visibility advance."""
@@ -93,26 +93,26 @@ class DistributedVersionControl:
         empty-queue behavior.
         """
         if not self._order:
-            top = make_gtn(self._counter, self.site_id) - 1
+            top = self._counter * SITE_SPACE + self.site_id - 1
             if top > self._vtnc:
                 self._vtnc = top
         return self._vtnc
 
     def hold(self, txn_key: int) -> int:
         """Reserve the next local number for a preparing transaction."""
-        if txn_key in self._entries:
+        if txn_key in self.registered:
             raise ProtocolError(f"transaction {txn_key} already holds a number here")
-        num = make_gtn(self._counter, self.site_id)
+        num = self._counter * SITE_SPACE + self.site_id
         self._counter += 1
         entry = _Entry(txn_key, num)
-        self._entries[txn_key] = entry
+        self.registered[txn_key] = entry
         self._order.append(entry)  # counter is monotone: appends stay sorted
         self._check(appended=True)
         return num
 
     def adopt(self, txn_key: int, final_num: int) -> None:
         """Replace the held number with the coordinator's decided number."""
-        entry = self._entries.get(txn_key)
+        entry = self.registered.get(txn_key)
         if entry is None:
             raise ProtocolError(f"transaction {txn_key} holds no number here")
         if final_num < entry.num:
@@ -122,16 +122,19 @@ class DistributedVersionControl:
         if final_num != entry.num:
             entry.num = final_num
             self._order.sort(key=lambda e: e.num)
-        self.observe(final_num)
+        counter = final_num // SITE_SPACE  # observe(final_num), in place
+        if counter >= self._counter:
+            self._counter = counter + 1
         self._check()
 
     def observe(self, gtn: int) -> None:
         """Lamport advance: future local numbers exceed ``gtn``."""
-        if counter_of(gtn) >= self._counter:
-            self._counter = counter_of(gtn) + 1
+        counter = gtn // SITE_SPACE
+        if counter >= self._counter:
+            self._counter = counter + 1
 
     def complete(self, txn_key: int) -> None:
-        entry = self._entries.get(txn_key)
+        entry = self.registered.get(txn_key)
         if entry is None:
             raise ProtocolError(f"transaction {txn_key} holds no number here")
         entry.completed = True
@@ -139,7 +142,7 @@ class DistributedVersionControl:
         self._check()
 
     def discard(self, txn_key: int) -> None:
-        entry = self._entries.pop(txn_key, None)
+        entry = self.registered.pop(txn_key, None)
         if entry is None:
             raise ProtocolError(f"transaction {txn_key} holds no number here")
         self._order.remove(entry)
@@ -167,11 +170,11 @@ class DistributedVersionControl:
         reached = self._vtnc
         while self._order and self._order[0].completed:
             head = self._order.pop(0)
-            del self._entries[head.txn_key]
+            del self.registered[head.txn_key]
             reached = max(reached, head.num)
         if not self._order:
             # Idle: everything known has completed.
-            reached = max(reached, make_gtn(self._counter, self.site_id) - 1)
+            reached = max(reached, self._counter * SITE_SPACE + self.site_id - 1)
         self._set_vtnc(reached)
 
     def _set_vtnc(self, value: int) -> None:

@@ -178,8 +178,9 @@ class QuorumGate:
     # -- quorum arithmetic ---------------------------------------------------------
 
     def members(self) -> int:
-        """Voting cluster size: this primary plus its subscribed replicas."""
-        return 1 + len(self.shipper.replica_ids())
+        """Voting cluster size: this primary plus its subscribed replicas
+        (the shipper keeps one acked offset per subscribed replica)."""
+        return 1 + len(self.shipper.acked_offset)
 
     def majority(self) -> int:
         return self.members() // 2 + 1

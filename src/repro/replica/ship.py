@@ -54,6 +54,8 @@ class LogShipper:
         self.epoch = epoch
         self.tracer = NULL_TRACER
         self._replicas: dict[int, Any] = {}
+        #: One entry per subscribed replica in each of these three, set by
+        #: ``add_replica`` and dropped by ``remove_replica``.
         self.sent_offset: dict[int, int] = {}
         self.acked_offset: dict[int, int] = {}
         self.acked_vtnc: dict[int, int] = {}
@@ -92,9 +94,6 @@ class LogShipper:
         """Stop shipping entirely (the shipper's primary was deposed)."""
         for rid in list(self._replicas):
             self.remove_replica(rid)
-
-    def replica_ids(self) -> list[int]:
-        return sorted(self._replicas)
 
     # -- shipping ---------------------------------------------------------------
 

@@ -46,7 +46,6 @@ their fast paths never reference the failed one.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Hashable
 
 from repro.core.futures import OpFuture
@@ -174,14 +173,6 @@ class ShardedDatabase(DistributedVCDatabase):
 
     def _place(self, key: Hashable) -> ShardNode:
         return self.sites[self.ring.shard_of(key)]  # type: ignore[return-value]
-
-    def _send(self, site: Site, fn: Callable[[], None], channel: str) -> None:
-        # Per-shard channels: `2pc.s3`, `data.s3`, `read.s3` — the unit a
-        # fault drill partitions to isolate exactly one shard while the
-        # others keep committing.
-        self.courier.dispatch(
-            partial(site.receive, fn), channel=site.channels[channel]  # type: ignore[attr-defined]
-        )
 
     @staticmethod
     def shard_channels(site_id: int) -> list[str]:
@@ -351,6 +342,8 @@ class ShardedDatabase(DistributedVCDatabase):
         def deliver() -> None:
             if txn.tn is not None or txn.is_finished:
                 return
+            if not self.courier.tracer.enabled:
+                return hold_and_commit()
             self._spanned(
                 "shard.fast_commit", hold_and_commit,
                 parent=commit_span.context, txn=txn.txn_id, site=sid,

@@ -339,9 +339,12 @@ class Redo:
 def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     """Rebuild store and version control from the durable log.
 
-    Recovery starts from the last durable CHECKPOINT (if any) — which
-    carries the retained version set and the numbering frontier — and
-    redoes the records after it in log order (:class:`Redo`).  Uncommitted
+    Recovery starts from the last durable CHECKPOINT that carries versions
+    (if any) — the retained version set and the numbering frontier — and
+    redoes the records after it in log order (:class:`Redo`).  A
+    version-less CHECKPOINT (a shard's visibility or xlog marker) is not a
+    restart point: it says nothing of the versions before it, so redo runs
+    over it and takes only its numbering frontier.  Uncommitted
     writes (no durable COMMIT) and aborted transactions leave nothing —
     their versions never existed durably.  The rebuilt ``VersionControl``
     resumes numbering above the highest committed number, with full
@@ -354,7 +357,8 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     records = validate_durable(log)
     start = 0
     for index in range(len(records) - 1, -1, -1):
-        if records[index].kind is RecordKind.CHECKPOINT:
+        record = records[index]
+        if record.kind is RecordKind.CHECKPOINT and record.value["versions"]:
             start = index
             break
     redo = Redo(MVStore())

@@ -126,7 +126,7 @@ def dvc_stream(seed: int) -> tuple[str, int, int, int, int]:
         vc.vtnc,
         vc.next_local_number,
         vc.queue_length(),
-        [key for key in keys if vc.is_registered(key)],
+        [key for key in keys if key in vc.registered],
     )
     digest.update(repr(final).encode())
     return digest.hexdigest(), peak, finishes, discards, fast_forwards

@@ -151,4 +151,4 @@ class TestLogShipper:
         shipper.detach()
         _commit(log, txn_id=10, tn=1)
         assert replica.applied_offset == 0
-        assert shipper.replica_ids() == []
+        assert shipper.acked_offset == {} and shipper.sent_offset == {}

@@ -1,8 +1,11 @@
 """The log-order record applier against the tn-order replay it replaced.
 
 ``replay_committed`` and ``recover`` below are the earlier redo, kept
-verbatim: every committed transaction's write set collected over the whole
-log, then installed in transaction-number order.  :class:`Redo` applies
+verbatim but for one rule: every committed transaction's write set
+collected over the whole log, then installed in transaction-number order,
+from the last checkpoint that carries versions (a version-less marker once
+counted as a restart point too, and recovered a shard's log to an empty
+store).  :class:`Redo` applies
 records in log order instead.  Hypothesis writes the logs the protocols
 write — interleaved WRITE/COMMIT/ABORT, per-site commit legs (WRITE* then
 COMMIT, forced), an in-doubt leg re-applied after a crash (the same
@@ -73,10 +76,10 @@ def replay_committed(store: MVStore, records: Iterable[LogRecord]) -> list[int]:
 def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     """Rebuild store and version control from the durable log.
 
-    Recovery starts from the last durable CHECKPOINT (if any) — which
-    carries the retained version set and the numbering frontier — and
+    Recovery starts from the last durable CHECKPOINT carrying versions (if
+    any) — the retained version set and the numbering frontier — and
     replays committed transactions' writes after it, in transaction-number
-    order.  Uncommitted writes (no durable COMMIT) and aborted transactions
+    order; a version-less marker after it only raises the frontier.  Uncommitted writes (no durable COMMIT) and aborted transactions
     are skipped — their versions never existed durably.  The rebuilt
     ``VersionControl`` resumes numbering above the highest committed
     number, with full visibility (every surviving transaction is complete).
@@ -90,11 +93,14 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     base_versions: list[tuple[Hashable, int, Any]] = []
     base_next_tn = 1
     for index in range(len(records) - 1, -1, -1):
-        if records[index].kind is RecordKind.CHECKPOINT:
+        if records[index].kind is RecordKind.CHECKPOINT and records[index].value["versions"]:
             base_versions = records[index].value["versions"]
             base_next_tn = records[index].value["next_tn"]
             start = index + 1
             break
+    for record in records[start:]:
+        if record.kind is RecordKind.CHECKPOINT:
+            base_next_tn = max(base_next_tn, record.value["next_tn"])
 
     store = MVStore()
     for key, tn, value in base_versions:
@@ -121,7 +127,7 @@ def _chains(store: MVStore) -> dict:
 
 
 @st.composite
-def logs(draw, markers: bool = True) -> WriteAheadLog:
+def logs(draw, markers: bool = True, checkpoints: bool = True) -> WriteAheadLog:
     """A log as the schedulers and sites append it.
 
     Commit numbers are distinct, ascending in log order (one version
@@ -167,7 +173,7 @@ def logs(draw, markers: bool = True) -> WriteAheadLog:
             if legs:
                 txn = draw(st.sampled_from(legs))
                 _log_leg(log, txn, *committed[txn])
-        elif step == "checkpoint" and not any(open_writes.values()):
+        elif step == "checkpoint" and checkpoints and not any(open_writes.values()):
             store = MVStore()
             replay_committed(store, log.all_records())
             versions = [
@@ -274,3 +280,31 @@ def test_a_replica_fed_any_segmentation_ends_with_the_recovered_chains(log, data
     assert replica.applied_offset == len(records)
     store, _vc = wal.recover(log)
     assert _chains(replica.store) == _chains(store)
+
+
+def test_a_marker_is_not_a_restart_point():
+    """A shard's visibility marker after a commit: the commit survives."""
+    log = WriteAheadLog()
+    _log_leg(log, 100, 1, [("x", 1)])
+    log.append(checkpoint_record(2))
+    log.force()
+    store, vc = wal.recover(log)
+    assert _chains(store) == {"x": [(0, None), (1, 1)]}
+    assert (vc.tnc, vc.vtnc) == (2, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs(checkpoints=False))
+def test_a_log_of_commits_and_markers_recovers_every_commit(log):
+    """With no checkpoint carrying versions, recovery redoes the whole
+    durable log — visibility and xlog markers interleaved with the commits
+    only raise the numbering frontier — as the reference does over it."""
+    records = validate_durable(log)
+    store, vc = wal.recover(log)
+    reference = MVStore()
+    tns = replay_committed(reference, records)
+    assert _chains(store) == _chains(reference)
+    floor = max(
+        (r.value["next_tn"] - 1 for r in records if r.kind is RecordKind.CHECKPOINT), default=0
+    )
+    assert vc.tnc == max(floor, tns[-1] if tns else 0) + 1

@@ -36,6 +36,7 @@ from functools import partial
 import repro
 from repro.bench.runner import SimConfig, run_simulation
 from repro.distributed import Courier, DistributedVCDatabase
+from repro.faults import FaultSchedule, FaultSpec, FaultyCourier, RetryPolicy
 from repro.obs.exporters import RingBufferExporter
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.slo import SLOEngine, bench_objectives
@@ -193,7 +194,7 @@ def test_a_warm_uncontended_wal_transaction_builds_no_pending_future():
     # ``transaction`` itself.
     frames = frames_entered(partial(transaction, 2))
     assert commits[1].result() is None and db.store.read_latest_committed("y").value == 2
-    assert not {"OpFuture.__init__", "OpFuture.add_callback", "OpFuture._settle"} & {*frames}
+    assert not {"OpFuture.__init__", "OpFuture.add_callback", "OpFuture.resolve"} & {*frames}
     assert not [name for name in frames if "<locals>" in name]
     assert frames.count("WriteAheadLog.append") == 3  # two WRITEs and the COMMIT
     # 208 when each lock built a pending future and each operation a second
@@ -223,7 +224,80 @@ def distributed_on_a_clock():
     return sim, DistributedVCDatabase(n_sites=3, courier=Courier(sim=sim, latency=1.0))
 
 
-def test_a_two_site_read_write_commit_is_at_most_246_calls():
+def test_a_simulated_hop_enters_four_frames_before_its_handler():
+    """A message to a site at a fixed latency — an int, resolved to the
+    float every message reads when the courier is built — enters
+    ``dispatch``, ``call_at``, then ``_deliver`` and the site's ``receive``:
+    no route, no latency draw, no send wrapper."""
+    sim, db = distributed_on_a_clock()
+    db.courier = Courier(sim=sim, latency=1)
+    arrivals = []
+
+    def handler():
+        arrivals.append(sim.now)
+
+    site = db.sites[2]
+    message = partial(site.receive, handler)
+    frames = frames_entered(
+        lambda: (db.courier.dispatch(message, site.channels["2pc"]), sim.run())
+    )
+    assert arrivals == [1.0] and type(arrivals[0]) is float
+    assert frames[:-1] == [
+        "Courier.dispatch", "Simulator.call_at", "Simulator.run", "Courier._deliver",
+        "SiteBase.receive",
+    ]
+    assert frames[-1].endswith("handler")
+
+
+def test_a_faulty_courier_on_a_clock_still_drops_and_duplicates():
+    """The fault layer overrides ``_route``, so no simulated message skips
+    its schedule: a certain drop is retransmitted after its backoff, a
+    certain duplicate is delivered twice."""
+    def deliveries(spec):
+        sim = Simulator()
+        courier = FaultyCourier(
+            schedule=FaultSchedule(spec, seed=0),
+            retry=RetryPolicy(base=4.0, jitter=0.0, max_attempts=2),
+            sim=sim,
+            latency=1.0,
+        )
+        arrivals = []
+        courier.dispatch(lambda: arrivals.append(sim.now), "2pc")
+        sim.run()
+        return arrivals, courier.schedule.counts
+
+    arrivals, counts = deliveries(FaultSpec(drop=1.0))
+    assert arrivals == [5.0]  # one backoff, then the forced retransmission
+    assert counts.drops == 2 and counts.retries_exhausted == 1
+    arrivals, counts = deliveries(FaultSpec(duplicate=1.0))
+    assert arrivals == [1.0, 6.0] and counts.duplicates == 1  # echo: latency + base
+
+
+def test_a_callable_channel_latency_is_drawn_once_per_message():
+    """A numeric latency is resolved once; a callable one is drawn once per
+    message on its channel, in every mode and through the fault layer."""
+    draws = []
+
+    def slow() -> float:
+        draws.append(1)
+        return 2.0
+
+    sim = Simulator()
+    couriers = [
+        Courier(sim=sim, latency=1.0, channel_latency={"slow": slow}),
+        FaultyCourier(sim=sim, latency=1.0, channel_latency={"slow": slow}),
+        Courier(manual=True, latency=1.0, channel_latency={"slow": slow}),
+    ]
+    for courier in couriers:
+        draws.clear()
+        for channel in ("slow", "fast", "slow", "fast"):
+            courier.dispatch(lambda: None, channel)
+        sim.run()
+        courier.pump()
+        assert len(draws) == 2 and courier.delivered == 4
+
+
+def test_a_two_site_read_write_commit_is_at_most_183_calls():
     """Two writes on two of three sites, then 2PC: 6 messages, 4 WAL
     records, no tracer.  The first run places the keys and opens their
     version chains; the second is measured."""
@@ -247,11 +321,15 @@ def test_a_two_site_read_write_commit_is_at_most_246_calls():
     # 310 when every commit re-placed the write set per site, every record
     # was a dataclass and the 2PC path built spans for a disabled tracer;
     # 266 while each lock request built a pending future and its delivery
-    # subscribed a closure to it.  Measured 246 on CPython 3.10, 3.11 and
-    # 3.12.  Six of the frames are the standard library's: four LogRecord
-    # constructors (namedtuple's generated ``__new__``, a ``<lambda>``) and,
-    # per lock request, the lock mode's ``Enum.__hash__``.
-    assert len(frames) <= 246, frames
+    # subscribed a closure to it; 246 while each message went through one
+    # or two send wrappers, a route and a latency draw, each placed key
+    # through a call, each 2PC handler through a span wrapper, and each
+    # settle and counter bump took two frames.
+    # Measured 183 on CPython 3.10, 3.11 and 3.12.  Four of the frames are
+    # the standard library's: the LogRecord constructors (namedtuple's
+    # generated ``__new__``, a ``<lambda>``); a lock mode hashes in C.
+    assert "Enum.__hash__" not in frames
+    assert len(frames) <= 183, frames
 
 
 def test_a_read_at_an_idle_site_builds_no_future():
@@ -265,11 +343,13 @@ def test_a_read_at_an_idle_site_builds_no_future():
     frames = frames_entered(lambda: (reads.append(db.read(reader, "s1:x")), sim.run()))
     assert reads[0].result() is None
     futures = [name for name in frames if name.startswith("OpFuture")]
-    assert futures == [
-        "OpFuture.__init__", "OpFuture.pending", "OpFuture.resolve", "OpFuture._settle",
-    ]
+    assert futures == ["OpFuture.__init__", "OpFuture.resolve"]
     assert "Site.wait_visible" not in frames
-    assert len(frames) <= 30, frames  # 38 with a resolved future and its callback
+    # 38 with a resolved future and its callback; 29 with two send wrappers,
+    # a route, a latency draw, the ``pending`` property, a two-frame settle
+    # and a placement call for a key already placed.
+    assert "Distributed2PLDatabase.site_of_key" not in frames
+    assert len(frames) <= 22, frames
 
 
 def nested_code(code: types.CodeType):
