@@ -28,6 +28,7 @@ from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason, TransactionAborted
 from repro.histories.recorder import HistoryRecorder
+from repro.obs.instrument import subscribe_version_control
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import start_span
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -51,13 +52,9 @@ class SchedulerCounters:
     and synchronization writes for all protocols at once.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer: Tracer = NULL_TRACER
         #: (event, suffix, kind) -> the counters that canonical event bumps,
         #: resolved on first use: the registry still creates each counter at
         #: its first bump, and no later call formats a name or looks one up.
@@ -173,6 +170,11 @@ class TransactionBookkeeping:
         self.counters = SchedulerCounters()
         self._active: dict[int, Transaction] = {}
 
+    def _trace(self, tracer: Tracer) -> None:
+        """Give ``tracer`` to every part this manager is built from
+        (``NULL_TRACER`` takes it back; see :func:`~repro.obs.attach_tracer`)."""
+        self.counters.tracer = self.recorder.tracer = tracer
+
     def _note_read(self, txn: Transaction, key: Hashable, version_tn: int | None) -> None:
         """``txn`` read ``key`` at ``version_tn``; None is its own staged
         write (-1 in the read set, the final identity in the history)."""
@@ -232,6 +234,11 @@ class Scheduler(TransactionBookkeeping, abc.ABC):
     name: str = "abstract"
     #: Whether the protocol keeps multiple versions (False for SV baselines).
     multiversion: bool = True
+    #: Parts a protocol may be built from; :meth:`_trace` reaches each one set.
+    locks: Any = None
+    gc: Any = None
+    log: Any = None
+    vc: Any = None
 
     def __init__(self) -> None:
         super().__init__()
@@ -243,6 +250,24 @@ class Scheduler(TransactionBookkeeping, abc.ABC):
         #: the paper's fast path must stay unconditional.  Assign after
         #: construction (``scheduler.admission = AdmissionController(...)``).
         self.admission = None
+        self._vc_observer = None  # the VC bridge subscribed by _trace
+
+    def _trace(self, tracer: Tracer) -> None:
+        super()._trace(tracer)
+        self.tracer = tracer
+        for part in (self.admission, self.gc, self.log):
+            if part is not None:
+                part.tracer = tracer
+        if self.locks is not None:
+            self.locks.tracer = self.locks.waits_for.tracer = tracer
+        if self.vc is not None:
+            self._bridge_vc(tracer)
+
+    def _bridge_vc(self, tracer: Tracer) -> None:
+        """VC events ride the module's observer hook: swap the bridge."""
+        if self._vc_observer is not None:
+            self.vc.unsubscribe(self._vc_observer)
+        self._vc_observer = subscribe_version_control(self.vc, tracer)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.core.transaction import Transaction, TxnClass
 from repro.distributed.courier import Courier
 from repro.errors import AbortReason, ProtocolError, TransactionAborted
 from repro.obs.spans import NULL_SPAN, NullSpan, Span, activate, start_span, txn_context
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.mvstore import MVStore
 from repro.storage.wal import (
     LogRecord,
@@ -63,6 +63,8 @@ class SiteBase:
         self.locks = LockManager(waits_for=waits_for)
         self.wal = WriteAheadLog()
         self._waits_for = waits_for
+        #: The database's tracer, given by :meth:`_trace`.
+        self.tracer: Tracer = NULL_TRACER
         #: True between crash() and recovery: messages park, operations wait.
         self.crashed = False
         #: Bumped on every crash — invariant checkers track visibility
@@ -73,6 +75,9 @@ class SiteBase:
         #: Messages that arrived while the site was down; recovery replays
         #: them (the network redelivers once the node is reachable again).
         self._parked: list[Callable[[], None]] = []
+
+    def _trace(self, tracer: Tracer) -> None:
+        self.tracer = self.locks.tracer = self.wal.tracer = tracer
 
     # -- message arrival ---------------------------------------------------------
 
@@ -147,7 +152,7 @@ class SiteBase:
 
     # -- crash / recovery ----------------------------------------------------------
 
-    def crash(self, tracer: Tracer) -> int:
+    def crash(self) -> int:
         """Fail-stop: the volatile WAL tail and the lock table are lost.
 
         Pending lock requests fail with ``SITE_FAILURE`` (their holders'
@@ -157,8 +162,8 @@ class SiteBase:
         lost = self.wal.crash()
         self.crashed = True
         self.incarnation += 1
-        if tracer.enabled:
-            tracer.emit(
+        if self.tracer.enabled:
+            self.tracer.emit(
                 "fault.crash", site=self.site_id, lost_records=lost,
                 incarnation=self.incarnation,
             )
@@ -180,12 +185,15 @@ class SiteBase:
         uncommitted WRITE records (no durable COMMIT) leave nothing; a torn
         tail is the durable boundary; a malformed mid-log record raises
         :class:`~repro.errors.CorruptLogError`.  The site stays ``crashed``
-        — the database reopens it once in-doubt commits are applied.
+        — the database reopens it once in-doubt commits are applied.  The
+        rebuilt parts are traced before anything can use them.
         """
         self.store = MVStore()
         committed = Redo(self.store).replay(validate_durable(self.wal))
+        self.locks.tracer = NULL_TRACER
         self.locks = LockManager(waits_for=self._waits_for)
         self._restart_numbering(committed)
+        self._trace(self.tracer)
 
     def _restart_numbering(self, committed: list[int]) -> None:
         """Numbering hook: rebuild from the durable commit numbers (ascending)."""
@@ -258,6 +266,13 @@ class Distributed2PLDatabase(TransactionBookkeeping):
 
     def _build_site(self, sid: int) -> SiteBase:
         raise NotImplementedError
+
+    def _trace(self, tracer: Tracer) -> None:
+        """The courier carries the database's tracer; each site its own parts."""
+        super()._trace(tracer)
+        self.courier.tracer = tracer
+        for site in self.sites.values():
+            site._trace(tracer)
 
     # -- placement and messaging ---------------------------------------------------
 
@@ -553,7 +568,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         # an abort releases the holder's locks, and a release against a
         # half-crashed table could grant a queued request that the crash
         # is about to erase.
-        lost = self.sites[site_id].crash(self.courier.tracer)
+        lost = self.sites[site_id].crash()
         for txn in list(self._active.values()):
             if site_id in txn.private.participants and txn.tn is None:
                 self._fault_abort(

@@ -55,6 +55,8 @@ from repro.distributed.base import Distributed2PLDatabase, SiteBase
 from repro.distributed.courier import Courier
 from repro.distributed.dvc import DistributedVersionControl
 from repro.errors import AbortReason, VersionNotFound
+from repro.obs.instrument import subscribe_distributed_site_vc
+from repro.obs.tracer import Tracer
 
 
 class Site(SiteBase):
@@ -66,6 +68,12 @@ class Site(SiteBase):
         #: Read-only waits parked on this site's visibility: (sn, future).
         self._visibility_waiters: list[tuple[int, OpFuture]] = []
         self.vc.subscribe(self._on_advance)
+        self._vc_observer = None  # the ``dvc.advance`` bridge, once traced
+
+    def _trace(self, tracer: Tracer) -> None:
+        super()._trace(tracer)
+        self.vc.unsubscribe(self._vc_observer)
+        self._vc_observer = subscribe_distributed_site_vc(self, tracer)
 
     # -- numbering hooks of the commit leg ----------------------------------------
 
@@ -91,6 +99,7 @@ class Site(SiteBase):
         super().abort_local(txn_id)
 
     def _restart_numbering(self, committed: list[int]) -> None:
+        self.vc.unsubscribe(self._vc_observer)  # the dropped VC goes quiet
         self.vc = DistributedVersionControl(self.site_id)
         self.vc.subscribe(self._on_advance)
         self.vc.observe(committed[-1] if committed else 0)  # the largest covers them all

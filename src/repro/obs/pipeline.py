@@ -85,8 +85,8 @@ class ObsPipeline:
         """Wire the pipeline's tracer through ``target`` (see
         :func:`repro.obs.instrument.attach_tracer`); detached on close.
 
-        Safe to call repeatedly — e.g. to re-attach a replica cluster after
-        a fail-over rebuilt its primary and shipper.
+        Once per topology: the target keeps tracing the parts it rebuilds
+        (a restarted site, a promoted primary), so nothing re-attaches.
         """
         handle = attach_tracer(target, self.tracer)
         self._handles.append(handle)

@@ -33,6 +33,7 @@ from repro.core.transaction import Transaction, TxnState
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
 from repro.errors import AbortReason
+from repro.obs.tracer import Tracer
 from repro.protocols.vc_optimistic import VCOCCScheduler
 from repro.protocols.vc_two_phase_locking import VC2PLScheduler
 from repro.storage.mvstore import MVStore
@@ -48,6 +49,9 @@ class _AdaptiveEngineMixin:
     """
 
     _parent: "AdaptiveVCScheduler"
+
+    def _bridge_vc(self, tracer: Tracer) -> None:
+        """The VC is the parent's: it bridges it once."""
 
     def _finish(self, txn: Transaction) -> None:
         # begin() ran on the parent: it holds the admission token to return.
@@ -115,6 +119,11 @@ class AdaptiveVCScheduler(VersionControlledScheduler):
         self.low_watermark = low_watermark
         #: Completed mode switches, as (at_rw_commit_count, new_mode) pairs.
         self.switches: list[tuple[int, str]] = []
+
+    def _trace(self, tracer: Tracer) -> None:
+        super()._trace(tracer)
+        for engine in self._engines.values():
+            engine._trace(tracer)
 
     # -- policy ---------------------------------------------------------------
 

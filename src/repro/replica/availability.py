@@ -308,11 +308,6 @@ def _run_phase(
         for channel in held_channels:
             courier.heal(channel)
         held_channels.clear()
-        # Silence the deposed-but-alive primary's recorder (attach stacks
-        # handles; without the detach its post-promotion events would keep
-        # flowing and the witness would see two timelines).
-        run.pipeline.detach()
-        run.pipeline.attach(cluster)
 
     supervisor.start()
     cluster.on_promote.append(after_promotion)

@@ -187,8 +187,7 @@ def _run_phase(
     ``0.55 * duration``.  ``engine`` is an optional
     :class:`~repro.obs.slo.SLOEngine` — and ``witness`` an optional
     :class:`~repro.obs.witness.WitnessEngine` — fed online through an
-    :class:`~repro.obs.ObsPipeline` attached to the cluster (and
-    re-attached after a fail-over rebuilds the primary and shipper)."""
+    :class:`~repro.obs.ObsPipeline` attached to the cluster."""
     run = PhaseRun(seed, engine=engine, witness=witness)
     sim, streams, tracer = run.sim, run.streams, run.tracer
     windows = _partition_windows(streams, duration, n_replicas)
@@ -305,9 +304,6 @@ def _run_phase(
         promoted_vtnc = cluster.last_failover["promoted_vtnc"]
         stats.rpo_txns = sum(1 for tn in acked_tns if tn > promoted_vtnc)
         stats.failover_lag_txns = cluster.last_failover["lag_txns"]
-        # fail_over() built a fresh primary and shipper; re-attach so
-        # post-promotion events keep flowing to the watchdogs.
-        run.pipeline.attach(cluster)
         check_watermarks()
 
     run.spawn("writer", WRITERS, writer)

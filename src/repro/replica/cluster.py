@@ -46,7 +46,7 @@ from repro.errors import (
     QuorumUnavailable,
     TransactionAborted,
 )
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.protocols.recoverable import RecoverableVC2PLScheduler
 from repro.replica.node import Replica
 from repro.replica.quorum import QuorumGate, QuorumVC2PLScheduler, ReplicationMode
@@ -72,8 +72,7 @@ class ReplicaCluster:
         self.replicas: dict[int, Replica] = {}
         self.promotions = 0
         #: Promotion hooks, fired at the end of every :meth:`fail_over` with
-        #: the promoted replica — the supervisor re-arms here, campaigns
-        #: re-attach observability here.
+        #: the promoted replica — the supervisor re-arms here.
         self.on_promote: list[Callable[[Replica], None]] = []
         #: Details of the most recent fail-over (epochs, watermarks, lag).
         self.last_failover: dict | None = None
@@ -83,10 +82,32 @@ class ReplicaCluster:
         self._next_rid = 1
         self._rr = 0  # round-robin cursor for pick_replica
         self.gate: QuorumGate | None = None
+        #: The replica the last fail-over promoted: its log is the primary's,
+        #: and it fences the deposed primary's in-flight segments.
+        self._promoted: Replica | None = None
         self._ship_token: int | None = None
         self._build_primary(WriteAheadLog())
         for _ in range(n_replicas):
             self.add_replica()
+
+    def _trace(self, tracer: Tracer) -> None:
+        """Counters, courier, the primary's incarnation, the supervisor and
+        every replica; a fail-over silences what it deposes."""
+        self.tracer = self.counters.tracer = self.courier.tracer = tracer
+        self._trace_primary(tracer)
+        if self.supervisor is not None:
+            self.supervisor.tracer = tracer
+        for replica in self.replicas.values():
+            replica._trace(tracer)
+
+    def _trace_primary(self, tracer: Tracer) -> None:
+        """The primary's incarnation: scheduler, shipper, gate, promoted replica."""
+        self.primary._trace(tracer)
+        self.shipper.tracer = tracer
+        if self.gate is not None:
+            self.gate.tracer = tracer
+        if self._promoted is not None:
+            self._promoted._trace(tracer)
 
     # -- primary construction ------------------------------------------------------
 
@@ -105,13 +126,13 @@ class ReplicaCluster:
                 epoch=self.epoch,
                 counters=self.counters,
             )
-            self.gate.tracer = self.tracer
             self.primary = QuorumVC2PLScheduler(gate=self.gate, **kwargs)
             if self._lease_config is not None:
                 self._apply_lease_config()
         else:
             self.gate = None
             self.primary = RecoverableVC2PLScheduler(**kwargs)
+        self._trace_primary(self.tracer)
 
     def arm_lease(self, config) -> None:
         """Arm the quorum lease per a :class:`~repro.replica.detect.
@@ -132,6 +153,7 @@ class ReplicaCluster:
     def add_replica(self) -> Replica:
         """Create, subscribe, and catch up a fresh replica."""
         replica = Replica(self._next_rid)
+        replica._trace(self.tracer)
         replica.epoch = self.epoch
         self._next_rid += 1
         self.replicas[replica.replica_id] = replica
@@ -240,6 +262,10 @@ class ReplicaCluster:
                     "diverge the survivors"
                 )
         del self.replicas[chosen.replica_id]
+        # The deposed incarnation leaves the topology: none of it may emit
+        # from here on, even a primary left running (``crash_old=False``).
+        self._trace_primary(NULL_TRACER)
+        self._promoted = chosen
 
         # The recovery path, reused verbatim: the promoted replica's applied
         # log is a durable prefix of the old primary's log.

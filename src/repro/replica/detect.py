@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.obs.tracer import NULL_TRACER
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class ClusterSupervisor:
         self.config = config if config is not None else HeartbeatConfig()
         self.until = until
         self.crash_old = crash_old
-        self.tracer = NULL_TRACER
+        self.tracer = cluster.tracer  # a part of the cluster from here on
         self.counters = cluster.counters
         self.active = False
         self.auto_promotions = 0
@@ -231,9 +230,8 @@ class ClusterSupervisor:
         if not self.active or epoch != self.cluster.epoch:
             return
         self.counters.bump("detect.hb_acks")
-        gate = getattr(self.cluster.primary, "gate", None)
-        if gate is not None:
-            gate.note_contact(rid)
+        if self.cluster.gate is not None:
+            self.cluster.gate.note_contact(rid)
 
     def on_vote(self, rid: int, epoch: int) -> None:
         """A replica's deposal vote against the primary of ``epoch``."""

@@ -31,7 +31,7 @@ from repro.core.futures import OpFuture, resolved
 from repro.core.interface import SchedulerCounters
 from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason, ProtocolError
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.mvstore import MVStore
 from repro.storage.wal import LogRecord, RecordKind, Redo, WriteAheadLog
 
@@ -70,6 +70,10 @@ class Replica:
         self._applied_above: set[int] = set()
         #: Out-of-order segments keyed by their start offset.
         self._pending: dict[int, list[LogRecord]] = {}
+
+    def _trace(self, tracer: Tracer) -> None:
+        """Give ``tracer`` to this replica and its counters."""
+        self.tracer = self.counters.tracer = tracer
 
     # -- log application ----------------------------------------------------------
 

@@ -258,10 +258,6 @@ def _run_phase(
         stats.lost_records = db.fail_over_shard(fail_shard)
         for channel in ShardedDatabase.shard_channels(fail_shard):
             courier.heal(channel)
-        # Recovery rebuilt the failed shard's VC object; re-attach so the
-        # per-site watermark bridge follows the new incarnation.
-        run.pipeline.detach()
-        run.pipeline.attach(db)
         stats.failover_at = sim.now
 
     run.spawn("writer", WRITERS, writer)

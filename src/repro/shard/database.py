@@ -54,6 +54,7 @@ from repro.distributed.courier import Courier
 from repro.distributed.database import DistributedVCDatabase, Site
 from repro.distributed.gtn import counter_of
 from repro.errors import ProtocolError
+from repro.obs.tracer import Tracer
 from repro.replica.node import Replica
 from repro.replica.ship import LogShipper
 from repro.shard.ring import HashRing
@@ -105,6 +106,13 @@ class ShardNode(Site):
         self.channels = dict(zip(CHANNELS, ShardedDatabase.shard_channels(site_id)))
         self.vc.subscribe(self._on_visibility)
 
+    def _trace(self, tracer: Tracer) -> None:
+        super()._trace(tracer)
+        if self.shipper is not None:
+            self.shipper.tracer = tracer
+        for replica in self.replicas.values():
+            replica._trace(tracer)
+
     def _on_visibility(self, vtnc: int) -> None:
         """Publish a visibility advance to the replica chain.
 
@@ -122,18 +130,20 @@ class ShardNode(Site):
         self.wal.append(checkpoint_record(vtnc + 1))
         self.wal.force()
 
-    def recover(self) -> None:
-        """WAL replay, plus the shard extras a plain site does not carry.
+    def _restart_numbering(self, committed: list[int]) -> None:
+        super()._restart_numbering(committed)
+        self.vc.subscribe(self._on_visibility)  # the rebuilt VC feeds the replicas too
 
-        The base replay rebuilds store and VC (re-subscribing only the
-        visibility-waiter observer); the shard re-subscribes the marker
-        observer and rebuilds ``xlog`` from the durable CHECKPOINT records
-        that carry one — the crash-survival property the snapshot-vector
-        sweep depends on (a commit visible here must have its xlog entry
-        here, or a tear during the co-participant's lag would go unseen).
+    def recover(self) -> None:
+        """WAL replay, plus the shard extra a plain site does not carry.
+
+        The base replay rebuilds store and VC; the shard rebuilds ``xlog``
+        from the durable CHECKPOINT records that carry one — the
+        crash-survival property the snapshot-vector sweep depends on (a
+        commit visible here must have its xlog entry here, or a tear during
+        the co-participant's lag would go unseen).
         """
         super().recover()
-        self.vc.subscribe(self._on_visibility)
         self.xlog = []
         for record in validate_durable(self.wal):
             if record.kind is RecordKind.CHECKPOINT and "xlog" in (record.value or {}):
@@ -393,10 +403,12 @@ class ShardedDatabase(DistributedVCDatabase):
             node: ShardNode = site  # type: ignore[assignment]
             if node.shipper is None:
                 node.shipper = LogShipper(node.wal, self.courier, epoch=node.epoch)
+                node.shipper.tracer = node.tracer
                 node.wal.subscribe_force(node.shipper.ship)
             for _ in range(per_shard):
                 self._next_replica_id += 1
                 replica = Replica(self._next_replica_id)
+                replica._trace(node.tracer)
                 replica.epoch = node.epoch
                 node.replicas[replica.replica_id] = replica
                 node.shipper.add_replica(replica)

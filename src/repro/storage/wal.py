@@ -158,22 +158,19 @@ class WriteAheadLog:
         return lost
 
     def truncate_before_checkpoint(self) -> int:
-        """Drop durable records preceding the last durable CHECKPOINT.
+        """Drop the durable records before :func:`recover`'s restart point.
 
-        Returns the number of records dropped.  Safe because the checkpoint
-        record carries everything recovery needs up to its position.
+        Returns the number of records dropped.  Safe because that
+        checkpoint carries everything recovery needs up to its position; a
+        version-less marker is never a cut (see :func:`_restart_point`).
         """
-        last_ckpt = None
-        for index in range(self._durable - 1, -1, -1):
-            if self._records[index].kind is RecordKind.CHECKPOINT:
-                last_ckpt = index
-                break
-        if last_ckpt is None or last_ckpt == 0:
+        start = _restart_point(validate_durable(self))
+        if start == 0:
             return 0
-        del self._records[:last_ckpt]
-        self._durable -= last_ckpt
-        self._torn = {i - last_ckpt for i in self._torn if i >= last_ckpt}
-        return last_ckpt
+        del self._records[:start]
+        self._durable -= start
+        self._torn = {i - start for i in self._torn if i >= start}
+        return start
 
     def durable_records(self) -> list[LogRecord]:
         return list(self._records[: self._durable])
@@ -355,16 +352,24 @@ def recover(log: WriteAheadLog) -> tuple[MVStore, VersionControl]:
     :class:`~repro.errors.CorruptLogError`.
     """
     records = validate_durable(log)
-    start = 0
+    redo = Redo(MVStore())
+    committed = redo.replay(records[_restart_point(records):])
+    max_tn = max(redo.floor, committed[-1] if committed else 0)
+    return redo.store, VersionControl(first_tn=max_tn + 1)
+
+
+def _restart_point(records: list[LogRecord]) -> int:
+    """Index of the last CHECKPOINT in ``records`` that carries versions —
+    where recovery starts and before which truncation may cut — or 0.
+
+    A version-less CHECKPOINT (a shard's visibility or xlog marker) says
+    nothing of the versions before it, so it is never a restart point.
+    """
     for index in range(len(records) - 1, -1, -1):
         record = records[index]
         if record.kind is RecordKind.CHECKPOINT and record.value["versions"]:
-            start = index
-            break
-    redo = Redo(MVStore())
-    committed = redo.replay(records[start:])
-    max_tn = max(redo.floor, committed[-1] if committed else 0)
-    return redo.store, VersionControl(first_tn=max_tn + 1)
+            return index
+    return 0
 
 
 def redo_summary(records: Iterable[LogRecord]) -> dict[str, int]:

@@ -1,8 +1,14 @@
-"""attach_tracer / detach across the scheduler component graph."""
+"""attach_tracer / detach across the scheduler component graph, and the
+parts a topology builds or drops after the attach."""
 
+from repro.cc.locks import LockMode
+from repro.distributed import DistributedVCDatabase
+from repro.distributed.courier import Courier
 from repro.obs import NULL_TRACER, RingBufferExporter, Tracer, attach_tracer
 from repro.obs.instrument import subscribe_version_control
 from repro.protocols.registry import make_scheduler
+from repro.replica.cluster import ReplicaCluster
+from repro.replica.quorum import ReplicationMode
 
 
 def traced(name="vc-2pl"):
@@ -105,3 +111,122 @@ class TestNullTracerAttach:
         handle = attach_tracer(db, NULL_TRACER)
         assert db.vc._observers == []
         handle.detach()
+
+
+def ring_tracer():
+    ring = RingBufferExporter()
+    return ring, Tracer(exporters=[ring])
+
+
+def names_after(ring, mark):
+    return [e["name"] for e in ring.events()[mark:]]
+
+
+class TestRestartedSite:
+    """Recovery rebuilds a site's lock manager and VC; one attach must keep
+    seeing the site (the traced fault drill used to go dark on every site
+    it restarted, and the witness's min-over-sites floor stuck there)."""
+
+    def test_a_restarted_dvc_site_keeps_emitting(self):
+        db = DistributedVCDatabase(n_sites=2)
+        ring, tracer = ring_tracer()
+        handle = attach_tracer(db, tracer)
+        db.crash_restart_site(1)
+        mark = len(ring.events())
+        t = db.begin()
+        db.write(t, "s1:x", 1).result()
+        db.commit(t).result()
+        after = ring.events()[mark:]
+        assert {"lock.grant", "lock.release"} <= {e["name"] for e in after}
+        assert any(
+            e["name"] == "dvc.advance" and e["site"] == 1 and e["vtnc"] >= t.tn
+            for e in after
+        )
+        handle.detach()
+
+    def test_a_replaced_lock_manager_emits_nothing(self):
+        db = DistributedVCDatabase(n_sites=2)
+        ring, tracer = ring_tracer()
+        handle = attach_tracer(db, tracer)
+        replaced = db.sites[1].locks
+        db.crash_restart_site(1)
+        assert db.sites[1].locks.tracer is tracer
+        mark = len(ring.events())
+        replaced.acquire(999, "s1:x", LockMode.EXCLUSIVE)
+        replaced.release_all(999)
+        assert names_after(ring, mark) == []
+        handle.detach()
+
+
+def _commit(db, key, value):
+    txn = db.begin()
+    db.write(txn, key, value).result()
+    db.commit(txn).result()
+    return txn
+
+
+class TestFailedOverCluster:
+    """A fail-over builds a primary, shipper and gate: traced from birth.
+    What it deposes goes quiet, and detach still reaches every part."""
+
+    def _traced_cluster(self, **kwargs):
+        cluster = ReplicaCluster(n_replicas=2, **kwargs)
+        ring, tracer = ring_tracer()
+        return cluster, ring, tracer, attach_tracer(cluster, tracer)
+
+    def test_promoted_primary_new_shipper_and_late_replica_are_traced(self):
+        cluster, ring, tracer, handle = self._traced_cluster()
+        _commit(cluster.primary, "x", 1)
+        cluster.fail_over()
+        late = cluster.add_replica()
+        assert cluster.primary.tracer is tracer
+        assert cluster.shipper.tracer is tracer
+        assert late.tracer is tracer and late.counters.tracer is tracer
+        mark = len(ring.events())
+        txn = _commit(cluster.primary, "y", 2)
+        after = ring.events()[mark:]
+        assert any(e["name"] == "txn.commit" and e["txn"] == txn.txn_id for e in after)
+        assert any(e["name"] == "vc.advance" and e["number"] == txn.tn for e in after)
+        shipped_to = {e["replica"] for e in after if e["name"] == "replica.ship"}
+        assert late.replica_id in shipped_to
+        handle.detach()
+
+    def test_quorum_fail_over_traces_the_new_gate(self):
+        cluster, _, tracer, handle = self._traced_cluster(
+            courier=Courier(manual=True), mode=ReplicationMode.QUORUM
+        )
+        old_gate = cluster.gate
+        cluster.fail_over(crash_old=True)
+        assert cluster.gate is not old_gate and cluster.gate.tracer is tracer
+        assert old_gate.tracer is NULL_TRACER
+        handle.detach()
+
+    def test_a_deposed_primary_left_running_emits_nothing(self):
+        cluster, ring, _, handle = self._traced_cluster()
+        deposed = cluster.primary
+        cluster.fail_over(crash_old=False)
+        mark = len(ring.events())
+        _commit(deposed, "pinned", 1)
+        # Only the survivors speak: they fence the deposed primary's segment.
+        assert set(names_after(ring, mark)) == {"replica.segment_stale"}
+        handle.detach()
+
+    def test_detach_after_a_fail_over_leaves_no_part_traced(self):
+        cluster, ring, tracer, handle = self._traced_cluster()
+        deposed = cluster.primary
+        _commit(deposed, "x", 1)
+        promoted = cluster.fail_over()
+        cluster.add_replica()
+        parts = [
+            cluster, cluster.counters, cluster.courier, cluster.shipper,
+            promoted, cluster.primary, cluster.primary.counters,
+            cluster.primary.locks, cluster.primary.log, *cluster.replicas.values(),
+        ]
+        assert [part for part in parts if part.tracer is not tracer] == []
+        assert deposed.tracer is deposed.log.tracer is NULL_TRACER
+        handle.detach()
+        assert [part for part in parts if part.tracer is not NULL_TRACER] == []
+        assert cluster.primary.vc._observers == []
+        mark = len(ring.events())
+        _commit(cluster.primary, "y", 2)
+        assert names_after(ring, mark) == []

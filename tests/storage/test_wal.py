@@ -11,6 +11,7 @@ from repro.storage.wal import (
     RecordKind,
     Redo,
     WriteAheadLog,
+    checkpoint_record,
     install_committed,
     recover,
     redo_summary,
@@ -343,6 +344,19 @@ class TestCheckpointing:
         with pytest.raises(Exception, match="in-flight"):
             db.checkpoint()
         db.abort(t)
+
+    def test_truncation_never_cuts_at_a_version_less_marker(self):
+        log = WriteAheadLog()
+        log.append(LogRecord(RecordKind.WRITE, 100, key="x", value=1))
+        log.append(LogRecord(RecordKind.COMMIT, 100, tn=1))
+        log.force()
+        log.append(checkpoint_record(2))
+        log.force()
+        store, vc = recover(log)
+        assert store.read_latest_committed("x").value == 1 and (vc.tnc, vc.vtnc) == (2, 1)
+        assert log.truncate_before_checkpoint() == 0
+        store, vc = recover(log)
+        assert store.read_latest_committed("x").value == 1 and (vc.tnc, vc.vtnc) == (2, 1)
 
     def test_checkpoint_without_truncation(self):
         db = self._loaded_db(commits=2)
