@@ -126,9 +126,7 @@ class WaitsForGraph:
         if cycle is None:
             self._unsearched.clear()
         elif self.tracer.enabled:
-            self.tracer.emit(
-                "deadlock.detect", cycle=list(cycle), edges=len(self._edges)
-            )
+            self.tracer.emit("deadlock.detect", list(cycle), len(self._edges))
         return cycle
 
     def _returns_to(self, requester: int) -> bool:

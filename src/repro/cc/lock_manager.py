@@ -266,11 +266,11 @@ class LockTable:
         if self.tracer.enabled:
             self.tracer.emit(
                 "lock.block",
-                txn=txn_id,
-                key=resource,
-                mode=target.value,
-                upgrade=upgrade,
-                holders=[h for h in state.granted if h != txn_id],
+                txn_id,
+                resource,
+                target.value,
+                upgrade,
+                [h for h in state.granted if h != txn_id],
             )
         if self._on_block is not None:
             self._on_block(txn_id, resource)
@@ -292,9 +292,7 @@ class LockTable:
         self._held.setdefault(txn_id, {})[resource] = mode
         self.grants += 1
         if self.tracer.enabled:
-            self.tracer.emit(
-                "lock.grant", txn=txn_id, key=resource, mode=mode.value, waited=waited
-            )
+            self.tracer.emit("lock.grant", txn_id, resource, mode.value, waited)
 
     @staticmethod
     def _blockers(state: _LockState, request: _Request) -> list[int]:
@@ -316,7 +314,7 @@ class LockTable:
         self._withdraw(txn_id)
         held = self._held.pop(txn_id, {})
         if self.tracer.enabled and held:
-            self.tracer.emit("lock.release", txn=txn_id, keys=sorted(held, key=repr))
+            self.tracer.emit("lock.release", txn_id, sorted(held, key=repr))
         for resource in self._release_order(held):
             self._table[resource].granted.pop(txn_id, None)
             self._grant_scan(resource)
@@ -384,10 +382,10 @@ class LockTable:
             if self.tracer.enabled:
                 self.tracer.emit(
                     "qos.deadline.lock",
-                    txn=request.txn_id,
-                    key=request.resource,
-                    deadline=request.deadline,
-                    now=now,
+                    request.txn_id,
+                    request.resource,
+                    request.deadline,
+                    now,
                 )
             expired.append(request.txn_id)
             self._grant_scan(request.resource)
@@ -429,7 +427,7 @@ class LockTable:
         for txn_id in failed_waiters:
             self.waits_for.remove_waiter(txn_id)
         if self.tracer.enabled and pending:
-            self.tracer.emit("lock.crash", failed_waiters=failed_waiters)
+            self.tracer.emit("lock.crash", failed_waiters)
         for request in pending:
             request.future.fail(error_for(request.txn_id))
         return failed_waiters
@@ -443,12 +441,7 @@ class LockTable:
         victim = choose_victim(cycle, self.victim_policy, requester)
         self.deadlocks += 1
         if self.tracer.enabled:
-            self.tracer.emit(
-                "lock.deadlock",
-                victim=victim,
-                cycle=list(cycle),
-                policy=self.victim_policy,
-            )
+            self.tracer.emit("lock.deadlock", victim, list(cycle), self.victim_policy)
         if self._on_deadlock is not None:
             self._on_deadlock(victim, cycle)
         evicted = self._withdraw(victim, DeadlockError(victim, tuple(cycle)))

@@ -100,7 +100,7 @@ class SchedulerCounters:
             txn.span = start_span(
                 self.tracer, "txn", parent=None, txn=txn.txn_id, cls=suffix
             )
-            self.tracer.emit("txn.begin", txn=txn.txn_id, cls=suffix)
+            self.tracer.emit("txn.begin", txn.txn_id, suffix)
 
     def _end_txn_span(self, txn: Transaction, ok: bool, **fields: Any) -> None:
         span, txn.span = txn.span, None
@@ -110,7 +110,7 @@ class SchedulerCounters:
     def note_commit(self, txn: Transaction) -> None:
         suffix = self._count("commit", txn)
         if self.tracer.enabled:
-            self.tracer.emit("txn.commit", txn=txn.txn_id, cls=suffix, tn=txn.tn)
+            self.tracer.emit("txn.commit", txn.txn_id, suffix, txn.tn)
         self._end_txn_span(txn, ok=True)
 
     def note_abort(self, txn: Transaction, reason: AbortReason, caused_by_readonly: bool) -> None:
@@ -120,10 +120,10 @@ class SchedulerCounters:
         if self.tracer.enabled:
             self.tracer.emit(
                 "txn.abort",
-                txn=txn.txn_id,
-                cls=suffix,
-                reason=reason.value,
-                ro_caused=caused_by_readonly,
+                txn.txn_id,
+                suffix,
+                reason.value,
+                caused_by_readonly,
             )
         self._end_txn_span(txn, ok=False, reason=reason.value)
 
@@ -131,18 +131,18 @@ class SchedulerCounters:
         """One call into the concurrency-control component for ``txn``."""
         suffix = self._count("cc", txn, kind)
         if self.tracer.enabled:
-            self.tracer.emit("cc.call", txn=txn.txn_id, cls=suffix, kind=kind)
+            self.tracer.emit("cc.call", txn.txn_id, suffix, kind)
 
     def note_vc_interaction(self, txn: Transaction, kind: str) -> None:
         """One call into the version-control component for ``txn``."""
         suffix = self._count("vc", txn, kind)
         if self.tracer.enabled:
-            self.tracer.emit("vc.call", txn=txn.txn_id, cls=suffix, kind=kind)
+            self.tracer.emit("vc.call", txn.txn_id, suffix, kind)
 
     def note_block(self, txn: Transaction, cause: str = "") -> None:
         suffix = self._count("block", txn, cause)
         if self.tracer.enabled:
-            self.tracer.emit("txn.block", txn=txn.txn_id, cls=suffix, cause=cause)
+            self.tracer.emit("txn.block", txn.txn_id, suffix, cause)
 
     def note_sync_write(self, txn: Transaction, kind: str) -> None:
         """A synchronization *write* (shared mutable CC state mutated).
@@ -153,7 +153,7 @@ class SchedulerCounters:
         """
         suffix = self._count("syncwrite", txn, kind)
         if self.tracer.enabled:
-            self.tracer.emit("txn.syncwrite", txn=txn.txn_id, cls=suffix, kind=kind)
+            self.tracer.emit("txn.syncwrite", txn.txn_id, suffix, kind)
 
 
 class TransactionBookkeeping:

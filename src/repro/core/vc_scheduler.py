@@ -67,9 +67,7 @@ class VersionControlledScheduler(Scheduler):
             # number by exactly vc.lag (see docs/robustness.md).
             txn.meta["qos.staleness"] = self.vc.lag
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "qos.ro_snapshot", txn=txn.txn_id, sn=txn.sn, staleness=self.vc.lag
-                )
+                self.tracer.emit("qos.ro_snapshot", txn.txn_id, txn.sn, self.vc.lag)
         else:
             self._rw_begin(txn)
 

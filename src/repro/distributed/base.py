@@ -163,10 +163,7 @@ class SiteBase:
         self.crashed = True
         self.incarnation += 1
         if self.tracer.enabled:
-            self.tracer.emit(
-                "fault.crash", site=self.site_id, lost_records=lost,
-                incarnation=self.incarnation,
-            )
+            self.tracer.emit("fault.crash", self.site_id, lost, self.incarnation)
 
         def error_for(txn_id: int) -> TransactionAborted:
             return TransactionAborted(
@@ -604,7 +601,7 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         site.crashed = False
         if self.courier.tracer.enabled:
             self.courier.tracer.emit(
-                "fault.recover", site=site_id, **site.recovery_frontier(),
+                "fault.recover", site_id, **site.recovery_frontier(),
                 incarnation=site.incarnation,
             )
         parked, site._parked = site._parked, []

@@ -433,14 +433,15 @@ class PhaseRun:
         violations: list[str],
         event: str,
         label: str = "",
-        **event_fields: Any,
+        lead: tuple[Any, ...] = (),
     ) -> Generator:
         """Measure write availability: one tiny RW commit per tick.
 
         An outage opens at the begin-time of the first failed probe and
         closes at the first subsequent success; each window is appended to
-        ``windows`` and emitted as one ``event`` for the SLO engine.  An
-        outage still open at ``until`` is a violation.
+        ``windows`` and emitted as one ``event`` for the SLO engine: its
+        ``lead`` fields, then ``duration`` and ``healed_at``.  An outage
+        still open at ``until`` is a violation.
         """
         sim, tracer = self.sim, self.tracer
         outage_start: float | None = None
@@ -457,9 +458,7 @@ class PhaseRun:
                     window = sim.now - outage_start
                     windows.append(window)
                     if tracer.enabled:
-                        tracer.emit(
-                            event, **event_fields, duration=window, healed_at=sim.now
-                        )
+                        tracer.emit(event, *lead, window, sim.now)
                     outage_start = None
             except TransactionAborted:
                 if txn.is_active:

@@ -83,7 +83,7 @@ class FaultyCourier(Courier):
         """Hold every future (and parked) message on ``channel``."""
         self._held_channels.add(channel)
         if self.tracer.enabled:
-            self.tracer.emit("fault.partition.start", channel=channel)
+            self.tracer.emit("fault.partition.start", channel)
 
     def heal(self, channel: str) -> None:
         """Release ``channel``: parked messages re-enter normal dispatch."""
@@ -93,9 +93,7 @@ class FaultyCourier(Courier):
             (released if ch == channel else kept).append((ch, fn))
         self._parked = kept
         if self.tracer.enabled:
-            self.tracer.emit(
-                "fault.partition.heal", channel=channel, released=len(released)
-            )
+            self.tracer.emit("fault.partition.heal", channel, len(released))
         for ch, fn in released:
             # Parked thunks already carry their span-context envelope from
             # the original dispatch; re-route, don't re-seal.
@@ -112,7 +110,7 @@ class FaultyCourier(Courier):
         if channel in self._held_channels:
             self.schedule.counts.partition_deferrals += 1
             if self.tracer.enabled:
-                self.tracer.emit("fault.partition.hold", channel=channel)
+                self.tracer.emit("fault.partition.hold", channel)
             self._parked.append((channel, fn))
             return
         if self._sim is not None:
@@ -131,9 +129,7 @@ class FaultyCourier(Courier):
         if heal_at is not None:
             self.schedule.counts.partition_deferrals += 1
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "fault.partition.hold", channel=channel, until=heal_at
-                )
+                self.tracer.emit("fault.partition.hold", channel, until=heal_at)
             # Re-enter dispatch just past the window; the message may then be
             # dropped/duplicated like any other (or hit a later window).
             self._sim.call_at(
@@ -147,15 +143,13 @@ class FaultyCourier(Courier):
                 # through after the final backoff so drills cannot wedge.
                 self.schedule.counts.retries_exhausted += 1
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault.retry.exhausted", channel=channel, attempts=attempt + 1
-                    )
+                    self.tracer.emit("fault.retry.exhausted", channel, attempt + 1)
             else:
                 backoff = self.retry.delay(attempt, self.schedule.rng(channel))
                 if self.tracer.enabled:
                     self.tracer.emit(
                         "fault.drop",
-                        channel=channel,
+                        channel,
                         attempt=attempt,
                         retry_in=backoff,
                     )
@@ -165,13 +159,11 @@ class FaultyCourier(Courier):
                 return
         latency = self._draw_latency(channel) + decision.extra_delay
         if decision.extra_delay and self.tracer.enabled:
-            self.tracer.emit(
-                "fault.delay", channel=channel, extra=decision.extra_delay
-            )
+            self.tracer.emit("fault.delay", channel, decision.extra_delay)
         self._sim.call_in(latency, partial(self._deliver, fn))
         if decision.duplicate:
             if self.tracer.enabled:
-                self.tracer.emit("fault.duplicate", channel=channel)
+                self.tracer.emit("fault.duplicate", channel)
             echo = self._draw_latency(channel) + self.retry.base
             self._sim.call_in(latency + echo, partial(self._deliver, fn))
 
@@ -186,13 +178,13 @@ class FaultyCourier(Courier):
             # traffic sent later — the observable effect of loss + retry.
             extra += self.retry.delay(0, self.schedule.rng(channel))
             if self.tracer.enabled:
-                self.tracer.emit("fault.drop", channel=channel, retry_in=extra)
+                self.tracer.emit("fault.drop", channel, retry_in=extra)
         elif decision.extra_delay and self.tracer.enabled:
-            self.tracer.emit("fault.delay", channel=channel, extra=extra)
+            self.tracer.emit("fault.delay", channel, extra)
         self._enqueue(fn, channel, self._draw_latency(channel) + extra)
         if decision.duplicate:
             if self.tracer.enabled:
-                self.tracer.emit("fault.duplicate", channel=channel)
+                self.tracer.emit("fault.duplicate", channel)
             self._enqueue(fn, channel, self._draw_latency(channel) + extra)
 
     # -- immediate mode ----------------------------------------------------------
@@ -207,14 +199,12 @@ class FaultyCourier(Courier):
             if attempt >= self.retry.max_attempts:
                 self.schedule.counts.retries_exhausted += 1
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault.retry.exhausted", channel=channel, attempts=attempt
-                    )
+                    self.tracer.emit("fault.retry.exhausted", channel, attempt)
                 break
             if self.tracer.enabled:
-                self.tracer.emit("fault.drop", channel=channel, attempt=attempt - 1)
+                self.tracer.emit("fault.drop", channel, attempt=attempt - 1)
         self._deliver(fn)
         if decision.duplicate:
             if self.tracer.enabled:
-                self.tracer.emit("fault.duplicate", channel=channel)
+                self.tracer.emit("fault.duplicate", channel)
             self._deliver(fn)

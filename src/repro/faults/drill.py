@@ -218,12 +218,7 @@ def run_drill(
     if tracer.enabled:
         tracer.emit(
             "fault.drill.done",
-            protocol=protocol,
-            seed=seed,
-            ok=report.ok,
-            commits=report.commits,
-            aborts=report.aborts,
-            crashes=report.crashes,
+            protocol, seed, report.ok, report.commits, report.aborts, report.crashes,
         )
     instrumentation.detach()
     return report

@@ -110,23 +110,19 @@ class HistoryRecorder:
     def record_begin(self, txn: Transaction) -> None:
         self.log.append(("b", txn.txn_id, None, None, None, None))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "history.begin",
-                txn=txn.txn_id,
-                cls="ro" if txn.is_read_only else "rw",
-            )
+            self.tracer.emit("history.begin", txn.txn_id, "ro" if txn.is_read_only else "rw")
 
     def record_read(self, txn: Transaction, key: Hashable, version: int | None) -> None:
         """Record a read; ``version=None`` means "the reader's own staged write"
         and becomes the final identity in the history."""
         self.log.append(("r", txn.txn_id, key, version, None, None))
         if self.tracer.enabled:
-            self.tracer.emit("history.read", txn=txn.txn_id, key=key, version=version)
+            self.tracer.emit("history.read", txn.txn_id, key, version)
 
     def record_write(self, txn: Transaction, key: Hashable) -> None:
         self.log.append(("w", txn.txn_id, key, None, None, None))
         if self.tracer.enabled:
-            self.tracer.emit("history.write", txn=txn.txn_id, key=key)
+            self.tracer.emit("history.write", txn.txn_id, key)
 
     def record_commit(self, txn: Transaction) -> None:
         self._record_finish("c", "history.commit", txn, self.identity(txn))
@@ -147,11 +143,7 @@ class HistoryRecorder:
         self.log.append((kind, txn.txn_id, None, None, txn.tn, ident))
         if self.tracer.enabled:
             self.tracer.emit(
-                event,
-                txn=txn.txn_id,
-                ident=ident,
-                tn=txn.tn,
-                cls="ro" if txn.is_read_only else "rw",
+                event, txn.txn_id, ident, txn.tn, "ro" if txn.is_read_only else "rw"
             )
 
     # -- results -------------------------------------------------------------

@@ -31,6 +31,7 @@ import json
 from typing import Any, Iterable
 
 from repro.cli import Parser
+from repro.obs.events import as_dict
 from repro.obs.profile import aggregate_phase_shares, render_critical_path
 from repro.obs.spans import SpanNode, render_tree
 from repro.obs.tracer import replay
@@ -104,7 +105,8 @@ _SPAN_EVENTS = frozenset(("span.start", "span.end", "courier.redelivery"))
 class TraceIndex:
     """What ``trace``, ``explain`` and the flight-recorder bundle read from a
     trace, collected as its events pass: an exporter that takes every name
-    through :meth:`export`.  Feed it with ``replay(events, index)``.
+    through :meth:`export`, keeping each record as its dict.  Feed it with
+    ``replay(events, index)``.
 
     ``visibility`` maps each registered ``tn`` to ``(register_ts,
     visible_ts)``: the number becomes visible at the first ``vc.advance``
@@ -147,9 +149,10 @@ class TraceIndex:
         self._txn_roots: dict[Any, SpanNode] = {}
         self._roots: list[SpanNode] | None = None
 
-    def export(self, event: dict[str, Any]) -> None:
+    def export(self, event: tuple) -> None:
+        event = as_dict(event)  # the index keeps what it is handed
         name = event["name"]
-        ts = event.get("ts", 0.0)
+        ts = event["ts"]
         if not self.count:
             self.first_ts = ts
         self.count += 1
@@ -170,8 +173,9 @@ class TraceIndex:
             node.events.append(event)
 
     def _on_vc(self, event, txn, ts) -> None:
-        if "lag" in event:
-            self.lag.append((ts, event["lag"]))
+        lag = event.get("lag")
+        if lag is not None:
+            self.lag.append((ts, lag))
         number = event.get("number")
         if number is None:
             return
@@ -378,7 +382,7 @@ def render_blocking(index: TraceIndex, limit: int = 50) -> str:
     if len(chains) > limit:
         lines.append(f"  ... ({len(chains) - limit} more)")
     for event in deadlocks:
-        cycle = " -> ".join(f"T{t}" for t in event.get("cycle", ()))
+        cycle = " -> ".join(f"T{t}" for t in event.get("cycle") or ())
         lines.append(
             f"  {event['ts']:>10g}  DEADLOCK victim=T{event.get('victim')} cycle: {cycle}"
         )

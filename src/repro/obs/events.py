@@ -1,4 +1,5 @@
-"""The event registry: every name the system emits, as data.
+"""The event registry: every name the system emits, as data, and the
+record layout the tracer, the sinks and ``replay`` share.
 
 One entry per event name: the layer whose code emits it (the package under
 ``repro/``), the fields every emit of it carries, the fields some emits
@@ -6,18 +7,34 @@ add, and who emits it.  Any event may also carry :data:`AMBIENT` — the
 ``span``/``trace`` ids the tracer stamps while a span is active — and the
 two span events take free-form extra fields (``free_form``).
 
-Nothing reads this table at run time.  It is what the docs' schema table
-is rendered from (:func:`schema_table`, the "Event-name schema" of
-``docs/observability.md``) and what ``tests/obs/test_events.py`` holds both
-sides to: every emit site in ``src/repro`` names a registered event and
-passes its required fields, every event of a traced run conforms, and
-every consumer subscription (``route``) names a registered event, so a
-typo'd subscription fails a test instead of silently starving an engine.
+The table is read at run time.  An event travels as a *record*, the tuple
+``(name, ts, fields, optional, active)`` that
+:meth:`~repro.obs.tracer.Tracer.emit` builds: ``fields`` holds the
+``required`` values positionally, in registry order; ``optional`` is the
+dict of keyword extras or ``None``; ``active`` is the span context the
+event was emitted under, or ``None``.  A consumer reads a field by the
+position :func:`positions` gives it once, at construction.  Where an event
+is kept — a trace line, a ring snapshot, a flight-recorder bundle, the
+trace index — :func:`as_dict` builds its dict: ``name``, ``ts``, the
+required fields in registry order, the optional ones in emit order, then
+the ambient ``span``/``trace``; a record whose field count is not its
+name's fails there, naming the event.  :func:`record` is the inverse for a
+decoded trace line, which is how :func:`repro.obs.tracer.replay` feeds a
+recorded trace to the same sinks.
+
+The table is also what the docs' schema table is rendered from
+(:func:`schema_table`, the "Event-name schema" of
+``docs/observability.md``) and what ``tests/obs/test_events.py`` holds
+both sides to: every emit site in ``src/repro`` names a registered event
+and passes its required fields positionally, every event of a traced run
+conforms, and every consumer subscription (``route``) names a registered
+event, so a typo'd subscription fails a test instead of silently starving
+an engine.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 
 class EventSpec(NamedTuple):
@@ -128,8 +145,9 @@ EVENTS: dict[str, EventSpec] = {
         "distributed", "site lost_records incarnation", by="a distributed site crashing"
     ),
     "fault.recover": _spec(
-        "distributed", "site incarnation", "vtnc commit_counter",
-        by="a distributed site restarting: `vtnc` (dvc) or `commit_counter` (dmv2pl)",
+        "distributed", "site", "vtnc commit_counter incarnation",
+        by="a distributed site restarting: `vtnc` (dvc) or `commit_counter` (dmv2pl), "
+        "then `incarnation`",
     ),
     "avail.outage": _spec(
         "faults", "duration healed_at", by="the campaign's write-availability prober"
@@ -205,6 +223,47 @@ EVENTS: dict[str, EventSpec] = {
         "shard", "shard epoch lost_records vtnc", by="warm-standby promotion"
     ),
 }
+
+
+#: Event name -> its required fields: the layout of a record's ``fields``.
+#: A name not registered here has none (all its fields are optional).
+_LAYOUT: dict[str, tuple[str, ...]] = {name: spec.required for name, spec in EVENTS.items()}
+
+
+def positions(name: str, *fields: str) -> tuple[int, ...]:
+    """Where each of ``fields`` sits in the ``fields`` of a ``name`` record."""
+    return tuple(_LAYOUT[name].index(field) for field in fields)
+
+
+def as_dict(record: tuple) -> dict[str, Any]:
+    """The dict an event is kept as: ``name``, ``ts``, the required fields
+    in registry order, the optional ones, then the ambient ``span``/``trace``
+    unless the event carries its own ``span``."""
+    name, ts, fields, optional, active = record
+    keys = _LAYOUT.get(name, ())
+    if len(fields) != len(keys):
+        raise TypeError(
+            f"event {name!r} has {len(fields)} positional field(s); "
+            f"the registry requires {len(keys)}: {', '.join(keys) or 'none'}"
+        )
+    event = {"name": name, "ts": ts, **dict(zip(keys, fields))}
+    if optional is not None:
+        event.update(optional)
+    if active is not None and "span" not in event:
+        event["span"] = active.span_id
+        event["trace"] = active.trace_id
+    return event
+
+
+def record(event: dict[str, Any]) -> tuple:
+    """The record of an event dict (a decoded trace line): the registered
+    fields in registry order (``None`` where one is missing), every other
+    key but ``name``/``ts`` an optional field, in order."""
+    name = event["name"]
+    keys = _LAYOUT.get(name, ())
+    rest = {k: v for k, v in event.items() if k not in keys}
+    del rest["name"], rest["ts"]
+    return (name, event["ts"], tuple(event.get(k) for k in keys), rest or None, None)
 
 
 def schema_table() -> str:

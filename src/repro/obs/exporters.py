@@ -1,17 +1,23 @@
 """Trace exporters: ring buffer and JSONL file.
 
 An exporter is anything with ``export(event)`` and an optional ``close()``,
-where ``event`` is the dict one JSONL line decodes to: ``name``, ``ts``,
-then the fields in emit order.  (Live, the field values are the emitter's
+where ``event`` is the tracer's record, ``(name, ts, fields, optional,
+active span)`` (see :mod:`repro.obs.events`).  An exporter may also define
+``route(name)``, returning the callable that takes events of that name or
+``None`` for a name it does not use; the tracer asks once per name and
+calls only what was returned.  The two exporters here define none, so they
+take every event.  The tracer hands the same record to every sink.
+Exporters are synchronous and see events in emit order — the tracer stamps
+timestamps before fan-out, so every exporter records the same virtual-time
+view of the run.
+
+Both exporters keep events, so both build dicts
+(:func:`~repro.obs.events.as_dict`): the JSONL exporter one per line as it
+writes, the ring only when :meth:`RingBufferExporter.events` is asked —
+it holds the records themselves.  The dict is what one JSONL line decodes
+to: ``name``, ``ts``, the required fields in registry order, the optional
+ones, then ``span``/``trace``.  (Live, the field values are the emitter's
 own objects — a tuple key is a tuple until the JSONL exporter writes it.)
-An exporter may also define ``route(name)``, returning the callable that
-takes events of that name or ``None`` for a name it does not use; the
-tracer asks once per name and calls only what was returned.  The two
-exporters here define none, so they take every event.  The tracer builds
-that dict once per event and hands the same object to every sink, so an
-exporter must not mutate it.  Exporters are synchronous and see events in
-emit order — the tracer stamps timestamps before fan-out, so every
-exporter records the same virtual-time view of the run.
 """
 
 from __future__ import annotations
@@ -20,29 +26,32 @@ import json
 from collections import deque
 from typing import IO, Any
 
+from repro.obs.events import as_dict
+
 
 class RingBufferExporter:
     """Keep the most recent ``capacity`` events in memory.
 
     The default capacity is large enough for a whole experiment run but
-    bounded, so an always-on tracer cannot exhaust memory.  ``events()``
-    returns a snapshot list of the event dicts themselves, oldest first.
+    bounded, so an always-on tracer cannot exhaust memory.  It holds the
+    records; ``events()`` builds a snapshot list of their dicts, oldest
+    first.
     """
 
     def __init__(self, capacity: int = 65_536):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buffer: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._buffer: deque[tuple] = deque(maxlen=capacity)
         self.dropped = 0
 
-    def export(self, event: dict[str, Any]) -> None:
+    def export(self, event: tuple) -> None:
         if len(self._buffer) == self.capacity:
             self.dropped += 1
         self._buffer.append(event)
 
     def events(self) -> list[dict[str, Any]]:
-        return list(self._buffer)
+        return [as_dict(event) for event in self._buffer]
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -69,10 +78,10 @@ class JsonlExporter:
         self.exported = 0
         self._closed = False
 
-    def export(self, event: dict[str, Any]) -> None:
+    def export(self, event: tuple) -> None:
         if self._closed:
             return
-        json.dump(event, self._stream, default=repr, separators=(",", ":"))
+        json.dump(as_dict(event), self._stream, default=repr, separators=(",", ":"))
         self._stream.write("\n")
         self.exported += 1
 

@@ -41,13 +41,7 @@ def subscribe_version_control(vc: Any, tracer: Tracer) -> Callable[[str, int], N
         return None
 
     def observer(event: str, number: int) -> None:
-        tracer.emit(
-            f"vc.{event}",
-            number=number,
-            tnc=vc.tnc,
-            vtnc=vc.vtnc,
-            lag=vc.lag,
-        )
+        tracer.emit(f"vc.{event}", number, vc.tnc, vc.vtnc, vc.lag)
 
     vc.subscribe(observer)
     return observer
@@ -72,12 +66,7 @@ def subscribe_distributed_site_vc(site: Any, tracer: Tracer) -> Callable[[int], 
     vc = site.vc
 
     def observer(vtnc: int) -> None:
-        tracer.emit(
-            "dvc.advance",
-            site=vc.site_id,
-            vtnc=vtnc,
-            tnc=vc.next_local_number - 1,
-        )
+        tracer.emit("dvc.advance", vc.site_id, vtnc, vc.next_local_number - 1)
 
     vc.subscribe(observer)
     observer(vc.vtnc)

@@ -93,7 +93,7 @@ class ObsPipeline:
         return handle
 
     def events(self) -> list[dict[str, Any]]:
-        """The ring buffer's event dicts, as emitted — none is copied
+        """The dicts of the ring buffer's events, built on this call
         (empty without a ring)."""
         return self.ring.events() if self.ring is not None else []
 

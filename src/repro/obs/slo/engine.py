@@ -4,8 +4,8 @@
 :class:`~repro.obs.tracer.Tracer` (directly or via
 :class:`~repro.obs.pipeline.ObsPipeline`) and it evaluates its objectives
 online, in virtual time, while the run is still going.  Replay is the same
-call: :meth:`export` takes the tracer's event dict live and a decoded JSONL
-line on replay (``python -m repro watch``), and — because every judgment
+call: :meth:`export` takes the tracer's event record, live or rebuilt from
+a JSONL line (``python -m repro watch``), and — because every judgment
 depends only on event names, timestamps, and field values — two replays of
 the same trace produce byte-identical reports and bundles.  Live and on
 replay (:func:`repro.obs.tracer.replay`) an event reaches the engine only
@@ -80,14 +80,16 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro.obs.events import positions
 from repro.obs.slo.objectives import Objective, WindowVerdict
 
 SLO_SCHEMA = "repro.slo/1"
 
 #: Stateless signal routing: event name -> ((field, signal), ...).  Each
 #: entry turns the event's ``field`` value into one sample of ``signal``
-#: (no sample when the field is absent); a ``None`` field means the constant
-#: 1.0, one count per event.  The stateful ``txn.*`` and ``lock.*`` families
+#: (no sample when its value is ``None``); a ``None`` field means the
+#: constant 1.0, one count per event.  Each engine turns a field into its
+#: position in the record once, at construction.  The stateful ``txn.*`` and ``lock.*`` families
 #: are handled by methods (``_DISPATCH``, below the class, holds both).  The
 #: taxonomy table above and in docs/slo.md is checked against this table
 #: (tests/obs/test_slo.py).
@@ -118,6 +120,13 @@ SIGNAL_ROUTES: dict[str, tuple[tuple[str | None, str], ...]] = {
     "shard.failover": ((None, "shard.failover"),),
     "shard.outage": (("duration", "shard.outage"),),
 }
+
+#: Where the stateful handlers find their fields (the registry's order, read
+#: once here): every ``txn.*`` name leads with ``txn, cls``, and both lock
+#: names with ``txn``.
+_TXN, _CLS = positions("txn.begin", "txn", "cls")
+(_LOCK_TXN,) = positions("lock.block", "txn")
+(_GRANT_WAITED,) = positions("lock.grant", "waited")
 
 #: More empty windows than this between two events is fast-forwarded as a
 #: seam instead of closed one by one (guards pathological window widths).
@@ -203,10 +212,15 @@ class SLOEngine:
             for signal in objective.signals:
                 self._routes.setdefault(signal, []).append(objective)
         #: ``_DISPATCH`` with each SIGNAL_ROUTES entry narrowed to the signals
-        #: an objective takes, as ``(field, signal, objectives)``.
+        #: an objective takes, as ``(position, signal, objectives)``: the
+        #: field's position in the record, or ``None`` for a count.
         self._dispatch: dict[str, Any] = {
             name: route if type(route) is not tuple else tuple(
-                (field, signal, tuple(self._routes[signal]))
+                (
+                    None if field is None else positions(name, field)[0],
+                    signal,
+                    tuple(self._routes[signal]),
+                )
                 for field, signal in route
                 if signal in self._routes
             )
@@ -226,38 +240,37 @@ class SLOEngine:
 
     # -- the one entry point: live and replay --------------------------------------
 
-    def route(self, name: str) -> Callable[[dict[str, Any]], None] | None:
+    def route(self, name: str) -> Callable[[tuple], None] | None:
         """Tracer subscription: the names ``_DISPATCH`` holds — or every
         name while a flight recorder needs the whole stream."""
         if self.recorder is not None or name in _DISPATCH:
             return self.export
         return None
 
-    def export(self, event: dict[str, Any]) -> None:
-        """Take one event: the tracer's dict live, a decoded trace line on
-        replay (:func:`~repro.obs.analyze.load_trace` checked it)."""
+    def export(self, event: tuple) -> None:
+        """Take one event record, live or replayed
+        (:func:`repro.obs.tracer.replay`); its fields are read by position."""
         if self.finished:
             return  # still on a shared tracer after finish(): nothing to do
         self.events_seen += 1
-        ts = event["ts"]
+        name, ts, fields, _optional, _span = event
         if self._last_ts <= ts < self._win_end:
             self._last_ts = ts  # same window, clock not behind
         else:
             self._advance(ts)
         if self.recorder is not None:
             self.recorder.export(event)
-        name = event["name"]
-        if name == "lock.grant" and not event.get("waited"):
+        if name == "lock.grant" and not fields[_GRANT_WAITED]:
             return  # an immediate grant changes no wait depth
         route = self._dispatch.get(name)
         if type(route) is tuple:  # a SIGNAL_ROUTES entry
-            for field, signal, objectives in route:
-                value = 1.0 if field is None else event.get(field)
+            for at, signal, objectives in route:
+                value = 1.0 if at is None else fields[at]
                 if value is not None:
                     for objective in objectives:
                         objective.observe(signal, value)
         elif route is not None:  # a stateful name's method
-            route(self, name, ts, event)
+            route(self, name, ts, fields)
 
     def close(self) -> None:
         """Tracer-close hook: finish evaluation (idempotent)."""
@@ -269,9 +282,9 @@ class SLOEngine:
         signals = self._class_signals[cls] = _ClassSignals(cls, self._routes)
         return signals
 
-    def _txn_begin(self, name: str, ts: float, fields: dict[str, Any]) -> None:
-        txn = fields.get("txn")
-        cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
+    def _txn_begin(self, name: str, ts: float, fields: tuple) -> None:
+        txn = fields[_TXN]
+        cls = fields[_CLS] or self._begin_cls.get(txn) or "rw"
         signals = self._class_signals.get(cls) or self._resolve_class(cls)
         if txn is not None:
             self._begin_ts[txn] = ts
@@ -280,9 +293,9 @@ class SLOEngine:
         for objective in objectives:
             objective.observe(signal, 1.0)
 
-    def _txn_commit(self, name: str, ts: float, fields: dict[str, Any]) -> None:
-        txn = fields.get("txn")
-        cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
+    def _txn_commit(self, name: str, ts: float, fields: tuple) -> None:
+        txn = fields[_TXN]
+        cls = fields[_CLS] or self._begin_cls.get(txn) or "rw"
         signals = self._class_signals.get(cls) or self._resolve_class(cls)
         begun = self._begin_ts.pop(txn, None)
         self._begin_cls.pop(txn, None)
@@ -296,9 +309,9 @@ class SLOEngine:
         if txn in self._lock_blocked:
             self._unblock(txn)
 
-    def _txn_abort(self, name: str, ts: float, fields: dict[str, Any]) -> None:
-        txn = fields.get("txn")
-        cls = fields.get("cls") or self._begin_cls.get(txn) or "rw"
+    def _txn_abort(self, name: str, ts: float, fields: tuple) -> None:
+        txn = fields[_TXN]
+        cls = fields[_CLS] or self._begin_cls.get(txn) or "rw"
         signals = self._class_signals.get(cls) or self._resolve_class(cls)
         self._begin_ts.pop(txn, None)
         self._begin_cls.pop(txn, None)
@@ -308,15 +321,15 @@ class SLOEngine:
         if txn in self._lock_blocked:
             self._unblock(txn)
 
-    def _txn_block(self, name: str, ts: float, fields: dict[str, Any]) -> None:
-        cls = fields.get("cls") or self._begin_cls.get(fields.get("txn")) or "rw"
+    def _txn_block(self, name: str, ts: float, fields: tuple) -> None:
+        cls = fields[_CLS] or self._begin_cls.get(fields[_TXN]) or "rw"
         signals = self._class_signals.get(cls) or self._resolve_class(cls)
         signal, objectives = signals.blocked
         for objective in objectives:
             objective.observe(signal, 1.0)
 
-    def _lock_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
-        txn = fields.get("txn")
+    def _lock_event(self, name: str, ts: float, fields: tuple) -> None:
+        txn = fields[_LOCK_TXN]
         if txn is None:
             return
         if name == "lock.block":

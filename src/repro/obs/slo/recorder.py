@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, TYPE_CHECKING
 
+from repro.obs.events import as_dict
 from repro.obs.exporters import RingBufferExporter
 from repro.obs.profile import aggregate_phase_shares
 
@@ -32,15 +33,16 @@ BUNDLE_SCHEMA = "repro.slo.bundle/1"
 
 
 class FlightRecorder(RingBufferExporter):
-    """A ring of recent event dicts, snapshottable around a breach.
+    """A ring of recent event records, snapshottable around a breach.
 
     An engine holding one exports every event it takes into it; on its own
     it is an exporter like any other ring.
     """
 
     def window(self, start: float, end: float) -> list[dict[str, Any]]:
-        """Events stamped within ``[start, end]``, ring order preserved."""
-        return [e for e in self._buffer if start <= e["ts"] <= end]
+        """The dicts of the events stamped within ``[start, end]``, ring
+        order preserved."""
+        return [as_dict(e) for e in self._buffer if start <= e[1] <= end]
 
     def bundle(
         self,

@@ -93,10 +93,10 @@ class Span:
         self._ended = True
         self._tracer.emit(
             "span.end",
-            span=self.context.span_id,
-            trace=self.context.trace_id,
-            elapsed=self._tracer.clock() - self._t0,
-            ok=ok,
+            self.context.span_id,
+            self.context.trace_id,
+            self._tracer.clock() - self._t0,
+            ok,
             **fields,
         )
 
@@ -156,15 +156,8 @@ def start_span(
         trace_id = parent_ctx.trace_id
         parent_id = parent_ctx.span_id
     context = SpanContext(trace_id, tracer.next_span_id())
-    event = tracer.emit(
-        "span.start",
-        span=context.span_id,
-        parent=parent_id,
-        trace=trace_id,
-        op=name,
-        **fields,
-    )
-    t0 = event["ts"] if event is not None else tracer.clock()
+    event = tracer.emit("span.start", context.span_id, parent_id, trace_id, name, **fields)
+    t0 = event[1] if event is not None else tracer.clock()
     return Span(tracer, name, context, parent_id, t0)
 
 
@@ -223,9 +216,9 @@ def bind_envelope(
         else:
             tracer.emit(
                 "courier.redelivery",
-                span=span.context.span_id,
-                trace=span.context.trace_id,
-                n=state["deliveries"],
+                span.context.span_id,
+                span.context.trace_id,
+                state["deliveries"],
             )
         with activate(tracer, span.context):
             fn()

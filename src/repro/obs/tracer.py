@@ -14,19 +14,25 @@ is a first-class subsystem rather than debug printf.  Design constraints:
   simulation the default clock is a deterministic monotone sequence, which
   keeps traces reproducible and diffable.
 * **Pluggable exporters** (:mod:`repro.obs.exporters`): ring buffer, JSONL
-  file, and the two stream consumers (the SLO engine and
-  the 1SR witness).  An event is one dict — ``name``, ``ts``, then its
-  fields in emit order, the form one JSONL trace line decodes to — built
-  once at emit time and handed to every sink of its name, so a consumer
-  reads a live run and a replayed trace through the same call.  Exporters
-  never see events from a disabled tracer.
+  file, and the two stream consumers (the SLO engine and the 1SR witness).
+* **An event is a record, not a dict.**  ``emit(name, *fields,
+  **optional)`` takes the name's required fields positionally, in the
+  order :mod:`repro.obs.events` registers them, and optional fields by
+  keyword.  It builds one tuple, ``(name, ts, fields, optional-or-None,
+  active span)``, and hands that same object to every sink of the name.
+  The two engines read it by index; a dict is built only where an event
+  is kept (:func:`repro.obs.events.as_dict`: a trace line, a ring
+  snapshot, a flight-recorder bundle, the trace index), in the key order
+  a JSONL line has always had.  Exporters never see events from a
+  disabled tracer.
 * **Compiled fan-out.**  An exporter with ``route(name)`` subscribes by
   name: it returns the callable that takes events of that name, or
   ``None``; one without ``route`` takes every name through ``export``.
   The tracer compiles each name's tuple of sinks on its first emit (and
   again after ``add_exporter``/``remove_exporter``), so an event reaches
   only the consumers that use it, and a name nobody takes builds nothing.
-  :func:`replay` routes a recorded trace through the same table.
+  :func:`replay` turns a recorded trace's dicts back into records
+  (:func:`repro.obs.events.record`) and routes them through the same table.
 
 Event names form dotted families (``txn.*``, ``cc.*``, ``vc.*``,
 ``lock.*``, ``gc.*``, ``wal.*``, ``sim.*``, ``span.*``) — every name is
@@ -39,13 +45,17 @@ tracer hands out process-unique span/trace ids, and it carries an
 restored around courier message deliveries.  While a span is active, every
 flat ``emit`` is stamped with its ``span``/``trace`` ids, so ordinary
 events (``wal.force``, ``lock.grant``, ``fault.drop``) attach to the span
-tree without their call sites knowing about spans at all.
+tree without their call sites knowing about spans at all.  The record
+carries the context object; the ids land on the event when its dict is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Any, Callable, Iterable
+
+from repro.obs.events import record
 
 
 class Tracer:
@@ -68,7 +78,7 @@ class Tracer:
     ):
         self._exporters: list[Any] = list(exporters)
         #: Event name -> the sinks it goes to, compiled on its first emit.
-        self._sinks: dict[str, tuple[Callable[[dict[str, Any]], None], ...]] = {}
+        self._sinks: dict[str, tuple[Callable[[tuple], None], ...]] = {}
         self._seq = itertools.count()
         self._span_seq = itertools.count(1)
         self._trace_seq = itertools.count(1)
@@ -97,7 +107,7 @@ class Tracer:
         self._exporters.remove(exporter)
         self._sinks.clear()
 
-    def _compile(self, name: str) -> tuple[Callable[[dict[str, Any]], None], ...]:
+    def _compile(self, name: str) -> tuple[Callable[[tuple], None], ...]:
         """The callables an event of ``name`` goes to: each exporter's
         ``route(name)`` when it has one (``None`` leaves it out), else its
         ``export``.  Cached per name until the exporter list changes."""
@@ -112,28 +122,27 @@ class Tracer:
 
     # -- emitting --------------------------------------------------------------
 
-    def emit(self, name: str, **fields: Any) -> dict[str, Any] | None:
+    def emit(self, name: str, *fields: Any, **optional: Any) -> tuple | None:
         """Stamp and export one event.  Cheap no-op when no exporter listens.
 
-        An event goes only to the sinks compiled for its name; a name with
-        none builds nothing, reads no clock and returns ``None``.  While a
-        span context is active (see :mod:`repro.obs.spans`), the event is
-        stamped with its ``span``/``trace`` ids unless the caller supplied
-        them — this is how flat events from components that know nothing
-        about spans end up attached to the right span tree.  Returns the
-        exported event dict (the span layer reads its ``ts``); every sink
-        received that same object.
+        ``fields`` are the name's required fields, in registry order;
+        ``optional`` its optional ones.  An event goes only to the sinks
+        compiled for its name; a name with none builds nothing, reads no
+        clock and returns ``None``.  Otherwise every sink receives the same
+        record, ``(name, ts, fields, optional-or-None, active span)``, and
+        it is returned (the span layer reads its ``ts``).  The active span
+        context rides the record; its ``span``/``trace`` ids are stamped on
+        the event's dict unless the event carries its own ``span`` — this
+        is how flat events from components that know nothing about spans
+        end up attached to the right span tree.
         """
-        sinks = self._sinks.get(name)
-        if sinks is None:
+        try:
+            sinks = self._sinks[name]
+        except KeyError:
             sinks = self._compile(name)
         if not sinks:
             return None
-        active = self.active_span
-        if active is not None and "span" not in fields:
-            fields["span"] = active.span_id
-            fields["trace"] = active.trace_id
-        event = {"name": name, "ts": self.clock(), **fields}
+        event = (name, self.clock(), fields, optional or None, self.active_span)
         for sink in sinks:
             sink(event)
         return event
@@ -147,13 +156,14 @@ class Tracer:
 
 
 def replay(events: Iterable[dict[str, Any]], *exporters: Any) -> None:
-    """Route recorded events (``load_trace``'s dicts) to ``exporters``
-    through the table a live :class:`Tracer` compiles, so each consumer
-    takes on replay exactly the events it would have taken live."""
+    """Route recorded events (``load_trace``'s dicts) to ``exporters`` as
+    records, through the table a live :class:`Tracer` compiles, so each
+    consumer takes on replay exactly the events it would have taken live."""
     tracer = Tracer(exporters)
     sinks_of = tracer._sinks.get
     for event in events:
-        name = event["name"]
+        event = record(event)
+        name = event[0]
         sinks = sinks_of(name)
         if sinks is None:
             sinks = tracer._compile(name)

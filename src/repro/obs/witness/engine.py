@@ -2,7 +2,7 @@
 
 :class:`WitnessEngine` is a tracer exporter (the same surface as
 :class:`repro.obs.slo.SLOEngine`: one ``export`` for the tracer's event
-dict live and a decoded trace line on replay, then
+record, live or replayed from a trace, then
 ``close``/``finish``/``report``/``render``) that consumes the
 ``history.*`` operation stream emitted by :class:`repro.histories.recorder.
 HistoryRecorder` and maintains the multiversion serialization graph of the
@@ -78,6 +78,7 @@ from typing import Any, Callable, Iterable
 
 from repro.histories.derive import RW, WR, WW
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.events import positions
 from repro.obs.witness.topology import IncrementalTopology
 
 REPORT_SCHEMA = "repro.witness/1"
@@ -87,6 +88,20 @@ MAX_VIOLATIONS = 16
 
 #: History (in trace time units) a violation's bundle holds before it.
 PRE_ROLL = 50.0
+
+
+#: Where each handler finds its fields in a record's ``fields`` (the
+#: registry's order, read once here).  ``history.abort`` shares the commit's
+#: layout and every ``vc.*`` name the register's.
+_BEGIN_TXN, _BEGIN_CLS = positions("history.begin", "txn", "cls")
+_READ_TXN, _READ_KEY, _READ_VERSION = positions("history.read", "txn", "key", "version")
+_WRITE_TXN, _WRITE_KEY = positions("history.write", "txn", "key")
+_END_TXN, _END_IDENT, _END_TN = positions("history.commit", "txn", "ident", "tn")
+_VC_TNC, _VC_VTNC = positions("vc.register", "tnc", "vtnc")
+_SITE, _SITE_VTNC, _SITE_TNC = positions("dvc.advance", "site", "vtnc", "tnc")
+_WATERMARK_REPLICA, _WATERMARK_VTNC = positions("replica.watermark", "replica", "vtnc")
+_ACK_REPLICA, _ACK_VTNC = positions("replica.ack", "replica", "vtnc")
+_PROMOTE_REPLICA, _PROMOTE_VTNC = positions("replica.promote", "replica", "vtnc")
 
 
 def _norm_key(key: Any) -> Any:
@@ -284,28 +299,29 @@ class WitnessEngine:
 
     # -- the one entry point: live and replay ----------------------------------
 
-    def route(self, name: str) -> Callable[[dict[str, Any]], None] | None:
+    def route(self, name: str) -> Callable[[tuple], None] | None:
         """Tracer subscription: the names ``_HANDLERS`` takes — or every
         name while a flight recorder needs the whole stream."""
         if self.recorder is not None or name in self._HANDLERS:
             return self.export
         return None
 
-    def export(self, event: dict[str, Any]) -> None:
-        """Take one event: the tracer's dict live, a decoded trace line on
-        replay (:func:`~repro.obs.analyze.load_trace` checked it)."""
+    def export(self, event: tuple) -> None:
+        """Take one event record, live or replayed
+        (:func:`repro.obs.tracer.replay`); a handler reads its ``fields``
+        by position."""
         if self.finished:
             return  # still on a shared tracer after finish(): nothing to do
-        ts = event["ts"]
+        name, ts, fields, _optional, _span = event
         if ts < self._last_ts and self._segment_events:
             self._rollover()
         if self.recorder is not None:
             self.recorder.export(event)
         self._last_ts = ts
         self._segment_events += 1
-        handler = self._HANDLERS.get(event["name"])
+        handler = self._HANDLERS.get(name)
         if handler is not None:
-            handler(self, event, ts)
+            handler(self, fields, ts)
 
     def close(self) -> None:
         """Tracer-close hook: finish certification (idempotent)."""
@@ -321,9 +337,9 @@ class WitnessEngine:
 
     # -- event processing -----------------------------------------------------
 
-    def _on_vc(self, fields: dict[str, Any], ts: float) -> None:
-        tnc = fields.get("tnc")
-        vtnc = fields.get("vtnc")
+    def _on_vc(self, fields: tuple, ts: float) -> None:
+        tnc = fields[_VC_TNC]
+        vtnc = fields[_VC_VTNC]
         if tnc is not None:
             self._vc_seen = True
             tnc = int(tnc)
@@ -334,27 +350,31 @@ class WitnessEngine:
             if vtnc > self._vtnc:
                 self._vtnc = vtnc
 
-    def _on_site_advance(self, fields: dict[str, Any], ts: float) -> None:
-        site = fields.get("site")
+    def _on_site_advance(self, fields: tuple, ts: float) -> None:
+        site = fields[_SITE]
         if site is not None:
-            vtnc = fields.get("vtnc")
+            vtnc = fields[_SITE_VTNC]
             if vtnc is not None and int(vtnc) > self._site_vtnc.get(site, -1):
                 self._site_vtnc[site] = int(vtnc)
-            tnc = fields.get("tnc")
+            tnc = fields[_SITE_TNC]
             if tnc is not None and int(tnc) > self._site_tnc.get(site, -1):
                 self._site_tnc[site] = int(tnc)
 
-    def _on_replica_watermark(self, fields: dict[str, Any], ts: float) -> None:
-        rid = fields.get("replica")
-        vtnc = fields.get("vtnc")
+    def _on_replica_watermark(self, fields: tuple, ts: float) -> None:
+        self._replica_floor(fields[_WATERMARK_REPLICA], fields[_WATERMARK_VTNC])
+
+    def _on_replica_ack(self, fields: tuple, ts: float) -> None:
+        self._replica_floor(fields[_ACK_REPLICA], fields[_ACK_VTNC])
+
+    def _replica_floor(self, rid: Any, vtnc: Any) -> None:
         if rid is not None and vtnc is not None:
             self._replica_vtnc[rid] = int(vtnc)
 
-    def _on_promote(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_promote(self, fields: tuple, ts: float) -> None:
         # The chosen replica becomes the primary; its watermark now
         # arrives through the new primary's vc.* events.
-        self._replica_vtnc.pop(fields.get("replica"), None)
-        vtnc = fields.get("vtnc")
+        self._replica_vtnc.pop(fields[_PROMOTE_REPLICA], None)
+        vtnc = fields[_PROMOTE_VTNC]
         if vtnc is not None:
             self._rebase(int(vtnc))
 
@@ -493,12 +513,12 @@ class WitnessEngine:
 
     # -- transaction lifecycle -------------------------------------------------
 
-    def _on_begin(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_begin(self, fields: tuple, ts: float) -> None:
         self.events_seen += 1
-        txn = fields.get("txn")
+        txn = fields[_BEGIN_TXN]
         if txn is None or txn in self._tokens:
             return
-        cls = fields.get("cls", "rw")
+        cls = fields[_BEGIN_CLS]
         floor = self._begin_floor(cls)
         self._tokens[txn] = _Token(floor)
         floors = self._token_floors
@@ -512,15 +532,15 @@ class WitnessEngine:
         if tracked > self.peak_tracked:
             self.peak_tracked = tracked
 
-    def _on_read(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_read(self, fields: tuple, ts: float) -> None:
         self.events_seen += 1
-        token = self._tokens.get(fields.get("txn"))
+        token = self._tokens.get(fields[_READ_TXN])
         if token is None:
             return
-        key = fields.get("key")
+        key = fields[_READ_KEY]
         if isinstance(key, list):
             key = tuple(key)  # a JSONL round trip turned a tuple key into a list
-        version = fields.get("version")
+        version = fields[_READ_VERSION]
         if version is not None and type(version) is not int:
             version = int(version)
         token.reads.append((key, version))
@@ -531,11 +551,11 @@ class WitnessEngine:
             else:
                 live[version] = live.get(version, 0) + 1
 
-    def _on_write(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_write(self, fields: tuple, ts: float) -> None:
         self.events_seen += 1
-        token = self._tokens.get(fields.get("txn"))
+        token = self._tokens.get(fields[_WRITE_TXN])
         if token is not None:
-            key = fields.get("key")
+            key = fields[_WRITE_KEY]
             token.writes.append(tuple(key) if isinstance(key, list) else key)
 
     def _release_token(self, txn: int) -> _Token | None:
@@ -580,9 +600,9 @@ class WitnessEngine:
                         self._touched[key] = None
         return token
 
-    def _on_abort(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_abort(self, fields: tuple, ts: float) -> None:
         self.events_seen += 1
-        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
+        txn, tn, ident = fields[_END_TXN], fields[_END_TN], fields[_END_IDENT]
         self._release_token(txn)
         self.aborted += 1
         if self.track_edges and ident is not None:
@@ -601,9 +621,9 @@ class WitnessEngine:
         if self.seal:
             self._seal_pass()
 
-    def _on_commit(self, fields: dict[str, Any], ts: float) -> None:
+    def _on_commit(self, fields: tuple, ts: float) -> None:
         self.events_seen += 1
-        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
+        txn, tn, ident = fields[_END_TXN], fields[_END_TN], fields[_END_IDENT]
         token = self._release_token(txn)
         if ident is None:
             return
@@ -1126,7 +1146,7 @@ class WitnessEngine:
         "history.abort": _on_abort,
         "dvc.advance": _on_site_advance,
         "replica.watermark": _on_replica_watermark,
-        "replica.ack": _on_replica_watermark,
+        "replica.ack": _on_replica_ack,
         "replica.promote": _on_promote,
     }
 
@@ -1150,8 +1170,8 @@ def witness_history(history: Any, *, seal: bool = False, **kwargs: Any) -> Witne
 
     engine = WitnessEngine(seal=seal, **kwargs)
 
-    def send(name: str, ts: float, **fields: Any) -> None:
-        engine.export({"name": name, "ts": ts, **fields})
+    def send(name: str, ts: float, *fields: Any) -> None:
+        engine.export((name, ts, fields, None, None))
 
     ts = 0.0
     begun: set[int] = set()
@@ -1162,19 +1182,19 @@ def witness_history(history: Any, *, seal: bool = False, **kwargs: Any) -> Witne
         cls = "ro" if read_only else "rw"
         if op.kind is not OpKind.BEGIN and ident not in begun:
             begun.add(ident)
-            send("history.begin", ts - 0.5, txn=ident, cls=cls)
+            send("history.begin", ts - 0.5, ident, cls)
         if op.kind is OpKind.BEGIN:
             begun.add(ident)
-            send("history.begin", ts, txn=ident, cls=cls)
+            send("history.begin", ts, ident, cls)
         elif op.kind is OpKind.READ:
-            send("history.read", ts, txn=ident, key=op.key, version=op.version)
+            send("history.read", ts, ident, op.key, op.version)
         elif op.kind is OpKind.WRITE:
-            send("history.write", ts, txn=ident, key=op.key)
+            send("history.write", ts, ident, op.key)
         elif op.kind is OpKind.COMMIT:
             tn = None if read_only else ident
-            send("history.commit", ts, txn=ident, ident=ident, tn=tn, cls=cls)
+            send("history.commit", ts, ident, ident, tn, cls)
         elif op.kind is OpKind.ABORT:
             tn = ident if not read_only and ident > 0 else None
-            send("history.abort", ts, txn=ident, ident=ident, tn=tn, cls=cls)
+            send("history.abort", ts, ident, ident, tn, cls)
     engine.finish()
     return engine

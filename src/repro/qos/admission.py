@@ -47,11 +47,11 @@ class AdmissionController:
             self._in_flight += 1
             self.admitted += 1
             if self.tracer.enabled:
-                self.tracer.emit("qos.admit", in_flight=self._in_flight)
+                self.tracer.emit("qos.admit", self._in_flight)
             return
         self.shed += 1
         if self.tracer.enabled:
-            self.tracer.emit("qos.shed", in_flight=self._in_flight)
+            self.tracer.emit("qos.shed", self._in_flight)
         raise Overloaded()
 
     def release(self) -> None:

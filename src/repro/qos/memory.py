@@ -171,10 +171,10 @@ class MemoryPressureController:
         if self.tracer.enabled:
             self.tracer.emit(
                 "snapshot.revoked",
-                txn=lease.txn_id,
-                sn=lease.sn,
-                cause=lease.revoke_cause,
-                renewals=lease.renewals,
+                lease.txn_id,
+                lease.sn,
+                lease.revoke_cause,
+                lease.renewals,
             )
 
     def _enter_pressure(self, live: int) -> None:
@@ -189,8 +189,8 @@ class MemoryPressureController:
         if self.tracer.enabled:
             self.tracer.emit(
                 "qos.memory_pressure",
-                state="pressured",
-                live_versions=live,
+                "pressured",
+                live,
                 high_watermark=self.high_watermark,
             )
 
@@ -202,8 +202,8 @@ class MemoryPressureController:
         if self.tracer.enabled:
             self.tracer.emit(
                 "qos.memory_pressure",
-                state="normal",
-                live_versions=live,
+                "normal",
+                live,
                 low_watermark=self.low_watermark,
             )
 

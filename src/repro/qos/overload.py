@@ -207,7 +207,7 @@ def _run_phase(
                 # Tripwire for the zero-RO-shed objective: this event is
                 # structurally unreachable (RO begins bypass admission);
                 # if it ever fires, the watchdog breaches immediately.
-                tracer.emit("slo.ro_shed", seed=seed)
+                tracer.emit("slo.ro_shed", seed)
                 return
             staleness = txn.meta.get("qos.staleness")
             if staleness is not None:

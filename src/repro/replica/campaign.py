@@ -239,7 +239,7 @@ def _run_phase(
                 # replica_lag watchdog watches.  (The replica's own
                 # staleness_bound freezes during a full partition — it
                 # hears nothing — so only this primary-side view spikes.)
-                tracer.emit("replica.lag", replica=rid, lag=lag)
+                tracer.emit("replica.lag", rid, lag)
         for rid in list(last_vtnc):
             if rid not in cluster.replicas:
                 del last_vtnc[rid]  # promoted out of the replica set

@@ -299,11 +299,11 @@ class ReplicaCluster:
         if self.tracer.enabled:
             self.tracer.emit(
                 "replica.promote",
-                replica=chosen.replica_id,
-                epoch=self.epoch,
-                vtnc=vc.vtnc,
-                lost_volatile_records=lost,
-                survivors=len(self.replicas),
+                chosen.replica_id,
+                self.epoch,
+                vc.vtnc,
+                lost,
+                len(self.replicas),
             )
         for hook in list(self.on_promote):
             hook(chosen)

@@ -211,9 +211,9 @@ class ClusterSupervisor:
                     if self.tracer.enabled:
                         self.tracer.emit(
                             "detect.suspect",
-                            replica=rid,
-                            epoch=epoch,
-                            suspicion=round(detector.suspicion(now), 3),
+                            rid,
+                            epoch,
+                            round(detector.suspicion(now), 3),
                         )
 
                 def vote(rid=rid, vote_epoch=cluster.replicas[rid].epoch) -> None:
@@ -245,10 +245,10 @@ class ClusterSupervisor:
             if self.tracer.enabled:
                 self.tracer.emit(
                     "detect.vote",
-                    replica=rid,
-                    epoch=epoch,
-                    votes=len(self.votes),
-                    needed=self.vote_quorum(),
+                    rid,
+                    epoch,
+                    len(self.votes),
+                    self.vote_quorum(),
                 )
         if len(self.votes) >= self.vote_quorum():
             self._promote()
@@ -271,10 +271,10 @@ class ClusterSupervisor:
         if self.tracer.enabled:
             self.tracer.emit(
                 "detect.failover",
-                deposed_epoch=epoch,
-                epoch=cluster.epoch,
-                promoted=promoted.replica_id,
-                votes=votes,
+                epoch,
+                cluster.epoch,
+                promoted.replica_id,
+                votes,
             )
         # _after_promotion (the cluster hook) already reset the round.
 

@@ -107,8 +107,8 @@ class Replica:
             self.segments_stale += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    "replica.segment_stale", replica=self.replica_id,
-                    epoch=epoch, current=self.epoch,
+                    "replica.segment_stale", self.replica_id,
+                    epoch, self.epoch,
                 )
             return self.applied_offset, self.vtnc
         if epoch > self.epoch:
@@ -123,8 +123,8 @@ class Replica:
             self.segments_buffered += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    "replica.segment_buffered", replica=self.replica_id,
-                    start=start, applied=self.applied_offset,
+                    "replica.segment_buffered", self.replica_id,
+                    start, self.applied_offset,
                 )
             self._note_frontier(records)
             self._publish_staleness()
@@ -188,9 +188,9 @@ class Replica:
             self.vtnc += 1
         if self.tracer.enabled and self.vtnc != before:
             self.tracer.emit(
-                "replica.watermark", replica=self.replica_id,
-                vtnc=self.vtnc, advanced=self.vtnc - before,
-                staleness=self.staleness_bound,
+                "replica.watermark", self.replica_id,
+                self.vtnc, self.vtnc - before,
+                self.staleness_bound,
             )
 
     # -- staleness ---------------------------------------------------------------
@@ -239,8 +239,8 @@ class Replica:
         self.counters.note_vc_interaction(txn, "start")
         if self.tracer.enabled:
             self.tracer.emit(
-                "replica.ro_snapshot", replica=self.replica_id,
-                txn=txn.txn_id, sn=txn.sn, staleness=self.staleness_bound,
+                "replica.ro_snapshot", self.replica_id,
+                txn.txn_id, txn.sn, self.staleness_bound,
             )
         return txn
 

@@ -224,9 +224,7 @@ class QuorumGate:
                 "quorum.lease_renewals" if valid else "quorum.lease_lapses"
             )
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "quorum.lease", epoch=self.epoch, valid=valid, now=self._now()
-                )
+                self.tracer.emit("quorum.lease", self.epoch, valid, self._now())
         return valid
 
     # -- the commit pipeline ---------------------------------------------------------
@@ -282,9 +280,7 @@ class QuorumGate:
             self.counters.bump("quorum.commits")
             entry.on_quorum()
         if batch and self.tracer.enabled:
-            self.tracer.emit(
-                "quorum.advance", epoch=self.epoch, offset=frontier, batch=batch
-            )
+            self.tracer.emit("quorum.advance", self.epoch, frontier, batch)
 
     def _expire(self, entry: _PendingCommit) -> None:
         if entry.done or self.deposed:
@@ -296,10 +292,10 @@ class QuorumGate:
         if self.tracer.enabled:
             self.tracer.emit(
                 "quorum.indeterminate",
-                epoch=self.epoch,
-                txn=entry.txn_id,
-                offset=entry.offset,
-                frontier=self.quorum_offset(),
+                self.epoch,
+                entry.txn_id,
+                entry.offset,
+                self.quorum_offset(),
             )
         entry.on_indeterminate()
 
@@ -365,9 +361,7 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
         # wherever the current primary is.
         gate.counters.bump("quorum.fenced")
         if gate.tracer.enabled:
-            gate.tracer.emit(
-                "quorum.fenced", epoch=gate.epoch, txn=txn.txn_id, now=gate._now()
-            )
+            gate.tracer.emit("quorum.fenced", gate.epoch, txn.txn_id, gate._now())
         error = QuorumUnavailable(txn.txn_id, epoch=gate.epoch, fenced=True)
         self._rw_abort(txn, AbortReason.QUORUM_UNAVAILABLE)
         return failed(error, label=("commit T{} fenced", txn.txn_id))

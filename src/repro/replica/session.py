@@ -102,7 +102,7 @@ class ReplicatedDatabase(Database):
                 if self.cluster.tracer.enabled:
                     self.cluster.tracer.emit(
                         "qos.replica_redirect",
-                        replica=replica.replica_id, lag=lag, bound=bound,
+                        replica.replica_id, lag, bound,
                     )
                 return super().snapshot()
             if policy == "reject":
@@ -110,7 +110,7 @@ class ReplicatedDatabase(Database):
                 if self.cluster.tracer.enabled:
                     self.cluster.tracer.emit(
                         "qos.replica_reject",
-                        replica=replica.replica_id, lag=lag, bound=bound,
+                        replica.replica_id, lag, bound,
                     )
                 raise ReplicaLagging(replica.replica_id, lag, bound)
             counters.bump("replica.ro.stale")
@@ -120,7 +120,7 @@ class ReplicatedDatabase(Database):
             if self.cluster.tracer.enabled:
                 self.cluster.tracer.emit(
                     "qos.replica_stale_read",
-                    replica=replica.replica_id, lag=lag, bound=bound,
+                    replica.replica_id, lag, bound,
                 )
             return TransactionContext(replica, txn)
         counters.bump("replica.ro.served")

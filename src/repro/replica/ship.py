@@ -131,13 +131,7 @@ class LogShipper:
         self.records_shipped += len(records)
         self.sent_offset[rid] = max(self.sent_offset[rid], offset + len(records))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "replica.ship",
-                replica=rid,
-                epoch=epoch,
-                offset=offset,
-                records=len(records),
-            )
+            self.tracer.emit("replica.ship", rid, epoch, offset, len(records))
 
         def deliver(records=records, offset=offset, epoch=epoch, rid=rid) -> None:
             applied_offset, vtnc = replica.receive_segment(epoch, offset, records)
@@ -167,11 +161,11 @@ class LogShipper:
         if self.tracer.enabled:
             self.tracer.emit(
                 "replica.ack",
-                replica=rid,
-                epoch=epoch,
-                applied_offset=applied_offset,
-                vtnc=vtnc,
-                lag_records=self.lag_records(rid),
+                rid,
+                epoch,
+                applied_offset,
+                vtnc,
+                self.lag_records(rid),
             )
         for watcher in list(self.ack_watchers):
             watcher(rid, applied_offset, vtnc)

@@ -269,8 +269,7 @@ def _run_phase(
     for sid in db.sites:
         prober = run.prober(
             duration, 1.0, lambda: db, f"s{sid}:__probe__",
-            outages[sid], stats.violations, "shard.outage", f"shard {sid} ",
-            shard=sid,
+            outages[sid], stats.violations, "shard.outage", f"shard {sid} ", (sid,),
         )
         sim.spawn(prober, name=f"prober-s{sid}")
     sim.spawn(partitioner(), name="partitioner")

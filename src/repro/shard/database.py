@@ -237,22 +237,12 @@ class ShardedDatabase(DistributedVCDatabase):
         if torn:
             self.counters.bump("shard.vector_inconsistent", len(torn))
             if tracer.enabled:
-                tracer.emit(
-                    "shard.vector_inconsistent",
-                    txn=txn.txn_id, torn=len(torn),
-                )
+                tracer.emit("shard.vector_inconsistent", txn.txn_id, len(torn))
             raise ProtocolError(
                 f"snapshot vector {vector} tears cross-shard commits {torn}"
             )
         if tracer.enabled:
-            tracer.emit(
-                "shard.snapshot",
-                txn=txn.txn_id,
-                sn=txn.sn,
-                staleness=staleness,
-                lowered=lowered,
-                shards=len(raw),
-            )
+            tracer.emit("shard.snapshot", txn.txn_id, txn.sn, staleness, lowered, len(raw))
         return txn
 
     def _prune_xlogs(self) -> None:
@@ -287,11 +277,7 @@ class ShardedDatabase(DistributedVCDatabase):
             self.counters.bump("shard.ro_blocked")
             tracer = self.courier.tracer
             if tracer.enabled:
-                tracer.emit(
-                    "shard.ro_blocked",
-                    txn=txn.txn_id, shard=site.site_id,
-                    sn=sn, vtnc=site.vc.vtnc,
-                )
+                tracer.emit("shard.ro_blocked", txn.txn_id, site.site_id, sn, site.vc.vtnc)
         return sn
 
     def snapshot_vector(self, txn: Transaction) -> dict[int, int] | None:
@@ -383,8 +369,8 @@ class ShardedDatabase(DistributedVCDatabase):
         if tracer.enabled:
             tracer.emit(
                 "shard.commit",
-                txn=txn.txn_id, shard=site.site_id, tn=tn,
-                cross=True, queue=site.vc.queue_length(),
+                txn.txn_id, site.site_id, tn,
+                True, site.vc.queue_length(),
             )
 
     # -- per-shard replica chains -----------------------------------------------------
@@ -443,11 +429,7 @@ class ShardedDatabase(DistributedVCDatabase):
         self.counters.bump("shard.failovers")
         tracer = self.courier.tracer
         if tracer.enabled:
-            tracer.emit(
-                "shard.failover",
-                shard=site_id, epoch=node.epoch, lost_records=lost,
-                vtnc=node.vc.vtnc,
-            )
+            tracer.emit("shard.failover", site_id, node.epoch, lost, node.vc.vtnc)
         return lost
 
     # -- inspection --------------------------------------------------------------------

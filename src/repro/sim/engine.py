@@ -118,7 +118,7 @@ class Simulator:
         process._ready = self._ready
         self.processes.append(process)
         if self.tracer.enabled:
-            self.tracer.emit("sim.spawn", process=process.name)
+            self.tracer.emit("sim.spawn", process.name)
         self._ready.append((process, None, None))
         return process
 
@@ -163,13 +163,13 @@ class Simulator:
                     except StopIteration as stop:
                         target.finished, target.result = True, stop.value
                         if self.tracer.enabled:
-                            self.tracer.emit("sim.process.end", process=target.name)
+                            self.tracer.emit("sim.process.end", target.name)
                         break
                     except BaseException as exc:  # noqa: BLE001 - report, do not mask
                         target.finished, target.error = True, exc
                         if self.tracer.enabled:
                             name = type(exc).__name__
-                            self.tracer.emit("sim.process.error", process=target.name, error=name)
+                            self.tracer.emit("sim.process.error", target.name, name)
                         raise
                     if isinstance(yielded, OpFuture):
                         if yielded._status is _PENDING:  # its own method queues the record

@@ -351,14 +351,14 @@ class GarbageCollector:
             if self.tracer.enabled:
                 self.tracer.emit(
                     "gc.sweep",
-                    horizon=self.horizon(),
-                    visible=visible,
-                    pins=len(pins),
-                    discarded=discarded,
-                    interior=interior,
-                    scanned=scanned,
-                    active_readers=self.registry.active_count(),
-                    live_versions=live,
-                    max_chain=longest,
+                    self.horizon(),
+                    visible,
+                    len(pins),
+                    discarded,
+                    interior,
+                    scanned,
+                    self.registry.active_count(),
+                    live,
+                    longest,
                 )
         return discarded

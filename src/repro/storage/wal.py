@@ -107,16 +107,14 @@ class WriteAheadLog:
     def append(self, record: LogRecord) -> None:
         self._records.append(record)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "wal.append", kind=record.kind.value, txn=record.txn_id, tn=record.tn
-            )
+            self.tracer.emit("wal.append", record.kind.value, record.txn_id, record.tn)
 
     def force(self) -> None:
         volatile = len(self._records) - self._durable
         self._durable = len(self._records)
         self.forces += 1
         if self.tracer.enabled:
-            self.tracer.emit("wal.force", made_durable=volatile, durable=self._durable)
+            self.tracer.emit("wal.force", volatile, self._durable)
         if self._on_force:
             for fn in list(self._on_force.values()):
                 fn()
@@ -137,9 +135,7 @@ class WriteAheadLog:
         if tear_last and made > 0:
             self._torn.add(self._durable - 1)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "wal.force", made_durable=made, durable=self._durable, torn=tear_last
-            )
+            self.tracer.emit("wal.force", made, self._durable, torn=tear_last)
         if self._on_force:
             for fn in list(self._on_force.values()):
                 fn()
@@ -154,7 +150,7 @@ class WriteAheadLog:
         lost = len(self._records) - self._durable
         del self._records[self._durable :]
         if self.tracer.enabled:
-            self.tracer.emit("wal.crash", lost=lost, durable=self._durable)
+            self.tracer.emit("wal.crash", lost, self._durable)
         return lost
 
     def truncate_before_checkpoint(self) -> int:

@@ -2,14 +2,20 @@
 
 Emitters: every ``.emit(`` in ``src/repro`` names a registered event (the
 three sites that compute a name are listed here with the names they can
-produce) and passes its required fields and no unknown one; every event of
-a traced quickstart run and of a traced fault drill conforms.  Consumers:
-every name an engine subscribes to, and every ``SIGNAL_ROUTES`` key, is
-registered.  Docs: the schema table in ``docs/observability.md`` is the
-registry's rendering.
+produce), passes exactly its required fields positionally and no unknown
+one by keyword; every event of a traced quickstart run and of a traced
+fault drill conforms.  Records: a record whose field count is not its
+name's fails loudly where its dict is built, and a traced drill's JSONL
+replayed into fresh engines gives the live run's reports.  Consumers: every
+name an engine subscribes to, and every ``SIGNAL_ROUTES`` key, is
+registered, and the names a handler shares lay out its fields alike.
+Docs: the schema table in ``docs/observability.md`` is the registry's
+rendering.
 """
 
 import ast
+import io
+import json
 import os
 import pathlib
 import subprocess
@@ -18,10 +24,13 @@ import sys
 import pytest
 
 import repro
+from repro.faults.drill import run_drill
 from repro.obs.analyze import load_trace
-from repro.obs.events import AMBIENT, EVENTS, schema_table
+from repro.obs.events import AMBIENT, EVENTS, as_dict, positions, record, schema_table
+from repro.obs.exporters import JsonlExporter
 from repro.obs.slo import SLOEngine, bench_objectives
 from repro.obs.slo.engine import _DISPATCH, SIGNAL_ROUTES
+from repro.obs.tracer import Tracer, replay
 from repro.obs.witness import WitnessEngine
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -50,7 +59,9 @@ def violations(event):
 
 
 def emit_sites():
-    """``(where, names, literal fields, splats)`` for every ``.emit(`` call."""
+    """``(where, names, positional count, starred, keyword fields, splats)``
+    for every ``.emit(`` call; the count leaves out the name and any
+    ``*`` expansion."""
     for path in sorted(SRC.rglob("*.py")):
         where = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -65,37 +76,85 @@ def emit_sites():
                 names = (first.value,)
             else:
                 names = DYNAMIC[(where, ast.unparse(first))]
+            values = node.args[1:]
+            starred = any(isinstance(value, ast.Starred) for value in values)
+            count = sum(not isinstance(value, ast.Starred) for value in values)
             fields = {k.arg for k in node.keywords if k.arg is not None}
             splats = any(k.arg is None for k in node.keywords)
-            yield f"{where}:{node.lineno}", names, fields, splats
+            yield f"{where}:{node.lineno}", names, count, starred, fields, splats
 
 
 class TestEmitSites:
-    def test_every_site_names_a_registered_event_with_its_fields(self):
+    def test_every_site_passes_its_required_fields_positionally(self):
         problems = []
-        for where, names, fields, splats in emit_sites():
+        for where, names, count, starred, fields, splats in emit_sites():
             for name in names:
                 spec = EVENTS.get(name)
                 if spec is None:
                     problems.append(f"{where}: {name!r} is not registered")
                     continue
-                if not splats:  # a ``**`` expansion may carry the rest
-                    missing = set(spec.required) - fields
-                    problems.extend(f"{where}: {name} misses {f!r}" for f in sorted(missing))
+                required = len(spec.required)
+                # A ``*`` expansion may carry some of them, never too many.
+                if count > required or (count < required and not starred):
+                    problems.append(
+                        f"{where}: {name} passes {count} positional field(s), "
+                        f"requires {required}: {', '.join(spec.required)}"
+                    )
+                problems.extend(
+                    f"{where}: {name} passes required {f!r} by keyword"
+                    for f in sorted(fields & set(spec.required))
+                )
                 if not spec.free_form:
-                    known = set(spec.required) | set(spec.optional) | set(AMBIENT)
+                    known = set(spec.optional) | set(AMBIENT)
                     problems.extend(
-                        f"{where}: {name} passes unknown {f!r}" for f in sorted(fields - known)
+                        f"{where}: {name} passes unknown {f!r}"
+                        for f in sorted(fields - known - set(spec.required))
                     )
         assert not problems, "\n".join(problems)
 
     def test_every_dynamic_site_is_still_there(self):
-        found = {names for _, names, _, _ in emit_sites() if len(names) > 1}
+        found = {site[1] for site in emit_sites() if len(site[1]) > 1}
         assert found == set(DYNAMIC.values())
 
     def test_every_registered_name_has_an_emitter(self):
-        emitted = {name for _, names, _, _ in emit_sites() for name in names}
+        emitted = {name for site in emit_sites() for name in site[1]}
         assert emitted == set(EVENTS)
+
+
+class TestRecords:
+    def test_a_record_of_the_wrong_arity_fails_where_its_dict_is_built(self):
+        assert as_dict(("txn.commit", 1.0, (4, "rw", 2), None, None))["tn"] == 2
+        for fields in ((4, "rw"), (4, "rw", 2, 9)):
+            with pytest.raises(TypeError, match=r"'txn.commit' has \d positional.*txn, cls, tn"):
+                as_dict(("txn.commit", 1.0, fields, None, None))
+
+    def test_a_keyword_for_a_required_field_fails_too(self):
+        tracer = Tracer([JsonlExporter(io.StringIO())])
+        with pytest.raises(TypeError, match="'txn.begin' has 0 positional"):
+            tracer.emit("txn.begin", txn=1, cls="rw")
+
+    def test_a_decoded_line_and_its_record_round_trip(self):
+        line = {"name": "wal.force", "ts": 2.0, "made_durable": 1, "durable": 3,
+                "torn": True, "span": 4, "trace": 5}
+        assert record(line) == ("wal.force", 2.0, (1, 3), {"torn": True, "span": 4, "trace": 5}, None)
+        assert list(as_dict(record(line)).items()) == list(line.items())
+
+    def test_replaying_the_traced_drill_gives_the_live_reports(self):
+        stream = io.StringIO()
+        slo = SLOEngine(bench_objectives(ro_never_blocks=True), window=25.0)
+        witness = WitnessEngine(seal=True)
+        tracer = Tracer([JsonlExporter(stream), slo, witness])
+        report = run_drill("dvc", seed=0, duration=120.0, tracer=tracer)
+        tracer.close()
+        assert report.ok and witness.report()["transactions"] > 0
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        replayed_slo = SLOEngine(bench_objectives(ro_never_blocks=True), window=25.0)
+        replayed_witness = WitnessEngine(seal=True)
+        replay(events, replayed_slo, replayed_witness)
+        replayed_slo.finish()
+        replayed_witness.finish()
+        assert replayed_slo.report() == slo.report()
+        assert replayed_witness.report() == witness.report()
 
 
 def _run(*argv, env=None):
@@ -137,6 +196,15 @@ class TestSubscriptions:
         assert set(table) - set(EVENTS) == set()
         subscribed = {name for name in EVENTS if engine.route(name) is not None}
         assert subscribed == set(table)
+
+    @pytest.mark.parametrize("names,fields", [
+        (("history.commit", "history.abort"), ("txn", "ident", "tn")),
+        (("vc.register", "vc.advance", "vc.discard"), ("number", "tnc", "vtnc", "lag")),
+        (("txn.begin", "txn.commit", "txn.abort", "txn.block"), ("txn", "cls")),
+        (("lock.block", "lock.grant"), ("txn",)),
+    ])
+    def test_the_names_a_handler_shares_lay_out_its_fields_alike(self, names, fields):
+        assert len({positions(name, *fields) for name in names}) == 1
 
     def test_the_witness_takes_the_vc_names_by_name(self):
         assert WitnessEngine(seal=True).route("vc.call") is None

@@ -3,6 +3,7 @@
 import io
 import json
 
+from repro.obs.events import record
 from repro.obs.exporters import JsonlExporter
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.slo import SLOEngine, ZeroObjective
@@ -49,7 +50,7 @@ class TestPipeline:
     def test_close_is_idempotent_and_finishes_engine(self):
         engine = SLOEngine([ZeroObjective("z", "blocked.ro")], window=10.0)
         pipeline = ObsPipeline(ring=16, engine=engine)
-        pipeline.tracer.emit("txn.block", txn=1, cls="ro")
+        pipeline.tracer.emit("txn.block", 1, "ro", "lock")
         pipeline.close()
         pipeline.close()
         assert engine.finished
@@ -80,17 +81,17 @@ class TestJsonlDeterministicClose:
     def test_close_exactly_once(self, tmp_path):
         path = tmp_path / "t.jsonl"
         exporter = JsonlExporter(str(path))
-        exporter.export({"name": "a", "ts": 0.0})
+        exporter.export(record({"name": "a", "ts": 0.0}))
         exporter.close()
         exporter.close()  # second close is a no-op, not an error
-        exporter.export({"name": "b", "ts": 1.0})  # post-close export dropped
+        exporter.export(record({"name": "b", "ts": 1.0}))  # post-close export dropped
         rows = path.read_text().splitlines()
         assert len(rows) == 1
 
     def test_borrowed_stream_flushed_not_closed(self):
         stream = io.StringIO()
         exporter = JsonlExporter(stream)
-        exporter.export({"name": "a", "ts": 0.0})
+        exporter.export(record({"name": "a", "ts": 0.0}))
         exporter.close()
         assert not stream.closed
         assert stream.getvalue().endswith("\n")

@@ -18,7 +18,8 @@ from repro.workload.mixes import balanced
 
 
 class Subscriber:
-    """Takes only the names it is built with, and records what it got."""
+    """Takes only the names it is built with, and records what it got: the
+    records themselves."""
 
     def __init__(self, *names):
         self.names = set(names)
@@ -32,34 +33,34 @@ class TestCompiledTable:
     def test_a_name_goes_only_to_its_subscribers(self):
         begins, ring = Subscriber("txn.begin"), RingBufferExporter()
         tracer = Tracer(exporters=[begins, ring])
-        tracer.emit("txn.begin", txn=1, cls="rw")
-        tracer.emit("wal.append", kind="COMMIT", txn=1, tn=1)
-        assert [e["name"] for e in begins.got] == ["txn.begin"]
+        tracer.emit("txn.begin", 1, "rw")
+        tracer.emit("wal.append", "COMMIT", 1, 1)
+        assert [e[0] for e in begins.got] == ["txn.begin"]
         assert [e["name"] for e in ring.events()] == ["txn.begin", "wal.append"]
-        assert begins.got[0] is ring.events()[0]
+        assert begins.got[0] is ring._buffer[0]
 
     def test_an_exporter_added_after_a_name_compiled_receives_it(self):
         first, late = Subscriber("txn.begin"), Subscriber("txn.begin")
         tracer = Tracer(exporters=[first])
-        tracer.emit("txn.begin", txn=1, cls="rw")
+        tracer.emit("txn.begin", 1, "rw")
         tracer.add_exporter(late)
-        tracer.emit("txn.begin", txn=2, cls="rw")
-        assert [e["txn"] for e in first.got] == [1, 2]
-        assert [e["txn"] for e in late.got] == [2]
+        tracer.emit("txn.begin", 2, "rw")
+        assert [e[2][0] for e in first.got] == [1, 2]
+        assert [e[2][0] for e in late.got] == [2]
 
     def test_a_removed_exporter_stops_receiving(self):
         kept, gone = Subscriber("txn.begin"), RingBufferExporter()
         tracer = Tracer(exporters=[kept, gone])
-        tracer.emit("txn.begin", txn=1, cls="rw")
+        tracer.emit("txn.begin", 1, "rw")
         tracer.remove_exporter(gone)
-        tracer.emit("txn.begin", txn=2, cls="rw")
-        assert [e["txn"] for e in kept.got] == [1, 2]
+        tracer.emit("txn.begin", 2, "rw")
+        assert [e[2][0] for e in kept.got] == [1, 2]
         assert [e["txn"] for e in gone.events()] == [1]
 
     def test_a_name_with_no_sink_builds_nothing(self):
         ticks = []
         tracer = Tracer(exporters=[Subscriber("txn.begin")], clock=lambda: ticks.append(1) or 0.0)
-        assert tracer.emit("wal.append", kind="COMMIT", txn=1, tn=1) is None
+        assert tracer.emit("wal.append", "COMMIT", 1, 1) is None
         assert ticks == []
 
     def test_an_engine_with_a_recorder_takes_every_name(self):
@@ -68,7 +69,7 @@ class TestCompiledTable:
             SLOEngine(bench_objectives(ro_never_blocks=True), recorder=FlightRecorder(capacity=8)),
         ):
             tracer = Tracer(exporters=[engine])
-            tracer.emit("wal.append", kind="COMMIT", txn=1, tn=1)
+            tracer.emit("wal.append", "COMMIT", 1, 1)
             assert [e["name"] for e in engine.recorder.events()] == ["wal.append"]
 
 
@@ -91,7 +92,7 @@ class TestClock:
                     db.commit(txn)
             witness.finish()
             assert witness.report()["transactions"] == 3 and witness.ok
-            stamps.append([event["ts"] for event in commits.got])
+            stamps.append([event[1] for event in commits.got])
         # Eight built events a transaction: its four history.* events and
         # the vc.* counter movements, each one tick; the rest build nothing.
         assert stamps[0] == stamps[1] == [6.0, 14.0, 22.0]

@@ -26,13 +26,14 @@ from repro.obs.slo import (
     replication_objectives,
 )
 from repro.obs.analyze import load_trace
+from repro.obs.events import record
 from repro.obs.exporters import JsonlExporter
 from repro.obs.tracer import Tracer, replay
 
 
 def _ingest(engine, events):
     for event in events:
-        engine.export(event)
+        engine.export(record(event))
     engine.finish()
     return engine
 
@@ -327,10 +328,8 @@ class TestEngineStream:
         tracer = Tracer(exporters=[live, JsonlExporter(path)], clock=lambda: now[0])
         for event in events:
             now[0] = event["ts"]
-            tracer.emit(
-                event["name"],
-                **{k: v for k, v in event.items() if k not in ("name", "ts")},
-            )
+            fields, optional = record(event)[2:4]
+            tracer.emit(event["name"], *fields, **(optional or {}))
         tracer.close()
         replayed = SLOEngine(default_objectives(), window=10.0)
         replay(load_trace(path), replayed)
@@ -388,11 +387,11 @@ class TestEngineStream:
 
     def test_finish_is_idempotent_and_freezes(self):
         engine = SLOEngine([ZeroObjective("z", "blocked.ro")], window=10.0)
-        engine.export({"name": "txn.block", "ts": 1.0, "txn": 1, "cls": "ro"})
+        engine.export(record({"name": "txn.block", "ts": 1.0, "txn": 1, "cls": "ro"}))
         engine.finish()
         closed = engine.windows_closed
         engine.finish()
-        engine.export({"name": "txn.block", "ts": 2.0, "txn": 2, "cls": "ro"})
+        engine.export(record({"name": "txn.block", "ts": 2.0, "txn": 2, "cls": "ro"}))
         assert engine.windows_closed == closed
         assert len(engine.breaches) == 1
 
@@ -420,10 +419,10 @@ class TestSignalRoutes:
 
         engine = SLOEngine([Probe("probe", signal, ceiling=1.0)], window=10.0)
         fields = {} if field is None else {field: 7}
-        engine.export({"name": event, "ts": 1.0, **fields})
+        engine.export(record({"name": event, "ts": 1.0, **fields}))
         assert seen == [(signal, 1.0 if field is None else 7)]
         if field is not None:  # an absent field is no sample, not a zero
-            engine.export({"name": event, "ts": 2.0})
+            engine.export(record({"name": event, "ts": 2.0}))
             assert len(seen) == 1
 
     @staticmethod
@@ -510,14 +509,14 @@ class TestFlightRecorder:
     def test_bounded_ring_with_drop_accounting(self):
         recorder = FlightRecorder(capacity=3)
         for i in range(5):
-            recorder.export({"name": "e", "ts": float(i)})
+            recorder.export(record({"name": "e", "ts": float(i)}))
         assert len(recorder.events()) == 3
         assert recorder.dropped == 2
 
     def test_standalone_exporter_form(self):
         recorder = FlightRecorder(capacity=8)
         tracer = Tracer(exporters=[recorder])
-        tracer.emit("txn.begin", txn=1)
+        tracer.emit("txn.begin", 1, "rw")
         assert recorder.events()[0]["name"] == "txn.begin"
 
     def test_bundle_window_contains_injected_cause(self, tmp_path):

@@ -79,7 +79,7 @@ class TestSpanRuntime:
     def test_flat_emit_stamped_with_active_span(self):
         tracer, ring = traced()
         with start_span(tracer, "txn") as span:
-            tracer.emit("wal.force", site=1)
+            tracer.emit("wal.force", 1, 1)
         event = [e for e in ring.events() if e["name"] == "wal.force"][0]
         assert event["span"] == span.context.span_id
         assert event["trace"] == span.context.trace_id
@@ -268,7 +268,7 @@ class TestBuildTrees:
     def test_flat_event_attaches_to_its_span(self):
         tracer, ring = traced()
         with start_span(tracer, "txn", txn=1):
-            tracer.emit("wal.force", site=0)
+            tracer.emit("wal.force", 1, 1)
         root = transaction_trees(ring.events())[1]
         assert [e["name"] for e in root.events] == ["wal.force"]
 

@@ -218,11 +218,14 @@ def reference_span_trees(events):
 
 
 def shape(roots):
-    """Every node of a forest, depth-first, with what it holds."""
+    """Every node of a forest, depth-first, with what it holds.  The index
+    keeps the dict it builds from each replayed record, where a registered
+    field the line lacked reads ``None``, so an event is compared by its
+    other fields."""
     return [
         (node.span_id, node.parent_id, node.name, node.start, node.end, node.ok,
          node.fields, node.redeliveries, [c.span_id for c in node.children],
-         [id(e) for e in node.events])
+         [{k: v for k, v in e.items() if v is not None} for e in node.events])
         for root in roots
         for node in root.walk()
     ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import NULL_TRACER, NullTracer, RingBufferExporter, Tracer
+from repro.obs.spans import SpanContext
 
 
 class TestTracer:
@@ -15,7 +16,7 @@ class TestTracer:
             events = ring.events()
             assert [e["name"] for e in events] == ["x.one", "x.two"]
             assert events[0] == {"name": "x.one", "ts": 0.0, "k": 1}
-        assert a.events()[0] is b.events()[0]  # one dict, handed to both
+        assert a._buffer[0] is b._buffer[0]  # one record, handed to both
 
     def test_default_clock_is_deterministic_monotone(self):
         ring = RingBufferExporter()
@@ -53,12 +54,26 @@ class TestTracer:
     def test_event_is_the_jsonl_dict_in_field_order(self):
         ring = RingBufferExporter()
         tracer = Tracer(exporters=[ring])
-        returned = tracer.emit("vc.advance", number=3, lag=0)
+        returned = tracer.emit("vc.advance", 3, 4, 3, 0)
+        assert returned == ("vc.advance", 0.0, (3, 4, 3, 0), None, None)
+        assert ring._buffer[0] is returned
         [event] = ring.events()
-        assert event is returned
         assert list(event.items()) == [
-            ("name", "vc.advance"), ("ts", 0.0), ("number", 3), ("lag", 0)
+            ("name", "vc.advance"), ("ts", 0.0),
+            ("number", 3), ("tnc", 4), ("vtnc", 3), ("lag", 0),
         ]
+
+    def test_optional_fields_then_the_ambient_span_follow_the_required(self):
+        ring = RingBufferExporter()
+        tracer = Tracer(exporters=[ring])
+        tracer.active_span = SpanContext(trace_id=7, span_id=9)
+        tracer.emit("wal.force", 2, 5, torn=True)
+        tracer.emit("span.end", 1, 7, 0.5, True)  # carries its own span: not stamped
+        assert [list(event) for event in ring.events()] == [
+            ["name", "ts", "made_durable", "durable", "torn", "span", "trace"],
+            ["name", "ts", "span", "trace", "elapsed", "ok"],
+        ]
+        assert ring.events()[0]["span"] == 9 and ring.events()[1]["span"] == 1
 
 
 class TestNullTracer:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.histories import History, check_one_copy_serializable
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.events import record
 from repro.obs.slo.recorder import FlightRecorder
 from repro.obs.witness import IncrementalTopology, WitnessEngine, witness_history
 
@@ -124,11 +125,16 @@ class TestIncrementalTopology:
 # -- synthetic event streams -------------------------------------------------------
 
 
+def send(engine, name, ts, **fields):
+    """One decoded trace line into ``engine``, as the record replay makes of it."""
+    engine.export(record({"name": name, "ts": ts, **fields}))
+
+
 def feed(engine, *events):
     ts = engine._last_ts  # stay monotone across calls (no seam rollover)
     for name, fields in events:
         ts += 1.0
-        engine.export({"name": name, "ts": ts, **fields})
+        send(engine, name, ts, **fields)
     return engine
 
 
@@ -310,16 +316,11 @@ def watermarked_writer_stream(engine, n, *, keys=4):
     ts = 0.0
     for tn in range(1, n + 1):
         ts += 1.0
-        engine.export({"name": "history.begin", "ts": ts, "txn": tn, "cls": "rw"})
-        engine.export({
-            "name": "history.read", "ts": ts,
-            "txn": tn, "key": f"k{tn % keys}", "version": max(0, tn - keys),
-        })
-        engine.export({"name": "history.write", "ts": ts, "txn": tn, "key": f"k{tn % keys}"})
-        engine.export(
-            {"name": "history.commit", "ts": ts, "txn": tn, "ident": tn, "tn": tn, "cls": "rw"}
-        )
-        engine.export({"name": "vc.advance", "ts": ts, "number": tn, "tnc": tn + 1, "vtnc": tn})
+        send(engine, "history.begin", ts, txn=tn, cls="rw")
+        send(engine, "history.read", ts, txn=tn, key=f"k{tn % keys}", version=max(0, tn - keys))
+        send(engine, "history.write", ts, txn=tn, key=f"k{tn % keys}")
+        send(engine, "history.commit", ts, txn=tn, ident=tn, tn=tn, cls="rw")
+        send(engine, "vc.advance", ts, number=tn, tnc=tn + 1, vtnc=tn)
 
 
 class TestSealing:
@@ -355,12 +356,9 @@ class TestSealing:
         engine = WitnessEngine(seal=True)
         watermarked_writer_stream(engine, 50, keys=1)
         ro = RO_ID_OFFSET + 99
-        engine.export({"name": "history.begin", "ts": 1000.0, "txn": 99, "cls": "ro"})
-        engine.export({"name": "history.read", "ts": 1001.0, "txn": 99, "key": "k0", "version": 1})
-        engine.export({
-            "name": "history.commit", "ts": 1002.0,
-            "txn": 99, "ident": ro, "tn": None, "cls": "ro",
-        })
+        send(engine, "history.begin", 1000.0, txn=99, cls="ro")
+        send(engine, "history.read", 1001.0, txn=99, key="k0", version=1)
+        send(engine, "history.commit", 1002.0, txn=99, ident=ro, tn=None, cls="ro")
         engine.finish()
         assert engine.late_sealed_reads > 0
         assert not engine.ok  # serializable may hold; certification must not
@@ -369,14 +367,11 @@ class TestSealing:
     def test_live_reader_blocks_sealing_of_its_version(self):
         engine = WitnessEngine(seal=True)
         # A reader holds version 1 of k0 open across the whole stream.
-        engine.export({"name": "history.begin", "ts": 0.5, "txn": 999, "cls": "ro"})
+        send(engine, "history.begin", 0.5, txn=999, cls="ro")
         watermarked_writer_stream(engine, 60, keys=1)
-        engine.export({"name": "history.read", "ts": 100.0, "txn": 999, "key": "k0", "version": 1})
+        send(engine, "history.read", 100.0, txn=999, key="k0", version=1)
         ro = RO_ID_OFFSET + 999
-        engine.export({
-            "name": "history.commit", "ts": 101.0,
-            "txn": 999, "ident": ro, "tn": None, "cls": "ro",
-        })
+        send(engine, "history.commit", 101.0, txn=999, ident=ro, tn=None, cls="ro")
         engine.finish()
         assert engine.ok
         assert engine.late_sealed_reads == 0
@@ -420,18 +415,14 @@ class TestFailoverRebase:
         watermarked_writer_stream(engine, 3)
         # Replicas acked through tn=3; the deposed primary then commits
         # 4 and 5 which never ship.
-        engine.export(
-            {"name": "replica.watermark", "ts": engine._last_ts + 1, "replica": "r1", "vtnc": 3}
-        )
+        send(engine, "replica.watermark", engine._last_ts + 1, replica="r1", vtnc=3)
         commit_rw(engine, 4, 4, writes=["k0"])
         commit_rw(engine, 5, 5, writes=["k1"])
 
     def test_lost_suffix_dropped_and_counters_clamped(self):
         engine = WitnessEngine(seal=True)
         self._pre_failover(engine)
-        engine.export(
-            {"name": "replica.promote", "ts": engine._last_ts + 1, "replica": "r1", "vtnc": 3}
-        )
+        send(engine, "replica.promote", engine._last_ts + 1, replica="r1", vtnc=3)
         assert engine.rebases == 1
         assert engine.lost_commits == 2
         # The new primary re-issues tns 4 and 5: no identity collision,
@@ -473,7 +464,7 @@ class TestTraceSeams:
         engine = WitnessEngine(seal=True)
         watermarked_writer_stream(engine, 10)
         for ts, (name, fields) in enumerate(WRITE_SKEW, start=1):
-            engine.export({"name": name, "ts": float(ts), **fields})
+            send(engine, name, float(ts), **fields)
         engine.finish()
         assert engine.segments == 2
         assert not engine.serializable and not engine.ok

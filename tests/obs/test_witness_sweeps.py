@@ -36,8 +36,9 @@ from hypothesis import strategies as st
 import repro
 from repro.histories.derive import number_precedes, sg_edge, version_order_edges
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.events import record
 from repro.obs.witness import WitnessEngine
-from repro.obs.witness.engine import _Node
+from repro.obs.witness.engine import _END_IDENT, _END_TN, _END_TXN, _Node
 
 
 class _CommittedView:
@@ -74,7 +75,7 @@ class ParentWitness(WitnessEngine):
 
     def _on_commit(self, fields, ts):
         self.events_seen += 1
-        txn, tn, ident = fields.get("txn"), fields.get("tn"), fields.get("ident")
+        txn, tn, ident = fields[_END_TXN], fields[_END_TN], fields[_END_IDENT]
         token = self._release_token(txn)
         if ident is None:
             return
@@ -579,7 +580,7 @@ def assert_sweeps_agree(candidate, actions, families, track_edges):
     for n, event in enumerate(events_of(actions, families)):
         seen = []
         for engine in engines:
-            engine.export(event)
+            engine.export(record(event))
             seen.append(observable(engine))
         assert all(view == seen[0] for view in seen), (n, event)
     for engine in engines:
@@ -775,7 +776,7 @@ def test_the_streams_reach_every_exit():
     for seed in range(40):
         engine = CountsSealedReaders(seal=True)
         for event in events_of(*seeded_stream(seed)):
-            engine.export(event)
+            engine.export(record(event))
         engine.finish()
         report = engine.report()
         for name in totals:
@@ -794,7 +795,7 @@ def test_an_unsealed_engine_keeps_nothing_for_a_seal_pass():
     for seed in range(40):
         engine = WitnessEngine(seal=False)
         for event in events_of(*seeded_stream(seed)):
-            engine.export(event)
+            engine.export(record(event))
             assert engine._seeds == [] and engine._touched == {}, (seed, event)
         engine.finish()
 

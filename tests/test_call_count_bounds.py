@@ -14,7 +14,7 @@ WAL records; placing keys, regrouping the write set and building spans for
 a disabled tracer are not modelled work either.
 
 The second half holds watching to work proportional to what changed: the
-tracer builds each event once, as the dict every sink of its name takes, and
+tracer builds each event once, as the record every sink of its name takes, and
 constructs nothing else; the witness's prune pass visits only keys listing
 two or more writers, its seal pass starts from what a commit changed and
 revisits only what a seal can enable, and a read-only commit that can gain
@@ -37,6 +37,7 @@ import repro
 from repro.bench.runner import SimConfig, run_simulation
 from repro.distributed import Courier, DistributedVCDatabase
 from repro.faults import FaultSchedule, FaultSpec, FaultyCourier, RetryPolicy
+from repro.obs.events import record
 from repro.obs.exporters import RingBufferExporter
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.slo import SLOEngine, bench_objectives
@@ -399,19 +400,42 @@ def profiled(fn, *, frames=(), builtins=(), inside=None):
 
 
 def test_emitting_into_a_ring_constructs_nothing():
-    """Once a name's sinks are compiled, the event is the dict ``emit``
+    """Once a name's sinks are compiled, the event is the record ``emit``
     builds: the clock, the ring, no ``__init__`` (an event object's
     constructor was the third frame)."""
     ring = RingBufferExporter()
     tracer = Tracer(exporters=[ring])
-    tracer.emit("wal.append", lsn=0)  # the first emit of a name compiles it
-    frames = frames_entered(lambda: tracer.emit("wal.append", lsn=1))
+    tracer.emit("wal.append", "COMMIT", 0, 0)  # the first emit of a name compiles it
+    frames = frames_entered(lambda: tracer.emit("wal.append", "COMMIT", 1, 1))
     assert frames == ["Tracer.emit", "Tracer._tick", "RingBufferExporter.export"]
-    assert ring.events()[1] == {"name": "wal.append", "ts": 1.0, "lsn": 1}
+    assert ring.events()[1] == {
+        "name": "wal.append", "ts": 1.0, "kind": "COMMIT", "txn": 1, "tn": 1,
+    }
+
+
+def test_an_observed_read_is_one_record_through_the_ring_and_the_witness():
+    """Under ``ObsPipeline(ring, witness)`` (its clock a ``partial``, no
+    frame), one ``history.read`` enters exactly the tracer, the ring, the
+    witness and its handler — no dict is built on the way, and the ring
+    keeps the record the witness was handed."""
+    sim = Simulator()
+    pipeline = ObsPipeline(sim=sim, ring=16, witness=WitnessEngine(seal=True))
+    tracer = pipeline.tracer
+    tracer.emit("history.begin", 1, "rw")
+    tracer.emit("history.read", 1, "x", 0)  # compiles the name
+    frames = frames_entered(lambda: tracer.emit("history.read", 1, "y", 0))
+    assert frames == [
+        "Tracer.emit", "RingBufferExporter.export", "WitnessEngine.export",
+        "WitnessEngine._on_read",
+    ]
+    held = pipeline.ring._buffer[-1]
+    assert type(held) is tuple and held == ("history.read", 0.0, (1, "y", 0), None, None)
+    assert pipeline.witness._tokens[1].reads == [("x", 0), ("y", 0)]
+    pipeline.close()
 
 
 def feed(engine, ts, name, **fields):
-    engine.export({"name": name, "ts": ts, **fields})
+    engine.export(record({"name": name, "ts": ts, **fields}))
 
 
 def commit_writer(engine, ts, tn, key, *, watermark=True):
@@ -513,12 +537,12 @@ def test_an_event_nobody_consumes_enters_no_engine():
     slo = SLOEngine(bench_objectives(ro_never_blocks=True), window=25.0)
     ring = RingBufferExporter()
     tracer = Tracer(exporters=[ring, witness, slo])
-    tracer.emit("wal.append", lsn=1)
-    frames = frames_entered(lambda: tracer.emit("wal.append", lsn=2))
+    tracer.emit("wal.append", "COMMIT", 1, 1)
+    frames = frames_entered(lambda: tracer.emit("wal.append", "COMMIT", 2, 2))
     assert frames == ["Tracer.emit", "Tracer._tick", "RingBufferExporter.export"]
     tracer.remove_exporter(ring)
-    assert tracer.emit("wal.append", lsn=3) is None
-    assert frames_entered(lambda: tracer.emit("wal.append", lsn=4)) == ["Tracer.emit"]
+    assert tracer.emit("wal.append", "COMMIT", 3, 3) is None
+    assert frames_entered(lambda: tracer.emit("wal.append", "COMMIT", 4, 4)) == ["Tracer.emit"]
     assert witness.events_seen == 0 and slo.events_seen == 0 and len(ring) == 2
 
 
@@ -529,7 +553,7 @@ def test_a_read_of_a_key_already_being_read_allocates_no_counter():
     for txn in (1, 2):
         feed(engine, 1.0, "history.begin", txn=txn, cls="ro")
     feed(engine, 2.0, "history.read", txn=1, key="x", version=0)
-    event = {"name": "history.read", "ts": 3.0, "txn": 2, "key": "x", "version": 0}
+    event = ("history.read", 3.0, (2, "x", 0), None, None)
     frames = frames_entered(lambda: engine.export(event))
     assert frames == ["WitnessEngine.export", "WitnessEngine._on_read"]
     assert engine._live_reads == {"x": {0: 2}}
@@ -550,7 +574,7 @@ def test_an_engine_hands_its_recorder_the_event_itself():
     witness = WitnessEngine(seal=True, recorder=Recorder())
     slo = SLOEngine(bench_objectives(ro_never_blocks=True), recorder=Recorder())
     tracer = Tracer(exporters=[witness, slo])
-    event = tracer.emit("history.begin", txn=1, cls="rw")
+    event = tracer.emit("history.begin", 1, "rw")
     for engine in (witness, slo):
         [handed] = engine.recorder.handed
         assert handed is event  # no copy, live or on replay
@@ -562,7 +586,7 @@ def test_a_finished_engine_left_on_a_tracer_does_no_work():
     flight recorder of an engine that will drop it."""
     witness = WitnessEngine(seal=True, recorder=Recorder())
     slo = SLOEngine(bench_objectives(ro_never_blocks=True), recorder=Recorder())
-    event = {"name": "history.begin", "ts": 1.0, "txn": 1, "cls": "rw"}
+    event = ("history.begin", 1.0, (1, "rw"), None, None)
     for engine in (witness, slo):
         engine.export(event)
         engine.finish()

@@ -147,9 +147,9 @@ def _emit_loop(tracer) -> None:
     """An emit-heavy loop through an enabled tracer: paired txn events plus
     a lag sample per iteration — the shape the SLO engine works hardest on."""
     for i in range(N_TXNS):
-        tracer.emit("txn.begin", txn=i, cls="rw")
-        tracer.emit("vc.register", number=i, lag=i % 7)
-        tracer.emit("txn.commit", txn=i, cls="rw")
+        tracer.emit("txn.begin", i, "rw")
+        tracer.emit("vc.register", i, i + 1, i - i % 7, i % 7)
+        tracer.emit("txn.commit", i, "rw", i)
 
 
 WITNESS_LIMIT = 1.25  # streaming certifier vs plain JSONL export
@@ -159,11 +159,11 @@ def _history_loop(tracer, n=N_TXNS) -> None:
     """A full committed-transaction stream with the watermark chasing the
     frontier — the shape that keeps the witness sealing continuously."""
     for i in range(1, n + 1):
-        tracer.emit("history.begin", txn=i, cls="rw")
-        tracer.emit("history.read", txn=i, key=f"k{i % 8}", version=max(0, i - 8))
-        tracer.emit("history.write", txn=i, key=f"k{i % 8}")
-        tracer.emit("history.commit", txn=i, ident=i, tn=i, cls="rw")
-        tracer.emit("vc.advance", number=i, tnc=i + 1, vtnc=i)
+        tracer.emit("history.begin", i, "rw")
+        tracer.emit("history.read", i, f"k{i % 8}", max(0, i - 8))
+        tracer.emit("history.write", i, f"k{i % 8}")
+        tracer.emit("history.commit", i, i, i, "rw")
+        tracer.emit("vc.advance", i, i + 1, i, 0)
 
 
 def test_witness_engine_overhead_within_budget():
