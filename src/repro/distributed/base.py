@@ -265,9 +265,10 @@ class Distributed2PLDatabase(TransactionBookkeeping):
         raise NotImplementedError
 
     def _trace(self, tracer: Tracer) -> None:
-        """The courier carries the database's tracer; each site its own parts."""
+        """The courier and the shared waits-for graph carry the database's
+        tracer; each site its own parts."""
         super()._trace(tracer)
-        self.courier.tracer = tracer
+        self.courier.tracer = self._global_waits_for.tracer = tracer
         for site in self.sites.values():
             site._trace(tracer)
 

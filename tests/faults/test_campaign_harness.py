@@ -107,7 +107,7 @@ PINNED_TRACED_STDOUT = (
     "1049b898fe0fd54aa08dbcaa44fb2a440f953e3c5bde01b7ba74e69e66649c17"
 )
 PINNED_TRACE_FILE = (
-    "6a13ea03ad1ef4ad85d09a7b92238d54b62215b9215838eff53ddd65e4b60215"
+    "86c027c4855b77232a71dfadc175b035e773b8b79a836657c5374196de5a4dba"
 )
 #: sha256 of ``explain T <txn> --json`` stdout, T the trace above: a committed
 #: transaction with 20 serialization-graph edges and a lock wait, and a

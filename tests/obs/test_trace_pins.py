@@ -14,8 +14,10 @@ Each trace is written in a fresh interpreter (trace events carry transaction
 ids from a process-wide counter) and each command runs in one too.  The
 literals are the refactoring oracle for everything that reads a trace back;
 they move only when a change means to alter what these commands print.
-T's two moved once, when the drill's restarted sites stayed traced (their
-rebuilt lock managers' and VCs' events joined the trace).
+T's two moved twice: when the drill's restarted sites stayed traced (their
+rebuilt lock managers' and VCs' events joined the trace), and when the
+distributed waits-for graph every site shares was traced (its 30
+``deadlock.detect`` events joined the summary's counts).
 """
 
 import os
@@ -56,8 +58,8 @@ PINNED = {
     "trace Q --spans": "7c1b4abafc72031833086a9e650a44badad6c52602e0be3062eef292e36a2c74",
     "explain Q 8": "d8a151edd411b9d46d991e6c234371a6c5d3111e64bfa2a250cd8f123ecf14f9",
     "explain Q 8 --json": "731a80e4ccdc48a4ae092213b5b6318272799ea9b6e31a4a1a86d97bd9ee5b38",
-    "trace T": "fcd13b533bb56c5ad5b0805a8631b56a0a79de2306b6ef8154dcad9a33030385",
-    "trace T --json": "52b26cc7ff48c232fda607fd3e2b69ff5a270c3e1f13df109da80c9908ced8fe",
+    "trace T": "5d0b094af5291f2fd54564da34d5fdc27534a00e91298ee0710f6e325ec430f4",
+    "trace T --json": "a4b3d6311378150698726a848c10ba30cc074f9992d39af96773c9b61dbd89ae",
     "trace C --json": "5b349188e933d5c78f1492197f85b82fa5db1f8efaee1c87256da6edee22001b",
 }
 

@@ -843,8 +843,11 @@ PINNED_OBSERVED_RUN = [
 #: of ``drill --seeds 2 --duration 200 --slo --witness --trace T``: both
 #: engines replaying a trace file, the SLO engine with a flight recorder.
 #: (Since the drill's restarted sites stay traced, their ``dvc.advance``
-#: floors reach the witness: peak tracked 96 -> 26, same verdicts.)
-PINNED_WATCH_JSON = "725d36fa5abe78923a932606c1c24e60dab777b91ba762cb9f467c5c0012b907"
+#: floors reach the witness: peak tracked 96 -> 26, same verdicts.  Since
+#: the shared waits-for graph is traced, its ``deadlock.detect`` events reach
+#: the recorder-holding SLO engine: ``events_seen`` 13187 -> 13217, nothing
+#: else moves.)
+PINNED_WATCH_JSON = "c394b5177b94c6ec48fa791f0dec03c19a7cc76a6586c2a2ecb5474896f59615"
 
 #: A traced single-version 2PL run: its read-only transactions take locks, so
 #: ``watch`` under the default profile breaches ``ro_blocking``.  (No profile
