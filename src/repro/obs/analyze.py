@@ -150,7 +150,7 @@ class TraceIndex:
         self._roots: list[SpanNode] | None = None
 
     def export(self, event: tuple) -> None:
-        event = as_dict(event)  # the index keeps what it is handed
+        event = as_dict(event)  # the index keeps dicts
         name = event["name"]
         ts = event["ts"]
         if not self.count:

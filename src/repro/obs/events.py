@@ -1,5 +1,5 @@
 """The event registry: every name the system emits, as data, and the
-record layout the tracer, the sinks and ``replay`` share.
+record form the tracer, its sinks and ``replay`` share.
 
 One entry per event name: the layer whose code emits it (the package under
 ``repro/``), the fields every emit of it carries, the fields some emits
@@ -7,29 +7,17 @@ add, and who emits it.  Any event may also carry :data:`AMBIENT` — the
 ``span``/``trace`` ids the tracer stamps while a span is active — and the
 two span events take free-form extra fields (``free_form``).
 
-The table is read at run time.  An event travels as a *record*, the tuple
-``(name, ts, fields, optional, active)`` that
-:meth:`~repro.obs.tracer.Tracer.emit` builds: ``fields`` holds the
-``required`` values positionally, in registry order; ``optional`` is the
-dict of keyword extras or ``None``; ``active`` is the span context the
-event was emitted under, or ``None``.  A consumer reads a field by the
-position :func:`positions` gives it once, at construction.  Where an event
-is kept — a trace line, a ring snapshot, a flight-recorder bundle, the
-trace index — :func:`as_dict` builds its dict: ``name``, ``ts``, the
-required fields in registry order, the optional ones in emit order, then
-the ambient ``span``/``trace``; a record whose field count is not its
-name's fails there, naming the event.  :func:`record` is the inverse for a
-decoded trace line, which is how :func:`repro.obs.tracer.replay` feeds a
-recorded trace to the same sinks.
-
-The table is also what the docs' schema table is rendered from
-(:func:`schema_table`, the "Event-name schema" of
-``docs/observability.md``) and what ``tests/obs/test_events.py`` holds
-both sides to: every emit site in ``src/repro`` names a registered event
-and passes its required fields positionally, every event of a traced run
-conforms, and every consumer subscription (``route``) names a registered
-event, so a typo'd subscription fails a test instead of silently starving
-an engine.
+The table is read at run time.  An event travels as a *record*,
+``(name, ts, fields, optional, active)``: the required values in registry
+order, the dict of optional ones or ``None``, and the span context it was
+emitted under or ``None``.  Consumers read ``fields`` at the
+:func:`positions` they look up once.  Where an event is kept,
+:func:`as_dict` builds its dict — ``name``, ``ts``, the required fields,
+the optional ones, then ``span``/``trace`` — and fails, naming the event,
+on a record of the wrong arity; :func:`record` maps a decoded trace line
+back.  ``tests/obs/test_events.py`` holds the emit sites, traced runs,
+engine subscriptions and the docs' schema table (:func:`schema_table`,
+``docs/observability.md``) to this table.
 """
 
 from __future__ import annotations
@@ -246,7 +234,8 @@ def as_dict(record: tuple) -> dict[str, Any]:
             f"event {name!r} has {len(fields)} positional field(s); "
             f"the registry requires {len(keys)}: {', '.join(keys) or 'none'}"
         )
-    event = {"name": name, "ts": ts, **dict(zip(keys, fields))}
+    event = {"name": name, "ts": ts}
+    event.update(zip(keys, fields))
     if optional is not None:
         event.update(optional)
     if active is not None and "span" not in event:

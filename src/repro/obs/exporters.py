@@ -1,23 +1,16 @@
 """Trace exporters: ring buffer and JSONL file.
 
 An exporter is anything with ``export(event)`` and an optional ``close()``,
-where ``event`` is the tracer's record, ``(name, ts, fields, optional,
-active span)`` (see :mod:`repro.obs.events`).  An exporter may also define
-``route(name)``, returning the callable that takes events of that name or
-``None`` for a name it does not use; the tracer asks once per name and
-calls only what was returned.  The two exporters here define none, so they
-take every event.  The tracer hands the same record to every sink.
-Exporters are synchronous and see events in emit order — the tracer stamps
-timestamps before fan-out, so every exporter records the same virtual-time
-view of the run.
-
-Both exporters keep events, so both build dicts
-(:func:`~repro.obs.events.as_dict`): the JSONL exporter one per line as it
-writes, the ring only when :meth:`RingBufferExporter.events` is asked —
-it holds the records themselves.  The dict is what one JSONL line decodes
-to: ``name``, ``ts``, the required fields in registry order, the optional
-ones, then ``span``/``trace``.  (Live, the field values are the emitter's
-own objects — a tuple key is a tuple until the JSONL exporter writes it.)
+where ``event`` is the tracer's record (:mod:`repro.obs.events`).  An
+exporter may also define ``route(name)``, returning the callable that takes
+events of that name or ``None`` for a name it does not use; the tracer asks
+once per name and calls only what was returned.  The two exporters here
+define none, so they take every event, synchronously and in emit order.
+Both keep events, so both build dicts (:func:`~repro.obs.events.as_dict`,
+the form one JSONL line decodes to): the JSONL exporter per line, the ring
+only when :meth:`RingBufferExporter.events` asks — it holds the records.
+(Live, field values are the emitter's own objects — a tuple key is a tuple
+until the JSONL exporter writes it.)
 """
 
 from __future__ import annotations
@@ -43,12 +36,16 @@ class RingBufferExporter:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._buffer: deque[tuple] = deque(maxlen=capacity)
-        self.dropped = 0
+        self.exported = 0
 
     def export(self, event: tuple) -> None:
-        if len(self._buffer) == self.capacity:
-            self.dropped += 1
+        self.exported += 1
         self._buffer.append(event)
+
+    @property
+    def dropped(self) -> int:
+        """Events pushed out of the ring by newer ones."""
+        return self.exported - len(self._buffer)
 
     def events(self) -> list[dict[str, Any]]:
         return [as_dict(event) for event in self._buffer]

@@ -89,10 +89,10 @@ SLO_SCHEMA = "repro.slo/1"
 #: entry turns the event's ``field`` value into one sample of ``signal``
 #: (no sample when its value is ``None``); a ``None`` field means the
 #: constant 1.0, one count per event.  Each engine turns a field into its
-#: position in the record once, at construction.  The stateful ``txn.*`` and ``lock.*`` families
-#: are handled by methods (``_DISPATCH``, below the class, holds both).  The
-#: taxonomy table above and in docs/slo.md is checked against this table
-#: (tests/obs/test_slo.py).
+#: position in the record once, at construction.  The stateful ``txn.*``
+#: and ``lock.*`` families are handled by methods (``_DISPATCH``, below the
+#: class, holds both).  The taxonomy table above and in docs/slo.md is
+#: checked against this table (tests/obs/test_slo.py).
 SIGNAL_ROUTES: dict[str, tuple[tuple[str | None, str], ...]] = {
     "qos.shed": ((None, "shed.rw"),),
     "slo.ro_shed": ((None, "shed.ro"),),
@@ -216,11 +216,7 @@ class SLOEngine:
         #: field's position in the record, or ``None`` for a count.
         self._dispatch: dict[str, Any] = {
             name: route if type(route) is not tuple else tuple(
-                (
-                    None if field is None else positions(name, field)[0],
-                    signal,
-                    tuple(self._routes[signal]),
-                )
+                (field and positions(name, field)[0], signal, tuple(self._routes[signal]))
                 for field, signal in route
                 if signal in self._routes
             )

@@ -16,15 +16,9 @@ is a first-class subsystem rather than debug printf.  Design constraints:
 * **Pluggable exporters** (:mod:`repro.obs.exporters`): ring buffer, JSONL
   file, and the two stream consumers (the SLO engine and the 1SR witness).
 * **An event is a record, not a dict.**  ``emit(name, *fields,
-  **optional)`` takes the name's required fields positionally, in the
-  order :mod:`repro.obs.events` registers them, and optional fields by
-  keyword.  It builds one tuple, ``(name, ts, fields, optional-or-None,
-  active span)``, and hands that same object to every sink of the name.
-  The two engines read it by index; a dict is built only where an event
-  is kept (:func:`repro.obs.events.as_dict`: a trace line, a ring
-  snapshot, a flight-recorder bundle, the trace index), in the key order
-  a JSONL line has always had.  Exporters never see events from a
-  disabled tracer.
+  **optional)`` takes the required fields positionally, in registry order
+  (:mod:`repro.obs.events`), builds one tuple and hands that same object
+  to every sink of the name; a dict is built only where an event is kept.
 * **Compiled fan-out.**  An exporter with ``route(name)`` subscribes by
   name: it returns the callable that takes events of that name, or
   ``None``; one without ``route`` takes every name through ``export``.
@@ -45,9 +39,8 @@ tracer hands out process-unique span/trace ids, and it carries an
 restored around courier message deliveries.  While a span is active, every
 flat ``emit`` is stamped with its ``span``/``trace`` ids, so ordinary
 events (``wal.force``, ``lock.grant``, ``fault.drop``) attach to the span
-tree without their call sites knowing about spans at all.  The record
-carries the context object; the ids land on the event when its dict is
-built.
+tree without their call sites knowing about spans at all (the record
+carries the context; its dict gets the ids).
 """
 
 from __future__ import annotations
@@ -126,15 +119,11 @@ class Tracer:
         """Stamp and export one event.  Cheap no-op when no exporter listens.
 
         ``fields`` are the name's required fields, in registry order;
-        ``optional`` its optional ones.  An event goes only to the sinks
-        compiled for its name; a name with none builds nothing, reads no
-        clock and returns ``None``.  Otherwise every sink receives the same
-        record, ``(name, ts, fields, optional-or-None, active span)``, and
-        it is returned (the span layer reads its ``ts``).  The active span
-        context rides the record; its ``span``/``trace`` ids are stamped on
-        the event's dict unless the event carries its own ``span`` — this
-        is how flat events from components that know nothing about spans
-        end up attached to the right span tree.
+        ``optional`` its optional ones.  A name with no sink builds
+        nothing, reads no clock and returns ``None``; otherwise every sink
+        receives the same record, ``(name, ts, fields, optional-or-None,
+        active span)``, and it is returned (the span layer reads its
+        ``ts``).
         """
         try:
             sinks = self._sinks[name]

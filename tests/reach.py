@@ -183,7 +183,7 @@ ALLOW: dict[str, tuple[str, str]] = {
              "obs/witness/topology.py::IncrementalTopology.order",
              "obs/witness/topology.py::IncrementalTopology.check"),
     **_allow("oracle", "the event registry emit sites, traces, subscriptions and the docs "
-             "table are checked against", "obs/events.py::_spec", "obs/events.py::schema_table"),
+             "table are checked against", "obs/events.py::schema_table"),
     **_allow("shim", "the `storage.read` layer's wrap target",
              "storage/mvstore.py::MVStore.version_leq"),
     **_allow("shim", "the `distributed.dvc` layer's wrap target",
