@@ -1,7 +1,7 @@
 """Reading a trace back: one pass into a :class:`TraceIndex`, then views.
 
-``replay(events, index)`` hands every event of a JSONL trace (written by
-:class:`~repro.obs.exporters.JsonlExporter`) or a ring to one
+``index_trace(events)`` adds every event dict of a JSONL trace (written
+by :class:`~repro.obs.exporters.JsonlExporter`) or a ring to one
 :class:`TraceIndex`, once; ``trace``'s sections and ``--json`` digest,
 ``explain`` and the flight-recorder bundle all read that index:
 
@@ -31,10 +31,8 @@ import json
 from typing import Any, Iterable
 
 from repro.cli import Parser
-from repro.obs.events import as_dict
 from repro.obs.profile import aggregate_phase_shares, render_critical_path
 from repro.obs.spans import SpanNode, render_tree
-from repro.obs.tracer import replay
 from repro.obs.witness.engine import _norm_key
 
 TraceDicts = list[dict[str, Any]]
@@ -104,9 +102,8 @@ _SPAN_EVENTS = frozenset(("span.start", "span.end", "courier.redelivery"))
 
 class TraceIndex:
     """What ``trace``, ``explain`` and the flight-recorder bundle read from a
-    trace, collected as its events pass: an exporter that takes every name
-    through :meth:`export`, keeping each record as its dict.  Feed it with
-    ``replay(events, index)``.
+    trace, collected as its event dicts pass through :meth:`add`, each one
+    kept as it is given.  Build one with :func:`index_trace`.
 
     ``visibility`` maps each registered ``tn`` to ``(register_ts,
     visible_ts)``: the number becomes visible at the first ``vc.advance``
@@ -149,10 +146,9 @@ class TraceIndex:
         self._txn_roots: dict[Any, SpanNode] = {}
         self._roots: list[SpanNode] | None = None
 
-    def export(self, event: tuple) -> None:
-        event = as_dict(event)  # the index keeps dicts
+    def add(self, event: dict[str, Any]) -> None:
         name = event["name"]
-        ts = event["ts"]
+        ts = event.get("ts", 0.0)
         if not self.count:
             self.first_ts = ts
         self.count += 1
@@ -173,9 +169,8 @@ class TraceIndex:
             node.events.append(event)
 
     def _on_vc(self, event, txn, ts) -> None:
-        lag = event.get("lag")
-        if lag is not None:
-            self.lag.append((ts, lag))
+        if "lag" in event:
+            self.lag.append((ts, event["lag"]))
         number = event.get("number")
         if number is None:
             return
@@ -315,9 +310,10 @@ class TraceIndex:
 
 
 def index_trace(events: Iterable[dict[str, Any]]) -> TraceIndex:
-    """A :class:`TraceIndex` over ``events``, built in one ``replay``."""
+    """A :class:`TraceIndex` over ``events``, built in one pass."""
     index = TraceIndex()
-    replay(events, index)
+    for event in events:
+        index.add(event)
     return index
 
 
@@ -382,7 +378,7 @@ def render_blocking(index: TraceIndex, limit: int = 50) -> str:
     if len(chains) > limit:
         lines.append(f"  ... ({len(chains) - limit} more)")
     for event in deadlocks:
-        cycle = " -> ".join(f"T{t}" for t in event.get("cycle") or ())
+        cycle = " -> ".join(f"T{t}" for t in event.get("cycle", ()))
         lines.append(
             f"  {event['ts']:>10g}  DEADLOCK victim=T{event.get('victim')} cycle: {cycle}"
         )

@@ -62,12 +62,12 @@ def explain_transaction(events: list[dict[str, Any]], txn: int) -> dict[str, Any
     trace holds no ``history.*`` events for ``txn`` — the usual cause is a
     run traced without the scheduler's recorder attached.
     """
-    from repro.obs.analyze import TraceIndex  # analyze imports this package
+    from repro.obs.analyze import index_trace  # analyze imports this package
 
     engine = WitnessEngine(seal=False, track_edges=True)
-    index = TraceIndex()
-    replay(events, engine, index)
+    replay(events, engine)
     engine.finish()
+    index = index_trace(events)
 
     mine = index.timelines.get(txn, [])
     history = [e for e in mine if e["name"].startswith("history.")]

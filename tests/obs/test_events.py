@@ -45,14 +45,21 @@ DYNAMIC = {
 }
 
 
+#: Optional fields that every emit of the name still carries: registered
+#: optional only because their position in the record varies.
+ALWAYS = {"fault.recover": ("incarnation",)}
+
+
 def violations(event):
     """What is wrong with one event dict against the registry (empty when it
-    conforms): an unknown name, a missing required field, an unknown one."""
+    conforms): an unknown name, a missing required field (or one of
+    :data:`ALWAYS`), an unknown one."""
     spec = EVENTS.get(event["name"])
     if spec is None:
         return [f"{event['name']!r} is not a registered event"]
     fields = set(event) - {"name", "ts"}
-    out = [f"{event['name']}: missing {f!r}" for f in spec.required if f not in fields]
+    present = spec.required + ALWAYS.get(event["name"], ())
+    out = [f"{event['name']}: missing {f!r}" for f in present if f not in fields]
     if not spec.free_form:
         known = set(spec.required) | set(spec.optional) | set(AMBIENT)
         out.extend(f"{event['name']}: unknown field {f!r}" for f in sorted(fields - known))
@@ -183,7 +190,8 @@ class TestTraces:
         _run("-m", "repro", "drill", "--seeds", "1", "--slo", "--witness", "--trace", str(trace))
         events = load_trace(str(trace))
         names = {event["name"] for event in events}
-        assert {"history.commit", "fault.crash", "span.start", "lock.grant"} <= names
+        assert {"history.commit", "fault.crash", "fault.recover", "span.start",
+                "lock.grant"} <= names
         assert [v for event in events for v in violations(event)] == []
 
 
@@ -220,6 +228,13 @@ class TestSubscriptions:
         assert violations({"name": "txn.begin", "ts": 0.0, "txn": 1, "span": 2, "x": 3}) == [
             "txn.begin: missing 'cls'", "txn.begin: unknown field 'x'",
         ]
+        assert violations({"name": "fault.recover", "ts": 0.0, "site": 1, "vtnc": 2}) == [
+            "fault.recover: missing 'incarnation'",
+        ]
+
+    def test_every_always_present_field_is_registered_optional(self):
+        for name, fields in ALWAYS.items():
+            assert set(fields) <= set(EVENTS[name].optional)
 
 
 def test_the_docs_schema_table_is_the_registry_rendered():

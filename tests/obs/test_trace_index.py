@@ -22,7 +22,7 @@ from typing import Any
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.analyze import gc_summary, index_trace
+from repro.obs.analyze import gc_summary, index_trace, load_trace
 from repro.obs.spans import SpanNode
 from repro.obs.witness.engine import _norm_key
 from repro.obs.witness.explain import lock_story
@@ -218,14 +218,11 @@ def reference_span_trees(events):
 
 
 def shape(roots):
-    """Every node of a forest, depth-first, with what it holds.  The index
-    keeps the dict it builds from each replayed record, where a registered
-    field the line lacked reads ``None``, so an event is compared by its
-    other fields."""
+    """Every node of a forest, depth-first, with what it holds."""
     return [
         (node.span_id, node.parent_id, node.name, node.start, node.end, node.ok,
          node.fields, node.redeliveries, [c.span_id for c in node.children],
-         [{k: v for k, v in e.items() if v is not None} for e in node.events])
+         [id(e) for e in node.events])
         for root in roots
         for node in root.walk()
     ]
@@ -328,6 +325,21 @@ def test_the_index_gives_every_replaced_readers_answer(ops):
     for txn in TXNS:
         assert lock_story(index, txn) == reference_explain_locks(events, txn)
     assert shape(index.span_roots()) == shape(reference_span_trees(events))
+
+
+def test_a_trace_line_missing_a_field_reads_the_default(tmp_path):
+    """A span line from another writer may lack ``op``, ``trace`` or
+    ``ok``: the index keeps the line as decoded, so its defaults hold."""
+    path = tmp_path / "partial.jsonl"
+    path.write_text(
+        '{"name":"span.start","ts":0.0,"span":1,"parent":null}\n'
+        '{"name":"span.end","ts":2.0,"span":1}\n'
+        '{"name":"lock.deadlock","ts":3.0,"victim":4}\n'
+    )
+    index = index_trace(load_trace(str(path)))
+    (root,) = index.span_roots()
+    assert (root.name, root.trace_id, root.end, root.ok) == ("?", 0, 2.0, True)
+    assert index.deadlocks == [{"name": "lock.deadlock", "ts": 3.0, "victim": 4}]
 
 
 def test_a_seam_keeps_discards_and_restarts_reregistered_pairs():
