@@ -65,7 +65,6 @@ from repro.histories import (
 from repro.obs import (
     NULL_TRACER,
     JsonlExporter,
-    MetricsRegistry,
     RingBufferExporter,
     Tracer,
     attach_tracer,
@@ -110,7 +109,6 @@ __all__ = [
     "RetryPolicy",
     "JsonlExporter",
     "MVStore",
-    "MetricsRegistry",
     "NULL_TRACER",
     "OpFuture",
     "RingBufferExporter",

@@ -77,18 +77,15 @@ def run_simulation(
     generator = WorkloadGenerator(workload)
     think_rng = generator.streams.stream("think")
     metrics = RunMetrics(protocol=scheduler.name)
-    lag_gauge = None
     lag_observer = None
 
     # Track version-control lag over virtual time for VC schedulers.
     if isinstance(scheduler, VersionControlledScheduler):
         lag = TimeWeighted(0.0, 0.0)
         metrics.vc_lag = lag
-        lag_gauge = scheduler.counters.registry.gauge("vc.lag")
 
         def lag_observer(_event: str, _number: int) -> None:
             lag.update(sim.now, scheduler.vc.lag)
-            lag_gauge.set(scheduler.vc.lag)
 
         scheduler.vc.subscribe(lag_observer)
 

@@ -29,7 +29,6 @@ from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason, TransactionAborted
 from repro.histories.recorder import HistoryRecorder
 from repro.obs.instrument import subscribe_version_control
-from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import start_span
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -37,10 +36,9 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 class SchedulerCounters:
     """Uniform event counters kept by every scheduler.
 
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry`, so the same
-    counters feed experiment tables, exporters, and ad-hoc inspection; the
-    legacy :meth:`bump`/:meth:`get`/:meth:`as_dict` surface is unchanged.
-    Protocol-specific events use free-form names via :meth:`bump`
+    One ``{name: count}`` dict in first-touch order, read through
+    :meth:`get` and :meth:`as_dict`, feeds experiment tables, exporters and
+    ad-hoc inspection.  Protocol-specific events use free-form names via :meth:`bump`
     (e.g. ``"weihl.retry"``, ``"ctl.scan"``) so new protocols never require
     schema changes here.
 
@@ -52,24 +50,26 @@ class SchedulerCounters:
     and synchronization writes for all protocols at once.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self.tracer: Tracer = NULL_TRACER
-        #: (event, suffix, kind) -> the counters that canonical event bumps,
-        #: resolved on first use: the registry still creates each counter at
-        #: its first bump, and no later call formats a name or looks one up.
-        self._handles: dict[tuple[str, str, str], tuple[Counter, ...]] = {}
+        self._counts: dict[str, int] = {}
+        #: (event, suffix, kind) -> the names that canonical event bumps,
+        #: resolved on first use: each name is created at its first bump, and
+        #: no later call formats a name.
+        self._names: dict[tuple[str, str, str], tuple[str, ...]] = {}
 
     # -- generic -------------------------------------------------------------
 
     def bump(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(name).inc(amount)
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + amount
 
     def get(self, name: str) -> int:
-        return self.registry.counter_value(name)
+        """The count of ``name``; 0, without creating it, when untouched."""
+        return self._counts.get(name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return self.registry.counters_dict()
+        return dict(self._counts)
 
     # -- canonical events -------------------------------------------------------
 
@@ -77,16 +77,17 @@ class SchedulerCounters:
         """Bump ``event.<cls>`` and, given a kind, ``event.<cls>.<kind>``;
         returns the class suffix."""
         suffix = "ro" if txn.is_read_only else "rw"
-        handles = self._handles.get((event, suffix, kind))
-        if handles is None:
-            names = [f"{event}.{suffix}"]
+        counts = self._counts
+        names = self._names.get((event, suffix, kind))
+        if names is None:
+            names = (f"{event}.{suffix}",)
             if kind:
-                names.append(f"{event}.{suffix}.{kind}")
-            handles = self._handles[event, suffix, kind] = tuple(
-                self.registry.counter(name) for name in names
-            )
-        for counter in handles:
-            counter.value += 1  # Counter.inc, written out: every operation counts
+                names += (f"{event}.{suffix}.{kind}",)
+            self._names[event, suffix, kind] = names
+            for name in names:
+                counts.setdefault(name, 0)
+        for name in names:
+            counts[name] += 1
         return suffix
 
     def note_begin(self, txn: Transaction) -> None:

@@ -89,8 +89,6 @@ class Transaction:
         "abort_caused_by_readonly",
         "read_set",
         "write_set",
-        "begin_time",
-        "finish_time",
         "deadline",
         "admitted",
         "span",
@@ -115,8 +113,6 @@ class Transaction:
         self.abort_caused_by_readonly = False
         self.read_set: dict[Any, int] = {}
         self.write_set: dict[Any, Any] = {}
-        self.begin_time: float = 0.0
-        self.finish_time: float | None = None
         self.deadline = None if deadline is None else float(deadline)
         self.admitted = False
         self.span: Any = None

@@ -47,10 +47,6 @@ class VersionControlledScheduler(Scheduler):
         self.vc = version_control if version_control is not None else VersionControl()
         self.ro_registry = ReadOnlyRegistry()
         self.gc = GarbageCollector(self.store, self.vc, self.ro_registry)
-        # Version-footprint gauges (gc.live_versions / gc.max_chain) land in
-        # the scheduler's own registry so dashboards and the SLO watchdogs
-        # read them from the same place as every other counter.
-        self.gc.metrics = self.counters.registry
 
     # -- begin ---------------------------------------------------------------
 

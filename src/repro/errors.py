@@ -117,7 +117,6 @@ class TransactionAborted(ReproError):
     ):
         self.txn_id = txn_id
         self.reason = reason
-        self.detail = detail
         self.caused_by_readonly = caused_by_readonly
         message = f"transaction {txn_id} aborted ({reason.value})"
         if detail:

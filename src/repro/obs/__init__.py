@@ -1,11 +1,11 @@
-"""repro.obs — unified tracing and metrics for the reproduction.
+"""repro.obs — unified tracing for the reproduction.
 
-Three pieces, designed to keep the paper's observability claims honest:
+The pieces, designed to keep the paper's observability claims honest
+(the counts themselves live on each scheduler's
+:class:`~repro.core.interface.SchedulerCounters`):
 
 * :mod:`repro.obs.tracer` — structured, virtual-time-stamped events with a
   no-op :data:`NULL_TRACER` default (near-zero cost when disabled);
-* :mod:`repro.obs.metrics` — counters and gauges behind a
-  :class:`MetricsRegistry` that backs every scheduler's counters;
 * :mod:`repro.obs.exporters` / :mod:`repro.obs.instrument` /
   :mod:`repro.obs.analyze` — where events go, how they get wired through a
   scheduler, and how a recorded trace is read back
@@ -24,7 +24,6 @@ from repro.obs.instrument import (
     attach_tracer,
     subscribe_version_control,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.profile import (
     CriticalPath,
@@ -39,19 +38,15 @@ from repro.obs.spans import (
     SpanNode,
     activate,
     bind_envelope,
-    build_span_trees,
     start_span,
     transaction_trees,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "Counter",
     "CriticalPath",
-    "Gauge",
     "Instrumentation",
     "JsonlExporter",
-    "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
@@ -65,7 +60,6 @@ __all__ = [
     "aggregate_phase_shares",
     "attach_tracer",
     "bind_envelope",
-    "build_span_trees",
     "critical_path",
     "phase_shares",
     "start_span",

@@ -3,7 +3,7 @@
 Answers the question MVCC comparisons hinge on — *where does a committed
 transaction's end-to-end latency go?* — the lens Larson et al. and
 Faleiro & Abadi use to compare concurrency-control designs.  Input is a
-span tree from :func:`repro.obs.spans.build_span_trees`; output is the
+span tree from :meth:`repro.obs.analyze.TraceIndex.span_roots`; output is the
 **critical path** (the chain of spans that determined the finish time) and
 its attribution to named **phases** (network hop, lock wait, 2PC prepare
 leg, 2PC commit leg, WAL, execution).

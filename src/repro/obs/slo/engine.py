@@ -35,8 +35,8 @@ signal             derivation
 ``staleness.replica``  ``staleness`` of every ``replica.watermark``
 ``replica.lag``    the ``lag`` field of every ``replica.lag``
 ``gc.live_versions`` / ``gc.max_chain`` / ``gc.scanned`` / ``gc.interior``
-                   the ``live_versions`` / ``max_chain`` gauges and the
-                   ``scanned`` / ``interior`` cost counters on every ``gc.sweep``
+                   the ``live_versions`` / ``max_chain`` / ``scanned`` /
+                   ``interior`` fields of every ``gc.sweep``
 ``snapshot.revoked``  each ``snapshot.revoked`` (lease revocation under
                    memory pressure or TTL expiry — expected under drills)
 ``avail.outage``   the ``duration`` of every ``avail.outage`` (a write-

@@ -292,18 +292,9 @@ class SpanNode:
         return f"<SpanNode {self.label()} #{self.span_id} {self.start}..{self.end}>"
 
 
-def build_span_trees(events: Iterable[dict[str, Any]]) -> list[SpanNode]:
-    """Reconstruct span trees from an event stream (dict form): the roots of
-    :meth:`repro.obs.analyze.TraceIndex.span_roots`, ordered by start time,
-    synthetic ``lock.wait`` spans and promoted orphans included."""
-    from repro.obs.analyze import index_trace  # analyze builds on SpanNode
-
-    return index_trace(events).span_roots()
-
-
 def transaction_trees(events: Iterable[dict[str, Any]]) -> dict[Any, SpanNode]:
     """Map ``txn_id`` → its root ``txn`` span tree."""
-    from repro.obs.analyze import index_trace
+    from repro.obs.analyze import index_trace  # analyze builds on SpanNode
 
     return index_trace(events).transaction_trees()
 

@@ -123,16 +123,15 @@ class _Token:
 class _Node:
     """One unsealed committed transaction in the graph."""
 
-    __slots__ = ("ident", "writes", "pairs", "pending_out", "finish_ts")
+    __slots__ = ("ident", "writes", "pairs", "pending_out")
 
-    def __init__(self, ident: int, finish_ts: float):
+    def __init__(self, ident: int):
         self.ident = ident
         self.writes: set[Any] = set()
         #: (key, writer) reads-from pairs with this node as reader.
         self.pairs: list[tuple[Any, int]] = []
         #: Unresolved reads-from (await an uncommitted writer's fate).
         self.pending_out = 0
-        self.finish_ts = finish_ts
 
 
 class WitnessBreach:
@@ -686,7 +685,7 @@ class WitnessEngine:
             self._seal_pass()
             return
 
-        node = _Node(ident, ts)
+        node = _Node(ident)
         nodes[ident] = node
         self._topo.add_node(ident)
         # A writer the floor has not passed waits for it (the pass takes

@@ -60,7 +60,6 @@ class Replica:
         self.frontier_tn = 0
         self.counters = SchedulerCounters()
         self.tracer = NULL_TRACER
-        self.segments_received = 0
         self.segments_buffered = 0
         self.segments_stale = 0
         #: Applies the received records to ``store``, in log order.
@@ -114,7 +113,6 @@ class Replica:
         if epoch > self.epoch:
             self.epoch = epoch
             self._pending.clear()
-        self.segments_received += 1
         if start > self.applied_offset:
             # A gap: keep the longest segment offered for this start.
             kept = self._pending.get(start)
@@ -127,11 +125,9 @@ class Replica:
                     start, self.applied_offset,
                 )
             self._note_frontier(records)
-            self._publish_staleness()
             return self.applied_offset, self.vtnc
         self._apply(records[self.applied_offset - start :])
         self._drain_pending()
-        self._publish_staleness()
         return self.applied_offset, self.vtnc
 
     def _drain_pending(self) -> None:
@@ -195,13 +191,6 @@ class Replica:
 
     # -- staleness ---------------------------------------------------------------
 
-    def _publish_staleness(self) -> None:
-        """Keep ``replica.staleness`` current as a *gauge*, not a poll-only
-        property: watermark history (value/max/min) survives in the metrics
-        registry for dashboards and post-run assertions even after the
-        moment has passed."""
-        self.counters.registry.gauge("replica.staleness").set(self.staleness_bound)
-
     @property
     def staleness_bound(self) -> int:
         """How many committed-on-primary tns this replica cannot yet see.
@@ -233,7 +222,6 @@ class Replica:
         txn = Transaction(TxnClass.READ_ONLY, deadline=deadline)
         txn.sn = self.vtnc
         txn.meta["qos.staleness"] = self.staleness_bound
-        self._publish_staleness()
         txn.meta["replica.id"] = self.replica_id
         self.counters.note_begin(txn)
         self.counters.note_vc_interaction(txn, "start")

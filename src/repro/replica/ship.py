@@ -61,7 +61,6 @@ class LogShipper:
         self.acked_vtnc: dict[int, int] = {}
         self.segments_shipped = 0
         self.records_shipped = 0
-        self.acks_received = 0
         #: Observers called as ``fn(rid, applied_offset, vtnc)`` after every
         #: accepted (current-epoch) ack — the quorum gate subscribes here to
         #: advance the group-acknowledged frontier and renew the lease.
@@ -153,7 +152,6 @@ class LogShipper:
         """A replica confirmed its applied prefix and watermark."""
         if epoch != self.epoch or rid not in self._replicas:
             return  # stale ack from before a promotion (or a removed replica)
-        self.acks_received += 1
         if applied_offset > self.acked_offset[rid]:
             self.acked_offset[rid] = applied_offset
         if vtnc > self.acked_vtnc[rid]:

@@ -41,8 +41,6 @@ class ZipfGenerator:
             raise ValueError("n must be >= 1")
         if theta < 0:
             raise ValueError("theta must be >= 0")
-        self.n = n
-        self.theta = theta
         self._rng = rng
         weights = [1.0 / (i + 1) ** theta for i in range(n)]
         total = sum(weights)

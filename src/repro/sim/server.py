@@ -17,7 +17,6 @@ class FifoServer:
         self.service_time = service_time
         self.queue: deque[OpFuture] = deque()
         self.busy = False
-        self.served = 0
 
     def submit(self) -> OpFuture:
         """Queue for a turn; the returned future resolves when it is over."""
@@ -35,7 +34,6 @@ class FifoServer:
         slot = self.queue.popleft()
 
         def done() -> None:
-            self.served += 1
             slot.resolve(None)
             self._start_next()
 

@@ -304,10 +304,6 @@ class GarbageCollector:
         #: Structured-event tracer (gc.sweep per pass); NULL_TRACER unless
         #: attach_tracer() wired one.
         self.tracer = NULL_TRACER
-        #: Optional MetricsRegistry publishing the version-footprint gauges
-        #: (``gc.live_versions``, ``gc.max_chain``) after every pass.
-        #: Wired by the owning scheduler; None keeps collect() cheap.
-        self.metrics = None
 
     def horizon(self) -> int:
         """The single-horizon bound: ``min(vtnc, min active RO sn)``.
@@ -343,22 +339,18 @@ class GarbageCollector:
         self.interior_discarded += interior
         self.versions_scanned += scanned
         self.passes += 1
-        if self.metrics is not None or self.tracer.enabled:
+        if self.tracer.enabled:
             live, longest = self._store.chain_stats()
-            if self.metrics is not None:
-                self.metrics.gauge("gc.live_versions").set(live)
-                self.metrics.gauge("gc.max_chain").set(longest)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "gc.sweep",
-                    self.horizon(),
-                    visible,
-                    len(pins),
-                    discarded,
-                    interior,
-                    scanned,
-                    self.registry.active_count(),
-                    live,
-                    longest,
-                )
+            self.tracer.emit(
+                "gc.sweep",
+                self.horizon(),
+                visible,
+                len(pins),
+                discarded,
+                interior,
+                scanned,
+                self.registry.active_count(),
+                live,
+                longest,
+            )
         return discarded

@@ -112,9 +112,9 @@ class MVStore:
     def chain_stats(self) -> tuple[int, int]:
         """``(live_versions, longest_chain)`` across all objects.
 
-        The two version-footprint gauges the GC instrumentation publishes
-        after every pass: total retained versions, and the longest single
-        object's chain (the worst case a snapshot read must scan).
+        The version footprint a traced ``gc.sweep`` carries: total retained
+        versions, and the longest single object's chain (the worst case a
+        snapshot read must scan).
         """
         total = 0
         longest = 0

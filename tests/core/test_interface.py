@@ -23,6 +23,14 @@ class TestSchedulerCounters:
         assert c.get("custom") == 5
         assert c.get("missing") == 0
 
+    def test_get_of_an_untouched_name_creates_nothing(self):
+        c = SchedulerCounters()
+        assert c.get("missing") == 0
+        c.note_commit(rw())
+        c.bump("custom", 0)
+        assert c.get("commit.ro") == 0
+        assert list(c.as_dict().items()) == [("commit.rw", 1), ("custom", 0)]
+
     def test_begin_commit_split_by_class(self):
         c = SchedulerCounters()
         c.note_begin(ro())

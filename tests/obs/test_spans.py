@@ -10,12 +10,12 @@ synthetic ``lock.wait`` spans and orphan promotion.
 from repro.bench.runner import SimConfig, run_simulation
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.schedule import FaultSchedule, FaultSpec
+from repro.obs.analyze import index_trace
 from repro.obs.exporters import RingBufferExporter
 from repro.obs.spans import (
     NULL_SPAN,
     activate,
     bind_envelope,
-    build_span_trees,
     render_tree,
     start_span,
     transaction_trees,
@@ -244,7 +244,7 @@ class TestBuildTrees:
              "trace": 5, "op": "commit"},
             {"name": "span.end", "ts": 2.0, "span": 42, "trace": 5},
         ]
-        roots = build_span_trees(events)
+        roots = index_trace(events).span_roots()
         assert [r.span_id for r in roots] == [42]
 
     def test_synthetic_lock_wait_span(self):
@@ -257,7 +257,7 @@ class TestBuildTrees:
              "waited": True},
             {"name": "span.end", "ts": 5.0, "span": 1, "trace": 1},
         ]
-        root = build_span_trees(events)[0]
+        root = index_trace(events).span_roots()[0]
         waits = [c for c in root.children if c.name == "lock.wait"]
         assert len(waits) == 1
         wait = waits[0]

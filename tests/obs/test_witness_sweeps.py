@@ -100,7 +100,7 @@ class ParentWitness(WitnessEngine):
         if self.track_edges:
             self._txn_ident[txn] = ident
             self._txn_outcome[txn] = "committed"
-        node = _Node(ident, ts)
+        node = _Node(ident)
         self._nodes[ident] = node
         self._topo.add_node(ident)
         edges: list[tuple[int, int, str, Any]] = []

@@ -152,7 +152,7 @@ class TestLockEventsMatchTheFlatManager:
         return ring.events()
 
     def test_every_lock_wait_ends_in_a_waited_grant_a_victim_or_an_abort(self):
-        from repro.obs.spans import build_span_trees
+        from repro.obs.analyze import index_trace
 
         events = self._events("vc-2pl-granular")
         flat = self._events("vc-2pl")
@@ -178,7 +178,7 @@ class TestLockEventsMatchTheFlatManager:
             own = [node] if node.name == "lock.wait" else []
             return own + [s for child in node.children for s in wait_spans(child)]
 
-        spans = [s for root in build_span_trees(events) for s in wait_spans(root)]
+        spans = [s for root in index_trace(events).span_roots() for s in wait_spans(root)]
         assert len(spans) == waited(events)
         assert all(span.end is not None for span in spans)
         releases = [e for e in events if e["name"] == "lock.release"]

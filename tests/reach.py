@@ -141,7 +141,6 @@ ALLOW: dict[str, tuple[str, str]] = {
         "core/interface.py::Scheduler", "core/transaction.py::Transaction",
         "core/version_control.py::_QueueEntry", "core/version_control.py::VersionControl",
         "distributed/courier.py::_Message", "distributed/dvc.py::_Entry",
-        "obs/metrics.py::Counter", "obs/metrics.py::Gauge",
         "obs/spans.py::SpanContext", "obs/spans.py::SpanNode",
         "replica/cluster.py::ReplicaCluster", "replica/node.py::Replica",
         "shard/ring.py::HashRing", "sim/engine.py::Process",

@@ -639,5 +639,7 @@ def test_watching_a_wal_run_costs_a_fixed_number_of_obs_frames():
     assert metrics.commits == 518 and pipeline.witness.ok and pipeline.engine.ok
     # 69 843 (134.8 per commit) when every read-only commit was a graph
     # node, every pass tried every tracked node and every candidate key,
-    # and the SLO engine derived each signal's name per event.
-    assert len(counted) <= 49_531, len(counted) / metrics.commits  # 95.6 per commit
+    # and the SLO engine derived each signal's name per event; 44 757
+    # (86.4 per commit) while the run set a ``vc.lag`` gauge in a metrics
+    # registry on every version-control notification.
+    assert len(counted) <= 44_190, len(counted) / metrics.commits  # 85.3 per commit
