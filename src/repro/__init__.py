@@ -53,7 +53,6 @@ from repro.faults import (
     FaultyCourier,
     PartitionWindow,
     RetryPolicy,
-    run_campaign,
     run_drill,
 )
 from repro.histories import (
@@ -140,7 +139,6 @@ __all__ = [
     "check_one_copy_serializable",
     "is_one_copy_serializable",
     "is_retryable",
-    "run_campaign",
     "run_drill",
     "run_replica_scaling",
     "run_replication_campaign",

@@ -3,8 +3,8 @@
 Runs any scheduler under a workload with ``n_clients`` concurrent client
 processes over the virtual clock: each client repeatedly draws a transaction
 template, executes its operations (with service and think delays), and
-commits; an aborted transaction is retried up to ``max_restarts`` times
-(counted), as a real application would.
+commits; an aborted transaction is retried up to :data:`MAX_RESTARTS`
+times (counted), as a real application would.
 
 After the run the recorded history is fed to the one-copy-serializability
 oracle (skippable for very large runs), and all scheduler counters are
@@ -14,6 +14,7 @@ merged into the returned :class:`~repro.bench.metrics.RunMetrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.bench.metrics import RunMetrics
 from repro.core.interface import Scheduler
@@ -27,15 +28,20 @@ from repro.sim.stats import TimeWeighted
 from repro.workload.spec import WorkloadGenerator, WorkloadSpec
 
 
+#: Virtual time one operation takes before it is submitted.
+OP_SERVICE_TIME = 1.0
+#: Mean of the exponential think time before a restart.
+THINK_TIME_MEAN = 2.0
+#: An aborted transaction is retried at most this many times.
+MAX_RESTARTS = 10
+
+
 @dataclass
 class SimConfig:
     """Knobs of the closed-loop simulation."""
 
     duration: float = 1_000.0
     n_clients: int = 8
-    op_service_time: float = 1.0
-    think_time_mean: float = 2.0
-    max_restarts: int = 10
     check_serializability: bool = True
     #: Probability that a client abandons (user-aborts) its transaction
     #: after any operation — failure injection for robustness tests.
@@ -72,7 +78,7 @@ def run_simulation(
             else Simulator()
         )
     if tracer is not None and tracer.enabled:
-        tracer.clock = lambda: sim.now
+        tracer.clock = partial(getattr, sim, "now")  # no Python frame per read
         instrumentation = attach_tracer(scheduler, tracer)
     generator = WorkloadGenerator(workload)
     think_rng = generator.streams.stream("think")
@@ -90,12 +96,12 @@ def run_simulation(
         scheduler.vc.subscribe(lag_observer)
 
     def think() -> float:
-        return think_rng.expovariate(1.0 / config.think_time_mean)
+        return think_rng.expovariate(1.0 / THINK_TIME_MEAN)
 
     def _run_transaction():
         spec = generator.next_txn()
         attempts = 0
-        while attempts <= config.max_restarts:
+        while attempts <= MAX_RESTARTS:
             attempts += 1
             start = sim.now
             txn = scheduler.begin(read_only=spec.read_only)
@@ -103,7 +109,7 @@ def run_simulation(
                 metrics.staleness_ro.add(scheduler.vc.lag)
             try:
                 for op in spec.ops:
-                    yield config.op_service_time
+                    yield OP_SERVICE_TIME
                     if op.kind == "r":
                         yield scheduler.read(txn, op.key)
                     else:
@@ -122,7 +128,7 @@ def run_simulation(
                     metrics.aborts_ro += 1
                 else:
                     metrics.aborts_rw += 1
-                if attempts <= config.max_restarts:
+                if attempts <= MAX_RESTARTS:
                     metrics.restarts += 1
                     yield think()
                     continue

@@ -103,11 +103,10 @@ class Database:
         admission: an :class:`~repro.qos.AdmissionController` installed on
             the scheduler — read-write begins then take a token or raise
             :class:`~repro.errors.Overloaded`; read-only begins bypass it.
-        backoff: the :class:`~repro.qos.BackoffPolicy` between retries.
         retry_seed: master seed for the deterministic retry jitter stream.
-        sleep: optional ``sleep(delay)`` callable honoring backoff delays
-            (e.g. wired to a simulator); None just records the schedule in
-            :attr:`last_retry_schedule`.
+
+    Retries back off per the default :class:`~repro.qos.BackoffPolicy`,
+    and each delay is recorded in :attr:`last_retry_schedule`.
     """
 
     def __init__(
@@ -115,9 +114,7 @@ class Database:
         scheduler: Scheduler | str = "vc-2pl",
         *,
         admission=None,
-        backoff: BackoffPolicy | None = None,
         retry_seed: int = 0,
-        sleep: Callable[[float], None] | None = None,
         **scheduler_kwargs,
     ):
         if isinstance(scheduler, str):
@@ -129,9 +126,10 @@ class Database:
         self.scheduler = scheduler
         if admission is not None:
             self.scheduler.admission = admission
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._retry_rng = RandomStreams(retry_seed).stream("session.retry")
-        self._sleep = sleep
+        #: Called with each backoff delay when assigned (a test drives the
+        #: contention it retries against from here); None only records.
+        self._sleep: Callable[[float], None] | None = None
         #: Backoff delays issued by the most recent :meth:`run` call — the
         #: deterministic retry schedule (same seed => same schedule).
         self.last_retry_schedule: list[float] = []
@@ -172,7 +170,7 @@ class Database:
 
         The last error is re-raised when the retries run out.
         """
-        retry = Retry(self.backoff, self._retry_rng, limit=retries)
+        retry = Retry(BackoffPolicy(), self._retry_rng, limit=retries)
         self.last_retry_schedule = []
         while True:
             txn = None

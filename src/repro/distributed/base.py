@@ -56,7 +56,7 @@ class SiteBase:
     #: Protocol channel -> this site's courier channel (a shard's: ``2pc.s3``...).
     channels: dict[str, str] = {name: name for name in ("2pc", "data", "read", "snapshot")}
 
-    def __init__(self, site_id: int, waits_for: WaitsForGraph | None = None):
+    def __init__(self, site_id: int, waits_for: WaitsForGraph):
         self.site_id = site_id
         self.store = MVStore()
         # Victim policy must stay "requester" with a shared waits-for graph.

@@ -30,8 +30,6 @@ message looks up, a callable stays a source drawn once per message.
 Messages carry a *channel* label (default ``"default"``).  Manual pumping
 can target one channel, modeling independent network paths whose relative
 ordering is unconstrained — the freedom distributed anomalies need.
-``channel_latency`` overrides the latency source per channel in every mode,
-so one slow path can be modeled next to fast ones.
 
 **Span-context envelopes.**  When a tracer is attached, ``dispatch`` seals
 the sender's ambient span context into the message (see
@@ -45,14 +43,15 @@ override; ``dispatch`` stays the single sealing point (and schedules a
 simulated delivery in place unless a subclass overrides ``_route``).
 
 :class:`~repro.faults.FaultyCourier` subclasses this to inject drops,
-duplicates, delay spikes and partitions from a seeded schedule.
+duplicates, delay spikes and partitions from a seeded schedule.  It runs
+in the simulated mode only: every fault plays out in virtual time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.obs.spans import bind_envelope
 from repro.obs.tracer import NULL_TRACER
@@ -82,16 +81,11 @@ class Courier:
         sim: Simulator | None = None,
         latency: LatencySource = 0.0,
         manual: bool = False,
-        channel_latency: Mapping[str, LatencySource] | None = None,
     ):
         if sim is not None and manual:
             raise ValueError("choose either simulated or manual delivery")
         self._sim = sim
         self._latency = latency if callable(latency) else float(latency)
-        self._channel_latency = {
-            channel: source if callable(source) else float(source)
-            for channel, source in (channel_latency or {}).items()
-        }
         self._manual = manual
         #: The simulator ``dispatch`` schedules on in place; None if a subclass re-routes.
         self._direct = sim if sim is not None and type(self)._route is Courier._route else None
@@ -108,8 +102,8 @@ class Courier:
         """The simulator driving simulated deliveries, if any."""
         return self._sim
 
-    def _draw_latency(self, channel: str = "default") -> float:
-        source = self._channel_latency.get(channel, self._latency)
+    def _draw_latency(self) -> float:
+        source = self._latency
         return float(source()) if callable(source) else source
 
     def dispatch(self, fn: Callable[[], None], channel: str = "default") -> None:
@@ -127,14 +121,14 @@ class Courier:
         sim = self._direct
         if sim is None:
             return self._route(fn, channel)
-        latency = self._channel_latency.get(channel, self._latency)
+        latency = self._latency
         latency = float(latency()) if callable(latency) else latency
         sim.call_at(sim.now + latency, partial(self._deliver, fn))
 
     def _route(self, fn: Callable[[], None], channel: str) -> None:
         """Manual or immediate delivery; the fault-injecting courier overrides it."""
         if self._manual:
-            self._enqueue(fn, channel, self._draw_latency(channel))
+            self._enqueue(fn, channel, self._draw_latency())
         else:
             self._deliver(fn)
 
@@ -161,9 +155,9 @@ class Courier:
         """Insert by virtual arrival time (send tick + latency), stably.
 
         Each dispatch advances the send tick by one, so with zero latency
-        arrival order equals dispatch order (FIFO); a per-channel jitter
-        source deterministically interleaves slow messages behind later
-        fast ones — the manual-mode analogue of simulated latency.
+        arrival order equals dispatch order (FIFO); a jitter source
+        deterministically interleaves slow messages behind later fast ones
+        — the manual-mode analogue of simulated latency.
         """
         self._sends += 1
         message = _Message(self._sends + max(latency, 0.0), self._sends, channel, fn)

@@ -49,6 +49,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Hashable
 
+from repro.cc.deadlock import WaitsForGraph
 from repro.core.futures import OpFuture, OpStatus
 from repro.core.transaction import Transaction
 from repro.distributed.base import Distributed2PLDatabase, SiteBase
@@ -62,7 +63,7 @@ from repro.obs.tracer import Tracer
 class Site(SiteBase):
     """A site numbered by a :class:`DistributedVersionControl` module."""
 
-    def __init__(self, site_id: int, waits_for=None):
+    def __init__(self, site_id: int, waits_for: WaitsForGraph):
         super().__init__(site_id, waits_for)
         self.vc = DistributedVersionControl(site_id)
         #: Read-only waits parked on this site's visibility: (sn, future).

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
+from repro.cc.deadlock import WaitsForGraph
 from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.distributed.base import Distributed2PLDatabase, SiteBase, TwoPLRecord
@@ -49,7 +50,7 @@ from repro.obs.spans import start_span
 class _ChanSite(SiteBase):
     """A site numbered by a local commit counter, visible through a local CTL."""
 
-    def __init__(self, site_id: int, waits_for=None):
+    def __init__(self, site_id: int, waits_for: WaitsForGraph):
         super().__init__(site_id, waits_for)
         self.commit_counter = 0
         self.ctl: set[int] = {0}

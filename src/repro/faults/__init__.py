@@ -12,7 +12,7 @@ See ``docs/faults.md`` for the fault taxonomy and the seed-replay workflow.
 """
 
 from repro.faults.courier import FaultyCourier, RetryPolicy
-from repro.faults.drill import DrillReport, run_campaign, run_drill
+from repro.faults.drill import DrillReport, run_drill
 from repro.faults.invariants import ClusterInvariantChecker, FaultInvariantChecker
 from repro.faults.schedule import (
     DEFAULT_SPEC,
@@ -35,6 +35,5 @@ __all__ = [
     "FaultyCourier",
     "PartitionWindow",
     "RetryPolicy",
-    "run_campaign",
     "run_drill",
 ]

@@ -15,17 +15,11 @@ Every injected fault is emitted as a ``fault.*`` trace event on the
 courier's tracer, so ``python -m repro trace`` can reconstruct the fault
 timeline of a drill from its JSONL trace alone.
 
-Mode behavior (see the base class's mode matrix):
-
-* **simulated** — faults play out in virtual time: a dropped message is
-  rescheduled after the backoff delay; a partitioned message is deferred to
-  the end of its window.
-* **manual** — faults shape the pump order: a drop pushes the message's
-  arrival time out by the backoff delay, a duplicate enqueues it twice, and
-  explicit :meth:`partition` / :meth:`heal` calls park and release whole
-  channels (time-window partitions need a clock, hence sim mode).
-* **immediate** — drops retry synchronously (attempt counting still runs),
-  duplicates call the thunk twice; useful for unit-testing idempotence.
+The courier runs on a simulator, so faults play out in virtual time: a
+dropped message is rescheduled after the backoff delay, a partitioned
+message is deferred to the end of its window, and explicit
+:meth:`~FaultyCourier.partition` / :meth:`~FaultyCourier.heal` calls park
+and release whole channels.
 """
 
 from __future__ import annotations
@@ -61,23 +55,19 @@ class FaultyCourier(Courier):
 
     def __init__(
         self,
+        sim: Simulator,
         schedule: FaultSchedule | None = None,
         retry: RetryPolicy | None = None,
-        sim: Simulator | None = None,
         latency: LatencySource = 0.0,
-        manual: bool = False,
-        channel_latency=None,
     ):
-        super().__init__(
-            sim=sim, latency=latency, manual=manual, channel_latency=channel_latency
-        )
+        super().__init__(sim=sim, latency=latency)
         self.schedule = schedule if schedule is not None else FaultSchedule()
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Channels parked by an explicit partition() call (manual/immediate).
+        #: Channels parked by an explicit partition() call.
         self._held_channels: set[str] = set()
         self._parked: list[tuple[str, Callable[[], None]]] = []
 
-    # -- explicit partitions (manual / immediate modes) -------------------------
+    # -- explicit partitions -----------------------------------------------------
 
     def partition(self, channel: str) -> None:
         """Hold every future (and parked) message on ``channel``."""
@@ -113,17 +103,9 @@ class FaultyCourier(Courier):
                 self.tracer.emit("fault.partition.hold", channel)
             self._parked.append((channel, fn))
             return
-        if self._sim is not None:
-            self._dispatch_sim(fn, channel, attempt=0)
-        elif self._manual:
-            self._dispatch_manual(fn, channel)
-        else:
-            self._dispatch_immediate(fn, channel)
-
-    # -- simulated mode ---------------------------------------------------------
+        self._dispatch_sim(fn, channel, attempt=0)
 
     def _dispatch_sim(self, fn: Callable[[], None], channel: str, attempt: int) -> None:
-        assert self._sim is not None
         now = self._sim.now
         heal_at = self.schedule.partitioned_until(channel, now)
         if heal_at is not None:
@@ -157,54 +139,12 @@ class FaultyCourier(Courier):
                     backoff, lambda: self._dispatch_sim(fn, channel, attempt + 1)
                 )
                 return
-        latency = self._draw_latency(channel) + decision.extra_delay
+        latency = self._draw_latency() + decision.extra_delay
         if decision.extra_delay and self.tracer.enabled:
             self.tracer.emit("fault.delay", channel, decision.extra_delay)
         self._sim.call_in(latency, partial(self._deliver, fn))
         if decision.duplicate:
             if self.tracer.enabled:
                 self.tracer.emit("fault.duplicate", channel)
-            echo = self._draw_latency(channel) + self.retry.base
+            echo = self._draw_latency() + self.retry.base
             self._sim.call_in(latency + echo, partial(self._deliver, fn))
-
-    # -- manual mode -------------------------------------------------------------
-
-    def _dispatch_manual(self, fn: Callable[[], None], channel: str) -> None:
-        decision = self.schedule.decide(channel)
-        extra = decision.extra_delay
-        if decision.drop:
-            # A manual-mode drop is its own retransmission: the message's
-            # arrival slides out by the first backoff, re-ordering it behind
-            # traffic sent later — the observable effect of loss + retry.
-            extra += self.retry.delay(0, self.schedule.rng(channel))
-            if self.tracer.enabled:
-                self.tracer.emit("fault.drop", channel, retry_in=extra)
-        elif decision.extra_delay and self.tracer.enabled:
-            self.tracer.emit("fault.delay", channel, extra)
-        self._enqueue(fn, channel, self._draw_latency(channel) + extra)
-        if decision.duplicate:
-            if self.tracer.enabled:
-                self.tracer.emit("fault.duplicate", channel)
-            self._enqueue(fn, channel, self._draw_latency(channel) + extra)
-
-    # -- immediate mode ----------------------------------------------------------
-
-    def _dispatch_immediate(self, fn: Callable[[], None], channel: str) -> None:
-        attempt = 0
-        while True:
-            decision = self.schedule.decide(channel, retransmission=attempt > 0)
-            if not decision.drop:
-                break
-            attempt += 1
-            if attempt >= self.retry.max_attempts:
-                self.schedule.counts.retries_exhausted += 1
-                if self.tracer.enabled:
-                    self.tracer.emit("fault.retry.exhausted", channel, attempt)
-                break
-            if self.tracer.enabled:
-                self.tracer.emit("fault.drop", channel, attempt=attempt - 1)
-        self._deliver(fn)
-        if decision.duplicate:
-            if self.tracer.enabled:
-                self.tracer.emit("fault.duplicate", channel)
-            self._deliver(fn)

@@ -14,7 +14,7 @@ replays bit-for-bit from ``(protocol, seed, knobs)``.
 
 ``python -m repro drill`` runs campaigns of these — and, through the
 :data:`CAMPAIGNS` table, of the five other seeded drills (see :func:`main`);
-``run_campaign`` is the library entry point.
+:func:`run_drill` is the library entry point.
 
 DMV2PL drills run read-write clients only: its read-only anomaly (torn
 global reads) is the paper result the protocol exists to demonstrate, not
@@ -30,7 +30,8 @@ import pkgutil
 import sys
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any
 
 from repro.distributed.database import DistributedVCDatabase
 from repro.distributed.dmv2pl import DistributedMV2PL
@@ -150,7 +151,8 @@ def run_drill(
     for observer in observers:
         tracer.add_exporter(observer)
     if tracer.enabled:
-        tracer.clock = lambda: sim.now  # fault timelines in virtual time
+        # Fault timelines in virtual time, read with no Python frame.
+        tracer.clock = partial(getattr, sim, "now")
     instrumentation = attach_tracer(db, tracer)
     checker = FaultInvariantChecker(db)
     rng = run.streams.stream("clients")
@@ -222,25 +224,6 @@ def run_drill(
         )
     instrumentation.detach()
     return report
-
-
-def run_campaign(
-    protocols: tuple[str, ...] | list[str] = PROTOCOLS,
-    seeds: int = 20,
-    seed_base: int = 0,
-    *,
-    progress: Callable[[DrillReport], None] | None = None,
-    **drill_kwargs: Any,
-) -> list[DrillReport]:
-    """Run ``seeds`` drills per protocol; returns every report."""
-    reports: list[DrillReport] = []
-    for protocol in protocols:
-        for offset in range(seeds):
-            report = run_drill(protocol, seed_base + offset, **drill_kwargs)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
-    return reports
 
 
 def _tracer(args: argparse.Namespace) -> Tracer:

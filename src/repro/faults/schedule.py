@@ -13,8 +13,8 @@ Fault taxonomy (``docs/faults.md``):
   retransmits with exponential backoff and jitter (:class:`RetryPolicy`).
 * **duplicate** — the message is delivered twice (retransmission raced the
   original ack); protocols must be idempotent.
-* **delay spike** — the message takes ``spike_factor`` extra latency units,
-  modeling a stalled path or a bufferbloated queue.
+* **delay spike** — the message takes :data:`SPIKE_FACTOR` times 0.5..1.5
+  extra latency units, modeling a stalled path or a bufferbloated queue.
 * **partition** — a channel is unreachable during declared
   :class:`PartitionWindow` s of virtual time; messages dispatched during a
   window are deferred until it heals.
@@ -47,19 +47,21 @@ class PartitionWindow:
         return (self.channel in ("*", channel)) and self.start <= now < self.end
 
 
+#: A delay spike adds this many latency units, times 0.5..1.5.
+SPIKE_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Per-message fault probabilities plus partition windows.
 
     All probabilities are per dispatched message (and per retransmission
-    attempt for ``drop``).  ``spike_factor`` scales the base latency unit to
-    produce the delay-spike magnitude.
+    attempt for ``drop``).
     """
 
     drop: float = 0.0
     duplicate: float = 0.0
     delay_spike: float = 0.0
-    spike_factor: float = 10.0
     partitions: tuple[PartitionWindow, ...] = ()
 
     def __post_init__(self) -> None:
@@ -113,26 +115,16 @@ class FaultCounts:
 class FaultSchedule:
     """Deterministic per-channel fault decisions under one master seed.
 
-    Overrides map channel names to their own :class:`FaultSpec`, so (say)
-    the 2PC channel can run lossy while snapshot fetches stay clean.
-    Decisions are drawn from streams named ``fault:<channel>`` — replaying
-    the same traffic under the same seed reproduces the same faults.
+    One :class:`FaultSpec` governs every channel; decisions are drawn from
+    streams named ``fault:<channel>`` — replaying the same traffic under
+    the same seed reproduces the same faults.
     """
 
-    def __init__(
-        self,
-        spec: FaultSpec | None = None,
-        seed: int = 0,
-        overrides: dict[str, FaultSpec] | None = None,
-    ):
+    def __init__(self, spec: FaultSpec | None = None, seed: int = 0):
         self.spec = spec if spec is not None else FaultSpec()
         self.seed = seed
-        self.overrides = dict(overrides) if overrides else {}
         self._streams = RandomStreams(seed)
         self.counts = FaultCounts()
-
-    def spec_for(self, channel: str) -> FaultSpec:
-        return self.overrides.get(channel, self.spec)
 
     def rng(self, channel: str) -> random.Random:
         return self._streams.stream(f"fault:{channel}")
@@ -140,7 +132,7 @@ class FaultSchedule:
     def partitioned_until(self, channel: str, now: float) -> float | None:
         """End of the partition window covering ``(channel, now)``, if any."""
         end: float | None = None
-        for window in self.spec_for(channel).partitions:
+        for window in self.spec.partitions:
             if window.covers(channel, now):
                 end = window.end if end is None else max(end, window.end)
         return end
@@ -152,7 +144,7 @@ class FaultSchedule:
         lost again, but duplication/spikes of the original are not re-rolled
         (the retransmission *is* the duplicate-like event).
         """
-        spec = self.spec_for(channel)
+        spec = self.spec
         decision = FaultDecision()
         if not spec.any_faults:
             return decision
@@ -166,6 +158,6 @@ class FaultSchedule:
             decision.duplicate = True
             self.counts.duplicates += 1
         if spec.delay_spike and rng.random() < spec.delay_spike:
-            decision.extra_delay = spec.spike_factor * (0.5 + rng.random())
+            decision.extra_delay = SPIKE_FACTOR * (0.5 + rng.random())
             self.counts.delay_spikes += 1
         return decision

@@ -25,7 +25,7 @@ decide.
 from __future__ import annotations
 
 from functools import partial
-from typing import IO, Any, Iterable
+from typing import IO, Any
 
 from repro.obs.exporters import JsonlExporter, RingBufferExporter
 from repro.obs.instrument import Instrumentation, attach_tracer
@@ -36,42 +36,37 @@ class ObsPipeline:
     """Compose exporters, a virtual-time tracer, and instrumentation handles.
 
     Args:
-        sim: simulator whose clock stamps events (``clock`` overrides).
-        clock: explicit zero-argument clock callable.
+        sim: simulator whose clock stamps events.
         ring: capacity for an in-memory :class:`RingBufferExporter`.
         jsonl: path or stream for a :class:`JsonlExporter`.
         engine: a :class:`~repro.obs.slo.SLOEngine` to evaluate online.
         witness: a :class:`~repro.obs.witness.WitnessEngine` certifying
             the ``history.*`` stream live (finished on close, like the
             SLO engine).
-        exporters: extra ready-made exporters to include as-is.
     """
 
     def __init__(
         self,
         *,
         sim: Any | None = None,
-        clock: Any | None = None,
         ring: int | None = None,
         jsonl: str | IO[str] | None = None,
         engine: Any | None = None,
         witness: Any | None = None,
-        exporters: Iterable[Any] = (),
     ):
         self.ring = RingBufferExporter(capacity=ring) if ring else None
         self.jsonl = JsonlExporter(jsonl) if jsonl is not None else None
         self.engine = engine
         self.witness = witness
-        all_exporters = [
+        exporters = [
             exporter
             for exporter in (self.ring, self.jsonl, engine, witness)
             if exporter is not None
         ]
-        all_exporters.extend(exporters)
-        if all_exporters:
-            if clock is None and sim is not None:
-                clock = partial(getattr, sim, "now")  # no Python frame per read
-            self.tracer: Tracer = Tracer(exporters=all_exporters, clock=clock)
+        if exporters:
+            # partial(getattr, ...) reads the clock with no Python frame.
+            clock = partial(getattr, sim, "now") if sim is not None else None
+            self.tracer: Tracer = Tracer(exporters=exporters, clock=clock)
         else:
             self.tracer = NULL_TRACER
         self._handles: list[Instrumentation] = []

@@ -5,9 +5,9 @@ scales with the number of replicas, while the read-write path — which still
 funnels through the one primary — is unaffected.  Each replica is modeled
 as a single-server FIFO queue on the virtual clock (one snapshot read costs
 ``service_time``), because that is the resource replication multiplies; a
-fixed reader fleet large enough to saturate one replica is load-balanced
-round-robin across however many exist, and a fixed writer population runs
-against the primary throughout.
+fixed reader fleet (:data:`READERS`) large enough to saturate one replica
+is load-balanced round-robin across however many exist, and a fixed writer
+population (:data:`WRITERS`) runs against the primary throughout.
 
 Everything runs from one master seed on the simulator, so the artifact
 block is deterministic and comparator-safe (top-level, like ``qos``).
@@ -37,25 +37,28 @@ QUORUM_LATENCY_FLOOR = 1.0
 #: throughput must not collapse.
 QUORUM_THROUGHPUT_FLOOR = 0.4
 
+#: The scaling fleet: replica counts measured, reader and writer clients,
+#: and the virtual time one snapshot read holds a replica.
+REPLICA_COUNTS = (1, 2, 4)
+READERS = 32
+WRITERS = 6
+SERVICE_TIME = 0.5
+#: The sync comparison: writer clients, replicas, courier latency per hop.
+SYNC_WRITERS = 6
+SYNC_REPLICAS = 3
+SYNC_LATENCY = 0.5
+#: Every point's writers (and readers) draw from keys ``k0..k7``.
+KEYS = tuple(f"k{i}" for i in range(8))
 
-def _run_scale_point(
-    seed: int,
-    n_replicas: int,
-    *,
-    duration: float,
-    readers: int,
-    writers: int,
-    service_time: float,
-    n_keys: int = 8,
-) -> dict[str, Any]:
+
+def _run_scale_point(seed: int, n_replicas: int, duration: float) -> dict[str, Any]:
     run = PhaseRun(seed)
     sim, streams = run.sim, run.streams
     cluster = ReplicaCluster(
         n_replicas=n_replicas, courier=Courier(sim=sim, latency=0.5)
     )
     # Each replica's serving capacity: one snapshot read at a time.
-    servers = {rid: FifoServer(sim, service_time) for rid in cluster.replicas}
-    keys = [f"k{i}" for i in range(n_keys)]
+    servers = {rid: FifoServer(sim, SERVICE_TIME) for rid in cluster.replicas}
     tallies = {"ro_reads": 0, "ro_sessions": 0, "rw_commits": 0, "rw_aborts": 0}
 
     def writer(i: int):
@@ -65,7 +68,7 @@ def _run_scale_point(
         def once():
             txn = db.begin()
             error = yield from rw_attempt(
-                db, txn, rng.sample(keys, 2), service=lambda: rng.expovariate(2.0)
+                db, txn, rng.sample(KEYS, 2), service=lambda: rng.expovariate(2.0)
             )
             tallies["rw_commits" if error is None else "rw_aborts"] += 1
 
@@ -79,7 +82,7 @@ def _run_scale_point(
             assert replica is not None
             server = servers[replica.replica_id]
             txn = replica.begin(read_only=True)
-            for key in rng.sample(keys, 3):
+            for key in rng.sample(KEYS, 3):
                 yield server.submit()  # queue for the replica's capacity
                 replica.read(txn, key).result()
                 tallies["ro_reads"] += 1
@@ -88,8 +91,8 @@ def _run_scale_point(
 
         return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
-    run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("reader", READERS, reader)
     sim.run()
 
     return {
@@ -103,36 +106,18 @@ def _run_scale_point(
     }
 
 
-def run_replica_scaling(
-    seed: int = 0,
-    *,
-    replica_counts: tuple[int, ...] = (1, 2, 4),
-    duration: float = 200.0,
-    readers: int = 32,
-    writers: int = 6,
-    service_time: float = 0.5,
-) -> dict[str, Any]:
+def run_replica_scaling(seed: int = 0, *, duration: float = 200.0) -> dict[str, Any]:
     """Measure RO/RW throughput across replica counts; returns the block.
 
-    The reader fleet's offered load (~``readers * 3 / (think + queueing)``
+    The reader fleet's offered load (~``READERS * 3 / (think + queueing)``
     reads per time unit) well exceeds one replica's capacity
-    (``1 / service_time``), so a single replica saturates and added
+    (``1 / SERVICE_TIME``), so a single replica saturates and added
     replicas convert directly into read throughput.  The writer population
     never touches the replica tier, so its commit rate must stay flat
     within :data:`RW_TOLERANCE`.
     """
-    points = {
-        n: _run_scale_point(
-            seed,
-            n,
-            duration=duration,
-            readers=readers,
-            writers=writers,
-            service_time=service_time,
-        )
-        for n in replica_counts
-    }
-    low, high = min(replica_counts), max(replica_counts)
+    points = {n: _run_scale_point(seed, n, duration) for n in REPLICA_COUNTS}
+    low, high = min(REPLICA_COUNTS), max(REPLICA_COUNTS)
     base_ro = points[low]["ro_ops_per_s"]
     base_rw = points[low]["rw_commits_per_s"]
     speedup = points[high]["ro_ops_per_s"] / base_ro if base_ro else 0.0
@@ -151,10 +136,10 @@ def run_replica_scaling(
     return {
         "seed": seed,
         "duration": duration,
-        "readers": readers,
-        "writers": writers,
-        "service_time": service_time,
-        "scaling": {str(n): points[n] for n in replica_counts},
+        "readers": READERS,
+        "writers": WRITERS,
+        "service_time": SERVICE_TIME,
+        "scaling": {str(n): points[n] for n in REPLICA_COUNTS},
         "ro_speedup": round(speedup, 4),
         "rw_ratio": round(rw_ratio, 4),
         "ok": not violations,
@@ -162,16 +147,7 @@ def run_replica_scaling(
     }
 
 
-def _run_sync_point(
-    seed: int,
-    mode: ReplicationMode,
-    *,
-    duration: float,
-    writers: int,
-    n_replicas: int,
-    latency: float,
-    n_keys: int = 8,
-) -> dict[str, Any]:
+def _run_sync_point(seed: int, mode: ReplicationMode, duration: float) -> dict[str, Any]:
     """One mode's RW cost: commit latency distribution and throughput.
 
     Same seed and workload for both modes, so the only difference between
@@ -181,11 +157,10 @@ def _run_sync_point(
     run = PhaseRun(seed)
     sim, streams = run.sim, run.streams
     cluster = ReplicaCluster(
-        n_replicas=n_replicas,
-        courier=Courier(sim=sim, latency=latency),
+        n_replicas=SYNC_REPLICAS,
+        courier=Courier(sim=sim, latency=SYNC_LATENCY),
         mode=mode,
     )
-    keys = [f"k{i}" for i in range(n_keys)]
     tallies = {"rw_commits": 0, "rw_aborts": 0}
     latencies: list[float] = []
 
@@ -202,14 +177,14 @@ def _run_sync_point(
                 latencies.append(sim.now - submitted)
 
             error = yield from rw_attempt(
-                db, txn, rng.sample(keys, 2),
+                db, txn, rng.sample(KEYS, 2),
                 service=lambda: rng.expovariate(2.0), commit=timed_commit,
             )
             tallies["rw_commits" if error is None else "rw_aborts"] += 1
 
         return closed_loop(sim, duration, lambda: rng.expovariate(1.0), once)
 
-    run.spawn("writer", writers, writer)
+    run.spawn("writer", SYNC_WRITERS, writer)
     sim.run()
 
     return {
@@ -224,32 +199,18 @@ def _run_sync_point(
     }
 
 
-def run_replica_sync(
-    seed: int = 0,
-    *,
-    duration: float = 200.0,
-    writers: int = 6,
-    n_replicas: int = 3,
-    latency: float = 0.5,
-) -> dict[str, Any]:
+def run_replica_sync(seed: int = 0, *, duration: float = 200.0) -> dict[str, Any]:
     """Async vs quorum RW cost under an identical workload; returns the block.
 
     The durability trade, quantified: quorum acknowledgement buys RPO=0 at
-    the price of one shipping round trip per commit (≥ ``2 * latency``) on
+    the price of one shipping round trip per commit (≥ ``2 * SYNC_LATENCY``) on
     the acknowledgement path, while throughput — the pipeline is not
     stalled, commits overlap — must stay within
     :data:`QUORUM_THROUGHPUT_FLOOR` of async.  A clean network, so quorum
     mode must neither fence nor time out a single commit.
     """
     points = {
-        mode.value: _run_sync_point(
-            seed,
-            mode,
-            duration=duration,
-            writers=writers,
-            n_replicas=n_replicas,
-            latency=latency,
-        )
+        mode.value: _run_sync_point(seed, mode, duration)
         for mode in (ReplicationMode.ASYNC, ReplicationMode.QUORUM)
     }
     async_point, quorum_point = points["async"], points["quorum"]
@@ -262,7 +223,7 @@ def run_replica_sync(
     violations = []
     if not async_point["rw_commits_per_s"] or not quorum_point["rw_commits_per_s"]:
         violations.append("a sync point ran dry: no commits measured")
-    min_delta = QUORUM_LATENCY_FLOOR * 2 * latency
+    min_delta = QUORUM_LATENCY_FLOOR * 2 * SYNC_LATENCY
     if latency_delta < min_delta:
         violations.append(
             f"quorum commit p50 only {latency_delta:.3f} above async "
@@ -282,9 +243,9 @@ def run_replica_sync(
     return {
         "seed": seed,
         "duration": duration,
-        "writers": writers,
-        "n_replicas": n_replicas,
-        "latency": latency,
+        "writers": SYNC_WRITERS,
+        "n_replicas": SYNC_REPLICAS,
+        "latency": SYNC_LATENCY,
         "modes": points,
         "commit_p50_delta": round(latency_delta, 4),
         "quorum_throughput_ratio": round(throughput_ratio, 4),

@@ -153,17 +153,17 @@ class QuorumGate:
         courier: Courier,
         *,
         epoch: int = 0,
-        commit_timeout: float = 30.0,
-        lease_ttl: float = 8.0,
         counters: SchedulerCounters | None = None,
     ):
         self.shipper = shipper
         self.courier = courier
         self.epoch = epoch
-        self.commit_timeout = commit_timeout
+        #: Until the cluster arms a heartbeat configuration (which sets both),
+        #: a pending commit times out after 30 vt and the lease's TTL is 8 vt.
+        self.commit_timeout = 30.0
         self.counters = counters if counters is not None else SchedulerCounters()
         self.tracer = NULL_TRACER
-        self.lease = EpochLease(epoch, lease_ttl, self._now)
+        self.lease = EpochLease(epoch, 8.0, self._now)
         self.deposed = False
         self._entries: list[_PendingCommit] = []
         self._lease_ok = True
@@ -347,13 +347,13 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
 
     name = "vc-2pl-quorum"
 
-    def __init__(self, gate: QuorumGate | None = None, **kwargs):
+    def __init__(self, gate: QuorumGate, **kwargs):
         super().__init__(**kwargs)
         self.gate = gate
 
     def _commit_fence(self, txn: Transaction) -> OpFuture | None:
         gate = self.gate
-        if gate is None or gate.writable():
+        if gate.writable():
             return None
         # Fenced: the lease lapsed (or this primary was deposed), so
         # the commit is refused *before* the commit point — nothing is
@@ -371,8 +371,6 @@ class QuorumVC2PLScheduler(RecoverableVC2PLScheduler):
         # durable locally; shipping fires under the force.
         super()._durability_gate(txn, tn)
         gate = self.gate
-        if gate is None:
-            return None
         offset = self.log.durable_length()
         future = OpFuture(label=("commit T{} (quorum)", txn.txn_id))
 

@@ -42,9 +42,8 @@ class ReplicatedDatabase(Database):
 
     def __init__(
         self,
-        cluster: ReplicaCluster | None = None,
+        cluster: ReplicaCluster,
         *,
-        n_replicas: int = 2,
         max_staleness: int | None = None,
         stale_policy: str = "redirect",
         **qos_kwargs,
@@ -53,9 +52,7 @@ class ReplicatedDatabase(Database):
             raise ValueError(
                 f"stale_policy {stale_policy!r} not in {STALE_POLICIES}"
             )
-        self.cluster = (
-            cluster if cluster is not None else ReplicaCluster(n_replicas=n_replicas)
-        )
+        self.cluster = cluster
         self.max_staleness = max_staleness
         self.stale_policy = stale_policy
         super().__init__(scheduler=self.cluster.primary, **qos_kwargs)
@@ -74,22 +71,15 @@ class ReplicatedDatabase(Database):
 
     # -- read-only routing --------------------------------------------------------
 
-    def snapshot(
-        self,
-        max_staleness: int | None = None,
-        stale_policy: str | None = None,
-    ) -> TransactionContext:
+    def snapshot(self) -> TransactionContext:
         """A read-only transaction, served from a replica when one exists.
 
-        ``max_staleness`` (transactions behind the primary's watermark) and
-        ``stale_policy`` override the session defaults per call.  With no
-        replicas (or after the last one was promoted) the snapshot falls
-        back to the primary.
+        A replica more than the session's ``max_staleness`` transactions
+        behind the primary's watermark is handled per its ``stale_policy``.
+        With no replicas (or after the last one was promoted) the snapshot
+        falls back to the primary.
         """
-        bound = max_staleness if max_staleness is not None else self.max_staleness
-        policy = stale_policy if stale_policy is not None else self.stale_policy
-        if policy not in STALE_POLICIES:
-            raise ValueError(f"stale_policy {policy!r} not in {STALE_POLICIES}")
+        bound, policy = self.max_staleness, self.stale_policy
         counters = self.cluster.counters
         replica = self.cluster.pick_replica()
         if replica is None:

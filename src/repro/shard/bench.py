@@ -5,11 +5,11 @@ bench: *write* capacity scales with the number of primary shards, because
 disjoint-key transactions on different shards share nothing (no global
 ``tnc``, no shared lock table, no cross-shard messages on the fast path).
 Each shard's commit pipeline is modeled as a single-server FIFO queue on
-the virtual clock (one commit costs ``service_time`` — the WAL force and
-VC work a real primary serializes), exactly like the replica bench models
-read capacity; a writer fleet large enough to saturate one shard is pinned
-round-robin across however many exist, each writer on private keys hashed
-to its own shard.  Doubling the shards doubles the commit servers, so the
+the virtual clock (one commit costs :data:`SERVICE_TIME` — the WAL force
+and VC work a real primary serializes), exactly like the replica bench
+models read capacity; a writer fleet (:data:`WRITERS`) large enough to
+saturate one shard is pinned round-robin across however many exist, each
+writer on private keys hashed to its own shard.  Doubling the shards doubles the commit servers, so the
 closed-loop throughput must follow — the acceptance floors are
 :data:`SCALE_2X_FLOOR` at 2 shards and :data:`SCALE_4X_FLOOR` at 4.
 
@@ -38,23 +38,22 @@ SCALE_2X_FLOOR = 1.7
 #: Acceptance floor: RW ops/s at 4 shards over RW ops/s at 1 shard.
 SCALE_4X_FLOOR = 3.0
 
+#: The fleet: shard counts measured, writer and reader clients, the virtual
+#: time one commit holds its shard, and each writer's private keys.
+SHARD_COUNTS = (1, 2, 4)
+WRITERS = 56
+READERS = 4
+SERVICE_TIME = 0.5
+KEYS_PER_WRITER = 4
 
-def _run_scale_point(
-    seed: int,
-    n_shards: int,
-    *,
-    duration: float,
-    writers: int,
-    readers: int,
-    service_time: float,
-    keys_per_writer: int = 4,
-) -> dict[str, Any]:
+
+def _run_scale_point(seed: int, n_shards: int, duration: float) -> dict[str, Any]:
     run = PhaseRun(seed)
     sim, streams = run.sim, run.streams
     db = ShardedDatabase(n_shards=n_shards, courier=Courier(sim=sim, latency=0.5))
     # Each shard's commit capacity: one commit at a time.
-    servers = {sid: FifoServer(sim, service_time) for sid in db.sites}
-    home, keys = pinned_keys(n_shards, writers, keys_per_writer)
+    servers = {sid: FifoServer(sim, SERVICE_TIME) for sid in db.sites}
+    home, keys = pinned_keys(n_shards, WRITERS, KEYS_PER_WRITER)
     tallies = {
         "rw_commits": 0, "rw_aborts": 0, "ro_sessions": 0, "ro_reads": 0,
     }
@@ -84,7 +83,7 @@ def _run_scale_point(
         def once():
             ro = db.begin(read_only=True)
             for _ in range(2):
-                target = rng.randrange(writers)
+                target = rng.randrange(WRITERS)
                 try:
                     yield db.read(ro, keys[target][0])
                     tallies["ro_reads"] += 1
@@ -95,8 +94,8 @@ def _run_scale_point(
 
         return closed_loop(sim, duration, lambda: rng.expovariate(0.5), once)
 
-    run.spawn("writer", writers, writer)
-    run.spawn("reader", readers, reader)
+    run.spawn("writer", WRITERS, writer)
+    run.spawn("reader", READERS, reader)
     sim.run()
 
     return {
@@ -112,41 +111,23 @@ def _run_scale_point(
     }
 
 
-def run_shard_scaling(
-    seed: int = 0,
-    *,
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-    duration: float = 160.0,
-    writers: int = 56,
-    readers: int = 4,
-    service_time: float = 0.5,
-) -> dict[str, Any]:
+def run_shard_scaling(seed: int = 0, *, duration: float = 160.0) -> dict[str, Any]:
     """Measure RW throughput across shard counts; returns the bench block.
 
     The writer fleet's offered load well exceeds one shard's commit
-    capacity (``1 / service_time``), so a single shard saturates and added
+    capacity (``1 / SERVICE_TIME``), so a single shard saturates and added
     shards convert directly into write throughput — the multi-primary
     claim.  Every workload transaction is single-shard (disjoint pinned
     keys), i.e. the pure scale-out case the acceptance floors govern;
     vector RO sessions ride along and must never block
     (``shard.ro_blocked == 0``).
     """
-    points = {
-        n: _run_scale_point(
-            seed,
-            n,
-            duration=duration,
-            writers=writers,
-            readers=readers,
-            service_time=service_time,
-        )
-        for n in shard_counts
-    }
-    low = min(shard_counts)
+    points = {n: _run_scale_point(seed, n, duration) for n in SHARD_COUNTS}
+    low = min(SHARD_COUNTS)
     base_rw = points[low]["rw_commits_per_s"]
     speedups = {
         n: (points[n]["rw_commits_per_s"] / base_rw if base_rw else 0.0)
-        for n in shard_counts
+        for n in SHARD_COUNTS
     }
     violations = []
     floors = {2: SCALE_2X_FLOOR, 4: SCALE_4X_FLOOR}
@@ -156,7 +137,7 @@ def run_shard_scaling(
                 f"RW speedup {speedups[n]:.2f}x at {n} shards below the "
                 f"{floor}x floor"
             )
-    blocked = sum(points[n]["ro_blocked"] for n in shard_counts)
+    blocked = sum(points[n]["ro_blocked"] for n in SHARD_COUNTS)
     if blocked:
         violations.append(
             f"{blocked} vector reads blocked on a shard watermark "
@@ -165,11 +146,11 @@ def run_shard_scaling(
     return {
         "seed": seed,
         "duration": duration,
-        "writers": writers,
-        "readers": readers,
-        "service_time": service_time,
-        "scaling": {str(n): points[n] for n in shard_counts},
-        "speedups": {str(n): round(speedups[n], 4) for n in shard_counts},
+        "writers": WRITERS,
+        "readers": READERS,
+        "service_time": SERVICE_TIME,
+        "scaling": {str(n): points[n] for n in SHARD_COUNTS},
+        "speedups": {str(n): round(speedups[n], 4) for n in SHARD_COUNTS},
         "ok": not violations,
         "violations": violations,
     }

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
+from repro.cc.deadlock import WaitsForGraph
 from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction
 from repro.distributed.courier import Courier
@@ -93,8 +94,8 @@ class ShardNode(Site):
       deposed incarnation's in-flight traffic cannot diverge the replicas.
     """
 
-    def __init__(self, site_id: int, waits_for=None):
-        super().__init__(site_id, waits_for=waits_for)
+    def __init__(self, site_id: int, waits_for: WaitsForGraph):
+        super().__init__(site_id, waits_for)
         #: Cross-shard commits durable here: ``(tn, participant ids)``.
         self.xlog: list[XlogEntry] = []
         #: Fail-over count; shipped segments carry it (see LogShipper).

@@ -92,9 +92,10 @@ class ReadOnlyRegistry:
     transactions may share a start number, and ``min_active_sn`` /
     ``active_count`` aggregate over live leases only.  New surface:
 
-    * ``ttl`` — virtual-time lease duration; ``None`` (default) means
-      leases never expire by time, preserving the original behavior for
-      schedulers that never wire a clock;
+    * ``ttl`` and ``clock`` — the virtual-time lease duration and its
+      clock, assigned by whoever wires one (the memory campaign); ``None``
+      (the start value) means leases never expire by time, preserving the
+      original behavior for schedulers that never wire a clock;
     * :meth:`renew` — called on every read; pushes ``expires_at`` out;
     * :meth:`check` — raises :class:`~repro.errors.SnapshotTooOld` for a
       revoked lease (the *only* way a revocation surfaces: never mid-read);
@@ -105,14 +106,12 @@ class ReadOnlyRegistry:
       the GC pin set.
     """
 
-    def __init__(self, ttl: float | None = None, clock: Callable[[], float] | None = None):
-        if ttl is not None and ttl <= 0:
-            raise ValueError("lease ttl must be > 0 (or None for no expiry)")
-        self.ttl = ttl
+    def __init__(self):
+        self.ttl: float | None = None
         #: Virtual-time source for lease grant/renewal stamps.  Campaigns
         #: wire ``sim.now``; the default clock pins every stamp to 0.0 so a
         #: TTL-less registry behaves exactly like the original multiset.
-        self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
+        self.clock: Callable[[], float] = lambda: 0.0
         self._counts: dict[int, int] = {}
         self._leases: dict[int, SnapshotLease] = {}
         self._seq = 0

@@ -13,8 +13,8 @@ subset of its operations:
   :meth:`discard_pending`.
 
 Every object springs into existence on first touch with an initial version
-numbered 0 holding ``initial_value`` (default None), attributed to the
-notional initializing transaction T0.
+numbered 0 holding None (or the value :meth:`MVStore.preload` gave it),
+attributed to the notional initializing transaction T0.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from repro.storage.versioned_object import VersionedObject
 class MVStore:
     """Key-addressed multiversion storage."""
 
-    def __init__(self, initial_value: Any = None):
+    def __init__(self):
         self._objects: dict[Hashable, VersionedObject] = {}
-        self._initial_value = initial_value
         #: Total versions ever discarded by garbage collection.
         self.gc_discarded = 0
 
@@ -40,7 +39,7 @@ class MVStore:
         """The version chain for ``key``, created on first use."""
         obj = self._objects.get(key)
         if obj is None:
-            obj = VersionedObject(key, self._initial_value)
+            obj = VersionedObject(key)
             self._objects[key] = obj
         return obj
 

@@ -17,19 +17,18 @@ from typing import Any, Hashable
 class SVStore:
     """Key-addressed single-version storage with writer attribution."""
 
-    def __init__(self, initial_value: Any = None):
+    def __init__(self):
         self._values: dict[Hashable, Any] = {}
         self._writer_tn: dict[Hashable, int] = {}
-        self._initial_value = initial_value
 
     def read(self, key: Hashable) -> tuple[Any, int]:
         """Return ``(value, writer_tn)`` for ``key``.
 
-        Unknown keys read the initial value, attributed to transaction 0.
+        Unknown keys read None, attributed to transaction 0.
         """
         if key in self._values:
             return self._values[key], self._writer_tn[key]
-        return self._initial_value, 0
+        return None, 0
 
     def apply(self, key: Hashable, value: Any, writer_tn: int) -> None:
         """Overwrite ``key`` with a committed value."""

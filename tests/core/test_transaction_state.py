@@ -26,6 +26,7 @@ from repro.obs.instrument import attach_tracer
 from repro.obs.tracer import Tracer
 from repro.protocols.registry import PROTOCOLS, make_scheduler
 from repro.qos import AdmissionController
+from repro.replica.cluster import ReplicaCluster
 from repro.replica.node import Replica
 from repro.replica.session import ReplicatedDatabase
 from repro.shard import ShardedDatabase
@@ -238,7 +239,7 @@ def _registry(name):
 
 
 def _replica():
-    db = ReplicatedDatabase(n_replicas=1)
+    db = ReplicatedDatabase(ReplicaCluster(n_replicas=1))
     with db.transaction() as txn:
         txn.write("x", 1)
     (replica,) = db.cluster.replicas.values()

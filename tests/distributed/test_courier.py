@@ -123,16 +123,6 @@ class TestManualJitter:
         assert run(3) != run(4), "different seeds draw different arrivals"
         assert sorted(run(3)) == list(range(20)), "reordered, never lost"
 
-    def test_channel_latency_override_slows_one_path(self):
-        courier = Courier(
-            manual=True, latency=0.0, channel_latency={"snapshot": 100.0}
-        )
-        seen = []
-        courier.dispatch(lambda: seen.append("snap"), channel="snapshot")
-        courier.dispatch(lambda: seen.append("data"), channel="data")
-        courier.pump()
-        assert seen == ["data", "snap"], "the slow channel arrives last"
-
     def test_negative_latency_clamps_to_send_order(self):
         courier = Courier(manual=True, latency=-5.0)
         seen = []

@@ -161,34 +161,38 @@ class TestDVCCrashRecovery:
 
     def test_duplicated_deliveries_are_idempotent(self):
         """Every message delivered twice: commits still apply exactly once."""
-        courier = FaultyCourier(schedule=FaultSchedule(FaultSpec(duplicate=1.0)))
+        sim = Simulator()
+        courier = FaultyCourier(sim, schedule=FaultSchedule(FaultSpec(duplicate=1.0)))
         db = DistributedVCDatabase(n_sites=2, courier=courier)
-        for i in range(4):
-            t = db.begin()
-            db.write(t, "s1:x", i).result()
-            db.write(t, "s2:y", i).result()
-            db.commit(t).result()
-            chain = db.sites[1].store.object("s1:x")
-            assert len([v for v in chain.versions() if v.tn == t.tn]) == 1
+        committed = []
+
+        def client():
+            for i in range(4):
+                t = db.begin()
+                yield db.write(t, "s1:x", i)
+                yield db.write(t, "s2:y", i)
+                yield db.commit(t)
+                committed.append(t.tn)
+
+        sim.spawn(client())
+        sim.run()  # every echo delivered
+        assert sim.all_finished() and len(committed) == 4
+        assert courier.schedule.counts.duplicates > 0
+        for site, key in ((1, "s1:x"), (2, "s2:y")):
+            tns = [v.tn for v in db.sites[site].store.object(key).versions()]
+            assert all(tns.count(tn) == 1 for tn in committed), tns
         assert_one_copy_serializable(db.history)
 
     def test_prepare_timeout_aborts_stalled_2pc(self):
         sim = Simulator()
-        courier = FaultyCourier(
-            schedule=FaultSchedule(
-                FaultSpec(), seed=0,
-                overrides={"2pc": FaultSpec(drop=0.0)},
-            ),
-            sim=sim,
-        )
+        courier = FaultyCourier(sim, schedule=FaultSchedule(FaultSpec(), seed=0))
         db = DistributedVCDatabase(n_sites=2, courier=courier, prepare_timeout=10.0)
-        courier.partition  # (FaultyCourier API available; not needed here)
 
         def client():
             t = db.begin()
             yield db.write(t, "s1:x", 1)
             yield db.write(t, "s2:y", 2)
-            courier._held_channels.add("2pc")  # partition the commit path
+            courier.partition("2pc")  # partition the commit path
             try:
                 yield db.commit(t)
                 raise AssertionError("commit should have timed out")

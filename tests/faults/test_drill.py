@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.faults import FaultSpec, PartitionWindow, run_campaign, run_drill
+from repro.faults import FaultSpec, PartitionWindow, run_drill
 from repro.faults.drill import main as drill_main
 from repro.obs import RingBufferExporter, Tracer
 
@@ -93,7 +93,11 @@ class TestRunDrill:
 
 class TestRunCampaign:
     def test_campaign_covers_protocols_and_seeds(self):
-        reports = run_campaign(("dvc", "dmv2pl"), seeds=2, duration=120.0)
+        reports = [
+            run_drill(protocol, seed, duration=120.0)
+            for protocol in ("dvc", "dmv2pl")
+            for seed in range(2)
+        ]
         assert len(reports) == 4
         assert {r.protocol for r in reports} == {"dvc", "dmv2pl"}
         assert all(r.ok for r in reports), [

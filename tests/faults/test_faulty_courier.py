@@ -1,4 +1,4 @@
-"""FaultyCourier behavior across the three delivery modes."""
+"""FaultyCourier behavior on the simulator."""
 
 import pytest
 
@@ -7,8 +7,10 @@ from repro.obs import RingBufferExporter, Tracer
 from repro.sim.engine import Simulator
 
 
-def make_courier(spec, seed=0, **kw):
-    return FaultyCourier(schedule=FaultSchedule(spec, seed=seed), **kw)
+def make_courier(spec, seed=0, sim=None, **kw):
+    if sim is None:
+        sim = Simulator()
+    return FaultyCourier(sim, schedule=FaultSchedule(spec, seed=seed), **kw)
 
 
 class TestRetryPolicy:
@@ -36,71 +38,6 @@ class TestRetryPolicy:
             assert 0.5 <= policy.delay(0, rng) <= 1.5
 
 
-class TestImmediateMode:
-    def test_duplicate_runs_handler_twice(self):
-        courier = make_courier(FaultSpec(duplicate=1.0))
-        runs = []
-        courier.dispatch(lambda: runs.append(1))
-        assert len(runs) == 2
-        assert courier.schedule.counts.duplicates == 1
-
-    def test_certain_drop_still_delivers_after_retries(self):
-        """The retry backstop forces delivery; nothing is silently lost."""
-        courier = make_courier(
-            FaultSpec(drop=1.0), retry=RetryPolicy(max_attempts=3)
-        )
-        runs = []
-        courier.dispatch(lambda: runs.append(1))
-        assert runs == [1]
-        assert courier.schedule.counts.retries_exhausted == 1
-
-    def test_explicit_partition_parks_and_heals(self):
-        courier = make_courier(FaultSpec())
-        runs = []
-        courier.partition("2pc")
-        courier.dispatch(lambda: runs.append("a"), channel="2pc")
-        courier.dispatch(lambda: runs.append("b"), channel="data")
-        assert runs == ["b"]
-        assert courier.parked("2pc") == 1
-        courier.heal("2pc")
-        assert runs == ["b", "a"]
-        assert courier.parked() == 0
-
-
-class TestManualMode:
-    def test_drop_slides_arrival_behind_later_sends(self):
-        spec = FaultSpec(drop=1.0)
-        # Find a seed/order where the dropped message's backoff pushes it
-        # behind a later clean message — deterministic given the seed.
-        courier = FaultyCourier(
-            schedule=FaultSchedule(spec, seed=0),
-            retry=RetryPolicy(base=5.0, jitter=0.0, max_attempts=2),
-            manual=True,
-        )
-        order = []
-        courier.dispatch(lambda: order.append("first"), channel="data")
-        courier.schedule.overrides["data"] = FaultSpec()  # later sends clean
-        courier.dispatch(lambda: order.append("second"), channel="data")
-        courier.pump()
-        assert order == ["second", "first"]
-
-    def test_duplicate_enqueues_twice(self):
-        courier = make_courier(FaultSpec(duplicate=1.0), manual=True)
-        runs = []
-        courier.dispatch(lambda: runs.append(1))
-        assert courier.pending() == 2
-        courier.pump()
-        assert runs == [1, 1]
-
-    def test_clean_schedule_preserves_fifo(self):
-        courier = make_courier(FaultSpec(), manual=True)
-        order = []
-        for i in range(5):
-            courier.dispatch(lambda i=i: order.append(i))
-        courier.pump()
-        assert order == [0, 1, 2, 3, 4]
-
-
 class TestSimulatedMode:
     def test_drop_retransmits_in_virtual_time(self):
         sim = Simulator()
@@ -124,6 +61,7 @@ class TestSimulatedMode:
         courier.dispatch(lambda: runs.append(sim.now))
         sim.run()
         assert len(runs) == 2
+        assert courier.schedule.counts.duplicates == 1
 
     def test_partition_window_defers_to_heal_time(self):
         sim = Simulator()
@@ -140,11 +78,26 @@ class TestSimulatedMode:
 
     def test_delay_spike_adds_latency(self):
         sim = Simulator()
-        courier = make_courier(FaultSpec(delay_spike=1.0, spike_factor=10.0), sim=sim)
+        courier = make_courier(FaultSpec(delay_spike=1.0), sim=sim)
         arrivals = []
         courier.dispatch(lambda: arrivals.append(sim.now))
         sim.run()
-        assert arrivals[0] >= 5.0  # spike is at least 0.5 * spike_factor
+        assert arrivals[0] >= 5.0  # spike is at least 0.5 * SPIKE_FACTOR
+
+    def test_explicit_partition_parks_and_heals(self):
+        sim = Simulator()
+        courier = make_courier(FaultSpec(), sim=sim)
+        runs = []
+        courier.partition("2pc")
+        courier.dispatch(lambda: runs.append("a"), channel="2pc")
+        courier.dispatch(lambda: runs.append("b"), channel="data")
+        sim.run()
+        assert runs == ["b"]
+        assert courier.parked("2pc") == 1
+        courier.heal("2pc")
+        sim.run()
+        assert runs == ["b", "a"]
+        assert courier.parked() == 0
 
 
 class TestTraceEvents:
@@ -156,6 +109,7 @@ class TestTraceEvents:
         )
         courier.tracer = tracer
         courier.dispatch(lambda: None)
+        courier.sim.run()
         names = {e["name"] for e in ring.events()}
         assert "fault.drop" in names or "fault.retry.exhausted" in names
 
@@ -175,18 +129,21 @@ class TestTraceEvents:
 
 
 class TestDeterminism:
-    def test_same_seed_same_manual_delivery_order(self):
+    def test_same_seed_same_simulated_arrivals(self):
         def run(seed):
+            sim = Simulator()
             courier = make_courier(
                 FaultSpec(drop=0.3, duplicate=0.3, delay_spike=0.3),
                 seed=seed,
-                manual=True,
+                sim=sim,
             )
-            order = []
+            arrivals = []
             for i in range(30):
-                courier.dispatch(lambda i=i: order.append(i), channel=f"c{i % 3}")
-            courier.pump()
-            return order
+                courier.dispatch(
+                    lambda i=i: arrivals.append((sim.now, i)), channel=f"c{i % 3}"
+                )
+            sim.run()
+            return arrivals
 
         assert run(5) == run(5)
         assert run(5) != run(6)

@@ -74,13 +74,6 @@ class TestDecide:
         d = schedule.decide("x", retransmission=True)
         assert not d.duplicate and d.extra_delay == 0.0
 
-    def test_per_channel_override(self):
-        schedule = FaultSchedule(
-            FaultSpec(), seed=0, overrides={"lossy": FaultSpec(drop=1.0)}
-        )
-        assert schedule.decide("lossy").drop
-        assert not schedule.decide("clean").drop
-
     def test_counts_as_dict_keys(self):
         counts = FaultSchedule(FaultSpec(), seed=0).counts.as_dict()
         assert set(counts) == {

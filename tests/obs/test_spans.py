@@ -145,12 +145,11 @@ class TestFaultyCourierContext:
     """Span contexts sealed at dispatch survive every fault-layer delivery."""
 
     def _setup(self, spec, sim=None, retry=None):
+        if sim is None:
+            sim = Simulator()
         ring = RingBufferExporter(capacity=4096)
-        clock = (lambda: sim.now) if sim is not None else None
-        tracer = Tracer(exporters=[ring], clock=clock)
-        courier = FaultyCourier(
-            schedule=FaultSchedule(spec=spec), retry=retry, sim=sim
-        )
+        tracer = Tracer(exporters=[ring], clock=lambda: sim.now)
+        courier = FaultyCourier(sim, schedule=FaultSchedule(spec=spec), retry=retry)
         courier.tracer = tracer
         return tracer, ring, courier
 
@@ -161,6 +160,7 @@ class TestFaultyCourierContext:
             courier.dispatch(
                 lambda: contexts.append(tracer.active_span), channel="2pc"
             )
+        courier.sim.run()
         assert len(contexts) == 2
         assert contexts[0].span_id == contexts[1].span_id
         redeliveries = [
@@ -202,8 +202,10 @@ class TestFaultyCourierContext:
             courier.dispatch(
                 lambda: delivered.append(tracer.active_span), channel="2pc"
             )
+        courier.sim.run()
         assert delivered == []
         courier.heal("2pc")
+        courier.sim.run()
         assert len(delivered) == 1
         msg_starts = [e for e in ring.events() if e.get("op") == "msg"]
         assert len(msg_starts) == 1  # sealed once at dispatch, not at heal
@@ -213,6 +215,7 @@ class TestFaultyCourierContext:
         tracer, ring, courier = self._setup(FaultSpec())
         delivered = []
         courier.dispatch(lambda: delivered.append(tracer.active_span))
+        courier.sim.run()
         assert delivered == [None]
         assert not [e for e in ring.events() if e.get("op") == "msg"]
 

@@ -195,10 +195,9 @@ ALLOW: dict[str, tuple[str, str]] = {
         "Database.check_serializable"))),
     **_allow("api", "Section 6 remedy 2, docs/api.md",
              "core/snapshot.py::SnapshotManager.begin_current_reader"),
-    **_allow("api", "manual mode and its partitions, docs/faults.md",
-             "faults/courier.py::FaultyCourier.parked",
-             "faults/courier.py::FaultyCourier._dispatch_manual"),
-    **_allow("api", "docs/faults.md", "faults/drill.py::run_campaign",
+    **_allow("api", "what an explicit partition holds, docs/faults.md",
+             "faults/courier.py::FaultyCourier.parked"),
+    **_allow("api", "docs/faults.md",
              "faults/invariants.py::FaultInvariantChecker.ok",
              "faults/invariants.py::FaultInvariantChecker.assert_ok"),
     **_allow("api", "docs/api.md", "histories/recorder.py::HistoryRecorder.full_history",

@@ -9,7 +9,7 @@ from repro.replica.session import ReplicatedDatabase
 
 
 def _loaded_db(**kwargs):
-    db = ReplicatedDatabase(n_replicas=2, **kwargs)
+    db = ReplicatedDatabase(ReplicaCluster(n_replicas=2), **kwargs)
     with db.transaction() as txn:
         txn.write("x", 41)
     return db
@@ -30,7 +30,7 @@ class TestRouting:
         assert db.cluster.primary.vc.vtnc == 2
 
     def test_primary_fallback_with_no_replicas(self):
-        db = ReplicatedDatabase(n_replicas=0)
+        db = ReplicatedDatabase(ReplicaCluster(n_replicas=0))
         with db.transaction() as txn:
             txn.write("x", 1)
         with db.snapshot() as snap:
@@ -102,11 +102,6 @@ class TestStalenessPolicies:
         assert is_retryable(info.value)
         assert db.cluster.counters.get("replica.ro.reject") == 1
 
-    def test_per_call_override(self):
-        db = self._lagging_db(max_staleness=2, stale_policy="redirect")
-        with db.snapshot(stale_policy="stale") as snap:
-            assert snap.read("x") == 41
-
     def test_within_bound_served_from_replica(self):
         db = _loaded_db(max_staleness=2, stale_policy="reject")
         with db.snapshot() as snap:   # lag is 0: no policy fires
@@ -115,7 +110,4 @@ class TestStalenessPolicies:
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="stale_policy"):
-            ReplicatedDatabase(n_replicas=1, stale_policy="block")
-        db = _loaded_db()
-        with pytest.raises(ValueError, match="stale_policy"):
-            db.snapshot(stale_policy="wait")
+            ReplicatedDatabase(ReplicaCluster(n_replicas=1), stale_policy="block")

@@ -27,10 +27,6 @@ class TestObjects:
         with pytest.raises(KeyError):
             store.preload({"a": 2})
 
-    def test_custom_initial_value(self):
-        store = MVStore(initial_value=0)
-        assert store.read_snapshot("anything", 0).value == 0
-
 
 class TestReadsAndWrites:
     def test_install_and_snapshot(self):

@@ -24,6 +24,7 @@ from typing import Any, Hashable, Iterable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cc.deadlock import WaitsForGraph
 from repro.core.version_control import VersionControl
 from repro.distributed.base import SiteBase
 from repro.replica.node import Replica
@@ -249,7 +250,7 @@ def test_recover_matches_the_tn_order_reference(log):
 @settings(max_examples=300, deadline=None)
 @given(logs())
 def test_site_restart_matches_the_tn_order_reference(log):
-    site = _Site(0)
+    site = _Site(0, WaitsForGraph())
     site.wal = log
     site.recover()
     reference = MVStore()

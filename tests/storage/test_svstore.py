@@ -5,8 +5,8 @@ from repro.storage.svstore import SVStore
 
 class TestSVStore:
     def test_unknown_key_reads_initial(self):
-        store = SVStore(initial_value=0)
-        assert store.read("x") == (0, 0)
+        store = SVStore()
+        assert store.read("x") == (None, 0)
 
     def test_apply_and_read(self):
         store = SVStore()

@@ -276,7 +276,7 @@ def test_a_faulty_courier_on_a_clock_still_drops_and_duplicates():
 
 def test_a_callable_channel_latency_is_drawn_once_per_message():
     """A numeric latency is resolved once; a callable one is drawn once per
-    message on its channel, in every mode and through the fault layer."""
+    message, in every mode and through the fault layer."""
     draws = []
 
     def slow() -> float:
@@ -285,17 +285,17 @@ def test_a_callable_channel_latency_is_drawn_once_per_message():
 
     sim = Simulator()
     couriers = [
-        Courier(sim=sim, latency=1.0, channel_latency={"slow": slow}),
-        FaultyCourier(sim=sim, latency=1.0, channel_latency={"slow": slow}),
-        Courier(manual=True, latency=1.0, channel_latency={"slow": slow}),
+        Courier(sim=sim, latency=slow),
+        FaultyCourier(sim, latency=slow),
+        Courier(manual=True, latency=slow),
     ]
     for courier in couriers:
         draws.clear()
-        for channel in ("slow", "fast", "slow", "fast"):
+        for channel in ("2pc", "data", "2pc", "data"):
             courier.dispatch(lambda: None, channel)
         sim.run()
         courier.pump()
-        assert len(draws) == 2 and courier.delivered == 4
+        assert len(draws) == 4 and courier.delivered == 4
 
 
 def test_a_two_site_read_write_commit_is_at_most_183_calls():
