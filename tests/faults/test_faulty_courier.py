@@ -38,6 +38,31 @@ class TestRetryPolicy:
             assert 0.5 <= policy.delay(0, rng) <= 1.5
 
 
+class TestImmediateMode:
+    """A zero-latency courier: a clean send arrives at its dispatch instant."""
+
+    def test_duplicate_runs_handler_twice(self):
+        sim = Simulator()
+        courier = make_courier(FaultSpec(duplicate=1.0), sim=sim)
+        runs = []
+        courier.dispatch(lambda: runs.append(sim.now))
+        sim.run()
+        assert len(runs) == 2
+        assert runs[0] == 0.0  # the echo trails the original by the retry base
+        assert courier.schedule.counts.duplicates == 1
+
+    def test_certain_drop_still_delivers_after_retries(self):
+        """The retry backstop forces delivery; nothing is silently lost."""
+        courier = make_courier(
+            FaultSpec(drop=1.0), retry=RetryPolicy(max_attempts=3)
+        )
+        runs = []
+        courier.dispatch(lambda: runs.append(1))
+        courier.sim.run()
+        assert runs == [1]
+        assert courier.schedule.counts.retries_exhausted == 1
+
+
 class TestSimulatedMode:
     def test_drop_retransmits_in_virtual_time(self):
         sim = Simulator()
